@@ -1,23 +1,12 @@
-// Service-layer throughput: requests/sec and tail latency of the
-// multi-tenant Server across worker counts and tenant counts.
-//
-// Models the ROADMAP's target traffic shape: many independent repair
-// requests (mixed τr grid points, the Fig. 12 workload) arriving for one
-// or several datasets, drained by a shared worker pool with fair
-// round-robin across tenants. The interesting numbers are the scaling of
-// requests/sec with workers (cross-request parallelism — every Session
-// verb itself runs serially) and the p99 latency under a full queue.
-//
-// Prints a table over workers ∈ {1, 2, 4, 8} × tenants ∈ {1, 4} and
-// writes BENCH_service.json with every row plus the headline (8 workers,
-// 4 tenants).
-//
-// A second section measures the WIRE itself: the same in-process Server
-// behind the event-driven loop, driven by 64 concurrent clients in two
-// modes — one request per fresh TCP connection (the pre-pipelining
-// behavior) vs 64 persistent pipelined connections. The ratio is the
-// payoff of connection-level pipelining and is CI-gated at ≥ 3×
+// Wire-level service throughput: the in-process Server behind the
+// event-driven loop, driven by 64 concurrent clients in two modes — one
+// request per fresh TCP connection (the pre-pipelining behavior) vs 64
+// persistent pipelined connections. The ratio is the payoff of
+// connection-level pipelining and is CI-gated at ≥ 3×
 // ("pipeline_speedup_x" in BENCH_service.json).
+//
+// End-to-end request latency and per-layer cost of real repair traffic are
+// measured by the wire benchmark in e2ebench/, not here.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -34,7 +23,6 @@
 #include "bench/bench_common.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
-#include "src/obs/metrics.h"
 #include "src/service/client.h"
 #include "src/service/event_loop.h"
 #include "src/service/server.h"
@@ -44,17 +32,6 @@ using namespace retrust;
 using namespace retrust::service;
 
 namespace {
-
-struct Row {
-  int workers = 0;
-  int tenants = 0;
-  int requests = 0;
-  double seconds = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-
-  double rps() const { return seconds > 0 ? requests / seconds : 0.0; }
-};
 
 Instance TenantData(int n, uint64_t seed) {
   CensusConfig gen;
@@ -83,71 +60,6 @@ std::vector<std::string> TenantFds(int n, uint64_t seed) {
     texts.push_back(fd.ToString(schema));
   }
   return texts;
-}
-
-Row Measure(int workers, int num_tenants, int requests_per_tenant, int n) {
-  ServerOptions opts;
-  opts.workers = workers;
-  opts.queue_capacity = 16384;
-  Server server(opts);
-
-  for (int t = 0; t < num_tenants; ++t) {
-    uint64_t seed = 100 + static_cast<uint64_t>(t) * 17;
-    Status status = server.LoadTenant("tenant" + std::to_string(t),
-                                      TenantData(n, seed), TenantFds(n, seed));
-    if (!status.ok()) {
-      std::fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
-  }
-  // Warm every tenant's weight memos outside the timed window, like a
-  // live service that has answered at least one request per dataset.
-  // Directly against the Session, NOT through the queue: warm-up samples
-  // must not land in the latency histogram the p50/p99 columns report.
-  Client client = server.client();
-  for (int t = 0; t < num_tenants; ++t) {
-    Result<std::shared_ptr<Session>> session =
-        server.tenants().Get("tenant" + std::to_string(t));
-    (void)(*session)->Repair(RepairRequest::AtRelative(1.0));
-  }
-
-  const std::vector<double> taus_r = {0.25, 0.5, 0.75, 1.0};
-  Row row;
-  row.workers = workers;
-  row.tenants = num_tenants;
-
-  Timer timer;
-  std::vector<Submitted<Result<RepairResponse>>> pending;
-  for (int i = 0; i < requests_per_tenant; ++i) {
-    for (int t = 0; t < num_tenants; ++t) {
-      RepairRequest req =
-          RepairRequest::AtRelative(taus_r[static_cast<size_t>(i) % taus_r.size()]);
-      req.seed = static_cast<uint64_t>(i) + 1;
-      pending.push_back(
-          client.Repair("tenant" + std::to_string(t), req));
-    }
-  }
-  for (auto& p : pending) {
-    Result<RepairResponse> response = p.future.get();
-    if (!response.ok() &&
-        response.status().code() != StatusCode::kNoRepairWithinTau) {
-      std::fprintf(stderr, "request failed: %s\n",
-                   response.status().ToString().c_str());
-      std::exit(1);
-    }
-  }
-  row.seconds = timer.ElapsedSeconds();
-  row.requests = static_cast<int>(pending.size());
-
-  ServerStats stats = client.Stats();
-  row.p50 = stats.p50_latency_seconds;
-  row.p99 = stats.p99_latency_seconds;
-  if (stats.rejected() != 0) {
-    std::fprintf(stderr, "unexpected rejections under capacity: %llu\n",
-                 static_cast<unsigned long long>(stats.rejected()));
-    std::exit(1);
-  }
-  return row;
 }
 
 // --- wire modes: pipelined vs one-request-per-connection -----------------
@@ -251,67 +163,12 @@ WireRow MeasurePipelined(int port, int connections, int requests_per_conn) {
   return row;
 }
 
-/// One observability A/B arm: a fresh server + loop with the obs layer on
-/// or off (private registry, so arms and trials never share counters),
-/// driven by the pipelined stats workload. Requests carry no trace in
-/// either arm — this measures what observability costs requests that did
-/// NOT ask for it, the ≤5% contract CI gates.
-WireRow MeasureObsMode(bool observability, int connections,
-                       int requests_per_conn) {
-  obs::MetricsRegistry registry;
-  ServerOptions opts;
-  opts.workers = 4;
-  opts.queue_capacity = 0;
-  opts.observability = observability;
-  opts.metrics = &registry;
-  Server server(opts);
-  uint64_t seed = 900;
-  Status status =
-      server.LoadTenant("wire", TenantData(50, seed), TenantFds(50, seed));
-  if (!status.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", status.ToString().c_str());
-    std::exit(1);
-  }
-  EventLoop::Options loop_opts;
-  loop_opts.port = 0;
-  loop_opts.reader_threads = 4;
-  EventLoop loop(&server, loop_opts);
-  Status started = loop.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    std::exit(1);
-  }
-  WireRow row = MeasurePipelined(loop.port(), connections, requests_per_conn);
-  loop.Stop();
-  server.Stop();
-  return row;
-}
-
 }  // namespace
 
 int main() {
-  const int n = bench::ScaledN(400);
-  const int requests_per_tenant = bench::ScaledN(24);
+  bench::Banner("service", "event-driven wire throughput");
 
-  bench::Banner("service", "multi-tenant Server throughput");
-  std::printf("n = %d tuples/tenant, %d requests/tenant\n\n", n,
-              requests_per_tenant);
-  std::printf("%8s %8s %10s %10s %12s %12s\n", "workers", "tenants",
-              "requests", "req/s", "p50 (ms)", "p99 (ms)");
-
-  std::vector<Row> rows;
-  for (int tenants : {1, 4}) {
-    for (int workers : {1, 2, 4, 8}) {
-      Row row = Measure(workers, tenants, requests_per_tenant, n);
-      std::printf("%8d %8d %10d %10.1f %12.2f %12.2f\n", row.workers,
-                  row.tenants, row.requests, row.rps(), row.p50 * 1e3,
-                  row.p99 * 1e3);
-      rows.push_back(row);
-    }
-  }
-
-  // Wire section: same Server, event-driven front end, 64 concurrent
-  // clients in both modes.
+  // 64 concurrent clients in both modes against one Server.
   const int kConnections = 64;
   const int serial_requests_per_conn = bench::ScaledN(16);
   const int pipelined_requests_per_conn = bench::ScaledN(512);
@@ -348,69 +205,26 @@ int main() {
   }
   const double speedup =
       serial_conn.rps() > 0 ? pipelined.rps() / serial_conn.rps() : 0.0;
-  std::printf("\nwire, %d concurrent clients (stats verb):\n", kConnections);
+  std::printf("wire, %d concurrent clients (stats verb):\n", kConnections);
   std::printf("  one request per connection: %10.0f req/s (%d requests)\n",
               serial_conn.rps(), serial_conn.requests);
   std::printf("  pipelined persistent conns: %10.0f req/s (%d requests)\n",
               pipelined.rps(), pipelined.requests);
   std::printf("  pipeline speedup:           %10.2fx\n", speedup);
 
-  // Observability A/B: same binary, obs off vs on, untraced requests.
-  // Three interleaved trials, best rps per arm, so a noise spike in one
-  // trial can't fail the CI gate (obs_overhead_ratio >= 0.95).
-  const int kObsConnections = 32;
-  const int obs_requests_per_conn = bench::ScaledN(256);
-  double obs_off_rps = 0.0, obs_on_rps = 0.0;
-  int obs_requests = 0;
-  for (int trial = 0; trial < 3; ++trial) {
-    WireRow off = MeasureObsMode(false, kObsConnections, obs_requests_per_conn);
-    WireRow on = MeasureObsMode(true, kObsConnections, obs_requests_per_conn);
-    if (off.rps() > obs_off_rps) obs_off_rps = off.rps();
-    if (on.rps() > obs_on_rps) obs_on_rps = on.rps();
-    obs_requests = on.requests;
-  }
-  const double obs_ratio = obs_off_rps > 0 ? obs_on_rps / obs_off_rps : 0.0;
-  std::printf("\nobservability overhead, %d pipelined clients x %d requests "
-              "(best of 3):\n",
-              kObsConnections, obs_requests_per_conn);
-  std::printf("  observability off:          %10.0f req/s\n", obs_off_rps);
-  std::printf("  observability on, untraced: %10.0f req/s\n", obs_on_rps);
-  std::printf("  on/off throughput ratio:    %10.3f\n", obs_ratio);
-
-  const Row& headline = rows.back();  // 8 workers x 4 tenants
   FILE* json = bench::OpenBenchJson("service");
   if (json != nullptr) {
-    std::fprintf(json, "{\n  \"rows\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(json,
-                   "    {\"workers\": %d, \"tenants\": %d, \"requests\": %d, "
-                   "\"seconds\": %.6f, \"rps\": %.2f, "
-                   "\"p50_seconds\": %.6f, \"p99_seconds\": %.6f}%s\n",
-                   r.workers, r.tenants, r.requests, r.seconds, r.rps(),
-                   r.p50, r.p99, i + 1 < rows.size() ? "," : "");
-    }
     std::fprintf(json,
-                 "  ],\n"
-                 "  \"headline_workers\": %d,\n"
-                 "  \"headline_tenants\": %d,\n"
-                 "  \"headline_rps\": %.2f,\n"
-                 "  \"headline_p99_seconds\": %.6f,\n"
+                 "{\n"
                  "  \"wire_connections\": %d,\n"
                  "  \"serial_conn_requests\": %d,\n"
                  "  \"serial_conn_rps\": %.2f,\n"
                  "  \"pipelined_requests\": %d,\n"
                  "  \"pipelined_rps\": %.2f,\n"
-                 "  \"pipeline_speedup_x\": %.2f,\n"
-                 "  \"obs_requests\": %d,\n"
-                 "  \"obs_off_rps\": %.2f,\n"
-                 "  \"obs_on_rps\": %.2f,\n"
-                 "  \"obs_overhead_ratio\": %.4f\n"
+                 "  \"pipeline_speedup_x\": %.2f\n"
                  "}\n",
-                 headline.workers, headline.tenants, headline.rps(),
-                 headline.p99, kConnections, serial_conn.requests,
-                 serial_conn.rps(), pipelined.requests, pipelined.rps(),
-                 speedup, obs_requests, obs_off_rps, obs_on_rps, obs_ratio);
+                 kConnections, serial_conn.requests, serial_conn.rps(),
+                 pipelined.requests, pipelined.rps(), speedup);
     std::fclose(json);
   }
   return 0;

@@ -23,6 +23,7 @@ struct Options {
   /// The thread count after resolving 0 and clamping to >= 1.
   int ResolvedThreads() const {
     if (num_threads > 0) return num_threads;
+    if (num_threads < 0) return 1;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }

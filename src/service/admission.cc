@@ -31,9 +31,8 @@ Status AdmissionController::Admit(double deadline_seconds, size_t queue_depth,
                              std::to_string(opts_.per_tenant_inflight) + ")");
   }
   if (deadline_seconds > 0.0 && have_ewma_) {
-    int workers = opts_.workers < 1 ? 1 : opts_.workers;
     double wait = ewma_seconds_ * static_cast<double>(queue_depth) /
-                  static_cast<double>(workers);
+                  static_cast<double>(opts_.workers);
     if (wait > deadline_seconds) {
       ++rejected_deadline_;
       return Status::Error(
@@ -56,30 +55,12 @@ void AdmissionController::ObserveLatency(double seconds) {
   have_ewma_ = true;
 }
 
-double AdmissionController::EstimatedWaitSeconds(size_t queue_depth) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_ewma_) return 0.0;
-  int workers = opts_.workers < 1 ? 1 : opts_.workers;
-  return ewma_seconds_ * static_cast<double>(queue_depth) /
-         static_cast<double>(workers);
-}
-
 void AdmissionController::Snapshot(ServerStats* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out->rejected_queue_full = rejected_queue_full_;
   out->rejected_tenant_cap = rejected_tenant_cap_;
   out->rejected_deadline = rejected_deadline_;
   out->rejected_quota = rejected_quota_;
-}
-
-AdmissionController::RejectionCounts AdmissionController::Rejections() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  RejectionCounts counts;
-  counts.queue_full = rejected_queue_full_;
-  counts.tenant_cap = rejected_tenant_cap_;
-  counts.deadline = rejected_deadline_;
-  counts.quota = rejected_quota_;
-  return counts;
 }
 
 double AdmissionController::LatencyEwmaSeconds() const {

@@ -43,14 +43,17 @@ class AdmissionController {
     size_t queue_capacity = 256;
     /// Per-tenant bound on queued + executing requests (0 = unbounded).
     size_t per_tenant_inflight = 0;
-    /// Worker count, for the expected-wait estimate of gate 4.
+    /// Worker count, for the expected-wait estimate of gate 4 (clamped to
+    /// >= 1).
     int workers = 1;
     /// Per-tenant token buckets (gate 2). Nullable (= no rate limiting);
     /// NOT owned — the Server owns the manager and must outlive this.
     QuotaManager* quota = nullptr;
   };
 
-  explicit AdmissionController(Options opts) : opts_(opts) {}
+  explicit AdmissionController(Options opts) : opts_(opts) {
+    if (opts_.workers < 1) opts_.workers = 1;
+  }
 
   /// Policy decision for one request about to be enqueued. `queue_depth`
   /// and `tenant_load` (queued + executing for the request's tenant) are
@@ -59,34 +62,19 @@ class AdmissionController {
   Status Admit(double deadline_seconds, size_t queue_depth,
                size_t tenant_load, const std::string& tenant);
 
-  /// Feeds gate 3's EWMA with one request's SERVICE time (execution
+  /// Feeds gate 4's EWMA with one request's SERVICE time (execution
   /// only — the wait estimate multiplies by queue depth, so queue wait
   /// must not be baked into the samples or it gets double-counted).
   void ObserveLatency(double seconds);
 
-  /// Expected queue wait with `queue_depth` requests ahead (0 until the
-  /// first latency observation).
-  double EstimatedWaitSeconds(size_t queue_depth) const;
-
-  /// Copies the rejection counters into a stats snapshot.
+  /// Copies the rejection tallies (queue_full, tenant_cap, deadline,
+  /// quota) into a stats snapshot — the one place the `stats` verb and the
+  /// metrics probe read them from.
   void Snapshot(ServerStats* out) const;
-
-  /// Point-in-time rejection tallies, one per gate. Sampled by the metrics
-  /// registry probe (src/obs/metrics.h), which labels each gate as a
-  /// `rejected_total{reason=...}` series.
-  struct RejectionCounts {
-    uint64_t queue_full = 0;
-    uint64_t tenant_cap = 0;
-    uint64_t deadline = 0;
-    uint64_t quota = 0;
-  };
-  RejectionCounts Rejections() const;
 
   /// Current service-latency EWMA (gate 4's estimate base); 0 until the
   /// first observation. Exposed as a gauge.
   double LatencyEwmaSeconds() const;
-
-  const Options& options() const { return opts_; }
 
  private:
   Options opts_;

@@ -170,16 +170,14 @@ Status EventLoop::Start() {
   wake_ = std::make_shared<Wake>();
   wake_->write_fd = pipe_fds[1];
 
-  if (obs::MetricsRegistry* registry = server_->metrics()) {
-    // Resolve one counter per known verb up front: line dispatch then bumps
-    // a sharded counter without ever touching the registry mutex.
-    for (const char* verb :
-         {"load_tenant", "repair", "sweep", "apply_delta", "stats",
-          "load_snapshot_tenant", "save_snapshot", "unload_tenant",
-          "shutdown", "metrics", "dump_recent"}) {
-      verb_counters_[verb] = &registry->GetCounter(
-          "retrust_wire_requests_total", {{"verb", verb}});
-    }
+  // Resolve one counter per known verb up front: line dispatch then bumps
+  // a sharded counter without ever touching the registry mutex.
+  for (const char* verb :
+       {"load_tenant", "repair", "sweep", "apply_delta", "stats",
+        "load_snapshot_tenant", "save_snapshot", "unload_tenant", "shutdown",
+        "metrics", "dump_recent"}) {
+    verb_counters_[verb] = &server_->metrics()->GetCounter(
+        "retrust_wire_requests_total", {{"verb", verb}});
   }
 
   reader_pool_ = std::make_unique<exec::ThreadPool>(opts_.reader_threads);
@@ -479,12 +477,9 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
     return tenant != nullptr && tenant->is_string() ? tenant->AsString() : "";
   };
   const std::string verb = op->AsString();
-  if (!verb_counters_.empty()) {
-    auto counter = verb_counters_.find(verb);
-    if (counter != verb_counters_.end()) counter->second->Add();
-  }
+  auto counter = verb_counters_.find(verb);
+  if (counter != verb_counters_.end()) counter->second->Add();
   Server& server = *server_;
-  Client client = server.client();
 
   if (verb == "load_tenant") {
     const Json* csv = req.Get("csv");
@@ -546,7 +541,7 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
     if (trace != nullptr) {
       trace->root.StartChild("decode")->set_seconds(decode_seconds);
     }
-    client.RepairAsync(
+    server.Repair(
         tenant, *repair,
         [reply, srv, tenant, trace](Result<RepairResponse> response) {
           // Attached to errors too: a traced request that failed still
@@ -595,7 +590,7 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
     }
     std::string tenant = tenant_of();
     Server* srv = server_;
-    client.SweepAsync(
+    server.Sweep(
         tenant, std::move(batch),
         [reply, srv, tenant](std::vector<Result<RepairResponse>> replies) {
           Result<std::shared_ptr<Session>> session = srv->tenants().Get(tenant);
@@ -630,14 +625,13 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
       reply(ErrorJson(delta.status()));
       return;
     }
-    client.ApplyAsync(tenant, std::move(*delta),
-                      [reply](Result<ApplyStats> stats) {
-                        if (!stats.ok()) {
-                          reply(ErrorJson(stats.status()));
-                          return;
-                        }
-                        reply(ToJson(*stats));
-                      });
+    server.Apply(tenant, std::move(*delta), [reply](Result<ApplyStats> stats) {
+      if (!stats.ok()) {
+        reply(ErrorJson(stats.status()));
+        return;
+      }
+      reply(ToJson(*stats));
+    });
     return;
   }
 
@@ -692,18 +686,18 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
                         "save_snapshot needs 'tenant' and 'path'")));
       return;
     }
-    client.SaveSnapshotAsync(tenant, path->AsString(),
-                             [reply, tenant](Result<std::string> saved) {
-                               if (!saved.ok()) {
-                                 reply(ErrorJson(saved.status()));
-                                 return;
-                               }
-                               Json::Object obj;
-                               obj["ok"] = Json(true);
-                               obj["tenant"] = Json(tenant);
-                               obj["path"] = Json(*saved);
-                               reply(Json(std::move(obj)));
-                             });
+    server.SaveSnapshot(tenant, path->AsString(),
+                        [reply, tenant](Result<std::string> saved) {
+                          if (!saved.ok()) {
+                            reply(ErrorJson(saved.status()));
+                            return;
+                          }
+                          Json::Object obj;
+                          obj["ok"] = Json(true);
+                          obj["tenant"] = Json(tenant);
+                          obj["path"] = Json(*saved);
+                          reply(Json(std::move(obj)));
+                        });
     return;
   }
 
@@ -714,7 +708,7 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
                                     "unload_tenant needs 'tenant'")));
       return;
     }
-    client.UnloadTenantAsync(tenant, [reply, tenant](Result<bool> unloaded) {
+    server.UnloadTenant(tenant, [reply, tenant](Result<bool> unloaded) {
       if (!unloaded.ok()) {
         reply(ErrorJson(unloaded.status()));
         return;
@@ -730,11 +724,6 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
 
   if (verb == "metrics") {
     obs::MetricsRegistry* registry = server.metrics();
-    if (registry == nullptr) {
-      reply(ErrorJson(Status::Error(StatusCode::kInvalidArgument,
-                                    "observability is disabled")));
-      return;
-    }
     Json::Object obj;
     obj["ok"] = Json(true);
     obj["series"] = Json(static_cast<uint64_t>(registry->SeriesCount()));

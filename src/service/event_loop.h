@@ -2,7 +2,7 @@
 // loop over nonblocking sockets, replacing the thread-per-connection
 // accept loop with CONNECTION-LEVEL PIPELINING — many outstanding NDJSON
 // requests per connection, decoded incrementally from partial frames,
-// dispatched through the async Client verbs into the RequestQueue lanes,
+// dispatched through the Server's callback verbs into the RequestQueue lanes,
 // replies written back IN COMPLETION ORDER and matched by the echoed "id".
 //
 //            ┌────────────── loop thread (poll) ──────────────┐
@@ -10,7 +10,7 @@
 //            └─ LineDecoder ──▶ per-conn inbox (FIFO strand) ─┘
 //                                      │ drained by the reader pool,
 //                                      ▼ ONE task per conn at a time
-//                            verb dispatch ──▶ Client::*Async ──▶ lanes
+//                            verb dispatch ──▶ Server verbs ──▶ lanes
 //                                      │ done callback (worker thread)
 //                                      ▼
 //                            conn write queue ──▶ wake loop ──▶ socket
@@ -30,7 +30,7 @@
 //     line longer than `max_line_bytes` is discarded as it streams in and
 //     answered with one bounded error reply. Memory per connection is
 //     O(limit), never O(what the client sends).
-//   * NO THREAD PER REQUEST — the async verbs hold no blocked thread per
+//   * NO THREAD PER REQUEST — the callback verbs hold no blocked thread per
 //     outstanding request; the only threads are the loop, the small fixed
 //     reader pool, and the server's workers.
 //
@@ -198,8 +198,7 @@ class EventLoop {
   std::thread loop_thread_;
 
   /// Per-verb wire counters, resolved once at Start() so the hot line
-  /// dispatch never takes the registry lock. Empty when the server runs
-  /// without observability.
+  /// dispatch never takes the registry lock.
   std::map<std::string, obs::Counter*> verb_counters_;
 };
 

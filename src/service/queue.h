@@ -44,7 +44,7 @@ namespace retrust::service {
 
 /// One queued unit of work, type-erased over its verb so the queue and the
 /// workers never switch on request kinds: `execute` runs the verb against
-/// the tenant's session and completes the caller's future; `fail`
+/// the tenant's session and completes the caller's reply; `fail`
 /// completes it with a status without touching any session (cancellation,
 /// deadline expiry in queue, shutdown, tenant resolution failure).
 struct PendingRequest {
@@ -75,7 +75,7 @@ struct PendingRequest {
 
   /// Owned by the pending entry and kept alive (shared_ptr) until the
   /// request reaches a terminal state, so a cooperative cancel can never
-  /// dangle. Client::Cancel fires it; a worker that pops an already-fired
+  /// dangle. Server::Cancel fires it; a worker that pops an already-fired
   /// token fails the request instead of executing it — queued
   /// cancellations never reach a Session or leak pool work.
   exec::CancelToken cancel;
@@ -85,8 +85,8 @@ struct PendingRequest {
 
   /// Set by the worker right after Pop: releases this request's lane slot
   /// (RequestQueue::OnFinished). The terminal wrappers invoke it exactly
-  /// once BEFORE completing the caller's future, so a caller waking from
-  /// future.get() never observes the request still counted in_flight.
+  /// once BEFORE completing the caller's reply, so a caller woken by the
+  /// reply never observes the request still counted in_flight.
   /// Unset for requests that were never popped (admission rejections,
   /// shutdown drain). Only the thread driving the request touches it.
   std::function<void()> release;
@@ -119,7 +119,7 @@ class RequestQueue {
   /// Admission-checked enqueue: atomically consults the controller with
   /// the current depth and tenant load, then enqueues on success. A
   /// non-ok return means the request was NOT enqueued (the caller
-  /// completes its future with the status).
+  /// completes its reply with the status).
   Status Push(std::shared_ptr<PendingRequest> req);
 
   /// Blocks until a request is dispatchable (per the lane rules above),

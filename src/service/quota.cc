@@ -69,10 +69,7 @@ bool QuotaManager::TryAcquire(const std::string& tenant) {
   Bucket& bucket = it->second;
   if (bucket.limits.unlimited()) return true;
   Refill(&bucket, Now());
-  if (bucket.tokens < 1.0) {
-    denied_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (bucket.tokens < 1.0) return false;
   bucket.tokens -= 1.0;
   return true;
 }

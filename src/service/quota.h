@@ -20,8 +20,6 @@
 #ifndef RETRUST_SERVICE_QUOTA_H_
 #define RETRUST_SERVICE_QUOTA_H_
 
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -72,10 +70,6 @@ class QuotaManager {
   /// unlimited-by-default and no bucket exists). For tests and stats.
   double AvailableTokens(const std::string& tenant) const;
 
-  /// TryAcquire calls that returned false since construction, across all
-  /// tenants. Sampled by the metrics registry probe.
-  uint64_t Denials() const { return denied_.load(std::memory_order_relaxed); }
-
  private:
   struct Bucket {
     QuotaLimits limits;
@@ -91,7 +85,6 @@ class QuotaManager {
 
   QuotaLimits defaults_;
   std::function<double()> clock_;
-  std::atomic<uint64_t> denied_{0};
   mutable std::mutex mu_;
   mutable std::map<std::string, Bucket> buckets_;
 };

@@ -1,20 +1,14 @@
 #include "src/service/server.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace retrust::service {
 
 namespace {
 
-AdmissionController::Options AdmissionOptions(const ServerOptions& opts,
-                                              QuotaManager* quota) {
-  AdmissionController::Options a;
-  a.queue_capacity = opts.queue_capacity;
-  a.per_tenant_inflight = opts.per_tenant_inflight;
-  a.workers = opts.workers < 1 ? 1 : opts.workers;
-  a.quota = quota;
-  return a;
+ServerOptions Normalized(ServerOptions opts) {
+  if (opts.workers < 1) opts.workers = 1;
+  return opts;
 }
 
 /// Flight-record status label of a type-erased reply: a Result carries its
@@ -32,10 +26,29 @@ const char* ReplyStatusLabel(const std::vector<Result<X>>& replies) {
   return "ok";
 }
 
+/// The common reply-from-status factory for Result<T> verbs.
+template <typename T>
+std::function<Result<T>(const Status&)> FailAsResult() {
+  return [](const Status& status) { return Result<T>(status); };
+}
+
+Status UserCancelTokenError() {
+  return Status::Error(
+      StatusCode::kInvalidArgument,
+      "RepairRequest::cancel must be null: service requests are "
+      "cancelled via Server::Cancel(id)");
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 }  // namespace
 
 Server::Server(ServerOptions opts)
-    : opts_(std::move(opts)),
+    : opts_(Normalized(std::move(opts))),
       session_pool_(opts_.session_threads > 1
                         ? std::make_unique<exec::ThreadPool>(
                               opts_.session_threads)
@@ -43,23 +56,20 @@ Server::Server(ServerOptions opts)
       tenants_(opts_.session_defaults, session_pool_.get(),
                opts_.snapshot_dir, opts_.max_loaded_tenant_bytes),
       quota_(opts_.default_quota, opts_.quota_clock),
-      admission_(AdmissionOptions(opts_, &quota_)),
+      admission_({.queue_capacity = opts_.queue_capacity,
+                  .per_tenant_inflight = opts_.per_tenant_inflight,
+                  .workers = opts_.workers,
+                  .quota = &quota_}),
       queue_(&admission_),
-      worker_pool_(std::make_unique<exec::ThreadPool>(
-          opts_.workers < 1 ? 1 : opts_.workers)) {
-  if (opts_.observability) {
-    metrics_ = opts_.metrics != nullptr ? opts_.metrics
-                                        : &obs::MetricsRegistry::Global();
-    recorder_ =
-        std::make_unique<obs::FlightRecorder>(opts_.flight_recorder_capacity);
-    slow_log_ = std::make_unique<obs::SlowRequestLog>(
-        opts_.slow_request_seconds, /*min_interval_seconds=*/1.0);
-    metrics_probe_ = metrics_->RegisterProbe(
-        [this](obs::Collector& out) { CollectMetrics(out); });
-  }
+      metrics_(opts_.metrics != nullptr ? opts_.metrics
+                                        : &obs::MetricsRegistry::Global()),
+      recorder_(opts_.flight_recorder_capacity),
+      slow_log_(opts_.slow_request_seconds, /*min_interval_seconds=*/1.0),
+      worker_pool_(std::make_unique<exec::ThreadPool>(opts_.workers)),
+      metrics_probe_(metrics_->RegisterProbe(
+          [this](obs::Collector& out) { CollectMetrics(out); })) {
   if (opts_.start_paused) queue_.Pause();
-  const int workers = opts_.workers < 1 ? 1 : opts_.workers;
-  for (int i = 0; i < workers; ++i) {
+  for (int i = 0; i < opts_.workers; ++i) {
     worker_pool_->Submit([this] { WorkerLoop(); });
   }
 }
@@ -107,14 +117,13 @@ void Server::Stop() {
 }
 
 template <typename T>
-uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
-                             bool is_write, double deadline_seconds,
-                             std::shared_ptr<obs::RequestTrace> trace,
-                             std::function<T(Session&, PendingRequest&)> run,
-                             std::function<T(const Status&)> on_fail,
-                             std::function<void(T)> done) {
+uint64_t Server::Enqueue(const std::string& tenant, const char* verb,
+                         bool is_write, double deadline_seconds,
+                         std::shared_ptr<obs::RequestTrace> trace,
+                         std::function<T(Session&, PendingRequest&)> run,
+                         std::function<T(const Status&)> on_fail,
+                         std::function<void(T)> done) {
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  ++submitted_;
 
   auto reject = [&](Status status) { done(on_fail(status)); };
   {
@@ -142,16 +151,18 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
   req->submitted = std::chrono::steady_clock::now();
   // Both wrappers finish ALL bookkeeping (live_ removal, counters,
   // latency) BEFORE invoking the completion, so a caller that wakes from
-  // its callback (or future.get()) observes consistent stats — no "reply
-  // arrived but completed counter still says 0" window.
+  // its callback observes consistent stats — no "reply arrived but
+  // completed counter still says 0" window.
   req->execute = [this, done, run = std::move(run)](
                      Session& session, PendingRequest& pending) {
     const auto exec_start = std::chrono::steady_clock::now();
-    const double queue_wait = std::chrono::duration<double>(
-                                  exec_start - pending.submitted)
-                                  .count();
+    ExecTiming timing;
+    timing.queue_wait = std::chrono::duration<double>(
+                            exec_start - pending.submitted)
+                            .count();
     if (pending.trace != nullptr) {
-      pending.trace->root.StartChild("queue_wait")->set_seconds(queue_wait);
+      pending.trace->root.StartChild("queue_wait")
+          ->set_seconds(timing.queue_wait);
       pending.trace->service = pending.trace->root.StartChild("service");
     }
     T reply = run(session, pending);
@@ -161,44 +172,15 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
     // it end-to-end latency would double-count the queue and shed
     // feasible requests), while the client-facing histogram reports
     // end-to-end submit -> reply latency.
-    const double service_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      exec_start)
-            .count();
-    const double latency = pending.ElapsedSeconds();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(pending.id);
-      latency_.Record(latency);
-      queue_wait_.Record(queue_wait);
-      service_.Record(service_seconds);
-      ++completed_by_tenant_[pending.tenant];
-    }
-    admission_.ObserveLatency(service_seconds);
-    ++completed_;
-    RecordFlight(pending, ReplyStatusLabel(reply), queue_wait,
-                 service_seconds, latency);
-    if (pending.release) {
-      std::function<void()> release = std::move(pending.release);
-      pending.release = nullptr;
-      release();
-    }
+    timing.service = SecondsSince(exec_start);
+    admission_.ObserveLatency(timing.service);
+    CountCompleted(pending, timing);
+    Retire(pending, ReplyStatusLabel(reply), timing);
     done(std::move(reply));
   };
   req->fail = [this, done, self = req.get(),
                on_fail = std::move(on_fail)](const Status& status) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(self->id);
-    }
-    RecordFlight(*self, StatusCodeName(status.code()),
-                 /*queue_wait=*/0.0, /*service_seconds=*/0.0,
-                 self->ElapsedSeconds());
-    if (self->release) {
-      std::function<void()> release = std::move(self->release);
-      self->release = nullptr;
-      release();
-    }
+    Retire(*self, StatusCodeName(status.code()), ExecTiming{});
     done(on_fail(status));
   };
 
@@ -210,36 +192,14 @@ uint64_t Server::SubmitAsync(const std::string& tenant, const char* verb,
     live_[req->id] = req;
   }
   Status admitted = queue_.Push(req);
-  if (!admitted.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      live_.erase(req->id);
-    }
-    req->fail(admitted);  // on_fail was moved into the request
-  }
+  if (!admitted.ok()) req->fail(admitted);
   return id;
-}
-
-template <typename T>
-Submitted<T> Server::Submit(const std::string& tenant, const char* verb,
-                            bool is_write, double deadline_seconds,
-                            std::shared_ptr<obs::RequestTrace> trace,
-                            std::function<T(Session&, PendingRequest&)> run,
-                            std::function<T(const Status&)> on_fail) {
-  auto promise = std::make_shared<std::promise<T>>();
-  Submitted<T> out;
-  out.future = promise->get_future();
-  out.id = SubmitAsync<T>(
-      tenant, verb, is_write, deadline_seconds, std::move(trace),
-      std::move(run), std::move(on_fail),
-      [promise](T reply) { promise->set_value(std::move(reply)); });
-  return out;
 }
 
 void Server::WorkerLoop() {
   while (std::shared_ptr<PendingRequest> req = queue_.Pop()) {
     // The terminal wrapper (execute or fail) releases the lane slot just
-    // before completing the future; the request's session work is done by
+    // before completing the reply; the request's session work is done by
     // then, so the apply_delta barrier still covers the whole execution.
     req->release = [this, r = req.get()] { queue_.OnFinished(*r); };
     if (req->cancel.Cancelled()) {
@@ -248,41 +208,69 @@ void Server::WorkerLoop() {
       ++cancelled_;
       req->fail(
           Status::Error(StatusCode::kCancelled, "cancelled while queued"));
-    } else if (req->DeadlineExpired()) {
+      continue;
+    }
+    if (req->DeadlineExpired()) {
       ++expired_;
       req->fail(Status::Error(
           StatusCode::kBudgetExceeded,
           "deadline expired after " + std::to_string(req->ElapsedSeconds()) +
               "s in queue"));
-    } else {
-      Result<std::shared_ptr<Session>> session = tenants_.Get(req->tenant);
-      if (!session.ok()) {
-        // A failed lazy open is still a dispatched-and-replied request:
-        // count it as completed so the admitted-request counters
-        // partition cleanly (stats.h).
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          latency_.Record(req->ElapsedSeconds());
-          ++completed_by_tenant_[req->tenant];
-        }
-        ++completed_;
-        req->fail(session.status());
-      } else {
-        try {
-          req->execute(**session, *req);
-        } catch (const std::exception& e) {
-          // Same terminal accounting as the other dispatched-and-replied
-          // paths, so global and per-tenant completed counts reconcile.
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            latency_.Record(req->ElapsedSeconds());
-            ++completed_by_tenant_[req->tenant];
-          }
-          ++completed_;
-          req->fail(Status::Error(StatusCode::kInternal, e.what()));
-        }
+      continue;
+    }
+    Result<std::shared_ptr<Session>> session = tenants_.Get(req->tenant);
+    Status failed = session.status();
+    if (session.ok()) {
+      try {
+        req->execute(**session, *req);
+        continue;
+      } catch (const std::exception& e) {
+        failed = Status::Error(StatusCode::kInternal, e.what());
       }
     }
+    // A failed lazy open or a throwing verb is still a dispatched-and-
+    // replied request, so the admitted-request counters partition cleanly
+    // (stats.h).
+    CountCompleted(*req, std::nullopt);
+    req->fail(failed);
+  }
+}
+
+void Server::CountCompleted(const PendingRequest& req,
+                            std::optional<ExecTiming> executed) {
+  const double latency = req.ElapsedSeconds();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  latency_.Record(latency);
+  if (executed) {
+    queue_wait_.Record(executed->queue_wait);
+    service_.Record(executed->service);
+  }
+  ++completions_by_tenant_[req.tenant];
+}
+
+void Server::Retire(PendingRequest& req, const char* status_label,
+                    ExecTiming timing) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    live_.erase(req.id);
+  }
+  obs::FlightRecord record;
+  record.id = req.id;
+  record.tenant = req.tenant;
+  record.verb = req.verb;
+  record.status = status_label;
+  record.queue_wait_seconds = timing.queue_wait;
+  record.service_seconds = timing.service;
+  record.total_seconds = req.ElapsedSeconds();
+  record.search_states_visited = req.search_states_visited;
+  record.search_expansions = req.search_expansions;
+  record.traced = req.trace != nullptr;
+  slow_log_.MaybeLog(record, req.trace.get());
+  recorder_.Record(std::move(record));
+  if (req.release) {
+    std::function<void()> release = std::move(req.release);
+    req.release = nullptr;
+    release();
   }
 }
 
@@ -298,32 +286,32 @@ ServerStats Server::Stats() const {
   ServerStats stats;
   stats.queue_depth = queue_.Depth();
   stats.in_flight = queue_.InFlight();
-  stats.workers = opts_.workers < 1 ? 1 : opts_.workers;
-  stats.submitted = submitted_.load();
+  stats.workers = opts_.workers;
+  stats.submitted = next_id_.load() - 1;
   stats.cancelled = cancelled_.load();
   stats.expired_in_queue = expired_.load();
-  stats.completed = completed_.load();
   admission_.Snapshot(&stats);
-  stats.search_expansions = search_expansions_.load();
+  for (const PolicySearchAgg& agg : policy_search_) {
+    stats.search_expansions += agg.expansions.load(std::memory_order_relaxed);
+  }
   stats.search_lb_prunes = search_lb_prunes_.load();
   stats.search_incumbent_improvements = search_incumbents_.load();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats.p50_latency_seconds = latency_.Percentile(0.5);
-    stats.p99_latency_seconds = latency_.Percentile(0.99);
-    stats.p50_queue_wait_seconds = queue_wait_.Percentile(0.5);
-    stats.p99_queue_wait_seconds = queue_wait_.Percentile(0.99);
-    stats.p50_service_seconds = service_.Percentile(0.5);
-    stats.p99_service_seconds = service_.Percentile(0.99);
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  for (const auto& [tenant, completed] : completions_by_tenant_) {
+    stats.completed += completed;
   }
+  stats.p50_latency_seconds = latency_.Percentile(0.5);
+  stats.p99_latency_seconds = latency_.Percentile(0.99);
+  stats.p50_queue_wait_seconds = queue_wait_.Percentile(0.5);
+  stats.p99_queue_wait_seconds = queue_wait_.Percentile(0.99);
+  stats.p50_service_seconds = service_.Percentile(0.5);
+  stats.p99_service_seconds = service_.Percentile(0.99);
   return stats;
 }
 
 void Server::RecordSearchStats(const SearchStats& stats,
                                search::SearchPolicy policy,
                                PendingRequest* pending) {
-  search_expansions_.fetch_add(static_cast<uint64_t>(stats.expansions),
-                               std::memory_order_relaxed);
   search_lb_prunes_.fetch_add(static_cast<uint64_t>(stats.lb_prunes),
                               std::memory_order_relaxed);
   search_incumbents_.fetch_add(
@@ -346,61 +334,31 @@ void Server::RecordSearchStats(const SearchStats& stats,
   }
 }
 
-void Server::RecordFlight(const PendingRequest& req, const char* status_label,
-                          double queue_wait, double service_seconds,
-                          double total_seconds) {
-  if (recorder_ == nullptr) return;
-  obs::FlightRecord record;
-  record.id = req.id;
-  record.tenant = req.tenant;
-  record.verb = req.verb;
-  record.status = status_label;
-  record.queue_wait_seconds = queue_wait;
-  record.service_seconds = service_seconds;
-  record.total_seconds = total_seconds;
-  record.search_states_visited = req.search_states_visited;
-  record.search_expansions = req.search_expansions;
-  record.traced = req.trace != nullptr;
-  slow_log_->MaybeLog(record, req.trace.get());
-  recorder_->Record(std::move(record));
-}
-
-std::vector<obs::FlightRecord> Server::RecentRequests(size_t limit) const {
-  if (recorder_ == nullptr) return {};
-  return recorder_->Recent(limit);
-}
-
-uint64_t Server::SlowRequestsSeen() const {
-  return slow_log_ != nullptr ? slow_log_->SlowSeen() : 0;
-}
-
 void Server::CollectMetrics(obs::Collector& out) const {
-  // Request flow (service layer). The server's atomics stay authoritative;
-  // the probe only samples them, so two servers publishing into the same
-  // registry never mix counts into one shared Counter.
-  out.CounterSample("retrust_requests_submitted_total", {},
-                    submitted_.load(std::memory_order_relaxed));
-  out.CounterSample("retrust_requests_completed_total", {},
-                    completed_.load(std::memory_order_relaxed));
-  out.CounterSample("retrust_requests_cancelled_total", {},
-                    cancelled_.load(std::memory_order_relaxed));
+  // Request flow, queue and admission come from ONE Stats() snapshot — the
+  // same numbers the `stats` verb reports, each read from its single
+  // owner. The probe only samples them, so two servers publishing into the
+  // same registry never mix counts into one shared Counter.
+  const ServerStats stats = Stats();
+  out.CounterSample("retrust_requests_submitted_total", {}, stats.submitted);
+  out.CounterSample("retrust_requests_completed_total", {}, stats.completed);
+  out.CounterSample("retrust_requests_cancelled_total", {}, stats.cancelled);
   out.CounterSample("retrust_requests_expired_total", {},
-                    expired_.load(std::memory_order_relaxed));
-  const AdmissionController::RejectionCounts rejected =
-      admission_.Rejections();
-  out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "queue_full"}}, rejected.queue_full);
-  out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "tenant_cap"}}, rejected.tenant_cap);
-  out.CounterSample("retrust_requests_rejected_total",
-                    {{"reason", "deadline"}}, rejected.deadline);
-  out.CounterSample("retrust_requests_rejected_total", {{"reason", "quota"}},
-                    rejected.quota);
-  out.CounterSample("retrust_quota_denials_total", {}, quota_.Denials());
-  out.Gauge("retrust_queue_depth", {},
-            static_cast<double>(queue_.Depth()));
+                    stats.expired_in_queue);
+  for (const auto& [reason, count] :
+       {std::pair<const char*, uint64_t>{"queue_full",
+                                         stats.rejected_queue_full},
+        {"tenant_cap", stats.rejected_tenant_cap},
+        {"deadline", stats.rejected_deadline},
+        {"quota", stats.rejected_quota}}) {
+    out.CounterSample("retrust_requests_rejected_total", {{"reason", reason}},
+                      count);
+  }
+  // Every quota denial is an admission rejection at the quota gate.
+  out.CounterSample("retrust_quota_denials_total", {}, stats.rejected_quota);
+  out.Gauge("retrust_queue_depth", {}, static_cast<double>(stats.queue_depth));
   out.Gauge("retrust_requests_in_flight", {},
-            static_cast<double>(queue_.InFlight()));
+            static_cast<double>(stats.in_flight));
   out.Gauge("retrust_admission_latency_ewma_seconds", {},
             admission_.LatencyEwmaSeconds());
 
@@ -408,8 +366,7 @@ void Server::CollectMetrics(obs::Collector& out) const {
   // process lifetime, so their pool's busy count is meaningless — request
   // concurrency is the queue's in-flight gauge above. The shared session
   // pool runs real short tasks and its utilization is genuine.
-  out.Gauge("retrust_request_workers", {},
-            static_cast<double>(opts_.workers < 1 ? 1 : opts_.workers));
+  out.Gauge("retrust_request_workers", {}, static_cast<double>(stats.workers));
   if (session_pool_ != nullptr) {
     const exec::PoolStats pool = session_pool_->GetStats();
     out.Gauge("retrust_session_pool_threads", {},
@@ -431,11 +388,11 @@ void Server::CollectMetrics(obs::Collector& out) const {
 
   // Search engine aggregates, total and per policy.
   out.CounterSample("retrust_search_expansions_total", {},
-                    search_expansions_.load(std::memory_order_relaxed));
+                    stats.search_expansions);
   out.CounterSample("retrust_search_lb_prunes_total", {},
-                    search_lb_prunes_.load(std::memory_order_relaxed));
+                    stats.search_lb_prunes);
   out.CounterSample("retrust_search_incumbents_total", {},
-                    search_incumbents_.load(std::memory_order_relaxed));
+                    stats.search_incumbent_improvements);
   for (size_t i = 0; i < policy_search_.size(); ++i) {
     const PolicySearchAgg& agg = policy_search_[i];
     const uint64_t requests = agg.requests.load(std::memory_order_relaxed);
@@ -478,10 +435,9 @@ void Server::CollectMetrics(obs::Collector& out) const {
   out.Gauge("retrust_context_cache_bytes_estimate", {},
             static_cast<double>(cache_bytes));
 
-  // Flight recorder / slow log (non-null whenever this probe exists).
   out.CounterSample("retrust_flight_records_total", {},
-                    recorder_->TotalRecorded());
-  out.CounterSample("retrust_slow_requests_total", {}, slow_log_->SlowSeen());
+                    recorder_.TotalRecorded());
+  out.CounterSample("retrust_slow_requests_total", {}, slow_log_.SlowSeen());
 }
 
 Result<TenantStats> Server::TenantStatsFor(const std::string& name) const {
@@ -490,127 +446,86 @@ Result<TenantStats> Server::TenantStatsFor(const std::string& name) const {
   auto [queued, executing] = queue_.LaneLoad(name);
   stats->queued = queued;
   stats->executing = executing;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    auto it = completed_by_tenant_.find(name);
-    stats->completed = it == completed_by_tenant_.end() ? 0 : it->second;
-  }
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  auto it = completions_by_tenant_.find(name);
+  stats->completed = it == completions_by_tenant_.end() ? 0 : it->second;
   return stats;
 }
 
-// ---------------------------------------------------------------- Client
+// ----------------------------------------------------------------- verbs
 
-namespace {
-
-/// The common reply-from-status factory for Result<T> verbs.
-template <typename T>
-std::function<Result<T>(const Status&)> FailAsResult() {
-  return [](const Status& status) { return Result<T>(status); };
-}
-
-Status UserCancelTokenError() {
-  return Status::Error(
-      StatusCode::kInvalidArgument,
-      "RepairRequest::cancel must be null: service requests are "
-      "cancelled via Client::Cancel(id)");
-}
-
-}  // namespace
-
-namespace {
-
-/// The sync verbs are thin wrappers over the async ones: park the reply in
-/// a promise.
-template <typename T>
-std::pair<Submitted<T>, std::function<void(T)>> PromisedDone() {
-  auto promise = std::make_shared<std::promise<T>>();
-  Submitted<T> out;
-  out.future = promise->get_future();
-  return {std::move(out),
-          [promise](T reply) { promise->set_value(std::move(reply)); }};
-}
-
-}  // namespace
-
-uint64_t Client::RepairAsync(const std::string& tenant,
-                             const RepairRequest& req,
-                             std::function<void(Result<RepairResponse>)> done) {
+uint64_t Server::Repair(const std::string& tenant, const RepairRequest& req,
+                        std::function<void(Result<RepairResponse>)> done) {
   if (req.cancel != nullptr) {
     done(Result<RepairResponse>(UserCancelTokenError()));
     return 0;
   }
-  return server_->SubmitAsync<Result<RepairResponse>>(
+  return Enqueue<Result<RepairResponse>>(
       tenant, "repair", /*is_write=*/false, req.deadline_seconds, req.trace,
-      [req, server = server_](Session& session, PendingRequest& pending) {
+      [this, req](Session& session, PendingRequest& pending) {
         RepairRequest r = req;
         r.deadline_seconds = pending.RemainingDeadline();
         r.cancel = &pending.cancel;
         Result<RepairResponse> response = session.Repair(r);
         if (response.ok()) {
-          server->RecordSearchStats(response->repair.stats, req.policy,
-                                    &pending);
+          RecordSearchStats(response->repair.stats, req.policy, &pending);
         }
         return response;
       },
       FailAsResult<RepairResponse>(), std::move(done));
 }
 
-uint64_t Client::SearchAsync(const std::string& tenant,
-                             const RepairRequest& req,
-                             std::function<void(Result<SearchProbe>)> done) {
+uint64_t Server::Search(const std::string& tenant, const RepairRequest& req,
+                        std::function<void(Result<SearchProbe>)> done) {
   if (req.cancel != nullptr) {
     done(Result<SearchProbe>(UserCancelTokenError()));
     return 0;
   }
-  return server_->SubmitAsync<Result<SearchProbe>>(
+  return Enqueue<Result<SearchProbe>>(
       tenant, "search", /*is_write=*/false, req.deadline_seconds, req.trace,
-      [req, server = server_](Session& session, PendingRequest& pending) {
+      [this, req](Session& session, PendingRequest& pending) {
         RepairRequest r = req;
         r.deadline_seconds = pending.RemainingDeadline();
         r.cancel = &pending.cancel;
         Result<SearchProbe> probe = session.Search(r);
         if (probe.ok()) {
-          server->RecordSearchStats(probe->result.stats, req.policy,
-                                    &pending);
+          RecordSearchStats(probe->result.stats, req.policy, &pending);
         }
         return probe;
       },
       FailAsResult<SearchProbe>(), std::move(done));
 }
 
-uint64_t Client::SweepAsync(
+uint64_t Server::Sweep(
     const std::string& tenant, std::vector<RepairRequest> reqs,
     std::function<void(std::vector<Result<RepairResponse>>)> done) {
   const size_t n = reqs.size();
-  return server_->SubmitAsync<std::vector<Result<RepairResponse>>>(
+  return Enqueue<std::vector<Result<RepairResponse>>>(
       tenant, "sweep", /*is_write=*/false, /*deadline_seconds=*/0.0,
       /*trace=*/nullptr,
-      [reqs = std::move(reqs), server = server_](Session& session,
-                                                 PendingRequest& pending) {
+      [this, reqs = std::move(reqs)](Session& session,
+                                     PendingRequest& pending) {
         std::vector<RepairRequest> wired = reqs;
         for (RepairRequest& r : wired) r.cancel = &pending.cancel;
         std::vector<Result<RepairResponse>> replies =
             session.RepairMany(wired);
         for (size_t i = 0; i < replies.size(); ++i) {
           if (replies[i].ok()) {
-            server->RecordSearchStats(replies[i]->repair.stats,
-                                      wired[i].policy, &pending);
+            RecordSearchStats(replies[i]->repair.stats, wired[i].policy,
+                              &pending);
           }
         }
         return replies;
       },
       [n](const Status& status) {
-        std::vector<Result<RepairResponse>> replies;
-        replies.reserve(n);
-        for (size_t i = 0; i < n; ++i) replies.emplace_back(status);
-        return replies;
+        return std::vector<Result<RepairResponse>>(n, status);
       },
       std::move(done));
 }
 
-uint64_t Client::ApplyAsync(const std::string& tenant, DeltaBatch delta,
-                            std::function<void(Result<ApplyStats>)> done) {
-  return server_->SubmitAsync<Result<ApplyStats>>(
+uint64_t Server::Apply(const std::string& tenant, DeltaBatch delta,
+                       std::function<void(Result<ApplyStats>)> done) {
+  return Enqueue<Result<ApplyStats>>(
       tenant, "apply_delta", /*is_write=*/true, /*deadline_seconds=*/0.0,
       /*trace=*/nullptr,
       [delta = std::move(delta)](Session& session, PendingRequest&) {
@@ -619,93 +534,38 @@ uint64_t Client::ApplyAsync(const std::string& tenant, DeltaBatch delta,
       FailAsResult<ApplyStats>(), std::move(done));
 }
 
-uint64_t Client::SaveSnapshotAsync(
-    const std::string& tenant, std::string path,
-    std::function<void(Result<std::string>)> done) {
+uint64_t Server::SaveSnapshot(const std::string& tenant, std::string path,
+                              std::function<void(Result<std::string>)> done) {
   // A WRITE so the lane barrier quiesces the tenant first: the file is a
   // consistent cut between everything submitted before and after. The
   // registry call (not a bare Session::SaveSnapshot) also records the
   // snapshot as the tenant's reload spec.
-  return server_->SubmitAsync<Result<std::string>>(
+  return Enqueue<Result<std::string>>(
       tenant, "save_snapshot", /*is_write=*/true, /*deadline_seconds=*/0.0,
       /*trace=*/nullptr,
-      [server = server_, tenant, path = std::move(path)](
+      [this, tenant, path = std::move(path)](
           Session&, PendingRequest&) -> Result<std::string> {
-        Status saved = server->tenants_.SaveSnapshot(tenant, path);
+        Status saved = tenants_.SaveSnapshot(tenant, path);
         if (!saved.ok()) return saved;
         return path;
       },
       FailAsResult<std::string>(), std::move(done));
 }
 
-uint64_t Client::UnloadTenantAsync(const std::string& tenant,
-                                   std::function<void(Result<bool>)> done) {
+uint64_t Server::UnloadTenant(const std::string& tenant,
+                              std::function<void(Result<bool>)> done) {
   // Also a WRITE: earlier requests drain first, later ones queue behind
   // and trigger the transparent reload. tolerated_pins = 1 because the
   // worker loop executing THIS verb holds the session it resolved.
-  return server_->SubmitAsync<Result<bool>>(
+  return Enqueue<Result<bool>>(
       tenant, "unload_tenant", /*is_write=*/true, /*deadline_seconds=*/0.0,
       /*trace=*/nullptr,
-      [server = server_, tenant](Session&, PendingRequest&) -> Result<bool> {
-        Status unloaded = server->tenants_.Unload(tenant,
-                                                  /*tolerated_pins=*/1);
+      [this, tenant](Session&, PendingRequest&) -> Result<bool> {
+        Status unloaded = tenants_.Unload(tenant, /*tolerated_pins=*/1);
         if (!unloaded.ok()) return unloaded;
         return true;
       },
       FailAsResult<bool>(), std::move(done));
 }
-
-Submitted<Result<RepairResponse>> Client::Repair(const std::string& tenant,
-                                                 const RepairRequest& req) {
-  auto [out, done] = PromisedDone<Result<RepairResponse>>();
-  out.id = RepairAsync(tenant, req, std::move(done));
-  return std::move(out);
-}
-
-Submitted<Result<SearchProbe>> Client::Search(const std::string& tenant,
-                                              const RepairRequest& req) {
-  auto [out, done] = PromisedDone<Result<SearchProbe>>();
-  out.id = SearchAsync(tenant, req, std::move(done));
-  return std::move(out);
-}
-
-Submitted<std::vector<Result<RepairResponse>>> Client::Sweep(
-    const std::string& tenant, std::vector<RepairRequest> reqs) {
-  auto [out, done] = PromisedDone<std::vector<Result<RepairResponse>>>();
-  out.id = SweepAsync(tenant, std::move(reqs), std::move(done));
-  return std::move(out);
-}
-
-std::vector<Submitted<Result<RepairResponse>>> Client::RepairBatch(
-    const std::string& tenant, std::span<const RepairRequest> reqs) {
-  std::vector<Submitted<Result<RepairResponse>>> out;
-  out.reserve(reqs.size());
-  for (const RepairRequest& req : reqs) out.push_back(Repair(tenant, req));
-  return out;
-}
-
-Submitted<Result<ApplyStats>> Client::Apply(const std::string& tenant,
-                                            DeltaBatch delta) {
-  auto [out, done] = PromisedDone<Result<ApplyStats>>();
-  out.id = ApplyAsync(tenant, std::move(delta), std::move(done));
-  return std::move(out);
-}
-
-Submitted<Result<std::string>> Client::SaveSnapshot(const std::string& tenant,
-                                                    std::string path) {
-  auto [out, done] = PromisedDone<Result<std::string>>();
-  out.id = SaveSnapshotAsync(tenant, std::move(path), std::move(done));
-  return std::move(out);
-}
-
-Submitted<Result<bool>> Client::UnloadTenant(const std::string& tenant) {
-  auto [out, done] = PromisedDone<Result<bool>>();
-  out.id = UnloadTenantAsync(tenant, std::move(done));
-  return std::move(out);
-}
-
-bool Client::Cancel(uint64_t id) { return server_->Cancel(id); }
-
-ServerStats Client::Stats() const { return server_->Stats(); }
 
 }  // namespace retrust::service

@@ -5,7 +5,7 @@
 // every (dataset, Σ, τ) query is independent work over a cached context —
 // so the service layer is mostly traffic engineering:
 //
-//   Client verbs ──▶ AdmissionController ──▶ RequestQueue ──▶ worker pool
+//   Server verbs ──▶ AdmissionController ──▶ RequestQueue ──▶ worker pool
 //                     (shed or reject)        (fair lanes)     (exec::ThreadPool)
 //                                                                  │
 //                                             TenantRegistry ◀─────┘
@@ -26,22 +26,26 @@
 //     touching a Session; an executing request is cancelled cooperatively
 //     through exec::CancelToken.
 //
-// The in-process surface is Client (typed submit -> std::future). The
-// wire surface is tools/retrust_server: newline-delimited JSON over a
-// loopback socket, one verb per line (wire.h).
+// The in-process surface is the Server's callback verbs (Repair, Search,
+// Sweep, Apply, SaveSnapshot, UnloadTenant) plus Cancel; AsFuture adapts
+// any verb to a std::future. The wire surface is tools/retrust_server:
+// newline-delimited JSON over a loopback socket, one verb per line
+// (wire.h, event_loop.h).
 
 #ifndef RETRUST_SERVICE_SERVER_H_
 #define RETRUST_SERVICE_SERVER_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/api/session.h"
@@ -89,12 +93,6 @@ struct ServerOptions {
   /// Injectable quota clock (monotone seconds; null = steady_clock) so
   /// tests can step refill time deterministically.
   std::function<double()> quota_clock;
-  /// Master switch for the observability layer (metrics probe, flight
-  /// recorder, slow-request log). Off = the server touches no registry and
-  /// records nothing — the A/B baseline the overhead bench gate compares
-  /// against. Per-request tracing is independent of this switch: it costs
-  /// nothing unless a request carries a trace.
-  bool observability = true;
   /// Registry the server publishes into (null = MetricsRegistry::Global()).
   /// Tests and benches inject a private registry so concurrent servers do
   /// not share series (registry counters are get-or-create by name).
@@ -104,97 +102,6 @@ struct ServerOptions {
   /// Requests slower than this (end-to-end) are logged to stderr with
   /// their span tree, rate-limited to one line per second (0 = disabled).
   double slow_request_seconds = 0.0;
-};
-
-/// A submitted request: its server-assigned id (usable with
-/// Client::Cancel) and the future carrying the reply. Rejected requests
-/// return a future that is already ready with the rejection status.
-template <typename T>
-struct Submitted {
-  uint64_t id = 0;
-  std::future<T> future;
-};
-
-class Server;
-
-/// Lightweight handle for submitting work; copyable, borrows the Server.
-class Client {
- public:
-  explicit Client(Server* server) : server_(server) {}
-
-  /// Algorithm 1 for one tenant. `req.deadline_seconds` is reinterpreted
-  /// as the END-TO-END service deadline: queue wait counts against it and
-  /// only the remainder is granted to the search. `req.cancel` must be
-  /// null — cancellation goes through Cancel(id).
-  Submitted<Result<RepairResponse>> Repair(const std::string& tenant,
-                                           const RepairRequest& req);
-
-  /// Algorithm 2 probe, same conventions as Repair.
-  Submitted<Result<SearchProbe>> Search(const std::string& tenant,
-                                        const RepairRequest& req);
-
-  /// One queue unit running the whole batch through Session::RepairMany
-  /// on the tenant's sweep — the τ-sweep verb. Per-request deadlines
-  /// apply from execution start; the unit itself has no service deadline.
-  Submitted<std::vector<Result<RepairResponse>>> Sweep(
-      const std::string& tenant, std::vector<RepairRequest> reqs);
-
-  /// Batch submit: one queue entry per request (they drain independently,
-  /// interleaved fairly with other tenants), futures in request order.
-  std::vector<Submitted<Result<RepairResponse>>> RepairBatch(
-      const std::string& tenant, std::span<const RepairRequest> reqs);
-
-  /// Session::Apply as a queued write: a per-tenant barrier — it executes
-  /// only after the tenant's earlier requests drained, and later ones
-  /// wait for it (sequential consistency; see queue.h).
-  Submitted<Result<ApplyStats>> Apply(const std::string& tenant,
-                                      DeltaBatch delta);
-
-  /// Saves the tenant's state to `path` (src/persist/ snapshot) as a
-  /// queued WRITE: the per-tenant barrier means the file is a consistent
-  /// cut — everything submitted before it is included, nothing after.
-  /// The snapshot becomes the tenant's reload spec. Replies with the path.
-  Submitted<Result<std::string>> SaveSnapshot(const std::string& tenant,
-                                              std::string path);
-
-  /// Unloads the tenant's Session (memory reclaimed; the next request
-  /// reloads from its spec) as a queued WRITE, so it waits for the
-  /// tenant's earlier requests. kInvalidArgument when the tenant's state
-  /// cannot be reproduced from its spec and no snapshot_dir is set.
-  Submitted<Result<bool>> UnloadTenant(const std::string& tenant);
-
-  // --- async variants ----------------------------------------------------
-  // The same verbs completion-callback style: `done` is invoked EXACTLY
-  // once with the reply — on a worker thread after execution, or
-  // synchronously on the calling thread for pre-admission rejections. All
-  // server bookkeeping (stats, lane slot, live table) is finished before
-  // `done` runs. This is what the event-driven wire front end
-  // (event_loop.h) builds on: thousands of outstanding requests without a
-  // blocked thread each. Returns the request id (0 for synchronous
-  // rejections that never reached admission).
-  uint64_t RepairAsync(const std::string& tenant, const RepairRequest& req,
-                       std::function<void(Result<RepairResponse>)> done);
-  uint64_t SearchAsync(const std::string& tenant, const RepairRequest& req,
-                       std::function<void(Result<SearchProbe>)> done);
-  uint64_t SweepAsync(
-      const std::string& tenant, std::vector<RepairRequest> reqs,
-      std::function<void(std::vector<Result<RepairResponse>>)> done);
-  uint64_t ApplyAsync(const std::string& tenant, DeltaBatch delta,
-                      std::function<void(Result<ApplyStats>)> done);
-  uint64_t SaveSnapshotAsync(const std::string& tenant, std::string path,
-                             std::function<void(Result<std::string>)> done);
-  uint64_t UnloadTenantAsync(const std::string& tenant,
-                             std::function<void(Result<bool>)> done);
-
-  /// Cancels a live request: queued -> completed with kCancelled without
-  /// touching any Session; executing -> cooperative CancelToken. False
-  /// when the id is unknown or already finished.
-  bool Cancel(uint64_t id);
-
-  ServerStats Stats() const;
-
- private:
-  Server* server_;
 };
 
 class Server {
@@ -218,7 +125,59 @@ class Server {
                             std::string snapshot_path,
                             std::optional<SessionOptions> opts = std::nullopt);
 
-  Client client() { return Client(this); }
+  // --- request verbs -----------------------------------------------------
+  // Each verb queues one request and invokes `done` EXACTLY once with the
+  // reply — on a worker thread after execution, or synchronously on the
+  // calling thread for pre-admission rejections. All server bookkeeping
+  // (stats, lane slot, live table) is finished before `done` runs, so a
+  // caller woken by it observes consistent stats. No thread blocks per
+  // outstanding request; the wire front end (event_loop.h) calls these
+  // directly, in-process callers wanting a future use AsFuture below.
+  // Returns the request id for Cancel (0 for a non-null user cancel token,
+  // rejected before it is assigned one).
+
+  /// Algorithm 1 for one tenant. `req.deadline_seconds` is reinterpreted
+  /// as the END-TO-END service deadline: queue wait counts against it and
+  /// only the remainder is granted to the search. `req.cancel` must be
+  /// null — cancellation goes through Cancel(id).
+  uint64_t Repair(const std::string& tenant, const RepairRequest& req,
+                  std::function<void(Result<RepairResponse>)> done);
+
+  /// Algorithm 2 probe, same conventions as Repair.
+  uint64_t Search(const std::string& tenant, const RepairRequest& req,
+                  std::function<void(Result<SearchProbe>)> done);
+
+  /// One queue unit running the whole batch through Session::RepairMany
+  /// on the tenant's sweep — the τ-sweep verb. Per-request deadlines
+  /// apply from execution start; the unit itself has no service deadline.
+  uint64_t Sweep(const std::string& tenant, std::vector<RepairRequest> reqs,
+                 std::function<void(std::vector<Result<RepairResponse>>)> done);
+
+  /// Session::Apply as a queued write: a per-tenant barrier — it executes
+  /// only after the tenant's earlier requests drained, and later ones
+  /// wait for it (sequential consistency; see queue.h).
+  uint64_t Apply(const std::string& tenant, DeltaBatch delta,
+                 std::function<void(Result<ApplyStats>)> done);
+
+  /// Saves the tenant's state to `path` (src/persist/ snapshot) as a
+  /// queued WRITE: the per-tenant barrier means the file is a consistent
+  /// cut — everything submitted before it is included, nothing after.
+  /// The snapshot becomes the tenant's reload spec. Replies with the path.
+  uint64_t SaveSnapshot(const std::string& tenant, std::string path,
+                        std::function<void(Result<std::string>)> done);
+
+  /// Unloads the tenant's Session (memory reclaimed; the next request
+  /// reloads from its spec) as a queued WRITE, so it waits for the
+  /// tenant's earlier requests. kInvalidArgument when the tenant's state
+  /// cannot be reproduced from its spec and no snapshot_dir is set.
+  uint64_t UnloadTenant(const std::string& tenant,
+                        std::function<void(Result<bool>)> done);
+
+  /// Cancels a live request: queued -> completed with kCancelled without
+  /// touching any Session; executing -> cooperative CancelToken. False
+  /// when the id is unknown or already finished.
+  bool Cancel(uint64_t id);
+
   TenantRegistry& tenants() { return tenants_; }
 
   /// Sets (or clears, with unlimited limits) one tenant's rate quota.
@@ -226,21 +185,22 @@ class Server {
   void SetTenantQuota(const std::string& tenant, QuotaLimits limits) {
     quota_.SetLimits(tenant, limits);
   }
-  QuotaManager& quota() { return quota_; }
 
   ServerStats Stats() const;
   /// Registry + queue view of one tenant (never forces a lazy open).
   Result<TenantStats> TenantStatsFor(const std::string& name) const;
   std::vector<std::string> TenantNames() const { return tenants_.Names(); }
 
-  /// The registry this server publishes into (null when observability is
-  /// off). The wire `metrics` verb serves its ExpositionText().
+  /// The registry this server publishes into. The wire `metrics` verb
+  /// serves its ExpositionText().
   obs::MetricsRegistry* metrics() const { return metrics_; }
-  /// Newest-first flight records (0 = all retained; empty when
-  /// observability is off). The wire `dump_recent` verb serves this.
-  std::vector<obs::FlightRecord> RecentRequests(size_t limit = 0) const;
+  /// Newest-first flight records (0 = all retained). The wire
+  /// `dump_recent` verb serves this.
+  std::vector<obs::FlightRecord> RecentRequests(size_t limit = 0) const {
+    return recorder_.Recent(limit);
+  }
   /// Requests seen over the slow threshold (logged or rate-suppressed).
-  uint64_t SlowRequestsSeen() const;
+  uint64_t SlowRequestsSeen() const { return slow_log_.SlowSeen(); }
 
   /// Maintenance gate: Pause stops dispatch (admission keeps running, the
   /// queue fills), Resume drains. See ServerOptions::start_paused.
@@ -255,39 +215,45 @@ class Server {
   const ServerOptions& options() const { return opts_; }
 
  private:
-  friend class Client;
-
-  /// Shared submit path of every verb, completion-callback style. `run`
-  /// executes the verb against the resolved session; `on_fail` builds the
-  /// verb's reply for a status (needed because a sweep's reply is a
-  /// vector, not a Result); `done` receives the reply exactly once, AFTER
-  /// all bookkeeping (stats, lane slot, live table) — on the worker
-  /// thread, or synchronously on the caller's for pre-admission
-  /// rejections. Returns the request id.
+  /// Shared submit path of every verb. `run` executes the verb against
+  /// the resolved session; `on_fail` builds the verb's reply for a status
+  /// (needed because a sweep's reply is a vector, not a Result); `done`
+  /// receives the reply exactly once, AFTER all bookkeeping. Returns the
+  /// request id.
   template <typename T>
-  uint64_t SubmitAsync(const std::string& tenant, const char* verb,
-                       bool is_write, double deadline_seconds,
-                       std::shared_ptr<obs::RequestTrace> trace,
-                       std::function<T(Session&, PendingRequest&)> run,
-                       std::function<T(const Status&)> on_fail,
-                       std::function<void(T)> done);
+  uint64_t Enqueue(const std::string& tenant, const char* verb, bool is_write,
+                   double deadline_seconds,
+                   std::shared_ptr<obs::RequestTrace> trace,
+                   std::function<T(Session&, PendingRequest&)> run,
+                   std::function<T(const Status&)> on_fail,
+                   std::function<void(T)> done);
 
-  /// Future-returning convenience over SubmitAsync (the in-process Client
-  /// verbs).
-  template <typename T>
-  Submitted<T> Submit(const std::string& tenant, const char* verb,
-                      bool is_write, double deadline_seconds,
-                      std::shared_ptr<obs::RequestTrace> trace,
-                      std::function<T(Session&, PendingRequest&)> run,
-                      std::function<T(const Status&)> on_fail);
-
-  bool Cancel(uint64_t id);
   void WorkerLoop();
 
-  /// Folds one executed search's counters into the server-wide aggregates
-  /// (ServerStats::search_* plus the per-policy series) and into the
-  /// request's flight-record fields. Called by the verb lambdas on the
-  /// worker threads — lock-free atomics, no stats_mu_.
+  /// Queue-wait / service split of an executed verb.
+  struct ExecTiming {
+    double queue_wait = 0.0;
+    double service = 0.0;
+  };
+
+  /// The "dispatched and replied" tally of every request a worker ran
+  /// past the queue: end-to-end latency plus its tenant's completed count
+  /// (ServerStats::completed is their sum). `executed` carries the
+  /// queue-wait/service split when the verb itself ran; it is empty when
+  /// the tenant failed to open or the verb threw.
+  void CountCompleted(const PendingRequest& req,
+                      std::optional<ExecTiming> executed);
+
+  /// Terminal bookkeeping shared by the execute and fail paths: drops the
+  /// request from the live table, writes its flight record (feeding the
+  /// slow-request log) and releases its lane slot.
+  void Retire(PendingRequest& req, const char* status_label,
+              ExecTiming timing);
+
+  /// Folds one executed search's counters into the per-policy aggregates
+  /// (ServerStats::search_expansions is their sum) and into the request's
+  /// flight-record fields. Called by the verb lambdas on the worker
+  /// threads — lock-free atomics, no stats_mu_.
   void RecordSearchStats(const SearchStats& stats,
                          search::SearchPolicy policy,
                          PendingRequest* pending);
@@ -298,13 +264,6 @@ class Server {
   /// registry mutex at exposition time; must never call back into the
   /// registry.
   void CollectMetrics(obs::Collector& out) const;
-
-  /// Writes the terminal flight record (and feeds the slow-request log on
-  /// the executed path, where a span tree may exist). No-op when
-  /// observability is off.
-  void RecordFlight(const PendingRequest& req, const char* status_label,
-                    double queue_wait, double service_seconds,
-                    double total_seconds);
 
   ServerOptions opts_;
   /// Shared session pool (sweeps + deltas of ALL tenants); null when
@@ -317,12 +276,11 @@ class Server {
   AdmissionController admission_;
   RequestQueue queue_;
 
+  /// Ids are assigned from 1 in submission order, so the last id issued is
+  /// also the submitted-request count.
   std::atomic<uint64_t> next_id_{1};
-  std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> search_expansions_{0};
   std::atomic<uint64_t> search_lb_prunes_{0};
   std::atomic<uint64_t> search_incumbents_{0};
 
@@ -335,18 +293,16 @@ class Server {
   };
   std::array<PolicySearchAgg, 3> policy_search_{};
 
-  /// Observability components; all null/absent when
-  /// ServerOptions::observability is false.
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::unique_ptr<obs::SlowRequestLog> slow_log_;
+  obs::MetricsRegistry* metrics_;
+  obs::FlightRecorder recorder_;
+  obs::SlowRequestLog slow_log_;
 
-  mutable std::mutex stats_mu_;  ///< live_, histograms, completed_by_tenant_
+  mutable std::mutex stats_mu_;  ///< live_, histograms, completions
   std::map<uint64_t, std::shared_ptr<PendingRequest>> live_;
   LatencyHistogram latency_;      ///< end-to-end: submit -> reply
   LatencyHistogram queue_wait_;   ///< submit -> execution start
   LatencyHistogram service_;      ///< execution start -> reply built
-  std::map<std::string, uint64_t> completed_by_tenant_;
+  std::map<std::string, uint64_t> completions_by_tenant_;
 
   std::mutex stop_mu_;
   bool stopped_ = false;
@@ -358,6 +314,47 @@ class Server {
   /// exposition can still be running through this server afterwards.
   obs::MetricsRegistry::Registration metrics_probe_;
 };
+
+/// A request submitted through AsFuture: its server-assigned id (usable
+/// with Server::Cancel) and the future carrying the reply. A rejected
+/// request's future is already ready with the rejection status.
+template <typename T>
+struct Submitted {
+  uint64_t id = 0;
+  std::future<T> future;
+};
+
+namespace internal {
+template <typename Done>
+struct CallbackReply;
+template <typename T>
+struct CallbackReply<std::function<void(T)>> {
+  using type = T;
+};
+}  // namespace internal
+
+/// Future adapter over any callback verb, for in-process callers:
+///
+///   Submitted<Result<RepairResponse>> r =
+///       AsFuture(server, &Server::Repair, "tenant", req);
+///   Result<RepairResponse> reply = r.future.get();
+///
+/// `args` are the verb's arguments minus its trailing `done` callback,
+/// which the adapter supplies.
+template <typename... Params, typename... Args>
+auto AsFuture(Server& server, uint64_t (Server::*verb)(Params...),
+              Args&&... args) {
+  using Done = std::tuple_element_t<sizeof...(Params) - 1,
+                                    std::tuple<Params...>>;
+  using T = typename internal::CallbackReply<Done>::type;
+  auto promise = std::make_shared<std::promise<T>>();
+  Submitted<T> out;
+  out.future = promise->get_future();
+  out.id = (server.*verb)(std::forward<Args>(args)..., [promise](T reply) {
+    promise->set_value(std::move(reply));
+  });
+  return out;
+}
 
 }  // namespace retrust::service
 

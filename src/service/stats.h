@@ -1,5 +1,5 @@
 // Observability types of the service layer: the ServerStats / TenantStats
-// snapshots the in-process Client and the `stats` wire verb report. The
+// snapshots Server::Stats() and the `stats` wire verb report. The
 // latency histogram they are built from lives in src/obs/histogram.h,
 // shared with the process-wide metrics registry; the alias below keeps
 // service call sites unchanged.

@@ -89,7 +89,9 @@ TEST(Experiment, ModesAgreeOnCost) {
   ExperimentRun a = RunRepairAt(data, 0.3, SearchMode::kAStar);
   ExperimentRun b = RunRepairAt(data, 0.3, SearchMode::kBestFirst);
   ASSERT_EQ(a.repaired, b.repaired);
-  if (a.repaired) EXPECT_NEAR(a.distc, b.distc, 1e-6);
+  if (a.repaired) {
+    EXPECT_NEAR(a.distc, b.distc, 1e-6);
+  }
 }
 
 }  // namespace

@@ -9,8 +9,7 @@
 //     execution; a traced reply minus its "trace" key is the same bytes,
 //     so tracing never changes the repair itself.
 //   * The `metrics` verb exposes the registry (>= 15 series spanning the
-//     wire, queue, session-cache, and search layers) and errors cleanly
-//     when the server runs with observability off.
+//     wire, queue, session-cache, and search layers).
 //   * The flight recorder remembers completed AND failed requests,
 //     `dump_recent` returns them newest first, and the slow-request log
 //     counts over-threshold requests.
@@ -269,25 +268,6 @@ TEST(ObsServiceMetrics, VerbExposesSeriesAcrossLayers) {
   EXPECT_NE(reply2.Get("text")->AsString().find(
                 "retrust_wire_requests_total{verb=\"metrics\"} 2"),
             std::string::npos);
-}
-
-TEST(ObsServiceMetrics, DisabledObservabilityErrorsCleanly) {
-  ServerOptions opts;
-  opts.workers = 1;
-  opts.queue_capacity = 0;
-  opts.observability = false;
-  WireHarness wire(std::move(opts));
-
-  Json::Object req;
-  req["op"] = Json("metrics");
-  Json reply = wire.Call(Json(std::move(req)));
-  ASSERT_NE(reply.Get("ok"), nullptr);
-  EXPECT_FALSE(reply.Get("ok")->AsBool());
-  EXPECT_EQ(reply.Get("error")->AsString(), "invalid_argument");
-
-  // The service itself is untouched by running dark.
-  Json repair = wire.Call(RepairJson("obs", 0.5, 7, /*traced=*/false));
-  EXPECT_TRUE(repair.Get("ok")->AsBool());
 }
 
 // --- flight recorder + slow log ------------------------------------------

@@ -154,7 +154,6 @@ std::vector<std::vector<std::string>> ServiceRun(
     schemas.push_back(
         &(*server.tenants().Get(tenant.name))->schema());
   }
-  Client client = server.client();
 
   struct TenantFutures {
     std::vector<Submitted<Result<RepairResponse>>> repairs1;
@@ -169,22 +168,27 @@ std::vector<std::vector<std::string>> ServiceRun(
   // genuinely mixed request stream.
   for (const RepairRequest& req : ReadPhase(1)) {
     for (size_t t = 0; t < tenants.size(); ++t) {
-      futures[t].repairs1.push_back(client.Repair(tenants[t].name, req));
+      futures[t].repairs1.push_back(
+          AsFuture(server, &Server::Repair, tenants[t].name, req));
     }
   }
   for (size_t t = 0; t < tenants.size(); ++t) {
-    futures[t].sweep = client.Sweep(tenants[t].name, ReadPhase(2));
+    futures[t].sweep =
+        AsFuture(server, &Server::Sweep, tenants[t].name, ReadPhase(2));
   }
   for (size_t t = 0; t < tenants.size(); ++t) {
     futures[t].search =
-        client.Search(tenants[t].name, RepairRequest::AtRelative(0.5));
+        AsFuture(server, &Server::Search, tenants[t].name,
+                 RepairRequest::AtRelative(0.5));
   }
   for (size_t t = 0; t < tenants.size(); ++t) {
-    futures[t].apply = client.Apply(tenants[t].name, tenants[t].delta);
+    futures[t].apply =
+        AsFuture(server, &Server::Apply, tenants[t].name, tenants[t].delta);
   }
   for (const RepairRequest& req : ReadPhase(3)) {
     for (size_t t = 0; t < tenants.size(); ++t) {
-      futures[t].repairs2.push_back(client.Repair(tenants[t].name, req));
+      futures[t].repairs2.push_back(
+          AsFuture(server, &Server::Repair, tenants[t].name, req));
     }
   }
 
@@ -253,30 +257,27 @@ TEST(ServiceOracle, SharedSessionPoolIsBitIdentical) {
         server.LoadTenant(tenant.name, tenant.data, tenant.fd_texts).ok());
     schemas.push_back(&(*server.tenants().Get(tenant.name))->schema());
   }
-  Client client = server.client();
 
   for (size_t t = 0; t < tenants.size(); ++t) {
     std::vector<std::string> fps;
     const Schema& schema = *schemas[t];
+    const std::string& name = tenants[t].name;
     for (const RepairRequest& req : ReadPhase(1)) {
-      fps.push_back(
-          Fingerprint(client.Repair(tenants[t].name, req).future.get(),
-                      schema));
+      fps.push_back(Fingerprint(
+          AsFuture(server, &Server::Repair, name, req).future.get(), schema));
     }
     for (const Result<RepairResponse>& r :
-         client.Sweep(tenants[t].name, ReadPhase(2)).future.get()) {
+         AsFuture(server, &Server::Sweep, name, ReadPhase(2)).future.get()) {
       fps.push_back(Fingerprint(r, schema));
     }
     fps.push_back(Fingerprint(
-        client.Search(tenants[t].name, RepairRequest::AtRelative(0.5))
+        AsFuture(server, &Server::Search, name, RepairRequest::AtRelative(0.5))
             .future.get()));
-    fps.push_back(
-        Fingerprint(client.Apply(tenants[t].name, tenants[t].delta)
-                        .future.get()));
+    fps.push_back(Fingerprint(
+        AsFuture(server, &Server::Apply, name, tenants[t].delta).future.get()));
     for (const RepairRequest& req : ReadPhase(3)) {
-      fps.push_back(
-          Fingerprint(client.Repair(tenants[t].name, req).future.get(),
-                      schema));
+      fps.push_back(Fingerprint(
+          AsFuture(server, &Server::Repair, name, req).future.get(), schema));
     }
     ASSERT_EQ(fps.size(), expected[t].size());
     for (size_t i = 0; i < fps.size(); ++i) {

@@ -35,6 +35,13 @@ Instance SmallInstance() {
 
 std::vector<std::string> SmallFds() { return {"City->Zip"}; }
 
+/// One τr = 1 repair through the future adapter.
+Submitted<Result<RepairResponse>> RepairFull(Server& server,
+                                             const std::string& tenant) {
+  return AsFuture(server, &Server::Repair, tenant,
+                  RepairRequest::AtRelative(1.0));
+}
+
 // --- wire format ---------------------------------------------------------
 
 TEST(ServiceWire, JsonRoundTrip) {
@@ -134,7 +141,7 @@ TEST(ServiceRegistry, EagerTenantAnswersAndDuplicateIsRejected) {
   Status dup = server.LoadTenant("t", SmallInstance(), SmallFds());
   EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
 
-  auto submitted = server.client().Repair("t", RepairRequest::AtRelative(1.0));
+  auto submitted = RepairFull(server, "t");
   Result<RepairResponse> response = submitted.future.get();
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->repair.changed_cells.size(), 1u);
@@ -153,8 +160,7 @@ TEST(ServiceRegistry, LazyCsvLoadsOnFirstUse) {
   ASSERT_TRUE(before.ok());
   EXPECT_FALSE(before->loaded);  // registration did not read the file
 
-  auto submitted =
-      server.client().Repair("lazy", RepairRequest::AtRelative(1.0));
+  auto submitted = RepairFull(server, "lazy");
   ASSERT_TRUE(submitted.future.get().ok());
 
   Result<TenantStats> after = server.TenantStatsFor("lazy");
@@ -173,8 +179,7 @@ TEST(ServiceRegistry, MissingCsvSurfacesIoErrorOnRequest) {
   ASSERT_TRUE(
       server.LoadCsvTenant("ghost", "/nonexistent/ghost.csv", SmallFds())
           .ok());
-  auto submitted =
-      server.client().Repair("ghost", RepairRequest::AtRelative(1.0));
+  auto submitted = RepairFull(server, "ghost");
   Result<RepairResponse> response = submitted.future.get();
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kIoError);
@@ -184,8 +189,7 @@ TEST(ServiceRegistry, MissingCsvSurfacesIoErrorOnRequest) {
 
 TEST(ServiceAdmission, UnknownTenantRejectedBeforeEnqueue) {
   Server server;
-  auto submitted =
-      server.client().Repair("nope", RepairRequest::AtRelative(1.0));
+  auto submitted = RepairFull(server, "nope");
   Result<RepairResponse> response = submitted.future.get();
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
@@ -198,11 +202,10 @@ TEST(ServiceAdmission, QueueFullIsOverloaded) {
   opts.start_paused = true;
   Server server(opts);
   ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), SmallFds()).ok());
-  Client client = server.client();
 
-  auto a = client.Repair("t", RepairRequest::AtRelative(1.0));
-  auto b = client.Repair("t", RepairRequest::AtRelative(1.0));
-  auto c = client.Repair("t", RepairRequest::AtRelative(1.0));
+  auto a = RepairFull(server, "t");
+  auto b = RepairFull(server, "t");
+  auto c = RepairFull(server, "t");
 
   // Paused dispatch: exactly the first two hold the queue's two slots.
   Result<RepairResponse> shed = c.future.get();
@@ -225,11 +228,10 @@ TEST(ServiceAdmission, TenantCapShedsOnlyTheHotTenant) {
   Server server(opts);
   ASSERT_TRUE(server.LoadTenant("hot", SmallInstance(), SmallFds()).ok());
   ASSERT_TRUE(server.LoadTenant("cold", SmallInstance(), SmallFds()).ok());
-  Client client = server.client();
 
-  auto hot1 = client.Repair("hot", RepairRequest::AtRelative(1.0));
-  auto hot2 = client.Repair("hot", RepairRequest::AtRelative(1.0));
-  auto cold1 = client.Repair("cold", RepairRequest::AtRelative(1.0));
+  auto hot1 = RepairFull(server, "hot");
+  auto hot2 = RepairFull(server, "hot");
+  auto cold1 = RepairFull(server, "cold");
 
   Result<RepairResponse> shed = hot2.future.get();
   ASSERT_FALSE(shed.ok());
@@ -249,7 +251,7 @@ TEST(ServiceAdmission, PreExpiredDeadlineRejectedBeforeEnqueue) {
 
   RepairRequest req = RepairRequest::AtRelative(1.0);
   req.deadline_seconds = -1.0;  // expired before it was ever submitted
-  auto submitted = server.client().Repair("t", req);
+  auto submitted = AsFuture(server, &Server::Repair, "t", req);
   Result<RepairResponse> response = submitted.future.get();
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kBudgetExceeded);
@@ -268,7 +270,7 @@ TEST(ServiceAdmission, DeadlineExpiringInQueueNeverReachesASession) {
 
   RepairRequest req = RepairRequest::AtRelative(1.0);
   req.deadline_seconds = 0.005;
-  auto submitted = server.client().Repair("t", req);
+  auto submitted = AsFuture(server, &Server::Repair, "t", req);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server.Resume();
 
@@ -287,7 +289,7 @@ TEST(ServiceAdmission, ClientOwnedCancelTokenIsInvalidArgument) {
   RepairRequest req = RepairRequest::AtRelative(1.0);
   req.cancel = &token;
   Result<RepairResponse> response =
-      server.client().Repair("t", req).future.get();
+      AsFuture(server, &Server::Repair, "t", req).future.get();
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
 }
@@ -300,11 +302,10 @@ TEST(ServiceCancel, QueuedRequestCancelsWithoutLeakingPoolWork) {
   opts.workers = 4;
   Server server(opts);
   ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), SmallFds()).ok());
-  Client client = server.client();
 
-  auto doomed = client.Repair("t", RepairRequest::AtRelative(1.0));
-  auto survivor = client.Repair("t", RepairRequest::AtRelative(1.0));
-  EXPECT_TRUE(client.Cancel(doomed.id));
+  auto doomed = RepairFull(server, "t");
+  auto survivor = RepairFull(server, "t");
+  EXPECT_TRUE(server.Cancel(doomed.id));
   server.Resume();
 
   Result<RepairResponse> cancelled = doomed.future.get();
@@ -316,17 +317,16 @@ TEST(ServiceCancel, QueuedRequestCancelsWithoutLeakingPoolWork) {
   EXPECT_EQ(stats.cancelled, 1u);
   EXPECT_EQ(stats.completed, 1u);  // only the survivor executed
   // A finished request is no longer cancellable.
-  EXPECT_FALSE(client.Cancel(doomed.id));
-  EXPECT_FALSE(client.Cancel(999999));
+  EXPECT_FALSE(server.Cancel(doomed.id));
+  EXPECT_FALSE(server.Cancel(999999));
 }
 
 TEST(ServiceCancel, SweepCancelsCooperatively) {
   Server server;
   ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), SmallFds()).ok());
-  Client client = server.client();
   std::vector<RepairRequest> reqs(4, RepairRequest::AtRelative(1.0));
-  auto submitted = client.Sweep("t", reqs);
-  client.Cancel(submitted.id);  // may land before, during, or after
+  auto submitted = AsFuture(server, &Server::Sweep, "t", reqs);
+  server.Cancel(submitted.id);  // may land before, during, or after
   std::vector<Result<RepairResponse>> replies = submitted.future.get();
   ASSERT_EQ(replies.size(), 4u);
   for (const Result<RepairResponse>& r : replies) {
@@ -343,15 +343,14 @@ TEST(ServiceServer, ApplyDeltaIsAPerTenantBarrier) {
   opts.start_paused = true;
   Server server(opts);
   ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), SmallFds()).ok());
-  Client client = server.client();
 
   // Session's root δP is 2 before the delta; deleting Carol (the only
   // City->Zip violation) drops it to 0.
-  auto before = client.Repair("t", RepairRequest::AtRelative(1.0));
+  auto before = RepairFull(server, "t");
   DeltaBatch delta;
   delta.Delete(2);
-  auto apply = client.Apply("t", delta);
-  auto after = client.Repair("t", RepairRequest::AtRelative(1.0));
+  auto apply = AsFuture(server, &Server::Apply, "t", delta);
+  auto after = RepairFull(server, "t");
   server.Resume();
 
   Result<RepairResponse> r_before = before.future.get();
@@ -433,14 +432,13 @@ TEST(ServiceServer, StopFailsQueuedRequests) {
   opts.start_paused = true;
   Server server(opts);
   ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), SmallFds()).ok());
-  auto stuck = server.client().Repair("t", RepairRequest::AtRelative(1.0));
+  auto stuck = RepairFull(server, "t");
   server.Stop();
   Result<RepairResponse> response = stuck.future.get();
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kCancelled);
   // Submissions after Stop fail fast instead of hanging.
-  Result<RepairResponse> late =
-      server.client().Repair("t", RepairRequest::AtRelative(1.0)).future.get();
+  Result<RepairResponse> late = RepairFull(server, "t").future.get();
   EXPECT_EQ(late.status().code(), StatusCode::kCancelled);
 }
 

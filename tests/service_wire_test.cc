@@ -186,12 +186,12 @@ TEST(ServiceQuota, ExhaustedTenantIsRejectedWithoutEnqueue) {
   Server server(opts);
   WireTenant tenant = MakeWireTenant(0);
   ASSERT_TRUE(server.LoadTenant(tenant.name, tenant.data, tenant.fd_texts).ok());
-  Client client = server.client();
 
   RepairRequest req = RepairRequest::AtRelative(0.5);
-  auto first = client.Repair(tenant.name, req);
-  auto second = client.Repair(tenant.name, req);   // token already spent
-  auto third = client.Repair(tenant.name, req);
+  auto first = AsFuture(server, &Server::Repair, tenant.name, req);
+  // The token is already spent for the second and third.
+  auto second = AsFuture(server, &Server::Repair, tenant.name, req);
+  auto third = AsFuture(server, &Server::Repair, tenant.name, req);
 
   Result<RepairResponse> r2 = second.future.get();
   Result<RepairResponse> r3 = third.future.get();
@@ -202,7 +202,8 @@ TEST(ServiceQuota, ExhaustedTenantIsRejectedWithoutEnqueue) {
   EXPECT_TRUE(first.future.get().ok());
 
   *now = 1.0;  // one token refilled
-  EXPECT_TRUE(client.Repair(tenant.name, req).future.get().ok());
+  EXPECT_TRUE(
+      AsFuture(server, &Server::Repair, tenant.name, req).future.get().ok());
 
   ServerStats stats = server.Stats();
   EXPECT_EQ(stats.rejected_quota, 2u);

@@ -7,7 +7,7 @@
 //                  [--quota-rate TOKENS_PER_SEC] [--quota-burst TOKENS]
 //                  [--metrics-dump-interval SECONDS]
 //                  [--slow-request-seconds SECONDS]
-//                  [--flight-records N] [--no-observability]
+//                  [--flight-records N]
 //                  [--tenant NAME=FILE.csv:FD[;FD...]]...
 //                  [--tenant-snapshot NAME=FILE.snap]...
 //
@@ -15,7 +15,7 @@
 // and speaks newline-delimited JSON: one request object per line, one
 // response per line (wire format in src/service/wire.h — verbs:
 // load_tenant, load_snapshot_tenant, repair, sweep, apply_delta,
-// save_snapshot, unload_tenant, stats, shutdown).
+// save_snapshot, unload_tenant, stats, metrics, dump_recent, shutdown).
 //
 // Connections are served by the event-driven loop in
 // src/service/event_loop.h: every connection may PIPELINE many requests
@@ -36,14 +36,13 @@
 // once the socket is ready, so wrappers (CI's service smoke) can parse
 // the chosen port.
 //
-// Observability (src/obs/): the `metrics` verb serves the process
-// registry's exposition text, `dump_recent` dumps the flight recorder,
-// and repairs with `"trace": true` return their span tree inline.
-// `--metrics-dump-interval N` additionally prints the exposition to
-// stderr every N seconds (0 = off, the default); `--slow-request-seconds`
-// logs requests over the threshold with their span tree;
-// `--flight-records` sizes the recorder ring; `--no-observability`
-// disables all of it (the overhead A/B baseline).
+// Observability (src/obs/) is always on: the `metrics` verb serves the
+// process registry's exposition text, `dump_recent` dumps the flight
+// recorder, and repairs with `"trace": true` return their span tree
+// inline. `--metrics-dump-interval N` additionally prints the exposition
+// to stderr every N seconds (0 = off, the default);
+// `--slow-request-seconds` logs requests over the threshold with their
+// span tree; `--flight-records` sizes the recorder ring.
 
 #include <chrono>
 #include <condition_variable>
@@ -157,8 +156,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) { std::fprintf(stderr, "--flight-records needs a value\n"); return 2; }
       opts.flight_recorder_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--no-observability") {
-      opts.observability = false;
     } else if (arg == "--tenant") {
       const char* v = next();
       if (v == nullptr) { std::fprintf(stderr, "--tenant needs NAME=FILE.csv:FD[;FD]\n"); return 2; }
@@ -221,7 +218,7 @@ int main(int argc, char** argv) {
   std::mutex dump_mu;
   std::condition_variable dump_cv;
   bool dump_stop = false;
-  if (metrics_dump_interval > 0.0 && server.metrics() != nullptr) {
+  if (metrics_dump_interval > 0.0) {
     dump_thread = std::thread([&] {
       std::unique_lock<std::mutex> lock(dump_mu);
       const auto interval =
