@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "src/graph/vertex_cover.h"
 
 namespace retrust {
@@ -44,6 +48,20 @@ struct Fig3Row {
   int64_t cover_size;
   int64_t delta_p;
 };
+
+// Prints a row as its Σ' ("C,A->B" prints "CAtoB"). The test names CTest
+// discovers end in this text; the default printer would dump the row's
+// bytes, heap pointers included, so the names would change from run to
+// run.
+void PrintTo(const Fig3Row& row, std::ostream* os) {
+  for (size_t i = 0; i < row.fds.size(); ++i) {
+    if (i > 0) *os << '_';
+    for (char c : row.fds[i]) {
+      if (c == '-') *os << "to";
+      if (std::isalnum(static_cast<unsigned char>(c))) *os << c;
+    }
+  }
+}
 
 class Fig3Table : public ::testing::TestWithParam<Fig3Row> {};
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
 #include <set>
+#include <string>
 
 namespace retrust {
 namespace {
@@ -95,6 +98,21 @@ struct SpaceShape {
   std::vector<std::string> fds;
   int num_attrs;
 };
+
+// Prints a shape as its FDs and arity ("A->B" over 4 attributes prints
+// "AtoB_4attrs"). The test names CTest discovers end in this text; the
+// default printer would dump the shape's bytes, heap pointers included,
+// so the names would change from run to run.
+void PrintTo(const SpaceShape& shape, std::ostream* os) {
+  for (const std::string& fd : shape.fds) {
+    for (char c : fd) {
+      if (c == '-') *os << "to";
+      if (std::isalnum(static_cast<unsigned char>(c))) *os << c;
+    }
+    *os << '_';
+  }
+  *os << shape.num_attrs << "attrs";
+}
 
 class StateSpaceCoverage : public ::testing::TestWithParam<SpaceShape> {};
 
