@@ -214,8 +214,9 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(
 /// Builds the difference-set index of (inst, sigma), sharded on a
 /// short-lived pool per `eopts` (serial options spin up no pool). The
 /// result is BIT-IDENTICAL for any thread count and for either build mode.
-/// Shared by the FD-modification search and Algorithm 4's data-repair
-/// pass. `stats`, when non-null, receives the build's per-phase breakdown.
+/// FdSearchContext builds Σ's index with it (Algorithm 4 reads its covers
+/// from that index); the standalone RepairData oracle builds a Σ' index.
+/// `stats`, when non-null, receives the build's per-phase breakdown.
 DifferenceSetIndex BuildDifferenceSetIndex(
     const EncodedInstance& inst, const FDSet& sigma,
     const exec::Options& eopts,

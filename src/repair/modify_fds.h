@@ -111,7 +111,10 @@ struct ModifyFdsResult {
 /// Precomputed, τ-independent context shared by searches over one (Σ, I):
 /// the conflict graph of Σ, its difference-set index, the δP evaluation
 /// layer (violation incidence table + memoized covers), state space, and
-/// heuristic. Build once, run ModifyFds/FindRepairsFds many times — also
+/// heuristic. The index also serves Algorithm 4: a repair's cover is the
+/// goal state's violated groups of this index (RepairData's context
+/// overload), so data repair builds no index of its own. Build once, run
+/// ModifyFds/FindRepairsFds/RunRepair many times — also
 /// concurrently: every const method is thread-safe (pooled scratch owned
 /// by the evaluation layer, mutex-guarded memos), which is what
 /// exec::Sweep relies on; sweep jobs share the table AND the cover memo.

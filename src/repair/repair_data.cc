@@ -1,11 +1,10 @@
 #include "src/repair/repair_data.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
-#include "src/fd/conflict_graph.h"
 #include "src/fd/difference_set.h"
-#include "src/graph/vertex_cover.h"
 
 namespace retrust {
 namespace internal {
@@ -73,21 +72,25 @@ std::optional<std::vector<int32_t>> FindAssignment(
 
 }  // namespace internal
 
-DataRepairResult RepairData(const EncodedInstance& inst,
-                            const FDSet& sigma_prime, Rng* rng,
-                            const exec::Options& eopts) {
+namespace {
+
+/// The routine both front doors share: greedy matching over `index`'s
+/// `groups` (each group's edges via EdgesForCover, groups in the given
+/// order), then the Algorithm 4/5 chase of the matched tuples. `index` must
+/// be bound to an instance equal to `inst` if it holds counted groups.
+DataRepairResult RepairOverGroups(const EncodedInstance& inst,
+                                  const FDSet& sigma_prime,
+                                  const DifferenceSetIndex& index,
+                                  const std::vector<int>& groups, Rng* rng) {
   DataRepairResult result;
-  // Compute the matching cover over edges in difference-set-group order —
-  // the SAME canonical order FdSearchContext::CoverSize uses — so the
-  // number of cover tuples here equals the δP/α the search certified
-  // against τ (Theorem 2 consistency). The graph/index construction is
-  // sharded per eopts; the index is identical for any thread count.
-  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, eopts);
-  index.BindInstance(&inst);  // counted groups materialize lazily
+  // Greedy matching over the groups' edges in the given order — for both
+  // front doors the ascending canonical order FdSearchContext::CoverSize
+  // scans, so the number of cover tuples here equals the δP/α the search
+  // certified against τ (Theorem 2 consistency).
   std::vector<int32_t> cover;
   {
     std::vector<char> covered(inst.NumTuples(), 0);
-    for (int g = 0; g < index.size(); ++g) {
+    for (int g : groups) {
       for (const Edge& e : index.EdgesForCover(g)) {
         if (!covered[e.u] && !covered[e.v]) {
           covered[e.u] = covered[e.v] = 1;
@@ -149,6 +152,26 @@ DataRepairResult RepairData(const EncodedInstance& inst,
   result.changed_cells = inst.DiffCells(repaired);
   result.repaired = std::move(repaired);
   return result;
+}
+
+}  // namespace
+
+DataRepairResult RepairData(const FdSearchContext& ctx,
+                            const EncodedInstance& inst,
+                            const SearchState& goal, Rng* rng) {
+  std::vector<int> violated = ctx.evaluator().ViolatedGroupIds(goal);
+  return RepairOverGroups(inst, goal.Apply(ctx.sigma()), ctx.index(), violated,
+                          rng);
+}
+
+DataRepairResult RepairData(const EncodedInstance& inst,
+                            const FDSet& sigma_prime, Rng* rng,
+                            const exec::Options& eopts) {
+  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, eopts);
+  index.BindInstance(&inst);  // counted groups materialize lazily
+  std::vector<int> all(index.size());
+  std::iota(all.begin(), all.end(), 0);
+  return RepairOverGroups(inst, sigma_prime, index, all, rng);
 }
 
 }  // namespace retrust

@@ -8,6 +8,18 @@
 // assignment to the still-free attributes avoids all violations against the
 // clean set (Algorithm 5), and overwriting it from the last valid assignment
 // otherwise.
+//
+// Where the cover comes from. Σ' only extends left-hand sides, so every
+// Σ'-violating pair also violates Σ, and whether a pair violates Σ' depends
+// only on its difference set. The Σ' difference-set index is therefore Σ's
+// index filtered to the groups still violated under Σ' — same edges, same
+// relative (frequency, diff) order. A search context already holds Σ's
+// index and knows which groups its goal state violates, so the context
+// front door reads the cover straight from it; the standalone front door
+// builds the Σ' index itself and stays as the oracle for the context path.
+// Both run one routine: the greedy matching over the given groups in
+// ascending canonical order — the same cover whose size the search
+// certified against τ (Theorem 2 consistency) — then the chase.
 
 #ifndef RETRUST_REPAIR_REPAIR_DATA_H_
 #define RETRUST_REPAIR_REPAIR_DATA_H_
@@ -19,6 +31,7 @@
 #include "src/exec/options.h"
 #include "src/fd/fdset.h"
 #include "src/relational/dictionary.h"
+#include "src/repair/modify_fds.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
 
@@ -33,11 +46,20 @@ struct DataRepairResult {
   int64_t change_bound = 0;
 };
 
-/// Algorithm 4. `rng` drives the random tuple/attribute orders; fix the
-/// seed for reproducible repairs. `eopts` shards the conflict-graph and
-/// difference-set construction that finds the cover (the repaired
-/// instance is BIT-IDENTICAL for any thread count; the chase itself is
-/// linear-time, seed-driven, and stays serial).
+/// Algorithm 4 from a search context: repairs `inst` — the instance `ctx`
+/// was built over — for Σ' = `goal` applied to ctx.sigma(). The cover is
+/// read from ctx.index() over the groups ctx.evaluator() marks violated
+/// under `goal`; no index is built. `rng` drives the random tuple/attribute
+/// orders; fix the seed for reproducible repairs. BIT-IDENTICAL to the
+/// standalone overload below with the same seed. Thread-safe against other
+/// const use of `ctx`.
+DataRepairResult RepairData(const FdSearchContext& ctx,
+                            const EncodedInstance& inst,
+                            const SearchState& goal, Rng* rng);
+
+/// Algorithm 4, standalone: builds the Σ' difference-set index of `inst`
+/// (sharded per `eopts`; identical for any thread count) and repairs over
+/// all of its groups. The oracle the context overload is tested against.
 DataRepairResult RepairData(const EncodedInstance& inst,
                             const FDSet& sigma_prime, Rng* rng,
                             const exec::Options& eopts = {});

@@ -1,8 +1,33 @@
 #include "src/repair/repair_driver.h"
 
 #include <cmath>
+#include <stdexcept>
+
+#include "src/fd/violation.h"
 
 namespace retrust {
+
+namespace {
+
+#ifndef NDEBUG
+// Debug-build post-conditions of Algorithm 1's materialization step: the
+// cover is the one the search certified (cover·α == δP), I' |= Σ', and the
+// change count respects the paper's bound.
+void CheckMaterialized(const FdSearchContext& ctx, const FdRepair& fd_repair,
+                       const DataRepairResult& data) {
+  if (data.cover_size * ctx.alpha() != fd_repair.delta_p) {
+    throw std::logic_error("materialized cover disagrees with certified δP");
+  }
+  if (!Satisfies(data.repaired, fd_repair.sigma_prime)) {
+    throw std::logic_error("repaired instance violates Σ'");
+  }
+  if (static_cast<int64_t>(data.changed_cells.size()) > data.change_bound) {
+    throw std::logic_error("repair changed more cells than its bound");
+  }
+}
+#endif
+
+}  // namespace
 
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
@@ -15,8 +40,12 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
 
   const FdRepair& fd_repair = *search.repair;
   Rng rng(opts.seed);
-  DataRepairResult data =
-      RepairData(inst, fd_repair.sigma_prime, &rng, opts.search.exec);
+  // Algorithm 4 reads its cover from the context the search just used: no
+  // Σ' index is built per request.
+  DataRepairResult data = RepairData(ctx, inst, fd_repair.state, &rng);
+#ifndef NDEBUG
+  CheckMaterialized(ctx, fd_repair, data);
+#endif
 
   Repair out;
   out.sigma_prime = fd_repair.sigma_prime;

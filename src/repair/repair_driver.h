@@ -2,6 +2,9 @@
 //
 // Step 1 finds Σ' minimizing distc subject to δP(Σ', I) ≤ τ (Algorithm 2);
 // step 2 materializes I' |= Σ' with at most δP cell changes (Algorithm 4).
+// Step 2 takes its cover from the search context step 1 used — the goal
+// state's violated groups of Σ's difference-set index — so a request
+// builds no index of its own (repair_data.h explains why that is exact).
 // The result is a P-approximate τ-constrained repair with
 // P = 2·min(|R|-1, |Σ|) (paper Definition 5, Theorem 2).
 
@@ -16,8 +19,9 @@
 namespace retrust {
 
 /// Options for the end-to-end repair. Parallel execution is configured via
-/// `search.exec` (exec::Options{num_threads}); Algorithm 4's data-repair
-/// pass stays serial — it is linear-time and seed-driven. Results are
+/// `search.exec` (exec::Options{num_threads}) and applies to the search
+/// only; Algorithm 4's data-repair pass reads its cover from the context
+/// and stays serial — it is linear-time and seed-driven. Results are
 /// bit-identical for any thread count (see DESIGN.md).
 struct RepairOptions {
   ModifyFdsOptions search;
@@ -48,6 +52,11 @@ struct RepairOutcome {
 };
 
 /// Algorithm 1 over a prebuilt search context, reporting the full outcome.
+/// `inst` must be the instance `ctx` was built over (or equal to it): the
+/// data repair walks ctx.index()'s edges over the goal state's violated
+/// groups. Debug builds check the result's post-conditions (cover·α ==
+/// δP, I' |= Σ', |Δd| ≤ change bound) and throw std::logic_error on a
+/// breach.
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts = {});

@@ -66,12 +66,11 @@ Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
     }
   }
 
-  FDSet sigma_prime = current.Apply(sigma);
   Rng rng(opts.seed);
-  DataRepairResult data = RepairData(inst, sigma_prime, &rng, opts.exec);
+  DataRepairResult data = RepairData(ctx, inst, current, &rng);
 
   Repair out;
-  out.sigma_prime = std::move(sigma_prime);
+  out.sigma_prime = current.Apply(sigma);
   out.extensions = current.ext;
   out.distc = current_fd_cost;
   out.data = std::move(data.repaired);

@@ -12,7 +12,8 @@
 //     score(Σc) = δP(Σc, I) + lambda · distc(Σ, Σc)
 // starting at Σc = Σ and repeatedly applying the single-attribute LHS
 // append that lowers the score most, stopping at a local minimum; the data
-// side is then materialized with Algorithm 4. With informative attribute
+// side is then materialized with Algorithm 4, its cover read from the
+// climber's own search context. With informative attribute
 // weights (the distinct-count weights the paper uses) FD appends are
 // expensive, so the climber rarely modifies FDs — reproducing the paper's
 // observation that the unified baseline kept FDs unchanged across its
@@ -35,8 +36,9 @@ struct UnifiedCostOptions {
   /// space reference [5] searches).
   bool single_attr_per_fd = true;
   uint64_t seed = 1;
-  /// Shards the context construction and the data-repair cover build
-  /// (results bit-identical for any thread count, see DESIGN.md).
+  /// Shards the context construction (results bit-identical for any
+  /// thread count, see DESIGN.md); Algorithm 4 reads its cover from that
+  /// context and runs serially.
   exec::Options exec;
 };
 

@@ -11,10 +11,15 @@ namespace retrust::service {
 
 // ------------------------------------------------------------------ Json
 
+const std::string Json::kEmptyString;
+const Json::Array Json::kEmptyArray;
+const Json::Object Json::kEmptyObject;
+
 const Json* Json::Get(const std::string& key) const {
-  if (type_ != Type::kObject) return nullptr;
-  auto it = object_.find(key);
-  return it == object_.end() ? nullptr : &it->second;
+  const Object* object = std::get_if<Object>(&value_);
+  if (object == nullptr) return nullptr;
+  auto it = object->find(key);
+  return it == object->end() ? nullptr : &it->second;
 }
 
 namespace {

@@ -41,6 +41,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/api/session.h"
@@ -49,6 +51,11 @@
 
 namespace retrust::service {
 
+// GCC 12 reports a false -Wmaybe-uninitialized on moving a Json into a
+// std::optional (Result<Json>), GCC bug 80635; the implicit moves are
+// defined inside this class.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 /// A JSON value. Numbers are doubles (every count this protocol carries
 /// fits double's 2^53 integer range); objects keep sorted keys so Dump()
 /// is deterministic.
@@ -56,36 +63,46 @@ class Json {
  public:
   using Array = std::vector<Json>;
   using Object = std::map<std::string, Json>;
+  /// In the order of the alternatives `value_` holds.
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  Json() : type_(Type::kNull) {}
-  Json(bool b) : type_(Type::kBool), bool_(b) {}          // NOLINT: implicit
-  Json(double n) : type_(Type::kNumber), number_(n) {}    // NOLINT
-  Json(int64_t n)                                         // NOLINT
-      : type_(Type::kNumber), number_(static_cast<double>(n)) {}
-  Json(int n) : type_(Type::kNumber), number_(n) {}       // NOLINT
-  Json(uint64_t n)                                        // NOLINT: covers size_t
-      : type_(Type::kNumber), number_(static_cast<double>(n)) {}
-  Json(std::string s) : type_(Type::kString), string_(std::move(s)) {}  // NOLINT
-  Json(const char* s) : type_(Type::kString), string_(s) {}  // NOLINT
-  Json(Array a) : type_(Type::kArray), array_(std::move(a)) {}  // NOLINT
-  Json(Object o) : type_(Type::kObject), object_(std::move(o)) {}  // NOLINT
+  Json() = default;
+  Json(bool b) : value_(b) {}                            // NOLINT: implicit
+  Json(double n) : value_(n) {}                          // NOLINT
+  Json(int64_t n) : value_(static_cast<double>(n)) {}    // NOLINT
+  Json(int n) : value_(static_cast<double>(n)) {}        // NOLINT
+  Json(uint64_t n) : value_(static_cast<double>(n)) {}   // NOLINT: covers size_t
+  Json(std::string s) : value_(std::move(s)) {}          // NOLINT
+  Json(const char* s) : value_(std::string(s)) {}        // NOLINT
+  Json(Array a) : value_(std::move(a)) {}                // NOLINT
+  Json(Object o) : value_(std::move(o)) {}               // NOLINT
 
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
+  Type type() const { return static_cast<Type>(value_.index()); }
+  bool is_null() const { return type() == Type::kNull; }
+  bool is_bool() const { return type() == Type::kBool; }
+  bool is_number() const { return type() == Type::kNumber; }
+  bool is_string() const { return type() == Type::kString; }
+  bool is_array() const { return type() == Type::kArray; }
+  bool is_object() const { return type() == Type::kObject; }
 
-  bool AsBool() const { return bool_; }
-  double AsNumber() const { return number_; }
-  int64_t AsInt() const { return static_cast<int64_t>(number_); }
-  const std::string& AsString() const { return string_; }
-  const Array& AsArray() const { return array_; }
-  const Object& AsObject() const { return object_; }
-  Object& MutableObject() { return object_; }
+  /// Typed reads; a value of another type reads as false, 0 or empty.
+  bool AsBool() const {
+    const bool* b = std::get_if<bool>(&value_);
+    return b != nullptr && *b;
+  }
+  double AsNumber() const {
+    const double* n = std::get_if<double>(&value_);
+    return n != nullptr ? *n : 0.0;
+  }
+  int64_t AsInt() const { return static_cast<int64_t>(AsNumber()); }
+  const std::string& AsString() const { return Or(kEmptyString); }
+  const Array& AsArray() const { return Or(kEmptyArray); }
+  const Object& AsObject() const { return Or(kEmptyObject); }
+  /// The members of an object; any other value becomes an empty object.
+  Object& MutableObject() {
+    if (!is_object()) value_ = Object();
+    return std::get<Object>(value_);
+  }
 
   /// Member lookup on objects; nullptr when absent or not an object.
   const Json* Get(const std::string& key) const;
@@ -95,13 +112,22 @@ class Json {
   std::string Dump() const;
 
  private:
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  static const std::string kEmptyString;
+  static const Array kEmptyArray;
+  static const Object kEmptyObject;
+
+  template <typename T>
+  const T& Or(const T& fallback) const {
+    const T* v = std::get_if<T>(&value_);
+    return v != nullptr ? *v : fallback;
+  }
+
+  // One alternative per Type: a node is the size of its largest
+  // alternative, not the sum of all of them.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
+#pragma GCC diagnostic pop
 
 /// Parses one JSON document (trailing whitespace allowed, trailing garbage
 /// rejected). kInvalidArgument with a position on malformed input.

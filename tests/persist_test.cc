@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -73,8 +74,20 @@ std::string Fingerprint(const Repair& repair, const Schema& schema) {
   return fp;
 }
 
+/// A scratch directory private to the running test. ctest runs every test
+/// in its own process, concurrently under `ctest -j`, so a path shared by
+/// two tests lets one test's setup clobber a file the other is reading.
+std::string TestDir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string dir = testing::TempDir() + "/persist_test." +
+                    info->test_suite_name() + "." + info->name();
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 std::string TempPath(const std::string& name) {
-  std::string path = testing::TempDir() + "/" + name;
+  std::string path = TestDir() + "/" + name;
   // Paths are reused across test-binary runs; a leftover journal from a
   // previous run would (correctly) fail EnableJournal's continuity check.
   std::remove(path.c_str());
@@ -519,7 +532,7 @@ TEST(RegistryLifecycle, DirtyUnloadRefusedWithoutSnapshotDir) {
 
 TEST(RegistryLifecycle, DirtyUnloadAutoSavesWithSnapshotDir) {
   service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   testing::TempDir());
+                                   TestDir());
   ASSERT_TRUE(
       registry.AddCsv("auto", WriteSmallCsv("auto.csv"), {"City->Zip"}).ok());
   uint64_t version = 0;
@@ -544,7 +557,7 @@ TEST(RegistryLifecycle, ByteBudgetEvictsIdleTenants) {
   // A 1-byte budget is unreachable, so every load must evict the other,
   // idle tenant — previously both would stay resident forever.
   service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   testing::TempDir(), /*max_loaded_bytes=*/1);
+                                   TestDir(), /*max_loaded_bytes=*/1);
   ASSERT_TRUE(
       registry.AddCsv("a", WriteSmallCsv("budget_a.csv"), {"City->Zip"}).ok());
   ASSERT_TRUE(

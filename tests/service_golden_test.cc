@@ -75,16 +75,6 @@ Json RepairOp(const std::string& tenant, double tau_r, uint64_t seed) {
   return req;
 }
 
-/// Cancels request `id` through the server's in-process surface.
-template <typename S>
-bool CancelRequest(S& server, uint64_t id) {
-  if constexpr (requires { server.client(); }) {
-    return server.client().Cancel(id);
-  } else {
-    return server.Cancel(id);
-  }
-}
-
 /// Polls until `done` holds (bounded, so a regression fails instead of
 /// hanging).
 template <typename Pred>
@@ -198,7 +188,7 @@ TEST(ServiceGolden, StatsAndMetricsRepliesArePinned) {
   std::future<Result<Json>> cancelled = wire.Call(RepairOp("alpha", 0.5, 8));
   ASSERT_TRUE(WaitFor([&] { return server.Stats().queue_depth == 2; }));
   ASSERT_EQ(server.Stats().submitted, 10u);
-  EXPECT_TRUE(CancelRequest(server, 10));
+  EXPECT_TRUE(server.Cancel(10));
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   server.Resume();
   Result<Json> expired_reply = expired.get();

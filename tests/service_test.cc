@@ -56,6 +56,27 @@ TEST(ServiceWire, JsonRoundTrip) {
   EXPECT_EQ(reparsed->Dump(), text);
 }
 
+TEST(ServiceWire, JsonReadsOfAnotherTypeAreEmpty) {
+  Result<Json> parsed = ParseJson(R"({"n":2,"s":"x","a":[1],"t":true})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const Json& n = *parsed->Get("n");
+  EXPECT_EQ(n.type(), Json::Type::kNumber);
+  EXPECT_FALSE(n.AsBool());
+  EXPECT_EQ(n.AsString(), "");
+  EXPECT_TRUE(n.AsArray().empty());
+  EXPECT_TRUE(n.AsObject().empty());
+  EXPECT_EQ(n.Get("n"), nullptr);
+  EXPECT_EQ(parsed->Get("s")->AsNumber(), 0.0);
+  EXPECT_EQ(parsed->Get("a")->AsInt(), 0);
+  EXPECT_TRUE(parsed->Get("t")->AsBool());
+  EXPECT_EQ(Json().type(), Json::Type::kNull);
+
+  // Writing members into a non-object makes it an object.
+  Json value(7);
+  value.MutableObject()["id"] = Json(3);
+  EXPECT_EQ(value.Dump(), R"({"id":3})");
+}
+
 TEST(ServiceWire, ParseRejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"unterminated",
