@@ -73,9 +73,9 @@ BENCHMARK(BM_GreedyVertexCover)->Arg(1000)->Arg(4000);
 
 void BM_DiffSetIndex(benchmark::State& state) {
   ExperimentData& d = SharedData(static_cast<int>(state.range(0)));
-  ConflictGraph cg = BuildConflictGraph(d.encoded(), d.dirty.fds);
   for (auto _ : state) {
-    DifferenceSetIndex idx(d.encoded(), cg);
+    DifferenceSetIndex idx =
+        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, {});
     benchmark::DoNotOptimize(idx.size());
   }
 }
@@ -85,12 +85,13 @@ BENCHMARK(BM_DiffSetIndex)->Arg(1000)->Arg(4000);
 // threads=1 exercises the serial fast path of the same entry points.
 void BM_ViolationDetectionSharded(benchmark::State& state) {
   ExperimentData& d = SharedData(4000);
-  std::unique_ptr<exec::ThreadPool> pool =
-      exec::MakePool({static_cast<int>(state.range(0))});
+  const int threads = static_cast<int>(state.range(0));
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   for (auto _ : state) {
     ConflictGraph cg = BuildConflictGraph(d.encoded(), d.dirty.fds,
                                           pool.get());
-    DifferenceSetIndex idx(d.encoded(), cg, pool.get());
+    DifferenceSetIndex idx =
+        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, {threads});
     benchmark::DoNotOptimize(idx.size());
   }
 }

@@ -21,12 +21,16 @@ using namespace retrust;
 
 namespace {
 
-// One pass of violation detection; returns a structural checksum.
+// One pass of violation detection at `threads` threads (`pool` runs the
+// conflict graph; the all-pairs index build sizes its own pool); returns a
+// structural checksum.
 uint64_t DetectViolations(const EncodedInstance& inst, const FDSet& fds,
-                          exec::ThreadPool* pool, double* seconds) {
+                          exec::ThreadPool* pool, int threads,
+                          double* seconds) {
   Timer timer;
   ConflictGraph cg = BuildConflictGraph(inst, fds, pool);
-  DifferenceSetIndex index(inst, cg, pool);
+  DifferenceSetIndex index = BuildDifferenceSetIndex(
+      inst, fds, {threads}, DiffSetBuildMode::kNaive);
   *seconds = timer.ElapsedSeconds();
   uint64_t checksum = cg.num_edges();
   for (const auto& mask : cg.edge_fd_mask) checksum = checksum * 31 + mask;
@@ -66,7 +70,8 @@ int main() {
     std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({t});
     double seconds = 0.0;
     uint64_t checksum =
-        DetectViolations(data.encoded(), data.dirty.fds, pool.get(), &seconds);
+        DetectViolations(data.encoded(), data.dirty.fds, pool.get(), t,
+                         &seconds);
     if (t == 1) {
       serial_seconds = seconds;
       serial_checksum = checksum;

@@ -36,7 +36,7 @@ uint64_t Fingerprint(const FDSet& sigma, const SessionOptions& opts) {
 int64_t IndexEdges(const FdSearchContext& ctx) {
   int64_t edges = 0;
   for (const DiffSetGroup& g : ctx.index().groups()) {
-    edges += g.frequency();  // counted groups weigh their logical pairs
+    edges += g.frequency();
   }
   return edges;
 }

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "src/exec/parallel_for.h"
 #include "src/fd/partition.h"
@@ -18,7 +19,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The canonical group order: descending logical frequency, ties broken by
+/// The canonical group order: descending frequency, ties broken by
 /// the smaller attribute mask. Shared by every builder and by ApplyDelta.
 void RankGroups(std::vector<DiffSetGroup>* groups) {
   std::sort(groups->begin(), groups->end(),
@@ -47,7 +48,7 @@ std::vector<DiffSetGroup> GroupEdges(
   for (const auto& [edge, diff] : records) {
     auto [it, inserted] = index.emplace(diff, static_cast<int>(groups.size()));
     if (inserted) {
-      groups.push_back({diff, {}, 0});
+      groups.push_back({diff, {}});
       groups.back().edges.reserve(static_cast<size_t>(freq[diff]));
     }
     groups[it->second].edges.push_back(edge);
@@ -83,140 +84,11 @@ AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
   return diff;
 }
 
-DifferenceSetIndex::DifferenceSetIndex(const EncodedInstance& inst,
-                                       const ConflictGraph& cg)
-    : DifferenceSetIndex(inst, cg, nullptr) {}
-
-DifferenceSetIndex::DifferenceSetIndex(const EncodedInstance& inst,
-                                       const ConflictGraph& cg,
-                                       exec::ThreadPool* pool) {
-  const std::vector<Edge>& edges = cg.graph.edges();
-
-  // Sharded O(E·m) phase: the difference set of each edge, written by edge
-  // index (disjoint slots, trivially deterministic).
-  std::vector<AttrSet> diffs(edges.size());
-  exec::ParallelFor(pool, static_cast<int64_t>(edges.size()),
-                    [&](int64_t begin, int64_t end, int /*chunk*/) {
-                      for (int64_t i = begin; i < end; ++i) {
-                        diffs[i] = DiffSetOfPair(inst, edges[i].u, edges[i].v);
-                      }
-                    });
-
-  // Serial grouping in the graph's canonical edge order: group creation
-  // order and each group's internal edge order match the serial build
-  // exactly. Pre-sized (satellite): one counting pass reserves the map
-  // and every group's edge vector up front.
-  std::unordered_map<AttrSet, int64_t, AttrSetHash> freq;
-  freq.reserve(64);
-  for (const AttrSet diff : diffs) ++freq[diff];
-  std::unordered_map<AttrSet, int, AttrSetHash> index;
-  index.reserve(freq.size());
-  groups_.reserve(freq.size());
-  for (size_t i = 0; i < edges.size(); ++i) {
-    auto [it, inserted] =
-        index.emplace(diffs[i], static_cast<int>(groups_.size()));
-    if (inserted) {
-      groups_.push_back({diffs[i], {}, 0});
-      groups_.back().edges.reserve(static_cast<size_t>(freq[diffs[i]]));
-    }
-    groups_[it->second].edges.push_back(edges[i]);
-  }
-  CanonicalizeCountedGroups(inst.NumAttrs());
-  RankGroups(&groups_);
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
-}
-
-DifferenceSetIndex::DifferenceSetIndex(std::vector<DiffSetGroup> groups)
-    : groups_(std::move(groups)) {
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
-}
-
-DifferenceSetIndex::DifferenceSetIndex(const DifferenceSetIndex& o)
-    : groups_(o.groups_), bound_(o.bound_) {
-  // The lazy cache is derived state; a copy starts cold.
-  if (HasCountedGroups()) lazy_ = std::make_unique<LazyEdges>();
-}
-
-DifferenceSetIndex& DifferenceSetIndex::operator=(
-    const DifferenceSetIndex& o) {
-  if (this == &o) return *this;
-  groups_ = o.groups_;
-  bound_ = o.bound_;
-  lazy_ = HasCountedGroups() ? std::make_unique<LazyEdges>() : nullptr;
-  return *this;
-}
-
-void DifferenceSetIndex::CanonicalizeCountedGroups(int num_attrs) {
-  // The full-disagreement group (diff = every attribute) is stored in
-  // counted form so the naive and blocked builders emit identical indexes:
-  // its pairs only ever become conflict edges under a degenerate empty-LHS
-  // FD, and even then δP and the heuristic need only the count.
-  const AttrSet universe = AttrSet::Universe(num_attrs);
-  if (universe.Empty()) return;
-  for (DiffSetGroup& g : groups_) {
-    if (g.diff == universe && !g.edges.empty()) {
-      g.counted += static_cast<int64_t>(g.edges.size());
-      g.edges.clear();
-      g.edges.shrink_to_fit();
-    }
-  }
-}
-
-bool DifferenceSetIndex::HasCountedGroups() const {
-  for (const DiffSetGroup& g : groups_) {
-    if (g.counted > 0) return true;
-  }
-  return false;
-}
-
-const std::vector<Edge>& DifferenceSetIndex::EdgesForCover(int g) const {
-  const DiffSetGroup& grp = groups_[g];
-  if (grp.counted == 0) return grp.edges;
-  if (bound_ == nullptr) {
-    throw std::logic_error(
-        "counted difference-set group touched before BindInstance");
-  }
-  std::lock_guard<std::mutex> lock(lazy_->mu);
-  auto it = lazy_->by_group.find(g);
-  if (it != lazy_->by_group.end()) return it->second;
-
-  // Materialize the full-disagreement pairs in ascending (u, v) order —
-  // the exact order the naive build would have stored them in.
-  const int n = bound_->NumTuples();
-  const int m = bound_->NumAttrs();
-  std::vector<const int32_t*> cols(m);
-  for (AttrId a = 0; a < m; ++a) cols[a] = bound_->ColumnData(a);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<size_t>(grp.counted));
-  for (TupleId u = 0; u < n; ++u) {
-    for (TupleId v = u + 1; v < n; ++v) {
-      bool all_differ = true;
-      for (AttrId a = 0; a < m; ++a) {
-        if (cols[a][u] == cols[a][v]) {
-          all_differ = false;
-          break;
-        }
-      }
-      if (all_differ) edges.emplace_back(u, v);
-    }
-  }
-  if (static_cast<int64_t>(edges.size()) != grp.counted) {
-    throw std::logic_error(
-        "counted group does not match the bound instance (stale bind?)");
-  }
-  return lazy_->by_group.emplace(g, std::move(edges)).first->second;
-}
-
 IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
                                           const FDSet& sigma,
                                           const std::vector<TupleId>& dirty,
                                           const std::vector<TupleId>& remap,
                                           exec::ThreadPool* pool) {
-  if (HasCountedGroups()) {
-    throw std::logic_error(
-        "DifferenceSetIndex::ApplyDelta cannot patch counted groups; "
-        "rebuild with the blocked builder (FdSearchContext does)");
-  }
   IndexPatch patch;
   const int new_n = inst.NumTuples();
   std::vector<char> is_dirty(new_n, 0);
@@ -329,7 +201,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
       patch.old_to_new[work[i].old_id] = static_cast<int32_t>(i);
       ++patch.groups_preserved;
     }
-    groups_.push_back({work[i].diff, std::move(work[i].edges), 0});
+    groups_.push_back({work[i].diff, std::move(work[i].edges)});
   }
   patch.groups_changed = static_cast<int>(groups_.size()) -
                          patch.groups_preserved;
@@ -348,9 +220,7 @@ std::string DifferenceSetIndex::ToString(const Schema& schema) const {
   std::string out;
   for (const DiffSetGroup& g : groups_) {
     out += g.diff.ToString(schema.Names());
-    out += " x" + std::to_string(g.frequency());
-    if (g.counted > 0) out += " (counted)";
-    out += "\n";
+    out += " x" + std::to_string(g.frequency()) + "\n";
   }
   return out;
 }
@@ -363,42 +233,55 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
     throw std::invalid_argument("conflict graph supports at most 64 FDs");
   }
   const auto t_start = std::chrono::steady_clock::now();
-  const int n = inst.NumTuples();
   const int m = inst.NumAttrs();
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
 
-  // Phase 1 — blocking structure: one partition per attribute, stripped to
-  // classes of >= 2 tuples. Work units are (attribute, class) spans in a
-  // flat deterministic order: attributes ascending, classes in label
+  // Phase 1 — blocking keys and their stripped partitions. A pair violating
+  // X -> A agrees on X, hence on every LHS inside X, so only the minimal
+  // distinct LHSs are keys: a duplicate or a superset of another LHS would
+  // only re-enumerate pairs an earlier key already owns. Ascending mask
+  // order puts every subset of a key before it. Work units are (key, class)
+  // spans in a flat deterministic order: keys ascending, classes in label
   // (first-occurrence) order, members ascending.
+  std::vector<AttrSet> lhs;
+  for (const FD& fd : sigma.fds()) lhs.push_back(fd.lhs);
+  std::sort(lhs.begin(), lhs.end());
+  std::vector<AttrSet> keys;
+  for (AttrSet x : lhs) {
+    if (std::none_of(keys.begin(), keys.end(),
+                     [x](AttrSet k) { return k.SubsetOf(x); })) {
+      keys.push_back(x);
+    }
+  }
   struct Unit {
-    AttrId attr;
-    int32_t begin;  ///< span into members[attr]
+    int key;
+    int32_t begin;  ///< span into members[key]
     int32_t end;
   };
-  std::vector<std::vector<TupleId>> members(m);
+  std::vector<std::vector<TupleId>> members(keys.size());
   std::vector<Unit> units;
-  for (AttrId a = 0; a < m; ++a) {
+  for (size_t k = 0; k < keys.size(); ++k) {
     std::vector<std::vector<TupleId>> classes =
-        PartitionBy(inst, AttrSet::Single(a)).StrippedClasses();
+        PartitionBy(inst, keys[k]).StrippedClasses();
     size_t total = 0;
     for (const auto& c : classes) total += c.size();
-    members[a].reserve(total);
+    members[k].reserve(total);
     for (const auto& c : classes) {
-      units.push_back({a, static_cast<int32_t>(members[a].size()),
-                       static_cast<int32_t>(members[a].size() + c.size())});
-      members[a].insert(members[a].end(), c.begin(), c.end());
+      units.push_back({static_cast<int>(k),
+                       static_cast<int32_t>(members[k].size()),
+                       static_cast<int32_t>(members[k].size() + c.size())});
+      members[k].insert(members[k].end(), c.begin(), c.end());
     }
   }
   const double partition_seconds = SecondsSince(t_start);
 
   // Phase 2 — in-class pair enumeration, sharded over units. A pair inside
-  // attribute a's class is OWNED by a iff the two tuples disagree on every
-  // attribute before a (the first-agreeing-attribute rule): each pair that
-  // agrees somewhere is emitted by exactly one unit, so the concatenated
-  // chunk buffers hold globally distinct edges and one canonical sort makes
-  // the order thread-count independent.
+  // a class of key k is OWNED by k iff it disagrees somewhere on every
+  // earlier key (the first-agreeing-key rule): each pair that agrees on
+  // some LHS is examined by exactly one unit, so the concatenated chunk
+  // buffers hold globally distinct edges and one canonical sort makes the
+  // order thread-count independent.
   const auto t_enumerate = std::chrono::steady_clock::now();
   struct ChunkOut {
     std::vector<std::pair<Edge, AttrSet>> records;
@@ -414,28 +297,22 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
         ChunkOut& out = per_chunk[chunk];
         for (int64_t ui = begin; ui < end; ++ui) {
           const Unit& unit = units[ui];
-          const AttrId a = unit.attr;
-          const TupleId* cls = members[a].data();
+          const TupleId* cls = members[unit.key].data();
           for (int32_t i = unit.begin; i < unit.end; ++i) {
             const TupleId u = cls[i];
             for (int32_t j = i + 1; j < unit.end; ++j) {
               const TupleId v = cls[j];
               ++out.candidate;
+              const AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
               bool owned = true;
-              for (AttrId b = 0; b < a; ++b) {
-                if (cols[b][u] == cols[b][v]) {
+              for (int k = 0; k < unit.key; ++k) {
+                if (!keys[k].Intersects(diff)) {
                   owned = false;
                   break;
                 }
               }
               if (!owned) continue;
               ++out.owned;
-              // Ownership already proved every attribute before a differs
-              // (and a itself agrees), so only the tail needs comparing.
-              AttrSet diff = AttrSet::Universe(a);
-              for (AttrId b = a + 1; b < m; ++b) {
-                if (cols[b][u] != cols[b][v]) diff.Add(b);
-              }
               if (DiffSetViolates(diff, sigma)) {
                 out.records.emplace_back(Edge(u, v), diff);
               }
@@ -459,19 +336,9 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   const double enumerate_seconds = SecondsSince(t_enumerate);
 
-  // Phase 3 — group in canonical edge order, attach the counted
-  // full-disagreement group, and rank. Every pair NOT owned by some
-  // attribute disagrees everywhere; those k pairs share diff = universe
-  // and enter the index only when a (degenerate, empty-LHS) FD makes the
-  // universe diff violating at all.
+  // Phase 3 — group in canonical edge order and rank.
   const auto t_group = std::chrono::steady_clock::now();
   std::vector<DiffSetGroup> groups = GroupEdges(records);
-  const int64_t total_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
-  const int64_t full_disagreement = total_pairs - owned;
-  const AttrSet universe = AttrSet::Universe(m);
-  if (full_disagreement > 0 && DiffSetViolates(universe, sigma)) {
-    groups.push_back({universe, {}, full_disagreement});
-  }
   RankGroups(&groups);
   DifferenceSetIndex index(std::move(groups));
   const double group_seconds = SecondsSince(t_group);
@@ -480,7 +347,6 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
     stats->pairs_candidate = candidate;
     stats->pairs_owned = owned;
     stats->pairs_materialized = static_cast<int64_t>(records.size());
-    stats->pairs_counted = full_disagreement;
     stats->partition_seconds = partition_seconds;
     stats->enumerate_seconds = enumerate_seconds;
     stats->group_seconds = group_seconds;
@@ -513,52 +379,36 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   const int m = inst.NumAttrs();
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
-  const AttrSet universe = AttrSet::Universe(m);
 
-  struct ChunkOut {
-    std::vector<std::pair<Edge, AttrSet>> records;
-    int64_t full = 0;  ///< disagree-everywhere pairs (counted, never stored)
-  };
   exec::ChunkPlan plan = exec::PlanChunks(n, pool.get());
-  std::vector<ChunkOut> per_chunk(
+  std::vector<std::vector<std::pair<Edge, AttrSet>>> per_chunk(
       static_cast<size_t>(std::max(plan.num_chunks, 1)));
   exec::ParallelFor(
       pool.get(), plan, [&](int64_t begin, int64_t end, int chunk) {
-    ChunkOut& out = per_chunk[chunk];
+    auto& out = per_chunk[chunk];
     for (TupleId u = static_cast<TupleId>(begin);
          u < static_cast<TupleId>(end); ++u) {
       for (TupleId v = u + 1; v < n; ++v) {
         AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
-        if (diff == universe) {
-          ++out.full;
-          continue;
-        }
-        if (DiffSetViolates(diff, sigma)) {
-          out.records.emplace_back(Edge(u, v), diff);
-        }
+        if (DiffSetViolates(diff, sigma)) out.emplace_back(Edge(u, v), diff);
       }
     }
   });
   // Chunks are contiguous u-ranges and each inner loop ascends, so plain
   // chunk-order concatenation is already the canonical ascending edge order.
   std::vector<std::pair<Edge, AttrSet>> records;
-  int64_t full_disagreement = 0;
   {
     size_t total = 0;
-    for (const ChunkOut& c : per_chunk) total += c.records.size();
+    for (const auto& c : per_chunk) total += c.size();
     records.reserve(total);
-    for (ChunkOut& c : per_chunk) {
-      records.insert(records.end(), c.records.begin(), c.records.end());
-      full_disagreement += c.full;
+    for (const auto& c : per_chunk) {
+      records.insert(records.end(), c.begin(), c.end());
     }
   }
   const double enumerate_seconds = SecondsSince(t_start);
 
   const auto t_group = std::chrono::steady_clock::now();
   std::vector<DiffSetGroup> groups = GroupEdges(records);
-  if (full_disagreement > 0 && DiffSetViolates(universe, sigma)) {
-    groups.push_back({universe, {}, full_disagreement});
-  }
   RankGroups(&groups);
   DifferenceSetIndex index(std::move(groups));
   const double group_seconds = SecondsSince(t_group);
@@ -566,9 +416,8 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   if (stats != nullptr) {
     *stats = DiffSetBuildStats{};
     stats->pairs_candidate = static_cast<int64_t>(n) * (n - 1) / 2;
-    stats->pairs_owned = stats->pairs_candidate - full_disagreement;
+    stats->pairs_owned = stats->pairs_candidate;
     stats->pairs_materialized = static_cast<int64_t>(records.size());
-    stats->pairs_counted = full_disagreement;
     stats->enumerate_seconds = enumerate_seconds;
     stats->group_seconds = group_seconds;
     stats->total_seconds = SecondsSince(t_start);

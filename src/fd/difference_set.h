@@ -9,22 +9,21 @@
 //
 // Two builders produce the same index (DESIGN.md "Blocked difference-set
 // construction"):
-//   * naive  — all O(n²) pairs through the conflict graph (the oracle);
-//   * blocked — per-attribute equivalence-class partitions enumerate only
-//     pairs that agree on at least one attribute, deduped by the
-//     first-agreeing-attribute ownership rule; the residual pairs that
-//     disagree EVERYWHERE are carried as a counted full-disagreement group
-//     (edges materialized lazily, and only when a degenerate empty-LHS FD
-//     makes them conflict edges at all).
+//   * naive  — all O(n²) pairs, each difference set computed directly (the
+//     oracle);
+//   * blocked — a pair can only be a conflict edge of Σ (or of any Σ' the
+//     search reaches, which only extends left-hand sides) if it agrees on
+//     some FD's whole LHS X, so pairs are enumerated inside the stripped
+//     classes of π_X for the minimal distinct LHSs of Σ, each pair owned by
+//     the first such X it agrees on. An empty LHS makes π_∅ one class, so
+//     pairs that disagree everywhere come out as ordinary edges.
 // Both are bit-identical at any thread count; blocked is the default.
 
 #ifndef RETRUST_FD_DIFFERENCE_SET_H_
 #define RETRUST_FD_DIFFERENCE_SET_H_
 
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/exec/options.h"
@@ -42,27 +41,14 @@ AttrSet DiffSetOfPair(const EncodedInstance& inst, TupleId t1, TupleId t2);
 AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
                       TupleId t2);
 
-/// One group of conflict edges sharing a difference set.
-///
-/// A group is either MATERIALIZED (`counted == 0`: the pairs live in
-/// `edges`, canonical ascending order) or COUNTED (`counted > 0`,
-/// `edges` empty): the blocked build's full-disagreement group, whose
-/// `counted` pairs all share diff = the whole attribute universe and are
-/// never stored. δP and the heuristic only ever need a group's diff and
-/// frequency, so counted groups flow through search unchanged; the few
-/// consumers that need actual pairs (greedy-matching covers, data repair)
-/// go through DifferenceSetIndex::EdgesForCover, which materializes them
-/// lazily from the bound instance.
+/// One group of conflict edges sharing a difference set; `edges` is in
+/// canonical ascending (u, v) order.
 struct DiffSetGroup {
   AttrSet diff;
   std::vector<Edge> edges;
-  int64_t counted = 0;  ///< pairs represented without edges (0 = none)
 
-  /// Logical number of conflict pairs in the group — the heuristic's
-  /// ranking key, independent of materialization.
-  int64_t frequency() const {
-    return static_cast<int64_t>(edges.size()) + counted;
-  }
+  /// Number of conflict pairs in the group — the heuristic's ranking key.
+  int64_t frequency() const { return static_cast<int64_t>(edges.size()); }
 };
 
 /// Per-phase observability of one index build (the --timing surface of
@@ -71,16 +57,15 @@ struct DiffSetBuildStats {
   int64_t pairs_candidate = 0;     ///< pairs enumerated inside classes
   int64_t pairs_owned = 0;         ///< pairs passing the ownership rule
   int64_t pairs_materialized = 0;  ///< conflict edges stored in groups
-  int64_t pairs_counted = 0;       ///< full-disagreement pairs NOT stored
-  double partition_seconds = 0.0;  ///< per-attribute partition phase
+  double partition_seconds = 0.0;  ///< per-LHS partition phase
   double enumerate_seconds = 0.0;  ///< in-class pair enumeration phase
   double group_seconds = 0.0;      ///< merge + group + rank phase
   double total_seconds = 0.0;
 };
 
-/// Which front door BuildDifferenceSetIndex uses. kNaive (all pairs via
-/// the conflict graph) stays available as the oracle the blocked build is
-/// tested and benchmarked against.
+/// Which front door BuildDifferenceSetIndex uses. kNaive (all pairs, each
+/// difference set computed directly) stays available as the oracle the
+/// blocked build is tested and benchmarked against.
 enum class DiffSetBuildMode { kBlocked, kNaive };
 
 /// How a delta landed on a DifferenceSetIndex: the group-id translation
@@ -107,27 +92,13 @@ class DifferenceSetIndex {
  public:
   DifferenceSetIndex() = default;
 
-  /// Builds the index from a conflict graph (the naive front door).
-  DifferenceSetIndex(const EncodedInstance& inst, const ConflictGraph& cg);
-
-  /// Sharded variant: per-edge difference sets are computed on `pool`
-  /// (nullable = serial) by index, then grouped serially in the graph's
-  /// canonical edge order — the index is BIT-IDENTICAL to the serial
-  /// overload for any thread count.
-  DifferenceSetIndex(const EncodedInstance& inst, const ConflictGraph& cg,
-                     exec::ThreadPool* pool);
-
   /// Restores an index from its serialized groups (src/persist/). The
   /// groups must already be in the canonical (descending frequency,
   /// smaller mask) order a live index produced — snapshots save them in
-  /// that order and the loader trusts it (the file checksum guards against
-  /// corruption).
-  explicit DifferenceSetIndex(std::vector<DiffSetGroup> groups);
-
-  DifferenceSetIndex(const DifferenceSetIndex& o);
-  DifferenceSetIndex& operator=(const DifferenceSetIndex& o);
-  DifferenceSetIndex(DifferenceSetIndex&&) = default;
-  DifferenceSetIndex& operator=(DifferenceSetIndex&&) = default;
+  /// that order, and the reader rejects edges and difference sets outside
+  /// the instance's shape.
+  explicit DifferenceSetIndex(std::vector<DiffSetGroup> groups)
+      : groups_(std::move(groups)) {}
 
   /// Incrementally maintains the index after `inst` had a delta applied
   /// (delta.h). `dirty` is the plan's post-delta dirty id set (ascending)
@@ -138,13 +109,9 @@ class DifferenceSetIndex {
   /// result is BIT-IDENTICAL to BuildDifferenceSetIndex over the
   /// post-delta instance for any thread count (the index is a pure
   /// function of {pair -> difference set}, and the delta only changes
-  /// pairs with a dirty endpoint).
-  ///
-  /// Precondition: no counted groups (throws std::logic_error otherwise).
-  /// A counted group's pre-delta pair population is not recoverable from
-  /// the post-delta instance, so in the degenerate empty-LHS-FD regime
-  /// FdSearchContext::ApplyDelta rebuilds the index with the blocked
-  /// builder instead of patching it.
+  /// pairs with a dirty endpoint). The scan compares each dirty tuple
+  /// with every partner, so an empty-LHS FD's full-disagreement pairs take
+  /// the same path as every other edge.
   IndexPatch ApplyDelta(const EncodedInstance& inst, const FDSet& sigma,
                         const std::vector<TupleId>& dirty,
                         const std::vector<TupleId>& remap,
@@ -155,24 +122,6 @@ class DifferenceSetIndex {
   const DiffSetGroup& group(int i) const { return groups_[i]; }
   const std::vector<DiffSetGroup>& groups() const { return groups_; }
 
-  /// True iff any group is counted (edges not materialized).
-  bool HasCountedGroups() const;
-
-  /// Binds the instance counted groups materialize their edges from.
-  /// Must be called (with the instance the index was built over) before
-  /// EdgesForCover touches a counted group; indexes without counted groups
-  /// never need it. The instance must outlive the index's use and must not
-  /// mutate while bound (a delta rebuilds the index, re-binding fresh).
-  void BindInstance(const EncodedInstance* inst) { bound_ = inst; }
-
-  /// The group's conflict pairs in canonical ascending order — for
-  /// materialized groups a reference to `edges`; for counted groups the
-  /// lazily materialized full-disagreement pair list (cached; O(n²·m) on
-  /// first touch, which only happens in the degenerate empty-LHS-FD regime
-  /// where the naive build was quadratic anyway). Thread-safe; the
-  /// returned reference stays valid for the index's lifetime.
-  const std::vector<Edge>& EdgesForCover(int g) const;
-
   /// Indices of groups whose difference set violates at least one FD of
   /// `fds` (i.e. groups still in conflict under a candidate Σ').
   std::vector<int> ViolatingGroups(const FDSet& fds) const;
@@ -180,33 +129,20 @@ class DifferenceSetIndex {
   std::string ToString(const Schema& schema) const;
 
  private:
-  /// Folds a naive build's universe-diff group (pairs disagreeing on every
-  /// attribute) into counted form so both builders emit identical indexes.
-  void CanonicalizeCountedGroups(int num_attrs);
-
   std::vector<DiffSetGroup> groups_;
-  const EncodedInstance* bound_ = nullptr;
-  /// Lazy edge lists for counted groups, keyed by group id. Heap-pinned so
-  /// the index stays movable and EdgesForCover's references survive moves;
-  /// allocated whenever the index holds a counted group.
-  struct LazyEdges {
-    std::mutex mu;
-    std::unordered_map<int, std::vector<Edge>> by_group;
-  };
-  mutable std::unique_ptr<LazyEdges> lazy_;
 };
 
 /// True iff difference set `diff` violates at least one FD in `fds`.
 bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 
-/// The blocked front door (ROADMAP item 1): per-attribute partitions
-/// (PartitionBy) restrict pair enumeration to equivalence classes, the
-/// first-agreeing-attribute ownership rule emits each agree-somewhere pair
-/// exactly once, and the residual disagree-everywhere pairs are counted,
-/// not materialized. Work is sharded over (attribute, class) units on
-/// `pool` (nullable = serial) with canonical merge order — BIT-IDENTICAL
-/// to the naive build for any thread count. O(Σ_classes |c|²·m) instead of
-/// O(n²·m); sub-quadratic whenever per-attribute classes stay small.
+/// The blocked front door: pairs are enumerated only inside the stripped
+/// classes of π_X, X ranging over the minimal distinct LHSs of `sigma` in
+/// ascending mask order (duplicates and supersets of another LHS add no
+/// pair, so they are skipped). A pair is owned by the first such X it
+/// agrees on, so each candidate edge is examined once. Work is sharded
+/// over (LHS, class) units on `pool` (nullable = serial) with canonical
+/// merge order — BIT-IDENTICAL to the naive build for any thread count.
+/// O(Σ_classes |c|²·m) instead of O(n²·m).
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(
     const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
     DiffSetBuildStats* stats = nullptr);

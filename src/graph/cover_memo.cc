@@ -3,16 +3,14 @@
 namespace retrust {
 
 CoverMemo::CoverMemo(std::vector<const std::vector<Edge>*> groups,
-                     int32_t num_vertices, size_t max_entries,
-                     GroupResolver resolver)
+                     int32_t num_vertices, size_t max_entries)
     : groups_(std::move(groups)),
-      resolver_(std::move(resolver)),
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
 CoverMemo::RebindStats CoverMemo::Rebind(
     std::vector<const std::vector<Edge>*> groups, int32_t num_vertices,
-    const std::vector<int32_t>& old_to_new, GroupResolver resolver) {
+    const std::vector<int32_t>& old_to_new) {
   std::lock_guard<std::mutex> lock(mu_);
   RebindStats stats;
   const int new_num_groups = static_cast<int>(groups.size());
@@ -76,7 +74,6 @@ CoverMemo::RebindStats CoverMemo::Rebind(
   }
 
   groups_ = std::move(groups);
-  resolver_ = std::move(resolver);
   num_vertices_ = num_vertices;
   return stats;
 }
@@ -175,7 +172,7 @@ int32_t CoverMemo::ComputeSet(const GroupBitset& key, SetScratch* s,
   key.ForEachSet(
       [&](int g) {
         ++*scanned;
-        for (const Edge& e : EdgesOf(g)) {
+        for (const Edge& e : *groups_[g]) {
           if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
             s->marks.Mark(e.u);
             s->marks.Mark(e.v);
@@ -218,7 +215,7 @@ int32_t CoverMemo::ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
   *resumed += static_cast<int64_t>(divergence);
   for (size_t p = divergence; p < seq.size(); ++p) {
     ++*scanned;
-    for (const Edge& e : EdgesOf(seq[p])) {
+    for (const Edge& e : *groups_[seq[p]]) {
       if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
         s->marks.Mark(e.u);
         s->marks.Mark(e.v);

@@ -1,5 +1,6 @@
 #include "src/persist/snapshot.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -22,8 +23,7 @@ namespace {
 //   codes column-major (m columns of n i32 each, attribute order),
 //   encoded next_var (m i32), instance next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
-//   index{u32 groups; per group: u64 diff, i64 counted, u64 edges;
-//         i32 pairs — counted groups carry zero materialized edges},
+//   index{u32 groups; per group: u64 diff, u64 edges; i32 pairs},
 //   table rows (one u64 per group),
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
@@ -173,16 +173,10 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   w.U32(static_cast<uint32_t>(view.index->size()));
   for (const DiffSetGroup& g : view.index->groups()) {
     w.U64(g.diff.bits());
-    w.I64(g.counted);
-    // A counted group's edges are a derived cache (lazily materialized for
-    // data repair), never part of the snapshot — the bytes stay identical
-    // whether or not the session ever materialized them.
-    w.U64(g.counted > 0 ? 0 : g.edges.size());
-    if (g.counted == 0) {
-      for (const Edge& e : g.edges) {
-        w.I32(e.u);
-        w.I32(e.v);
-      }
+    w.U64(g.edges.size());
+    for (const Edge& e : g.edges) {
+      w.I32(e.u);
+      w.I32(e.v);
     }
   }
 
@@ -293,6 +287,13 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     for (int32_t& counter : next_var) counter = r.I32();
     data.instance_next_var.resize(m);
     for (int32_t& counter : data.instance_next_var) counter = r.I32();
+    const auto negative = [](int32_t counter) { return counter < 0; };
+    if (std::any_of(next_var.begin(), next_var.end(), negative) ||
+        std::any_of(data.instance_next_var.begin(),
+                    data.instance_next_var.end(), negative)) {
+      return IoError("snapshot '" + path +
+                     "' has a negative fresh-variable counter");
+    }
     data.encoded =
         EncodedInstance::Restore(std::move(schema), static_cast<int>(n),
                                  std::move(columns), std::move(dicts),
@@ -302,10 +303,18 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     if (num_fds > 64 || !r.ok()) {
       return IoError("snapshot '" + path + "' has an implausible FD set");
     }
+    // Everything below indexes attributes, tuples, FDs or groups by what
+    // the file says, so each is checked against the shape declared above:
+    // a matching checksum proves the bytes were written, not that they fit.
+    const AttrSet universe = AttrSet::Universe(static_cast<int>(m));
     std::vector<FD> fds(num_fds);
     for (FD& fd : fds) {
       fd.lhs = AttrSet(r.U64());
       fd.rhs = r.I32();
+      if (!fd.lhs.SubsetOf(universe) || fd.rhs < 0 ||
+          fd.rhs >= static_cast<int>(m)) {
+        return IoError("snapshot '" + path + "' has an FD outside its schema");
+      }
     }
     data.sigma = FDSet(std::move(fds));
 
@@ -316,22 +325,35 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     std::vector<DiffSetGroup> groups(num_groups);
     for (DiffSetGroup& g : groups) {
       g.diff = AttrSet(r.U64());
-      g.counted = r.I64();
       const uint64_t num_edges = r.U64();
-      if (!PlausibleCount(num_edges, r) || g.counted < 0 ||
-          (g.counted > 0 && num_edges != 0)) {
-        return IoError("snapshot '" + path + "' has an implausible edge list");
+      if (!PlausibleCount(num_edges, r) || !g.diff.SubsetOf(universe)) {
+        return IoError("snapshot '" + path + "' has an implausible group");
       }
       g.edges.resize(static_cast<size_t>(num_edges));
-      for (Edge& e : g.edges) {
+      for (size_t i = 0; i < g.edges.size(); ++i) {
+        Edge& e = g.edges[i];
         e.u = r.I32();
         e.v = r.I32();
+        // 0 <= u < v < n, strictly ascending within the group.
+        if (e.u < 0 || e.u >= e.v || static_cast<uint32_t>(e.v) >= n ||
+            (i > 0 && !(g.edges[i - 1] < e))) {
+          return IoError("snapshot '" + path +
+                         "' has an implausible edge list");
+        }
       }
     }
     data.index = DifferenceSetIndex(std::move(groups));
 
+    const uint64_t fd_bits =
+        num_fds == 64 ? ~uint64_t{0} : (uint64_t{1} << num_fds) - 1;
     data.warm.table_rows.resize(num_groups);
-    for (uint64_t& row : data.warm.table_rows) row = r.U64();
+    for (uint64_t& row : data.warm.table_rows) {
+      row = r.U64();
+      if ((row & ~fd_bits) != 0) {
+        return IoError("snapshot '" + path +
+                       "' has an incidence row naming a missing FD");
+      }
+    }
 
     const size_t words_per_key = (static_cast<size_t>(num_groups) + 63) / 64;
     const uint64_t num_set = r.U64();
@@ -344,7 +366,12 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
       for (size_t word = 0; word < words_per_key; ++word) {
         uint64_t bits = r.U64();
         while (bits != 0) {
-          key.Set(static_cast<int>(word * 64) + std::countr_zero(bits));
+          const size_t g = word * 64 + std::countr_zero(bits);
+          if (g >= num_groups) {
+            return IoError("snapshot '" + path +
+                           "' has a cover key naming a missing group");
+          }
+          key.Set(static_cast<int>(g));
           bits &= bits - 1;
         }
       }
@@ -372,9 +399,6 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
   if (!r.ok() || r.remaining() != 0) {
     return IoError("snapshot '" + path + "' payload has the wrong length");
   }
-  // A key's bits beyond the group count would be invisible to the Set loop
-  // above only if the file claimed them; Set() already asserts in debug,
-  // and a corrupted high bit surfaces through the CRC in practice.
   return data;
 }
 

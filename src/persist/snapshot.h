@@ -48,12 +48,12 @@ namespace retrust::persist {
 
 inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
                                            'A', 'P', 'S', 'H'};
-/// Version history: v1 stored row-major cell codes and edge-only
-/// difference-set groups; v2 (current) stores column-major codes (one
-/// contiguous column per attribute, matching EncodedInstance's SoA layout)
-/// and a per-group counted-pair field for full-disagreement groups whose
-/// edges are never materialized. v1 files report kVersionMismatch.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+/// Version history: v1 stored row-major cell codes; v2 stored column-major
+/// codes (one contiguous column per attribute, matching EncodedInstance's
+/// SoA layout) plus a per-group pair tally for groups kept without edges;
+/// v3 (current) drops that field, since every group stores its edges.
+/// Older files report kVersionMismatch.
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.
@@ -104,8 +104,10 @@ struct SnapshotData {
 Status WriteSnapshotFile(const std::string& path, const SnapshotView& view);
 
 /// Reads and validates a snapshot. kIoError for unreadable, truncated,
-/// bit-flipped, or internally inconsistent files; kVersionMismatch for a
-/// format version this build does not speak.
+/// bit-flipped, or internally inconsistent files — including content a
+/// valid checksum cannot vouch for: FDs, difference sets, edges, incidence
+/// rows or cover-memo keys outside the shape the file itself declares.
+/// kVersionMismatch for a format version this build does not speak.
 Result<SnapshotData> ReadSnapshotFile(const std::string& path);
 
 }  // namespace retrust::persist

@@ -6,26 +6,14 @@ namespace retrust {
 
 namespace {
 
-// A counted group's slot is null: the memo pulls its (lazily materialized)
-// pair list from the index only if a cover scan actually reaches it.
 std::vector<const std::vector<Edge>*> GroupEdgeLists(
     const DifferenceSetIndex& index) {
   std::vector<const std::vector<Edge>*> out;
   out.reserve(index.size());
   for (const DiffSetGroup& g : index.groups()) {
-    out.push_back(g.counted > 0 ? nullptr : &g.edges);
+    out.push_back(&g.edges);
   }
   return out;
-}
-
-// Resolver for the null slots. Captures the index by pointer: the
-// evaluator's contract already requires the index to outlive it.
-CoverMemo::GroupResolver CountedResolver(const DifferenceSetIndex& index) {
-  if (!index.HasCountedGroups()) return nullptr;
-  const DifferenceSetIndex* idx = &index;
-  return [idx](int g) -> const std::vector<Edge>& {
-    return idx->EdgesForCover(g);
-  };
 }
 
 }  // namespace
@@ -33,8 +21,7 @@ CoverMemo::GroupResolver CountedResolver(const DifferenceSetIndex& index) {
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, const exec::Options& eopts)
-    : memo_(GroupEdgeLists(index), num_tuples, size_t{1} << 20,
-            CountedResolver(index)) {
+    : memo_(GroupEdgeLists(index), num_tuples) {
   std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   table_ = ViolationTable(sigma, index, pool.get());
 }
@@ -43,8 +30,7 @@ DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, WarmState warm)
     : table_(sigma, index, std::move(warm.table_rows)),
-      memo_(GroupEdgeLists(index), num_tuples, size_t{1} << 20,
-            CountedResolver(index)) {
+      memo_(GroupEdgeLists(index), num_tuples) {
   memo_.Preload(std::move(warm.covers));
 }
 
@@ -61,8 +47,7 @@ DeltaPEvaluator::PatchStats DeltaPEvaluator::ApplyDelta(
   PatchStats stats;
   stats.table_groups_recomputed =
       table_.ApplyPatch(sigma, index, old_to_new, pool);
-  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new,
-                            CountedResolver(index));
+  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new);
   return stats;
 }
 

@@ -21,12 +21,7 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                                    inst.NumTuples(), eopts)),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
-                 evaluator_.get()) {
-  // Counted groups materialize their pairs lazily from the instance; bind
-  // it now (the evaluator/heuristic constructors never touch edge lists,
-  // so binding after the init list is safe).
-  index_.BindInstance(&inst);
-}
+                 evaluator_.get()) {}
 
 FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const EncodedInstance& inst,
@@ -43,9 +38,7 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                                    std::move(warm))),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
-                 evaluator_.get()) {
-  index_.BindInstance(&inst);
-}
+                 evaluator_.get()) {}
 
 FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const EncodedInstance& inst, const std::vector<TupleId>& dirty,
@@ -58,34 +51,7 @@ FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const EncodedInstance& inst, const std::vector<TupleId>& dirty,
     const std::vector<TupleId>& remap, exec::ThreadPool* pool) {
   DeltaReport report;
-  if (DiffSetViolates(AttrSet::Universe(inst.NumAttrs()), sigma_)) {
-    // Degenerate empty-LHS-FD regime: full-disagreement pairs are conflict
-    // edges, so the index may hold (or the delta may create) a counted
-    // group, whose pre-delta pair population cannot be patched from the
-    // post-delta instance. Rebuild with the blocked builder. The test is
-    // on Σ, not on HasCountedGroups(): a delta can create the FIRST
-    // full-disagreement pair, and the incremental path would materialize
-    // it — diverging from a fresh blocked build.
-    auto edge_total = [](const DifferenceSetIndex& idx) {
-      int64_t total = 0;
-      for (const DiffSetGroup& g : idx.groups()) total += g.frequency();
-      return total;
-    };
-    report.index.old_to_new.assign(index_.size(), -1);
-    report.index.edges_removed = edge_total(index_);
-    index_ = BuildDifferenceSetIndexBlocked(inst, sigma_, pool,
-                                            &build_stats_);
-    index_.BindInstance(&inst);
-    report.index.edges_added = edge_total(index_);
-    report.index.groups_preserved = 0;
-    report.index.groups_changed = index_.size();
-    // The all -1 map makes the evaluator recompute every incidence row and
-    // drop every warm cover — a cold rebind, not a patch. heuristic_ holds
-    // a reference to the index_ MEMBER, whose address survives the move
-    // assignment above, so it needs no touch-up.
-  } else {
-    report.index = index_.ApplyDelta(inst, sigma_, dirty, remap, pool);
-  }
+  report.index = index_.ApplyDelta(inst, sigma_, dirty, remap, pool);
   report.evaluator = evaluator_->ApplyDelta(
       sigma_, index_, inst.NumTuples(), report.index.old_to_new, pool);
   num_tuples_ = inst.NumTuples();

@@ -123,10 +123,8 @@ class FdSearchContext {
   /// `eopts` shards the difference-set and violation-table construction
   /// (identical output for any thread count). `mode` selects the
   /// difference-set builder: kBlocked (default, sub-quadratic when classes
-  /// are small) or kNaive (the legacy conflict-graph pair scan, kept as an
-  /// oracle) — both produce BIT-IDENTICAL indexes. The context keeps a
-  /// pointer to `inst` (for lazy materialization of counted groups), so
-  /// `inst` must outlive the context — already required by ApplyDelta.
+  /// are small) or kNaive (the all-pairs scan, kept as an oracle) — both
+  /// produce BIT-IDENTICAL indexes.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
@@ -158,15 +156,12 @@ class FdSearchContext {
   /// table copies preserved incidence rows, and warm covers over
   /// preserved groups are remapped; every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
-  /// for any thread count. Exception: when some FD of Σ has an empty LHS
-  /// (the only regime where full-disagreement pairs are conflict edges and
-  /// the index may carry a counted group), the pre-delta pair population
-  /// is not recoverable from the post-delta instance, so the index is
-  /// REBUILT with the blocked builder and all warm covers drop — still
-  /// bit-identical to a fresh build, just without the O(Δ·n) shortcut. Bumps version(); in-flight exec::Sweep runs
-  /// detect the bump and refuse to mix snapshots. NOT safe against
-  /// concurrent const use — callers serialize deltas against queries
-  /// (retrust::Session does this with a shared/exclusive lock).
+  /// for any thread count — an empty-LHS FD included, whose
+  /// full-disagreement pairs are ordinary edges of the patch scan. Bumps
+  /// version(); in-flight exec::Sweep runs detect the bump and refuse to
+  /// mix snapshots. NOT safe against concurrent const use — callers
+  /// serialize deltas against queries (retrust::Session does this with a
+  /// shared/exclusive lock).
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,
@@ -191,7 +186,7 @@ class FdSearchContext {
   const DifferenceSetIndex& index() const { return index_; }
   /// Phase timings and pair counts of the index build that produced this
   /// context (zeros for the restore constructor — a snapshot restore does
-  /// not rebuild). Refreshed when ApplyDelta falls back to a full rebuild.
+  /// not rebuild). ApplyDelta patches, so it leaves them untouched.
   const DiffSetBuildStats& build_stats() const { return build_stats_; }
   const DeltaPEvaluator& evaluator() const { return *evaluator_; }
   const GcHeuristic& heuristic() const { return heuristic_; }

@@ -75,9 +75,8 @@ std::optional<std::vector<int32_t>> FindAssignment(
 namespace {
 
 /// The routine both front doors share: greedy matching over `index`'s
-/// `groups` (each group's edges via EdgesForCover, groups in the given
-/// order), then the Algorithm 4/5 chase of the matched tuples. `index` must
-/// be bound to an instance equal to `inst` if it holds counted groups.
+/// `groups` (in the given order), then the Algorithm 4/5 chase of the
+/// matched tuples.
 DataRepairResult RepairOverGroups(const EncodedInstance& inst,
                                   const FDSet& sigma_prime,
                                   const DifferenceSetIndex& index,
@@ -91,7 +90,7 @@ DataRepairResult RepairOverGroups(const EncodedInstance& inst,
   {
     std::vector<char> covered(inst.NumTuples(), 0);
     for (int g : groups) {
-      for (const Edge& e : index.EdgesForCover(g)) {
+      for (const Edge& e : index.group(g).edges) {
         if (!covered[e.u] && !covered[e.v]) {
           covered[e.u] = covered[e.v] = 1;
           cover.push_back(e.u);
@@ -168,7 +167,6 @@ DataRepairResult RepairData(const EncodedInstance& inst,
                             const FDSet& sigma_prime, Rng* rng,
                             const exec::Options& eopts) {
   DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, eopts);
-  index.BindInstance(&inst);  // counted groups materialize lazily
   std::vector<int> all(index.size());
   std::iota(all.begin(), all.end(), 0);
   return RepairOverGroups(inst, sigma_prime, index, all, rng);

@@ -1,13 +1,13 @@
-// Oracle tests for the blocked difference-set builder (ROADMAP item 1):
-// the partition-blocked build must be BIT-IDENTICAL to the naive all-pairs
-// build — same groups (difference set, edge order, counted field), same
-// root δP, same full search traces — at any thread count, and the counted
-// full-disagreement representation must stay invisible to every consumer.
+// Oracle tests for the blocked difference-set builder: the LHS-blocked
+// build must be BIT-IDENTICAL to the naive all-pairs build — same groups
+// (difference set, edge order), same root δP, same full search traces — at
+// any thread count, for every shape of Σ: an empty LHS (whose π_∅ is one
+// class, so full-disagreement pairs are ordinary edges), duplicate LHSs,
+// and LHSs that are supersets of another.
 
 #include <gtest/gtest.h>
 
 #include <random>
-#include <stdexcept>
 #include <vector>
 
 #include "src/fd/difference_set.h"
@@ -49,8 +49,7 @@ FDSet TestSigma() {
 }
 
 /// Σ with an empty-LHS FD — the degenerate "Case B" regime where pairs
-/// disagreeing on EVERY attribute are conflict edges and the blocked build
-/// carries them as a counted group.
+/// disagreeing on EVERY attribute are conflict edges (the universe group).
 FDSet EmptyLhsSigma() {
   FDSet sigma;
   sigma.Add(FD{AttrSet{}, 0});
@@ -58,16 +57,24 @@ FDSet EmptyLhsSigma() {
   return sigma;
 }
 
-/// Full structural equality, including the counted field — the blocked and
-/// naive front doors must agree on the exact representation, not just on
-/// the logical pair population.
+/// Σ whose LHSs repeat ({A0} twice) and nest ({A0, A3} ⊃ {A0}): only the
+/// minimal distinct LHSs block, and the index must not notice.
+FDSet NestedLhsSigma() {
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{0}, 1});
+  sigma.Add(FD{AttrSet{0}, 2});
+  sigma.Add(FD{AttrSet{0, 3}, 4});
+  return sigma;
+}
+
+/// Full structural equality — the blocked and naive front doors must agree
+/// on the exact representation, not just on the logical pair population.
 void ExpectIndexIdentical(const DifferenceSetIndex& got,
                           const DifferenceSetIndex& want) {
   ASSERT_EQ(got.size(), want.size());
   for (int g = 0; g < got.size(); ++g) {
     EXPECT_EQ(got.group(g).diff.bits(), want.group(g).diff.bits())
         << "group " << g;
-    EXPECT_EQ(got.group(g).counted, want.group(g).counted) << "group " << g;
     ASSERT_EQ(got.group(g).edges.size(), want.group(g).edges.size())
         << "group " << g;
     for (size_t e = 0; e < got.group(g).edges.size(); ++e) {
@@ -126,7 +133,7 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
         << "round " << round;
     EXPECT_EQ(naive_stats.pairs_candidate,
               static_cast<int64_t>(n) * (n - 1) / 2);
-    // Ownership: every candidate pair is owned by at most one attribute.
+    // Ownership: every candidate pair is owned by at most one LHS.
     EXPECT_LE(blocked_stats.pairs_owned, blocked_stats.pairs_candidate);
     EXPECT_LE(blocked_stats.pairs_materialized, blocked_stats.pairs_owned);
   }
@@ -170,8 +177,46 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
         BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
     ExpectIndexIdentical(blocked, naive);
 
-    // Search answers (which materialize the counted group through the
-    // cover path) must also agree.
+    // Search answers (whose covers scan the universe group) must also
+    // agree.
+    FdSearchContext bctx(sigma, enc, weights, {}, eopts,
+                         DiffSetBuildMode::kBlocked);
+    FdSearchContext nctx(sigma, enc, weights, {}, eopts,
+                         DiffSetBuildMode::kNaive);
+    ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
+    ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
+                     ModifyFds(nctx, nctx.RootDeltaP() / 2));
+  }
+}
+
+TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
+  const int threads = GetParam();
+  exec::Options eopts;
+  eopts.num_threads = threads;
+  CardinalityWeight weights;
+  std::mt19937_64 rng(0x5b5e7 + threads);
+  for (int round = 0; round < 4; ++round) {
+    Instance inst = RandomInstance(rng, 40, 5, 2 + round);
+    EncodedInstance enc(inst);
+    FDSet sigma = NestedLhsSigma();
+    DiffSetBuildStats stats;
+    DifferenceSetIndex blocked = BuildDifferenceSetIndex(
+        enc, sigma, eopts, DiffSetBuildMode::kBlocked, &stats);
+    DifferenceSetIndex naive =
+        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+    ExpectIndexIdentical(blocked, naive);
+
+    // {A0} is the only blocking key, so each candidate is a distinct pair
+    // agreeing on A0 and every one of them is owned.
+    int64_t agree_on_a0 = 0;
+    for (TupleId u = 0; u < enc.NumTuples(); ++u) {
+      for (TupleId v = u + 1; v < enc.NumTuples(); ++v) {
+        agree_on_a0 += enc.At(u, 0) == enc.At(v, 0);
+      }
+    }
+    EXPECT_EQ(stats.pairs_candidate, agree_on_a0) << "round " << round;
+    EXPECT_EQ(stats.pairs_owned, agree_on_a0) << "round " << round;
+
     FdSearchContext bctx(sigma, enc, weights, {}, eopts,
                          DiffSetBuildMode::kBlocked);
     FdSearchContext nctx(sigma, enc, weights, {}, eopts,
@@ -185,11 +230,11 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(Threads, BlockedOracle,
                          ::testing::Values(1, 2, 4, 8));
 
-// --- Counted-group edge cases --------------------------------------------
+// --- Full-disagreement (universe-diff) groups ------------------------------
 
 TEST(CountedGroups, AllDistinctWithoutEmptyLhsProducesEmptyIndex) {
   // Every pair disagrees everywhere; without an empty-LHS FD such pairs
-  // violate nothing, so they are counted in stats but produce NO group.
+  // agree on no LHS, so the blocked build never even enumerates them.
   Instance inst(MakeSchema(2));
   for (int t = 0; t < 6; ++t) {
     inst.AddTuple({Value(static_cast<int64_t>(t)),
@@ -202,33 +247,31 @@ TEST(CountedGroups, AllDistinctWithoutEmptyLhsProducesEmptyIndex) {
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, sigma, {}, DiffSetBuildMode::kBlocked, &stats);
   EXPECT_TRUE(index.empty());
-  EXPECT_FALSE(index.HasCountedGroups());
-  EXPECT_EQ(stats.pairs_counted, 15);  // C(6,2), none materialized
+  EXPECT_EQ(stats.pairs_candidate, 0);
   EXPECT_EQ(stats.pairs_materialized, 0);
 }
 
-TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
+TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneUniverseGroup) {
+  // π_∅ is one class holding every tuple, so all C(5,2) pairs are
+  // enumerated and stored as the universe group, in ascending order.
   Instance inst(MakeSchema(2));
   for (int t = 0; t < 5; ++t) {
     inst.AddTuple({Value(static_cast<int64_t>(t)),
                    Value(static_cast<int64_t>(t + 100))});
   }
   EncodedInstance enc(inst);
-  DifferenceSetIndex index =
-      BuildDifferenceSetIndex(enc, EmptyLhsSigma(), {});
+  DiffSetBuildStats stats;
+  DifferenceSetIndex index = BuildDifferenceSetIndex(
+      enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kBlocked, &stats);
+  ExpectIndexIdentical(index, BuildDifferenceSetIndex(
+                                  enc, EmptyLhsSigma(), {},
+                                  DiffSetBuildMode::kNaive));
   ASSERT_EQ(index.size(), 1);
-  EXPECT_TRUE(index.HasCountedGroups());
   EXPECT_EQ(index.group(0).diff.bits(), AttrSet::Universe(2).bits());
-  EXPECT_EQ(index.group(0).counted, 10);
-  EXPECT_TRUE(index.group(0).edges.empty());
   EXPECT_EQ(index.group(0).frequency(), 10);
-
-  // Unbound counted groups refuse to materialize...
-  EXPECT_THROW(index.EdgesForCover(0), std::logic_error);
-  // ...and bound ones produce the exact ascending pair list the naive
-  // build would have stored.
-  index.BindInstance(&enc);
-  const std::vector<Edge>& edges = index.EdgesForCover(0);
+  EXPECT_EQ(stats.pairs_candidate, 10);
+  EXPECT_EQ(stats.pairs_materialized, 10);
+  const std::vector<Edge>& edges = index.group(0).edges;
   ASSERT_EQ(edges.size(), 10u);
   size_t k = 0;
   for (TupleId u = 0; u < 5; ++u) {
@@ -237,10 +280,6 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneCountedGroup) {
       ++k;
     }
   }
-
-  // Counted groups cannot be delta-patched in place.
-  EXPECT_THROW(index.ApplyDelta(enc, EmptyLhsSigma(), {}, {}, nullptr),
-               std::logic_error);
 }
 
 TEST(CountedGroups, AllDuplicateTuplesProduceNoConflicts) {
@@ -252,14 +291,17 @@ TEST(CountedGroups, AllDuplicateTuplesProduceNoConflicts) {
   DiffSetBuildStats stats;
   DifferenceSetIndex index = BuildDifferenceSetIndex(
       enc, EmptyLhsSigma(), {}, DiffSetBuildMode::kBlocked, &stats);
+  ExpectIndexIdentical(index, BuildDifferenceSetIndex(
+                                  enc, EmptyLhsSigma(), {},
+                                  DiffSetBuildMode::kNaive));
   EXPECT_TRUE(index.empty());
-  EXPECT_EQ(stats.pairs_counted, 0);  // every pair agrees somewhere
+  EXPECT_EQ(stats.pairs_candidate, 28);  // C(8,2), all equal pairs
   EXPECT_EQ(stats.pairs_materialized, 0);
 }
 
 TEST(CountedGroups, SingleAttributeInstance) {
   // m = 1: the universe is {A0}; with Σ = {∅ -> A0}, unequal pairs form
-  // one counted group and equal pairs vanish.
+  // the universe group and equal pairs vanish.
   Instance inst(MakeSchema(1));
   for (int64_t v : {0, 1, 0, 2, 1}) inst.AddTuple({Value(v)});
   EncodedInstance enc(inst);
@@ -271,7 +313,7 @@ TEST(CountedGroups, SingleAttributeInstance) {
       BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   ExpectIndexIdentical(blocked, naive);
   ASSERT_EQ(blocked.size(), 1);
-  EXPECT_EQ(blocked.group(0).counted, 8);  // C(5,2) minus two equal pairs
+  EXPECT_EQ(blocked.group(0).frequency(), 8);  // C(5,2) minus two equal pairs
 }
 
 TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
@@ -283,11 +325,17 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
   EncodedInstance enc(inst);
   DifferenceSetIndex index =
       BuildDifferenceSetIndex(enc, EmptyLhsSigma(), {});
-  index.BindInstance(&enc);
-  ASSERT_EQ(index.EdgesForCover(0).size(), 6u);
-  DifferenceSetIndex copy = index;  // copies start with a cold lazy cache
-  copy.BindInstance(&enc);
-  EXPECT_EQ(copy.EdgesForCover(0).size(), 6u);
+  ASSERT_EQ(index.size(), 1);
+  DifferenceSetIndex copy = index;
+  ExpectIndexIdentical(copy, index);
+  // The copy owns its edges: patching the original leaves it untouched.
+  DeltaBatch delta;
+  delta.Delete(0);
+  DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
+  enc.ApplyDelta(delta, plan);
+  index.ApplyDelta(enc, EmptyLhsSigma(), plan.dirty, plan.remap, nullptr);
+  EXPECT_EQ(index.group(0).frequency(), 3);
+  EXPECT_EQ(copy.group(0).frequency(), 6);
 }
 
 // --- Delta maintenance over the columnar layout --------------------------
@@ -340,32 +388,44 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   }
 }
 
-TEST(ColumnarDelta, EmptyLhsDeltaRebuildsAndMatchesFresh) {
-  // In the Case-B regime FdSearchContext::ApplyDelta rebuilds instead of
-  // patching; the result must still match a fresh context — including the
-  // delta that creates the FIRST full-disagreement pair.
+TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
+  // In the Case-B regime FdSearchContext::ApplyDelta patches like in every
+  // other: the all-partners scan finds full-disagreement pairs, so the
+  // result matches a fresh context — including the delta that creates the
+  // FIRST full-disagreement pair — and untouched groups stay preserved.
   exec::Options eopts;
   eopts.num_threads = 2;
   CardinalityWeight weights;
   FDSet sigma = EmptyLhsSigma();
 
-  // Start with tuples that all agree on attribute 1: no counted group.
+  // Start with tuples that all agree on attribute 1: no universe group.
+  const AttrSet universe = AttrSet::Universe(2);
+  auto has_universe_group = [&](const DifferenceSetIndex& index) {
+    for (const DiffSetGroup& g : index.groups()) {
+      if (g.diff == universe) return true;
+    }
+    return false;
+  };
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});
   EncodedInstance enc(inst);
   FdSearchContext ctx(sigma, enc, weights, {}, eopts);
-  ASSERT_FALSE(ctx.index().HasCountedGroups());
+  ASSERT_FALSE(has_universe_group(ctx.index()));
+  ASSERT_EQ(ctx.index().size(), 1);  // {A0}: the three A-conflicts
 
-  // The insert disagrees with everyone everywhere: the first counted pair.
+  // The insert disagrees with everyone everywhere: the first
+  // full-disagreement pairs. The {A0} group keeps its edges untouched.
   DeltaBatch delta;
   delta.Insert({Value(int64_t{9}), Value(int64_t{8})});
   DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
-  ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+  FdSearchContext::DeltaReport report =
+      ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+  EXPECT_EQ(report.index.groups_preserved, 1);
 
   FdSearchContext fresh(sigma, enc, weights, {}, eopts);
-  EXPECT_TRUE(ctx.index().HasCountedGroups());
+  EXPECT_TRUE(has_universe_group(ctx.index()));
   ExpectIndexIdentical(ctx.index(), fresh.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
   ExpectSameSearch(ModifyFds(ctx, 0), ModifyFds(fresh, 0));

@@ -40,8 +40,8 @@ TEST(DiffSetOfPair, VariablesDifferFromEverything) {
 TEST(DifferenceSetIndex, GroupsAndOrdersByFrequency) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
-  ConflictGraph cg = BuildConflictGraph(enc, sigma);
-  DifferenceSetIndex index(enc, cg);
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   ASSERT_EQ(index.size(), 3);  // BD, AD, BCD — all singleton groups
   int64_t total_edges = 0;
   for (const DiffSetGroup& g : index.groups()) {
@@ -64,8 +64,8 @@ TEST(DifferenceSetIndex, MergesEqualDiffSets) {
   inst.AddTuple({Value("1"), Value("z")});
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
-  ConflictGraph cg = BuildConflictGraph(enc, sigma);
-  DifferenceSetIndex index(enc, cg);
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   ASSERT_EQ(index.size(), 1);
   EXPECT_EQ(index.group(0).frequency(), 3);
   EXPECT_EQ(index.group(0).diff, AttrSet{1});
@@ -89,8 +89,8 @@ TEST(DifferenceSetIndex, ViolatingGroupsFiltersByRelaxation) {
   EncodedInstance enc(Fig2());
   Schema s = Fig2().schema();
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, s);
-  ConflictGraph cg = BuildConflictGraph(enc, sigma);
-  DifferenceSetIndex index(enc, cg);
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   // Under {CA->B, C->D}: BCD resolved (C in LHS of the first FD);
   // AD and BD still violate C->D.
   FDSet relaxed = FDSet::Parse({"C,A->B", "C->D"}, s);
@@ -109,7 +109,8 @@ TEST(DifferenceSetIndex, ViolatingGroupsFiltersByRelaxation) {
 TEST(DifferenceSetIndex, ToStringListsGroups) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
-  DifferenceSetIndex index(enc, BuildConflictGraph(enc, sigma));
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   std::string text = index.ToString(Fig2().schema());
   EXPECT_NE(text.find("{B,D} x1"), std::string::npos);
   EXPECT_NE(text.find("{B,C,D} x1"), std::string::npos);

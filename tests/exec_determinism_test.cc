@@ -48,7 +48,8 @@ std::string Fingerprint(const std::optional<Repair>& repair,
 TEST(ExecDeterminism, ViolationDetectionShardedBitIdentical) {
   ExperimentData data = MakeData();
   ConflictGraph serial = BuildConflictGraph(data.encoded(), data.dirty.fds);
-  DifferenceSetIndex serial_index(data.encoded(), serial);
+  DifferenceSetIndex serial_index = BuildDifferenceSetIndex(
+      data.encoded(), data.dirty.fds, {}, DiffSetBuildMode::kNaive);
   for (int threads : {2, 3, 8}) {
     std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
     ASSERT_NE(pool, nullptr);
@@ -57,7 +58,8 @@ TEST(ExecDeterminism, ViolationDetectionShardedBitIdentical) {
     EXPECT_EQ(sharded.graph.edges(), serial.graph.edges()) << threads;
     EXPECT_EQ(sharded.edge_fd_mask, serial.edge_fd_mask) << threads;
 
-    DifferenceSetIndex index(data.encoded(), sharded, pool.get());
+    DifferenceSetIndex index = BuildDifferenceSetIndex(
+        data.encoded(), data.dirty.fds, {threads}, DiffSetBuildMode::kNaive);
     ASSERT_EQ(index.size(), serial_index.size()) << threads;
     for (int g = 0; g < index.size(); ++g) {
       EXPECT_EQ(index.group(g).diff, serial_index.group(g).diff) << threads;

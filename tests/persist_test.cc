@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -258,21 +259,25 @@ TEST_F(SnapshotCorruption, BitFlipAnywhereIsIoError) {
 TEST_F(SnapshotCorruption, FutureFormatVersionIsVersionMismatch) {
   // Patch the version field and RE-COMPUTE the checksum, so the only
   // thing wrong with the file is the version — the reader must classify
-  // it as kVersionMismatch, not generic corruption.
-  std::string patched = bytes_;
-  const uint32_t future = persist::kSnapshotFormatVersion + 1;
-  for (int i = 0; i < 4; ++i) {
-    patched[8 + i] = static_cast<char>((future >> (8 * i)) & 0xff);
+  // it as kVersionMismatch, not generic corruption. The previous version
+  // (whose groups carried a pair-tally field) is refused the same way.
+  for (const uint32_t version : {persist::kSnapshotFormatVersion + 1,
+                                 persist::kSnapshotFormatVersion - 1}) {
+    std::string patched = bytes_;
+    for (int i = 0; i < 4; ++i) {
+      patched[8 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    const uint32_t crc = persist::Crc32(patched.data(), patched.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      patched[patched.size() - 4 + i] =
+          static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    WriteAll(path_, patched);
+    Result<Session> r = Session::OpenSnapshot(path_);
+    ASSERT_FALSE(r.ok()) << "version " << version;
+    EXPECT_EQ(r.status().code(), StatusCode::kVersionMismatch)
+        << "version " << version;
   }
-  const uint32_t crc = persist::Crc32(patched.data(), patched.size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    patched[patched.size() - 4 + i] =
-        static_cast<char>((crc >> (8 * i)) & 0xff);
-  }
-  WriteAll(path_, patched);
-  Result<Session> r = Session::OpenSnapshot(path_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kVersionMismatch);
 }
 
 TEST_F(SnapshotCorruption, ForeignConfigurationIsSchemaMismatch) {
@@ -290,6 +295,138 @@ TEST_F(SnapshotCorruption, ForeignConfigurationIsSchemaMismatch) {
   Result<Session> h = Session::OpenSnapshot(path_, heuristic_opts);
   ASSERT_FALSE(h.ok());
   EXPECT_EQ(h.status().code(), StatusCode::kSchemaMismatch);
+}
+
+// --- Content a valid checksum cannot vouch for ----------------------------
+//
+// Each case parses a good snapshot, corrupts one part, and re-saves it
+// through WriteSnapshotFile — so the CRC is valid and only the content is
+// hostile. The reader must refuse it before anything indexes by it.
+
+class SnapshotContent : public SnapshotCorruption {
+ protected:
+  /// Re-saves the file with `tamper` applied to its parsed parts.
+  void Resave(const std::function<void(persist::SnapshotData*)>& tamper) {
+    Result<persist::SnapshotData> data = persist::ReadSnapshotFile(path_);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    tamper(&*data);
+    persist::SnapshotView view;
+    view.fingerprint = data->fingerprint;
+    view.data_stamp = data->data_stamp;
+    view.data_version = data->data_version;
+    view.root_delta_p = data->root_delta_p;
+    view.weight_model = data->weight_model;
+    view.heuristic = data->heuristic;
+    view.encoded = &data->encoded;
+    view.instance_next_var = &data->instance_next_var;
+    view.sigma = &data->sigma;
+    view.index = &data->index;
+    view.warm = data->warm;
+    ASSERT_TRUE(persist::WriteSnapshotFile(path_, view).ok());
+  }
+
+  /// Both the reader and OpenSnapshot must answer kIoError.
+  void ExpectRejected(const std::string& label) {
+    Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path_);
+    ASSERT_FALSE(read.ok()) << label;
+    EXPECT_EQ(read.status().code(), StatusCode::kIoError) << label;
+    Result<Session> opened = Session::OpenSnapshot(path_);
+    ASSERT_FALSE(opened.ok()) << label;
+    EXPECT_EQ(opened.status().code(), StatusCode::kIoError) << label;
+  }
+
+  /// Replaces the index's groups after `edit` changed a copy of them.
+  static void EditGroups(persist::SnapshotData* data,
+                         const std::function<void(std::vector<DiffSetGroup>*)>&
+                             edit) {
+    std::vector<DiffSetGroup> groups = data->index.groups();
+    edit(&groups);
+    data->index = DifferenceSetIndex(std::move(groups));
+  }
+};
+
+TEST_F(SnapshotContent, UntamperedResaveOpens) {
+  Resave([](persist::SnapshotData*) {});
+  Result<Session> r = Session::OpenSnapshot(path_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // City -> Zip: Carol conflicts with Alice and Bob, one group of two.
+  ASSERT_EQ(r->context().index().size(), 1);
+  EXPECT_EQ(r->context().index().group(0).edges.size(), 2u);
+}
+
+TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
+  // Fields set directly: the Edge constructor would normalize u <= v.
+  auto raw = [](int32_t u, int32_t v) {
+    Edge e;
+    e.u = u;
+    e.v = v;
+    return e;
+  };
+  const std::vector<std::pair<const char*, std::vector<Edge>>> cases = {
+      {"v past n", {raw(0, 2), raw(1, 1 << 28)}},
+      {"negative u", {raw(-1, 2), raw(1, 2)}},
+      {"u == v", {raw(0, 2), raw(2, 2)}},
+      {"u > v", {raw(2, 0), raw(1, 2)}},
+      {"descending", {raw(1, 2), raw(0, 2)}},
+      {"repeated", {raw(0, 2), raw(0, 2)}},
+  };
+  for (const auto& [label, edges] : cases) {
+    SetUp();
+    Resave([&edges = edges](persist::SnapshotData* data) {
+      EditGroups(data, [&](std::vector<DiffSetGroup>* groups) {
+        (*groups)[0].edges = edges;
+      });
+    });
+    ExpectRejected(label);
+  }
+}
+
+TEST_F(SnapshotContent, DiffSetOutsideTheSchemaIsIoError) {
+  Resave([](persist::SnapshotData* data) {
+    EditGroups(data, [](std::vector<DiffSetGroup>* groups) {
+      (*groups)[0].diff.Add(3);  // the schema has attributes 0..2
+    });
+  });
+  ExpectRejected("diff bit 3");
+}
+
+TEST_F(SnapshotContent, FdOutsideTheSchemaIsIoError) {
+  const std::vector<std::pair<const char*, FD>> cases = {
+      {"lhs bit 5", FD{AttrSet{1, 5}, 2}},
+      {"rhs 3", FD{AttrSet{1}, 3}},
+      {"rhs -1", FD{AttrSet{1}, -1}},
+  };
+  for (const auto& [label, fd] : cases) {
+    SetUp();
+    Resave([&fd = fd](persist::SnapshotData* data) {
+      data->sigma = FDSet({fd});
+    });
+    ExpectRejected(label);
+  }
+}
+
+TEST_F(SnapshotContent, CoverKeyNamingAMissingGroupIsIoError) {
+  Resave([](persist::SnapshotData* data) {
+    const int num_groups = data->index.size();
+    GroupBitset key(num_groups);
+    key.Set(num_groups);  // same word, one past the last group
+    data->warm.covers.set_entries.emplace_back(std::move(key), 2);
+  });
+  ExpectRejected("cover key bit == num_groups");
+}
+
+TEST_F(SnapshotContent, IncidenceRowNamingAMissingFdIsIoError) {
+  Resave([](persist::SnapshotData* data) {
+    data->warm.table_rows[0] |= uint64_t{1} << data->sigma.size();
+  });
+  ExpectRejected("incidence bit == |sigma|");
+}
+
+TEST_F(SnapshotContent, NegativeFreshVariableCounterIsIoError) {
+  Resave([](persist::SnapshotData* data) {
+    data->instance_next_var[0] = -1;
+  });
+  ExpectRejected("instance counter");
 }
 
 // --- Delta journal --------------------------------------------------------

@@ -310,8 +310,7 @@ TEST(ContextRepairOracleCases, PatchedContextAfterApplyMatchesStandalone) {
             0);
 }
 
-// A snapshot restore adopts the saved index (counted groups bound to the
-// restored instance) instead of rebuilding it.
+// A snapshot restore adopts the saved index instead of rebuilding it.
 TEST(ContextRepairOracleCases, RestoredContextMatchesStandalone) {
   PerturbedData dirty = CensusWorkload(5, 200);
   Result<Session> original = Session::Open(dirty.data, dirty.fds);
@@ -332,8 +331,7 @@ TEST(ContextRepairOracleCases, RestoredContextMatchesStandalone) {
 }
 
 // Σ with an empty-LHS FD: pairs disagreeing everywhere are conflict edges,
-// carried by the index as a counted group whose edges the context
-// materializes through its bound instance. Algorithm 5 cannot always
+// carried by the index as the universe group. Algorithm 5 cannot always
 // complete a tuple here (when the empty-LHS FD's RHS is the first attribute
 // fixed and the clean set forces another value), so a seed the oracle
 // throws on must throw through the context path too.
@@ -343,10 +341,10 @@ TEST(ContextRepairOracleCases, EmptyLhsSigmaMatchesStandalone) {
   sigma.Add(FD{AttrSet{0}, 1});
   CardinalityWeight weights;
   std::mt19937_64 gen(0x5eed);
-  int counted_group_repairs = 0;
+  int universe_group_repairs = 0;
   for (int round = 0; round < 4; ++round) {
     // A is constant but for two tuples and B, C are scattered, so most
-    // A-conflicts disagree everywhere: the counted group leads the order.
+    // A-conflicts disagree everywhere: the universe group leads the order.
     Instance inst(Schema::FromNames({"A", "B", "C"}));
     std::uniform_int_distribution<int> value(0, 8 + round);
     for (int t = 0; t < 24; ++t) {
@@ -356,13 +354,12 @@ TEST(ContextRepairOracleCases, EmptyLhsSigmaMatchesStandalone) {
     }
     EncodedInstance enc(inst);
     FdSearchContext ctx(sigma, enc, weights);
-    ASSERT_TRUE(ctx.index().HasCountedGroups()) << "round " << round;
     for (double tau_r : kTauGrid) {
       const int64_t tau = TauFromRelative(tau_r, ctx.RootDeltaP());
       ModifyFdsResult search = ModifyFds(ctx, tau);
       if (!search.repair.has_value()) continue;
-      // The empty LHS survives in Σ', so the counted group is in the cover.
-      const bool counted = search.repair->state.ext[0].Empty();
+      // The empty LHS survives in Σ', so the universe group is in the cover.
+      const bool universe = search.repair->state.ext[0].Empty();
       for (uint64_t seed = 1; seed <= 6; ++seed) {
         const std::string label = "round " + std::to_string(round) +
                                   " tau_r=" + std::to_string(tau_r) +
@@ -384,11 +381,11 @@ TEST(ContextRepairOracleCases, EmptyLhsSigmaMatchesStandalone) {
         RepairOutcome outcome = RunRepair(ctx, enc, tau, opts);
         ASSERT_TRUE(outcome.repair.has_value()) << label;
         ExpectMatchesStandalone(ctx, enc, *outcome.repair, seed, label);
-        if (counted) ++counted_group_repairs;
+        if (universe) ++universe_group_repairs;
       }
     }
   }
-  EXPECT_GT(counted_group_repairs, 0);
+  EXPECT_GT(universe_group_repairs, 0);
 }
 
 }  // namespace
