@@ -23,7 +23,11 @@ std::string Value::ToString() const {
       return AsString();
     case Kind::kVariable: {
       VarRef v = AsVariable();
-      return "?" + std::to_string(v.attr) + "_" + std::to_string(v.index);
+      std::string s = "?";
+      s += std::to_string(v.attr);
+      s += '_';
+      s += std::to_string(v.index);
+      return s;
     }
   }
   return "";

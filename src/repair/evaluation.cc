@@ -53,21 +53,21 @@ DeltaPEvaluator::PatchStats DeltaPEvaluator::ApplyDelta(
 
 std::vector<int> DeltaPEvaluator::ViolatedGroupIds(
     const SearchState& s) const {
-  std::unique_ptr<KeyScratch> key = AcquireKey();
-  table_.ViolatedGroups(s.ext, &key->set_key);
+  std::unique_ptr<GroupBitset> key = AcquireKey();
+  table_.ViolatedGroups(s.ext, key.get());
   std::vector<int> out;
-  out.reserve(static_cast<size_t>(key->set_key.Count()));
-  key->set_key.ForEachSet([&](int g) { out.push_back(g); });
+  out.reserve(static_cast<size_t>(key->Count()));
+  key->ForEachSet([&](int g) { out.push_back(g); });
   ReleaseKey(std::move(key));
   return out;
 }
 
 int32_t DeltaPEvaluator::CoverSize(const SearchState& s,
                                    SearchStats* stats) const {
-  std::unique_ptr<KeyScratch> key = AcquireKey();
-  table_.ViolatedGroups(s.ext, &key->set_key);
+  std::unique_ptr<GroupBitset> key = AcquireKey();
+  table_.ViolatedGroups(s.ext, key.get());
   bool hit = false;
-  int32_t size = memo_.CoverSize(key->set_key, &hit);
+  int32_t size = memo_.CoverSize(*key, &hit);
   ReleaseKey(std::move(key));
   if (stats != nullptr) {
     if (hit) {
@@ -81,11 +81,8 @@ int32_t DeltaPEvaluator::CoverSize(const SearchState& s,
 
 int32_t DeltaPEvaluator::CoverOfGroups(const std::vector<int>& groups,
                                        SearchStats* stats) const {
-  std::unique_ptr<KeyScratch> key = AcquireKey();
-  key->seq_key.assign(groups.begin(), groups.end());
   bool hit = false;
-  int32_t size = memo_.CoverSizeOrdered(key->seq_key, &hit);
-  ReleaseKey(std::move(key));
+  int32_t size = memo_.CoverSizeOrdered(groups, &hit);
   if (stats != nullptr) {
     if (hit) {
       ++stats->vc_memo_hits;
@@ -96,20 +93,19 @@ int32_t DeltaPEvaluator::CoverOfGroups(const std::vector<int>& groups,
   return size;
 }
 
-std::unique_ptr<DeltaPEvaluator::KeyScratch> DeltaPEvaluator::AcquireKey()
-    const {
+std::unique_ptr<GroupBitset> DeltaPEvaluator::AcquireKey() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!key_pool_.empty()) {
-      std::unique_ptr<KeyScratch> key = std::move(key_pool_.back());
+      std::unique_ptr<GroupBitset> key = std::move(key_pool_.back());
       key_pool_.pop_back();
       return key;
     }
   }
-  return std::make_unique<KeyScratch>();
+  return std::make_unique<GroupBitset>();
 }
 
-void DeltaPEvaluator::ReleaseKey(std::unique_ptr<KeyScratch> key) const {
+void DeltaPEvaluator::ReleaseKey(std::unique_ptr<GroupBitset> key) const {
   std::lock_guard<std::mutex> lock(mu_);
   key_pool_.push_back(std::move(key));
 }

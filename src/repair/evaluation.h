@@ -99,19 +99,16 @@ class DeltaPEvaluator {
                         SearchStats* stats) const;
 
  private:
-  /// Pooled per-call key buffers (no process-lifetime thread_local state;
-  /// the pool dies with the evaluator).
-  struct KeyScratch {
-    GroupBitset set_key;
-    std::vector<int32_t> seq_key;
-  };
-  std::unique_ptr<KeyScratch> AcquireKey() const;
-  void ReleaseKey(std::unique_ptr<KeyScratch> key) const;
+  /// Pooled per-call subset-key buffers (no process-lifetime thread_local
+  /// state; the pool dies with the evaluator). Ordered lookups need none:
+  /// the caller's sequence is the key.
+  std::unique_ptr<GroupBitset> AcquireKey() const;
+  void ReleaseKey(std::unique_ptr<GroupBitset> key) const;
 
   ViolationTable table_;
   CoverMemo memo_;
   mutable std::mutex mu_;
-  mutable std::vector<std::unique_ptr<KeyScratch>> key_pool_;
+  mutable std::vector<std::unique_ptr<GroupBitset>> key_pool_;
 };
 
 }  // namespace retrust

@@ -1,6 +1,7 @@
 #include "src/repair/heuristic.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/repair/evaluation.h"
 
@@ -28,6 +29,9 @@ GcHeuristic::GcHeuristic(const FDSet& sigma, const StateSpace& space,
   if (sigma.size() > 0) {
     int num_attrs = space.allowed(0).Count() + sigma.fd(0).lhs.Count() + 1;
     alpha_ = RepairAlpha(num_attrs, sigma.size());
+  }
+  for (int i = 0; i < sigma.size(); ++i) {
+    max_candidates_ += space.allowed(i).Count();
   }
 }
 
@@ -63,9 +67,7 @@ int32_t GcHeuristic::CoverOfGroups(const std::vector<int>& groups,
   return scratch.CoverSize(edges);
 }
 
-void GcHeuristic::Rec(const SearchState& sc, std::vector<int>& unresolved,
-                      const std::vector<int>& remaining,
-                      RecContext* ctx) const {
+void GcHeuristic::Rec(size_t pos, RecContext* ctx) const {
   if (ctx->budget_exhausted) return;
   if (--ctx->nodes_left <= 0) {
     ctx->budget_exhausted = true;
@@ -73,73 +75,103 @@ void GcHeuristic::Rec(const SearchState& sc, std::vector<int>& unresolved,
   }
   // Branch-and-bound: extensions only grow the (monotone) cost, so a state
   // already at/above the best known goal cost cannot improve the bound.
-  double cost = sc.Cost(weights_);
+  double cost = 0.0;
+  for (double w : ctx->weights) cost += w;
   if (cost >= ctx->best_cost) return;
-  if (remaining.empty()) {
+  if (pos == ctx->selected.size()) {
     ctx->best_cost = cost;
     return;
   }
-  int d = remaining.front();
-  std::vector<int> rest(remaining.begin() + 1, remaining.end());
+  SearchState& state = ctx->state;
+  const int d = ctx->selected[pos];
 
   // A group might already be resolved by extensions made for an earlier
   // group; just move on.
-  if (!GroupViolates(d, sc)) {
-    Rec(sc, unresolved, rest, ctx);
+  if (!GroupViolates(d, state)) {
+    Rec(pos + 1, ctx);
     return;
   }
 
   // Option 1: leave d unresolved if the accumulated vertex-cover bound
   // still permits a goal (Algorithm 3 line 8).
-  unresolved.push_back(d);
-  int64_t bound = alpha_ * CoverOfGroups(unresolved, ctx->stats);
+  ctx->unresolved.push_back(d);
+  int64_t bound = alpha_ * CoverOfGroups(ctx->unresolved, ctx->stats);
   bool feasible = opts_.strict_leave_check ? bound < ctx->tau
                                            : bound <= ctx->tau;
   if (feasible) {
-    Rec(sc, unresolved, rest, ctx);
+    Rec(pos + 1, ctx);
   }
-  unresolved.pop_back();
+  ctx->unresolved.pop_back();
+  if (ctx->budget_exhausted) return;
 
   // Option 2: resolve d by appending one attribute (from d) to each FD it
-  // violates under sc. Enumerate the cross product of candidates.
+  // violates under the state. Enumerate the cross product of candidates.
+  RecFrame& frame = ctx->frames[pos];
+  frame.digits.clear();
   AttrSet diff = index_.group(d).diff;
-  std::vector<int> violated_fds;
-  std::vector<std::vector<AttrId>> candidates;
   for (int i = 0; i < sigma_.size(); ++i) {
     const FD& fd = sigma_.fd(i);
     if (!diff.Contains(fd.rhs)) continue;
-    if (fd.lhs.Union(sc.ext[i]).Intersects(diff)) continue;
-    AttrSet cands = diff.Intersect(space_.allowed(i)).Minus(sc.ext[i]);
+    if (fd.lhs.Union(state.ext[i]).Intersects(diff)) continue;
+    AttrSet cands = diff.Intersect(space_.allowed(i)).Minus(state.ext[i]);
     if (cands.Empty()) return;  // this FD cannot be resolved via extension
-    violated_fds.push_back(i);
-    candidates.push_back(cands.ToVector());
+    RecFrame::Digit& digit = frame.digits.emplace_back();
+    digit.fd = i;
+    digit.candidates = cands.bits();
+    digit.left = cands.bits();
+    digit.saved_ext = state.ext[i];
+    digit.saved_weight = ctx->weights[i];
   }
-  // Depth-first cross product over per-FD candidate attributes.
-  std::vector<size_t> pick(violated_fds.size(), 0);
-  while (true) {
-    SearchState next = sc;
-    for (size_t k = 0; k < violated_fds.size(); ++k) {
-      next.ext[violated_fds[k]].Add(candidates[k][pick[k]]);
+  frame.weights.clear();
+  for (RecFrame::Digit& digit : frame.digits) {
+    digit.weight_base = static_cast<int>(frame.weights.size());
+    for (AttrId a : AttrSet(digit.candidates)) {
+      frame.weights.push_back(
+          weights_.Weight(digit.saved_ext.Union(AttrSet::Single(a))));
     }
-    // Drop groups this extension resolves as a side effect (checked lazily
-    // at the head of Rec), and recurse.
-    Rec(next, unresolved, rest, ctx);
-    if (ctx->budget_exhausted) return;
+  }
+  // Depth-first cross product over per-FD candidate attributes; digit 0
+  // turns fastest and each digit picks its candidates in ascending order.
+  while (true) {
+    for (const RecFrame::Digit& digit : frame.digits) {
+      const auto pick = static_cast<AttrId>(std::countr_zero(digit.left));
+      state.ext[digit.fd] = digit.saved_ext.Union(AttrSet::Single(pick));
+      ctx->weights[digit.fd] = frame.weights[digit.weight_base + digit.rank];
+    }
+    // Groups this extension resolves as a side effect are skipped lazily
+    // at the head of Rec.
+    Rec(pos + 1, ctx);
+    if (ctx->budget_exhausted) break;
     // Advance the cross-product odometer.
     size_t k = 0;
-    while (k < pick.size()) {
-      if (++pick[k] < candidates[k].size()) break;
-      pick[k] = 0;
-      ++k;
+    for (; k < frame.digits.size(); ++k) {
+      RecFrame::Digit& digit = frame.digits[k];
+      digit.left &= digit.left - 1;
+      if (digit.left != 0) {
+        ++digit.rank;
+        break;
+      }
+      digit.left = digit.candidates;
+      digit.rank = 0;
     }
-    if (k == pick.size()) break;
+    if (k == frame.digits.size()) break;
+  }
+  for (const RecFrame::Digit& digit : frame.digits) {
+    state.ext[digit.fd] = digit.saved_ext;
+    ctx->weights[digit.fd] = digit.saved_weight;
   }
 }
 
 double GcHeuristic::ComputeWithCap(const SearchState& s, int64_t tau,
                                    int max_groups, SearchStats* stats) const {
   if (stats != nullptr) ++stats->heuristic_calls;
-  double own_cost = s.Cost(weights_);
+  // The recursion's weights, summed the way WeightFunction::Cost sums them.
+  std::vector<double> weights(s.ext.size());
+  double own_cost = 0.0;
+  for (size_t i = 0; i < s.ext.size(); ++i) {
+    weights[i] = weights_.Weight(s.ext[i]);
+    own_cost += weights[i];
+  }
 
   // Groups still violated under s (the table path materializes the set as
   // one bitset pass; the legacy path scans per group).
@@ -158,6 +190,7 @@ double GcHeuristic::ComputeWithCap(const SearchState& s, int64_t tau,
   // difference sets first to keep the bound tight, then filling remaining
   // slots in frequency order.
   std::vector<int> selected;
+  selected.reserve(std::min(violated.size(), static_cast<size_t>(max_groups)));
   AttrSet covered;
   for (int g : violated) {
     if (static_cast<int>(selected.size()) >= max_groups) break;
@@ -177,9 +210,16 @@ double GcHeuristic::ComputeWithCap(const SearchState& s, int64_t tau,
   ctx.tau = tau;
   ctx.nodes_left = opts_.max_nodes;
   ctx.stats = stats;
-  ctx.selected = selected;
-  std::vector<int> unresolved;
-  Rec(s, unresolved, selected, &ctx);
+  ctx.selected = std::move(selected);
+  ctx.unresolved.reserve(ctx.selected.size());
+  ctx.state = s;
+  ctx.weights = std::move(weights);
+  ctx.frames.resize(ctx.selected.size());
+  for (RecFrame& frame : ctx.frames) {
+    frame.digits.reserve(s.ext.size());
+    frame.weights.reserve(static_cast<size_t>(max_candidates_));
+  }
+  Rec(0, &ctx);
 
   if (ctx.best_cost == kInfinity) {
     // No goal state found below this state (within the inspected groups).

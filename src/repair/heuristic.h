@@ -15,6 +15,16 @@
 // a lower bound (paper Lemma 1). When the recursion budget is exhausted we
 // fall back to cost(S), which is always a valid lower bound because the
 // cost function is monotone along the extension order.
+//
+// gc runs once per reached state and its recursion visits up to max_nodes
+// nodes, so a recursion node does no heap work and no full cost
+// recomputation. Each Compute copies S once; the recursion extends that
+// copy in place and undoes each extension on the way back. It also carries
+// the per-FD weights w_i = w(Y_i) down, so a node's cost is their sum (from
+// 0.0 in FD order — the same double WeightFunction::Cost returns), and a
+// branching node looks up w(Y_k ∪ {a}) once per violated FD k and candidate
+// a before it enumerates the cross product. Per-depth scratch frames sized
+// by |Σ| hold the candidates and saved extensions.
 
 #ifndef RETRUST_REPAIR_HEURISTIC_H_
 #define RETRUST_REPAIR_HEURISTIC_H_
@@ -89,12 +99,38 @@ class GcHeuristic {
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
  private:
+  /// Scratch of one branching node: one odometer digit per FD the group
+  /// violates, plus the weights of every candidate extension.
+  struct RecFrame {
+    struct Digit {
+      int fd = 0;
+      uint64_t candidates = 0;  ///< attributes that may extend Y_fd
+      uint64_t left = 0;        ///< candidates not yet picked this carry
+      int rank = 0;             ///< index of the current pick in candidates
+      int weight_base = 0;      ///< offset of this digit's weights
+      AttrSet saved_ext;        ///< Y_fd on entry, restored on exit
+      double saved_weight = 0.0;
+    };
+    std::vector<Digit> digits;
+    /// w(Y_fd ∪ {a}) per digit, candidates in ascending attribute order.
+    std::vector<double> weights;
+  };
+
+  /// State of one Compute call. The recursion mutates `state` and
+  /// `weights` in place and restores them on return; `frames[pos]` is the
+  /// scratch of the node at recursion depth pos (siblings at one depth
+  /// run one after another, so they share it). Everything is sized once
+  /// per Compute and never grows inside the recursion.
   struct RecContext {
     int64_t tau = 0;
     int64_t nodes_left = 0;
     bool budget_exhausted = false;
     SearchStats* stats = nullptr;
-    std::vector<int> selected;  // group indices in play
+    std::vector<int> selected;     // group indices in play, in order
+    std::vector<int> unresolved;   // groups left unresolved, in that order
+    SearchState state;             // the node's extension vector
+    std::vector<double> weights;   // weights[i] = w(state.ext[i])
+    std::vector<RecFrame> frames;  // one per position in `selected`
     // Cheapest goal-state cost found so far (branch-and-bound pruning:
     // costs are monotone along extensions, so a partial state at or above
     // this cost cannot lead to a cheaper goal).
@@ -107,10 +143,9 @@ class GcHeuristic {
   /// True iff diff-set group `g` violates FD i under extension state `s`.
   bool GroupViolates(int g, const SearchState& s) const;
 
-  /// Recursive core (Algorithm 3). `unresolved` accumulates group ids left
-  /// unresolved; `remaining` indexes into ctx->selected.
-  void Rec(const SearchState& sc, std::vector<int>& unresolved,
-           const std::vector<int>& remaining, RecContext* ctx) const;
+  /// Recursive core (Algorithm 3) at the node that decides ctx->selected
+  /// [pos]; the node's state is ctx->state.
+  void Rec(size_t pos, RecContext* ctx) const;
 
   /// Size of a greedy cover over the union of the groups' edges.
   int32_t CoverOfGroups(const std::vector<int>& groups,
@@ -123,6 +158,8 @@ class GcHeuristic {
   const DeltaPEvaluator* evaluator_;  ///< null = legacy scan path
   int num_tuples_;
   int64_t alpha_;
+  /// Σ_i |allowed(i)|: the most candidate weights one frame can hold.
+  int max_candidates_ = 0;
   HeuristicOptions opts_;
 };
 

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "src/relational/csv.h"
@@ -331,6 +332,34 @@ Status WireError(const std::string& what) {
   return Status::Error(StatusCode::kInvalidArgument, "wire: " + what);
 }
 
+/// 2^53: doubles hold every integer up to it exactly, so it bounds the
+/// protocol's counts (see Json).
+constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+
+/// Reads `v` as a whole number in [lo, hi]; false for non-numbers,
+/// fractions and values outside the range, so a field never holds a
+/// number other than the one the line carried.
+bool ExactInt(const Json& v, int64_t lo, int64_t hi, int64_t* out) {
+  if (!v.is_number()) return false;
+  const double n = v.AsNumber();
+  if (n != std::floor(n) || n < static_cast<double>(lo) ||
+      n > static_cast<double>(hi)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(n);
+  return true;
+}
+
+bool ExactTupleId(const Json& v, TupleId* out) {
+  int64_t id = 0;
+  if (!ExactInt(v, std::numeric_limits<TupleId>::min(),
+                std::numeric_limits<TupleId>::max(), &id)) {
+    return false;
+  }
+  *out = static_cast<TupleId>(id);
+  return true;
+}
+
 const char* TerminationName(SearchTermination t) {
   switch (t) {
     case SearchTermination::kCompleted: return "completed";
@@ -349,11 +378,9 @@ Result<RepairRequest> RepairRequestFromJson(const Json& obj) {
   const Json* tau = obj.Get("tau");
   const Json* tau_r = obj.Get("tau_r");
   if (tau != nullptr) {
-    if (!tau->is_number() || tau->AsInt() < 0 ||
-        tau->AsNumber() != std::floor(tau->AsNumber())) {
+    if (!ExactInt(*tau, 0, kMaxExactInt, &req.tau)) {
       return WireError("'tau' must be a non-negative integer");
     }
-    req.tau = tau->AsInt();
   } else if (tau_r != nullptr) {
     if (!tau_r->is_number()) return WireError("'tau_r' must be a number");
     req.tau_r = tau_r->AsNumber();
@@ -394,10 +421,9 @@ Result<RepairRequest> RepairRequestFromJson(const Json& obj) {
     req.seed = static_cast<uint64_t>(seed->AsInt());
   }
   if (const Json* budget = obj.Get("budget")) {
-    if (!budget->is_number() || budget->AsInt() < 0) {
+    if (!ExactInt(*budget, 0, kMaxExactInt, &req.budget)) {
       return WireError("'budget' must be a non-negative integer");
     }
-    req.budget = budget->AsInt();
   }
   if (const Json* deadline = obj.Get("deadline_seconds")) {
     if (!deadline->is_number()) {
@@ -419,7 +445,11 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema) {
 
   auto resolve_attr = [&](const Json& v, AttrId* out) -> Status {
     if (v.is_number()) {
-      *out = static_cast<AttrId>(v.AsInt());
+      int64_t index = 0;
+      if (!ExactInt(v, 0, num_attrs - 1, &index)) {
+        return WireError("attribute out of range");
+      }
+      *out = static_cast<AttrId>(index);
     } else if (v.is_string()) {
       *out = -1;
       for (AttrId a = 0; a < num_attrs; ++a) {
@@ -468,8 +498,10 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema) {
   if (const Json* updates = obj.Get("updates")) {
     if (!updates->is_array()) return WireError("'updates' must be an array");
     for (const Json& u : updates->AsArray()) {
+      TupleId tuple = 0;
       if (!u.is_array() || u.AsArray().size() != 3 ||
-          !u.AsArray()[0].is_number() || !u.AsArray()[2].is_string()) {
+          !ExactTupleId(u.AsArray()[0], &tuple) ||
+          !u.AsArray()[2].is_string()) {
         return WireError(
             "each update must be [tuple_id, attr, \"value\"]");
       }
@@ -479,15 +511,17 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema) {
       Value value;
       status = parse_cell(u.AsArray()[2].AsString(), attr, &value);
       if (!status.ok()) return status;
-      batch.Update(static_cast<TupleId>(u.AsArray()[0].AsInt()), attr,
-                   std::move(value));
+      batch.Update(tuple, attr, std::move(value));
     }
   }
   if (const Json* deletes = obj.Get("deletes")) {
     if (!deletes->is_array()) return WireError("'deletes' must be an array");
     for (const Json& d : deletes->AsArray()) {
-      if (!d.is_number()) return WireError("delete ids must be numbers");
-      batch.Delete(static_cast<TupleId>(d.AsInt()));
+      TupleId tuple = 0;
+      if (!ExactTupleId(d, &tuple)) {
+        return WireError("delete ids must be integer tuple ids");
+      }
+      batch.Delete(tuple);
     }
   }
   if (batch.Empty()) {

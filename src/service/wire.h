@@ -38,7 +38,9 @@
 #ifndef RETRUST_SERVICE_WIRE_H_
 #define RETRUST_SERVICE_WIRE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -94,7 +96,15 @@ class Json {
     const double* n = std::get_if<double>(&value_);
     return n != nullptr ? *n : 0.0;
   }
-  int64_t AsInt() const { return static_cast<int64_t>(AsNumber()); }
+  /// The number truncated toward zero and saturated to int64_t's range,
+  /// so every value converts (NaN reads as 0).
+  int64_t AsInt() const {
+    const double n = AsNumber();
+    if (std::isnan(n)) return 0;
+    if (n >= 0x1p63) return std::numeric_limits<int64_t>::max();
+    if (n <= -0x1p63) return std::numeric_limits<int64_t>::min();
+    return static_cast<int64_t>(n);
+  }
   const std::string& AsString() const { return Or(kEmptyString); }
   const Array& AsArray() const { return Or(kEmptyArray); }
   const Object& AsObject() const { return Or(kEmptyObject); }

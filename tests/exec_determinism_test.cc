@@ -35,7 +35,8 @@ std::string Fingerprint(const std::optional<Repair>& repair,
   fp += "|distc=" + std::to_string(repair->distc);
   fp += "|deltaP=" + std::to_string(repair->delta_p);
   for (const AttrSet& ext : repair->extensions) {
-    fp += "|" + ext.ToString();
+    fp += '|';
+    fp += ext.ToString();
   }
   fp += "|cells:";
   for (const CellRef& c : repair->changed_cells) {

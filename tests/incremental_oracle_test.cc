@@ -26,7 +26,9 @@ namespace {
 Schema MakeSchema(int m) {
   std::vector<Attribute> attrs(m);
   for (int a = 0; a < m; ++a) {
-    attrs[a] = {"A" + std::to_string(a), AttrType::kInt};
+    std::string name = "A";
+    name += std::to_string(a);
+    attrs[a] = {std::move(name), AttrType::kInt};
   }
   return Schema(std::move(attrs));
 }

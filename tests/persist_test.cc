@@ -66,7 +66,10 @@ std::string Fingerprint(const Repair& repair, const Schema& schema) {
   std::string fp = repair.sigma_prime.ToString(schema);
   fp += "|distc=" + std::to_string(repair.distc);
   fp += "|deltaP=" + std::to_string(repair.delta_p);
-  for (const AttrSet& ext : repair.extensions) fp += "|" + ext.ToString();
+  for (const AttrSet& ext : repair.extensions) {
+    fp += '|';
+    fp += ext.ToString();
+  }
   fp += "|cells:";
   for (const CellRef& c : repair.changed_cells) {
     fp += std::to_string(c.tuple) + "," + std::to_string(c.attr) + ";";

@@ -51,7 +51,10 @@ TEST(Schema, RejectsDuplicateNames) {
 
 TEST(Schema, RejectsTooManyAttrs) {
   std::vector<std::string> names;
-  for (int i = 0; i < 65; ++i) names.push_back("a" + std::to_string(i));
+  for (int i = 0; i < 65; ++i) {
+    names.push_back("a");
+    names.back() += std::to_string(i);
+  }
   EXPECT_THROW(Schema::FromNames(names), std::invalid_argument);
 }
 

@@ -23,7 +23,6 @@
 // does not.
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <string>
