@@ -101,15 +101,25 @@ int ViolationTable::ApplyPatch(const FDSet& sigma,
 }
 
 void ViolationTable::RebuildCandidates() {
-  cand_groups_.assign(num_fds_, {});
+  num_words_ = (num_groups_ + 63) / 64;
+  uint64_t attrs = 0;
+  for (uint64_t d : diff_bits_) attrs |= d;
+  num_attrs_ = 64 - std::countl_zero(attrs);
   cand_mask_.assign(num_fds_, GroupBitset(num_groups_));
+  attr_groups_.assign(static_cast<size_t>(num_attrs_) * num_words_, 0);
   for (int g = 0; g < num_groups_; ++g) {
+    const uint64_t bit = uint64_t{1} << (g & 63);
     uint64_t mask = fd_mask_[g];
     while (mask != 0) {
       int i = std::countr_zero(mask);
       mask &= mask - 1;
-      cand_groups_[i].push_back(g);
       cand_mask_[i].Set(g);
+    }
+    uint64_t d = diff_bits_[g];
+    while (d != 0) {
+      int a = std::countr_zero(d);
+      d &= d - 1;
+      attr_groups_[static_cast<size_t>(a) * num_words_ + (g >> 6)] |= bit;
     }
   }
 }
@@ -117,14 +127,20 @@ void ViolationTable::RebuildCandidates() {
 void ViolationTable::ViolatedGroups(const std::vector<AttrSet>& ext,
                                     GroupBitset* out) const {
   out->Reset(num_groups_);
+  uint64_t* o = out->mutable_words();
+  // Attributes outside every d_g have D_a = ∅.
+  const uint64_t occurring =
+      num_attrs_ >= 64 ? ~uint64_t{0} : (uint64_t{1} << num_attrs_) - 1;
   for (int i = 0; i < num_fds_; ++i) {
-    if (ext[i].Empty()) {
-      out->OrWith(cand_mask_[i]);
-      continue;
-    }
-    const uint64_t e = ext[i].bits();
-    for (int32_t g : cand_groups_[i]) {
-      if ((e & diff_bits_[g]) == 0) out->Set(g);
+    const uint64_t* cand = cand_mask_[i].words().data();
+    const uint64_t e = ext[i].bits() & occurring;
+    for (int w = 0; w < num_words_; ++w) {
+      uint64_t deactivated = 0;
+      for (uint64_t rest = e; rest != 0; rest &= rest - 1) {
+        const size_t a = static_cast<size_t>(std::countr_zero(rest));
+        deactivated |= attr_groups_[a * num_words_ + w];
+      }
+      o[w] |= cand[w] & ~deactivated;
     }
   }
 }

@@ -10,9 +10,16 @@
 // where d_g is the group's difference set and Y_i = S.ext[i]. The table
 // stores, per group, the mask of FDs whose precomputed part holds plus the
 // "deactivating" attribute mask d_g — so "is group g violated under S"
-// becomes a handful of bitset tests instead of an FD-set scan, and the
-// full violated-group set of a state materializes as a compact GroupBitset
-// (the cover memo's cache key).
+// becomes a handful of bitset tests instead of an FD-set scan.
+//
+// For the full violated-group set of a state (the cover memo's cache key)
+// the table transposes both parts into word-packed group bitsets: cand_i =
+// {g : i ∈ fd_mask_g} per FD and D_a = {g : a ∈ d_g} per attribute. Then
+//
+//   V(S) = ⋁_i (cand_i ∧ ¬⋁_{a∈Y_i} D_a)
+//
+// is ⌈G/64⌉ word operations per (FD, extension attribute), with no
+// per-group loop.
 //
 // Layering: the table takes raw extension vectors (std::vector<AttrSet>),
 // not SearchState — fd/ sits below repair/; the repair-side DeltaPEvaluator
@@ -85,8 +92,9 @@ class ViolationTable {
   }
 
   /// Fills `out` with the violated-group set under `ext` (resized to
-  /// num_groups()). FDs with empty extensions contribute their whole
-  /// candidate mask in one OR pass; the rest scan their candidate list.
+  /// num_groups()): per word, out |= cand_i ∧ ¬⋁_{a∈Y_i} D_a for every FD
+  /// i. Extension attributes that occur in no difference set deactivate
+  /// nothing and are skipped.
   void ViolatedGroups(const std::vector<AttrSet>& ext,
                       GroupBitset* out) const;
 
@@ -99,16 +107,21 @@ class ViolationTable {
   const std::vector<uint64_t>& fd_masks() const { return fd_mask_; }
 
  private:
-  /// Rebuilds cand_groups_/cand_mask_ from fd_mask_ serially in canonical
-  /// group order (shared by the constructor and ApplyPatch).
+  /// Rebuilds cand_mask_ and the D_a bitsets from fd_mask_/diff_bits_
+  /// serially in canonical group order (shared by every constructor and
+  /// ApplyPatch).
   void RebuildCandidates();
 
   int num_fds_ = 0;
   int num_groups_ = 0;
+  int num_words_ = 0;  // ⌈num_groups_/64⌉
+  int num_attrs_ = 0;  // 1 + the largest attribute in any d_g; 0 if none
   std::vector<uint64_t> fd_mask_;    // per group: FDs it can violate
   std::vector<uint64_t> diff_bits_;  // per group: d_g's attribute mask
-  std::vector<std::vector<int32_t>> cand_groups_;  // per FD, ascending ids
-  std::vector<GroupBitset> cand_mask_;             // per FD, same content
+  std::vector<GroupBitset> cand_mask_;  // per FD: {g : i ∈ fd_mask_[g]}
+  // D_a = {g : a ∈ d_g} for a < num_attrs_, attribute-major: words
+  // [a·num_words_, (a+1)·num_words_).
+  std::vector<uint64_t> attr_groups_;
 };
 
 }  // namespace retrust

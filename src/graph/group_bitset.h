@@ -33,14 +33,12 @@ class GroupBitset {
 
   int num_bits() const { return num_bits_; }
   const std::vector<uint64_t>& words() const { return words_; }
+  /// The packed words, for word-parallel writers. Bits at or above
+  /// num_bits() must stay clear.
+  uint64_t* mutable_words() { return words_.data(); }
 
   void Set(int i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
   bool Test(int i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
-
-  /// *this |= o. Both sides must have the same num_bits.
-  void OrWith(const GroupBitset& o) {
-    for (size_t w = 0; w < words_.size(); ++w) words_[w] |= o.words_[w];
-  }
 
   int Count() const {
     int c = 0;

@@ -100,13 +100,19 @@ Value ParseField(const std::string& field, AttrType type) {
   return out;
 }
 
+// A header the schema rejects (a repeated name, more than kMaxAttrs
+// columns) is malformed input like any other: it throws runtime_error.
 Schema SchemaFrom(const std::vector<std::string>& header,
                   const std::vector<ColumnInference>& cols) {
   std::vector<Attribute> attrs(header.size());
   for (size_t a = 0; a < header.size(); ++a) {
     attrs[a] = {header[a], cols[a].Resolve()};
   }
-  return Schema(std::move(attrs));
+  try {
+    return Schema(std::move(attrs));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("csv: bad header: ") + e.what());
+  }
 }
 
 }  // namespace

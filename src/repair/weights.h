@@ -15,6 +15,9 @@
 #ifndef RETRUST_REPAIR_WEIGHTS_H_
 #define RETRUST_REPAIR_WEIGHTS_H_
 
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -48,37 +51,57 @@ class CardinalityWeight final : public WeightFunction {
   double Weight(AttrSet y) const override { return y.Count(); }
 };
 
-/// w(Y) = |π_Y(I)| (number of distinct Y-projections in the initial
-/// instance), w(∅) = 0 — the paper's experimental choice. Memoized; the
-/// memo is mutex-guarded so one weight instance may serve concurrent
-/// searches (exec::Sweep, parallel successor evaluation).
-class DistinctCountWeight final : public WeightFunction {
+/// A weight computed from an instance and memoized per attribute set, so
+/// one weight object may serve concurrent searches (exec::Sweep, parallel
+/// successor evaluation). Subclasses supply Compute().
+///
+/// Up to kMaxFlatAttrs attributes the memo is a flat array of 2^m slots
+/// indexed by Y's mask, each a relaxed atomic holding the double's bit
+/// pattern (all-ones = empty): lookups take no lock. A racing duplicate
+/// fill is benign — Compute is deterministic, so both threads store the
+/// same bits. Wider schemas keep a mutex-guarded hash map.
+class MemoizedWeight : public WeightFunction {
  public:
-  /// Keeps a reference to `inst`; the instance must outlive the weight.
-  explicit DistinctCountWeight(const EncodedInstance& inst) : inst_(inst) {}
+  static constexpr int kMaxFlatAttrs = 16;
 
-  double Weight(AttrSet y) const override;
-  void Invalidate() override;
+  double Weight(AttrSet y) const final;
+  void Invalidate() final;
+
+ protected:
+  /// Keeps a reference to `inst`; the instance must outlive the weight.
+  explicit MemoizedWeight(const EncodedInstance& inst);
+
+  /// The unmemoized w(Y) for a non-empty Y.
+  virtual double Compute(AttrSet y) const = 0;
+
+  const EncodedInstance& inst_;
 
  private:
-  const EncodedInstance& inst_;
+  size_t flat_size_ = 0;  // 2^m when m <= kMaxFlatAttrs, else 0
+  std::unique_ptr<std::atomic<uint64_t>[]> flat_;
   mutable std::mutex mu_;
-  mutable std::unordered_map<AttrSet, double, AttrSetHash> cache_;
+  mutable std::unordered_map<AttrSet, double, AttrSetHash> map_;
+};
+
+/// w(Y) = |π_Y(I)| (number of distinct Y-projections in the initial
+/// instance), w(∅) = 0 — the paper's experimental choice.
+class DistinctCountWeight final : public MemoizedWeight {
+ public:
+  explicit DistinctCountWeight(const EncodedInstance& inst)
+      : MemoizedWeight(inst) {}
+
+ private:
+  double Compute(AttrSet y) const override;
 };
 
 /// w(Y) = H(Y), the empirical joint entropy (bits) of the Y-projection in
 /// the initial instance; w(∅) = 0. Monotone since H(Y ∪ B) >= H(Y).
-class EntropyWeight final : public WeightFunction {
+class EntropyWeight final : public MemoizedWeight {
  public:
-  explicit EntropyWeight(const EncodedInstance& inst) : inst_(inst) {}
-
-  double Weight(AttrSet y) const override;
-  void Invalidate() override;
+  explicit EntropyWeight(const EncodedInstance& inst) : MemoizedWeight(inst) {}
 
  private:
-  const EncodedInstance& inst_;
-  mutable std::mutex mu_;
-  mutable std::unordered_map<AttrSet, double, AttrSetHash> cache_;
+  double Compute(AttrSet y) const override;
 };
 
 }  // namespace retrust

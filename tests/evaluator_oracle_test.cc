@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/eval/experiment.h"
+#include "src/eval/generator.h"
+#include "src/eval/perturb.h"
 #include "src/exec/sweep.h"
 #include "src/fd/violation_table.h"
 #include "src/graph/cover_memo.h"
@@ -105,6 +107,114 @@ TEST(ExecEvaluationOracle, ViolationTableMatchesLegacyScan) {
       }
     }
   }
+}
+
+// Checks `table` against the legacy scan over `index` group by group, for
+// both the word-parallel ViolatedGroups and the per-group GroupViolated.
+// Bits past the last group must stay clear.
+void ExpectTableMatchesLegacy(const FDSet& sigma,
+                              const DifferenceSetIndex& index,
+                              const ViolationTable& table,
+                              const std::vector<SearchState>& states) {
+  ASSERT_EQ(table.num_groups(), index.size());
+  for (const SearchState& s : states) {
+    GroupBitset bits;
+    table.ViolatedGroups(s.ext, &bits);
+    ASSERT_EQ(bits.num_bits(), index.size());
+    int violated = 0;
+    for (int g = 0; g < index.size(); ++g) {
+      const bool legacy = LegacyGroupViolated(sigma, index.group(g).diff, s);
+      violated += legacy;
+      EXPECT_EQ(table.GroupViolated(g, s.ext), legacy)
+          << "group " << g << " state " << s.ToString();
+      EXPECT_EQ(bits.Test(g), legacy)
+          << "bitset group " << g << " state " << s.ToString();
+    }
+    EXPECT_EQ(bits.Count(), violated) << "state " << s.ToString();
+  }
+}
+
+TEST(ExecEvaluationOracle, ViolationTableMatchesLegacyScanWideSigma) {
+  // The wide400 regime (tests/search_golden_test.cc): 220 groups, i.e.
+  // four words with a partial last one.
+  CensusConfig gen;
+  gen.num_tuples = 400;
+  gen.num_attrs = 12;
+  gen.planted_lhs_sizes.assign(4, 4);
+  gen.seed = 2;
+  PerturbOptions perturb;
+  perturb.data_error_rate = 0.02;
+  perturb.fd_error_rate = 0.5;
+  perturb.seed = 3;
+  ExperimentData data = PrepareExperiment(gen, perturb);
+  const FdSearchContext& ctx = data.context();
+  ASSERT_EQ(ctx.index().size(), 220);
+  Rng rng(400);
+  ExpectTableMatchesLegacy(ctx.sigma(), ctx.index(), ctx.evaluator().table(),
+                           RandomStates(ctx, &rng, 120));
+}
+
+TEST(ExecEvaluationOracle, ViolationTableRestoredFromRowsMatchesLegacyScan) {
+  ExperimentData data = MakeData(31);
+  const FdSearchContext& ctx = data.context();
+  const ViolationTable& live = ctx.evaluator().table();
+  ViolationTable restored(ctx.sigma(), ctx.index(), live.fd_masks());
+  EXPECT_EQ(restored.fd_masks(), live.fd_masks());
+  Rng rng(31);
+  ExpectTableMatchesLegacy(ctx.sigma(), ctx.index(), restored,
+                           RandomStates(ctx, &rng, 60));
+}
+
+TEST(ExecEvaluationOracle, ViolationTablePatchedByDeltaMatchesLegacyScan) {
+  // Random inserts, cell updates and deletes through Session::Apply, which
+  // patches the table with ApplyPatch. Values are copied from other cells
+  // of the same column, so every delta is well-typed.
+  ExperimentData data = MakeData(61);
+  Session& session = *data.session;
+  const int m = session.instance().NumAttrs();
+  Rng rng(61);
+  for (int step = 0; step < 6; ++step) {
+    const Instance& inst = session.instance();
+    const int n = inst.NumTuples();
+    auto cell = [&](AttrId a) {
+      return inst.At(static_cast<TupleId>(rng.NextInt(0, n - 1)), a);
+    };
+    DeltaBatch delta;
+    for (int k = 0; k < 3; ++k) {
+      Tuple t(m);
+      for (AttrId a = 0; a < m; ++a) t[a] = cell(a);
+      delta.Insert(std::move(t));
+    }
+    for (int k = 0; k < 4; ++k) {
+      const AttrId a = static_cast<AttrId>(rng.NextInt(0, m - 1));
+      delta.Update(static_cast<TupleId>(rng.NextInt(0, n - 1)), a, cell(a));
+    }
+    delta.Delete(static_cast<TupleId>(rng.NextInt(0, n - 1)));
+    Result<ApplyStats> applied = session.Apply(delta);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+
+    const FdSearchContext& ctx = data.context();
+    const ViolationTable& patched = ctx.evaluator().table();
+    ExpectTableMatchesLegacy(ctx.sigma(), ctx.index(), patched,
+                             RandomStates(ctx, &rng, 30));
+    // And the patch equals a from-scratch table over the patched index.
+    EXPECT_EQ(patched.fd_masks(),
+              ViolationTable(ctx.sigma(), ctx.index()).fd_masks());
+  }
+}
+
+TEST(ExecEvaluationOracle, ViolationTableWithNoGroups) {
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{0}, 1});
+  sigma.Add(FD{AttrSet{2}, 3});
+  const DifferenceSetIndex empty;
+  ViolationTable table(sigma, empty);
+  EXPECT_EQ(table.num_groups(), 0);
+  std::vector<SearchState> states = {SearchState::Root(2), SearchState(2)};
+  states.back().ext = {AttrSet{2, 5}, AttrSet{0, 63}};
+  ExpectTableMatchesLegacy(sigma, empty, table, states);
+  ExpectTableMatchesLegacy(sigma, empty, ViolationTable(sigma, empty, {}),
+                           states);
 }
 
 TEST(ExecEvaluationOracle, MemoizedCoverMatchesLegacyScan) {
