@@ -161,12 +161,12 @@ int AppendRows(Session& session, const std::string& path) {
 
   std::printf("appended %d rows in %d delta batch(es), %.1f ms total "
               "(index patched in place: %lld conflict edges added; last "
-              "batch left %d/%d diff-set groups untouched, kept %zu warm "
-              "covers)\n\n",
+              "batch left %d/%d diff-set groups untouched, dropped %zu "
+              "cached covers)\n\n",
               rows_appended, batches, seconds * 1e3, edges_added,
               last.groups_preserved,
               last.groups_preserved + last.groups_changed,
-              last.covers_kept);
+              last.covers_dropped);
   return 0;
 }
 

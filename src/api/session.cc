@@ -524,8 +524,7 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
             stats.edges_added += report.index.edges_added;
             stats.groups_preserved += report.index.groups_preserved;
             stats.groups_changed += report.index.groups_changed;
-            stats.covers_kept += report.evaluator.memo.entries_kept;
-            stats.covers_dropped += report.evaluator.memo.entries_dropped;
+            stats.covers_dropped += report.covers_dropped;
           }
         }
       } catch (...) {

@@ -103,10 +103,11 @@ struct ContextCacheStats {
   std::vector<CachedContextInfo> contexts;  ///< one row per cached context
 };
 
-/// What one Session::Apply did — the delta's blast radius vs what stayed
-/// warm. `reuse_ratio` close to 1 is the incremental engine's win: the
-/// fraction of the contexts' difference-set groups that survived the delta
-/// untouched (their incidence rows and cached covers were carried over).
+/// What one Session::Apply did — the delta's blast radius. `reuse_ratio`
+/// close to 1 is the incremental engine's win: the fraction of the
+/// contexts' difference-set groups whose edges survived the delta
+/// untouched (the patch kept their edge lists instead of rediscovering
+/// them; every context's δP evaluator is rebuilt regardless).
 struct ApplyStats {
   int tuples_inserted = 0;
   int tuples_updated = 0;   ///< update entries applied (cells, not tuples)
@@ -118,8 +119,11 @@ struct ApplyStats {
   int64_t edges_added = 0;    ///< conflict edges discovered across contexts
   int groups_preserved = 0;   ///< diff-set groups carried over untouched
   int groups_changed = 0;     ///< diff-set groups rebuilt or new
-  size_t covers_kept = 0;     ///< memoized covers remapped and kept warm
-  size_t covers_dropped = 0;  ///< memoized covers invalidated
+  /// Always 0: a delta drops every cached cover. Kept only because the
+  /// e2ebench layer probe (e2ebench/layers.cc) reads it; it goes with the
+  /// next change to that benchmark.
+  size_t covers_kept = 0;
+  size_t covers_dropped = 0;  ///< cover-memo entries cleared across contexts
   double seconds = 0.0;       ///< wall-clock of the whole Apply
 
   double reuse_ratio() const {

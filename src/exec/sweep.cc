@@ -62,60 +62,65 @@ void ApplySeed(ModifyFdsOptions* opts, double seed) {
 
 }  // namespace
 
-std::vector<SweepOutcome> Sweep::RunRepairs(
-    const std::vector<SweepJob>& jobs) const {
-  CheckVersion("start");
-  std::vector<SweepOutcome> outcomes(jobs.size());
-
+void Sweep::RunWaves(
+    const std::vector<int64_t>& taus, const std::vector<bool>& greedy,
+    const std::function<std::optional<double>(size_t, double)>& run) const {
   std::vector<size_t> greedy_idx, other_idx;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    (IsGreedy(jobs[i].opts.search) ? greedy_idx : other_idx).push_back(i);
+  for (size_t i = 0; i < taus.size(); ++i) {
+    (greedy[i] ? greedy_idx : other_idx).push_back(i);
   }
-
-  auto run_wave = [&](const std::vector<size_t>& wave,
-                      const std::vector<double>& seeds) {
+  std::vector<double> seeds(taus.size(), 0.0);
+  std::vector<std::optional<double>> found(taus.size());
+  auto run_wave = [&](const std::vector<size_t>& wave) {
     TaskGroup group(pool());
-    for (size_t k = 0; k < wave.size(); ++k) {
-      const size_t i = wave[k];
-      const double seed = seeds.empty() ? 0.0 : seeds[k];
-      group.Run([this, &jobs, &outcomes, i, seed] {
-        const SweepJob& job = jobs[i];
-        RepairOptions opts = job.opts;
-        opts.search.exec = Options{};  // jobs are the unit of parallelism
-        ApplySeed(&opts.search, seed);
-        Timer timer;
-        SweepOutcome& out = outcomes[i];
-        out.tau = job.tau;
-        RepairOutcome run = RunRepair(ctx_, inst_, job.tau, opts);
-        out.repair = std::move(run.repair);
-        out.stats = run.stats;
-        out.termination = run.termination;
-        out.seconds = timer.ElapsedSeconds();
-      });
+    for (size_t i : wave) {
+      group.Run([&run, &seeds, &found, i] { found[i] = run(i, seeds[i]); });
     }
     group.Wait();
   };
 
   if (greedy_idx.empty() || other_idx.empty()) {
     // Uniform-policy sweep: one wave, exactly the pre-seeding behavior.
-    std::vector<size_t> all(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) all[i] = i;
-    run_wave(all, {});
-  } else {
-    run_wave(greedy_idx, {});
-    std::vector<std::pair<int64_t, double>> incumbents;
-    for (size_t i : greedy_idx) {
-      if (outcomes[i].repair.has_value()) {
-        incumbents.emplace_back(jobs[i].tau, outcomes[i].repair->distc);
-      }
-    }
-    std::vector<double> seeds(other_idx.size());
-    for (size_t k = 0; k < other_idx.size(); ++k) {
-      seeds[k] = SeedFor(jobs[other_idx[k]].tau, incumbents);
-    }
-    run_wave(other_idx, seeds);
+    std::vector<size_t> all(taus.size());
+    for (size_t i = 0; i < taus.size(); ++i) all[i] = i;
+    run_wave(all);
+    return;
   }
+  run_wave(greedy_idx);
+  std::vector<std::pair<int64_t, double>> incumbents;
+  for (size_t i : greedy_idx) {
+    if (found[i].has_value()) incumbents.emplace_back(taus[i], *found[i]);
+  }
+  for (size_t i : other_idx) seeds[i] = SeedFor(taus[i], incumbents);
+  run_wave(other_idx);
+}
 
+std::vector<SweepOutcome> Sweep::RunRepairs(
+    const std::vector<SweepJob>& jobs) const {
+  CheckVersion("start");
+  std::vector<SweepOutcome> outcomes(jobs.size());
+  std::vector<int64_t> taus;
+  std::vector<bool> greedy;
+  for (const SweepJob& job : jobs) {
+    taus.push_back(job.tau);
+    greedy.push_back(IsGreedy(job.opts.search));
+  }
+  RunWaves(taus, greedy, [&](size_t i, double seed) -> std::optional<double> {
+    const SweepJob& job = jobs[i];
+    RepairOptions opts = job.opts;
+    opts.search.exec = Options{};  // jobs are the unit of parallelism
+    ApplySeed(&opts.search, seed);
+    Timer timer;
+    SweepOutcome& out = outcomes[i];
+    out.tau = job.tau;
+    RepairOutcome run = RunRepair(ctx_, inst_, job.tau, opts);
+    out.repair = std::move(run.repair);
+    out.stats = run.stats;
+    out.termination = run.termination;
+    out.seconds = timer.ElapsedSeconds();
+    if (!out.repair.has_value()) return std::nullopt;
+    return out.repair->distc;
+  });
   CheckVersion("finish");
   return outcomes;
 }
@@ -134,47 +139,20 @@ std::vector<ModifyFdsResult> Sweep::RunSearches(
     const std::vector<SearchJob>& jobs) const {
   CheckVersion("start");
   std::vector<ModifyFdsResult> results(jobs.size());
-
-  std::vector<size_t> greedy_idx, other_idx;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    (IsGreedy(jobs[i].opts) ? greedy_idx : other_idx).push_back(i);
+  std::vector<int64_t> taus;
+  std::vector<bool> greedy;
+  for (const SearchJob& job : jobs) {
+    taus.push_back(job.tau);
+    greedy.push_back(IsGreedy(job.opts));
   }
-
-  auto run_wave = [&](const std::vector<size_t>& wave,
-                      const std::vector<double>& seeds) {
-    TaskGroup group(pool());
-    for (size_t k = 0; k < wave.size(); ++k) {
-      const size_t i = wave[k];
-      const double seed = seeds.empty() ? 0.0 : seeds[k];
-      group.Run([this, &jobs, &results, i, seed] {
-        ModifyFdsOptions opts = jobs[i].opts;
-        opts.exec = Options{};  // jobs are the unit of parallelism
-        ApplySeed(&opts, seed);
-        results[i] = ModifyFds(ctx_, jobs[i].tau, opts);
-      });
-    }
-    group.Wait();
-  };
-
-  if (greedy_idx.empty() || other_idx.empty()) {
-    std::vector<size_t> all(jobs.size());
-    for (size_t i = 0; i < jobs.size(); ++i) all[i] = i;
-    run_wave(all, {});
-  } else {
-    run_wave(greedy_idx, {});
-    std::vector<std::pair<int64_t, double>> incumbents;
-    for (size_t i : greedy_idx) {
-      if (results[i].repair.has_value()) {
-        incumbents.emplace_back(jobs[i].tau, results[i].repair->distc);
-      }
-    }
-    std::vector<double> seeds(other_idx.size());
-    for (size_t k = 0; k < other_idx.size(); ++k) {
-      seeds[k] = SeedFor(jobs[other_idx[k]].tau, incumbents);
-    }
-    run_wave(other_idx, seeds);
-  }
-
+  RunWaves(taus, greedy, [&](size_t i, double seed) -> std::optional<double> {
+    ModifyFdsOptions opts = jobs[i].opts;
+    opts.exec = Options{};  // jobs are the unit of parallelism
+    ApplySeed(&opts, seed);
+    results[i] = ModifyFds(ctx_, jobs[i].tau, opts);
+    if (!results[i].repair.has_value()) return std::nullopt;
+    return results[i].repair->distc;
+  });
   CheckVersion("finish");
   return results;
 }

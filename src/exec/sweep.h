@@ -20,6 +20,7 @@
 #ifndef RETRUST_EXEC_SWEEP_H_
 #define RETRUST_EXEC_SWEEP_H_
 
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -117,6 +118,15 @@ class Sweep {
   /// Throws std::logic_error unless the context still carries the pinned
   /// version (`when` names the offending phase in the message).
   void CheckVersion(const char* when) const;
+
+  /// The one wave scheduler behind RunRepairs and RunSearches. Job i runs
+  /// at τ `taus[i]` and is greedy iff `greedy[i]`. A uniform sweep runs as
+  /// one wave; a mixed one runs its greedy jobs first and seeds each other
+  /// job from their incumbents (sweep.cc, SeedFor). `run(i, seed)` runs
+  /// job i with `seed` (0 = none) and returns its repair's distc, if any.
+  void RunWaves(
+      const std::vector<int64_t>& taus, const std::vector<bool>& greedy,
+      const std::function<std::optional<double>(size_t, double)>& run) const;
 
   /// The pool Run* schedules on: the shared one when provided, else the
   /// owned one (null = serial inline execution).

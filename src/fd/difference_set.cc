@@ -100,17 +100,15 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   struct Work {
     AttrSet diff;
     std::vector<Edge> edges;
-    int old_id = -1;
     bool changed = false;
   };
   std::vector<Work> work;
   work.reserve(groups_.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
+  for (const DiffSetGroup& group : groups_) {
     Work w;
-    w.diff = groups_[g].diff;
-    w.old_id = static_cast<int>(g);
-    w.edges.reserve(groups_[g].edges.size());
-    for (const Edge& e : groups_[g].edges) {
+    w.diff = group.diff;
+    w.edges.reserve(group.edges.size());
+    for (const Edge& e : group.edges) {
       if (remap[e.u] < 0 || remap[e.v] < 0 || is_dirty[remap[e.u]] ||
           is_dirty[remap[e.v]]) {
         ++patch.edges_removed;
@@ -167,7 +165,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   for (const auto& [edge, diff] : found) {
     auto [it, inserted] = by_diff.emplace(diff, static_cast<int>(work.size()));
     if (inserted) {
-      work.push_back(Work{diff, {}, -1, true});
+      work.push_back(Work{diff, {}, true});
       added.emplace_back();
     }
     work[it->second].changed = true;
@@ -183,7 +181,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   }
 
   // 4. Re-rank in the canonical (frequency desc, diff asc) order and
-  // translate preserved group ids.
+  // count the groups that came through untouched.
   work.erase(std::remove_if(work.begin(), work.end(),
                             [](const Work& w) { return w.edges.empty(); }),
              work.end());
@@ -193,15 +191,11 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
     }
     return a.diff < b.diff;
   });
-  patch.old_to_new.assign(groups_.size(), -1);
   groups_.clear();
   groups_.reserve(work.size());
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (work[i].old_id >= 0 && !work[i].changed) {
-      patch.old_to_new[work[i].old_id] = static_cast<int32_t>(i);
-      ++patch.groups_preserved;
-    }
-    groups_.push_back({work[i].diff, std::move(work[i].edges)});
+  for (Work& w : work) {
+    if (!w.changed) ++patch.groups_preserved;
+    groups_.push_back({w.diff, std::move(w.edges)});
   }
   patch.groups_changed = static_cast<int>(groups_.size()) -
                          patch.groups_preserved;

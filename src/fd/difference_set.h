@@ -68,20 +68,12 @@ struct DiffSetBuildStats {
 /// blocked build is tested and benchmarked against.
 enum class DiffSetBuildMode { kBlocked, kNaive };
 
-/// How a delta landed on a DifferenceSetIndex: the group-id translation
-/// consumers of the canonical group order (violation table, cover memo)
-/// need to stay warm, plus blast-radius counters for observability.
+/// How a delta landed on a DifferenceSetIndex: blast-radius counters for
+/// observability (the wire reply and ApplyStats::reuse_ratio report them).
 struct IndexPatch {
-  /// Pre-patch group id -> post-patch group id for groups whose difference
-  /// set AND edge list survived the delta untouched; -1 for groups that
-  /// gained/lost edges or were dropped. Preserved groups keep their
-  /// relative order (the (frequency, diff) sort key is a total order and
-  /// their keys did not change), which is what lets cover-memo entries
-  /// over preserved groups be remapped instead of recomputed.
-  std::vector<int32_t> old_to_new;
   int64_t edges_removed = 0;
   int64_t edges_added = 0;
-  int groups_preserved = 0;  ///< old groups with old_to_new[g] >= 0
+  int groups_preserved = 0;  ///< old groups whose edge list survived intact
   int groups_changed = 0;    ///< post-patch groups that are new or changed
 };
 

@@ -42,65 +42,7 @@ ViolationTable::ViolationTable(const FDSet& sigma,
                         fd_mask_[g] = IncidenceMask(sigma, diff);
                       }
                     });
-  RebuildCandidates();
-}
-
-ViolationTable::ViolationTable(const FDSet& sigma,
-                               const DifferenceSetIndex& index,
-                               std::vector<uint64_t> fd_mask_rows)
-    : num_fds_(sigma.size()), num_groups_(index.size()) {
-  if (num_fds_ > 64) {
-    throw std::invalid_argument("ViolationTable supports at most 64 FDs");
-  }
-  if (fd_mask_rows.size() != static_cast<size_t>(num_groups_)) {
-    throw std::invalid_argument(
-        "restored incidence rows do not match the index's group count");
-  }
-  fd_mask_ = std::move(fd_mask_rows);
-  diff_bits_.resize(num_groups_);
-  for (int g = 0; g < num_groups_; ++g) {
-    diff_bits_[g] = index.group(g).diff.bits();
-  }
-  RebuildCandidates();
-}
-
-int ViolationTable::ApplyPatch(const FDSet& sigma,
-                               const DifferenceSetIndex& index,
-                               const std::vector<int32_t>& old_to_new,
-                               exec::ThreadPool* pool) {
-  // Preserved groups carry their incidence row over (it depends only on
-  // the difference set, which "preserved" implies is unchanged).
-  std::vector<uint64_t> fd_mask(index.size(), 0);
-  std::vector<uint64_t> diff_bits(index.size(), 0);
-  std::vector<char> filled(index.size(), 0);
-  for (size_t g = 0; g < old_to_new.size(); ++g) {
-    int32_t ng = old_to_new[g];
-    if (ng < 0) continue;
-    fd_mask[ng] = fd_mask_[g];
-    diff_bits[ng] = diff_bits_[g];
-    filled[ng] = 1;
-  }
-  int recomputed = 0;
-  for (char f : filled) recomputed += f == 0;
-  // Changed/new groups recompute into disjoint slots (deterministic for
-  // any thread count, like the constructor).
-  exec::ParallelFor(pool, index.size(),
-                    [&](int64_t begin, int64_t end, int /*chunk*/) {
-                      for (int64_t g = begin; g < end; ++g) {
-                        if (filled[g]) continue;
-                        AttrSet diff = index.group(static_cast<int>(g)).diff;
-                        diff_bits[g] = diff.bits();
-                        fd_mask[g] = IncidenceMask(sigma, diff);
-                      }
-                    });
-  num_groups_ = index.size();
-  fd_mask_ = std::move(fd_mask);
-  diff_bits_ = std::move(diff_bits);
-  RebuildCandidates();
-  return recomputed;
-}
-
-void ViolationTable::RebuildCandidates() {
+  // The transposed bitsets, serially in canonical group order.
   num_words_ = (num_groups_ + 63) / 64;
   uint64_t attrs = 0;
   for (uint64_t d : diff_bits_) attrs |= d;

@@ -21,6 +21,9 @@
 // is ⌈G/64⌉ word operations per (FD, extension attribute), with no
 // per-group loop.
 //
+// The table is a pure function of (Σ, {d_g}) and is never patched: after a
+// delta or a snapshot restore its owner builds a new one over the index.
+//
 // Layering: the table takes raw extension vectors (std::vector<AttrSet>),
 // not SearchState — fd/ sits below repair/; the repair-side DeltaPEvaluator
 // adapts.
@@ -44,34 +47,13 @@ class ViolationTable {
  public:
   ViolationTable() = default;
 
-  /// Builds the incidence table over `index`'s groups. `pool` shards the
-  /// per-group incidence computation (nullable = serial); the table is
-  /// BIT-IDENTICAL for any thread count — per-group slots are disjoint and
-  /// the per-FD candidate assembly runs serially in canonical group order.
+  /// Builds the incidence table over `index`'s groups. A fresh context, a
+  /// delta-patched index and a snapshot restore all build their table
+  /// here, at G·|Σ| word operations. `pool` shards the per-group incidence
+  /// computation (nullable = serial); the table is BIT-IDENTICAL for any
+  /// thread count — per-group slots are disjoint and the per-FD candidate
+  /// assembly runs serially in canonical group order.
   ViolationTable(const FDSet& sigma, const DifferenceSetIndex& index,
-                 exec::ThreadPool* pool = nullptr);
-
-  /// Restores a table from its serialized per-group incidence rows
-  /// (src/persist/): `fd_mask_rows[g]` is the precomputed FD mask of
-  /// index group g, the deactivating attribute masks are re-read from the
-  /// index, and the per-FD candidate assembly reruns in canonical order.
-  /// Bit-identical to a from-scratch build over the same (Σ, index).
-  /// Throws std::invalid_argument when the row count does not match the
-  /// index.
-  ViolationTable(const FDSet& sigma, const DifferenceSetIndex& index,
-                 std::vector<uint64_t> fd_mask_rows);
-
-  /// Incrementally maintains the table after `index` was patched by a
-  /// delta (same `sigma` as the build). A group's incidence row is a pure
-  /// function of (difference set, Σ), so preserved groups copy their old
-  /// rows through `old_to_new` and only changed/new groups recompute
-  /// (sharded on `pool`, nullable = serial); the per-FD candidate
-  /// assembly reruns in the new canonical order. Bit-identical to a
-  /// from-scratch build for any thread count. Returns the number of
-  /// groups whose incidence was recomputed. Requires external exclusion
-  /// against concurrent readers (the session's version layer provides it).
-  int ApplyPatch(const FDSet& sigma, const DifferenceSetIndex& index,
-                 const std::vector<int32_t>& old_to_new,
                  exec::ThreadPool* pool = nullptr);
 
   int num_fds() const { return num_fds_; }
@@ -101,17 +83,10 @@ class ViolationTable {
   /// Groups that can violate FD i regardless of extensions (Y_i = ∅).
   const GroupBitset& candidates(int i) const { return cand_mask_[i]; }
 
-  /// Per-group precomputed FD masks in canonical group order — the
-  /// serialization surface of src/persist/ (the deactivating attribute
-  /// masks are derivable from the difference-set index and are not saved).
+  /// Per-group precomputed FD masks in canonical group order.
   const std::vector<uint64_t>& fd_masks() const { return fd_mask_; }
 
  private:
-  /// Rebuilds cand_mask_ and the D_a bitsets from fd_mask_/diff_bits_
-  /// serially in canonical group order (shared by every constructor and
-  /// ApplyPatch).
-  void RebuildCandidates();
-
   int num_fds_ = 0;
   int num_groups_ = 0;
   int num_words_ = 0;  // ⌈num_groups_/64⌉

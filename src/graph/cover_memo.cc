@@ -8,74 +8,17 @@ CoverMemo::CoverMemo(std::vector<const std::vector<Edge>*> groups,
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
-CoverMemo::RebindStats CoverMemo::Rebind(
-    std::vector<const std::vector<Edge>*> groups, int32_t num_vertices,
-    const std::vector<int32_t>& old_to_new) {
+size_t CoverMemo::Reset(std::vector<const std::vector<Edge>*> groups,
+                        int32_t num_vertices) {
   std::lock_guard<std::mutex> lock(mu_);
-  RebindStats stats;
-  const int new_num_groups = static_cast<int>(groups.size());
-
-  std::unordered_map<GroupBitset, int32_t, GroupBitsetHash> set_memo;
-  set_memo.reserve(set_memo_.size());
-  for (const auto& [key, value] : set_memo_) {
-    GroupBitset remapped(new_num_groups);
-    bool alive = true;
-    key.ForEachSet([&](int g) {
-      int32_t ng = old_to_new[g];
-      if (ng < 0) {
-        alive = false;
-      } else if (alive) {
-        remapped.Set(ng);
-      }
-    });
-    if (alive) {
-      set_memo.emplace(std::move(remapped), value);
-      ++stats.entries_kept;
-    } else {
-      ++stats.entries_dropped;
-    }
-  }
-  set_memo_ = std::move(set_memo);
-
-  std::unordered_map<std::vector<int32_t>, int32_t, CodeVectorHash> seq_memo;
-  seq_memo.reserve(seq_memo_.size());
-  for (const auto& [seq, value] : seq_memo_) {
-    std::vector<int32_t> remapped;
-    remapped.reserve(seq.size());
-    bool alive = true;
-    for (int32_t g : seq) {
-      int32_t ng = old_to_new[g];
-      if (ng < 0) {
-        alive = false;
-        break;
-      }
-      remapped.push_back(ng);
-    }
-    if (alive) {
-      seq_memo.emplace(std::move(remapped), value);
-      ++stats.entries_kept;
-    } else {
-      ++stats.entries_dropped;
-    }
-  }
-  seq_memo_ = std::move(seq_memo);
-
-  // The prefix-resume hints attribute matchings to old group ids/positions;
-  // reset them (the mark arrays keep their capacity).
-  for (auto& s : set_scratch_) {
-    s->has_hint = false;
-    s->matched.clear();
-    s->matched_group.clear();
-  }
-  for (auto& s : seq_scratch_) {
-    s->has_hint = false;
-    s->matched.clear();
-    s->matched_pos.clear();
-  }
-
+  const size_t dropped = set_memo_.size() + seq_memo_.size();
+  set_memo_.clear();
+  seq_memo_.clear();
+  set_scratch_.clear();
+  seq_scratch_.clear();
   groups_ = std::move(groups);
   num_vertices_ = num_vertices;
-  return stats;
+  return dropped;
 }
 
 int32_t CoverMemo::CoverSize(const GroupBitset& key, bool* memo_hit) const {

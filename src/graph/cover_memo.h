@@ -24,10 +24,12 @@
 //    which is part of the key.
 //
 // Values are pure functions of the key, so caching can never change a
-// result — only wall-clock time — and the class is safe to share across
-// threads: lookups/inserts are mutex-guarded, computations run outside the
-// lock on pooled scratch owned by the memo and released when it dies (no
-// process-lifetime thread_local pinning).
+// result — only wall-clock time. The memo is only ever filled, preloaded
+// from a snapshot, or dropped wholesale when a delta re-ranks the groups
+// (Reset); it never translates keys between group families. The class is
+// safe to share across threads: lookups/inserts are mutex-guarded,
+// computations run outside the lock on pooled scratch owned by the memo
+// and released when it dies (no process-lifetime thread_local pinning).
 
 #ifndef RETRUST_GRAPH_COVER_MEMO_H_
 #define RETRUST_GRAPH_COVER_MEMO_H_
@@ -62,12 +64,6 @@ class CoverMemo {
     }
   };
 
-  /// What Rebind kept warm vs dropped (for ApplyStats/observability).
-  struct RebindStats {
-    size_t entries_kept = 0;
-    size_t entries_dropped = 0;
-  };
-
   /// The memo's cached covers in serialization form (src/persist/). Values
   /// are pure functions of their keys, so carrying entries across a
   /// save/load can only change wall-clock time, never a result.
@@ -83,20 +79,14 @@ class CoverMemo {
   CoverMemo(std::vector<const std::vector<Edge>*> groups,
             int32_t num_vertices, size_t max_entries = size_t{1} << 20);
 
-  /// Rebinds the memo to a delta-patched group family: `groups` replaces
-  /// the edge-list bindings and `old_to_new` is the IndexPatch id
-  /// translation (-1 = group changed or dropped). Cached covers whose key
-  /// touches only preserved groups are REMAPPED and stay warm — valid
-  /// because preserved groups keep their edge lists and their relative
-  /// order under the canonical (frequency, diff) ranking, so a fresh
-  /// ascending-order greedy scan of the remapped key replays the cached
-  /// one move for move. Everything else (and all prefix-resume scratch
-  /// hints, which are keyed by old ids) is dropped. Requires external
-  /// exclusion against concurrent queries (the session's version layer
-  /// provides it).
-  RebindStats Rebind(std::vector<const std::vector<Edge>*> groups,
-                     int32_t num_vertices,
-                     const std::vector<int32_t>& old_to_new);
+  /// Binds the memo to a new group family (a delta re-ranked the index):
+  /// `groups` replaces the edge-list bindings, and every cached cover and
+  /// every prefix-resume hint is dropped, since both name groups by their
+  /// old ids. stats() keeps counting across the call. Returns the number
+  /// of cached covers dropped. Requires external exclusion against
+  /// concurrent queries (the session's version layer provides it).
+  size_t Reset(std::vector<const std::vector<Edge>*> groups,
+               int32_t num_vertices);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
   /// ascending group-index order (the canonical state-evaluation order).

@@ -23,8 +23,8 @@ namespace {
 //   codes column-major (m columns of n i32 each, attribute order),
 //   encoded next_var (m i32), instance next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
-//   index{u32 groups; per group: u64 diff, u64 edges; i32 pairs},
-//   table rows (one u64 per group),
+//   index{u32 groups; per group: u64 diff, u64 edge count,
+//         edges (i32 u, i32 v each)},
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
 
@@ -179,8 +179,6 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
       w.I32(e.v);
     }
   }
-
-  for (uint64_t row : view.warm.table_rows) w.U64(row);
 
   w.U64(view.warm.covers.set_entries.size());
   for (const auto& [key, value] : view.warm.covers.set_entries) {
@@ -343,17 +341,6 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
       }
     }
     data.index = DifferenceSetIndex(std::move(groups));
-
-    const uint64_t fd_bits =
-        num_fds == 64 ? ~uint64_t{0} : (uint64_t{1} << num_fds) - 1;
-    data.warm.table_rows.resize(num_groups);
-    for (uint64_t& row : data.warm.table_rows) {
-      row = r.U64();
-      if ((row & ~fd_bits) != 0) {
-        return IoError("snapshot '" + path +
-                       "' has an incidence row naming a missing FD");
-      }
-    }
 
     const size_t words_per_key = (static_cast<size_t>(num_groups) + 63) / 64;
     const uint64_t num_set = r.U64();

@@ -5,11 +5,12 @@
 // A snapshot serializes everything a retrust::Session needs to answer
 // requests WITHOUT re-running the O(n²) conflict-graph/difference-set
 // build: the dictionary-encoded instance (with both fresh-variable
-// counters), Σ, the difference-set index, the violation table's incidence
-// rows, and the cover memo's cached values. Loading is a linear read plus
-// cheap reconstructions (dictionary indexes, candidate lists) — the
-// expensive pairwise phase is skipped entirely, and a restored session's
-// answers are bit-identical to a from-scratch build at any thread count.
+// counters), Σ, the difference-set index, and the cover memo's cached
+// values. Loading is a linear read plus cheap reconstructions (dictionary
+// indexes, and the violation table, built from Σ and the index exactly as
+// a fresh context builds it) — the expensive pairwise phase is skipped
+// entirely, and a restored session's answers are bit-identical to a
+// from-scratch build at any thread count.
 //
 // File layout (all integers little-endian):
 //
@@ -51,9 +52,10 @@ inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
 /// Version history: v1 stored row-major cell codes; v2 stored column-major
 /// codes (one contiguous column per attribute, matching EncodedInstance's
 /// SoA layout) plus a per-group pair tally for groups kept without edges;
-/// v3 (current) drops that field, since every group stores its edges.
-/// Older files report kVersionMismatch.
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+/// v3 dropped that field, since every group stores its edges; v4 (current)
+/// drops the violation table's incidence rows, which a restore rebuilds
+/// from Σ and the index. Older files report kVersionMismatch.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.
@@ -105,8 +107,8 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view);
 
 /// Reads and validates a snapshot. kIoError for unreadable, truncated,
 /// bit-flipped, or internally inconsistent files — including content a
-/// valid checksum cannot vouch for: FDs, difference sets, edges, incidence
-/// rows or cover-memo keys outside the shape the file itself declares.
+/// valid checksum cannot vouch for: FDs, difference sets, edges or
+/// cover-memo keys outside the shape the file itself declares.
 /// kVersionMismatch for a format version this build does not speak.
 Result<SnapshotData> ReadSnapshotFile(const std::string& path);
 

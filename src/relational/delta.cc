@@ -1,10 +1,35 @@
 #include "src/relational/delta.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace retrust {
+
+namespace {
+
+/// A variable written to column `attr` must name that column, and its
+/// index must be non-negative (a negative one encodes to a constant's
+/// dictionary code) with `index + 1` representable (the fresh-variable
+/// counters store it).
+void CheckVariable(const Value& v, AttrId attr, const char* where) {
+  if (!v.is_variable()) return;
+  const VarRef var = v.AsVariable();
+  if (var.attr != attr) {
+    throw std::invalid_argument(
+        std::string(where) + " writes a variable of attribute " +
+        std::to_string(var.attr) + " into attribute " + std::to_string(attr));
+  }
+  if (var.index < 0 || var.index == std::numeric_limits<int32_t>::max()) {
+    throw std::invalid_argument(std::string(where) +
+                                " variable index " +
+                                std::to_string(var.index) + " out of range");
+  }
+}
+
+}  // namespace
 
 DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
   DeltaPlan plan;
@@ -17,6 +42,9 @@ DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
           " does not match the " + std::to_string(num_attrs) +
           "-attribute schema");
     }
+    for (AttrId a = 0; a < num_attrs; ++a) {
+      CheckVariable(t[a], a, "delta insert");
+    }
   }
   for (const CellUpdate& u : delta.updates) {
     if (u.tuple < 0 || u.tuple >= num_tuples) {
@@ -27,6 +55,7 @@ DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
       throw std::invalid_argument("delta update attribute " +
                                   std::to_string(u.attr) + " out of range");
     }
+    CheckVariable(u.value, u.attr, "delta update");
   }
   std::vector<TupleId> dels = delta.deletes;
   std::sort(dels.begin(), dels.end(), std::greater<TupleId>());

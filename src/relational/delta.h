@@ -90,8 +90,9 @@ struct DeltaPlan {
 
 /// Resolves `delta` against a pre-delta instance with `num_tuples` rows and
 /// `num_attrs` columns. Throws std::invalid_argument on out-of-range ids,
-/// duplicate delete ids, or insert arity mismatches (before anything is
-/// applied, so a failed plan never leaves an instance half-mutated).
+/// duplicate delete ids, insert arity mismatches, or a variable that names
+/// another column or has an index outside [0, INT32_MAX) (before anything
+/// is applied, so a failed plan never leaves an instance half-mutated).
 DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs);
 
 }  // namespace retrust

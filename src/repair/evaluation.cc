@@ -29,26 +29,19 @@ DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, WarmState warm)
-    : table_(sigma, index, std::move(warm.table_rows)),
-      memo_(GroupEdgeLists(index), num_tuples) {
+    : DeltaPEvaluator(sigma, index, num_tuples) {
   memo_.Preload(std::move(warm.covers));
 }
 
 DeltaPEvaluator::WarmState DeltaPEvaluator::ExportWarmState() const {
-  WarmState warm;
-  warm.table_rows = table_.fd_masks();
-  warm.covers = memo_.ExportEntries();
-  return warm;
+  return WarmState{memo_.ExportEntries()};
 }
 
-DeltaPEvaluator::PatchStats DeltaPEvaluator::ApplyDelta(
-    const FDSet& sigma, const DifferenceSetIndex& index, int num_tuples,
-    const std::vector<int32_t>& old_to_new, exec::ThreadPool* pool) {
-  PatchStats stats;
-  stats.table_groups_recomputed =
-      table_.ApplyPatch(sigma, index, old_to_new, pool);
-  stats.memo = memo_.Rebind(GroupEdgeLists(index), num_tuples, old_to_new);
-  return stats;
+size_t DeltaPEvaluator::Rebuild(const FDSet& sigma,
+                                const DifferenceSetIndex& index,
+                                int num_tuples, exec::ThreadPool* pool) {
+  table_ = ViolationTable(sigma, index, pool);
+  return memo_.Reset(GroupEdgeLists(index), num_tuples);
 }
 
 std::vector<int> DeltaPEvaluator::ViolatedGroupIds(

@@ -9,10 +9,15 @@
 // ViolationTable and one CoverMemo serve every search, and every τ job of
 // an exec::Sweep, over a given (Σ, I).
 //
-// Every method is const and thread-safe, and every result is bit-identical
-// to the legacy per-state FD-set scans this layer replaced
+// Every const method is thread-safe, and every result is bit-identical to
+// the legacy per-state FD-set scans this layer replaced
 // (tests/evaluator_oracle_test.cc enforces the equivalence against
 // re-implementations of the legacy path).
+//
+// Both stages derive from the difference-set index and nothing else, so
+// the evaluator is never patched: after a delta it is rebuilt over the
+// patched index (a new table, an emptied memo), and a snapshot restore
+// builds the table the same way and preloads only the saved covers.
 
 #ifndef RETRUST_REPAIR_EVALUATION_H_
 #define RETRUST_REPAIR_EVALUATION_H_
@@ -38,19 +43,16 @@ class DeltaPEvaluator {
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
                   int num_tuples, const exec::Options& eopts = {});
 
-  /// The evaluator's serialized caches (src/persist/): the violation
-  /// table's incidence rows plus the memo's cached covers.
+  /// The evaluator's serialized cache (src/persist/): the memo's cached
+  /// covers. The violation table is not saved; a restore rebuilds it.
   struct WarmState {
-    std::vector<uint64_t> table_rows;
     CoverMemo::SnapshotEntries covers;
   };
 
   /// Restores an evaluator from a snapshot's warm state: the table is
-  /// rebuilt from its saved incidence rows (no per-group recomputation)
-  /// and the cover memo is pre-seeded. Answers are bit-identical to a
-  /// freshly built evaluator — cached cover values are pure functions of
-  /// their keys. Throws std::invalid_argument when `warm.table_rows` does
-  /// not match the index.
+  /// built exactly as a fresh evaluator builds it (serially) and the cover
+  /// memo is pre-seeded. Answers are bit-identical to a freshly built
+  /// evaluator — cached cover values are pure functions of their keys.
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
                   int num_tuples, WarmState warm);
 
@@ -58,22 +60,16 @@ class DeltaPEvaluator {
   /// given the same cache contents).
   WarmState ExportWarmState() const;
 
-  /// What a delta did to the evaluator's caches.
-  struct PatchStats {
-    int table_groups_recomputed = 0;
-    CoverMemo::RebindStats memo;
-  };
-
-  /// Incrementally maintains the evaluator after `index` (the SAME index
-  /// this evaluator was built over) was patched by a delta: preserved
-  /// incidence rows are copied, changed ones recomputed (sharded on
-  /// `pool`, nullable = serial), and cached covers over preserved groups
-  /// are remapped instead of dropped. Post-patch answers are bit-identical
-  /// to a freshly built evaluator. Requires external exclusion against
-  /// concurrent queries (the session's version layer provides it).
-  PatchStats ApplyDelta(const FDSet& sigma, const DifferenceSetIndex& index,
-                        int num_tuples, const std::vector<int32_t>& old_to_new,
-                        exec::ThreadPool* pool);
+  /// Rebuilds the evaluator in place over `index` (the SAME index object
+  /// it was built over) after a delta patched it: the table is built anew
+  /// (sharded on `pool`, nullable = serial) and the cover memo drops every
+  /// entry and binds the new edge lists. Post-rebuild answers are
+  /// bit-identical to a freshly built evaluator. In place because the gc
+  /// heuristic holds a pointer to this evaluator. Returns the number of
+  /// cached covers dropped. Requires external exclusion against concurrent
+  /// queries (the session's version layer provides it).
+  size_t Rebuild(const FDSet& sigma, const DifferenceSetIndex& index,
+                 int num_tuples, exec::ThreadPool* pool);
 
   const ViolationTable& table() const { return table_; }
   const CoverMemo& memo() const { return memo_; }

@@ -52,8 +52,8 @@ FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const std::vector<TupleId>& remap, exec::ThreadPool* pool) {
   DeltaReport report;
   report.index = index_.ApplyDelta(inst, sigma_, dirty, remap, pool);
-  report.evaluator = evaluator_->ApplyDelta(
-      sigma_, index_, inst.NumTuples(), report.index.old_to_new, pool);
+  report.covers_dropped =
+      evaluator_->Rebuild(sigma_, index_, inst.NumTuples(), pool);
   num_tuples_ = inst.NumTuples();
   heuristic_.SetNumTuples(inst.NumTuples());
   report.version = version_.fetch_add(1, std::memory_order_acq_rel) + 1;

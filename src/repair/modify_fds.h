@@ -132,11 +132,12 @@ class FdSearchContext {
                   DiffSetBuildMode mode = DiffSetBuildMode::kBlocked);
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
-  /// index and the evaluator's warm caches instead of paying the O(n²)
-  /// conflict-graph/difference-set build — the whole point of a snapshot.
+  /// index instead of paying the O(n²) conflict-graph/difference-set build
+  /// — the whole point of a snapshot — builds the violation table over it
+  /// as a fresh context does, and preloads the saved cover-memo entries.
   /// `index` and `warm` must have been exported from a context over the
   /// SAME (Σ, I); answers are then bit-identical to a fresh build at any
-  /// thread count. Throws std::invalid_argument on shape mismatches.
+  /// thread count. Throws std::invalid_argument when Σ has over 64 FDs.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts, DifferenceSetIndex index,
@@ -145,16 +146,16 @@ class FdSearchContext {
   /// Aggregate of what one delta did to this context's structures.
   struct DeltaReport {
     IndexPatch index;
-    DeltaPEvaluator::PatchStats evaluator;
+    size_t covers_dropped = 0;  ///< cover-memo entries the rebuild dropped
     uint64_t version = 0;  ///< the context version after the patch
   };
 
   /// Delta-maintains the context after `inst` — the SAME instance this
   /// context was built over — had a DeltaBatch applied in place (delta.h).
   /// `dirty`/`remap` come from the batch's DeltaPlan. The difference-set
-  /// index is patched in O(Δ·n) (sharded per `eopts`), the violation
-  /// table copies preserved incidence rows, and warm covers over
-  /// preserved groups are remapped; every post-delta answer is
+  /// index is patched in O(Δ·n) (sharded per `eopts`), then the δP
+  /// evaluator is rebuilt in place over it: a new violation table on the
+  /// same pool and an emptied cover memo. Every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
   /// for any thread count — an empty-LHS FD included, whose
   /// full-disagreement pairs are ordinary edges of the patch scan. Bumps

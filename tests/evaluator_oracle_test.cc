@@ -154,21 +154,10 @@ TEST(ExecEvaluationOracle, ViolationTableMatchesLegacyScanWideSigma) {
                            RandomStates(ctx, &rng, 120));
 }
 
-TEST(ExecEvaluationOracle, ViolationTableRestoredFromRowsMatchesLegacyScan) {
-  ExperimentData data = MakeData(31);
-  const FdSearchContext& ctx = data.context();
-  const ViolationTable& live = ctx.evaluator().table();
-  ViolationTable restored(ctx.sigma(), ctx.index(), live.fd_masks());
-  EXPECT_EQ(restored.fd_masks(), live.fd_masks());
-  Rng rng(31);
-  ExpectTableMatchesLegacy(ctx.sigma(), ctx.index(), restored,
-                           RandomStates(ctx, &rng, 60));
-}
-
 TEST(ExecEvaluationOracle, ViolationTablePatchedByDeltaMatchesLegacyScan) {
   // Random inserts, cell updates and deletes through Session::Apply, which
-  // patches the table with ApplyPatch. Values are copied from other cells
-  // of the same column, so every delta is well-typed.
+  // rebuilds the table over the patched index. Values are copied from
+  // other cells of the same column, so every delta is well-typed.
   ExperimentData data = MakeData(61);
   Session& session = *data.session;
   const int m = session.instance().NumAttrs();
@@ -197,7 +186,7 @@ TEST(ExecEvaluationOracle, ViolationTablePatchedByDeltaMatchesLegacyScan) {
     const ViolationTable& patched = ctx.evaluator().table();
     ExpectTableMatchesLegacy(ctx.sigma(), ctx.index(), patched,
                              RandomStates(ctx, &rng, 30));
-    // And the patch equals a from-scratch table over the patched index.
+    // And it equals a from-scratch table over the patched index.
     EXPECT_EQ(patched.fd_masks(),
               ViolationTable(ctx.sigma(), ctx.index()).fd_masks());
   }

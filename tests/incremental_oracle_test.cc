@@ -10,8 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -143,7 +147,7 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
     ExpectIndexEqual(ctx.index(), fresh.index());
     EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP()) << "step " << step;
 
-    // Cover answers through the (remapped) memo match a cold evaluator.
+    // Cover answers through the rebuilt evaluator match a cold one.
     for (int probe = 0; probe < 15; ++probe) {
       SearchState s = RandomState(rng, ctx.space());
       EXPECT_EQ(ctx.CoverSize(s, nullptr), fresh.CoverSize(s, nullptr))
@@ -256,6 +260,82 @@ TEST(IncrementalEdge, InvalidDeltasRejectedBeforeMutating) {
   EXPECT_EQ(session->DataVersion(), version);
 }
 
+// --- Variables in deltas: each case once as an insert, once as an update -
+
+class DeltaVariable : public ::testing::Test {
+ protected:
+  /// Five rows over A (3 constants: "a", "b", "c"), B, C with A -> B.
+  void SetUp() override {
+    Instance inst(Schema::FromNames({"A", "B", "C"}));
+    const char* rows[][3] = {{"a", "x", "p"}, {"a", "y", "p"},
+                             {"b", "x", "q"}, {"c", "z", "q"},
+                             {"b", "x", "p"}};
+    for (const auto& row : rows) {
+      inst.AddTuple({Value(row[0]), Value(row[1]), Value(row[2])});
+    }
+    FDSet sigma;
+    sigma.Add(FD{AttrSet{0}, 1});
+    Result<Session> opened = Session::Open(std::move(inst), std::move(sigma));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    session_.emplace(std::move(*opened));
+  }
+
+  /// Writes `v` into column A as an insert and as an update; both must be
+  /// refused with kInvalidArgument and leave the session untouched.
+  void ExpectRejected(const Value& v) {
+    const std::string before = session_->instance().ToTable();
+    const uint64_t version = session_->DataVersion();
+    DeltaBatch insert;
+    insert.Insert({v, Value("x"), Value("p")});
+    DeltaBatch update;
+    update.Update(2, 0, v);
+    for (const DeltaBatch* batch : {&insert, &update}) {
+      Result<ApplyStats> applied = session_->Apply(*batch);
+      ASSERT_FALSE(applied.ok());
+      EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(session_->instance().ToTable(), before);
+    EXPECT_EQ(session_->data().Decode().ToTable(), before);
+    EXPECT_EQ(session_->DataVersion(), version);
+  }
+
+  std::optional<Session> session_;
+};
+
+TEST_F(DeltaVariable, IndexMinusFiveIsRejected) {
+  // Encodes to code 4, past column A's 3-entry dictionary.
+  ExpectRejected(Value::Variable(0, -5));
+}
+
+TEST_F(DeltaVariable, IndexMinusOneIsRejected) {
+  // Encodes to code 0, which would alias the constant "a".
+  ExpectRejected(Value::Variable(0, -1));
+}
+
+TEST_F(DeltaVariable, IndexInt32MaxIsRejected) {
+  // The fresh-variable counters would store index + 1.
+  ExpectRejected(Value::Variable(0, std::numeric_limits<int32_t>::max()));
+}
+
+TEST_F(DeltaVariable, VariableOfAnotherAttributeIsRejected) {
+  ExpectRejected(Value::Variable(1, 0));
+}
+
+TEST_F(DeltaVariable, InRangeVariablesApplyAndDecodeAlike) {
+  DeltaBatch batch;
+  batch.Insert({Value::Variable(0, 0), Value::Variable(1, 7), Value("p")});
+  batch.Update(2, 0,
+               Value::Variable(0, std::numeric_limits<int32_t>::max() - 1));
+  Result<ApplyStats> applied = session_->Apply(batch);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(session_->data().Decode().ToTable(),
+            session_->instance().ToTable());
+  Result<Session> fresh = Session::Open(session_->instance(),
+                                        session_->context().sigma());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(session_->RootDeltaP(), fresh->RootDeltaP());
+}
+
 // --- Session-level oracle: Apply == fresh Open over the mutated data -----
 
 TEST(IncrementalSession, ApplyMatchesFreshOpen) {
@@ -310,11 +390,62 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   ASSERT_TRUE(session->SetFds(TestSigma()).ok());
   ASSERT_EQ(session->CachedContexts().cached, 2u);
 
+  // Warm both memos, then record each context's entries and counters
+  // (switching Σ to a cached context is a cache hit, not a rebuild).
+  const std::vector<FDSet> sigmas = {TestSigma(), alt};
+  size_t entries_before = 0;
+  std::vector<CoverMemo::Stats> stats_before;
+  for (const FDSet& sigma : sigmas) {
+    ASSERT_TRUE(session->SetFds(sigma).ok());
+    for (double tau_r : {0.0, 0.5, 1.0}) {
+      ASSERT_TRUE(session->Search(RepairRequest::AtRelative(tau_r)).ok());
+    }
+    const CoverMemo& memo = session->context().evaluator().memo();
+    entries_before += memo.entries();
+    stats_before.push_back(memo.stats());
+  }
+  ASSERT_GT(entries_before, 0u);
+  ASSERT_TRUE(session->SetFds(TestSigma()).ok());
+
   DeltaBatch delta;
   for (int i = 0; i < 5; ++i) delta.Insert(RandomTuple(rng, 5, 2));
   Result<ApplyStats> stats = session->Apply(delta);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->contexts_patched, 2);
+  EXPECT_EQ(stats->covers_dropped, entries_before);
+  EXPECT_EQ(stats->covers_kept, 0u);
+  for (size_t k = 0; k < sigmas.size(); ++k) {
+    ASSERT_TRUE(session->SetFds(sigmas[k]).ok());
+    const CoverMemo& memo = session->context().evaluator().memo();
+    // Apply re-derives each context's root δP after the drop, so the one
+    // entry left is the root's cover: a miss, with no hit on anything old.
+    EXPECT_EQ(memo.entries(), 1u) << "context " << k;
+    const CoverMemo::Stats after = memo.stats();
+    EXPECT_EQ(after.hits, stats_before[k].hits) << "context " << k;
+    EXPECT_EQ(after.misses, stats_before[k].misses + 1) << "context " << k;
+    EXPECT_GE(after.groups_scanned, stats_before[k].groups_scanned);
+    EXPECT_GE(after.groups_resumed, stats_before[k].groups_resumed);
+  }
+  ASSERT_TRUE(session->SetFds(TestSigma()).ok());
+  EXPECT_EQ(session->CachedContexts().cached, 2u);
+
+  // Without the session's root refill, a delta leaves the memo empty.
+  Instance inst = RandomInstance(rng, 25, 5, 3);
+  EncodedInstance enc(inst);
+  CardinalityWeight weights;
+  FdSearchContext ctx(TestSigma(), enc, weights);
+  ASSERT_TRUE(ModifyFds(ctx, ctx.RootDeltaP() / 2).repair.has_value());
+  const size_t warm = ctx.evaluator().memo().entries();
+  ASSERT_GT(warm, 0u);
+  DeltaBatch more;
+  more.Insert(RandomTuple(rng, 5, 3)).Delete(0);
+  DeltaPlan plan = PlanDelta(more, enc.NumTuples(), 5);
+  inst.ApplyDelta(more, plan);
+  enc.ApplyDelta(more, plan);
+  FdSearchContext::DeltaReport report =
+      ctx.ApplyDelta(enc, plan.dirty, plan.remap);
+  EXPECT_EQ(report.covers_dropped, warm);
+  EXPECT_EQ(ctx.evaluator().memo().entries(), 0u);
 
   // BOTH contexts must answer for the post-delta data — switching Σ after
   // the delta reuses the patched cache, matching a fresh session.

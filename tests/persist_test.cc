@@ -418,13 +418,6 @@ TEST_F(SnapshotContent, CoverKeyNamingAMissingGroupIsIoError) {
   ExpectRejected("cover key bit == num_groups");
 }
 
-TEST_F(SnapshotContent, IncidenceRowNamingAMissingFdIsIoError) {
-  Resave([](persist::SnapshotData* data) {
-    data->warm.table_rows[0] |= uint64_t{1} << data->sigma.size();
-  });
-  ExpectRejected("incidence bit == |sigma|");
-}
-
 TEST_F(SnapshotContent, NegativeFreshVariableCounterIsIoError) {
   Resave([](persist::SnapshotData* data) {
     data->instance_next_var[0] = -1;
