@@ -190,10 +190,10 @@ def main():
             assert ts.get("ok") and ts["loaded"], ts
             assert ts["num_tuples"] == base_rows + 4, ts  # 4 delta inserts
             assert ts["data_version"] == 5, ts            # 1 + 4 applies
-            assert ts["cache"]["contexts"], ts
+            assert ts["bytes_estimate"] > 0, ts
             print(f"tenant {tenant}: n={ts['num_tuples']} "
                   f"v={ts['data_version']} "
-                  f"cache_bytes={ts['cache']['bytes_estimate']}")
+                  f"context_bytes={ts['bytes_estimate']}")
 
         # --- warm-restart phase -----------------------------------------
         # Baseline answers of the delta-mutated tenant, then a consistent-

@@ -7,49 +7,23 @@
 #include "src/persist/snapshot.h"
 #include "src/relational/csv.h"
 #include "src/repair/weights.h"
-#include "src/util/hash.h"
 #include "src/util/timer.h"
 
 namespace retrust {
 
 namespace {
 
-/// Cache key of a context: everything FdSearchContext construction consumes
-/// besides the (fixed) dataset. Collisions are disambiguated by the Σ
-/// equality probe in BundleFor.
-uint64_t Fingerprint(const FDSet& sigma, const SessionOptions& opts) {
-  uint64_t seed = 0x5e55104eULL;  // "session"
-  for (const FD& fd : sigma.fds()) {
-    HashCombine(&seed, fd.lhs.bits());
-    HashCombine(&seed, static_cast<uint64_t>(static_cast<uint32_t>(fd.rhs)));
+std::unique_ptr<WeightFunction> MakeWeights(WeightModel model,
+                                            const EncodedInstance& data) {
+  switch (model) {
+    case WeightModel::kCardinality:
+      return std::make_unique<CardinalityWeight>();
+    case WeightModel::kEntropy:
+      return std::make_unique<EntropyWeight>(data);
+    case WeightModel::kDistinctCount:
+      break;
   }
-  HashCombine(&seed, static_cast<uint64_t>(opts.weights));
-  HashCombine(&seed, static_cast<uint64_t>(opts.heuristic.max_diffsets));
-  HashCombine(&seed, static_cast<uint64_t>(opts.heuristic.max_nodes));
-  HashCombine(&seed, opts.heuristic.strict_leave_check ? 1u : 0u);
-  HashCombine(&seed, static_cast<uint64_t>(opts.exec.ResolvedThreads()));
-  return seed;
-}
-
-/// Conflict edges held by a context's difference-set index — the sizing
-/// weight of the byte-accurate cache bound.
-int64_t IndexEdges(const FdSearchContext& ctx) {
-  int64_t edges = 0;
-  for (const DiffSetGroup& g : ctx.index().groups()) {
-    edges += g.frequency();
-  }
-  return edges;
-}
-
-/// Edge-weighted memory estimate of one cached context. Edge storage
-/// dominates (every group keeps its edge list and the violation table and
-/// cover memo scale with groups, not tuples); the per-group constant
-/// covers the group record, its incidence row, and memo bookkeeping.
-size_t EstimateContextBytes(int64_t edges, int num_groups) {
-  constexpr size_t kPerGroup = 128;
-  return static_cast<size_t>(edges) * sizeof(Edge) +
-         static_cast<size_t>(num_groups) * kPerGroup +
-         sizeof(FdSearchContext);
+  return std::make_unique<DistinctCountWeight>(data);
 }
 
 Status NoRepairStatus(SearchTermination termination, int64_t tau) {
@@ -101,14 +75,16 @@ Session::Session(Instance data, SessionOptions opts)
     : instance_(std::make_unique<Instance>(std::move(data))),
       encoded_(std::make_unique<EncodedInstance>(*instance_)),
       opts_(opts),
-      mu_(std::make_unique<std::mutex>()),
+      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
+                                            : nullptr),
       state_mu_(std::make_unique<std::shared_mutex>()) {}
 
 Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
     : instance_(std::make_unique<Instance>(std::move(data))),
       encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
       opts_(opts),
-      mu_(std::make_unique<std::mutex>()),
+      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
+                                            : nullptr),
       state_mu_(std::make_unique<std::shared_mutex>()) {}
 
 Result<Session> Session::Open(Instance data, FDSet sigma,
@@ -185,37 +161,22 @@ Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
   Status status = Validate(sigma);
   if (!status.ok()) return status;
   try {
-    const uint64_t fp = Fingerprint(sigma, opts_);
-    std::lock_guard<std::mutex> lock(*mu_);
-    const WeightFunction* weights = &WeightFor(opts_.weights);
-    auto bundle = std::make_shared<ContextBundle>();
-    bundle->sigma = std::move(sigma);
-    bundle->weights = weights;
-    bundle->context = std::make_unique<FdSearchContext>(
-        bundle->sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
+    std::unique_ptr<WeightFunction> weights =
+        MakeWeights(opts_.weights, *encoded_);
+    auto context = std::make_unique<FdSearchContext>(
+        sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
         std::move(warm));
-    bundle->sweep = std::make_unique<exec::Sweep>(*bundle->context, *encoded_,
-                                                 opts_.exec,
-                                                 opts_.shared_pool);
-    bundle->root_delta_p = bundle->context->RootDeltaP();
-    if (bundle->root_delta_p != expected_root_delta_p) {
-      return Status::Error(
-          StatusCode::kIoError,
-          "snapshot failed its restore self-check: recomputed root deltaP " +
-              std::to_string(bundle->root_delta_p) + " != saved " +
-              std::to_string(expected_root_delta_p));
-    }
-    bundle->edges = IndexEdges(*bundle->context);
-    bundle->bytes = EstimateContextBytes(bundle->edges,
-                                         bundle->context->index().size());
-    bundle->last_used = ++use_clock_;
-    ++cache_misses_;  // a restore builds (cheaply); it did not hit the cache
-    cache_[fp].push_back(bundle);
-    active_fingerprint_ = fp;
-    active_ = std::move(bundle);
+    Install(std::move(weights), std::move(context));
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kIoError,
                          std::string("snapshot restore failed: ") + e.what());
+  }
+  if (root_delta_p_ != expected_root_delta_p) {
+    return Status::Error(
+        StatusCode::kIoError,
+        "snapshot failed its restore self-check: recomputed root deltaP " +
+            std::to_string(root_delta_p_) + " != saved " +
+            std::to_string(expected_root_delta_p));
   }
   return Status::Ok();
 }
@@ -225,17 +186,17 @@ Status Session::SaveSnapshot(const std::string& path) const {
   try {
     persist::SnapshotView view;
     view.fingerprint = persist::ConfigFingerprint(
-        active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
     view.data_stamp = persist::DataStamp(*encoded_);
     view.data_version = data_version_;
-    view.root_delta_p = active_->root_delta_p;
+    view.root_delta_p = root_delta_p_;
     view.weight_model = static_cast<uint8_t>(opts_.weights);
     view.heuristic = opts_.heuristic;
     view.encoded = encoded_.get();
     view.instance_next_var = &instance_->next_var_counters();
-    view.sigma = &active_->sigma;
-    view.index = &active_->context->index();
-    view.warm = active_->context->evaluator().ExportWarmState();
+    view.sigma = &fds();
+    view.index = &context_->index();
+    view.warm = context_->evaluator().ExportWarmState();
     return persist::WriteSnapshotFile(path, view);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
@@ -245,7 +206,7 @@ Status Session::SaveSnapshot(const std::string& path) const {
 Status Session::EnableJournal(const std::string& path) {
   std::unique_lock<std::shared_mutex> snapshot(*state_mu_);
   const uint64_t fp = persist::ConfigFingerprint(
-      active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+      fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec) && !ec &&
                       std::filesystem::file_size(path, ec) > 0 && !ec;
@@ -286,7 +247,7 @@ Result<int> Session::ReplayJournal(const std::string& path) {
           "would be re-logged); replay first, then EnableJournal");
     }
     const uint64_t fp = persist::ConfigFingerprint(
-        active_->sigma, static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
     if (contents->header.fingerprint != fp) {
       return Status::Error(
           StatusCode::kSchemaMismatch,
@@ -340,110 +301,47 @@ Status Session::Validate(const FDSet& sigma) const {
   return Status::Ok();
 }
 
-const WeightFunction& Session::WeightFor(WeightModel model) {
-  std::unique_ptr<WeightFunction>& slot = weight_cache_[static_cast<int>(model)];
-  if (slot == nullptr) {
-    switch (model) {
-      case WeightModel::kDistinctCount:
-        slot = std::make_unique<DistinctCountWeight>(*encoded_);
-        break;
-      case WeightModel::kCardinality:
-        slot = std::make_unique<CardinalityWeight>();
-        break;
-      case WeightModel::kEntropy:
-        slot = std::make_unique<EntropyWeight>(*encoded_);
-        break;
-    }
-  }
-  return *slot;
-}
-
-std::shared_ptr<Session::ContextBundle> Session::BundleFor(FDSet sigma) {
-  const uint64_t fp = Fingerprint(sigma, opts_);
-  std::lock_guard<std::mutex> lock(*mu_);
-  const WeightFunction* weights = &WeightFor(opts_.weights);
-  std::vector<std::shared_ptr<ContextBundle>>& bucket = cache_[fp];
-  // Σ/weights equality disambiguates genuine 64-bit collisions.
-  for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-    if (bundle->sigma == sigma && bundle->weights == weights) {
-      ++cache_hits_;
-      ++bundle->hits;
-      bundle->last_used = ++use_clock_;
-      active_fingerprint_ = fp;
-      return bundle;
-    }
-  }
-  ++cache_misses_;
-  auto bundle = std::make_shared<ContextBundle>();
-  bundle->sigma = std::move(sigma);
-  bundle->weights = weights;
-  bundle->context = std::make_unique<FdSearchContext>(
-      bundle->sigma, *encoded_, *bundle->weights, opts_.heuristic,
-      opts_.exec);
-  bundle->sweep = std::make_unique<exec::Sweep>(*bundle->context, *encoded_,
-                                               opts_.exec, opts_.shared_pool);
-  bundle->root_delta_p = bundle->context->RootDeltaP();
-  bundle->edges = IndexEdges(*bundle->context);
-  bundle->bytes = EstimateContextBytes(bundle->edges,
-                                       bundle->context->index().size());
-  bundle->last_used = ++use_clock_;
-  bucket.push_back(bundle);
-  active_fingerprint_ = fp;
-  return bundle;
-}
-
-void Session::EvictIfNeeded() {
-  if (opts_.max_cached_contexts == 0 && opts_.max_cached_bytes == 0) return;
-  std::lock_guard<std::mutex> lock(*mu_);
-  auto over_budget = [this] {
-    size_t n = 0;
-    size_t bytes = 0;
-    for (const auto& [fp, bucket] : cache_) {
-      n += bucket.size();
-      for (const std::shared_ptr<ContextBundle>& b : bucket) bytes += b->bytes;
-    }
-    return (opts_.max_cached_contexts != 0 &&
-            n > opts_.max_cached_contexts) ||
-           (opts_.max_cached_bytes != 0 && bytes > opts_.max_cached_bytes);
-  };
-  while (over_budget()) {
-    // Oldest last_used wins; the active context is exempt so the cache
-    // always answers for the live Σ.
-    std::map<uint64_t,
-             std::vector<std::shared_ptr<ContextBundle>>>::iterator
-        victim_bucket = cache_.end();
-    size_t victim_slot = 0;
-    uint64_t victim_age = 0;
-    bool found = false;
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      for (size_t i = 0; i < it->second.size(); ++i) {
-        const ContextBundle* b = it->second[i].get();
-        if (b == active_.get()) continue;
-        if (!found || b->last_used < victim_age) {
-          victim_bucket = it;
-          victim_slot = i;
-          victim_age = b->last_used;
-          found = true;
-        }
-      }
-    }
-    if (!found) return;  // only the active bundle left
-    victim_bucket->second.erase(victim_bucket->second.begin() + victim_slot);
-    if (victim_bucket->second.empty()) cache_.erase(victim_bucket);
-    ++cache_evictions_;
-  }
-}
-
-Status Session::SetFds(FDSet sigma) {
+Status Session::Switch(FDSet sigma, WeightModel model) {
   Status status = Validate(sigma);
   if (!status.ok()) return status;
+  std::unique_lock<std::shared_mutex> snapshot(*state_mu_);
+  if (journal_ != nullptr) {
+    return Status::Error(
+        StatusCode::kInvalidArgument,
+        "cannot change the FDs or weights while a journal is attached (its "
+        "records are bound to the configuration it was opened under)");
+  }
   try {
-    active_ = BundleFor(std::move(sigma));
-    EvictIfNeeded();
+    Build(sigma, model);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
   }
+  opts_.weights = model;
   return Status::Ok();
+}
+
+void Session::Build(const FDSet& sigma, WeightModel model) {
+  std::unique_ptr<WeightFunction> weights = MakeWeights(model, *encoded_);
+  auto context = std::make_unique<FdSearchContext>(
+      sigma, *encoded_, *weights, opts_.heuristic, opts_.exec);
+  Install(std::move(weights), std::move(context));
+}
+
+void Session::Install(std::unique_ptr<WeightFunction> weights,
+                      std::unique_ptr<FdSearchContext> context) {
+  auto sweep =
+      std::make_unique<exec::Sweep>(*context, *encoded_, opts_.exec, pool());
+  const int64_t root = context->RootDeltaP();
+  // Nothing below throws. The old sweep goes before the context it reads,
+  // and the old context before the weights it reads.
+  sweep_ = std::move(sweep);
+  context_ = std::move(context);
+  weights_ = std::move(weights);
+  root_delta_p_ = root;
+}
+
+Status Session::SetFds(FDSet sigma) {
+  return Switch(std::move(sigma), opts_.weights);
 }
 
 Status Session::SetFds(const std::vector<std::string>& fd_texts) {
@@ -453,12 +351,7 @@ Status Session::SetFds(const std::vector<std::string>& fd_texts) {
 }
 
 Status Session::SetWeights(WeightModel weights) {
-  FDSet sigma = active_->sigma;
-  WeightModel previous = opts_.weights;
-  opts_.weights = weights;
-  Status status = SetFds(std::move(sigma));
-  if (!status.ok()) opts_.weights = previous;  // failed switch changes nothing
-  return status;
+  return Switch(fds(), weights);
 }
 
 Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
@@ -493,69 +386,28 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
   try {
     instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
-    bool patch_failed = false;
-    {
-      std::lock_guard<std::mutex> lock(*mu_);
-      // Memoized projections are stale against the mutated instance; they
-      // refill lazily on the next Weight() call.
-      for (auto& [model, weights] : weight_cache_) weights->Invalidate();
-      // Patch EVERY cached context (they all read the one shared encoded
-      // instance, so none may survive un-patched), re-pin each sweep.
-      // One session-cached pool serves every Apply — no per-batch or
-      // per-context thread churn on the streaming append path.
-      try {
-        exec::ThreadPool* pool = opts_.shared_pool;
-        if (pool == nullptr) {
-          if (apply_pool_ == nullptr) apply_pool_ = exec::MakePool(opts_.exec);
-          pool = apply_pool_.get();
-        }
-        for (auto& [fp, bucket] : cache_) {
-          for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-            FdSearchContext::DeltaReport report =
-                bundle->context->ApplyDelta(*encoded_, plan.dirty,
-                                            plan.remap, pool);
-            bundle->root_delta_p = bundle->context->RootDeltaP();
-            bundle->edges = IndexEdges(*bundle->context);
-            bundle->bytes = EstimateContextBytes(
-                bundle->edges, bundle->context->index().size());
-            bundle->sweep->Refresh();
-            ++stats.contexts_patched;
-            stats.edges_removed += report.index.edges_removed;
-            stats.edges_added += report.index.edges_added;
-            stats.groups_preserved += report.index.groups_preserved;
-            stats.groups_changed += report.index.groups_changed;
-            stats.covers_dropped += report.covers_dropped;
-          }
-        }
-      } catch (...) {
-        // A half-patched cache over the already-mutated instance would be
-        // silently wrong (stale tuple ids, unbumped versions). Fall back
-        // to consistency over warmth: drop every context and rebuild the
-        // active Σ from scratch below.
-        patch_failed = true;
-        cache_.clear();
-      }
-    }
-    if (patch_failed) {
-      stats = ApplyStats{};
-      stats.tuples_inserted = static_cast<int>(delta.inserts.size());
-      stats.tuples_updated = static_cast<int>(delta.updates.size());
-      stats.tuples_deleted = static_cast<int>(delta.deletes.size());
-      std::shared_ptr<ContextBundle> fresh =
-          BundleFor(active_->sigma);  // fresh over the mutated data
-      {
-        // CachedContexts reads active_ under mu_; publish likewise.
-        std::lock_guard<std::mutex> lock(*mu_);
-        active_ = std::move(fresh);
-      }
-      stats.contexts_patched = 1;
-      stats.groups_changed = active_->context->index().size();
+    // Memoized projections are stale against the mutated instance; they
+    // refill lazily on the next Weight() call.
+    weights_->Invalidate();
+    stats.contexts_patched = 1;
+    try {
+      FdSearchContext::DeltaReport report =
+          context_->ApplyDelta(*encoded_, plan.dirty, plan.remap, pool());
+      root_delta_p_ = context_->RootDeltaP();
+      sweep_->Refresh();
+      stats.edges_removed = report.index.edges_removed;
+      stats.edges_added = report.index.edges_added;
+      stats.groups_preserved = report.index.groups_preserved;
+      stats.groups_changed = report.index.groups_changed;
+      stats.covers_dropped = report.covers_dropped;
+    } catch (...) {
+      // A half-patched context over the already-mutated instance would be
+      // silently wrong (stale tuple ids, unbumped version). Fall back to
+      // consistency over warmth: rebuild it from scratch.
+      Build(fds(), opts_.weights);
+      stats.groups_changed = context_->index().size();
     }
     ++data_version_;
-    // Deltas grow contexts in place (bundle->bytes was just refreshed), so
-    // the byte bound must be re-enforced here, not only on SetFds — an
-    // append-heavy tenant would otherwise outgrow it unchecked.
-    EvictIfNeeded();
   } catch (const std::exception& e) {
     // Only the in-place instance mutation or the from-scratch fallback can
     // land here (e.g. OOM); the session may be unusable.
@@ -575,7 +427,7 @@ Result<int64_t> Session::ResolveTau(const RepairRequest& req) const {
     return Status::Error(StatusCode::kInvalidArgument,
                          "request sets neither tau nor tau_r");
   }
-  return CheckedTauFromRelative(req.tau_r, RootDeltaPLocked());
+  return CheckedTauFromRelative(req.tau_r, root_delta_p_);
 }
 
 ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
@@ -614,7 +466,7 @@ Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
     opts.search = SearchOptions(req);
     opts.seed = req.seed;
     RepairOutcome outcome =
-        RunRepair(*active_->context, *encoded_, *tau, opts);
+        RunRepair(*context_, *encoded_, *tau, opts);
     if (session_span != nullptr) {
       const double total = timer.ElapsedSeconds();
       obs::TraceSpan* search_span = session_span->StartChild("search");
@@ -691,7 +543,7 @@ std::vector<Result<RepairResponse>> Session::RepairMany(
         return job;
       },
       [this](const std::vector<exec::SweepJob>& jobs) {
-        return active_->sweep->RunRepairs(jobs);
+        return sweep_->RunRepairs(jobs);
       },
       [](exec::SweepOutcome out,
          const exec::SweepJob&) -> Result<RepairResponse> {
@@ -715,7 +567,7 @@ Result<SearchProbe> Session::Search(const RepairRequest& req) const {
     Timer timer;
     SearchProbe probe;
     probe.tau = *tau;
-    probe.result = ModifyFds(*active_->context, *tau, SearchOptions(req));
+    probe.result = ModifyFds(*context_, *tau, SearchOptions(req));
     probe.seconds = timer.ElapsedSeconds();
     return probe;
   } catch (const std::exception& e) {
@@ -735,7 +587,7 @@ std::vector<Result<SearchProbe>> Session::SearchMany(
         return job;
       },
       [this](const std::vector<exec::SearchJob>& jobs) {
-        return active_->sweep->RunSearches(jobs);
+        return sweep_->RunSearches(jobs);
       },
       [](ModifyFdsResult out, const exec::SearchJob& job) -> Result<SearchProbe> {
         SearchProbe probe;
@@ -758,7 +610,7 @@ Result<MultiRepairResult> Session::EnumerateRepairs(int64_t tau_lo,
   try {
     ModifyFdsOptions opts;
     opts.heuristic = opts_.heuristic;
-    return FindRepairsFds(*active_->context, tau_lo, tau_hi, opts);
+    return FindRepairsFds(*context_, tau_lo, tau_hi, opts);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
   }
@@ -776,41 +628,19 @@ int Session::NumTuples() const {
 
 int64_t Session::RootDeltaP() const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return RootDeltaPLocked();
+  return root_delta_p_;
 }
 
-const FDSet& Session::fds() const { return active_->sigma; }
-
-const FdSearchContext& Session::context() const { return *active_->context; }
-
-const WeightFunction& Session::weights() const { return *active_->weights; }
-
-uint64_t Session::ContextFingerprint() const {
+size_t Session::ContextBytesEstimate() const {
+  constexpr size_t kPerGroup = 128;
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return active_fingerprint_;
-}
-
-ContextCacheStats Session::CachedContexts() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  ContextCacheStats stats;
-  for (const auto& [fp, bucket] : cache_) {
-    for (const std::shared_ptr<ContextBundle>& bundle : bucket) {
-      CachedContextInfo info;
-      info.fingerprint = fp;
-      info.active = bundle.get() == active_.get();
-      info.hits = bundle->hits;
-      info.age = use_clock_ - bundle->last_used;
-      info.edges = bundle->edges;
-      info.bytes_estimate = bundle->bytes;
-      stats.bytes_estimate += bundle->bytes;
-      stats.contexts.push_back(info);
-      ++stats.cached;
-    }
+  size_t edges = 0;
+  for (const DiffSetGroup& g : context_->index().groups()) {
+    edges += static_cast<size_t>(g.frequency());
   }
-  stats.hits = cache_hits_;
-  stats.misses = cache_misses_;
-  stats.evictions = cache_evictions_;
-  return stats;
+  return edges * sizeof(Edge) +
+         static_cast<size_t>(context_->index().size()) * kPerGroup +
+         sizeof(FdSearchContext);
 }
 
 }  // namespace retrust

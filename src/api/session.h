@@ -3,11 +3,11 @@
 // Algorithm 1 is a service-shaped computation: one τ-independent context
 // (conflict graph, difference-set index, violation table, cover memo)
 // answers many (τ, options) repair requests. A Session owns that shape so
-// callers do not wire it by hand: it holds the dataset and Σ, builds the
-// FdSearchContext lazily per (Σ, weights, heuristic, exec) fingerprint, and
-// keeps every context it ever built in a cache — switching Σ back and forth
-// (SetFds) reuses the warm violation table and cover memo exactly like the
-// τ jobs of an exec::Sweep do.
+// callers do not wire it by hand: it holds the dataset and Σ, and exactly
+// one FdSearchContext over them, with its exec::Sweep and weight function.
+// Exploring relative trust means changing τ, which reuses the warm context;
+// SetFds/SetWeights build a fresh context over the live data and replace
+// the current one.
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
@@ -19,21 +19,18 @@
 //
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
 // to call concurrently — batched requests additionally fan out on the
-// session's own exec::Sweep pool. Apply() may ALSO run concurrently with
-// the const request methods: requests take a shared snapshot lock and a
-// delta takes it exclusively, so every request observes either the whole
-// pre-delta or the whole post-delta state, never a mix (the exec::Sweep
-// version pin double-checks this). The remaining mutating methods
-// (SetFds, SetWeights) require external exclusion against everything
-// else, like any C++ object.
+// session's exec::Sweep pool. Apply(), SetFds() and SetWeights() may ALSO
+// run concurrently with them: requests take a shared snapshot lock and the
+// mutators take it exclusively, so every request observes either the whole
+// old or the whole new state, never a mix (the exec::Sweep version pin
+// double-checks this for deltas). Only the reference-returning accessors
+// (instance(), fds(), context(), weights()) are unsynchronized.
 
 #ifndef RETRUST_API_SESSION_H_
 #define RETRUST_API_SESSION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -53,77 +50,43 @@ namespace retrust {
 /// Which w(Y) weighting the session's distc uses (weights.h).
 enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 
-/// Session-wide configuration, part of the context-cache fingerprint.
+/// Session-wide configuration.
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
   /// Shards context construction AND sizes the pool batched requests
-  /// (RepairMany/SearchMany) fan out on. Results are bit-identical for any
-  /// thread count (DESIGN.md).
+  /// (RepairMany/SearchMany) and Apply() run on. Results are bit-identical
+  /// for any thread count (DESIGN.md).
   exec::Options exec;
-  /// Upper bound on cached FdSearchContexts (0 = unbounded). When SetFds/
-  /// SetWeights would push the cache past the bound, the least-recently
-  /// used non-active context is evicted (size+age LRU); revisiting an
-  /// evicted fingerprint rebuilds it. Not part of the context fingerprint.
-  size_t max_cached_contexts = 0;
-  /// Byte-accurate companion bound (0 = unbounded): each cached context is
-  /// weighed by its difference-set EDGE COUNT (edge storage dominates a
-  /// context's footprint) instead of counting 1, and LRU eviction runs
-  /// until the estimated total fits. Both bounds may be set; the active
-  /// context is always exempt. Not part of the context fingerprint.
-  size_t max_cached_bytes = 0;
-  /// Optional externally-owned pool (nullable) the session's sweeps and
-  /// Apply() schedule on instead of spawning private workers — a process
-  /// holding many sessions (one per tenant, src/service/) shares ONE pool
-  /// across all of them. Must outlive the session. Not part of the
-  /// context fingerprint.
+  /// Optional externally-owned pool (nullable) the session's sweep and
+  /// Apply() schedule on instead of the one the session would make from
+  /// `exec` — a process holding many sessions (one per tenant,
+  /// src/service/) shares ONE pool across all of them. Must outlive the
+  /// session.
   exec::ThreadPool* shared_pool = nullptr;
-};
-
-/// One row of ContextCacheStats::contexts: per-context observability, so a
-/// server's per-tenant stats can report WHAT is warm, not just how much.
-struct CachedContextInfo {
-  uint64_t fingerprint = 0;   ///< the (Σ, weights, heuristic, exec) key
-  bool active = false;        ///< the session's live context (never evicted)
-  uint64_t hits = 0;          ///< times BundleFor returned this context
-  /// LRU age in use-clock ticks (0 = touched most recently); grows by one
-  /// per context switch, so it is deterministic, unlike wall-clock.
-  uint64_t age = 0;
-  int64_t edges = 0;          ///< conflict edges in the difference-set index
-  size_t bytes_estimate = 0;  ///< edge-weighted memory estimate
-};
-
-/// Observable context-cache behavior (tests and ops dashboards).
-struct ContextCacheStats {
-  size_t cached = 0;      ///< contexts currently held
-  uint64_t hits = 0;      ///< BundleFor answered from the cache
-  uint64_t misses = 0;    ///< contexts built
-  uint64_t evictions = 0; ///< contexts dropped by the LRU bounds
-  size_t bytes_estimate = 0;  ///< total estimate over cached contexts
-  std::vector<CachedContextInfo> contexts;  ///< one row per cached context
 };
 
 /// What one Session::Apply did — the delta's blast radius. `reuse_ratio`
 /// close to 1 is the incremental engine's win: the fraction of the
-/// contexts' difference-set groups whose edges survived the delta
+/// context's difference-set groups whose edges survived the delta
 /// untouched (the patch kept their edge lists instead of rediscovering
-/// them; every context's δP evaluator is rebuilt regardless).
+/// them; the δP evaluator is rebuilt regardless).
 struct ApplyStats {
   int tuples_inserted = 0;
   int tuples_updated = 0;   ///< update entries applied (cells, not tuples)
   int tuples_deleted = 0;
   int num_tuples = 0;       ///< post-delta cardinality
   uint64_t data_version = 0;  ///< post-delta Session::DataVersion()
-  int contexts_patched = 0;   ///< cached contexts delta-maintained in place
-  int64_t edges_removed = 0;  ///< conflict edges dropped across contexts
-  int64_t edges_added = 0;    ///< conflict edges discovered across contexts
+  int contexts_patched = 0;   ///< 1 when a non-empty delta ran, else 0
+  int64_t edges_removed = 0;  ///< conflict edges the patch dropped
+  int64_t edges_added = 0;    ///< conflict edges the patch discovered
   int groups_preserved = 0;   ///< diff-set groups carried over untouched
   int groups_changed = 0;     ///< diff-set groups rebuilt or new
   /// Always 0: a delta drops every cached cover. Kept only because the
   /// e2ebench layer probe (e2ebench/layers.cc) reads it; it goes with the
   /// next change to that benchmark.
   size_t covers_kept = 0;
-  size_t covers_dropped = 0;  ///< cover-memo entries cleared across contexts
+  size_t covers_dropped = 0;  ///< cover-memo entries the delta cleared
   double seconds = 0.0;       ///< wall-clock of the whole Apply
 
   double reuse_ratio() const {
@@ -237,10 +200,10 @@ class Session {
   static Result<Session> OpenSnapshot(const std::string& path,
                                       SessionOptions opts = {});
 
-  /// Saves the live dataset plus the ACTIVE context's warm state to
-  /// `path`. Safe against concurrent const requests (takes the snapshot
-  /// lock shared — a concurrent Apply is excluded, so the file is a
-  /// consistent cut at one DataVersion()).
+  /// Saves the live dataset plus the context's warm state to `path`. Safe
+  /// against concurrent const requests (takes the snapshot lock shared — a
+  /// concurrent Apply is excluded, so the file is a consistent cut at one
+  /// DataVersion()).
   Status SaveSnapshot(const std::string& path) const;
 
   /// Attaches an append-only delta journal: every subsequent successful
@@ -266,33 +229,33 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Switches the active Σ (validated like Open). A fingerprint seen
-  /// before — including the one Open built — reuses its cached context,
-  /// warm cover memo included.
+  /// Replaces Σ (validated like Open): builds a fresh context over the
+  /// live data and drops the current one, cover memo included. Refused
+  /// with kInvalidArgument while a journal is attached — its records are
+  /// bound to the configuration it was opened under. A failed call leaves
+  /// the session unchanged. Takes the snapshot lock exclusively.
   Status SetFds(FDSet sigma);
   Status SetFds(const std::vector<std::string>& fd_texts);
 
-  /// Switches the weight model (same context-cache semantics as SetFds).
+  /// Replaces the weight model; same rebuild and refusals as SetFds.
   Status SetWeights(WeightModel weights);
 
   /// Applies a batch of tuple inserts/updates/deletes to the live dataset
-  /// and delta-maintains EVERY cached context in place: the difference-set
-  /// index only re-examines pairs with a mutated endpoint (O(Δ·n) instead
-  /// of the O(n²) rebuild), preserved groups keep their violation-table
-  /// rows and their memoized covers, and each context's version is bumped
-  /// so its sweep re-pins the new snapshot. A repair issued right after an
-  /// Apply therefore reuses everything outside the delta's blast radius.
-  /// Post-delta answers are bit-identical to a session freshly opened over
-  /// the mutated data. Safe to call concurrently with the const request
-  /// methods (it takes the snapshot lock exclusively; in-flight requests
-  /// drain first); needs external exclusion only against SetFds/
-  /// SetWeights. kInvalidArgument on out-of-range ids, duplicate deletes,
-  /// or arity mismatches — validation happens before anything mutates.
+  /// and delta-maintains the context in place: the difference-set index
+  /// only re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
+  /// O(n²) rebuild), the δP evaluator is rebuilt over the patched index,
+  /// and the context's version is bumped so the sweep re-pins the new
+  /// snapshot. Post-delta answers are bit-identical to a session freshly
+  /// opened over the mutated data. Safe to call concurrently with the
+  /// request methods (it takes the snapshot lock exclusively; in-flight
+  /// requests drain first). kInvalidArgument on out-of-range ids,
+  /// duplicate deletes, or arity mismatches — validation happens before
+  /// anything mutates.
   Result<ApplyStats> Apply(const DeltaBatch& delta);
 
   /// Monotone dataset version: bumped by every non-empty successful
-  /// Apply(). Contexts cached by SetFds always reflect the live version.
-  /// Safe against a concurrent Apply (reads under the snapshot lock).
+  /// Apply(). Safe against a concurrent Apply (reads under the snapshot
+  /// lock).
   uint64_t DataVersion() const;
 
   /// Live cardinality, safe against a concurrent Apply (reads under the
@@ -322,53 +285,38 @@ class Session {
   Result<MultiRepairResult> EnumerateRepairs(int64_t tau_lo,
                                              int64_t tau_hi) const;
 
-  /// δP(Σ, I) of the active Σ — the root bound; τr = 1 resolves to this.
-  /// Safe against a concurrent Apply (reads under the snapshot lock).
+  /// δP(Σ, I) — the root bound; τr = 1 resolves to this. Safe against a
+  /// concurrent Apply (reads under the snapshot lock).
   int64_t RootDeltaP() const;
 
-  /// Reference-returning accessors. The references stay valid for the
-  /// session's lifetime, but the pointed-to state is delta-maintained IN
-  /// PLACE by Apply() — reading through them concurrently with an Apply
-  /// is not synchronized. The value-returning observers (DataVersion,
-  /// RootDeltaP, ContextFingerprint, CachedContexts) and the request
-  /// methods are the Apply-concurrency-safe surface.
+  /// Edge-weighted memory estimate of the context: its difference-set
+  /// edges dominate, plus a per-group constant for the group record and
+  /// its memo bookkeeping. Safe against a concurrent Apply (reads under
+  /// the snapshot lock).
+  size_t ContextBytesEstimate() const;
+
+  /// Reference-returning accessors. The pointed-to state is
+  /// delta-maintained IN PLACE by Apply(), and fds(), context() and
+  /// weights() are replaced by SetFds()/SetWeights() — reading through
+  /// them concurrently with a mutator is not synchronized, and the latter
+  /// three dangle after a successful switch. The value-returning observers
+  /// (DataVersion, NumTuples, RootDeltaP, ContextBytesEstimate) and the
+  /// request methods are the concurrency-safe surface.
   const Instance& instance() const { return *instance_; }
   const Schema& schema() const { return instance_->schema(); }
-  const FDSet& fds() const;
+  const FDSet& fds() const { return context_->sigma(); }
   const SessionOptions& options() const { return opts_; }
 
-  /// Fingerprint of the active (Σ, weights, heuristic, exec) context and
-  /// the cache's observable behavior (current size, hits, misses,
-  /// evictions) for tests and ops dashboards. Both are safe against a
-  /// concurrent Apply.
-  uint64_t ContextFingerprint() const;
-  ContextCacheStats CachedContexts() const;
-
   /// Internal-layer escape hatches for the eval/ harness and benchmarks:
-  /// the encoded dataset, the active search context, and its weights.
-  /// Everything reachable from here is const and thread-safe against
-  /// other const calls (NOT against Apply — see above), and the types
-  /// are NOT part of the stable facade surface.
+  /// the encoded dataset, the search context, and its weights. Everything
+  /// reachable from here is const and thread-safe against other const
+  /// calls (NOT against the mutators — see above), and the types are NOT
+  /// part of the stable facade surface.
   const EncodedInstance& data() const { return *encoded_; }
-  const FdSearchContext& context() const;
-  const WeightFunction& weights() const;
+  const FdSearchContext& context() const { return *context_; }
+  const WeightFunction& weights() const { return *weights_; }
 
  private:
-  /// One cached context: Σ plus everything derived from it. The weight
-  /// function is shared across bundles of the same model (its memo is
-  /// instance-wide), the sweep reuses one pool across batched calls.
-  struct ContextBundle {
-    FDSet sigma;
-    const WeightFunction* weights = nullptr;  ///< owned by weight_cache_
-    std::unique_ptr<FdSearchContext> context;
-    std::unique_ptr<exec::Sweep> sweep;
-    int64_t root_delta_p = 0;
-    uint64_t last_used = 0;  ///< LRU ordinal (session use_clock_)
-    uint64_t hits = 0;       ///< BundleFor cache hits on this bundle
-    int64_t edges = 0;       ///< difference-set edge count (sizing weight)
-    size_t bytes = 0;        ///< edge-weighted estimate; kept fresh by Apply
-  };
-
   Session(Instance data, SessionOptions opts);
   /// Restore path (OpenSnapshot): adopts a saved EncodedInstance directly
   /// instead of re-encoding `data` — re-encoding would reset the
@@ -376,27 +324,31 @@ class Session {
   /// in post-restore repairs.
   Session(Instance data, EncodedInstance encoded, SessionOptions opts);
 
-  /// Installs a restored context as the active bundle (OpenSnapshot's
-  /// counterpart of BundleFor): validates Σ, rebuilds the sweep, and
-  /// self-checks the restored root δP against the snapshot's
-  /// (mismatch → kIoError, the file lied about its own content).
+  /// Installs a restored context (OpenSnapshot's counterpart of Switch):
+  /// validates Σ, builds the sweep, and self-checks the restored root δP
+  /// against the snapshot's (mismatch → kIoError, the file lied about its
+  /// own content).
   Status AdoptContext(FDSet sigma, DifferenceSetIndex index,
                       DeltaPEvaluator::WarmState warm,
                       int64_t expected_root_delta_p);
 
   Status Validate(const FDSet& sigma) const;
-  const WeightFunction& WeightFor(WeightModel model);
-  /// RootDeltaP for callers already holding the snapshot lock (request
-  /// methods; shared_mutex is non-recursive, so they must not re-lock).
-  int64_t RootDeltaPLocked() const { return active_->root_delta_p; }
-  /// Returns the cached bundle for (sigma, opts_) or builds and caches it,
-  /// touching its LRU slot.
-  std::shared_ptr<ContextBundle> BundleFor(FDSet sigma);
-  /// Drops least-recently-used bundles (never the active one) until the
-  /// cache respects max_cached_contexts AND the edge-weighted
-  /// max_cached_bytes bound. Runs after every active-context switch;
-  /// evicted fingerprints rebuild on their next use.
-  void EvictIfNeeded();
+  /// SetFds/SetWeights: validates, refuses while journaling, then builds
+  /// a context for (sigma, model) under the exclusive snapshot lock.
+  Status Switch(FDSet sigma, WeightModel model);
+  /// Builds a weight function and context for (sigma, model) over the
+  /// live data and installs them. A throw leaves the current ones.
+  void Build(const FDSet& sigma, WeightModel model);
+  /// Builds the sweep over `context`, derives its root δP, then makes
+  /// (weights, context, sweep) the session's one context. A throw leaves
+  /// the current one in place.
+  void Install(std::unique_ptr<WeightFunction> weights,
+               std::unique_ptr<FdSearchContext> context);
+  /// The pool the sweep and Apply() run on: opts_.shared_pool when set,
+  /// else the session's own (null = serial).
+  exec::ThreadPool* pool() const {
+    return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
+  }
   Result<int64_t> ResolveTau(const RepairRequest& req) const;
   ModifyFdsOptions SearchOptions(const RepairRequest& req) const;
 
@@ -413,33 +365,22 @@ class Session {
   std::unique_ptr<Instance> instance_;        ///< heap-pinned: encoded_ is
   std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights
   SessionOptions opts_;
-  std::map<int, std::unique_ptr<WeightFunction>> weight_cache_;
-  uint64_t active_fingerprint_ = 0;
-  std::shared_ptr<ContextBundle> active_;
-  /// Guards cache_ and the LRU/hit counters (BundleFor may be reached
-  /// from const batched paths in future extensions); heap-pinned so
+  /// Made from opts_.exec when no shared pool is given and exec is
+  /// parallel; declared before sweep_, which schedules on it.
+  std::unique_ptr<exec::ThreadPool> own_pool_;
+  std::unique_ptr<WeightFunction> weights_;
+  std::unique_ptr<FdSearchContext> context_;
+  std::unique_ptr<exec::Sweep> sweep_;
+  int64_t root_delta_p_ = 0;
+  /// Snapshot lock: request methods hold it shared for their whole run;
+  /// Apply, SetFds and SetWeights hold it exclusively while they mutate —
+  /// so a mutation can never interleave with a request. Heap-pinned so
   /// Session stays movable.
-  std::unique_ptr<std::mutex> mu_;
-  /// Snapshot lock: request methods hold it shared for their whole run,
-  /// Apply holds it exclusively while mutating the instance and patching
-  /// contexts — so a delta can never interleave with a request.
   std::unique_ptr<std::shared_mutex> state_mu_;
-  /// Buckets keyed by the raw fingerprint; entries within a bucket are
-  /// disambiguated by Σ/weights equality, so erasing any entry (LRU
-  /// eviction) can never orphan another.
-  std::map<uint64_t, std::vector<std::shared_ptr<ContextBundle>>> cache_;
-  /// Lazily created, reused across Apply calls (which the exclusive
-  /// snapshot lock serializes) — streaming small deltas pays no per-batch
-  /// thread churn. Null until the first parallel Apply.
-  std::unique_ptr<exec::ThreadPool> apply_pool_;
   /// Write-ahead delta journal (EnableJournal); Apply logs each batch
   /// before mutating. Guarded by the exclusive snapshot lock.
   std::unique_ptr<persist::JournalWriter> journal_;
   uint64_t data_version_ = 1;
-  uint64_t use_clock_ = 0;
-  uint64_t cache_hits_ = 0;
-  uint64_t cache_misses_ = 0;
-  uint64_t cache_evictions_ = 0;
 };
 
 }  // namespace retrust

@@ -82,11 +82,11 @@ struct SearchJob {
 /// post-delta answers (both cases throw std::logic_error).
 class Sweep {
  public:
-  /// `shared_pool` (nullable, NOT owned) lets many sweeps — e.g. one per
-  /// cached context of one per tenant Session of a multi-tenant server —
-  /// schedule on a single process-wide pool instead of each spawning its
-  /// own workers. When null, the sweep owns a pool per `options` exactly
-  /// as before. A shared pool must outlive every sweep using it.
+  /// `shared_pool` (nullable, NOT owned) lets many sweeps — e.g. the one
+  /// of each per-tenant Session of a multi-tenant server — schedule on a
+  /// single process-wide pool instead of each spawning its own workers.
+  /// When null, the sweep owns a pool per `options` exactly as before. A
+  /// shared pool must outlive every sweep using it.
   Sweep(const FdSearchContext& ctx, const EncodedInstance& inst,
         Options options = {}, ThreadPool* shared_pool = nullptr);
 

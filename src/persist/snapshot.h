@@ -27,8 +27,7 @@
 // Session::OpenSnapshot compares it against the caller's configuration
 // (mismatch → kSchemaMismatch).
 //
-// The fingerprint deliberately excludes the thread count (unlike the
-// Session context-cache key): a snapshot saved on an 8-core box must open
+// The fingerprint deliberately excludes the thread count: a snapshot saved on an 8-core box must open
 // on a 1-core box — bit-identity across thread counts is a library-wide
 // invariant, so the thread count is an execution detail, not identity.
 

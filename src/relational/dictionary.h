@@ -88,7 +88,9 @@ class EncodedInstance {
   int32_t SetFreshVariable(TupleId t, AttrId a);
 
   /// Returns a fresh variable code for attribute `a` without assigning it.
-  int32_t NewVariableCode(AttrId a) { return VariableCode(next_var_[a]++); }
+  int32_t NewVariableCode(AttrId a) {
+    return VariableCode(TakeFreshVariableIndex(&next_var_[a], a));
+  }
 
   /// One attribute's column of cell codes, indexed by TupleId — the
   /// streaming surface of the blocked build and of src/persist/.

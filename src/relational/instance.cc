@@ -1,6 +1,7 @@
 #include "src/relational/instance.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -8,6 +9,14 @@
 #include "src/relational/delta.h"
 
 namespace retrust {
+
+int32_t TakeFreshVariableIndex(int32_t* next, AttrId a) {
+  if (*next == std::numeric_limits<int32_t>::max()) {
+    throw std::overflow_error("attribute " + std::to_string(a) +
+                              " has no fresh variable index left");
+  }
+  return (*next)++;
+}
 
 void Instance::AddTuple(Tuple t) {
   if (static_cast<int>(t.size()) != NumAttrs()) {

@@ -19,6 +19,11 @@
 
 namespace retrust {
 
+/// Returns `*next` as attribute `a`'s next fresh-variable index and
+/// advances it. Throws std::overflow_error once the index space is spent:
+/// INT32_MAX is never handed out, since a variable's code is −(index + 1).
+int32_t TakeFreshVariableIndex(int32_t* next, AttrId a);
+
 struct DeltaBatch;
 struct DeltaPlan;
 
@@ -67,7 +72,7 @@ class Instance {
 
   /// Returns a fresh variable value for attribute `a` (new index each call).
   Value NewVariable(AttrId a) {
-    return Value::Variable(a, next_var_index_[a]++);
+    return Value::Variable(a, TakeFreshVariableIndex(&next_var_index_[a], a));
   }
 
   /// Per-attribute fresh-variable counters — serialized by src/persist/ so

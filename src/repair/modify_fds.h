@@ -168,9 +168,8 @@ class FdSearchContext {
                          const std::vector<TupleId>& remap,
                          const exec::Options& eopts = {});
 
-  /// Same on an existing pool (nullable = serial) — lets one Apply reuse
-  /// one pool across many cached contexts instead of spawning a pool per
-  /// context (Session::Apply's loop).
+  /// Same on an existing pool (nullable = serial) — lets Session::Apply
+  /// reuse the session's pool instead of spawning one per delta.
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,

@@ -406,10 +406,9 @@ void Server::CollectMetrics(obs::Collector& out) const {
                       agg.visited.load(std::memory_order_relaxed));
   }
 
-  // Session layer: context caches summed across loaded tenants (StatsFor
+  // Session layer: context memory summed across loaded tenants (StatsFor
   // never forces a lazy open).
-  uint64_t cache_hits = 0, cache_misses = 0, cache_evictions = 0;
-  size_t cache_entries = 0, cache_bytes = 0;
+  size_t context_bytes = 0;
   int registered = 0, loaded = 0;
   for (const std::string& name : tenants_.Names()) {
     Result<TenantStats> tenant = tenants_.StatsFor(name);
@@ -417,23 +416,13 @@ void Server::CollectMetrics(obs::Collector& out) const {
     ++registered;
     if (!tenant->loaded) continue;
     ++loaded;
-    cache_hits += tenant->cache.hits;
-    cache_misses += tenant->cache.misses;
-    cache_evictions += tenant->cache.evictions;
-    cache_entries += tenant->cache.cached;
-    cache_bytes += tenant->cache.bytes_estimate;
+    context_bytes += tenant->bytes_estimate;
   }
   out.Gauge("retrust_tenants_registered", {},
             static_cast<double>(registered));
   out.Gauge("retrust_tenants_loaded", {}, static_cast<double>(loaded));
-  out.CounterSample("retrust_context_cache_hits_total", {}, cache_hits);
-  out.CounterSample("retrust_context_cache_misses_total", {}, cache_misses);
-  out.CounterSample("retrust_context_cache_evictions_total", {},
-                    cache_evictions);
-  out.Gauge("retrust_context_cache_entries", {},
-            static_cast<double>(cache_entries));
   out.Gauge("retrust_context_cache_bytes_estimate", {},
-            static_cast<double>(cache_bytes));
+            static_cast<double>(context_bytes));
 
   out.CounterSample("retrust_flight_records_total", {},
                     recorder_.TotalRecorded());

@@ -260,7 +260,7 @@ class Server {
 
   /// The metrics probe body: samples every layer (request flow, queue,
   /// admission, quota, pools, latency histograms, search aggregates,
-  /// tenant context caches, flight recorder) into `out`. Runs under the
+  /// tenant context memory, flight recorder) into `out`. Runs under the
   /// registry mutex at exposition time; must never call back into the
   /// registry.
   void CollectMetrics(obs::Collector& out) const;

@@ -64,8 +64,8 @@ struct ServerStats {
 };
 
 /// Per-tenant snapshot: queue/execution state plus the Session-level
-/// observability (data version, root δP, context cache with per-context
-/// fingerprints/ages/hit counts) the `stats` wire verb reports.
+/// observability (data version, root δP, cardinality, context memory
+/// estimate) the `stats` wire verb reports.
 struct TenantStats {
   std::string name;
   bool loaded = false;  ///< lazy CSV tenants stay unloaded until first use
@@ -77,7 +77,7 @@ struct TenantStats {
   uint64_t data_version = 0;
   int64_t root_delta_p = 0;
   int num_tuples = 0;
-  ContextCacheStats cache;
+  size_t bytes_estimate = 0;  ///< Session::ContextBytesEstimate()
 };
 
 }  // namespace retrust::service

@@ -9,15 +9,15 @@ namespace retrust::service {
 
 namespace {
 
-/// Coarse resident-memory estimate of a loaded session: the context
-/// cache's edge-weighted estimate plus the dataset itself (encoded codes +
+/// Coarse resident-memory estimate of a loaded session: the context's
+/// edge-weighted estimate plus the dataset itself (encoded codes +
 /// decoded values; 24 bytes/cell covers both sides for typical data).
 /// Precision is not the point — the budget only needs relative ordering
 /// between big and small tenants.
 size_t EstimateSessionBytes(Session& session) {
   const size_t cells = static_cast<size_t>(session.NumTuples()) *
                        static_cast<size_t>(session.schema().NumAttrs());
-  return session.CachedContexts().bytes_estimate + cells * 24;
+  return session.ContextBytesEstimate() + cells * 24;
 }
 
 }  // namespace
@@ -305,7 +305,7 @@ Result<TenantStats> TenantRegistry::StatsFor(const std::string& name) const {
     stats.data_version = session->DataVersion();
     stats.root_delta_p = session->RootDeltaP();
     stats.num_tuples = session->NumTuples();
-    stats.cache = session->CachedContexts();
+    stats.bytes_estimate = session->ContextBytesEstimate();
   }
   return stats;
 }

@@ -653,25 +653,7 @@ Json ToJson(const TenantStats& stats) {
     obj["data_version"] = Json(stats.data_version);
     obj["root_delta_p"] = Json(stats.root_delta_p);
     obj["num_tuples"] = Json(stats.num_tuples);
-    Json::Object cache;
-    cache["cached"] = Json(stats.cache.cached);
-    cache["hits"] = Json(stats.cache.hits);
-    cache["misses"] = Json(stats.cache.misses);
-    cache["evictions"] = Json(stats.cache.evictions);
-    cache["bytes_estimate"] = Json(stats.cache.bytes_estimate);
-    Json::Array contexts;
-    for (const CachedContextInfo& info : stats.cache.contexts) {
-      Json::Object c;
-      c["fingerprint"] = Json(std::to_string(info.fingerprint));  // > 2^53
-      c["active"] = Json(info.active);
-      c["hits"] = Json(info.hits);
-      c["age"] = Json(info.age);
-      c["edges"] = Json(info.edges);
-      c["bytes_estimate"] = Json(info.bytes_estimate);
-      contexts.push_back(Json(std::move(c)));
-    }
-    cache["contexts"] = Json(std::move(contexts));
-    obj["cache"] = Json(std::move(cache));
+    obj["bytes_estimate"] = Json(stats.bytes_estimate);
   }
   return Json(std::move(obj));
 }

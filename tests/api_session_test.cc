@@ -1,7 +1,7 @@
 // retrust::Session — the public facade: open/validation errors, the oracle
-// equivalence against the internal RepairDataAndFds layer, context-cache
-// reuse across SetFds switches, batched requests, budgets, and cooperative
-// cancellation.
+// equivalence against the internal RepairDataAndFds layer, SetFds/
+// SetWeights switches against a fresh Open, batched requests, budgets, and
+// cooperative cancellation.
 
 #include <atomic>
 #include <chrono>
@@ -86,7 +86,7 @@ TEST(SessionOpen, ParsesFdsAndBuildsContext) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->fds().size(), 1);
   EXPECT_GT(session->RootDeltaP(), 0);
-  EXPECT_EQ(session->CachedContexts().cached, 1u);
+  EXPECT_GT(session->ContextBytesEstimate(), 0u);
 }
 
 TEST(SessionOpen, BadFdTextIsInvalidFd) {
@@ -222,70 +222,159 @@ TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
   }
 }
 
-// --- Context caching -----------------------------------------------------
+// --- SetFds / SetWeights: one context, rebuilt per switch ----------------
 
-TEST(SessionCache, SameFingerprintReusesContext) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  const FdSearchContext* first = &session->context();
-  uint64_t fp = session->ContextFingerprint();
-
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  EXPECT_NE(&session->context(), first);
-  EXPECT_NE(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-
-  // Switching back lands on the SAME cached context, not a rebuild.
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  EXPECT_EQ(&session->context(), first);
-  EXPECT_EQ(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
+/// The session answers Repair and Search over a τr grid bit-identically to
+/// a fresh Session::Open over a copy of its data, Σ and weight model.
+void ExpectMatchesFreshOpen(const Session& session, const std::string& label) {
+  SessionOptions opts;
+  opts.weights = session.options().weights;
+  Result<Session> fresh =
+      Session::Open(session.instance(), session.fds(), opts);
+  ASSERT_TRUE(fresh.ok()) << label << ": " << fresh.status().ToString();
+  ASSERT_EQ(session.RootDeltaP(), fresh->RootDeltaP()) << label;
+  const Schema& schema = session.schema();
+  for (double tau_r : {0.0, 0.2, 0.5, 1.0}) {
+    const RepairRequest req = RepairRequest::AtRelative(tau_r);
+    const std::string at = label + " tau_r=" + std::to_string(tau_r);
+    Result<RepairResponse> got = session.Repair(req);
+    Result<RepairResponse> want = fresh->Repair(req);
+    ASSERT_EQ(got.ok(), want.ok()) << at;
+    if (got.ok()) {
+      EXPECT_EQ(got->tau, want->tau) << at;
+      EXPECT_EQ(Fingerprint(got->repair, schema),
+                Fingerprint(want->repair, schema))
+          << at;
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code()) << at;
+    }
+    Result<SearchProbe> got_probe = session.Search(req);
+    Result<SearchProbe> want_probe = fresh->Search(req);
+    ASSERT_TRUE(got_probe.ok() && want_probe.ok()) << at;
+    const ModifyFdsResult& g = got_probe->result;
+    const ModifyFdsResult& w = want_probe->result;
+    EXPECT_EQ(got_probe->tau, want_probe->tau) << at;
+    EXPECT_EQ(g.stats.states_visited, w.stats.states_visited) << at;
+    ASSERT_EQ(g.repair.has_value(), w.repair.has_value()) << at;
+    if (!g.repair.has_value()) continue;
+    EXPECT_EQ(g.repair->state.ext, w.repair->state.ext) << at;
+    EXPECT_EQ(g.repair->distc, w.repair->distc) << at;
+    EXPECT_EQ(g.repair->delta_p, w.repair->delta_p) << at;
+  }
 }
 
-TEST(SessionCache, WeightModelIsPartOfTheFingerprint) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  uint64_t fp = session->ContextFingerprint();
-  ASSERT_TRUE(session->SetWeights(WeightModel::kCardinality).ok());
-  EXPECT_NE(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-  ASSERT_TRUE(session->SetWeights(WeightModel::kDistinctCount).ok());
-  EXPECT_EQ(session->ContextFingerprint(), fp);
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
+/// A second Σ over MakeOracleData's 10-attribute schema.
+FDSet OtherSigma() {
+  return FDSet(std::vector<FD>{FD(AttrSet{0, 1}, /*rhs=*/2),
+                               FD(AttrSet{3}, /*rhs=*/4)});
 }
 
-// The cached context keeps its warm cover memo across Σ switches: repeated
-// identical searches answer from the memo (vc_memo_hits), and the warmth
-// carries over a SetFds round trip (same fingerprint → same underlying
-// context, per the stats).
-TEST(SessionCache, CoverMemoCarriesOverAcrossSwitches) {
+TEST(SessionSetFds, SwitchApplySwitchBackMatchesFreshOpen) {
   OracleData oracle = MakeOracleData(150);
   Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
-  ASSERT_TRUE(session.ok());
-  int64_t tau = TauFromRelative(0.3, session->RootDeltaP());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ExpectMatchesFreshOpen(*session, "open");
 
-  Result<SearchProbe> cold = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(cold.ok());
-  Result<SearchProbe> warm = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(warm.ok());
-  // The warm run answers covers from the memo instead of recomputing.
-  EXPECT_LT(warm->result.stats.vc_computations,
-            cold->result.stats.vc_computations);
-  EXPECT_GT(warm->result.stats.vc_memo_hits, 0);
+  ASSERT_TRUE(session->SetFds(OtherSigma()).ok());
+  EXPECT_EQ(session->fds(), OtherSigma());
+  ExpectMatchesFreshOpen(*session, "sigma2");
 
-  // Switch Σ away and back; the third run still sees the warm memo — a
-  // rebuilt context would perform like the cold run again.
-  FDSet other(std::vector<FD>{FD(AttrSet{0}, /*rhs=*/1)});
-  ASSERT_TRUE(session->SetFds(other).ok());
+  DeltaBatch delta;
+  delta.Insert(oracle.dirty.row(3))
+      .Update(1, 2, oracle.dirty.At(7, 2))
+      .Delete(5);
+  ASSERT_TRUE(session->Apply(delta).ok());
+  ExpectMatchesFreshOpen(*session, "sigma2 + delta");
+
+  // Back to Σ1: a context built over the post-delta data.
   ASSERT_TRUE(session->SetFds(oracle.sigma).ok());
-  Result<SearchProbe> back = session->Search(RepairRequest::At(tau));
-  ASSERT_TRUE(back.ok());
-  EXPECT_LE(back->result.stats.vc_computations,
-            warm->result.stats.vc_computations);
-  EXPECT_LT(back->result.stats.vc_computations,
-            cold->result.stats.vc_computations);
-  EXPECT_GE(back->result.stats.vc_memo_hits,
-            warm->result.stats.vc_memo_hits);
+  EXPECT_EQ(session->fds(), oracle.sigma);
+  ExpectMatchesFreshOpen(*session, "sigma1 after delta");
+}
+
+TEST(SessionSetFds, WeightsRoundTripMatchesFreshOpen) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (WeightModel model : {WeightModel::kCardinality, WeightModel::kEntropy,
+                            WeightModel::kDistinctCount}) {
+    ASSERT_TRUE(session->SetWeights(model).ok());
+    EXPECT_EQ(session->options().weights, model);
+    ExpectMatchesFreshOpen(*session,
+                           "weights " + std::to_string(static_cast<int>(model)));
+  }
+}
+
+TEST(SessionSetFds, FailedSwitchLeavesSessionUnchanged) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const FdSearchContext* context = &session->context();
+  const int64_t root = session->RootDeltaP();
+
+  const FDSet trivial(std::vector<FD>{FD(AttrSet{0, 1}, /*rhs=*/1)});
+  const FDSet outside(std::vector<FD>{FD(AttrSet{12}, /*rhs=*/1)});
+  const struct {
+    const FDSet* sigma;
+    StatusCode code;
+  } cases[] = {{&trivial, StatusCode::kInvalidFd},
+               {&outside, StatusCode::kSchemaMismatch}};
+  for (const auto& c : cases) {
+    Status status = session->SetFds(*c.sigma);
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), c.code);
+  }
+  Status unparsable = session->SetFds({"A0->NoSuchColumn"});
+  ASSERT_FALSE(unparsable.ok());
+  EXPECT_EQ(unparsable.code(), StatusCode::kInvalidFd);
+
+  EXPECT_EQ(&session->context(), context);
+  EXPECT_EQ(session->fds(), oracle.sigma);
+  EXPECT_EQ(session->RootDeltaP(), root);
+  ExpectMatchesFreshOpen(*session, "after failed switches");
+}
+
+// Requests racing SetFds see either the whole old or the whole new
+// context (Session* runs under TSan).
+TEST(SessionSetFds, ConcurrentRequestsSeeOneWholeContext) {
+  OracleData oracle = MakeOracleData(80);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto answer = [](const Session& s) {
+    Result<SearchProbe> probe = s.Search(RepairRequest::AtRelative(0.5));
+    if (!probe.ok()) return std::string("error");
+    std::string out = std::to_string(probe->tau);
+    if (probe->result.repair.has_value()) {
+      out += '|';
+      out += std::to_string(probe->result.repair->distc);
+    }
+    return out;
+  };
+  const std::string want_first = answer(*session);
+  Result<Session> other = Session::Open(oracle.dirty, OtherSigma());
+  ASSERT_TRUE(other.ok());
+  const std::string want_other = answer(*other);
+  ASSERT_NE(want_first, want_other);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        const std::string got = answer(*session);
+        if (got != want_first && got != want_other) ++mismatches;
+      }
+    });
+  }
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        session->SetFds(i % 2 == 0 ? OtherSigma() : oracle.sigma).ok());
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(answer(*session), want_first);
 }
 
 // --- Batched requests ----------------------------------------------------
@@ -401,137 +490,23 @@ TEST(SessionCancel, MidBatchCancellationDrainsCleanly) {
   }
 }
 
-// --- Context-cache eviction (SessionOptions::max_cached_contexts) --------
+// --- Context memory estimate -------------------------------------------
 
-TEST(SessionEviction, LruBoundEvictsColdestContext) {
-  SessionOptions opts;
-  opts.max_cached_contexts = 2;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->CachedContexts().cached, 1u);
-
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
-  EXPECT_EQ(session->CachedContexts().evictions, 0u);
-
-  // Third distinct Σ: the coldest ("City->Zip", least recently used)
-  // must make room.
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 2u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.misses, 3u);
-
-  // Revisiting the evicted fingerprint is a rebuild, not a hit ...
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.cached, 2u);
-
-  // ... while a still-cached one is a hit ("Name->City" stayed warm).
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.cached, 2u);
-}
-
-TEST(SessionEviction, ActiveContextIsNeverEvicted) {
-  SessionOptions opts;
-  opts.max_cached_contexts = 1;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  for (const char* fd : {"Name->Zip", "Name->City", "City->Zip"}) {
-    ASSERT_TRUE(session->SetFds({fd}).ok());
-    // The freshly activated context survives its own eviction pass and
-    // answers requests.
-    EXPECT_EQ(session->CachedContexts().cached, 1u);
-    EXPECT_GE(session->RootDeltaP(), 0);
-  }
-  EXPECT_EQ(session->CachedContexts().evictions, 3u);
-}
-
-TEST(SessionEviction, UnboundedByDefault) {
+TEST(SessionOpen, ContextBytesEstimateCountsEdges) {
   Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-// --- Byte-accurate cache sizing and per-context observability ------------
-
-TEST(SessionEviction, ByteBoundWeighsContextsByEdgeCount) {
-  SessionOptions opts;
-  opts.max_cached_bytes = 1;  // below any context's estimate
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  // The single (active) context is exempt even over the byte budget.
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 1u);
-  EXPECT_GT(stats.bytes_estimate, 1u);
-
-  // A second Σ activates; the cold context must be evicted to chase the
-  // (unreachable) byte budget.
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-}
-
-TEST(SessionEviction, LargeByteBudgetKeepsEverything) {
-  SessionOptions opts;
-  opts.max_cached_bytes = 64 * 1024 * 1024;
-  Result<Session> session =
-      Session::Open(SmallInstance(), {"City->Zip"}, opts);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  ASSERT_TRUE(session->SetFds({"Name->City"}).ok());
-  ContextCacheStats stats = session->CachedContexts();
-  EXPECT_EQ(stats.cached, 3u);
-  EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(SessionCache, PerContextInfoReportsFingerprintAgeAndHits) {
-  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
-  ASSERT_TRUE(session.ok());
-  ContextCacheStats stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 1u);
-  EXPECT_TRUE(stats.contexts[0].active);
-  EXPECT_EQ(stats.contexts[0].fingerprint, session->ContextFingerprint());
-  EXPECT_EQ(stats.contexts[0].hits, 0u);
-  EXPECT_EQ(stats.contexts[0].age, 0u);
-  EXPECT_GT(stats.contexts[0].edges, 0);
-  EXPECT_GT(stats.contexts[0].bytes_estimate, 0u);
-  EXPECT_EQ(stats.bytes_estimate, stats.contexts[0].bytes_estimate);
-
-  // Re-activating the same Σ is a hit on the same context...
-  ASSERT_TRUE(session->SetFds({"City->Zip"}).ok());
-  stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 1u);
-  EXPECT_EQ(stats.contexts[0].hits, 1u);
-
-  // ...and a second Σ leaves the first one colder (positive LRU age),
-  // with the active row tracking the live fingerprint.
-  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
-  stats = session->CachedContexts();
-  ASSERT_EQ(stats.contexts.size(), 2u);
-  int active_rows = 0;
-  for (const CachedContextInfo& info : stats.contexts) {
-    if (info.active) {
-      ++active_rows;
-      EXPECT_EQ(info.fingerprint, session->ContextFingerprint());
-      EXPECT_EQ(info.age, 0u);
-    } else {
-      EXPECT_GT(info.age, 0u);
-    }
+  size_t edges = 0;
+  for (const DiffSetGroup& g : session->context().index().groups()) {
+    edges += static_cast<size_t>(g.frequency());
   }
-  EXPECT_EQ(active_rows, 1);
+  ASSERT_GT(edges, 0u);
+  const size_t with_edges = session->ContextBytesEstimate();
+  EXPECT_GE(with_edges, edges * sizeof(Edge) + sizeof(FdSearchContext));
+
+  // Name is a key: no pair agrees on it, so the new context holds no edges.
+  ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());
+  EXPECT_EQ(session->ContextBytesEstimate(), sizeof(FdSearchContext));
+  EXPECT_LT(session->ContextBytesEstimate(), with_edges);
 }
 
 // --- Shared pool (service-style multi-session processes) -----------------

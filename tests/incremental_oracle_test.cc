@@ -336,6 +336,41 @@ TEST_F(DeltaVariable, InRangeVariablesApplyAndDecodeAlike) {
   EXPECT_EQ(session_->RootDeltaP(), fresh->RootDeltaP());
 }
 
+TEST_F(DeltaVariable, FreshVariableAtTheCapIsRefused) {
+  // Index INT32_MAX − 1 is accepted and leaves every column's counter at
+  // INT32_MAX; the next fresh variable would overflow.
+  constexpr int32_t kLast = std::numeric_limits<int32_t>::max() - 1;
+  DeltaBatch batch;
+  batch.Insert({Value::Variable(0, kLast), Value::Variable(1, kLast),
+                Value::Variable(2, kLast)});
+  ASSERT_TRUE(session_->Apply(batch).ok());
+  const std::vector<int32_t> counters = session_->data().next_var_counters();
+  for (int32_t counter : counters) {
+    ASSERT_EQ(counter, std::numeric_limits<int32_t>::max());
+  }
+  const std::string before = session_->instance().ToTable();
+
+  // A → B is violated, so the repair that keeps Σ (τr = 1) changes cells.
+  Result<RepairResponse> repaired =
+      session_->Repair(RepairRequest::AtRelative(1.0));
+  ASSERT_FALSE(repaired.ok());
+  EXPECT_EQ(repaired.status().code(), StatusCode::kInternal);
+  EXPECT_NE(repaired.status().message().find("no fresh variable index"),
+            std::string::npos)
+      << repaired.status().ToString();
+  std::vector<RepairRequest> batch_reqs = {RepairRequest::AtRelative(1.0)};
+  EXPECT_FALSE(session_->RepairMany(batch_reqs)[0].ok());
+
+  // The session is unchanged and still answers searches.
+  EXPECT_EQ(session_->data().next_var_counters(), counters);
+  EXPECT_EQ(session_->instance().ToTable(), before);
+  EXPECT_TRUE(session_->Search(RepairRequest::AtRelative(1.0)).ok());
+
+  Instance inst(Schema::FromNames({"A"}));
+  inst.AddTuple({Value::Variable(0, kLast)});
+  EXPECT_THROW(inst.NewVariable(0), std::overflow_error);
+}
+
 // --- Session-level oracle: Apply == fresh Open over the mutated data -----
 
 TEST(IncrementalSession, ApplyMatchesFreshOpen) {
@@ -379,55 +414,44 @@ TEST(IncrementalSession, ApplyMatchesFreshOpen) {
 }
 
 TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
+  // The session caches one context; Apply patches it in place.
   std::mt19937_64 rng(0xcafe);
   Result<Session> session =
       Session::Open(RandomInstance(rng, 25, 5, 3), TestSigma());
   ASSERT_TRUE(session.ok());
-  // Cache a second context, then switch back: two live fingerprints.
-  FDSet alt;
-  alt.Add(FD{AttrSet{1}, 2});
-  ASSERT_TRUE(session->SetFds(alt).ok());
-  ASSERT_TRUE(session->SetFds(TestSigma()).ok());
-  ASSERT_EQ(session->CachedContexts().cached, 2u);
+  const FdSearchContext* context = &session->context();
+  const uint64_t version = context->version();
 
-  // Warm both memos, then record each context's entries and counters
-  // (switching Σ to a cached context is a cache hit, not a rebuild).
-  const std::vector<FDSet> sigmas = {TestSigma(), alt};
-  size_t entries_before = 0;
-  std::vector<CoverMemo::Stats> stats_before;
-  for (const FDSet& sigma : sigmas) {
-    ASSERT_TRUE(session->SetFds(sigma).ok());
-    for (double tau_r : {0.0, 0.5, 1.0}) {
-      ASSERT_TRUE(session->Search(RepairRequest::AtRelative(tau_r)).ok());
-    }
-    const CoverMemo& memo = session->context().evaluator().memo();
-    entries_before += memo.entries();
-    stats_before.push_back(memo.stats());
+  // Warm the memo, then record its entries and counters.
+  for (double tau_r : {0.0, 0.5, 1.0}) {
+    ASSERT_TRUE(session->Search(RepairRequest::AtRelative(tau_r)).ok());
   }
+  const size_t entries_before = context->evaluator().memo().entries();
+  const CoverMemo::Stats stats_before = context->evaluator().memo().stats();
   ASSERT_GT(entries_before, 0u);
-  ASSERT_TRUE(session->SetFds(TestSigma()).ok());
 
   DeltaBatch delta;
   for (int i = 0; i < 5; ++i) delta.Insert(RandomTuple(rng, 5, 2));
   Result<ApplyStats> stats = session->Apply(delta);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->contexts_patched, 2);
+  EXPECT_EQ(stats->contexts_patched, 1);
   EXPECT_EQ(stats->covers_dropped, entries_before);
   EXPECT_EQ(stats->covers_kept, 0u);
-  for (size_t k = 0; k < sigmas.size(); ++k) {
-    ASSERT_TRUE(session->SetFds(sigmas[k]).ok());
-    const CoverMemo& memo = session->context().evaluator().memo();
-    // Apply re-derives each context's root δP after the drop, so the one
-    // entry left is the root's cover: a miss, with no hit on anything old.
-    EXPECT_EQ(memo.entries(), 1u) << "context " << k;
-    const CoverMemo::Stats after = memo.stats();
-    EXPECT_EQ(after.hits, stats_before[k].hits) << "context " << k;
-    EXPECT_EQ(after.misses, stats_before[k].misses + 1) << "context " << k;
-    EXPECT_GE(after.groups_scanned, stats_before[k].groups_scanned);
-    EXPECT_GE(after.groups_resumed, stats_before[k].groups_resumed);
-  }
-  ASSERT_TRUE(session->SetFds(TestSigma()).ok());
-  EXPECT_EQ(session->CachedContexts().cached, 2u);
+  // Patched in place, not rebuilt.
+  ASSERT_EQ(&session->context(), context);
+  EXPECT_EQ(context->version(), version + 1);
+  const CoverMemo& memo = context->evaluator().memo();
+  // Apply re-derives the root δP after the drop, so the one entry left is
+  // the root's cover: a miss, with no hit on anything old.
+  EXPECT_EQ(memo.entries(), 1u);
+  const CoverMemo::Stats after = memo.stats();
+  EXPECT_EQ(after.hits, stats_before.hits);
+  EXPECT_EQ(after.misses, stats_before.misses + 1);
+  EXPECT_GE(after.groups_scanned, stats_before.groups_scanned);
+  EXPECT_GE(after.groups_resumed, stats_before.groups_resumed);
+  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 
   // Without the session's root refill, a delta leaves the memo empty.
   Instance inst = RandomInstance(rng, 25, 5, 3);
@@ -447,13 +471,13 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   EXPECT_EQ(report.covers_dropped, warm);
   EXPECT_EQ(ctx.evaluator().memo().entries(), 0u);
 
-  // BOTH contexts must answer for the post-delta data — switching Σ after
-  // the delta reuses the patched cache, matching a fresh session.
+  // A Σ switched to after the delta is built over the post-delta data.
+  FDSet alt;
+  alt.Add(FD{AttrSet{1}, 2});
   ASSERT_TRUE(session->SetFds(alt).ok());
-  Result<Session> fresh = Session::Open(session->instance(), alt);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
-  EXPECT_EQ(session->CachedContexts().cached, 2u);  // reused, not rebuilt
+  Result<Session> fresh_alt = Session::Open(session->instance(), alt);
+  ASSERT_TRUE(fresh_alt.ok());
+  EXPECT_EQ(session->RootDeltaP(), fresh_alt->RootDeltaP());
 }
 
 // --- Snapshot versioning vs exec::Sweep (Exec* => runs under TSan) -------

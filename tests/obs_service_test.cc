@@ -245,14 +245,15 @@ TEST(ObsServiceMetrics, VerbExposesSeriesAcrossLayers) {
 
   const std::string text = reply.Get("text")->AsString();
   // One representative series per layer: wire, queue, request latency,
-  // session cache, search engine.
+  // session context memory, search engine.
   for (const char* needle :
        {"retrust_wire_requests_total{verb=\"repair\"} 3",
         "retrust_requests_submitted_total 3",
         "retrust_requests_completed_total 3", "retrust_queue_depth",
         "retrust_request_latency_seconds{quantile=\"0.99\"}",
         "retrust_request_latency_seconds_count 3",
-        "retrust_context_cache_entries", "retrust_search_expansions_total",
+        "retrust_context_cache_bytes_estimate",
+        "retrust_search_expansions_total",
         "retrust_flight_records_total 3"}) {
     EXPECT_NE(text.find(needle), std::string::npos)
         << "missing series: " << needle << "\n"

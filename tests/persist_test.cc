@@ -157,8 +157,9 @@ TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
     Result<Session> restored = Session::OpenSnapshot(path, opts);
     ASSERT_TRUE(restored.ok())
         << threads << ": " << restored.status().ToString();
-    // The restore adopted ONE context without a build-from-scratch pass.
-    EXPECT_EQ(restored->CachedContexts().cached, 1u);
+    // The restore adopted the saved index without a build-from-scratch
+    // pass: no candidate pair was enumerated.
+    EXPECT_EQ(restored->context().build_stats().pairs_candidate, 0);
     ExpectSameAnswers(*original, *restored,
                       ("threads=" + std::to_string(threads)).c_str());
   }
@@ -578,6 +579,40 @@ TEST(Journal, MismatchedBaseIsRejected) {
   Result<int> blocked = session->ReplayJournal(attached);
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A journal's records are bound to the configuration it was opened under,
+// so switching Σ or weights is refused while one is attached; the journal
+// keeps replaying onto the base snapshot.
+TEST(Journal, SetFdsAndSetWeightsAreRefusedWhileJournaling) {
+  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
+  ASSERT_TRUE(session.ok());
+  const std::string snap = TempPath("switch.snap");
+  const std::string journal = TempPath("switch.journal");
+  ASSERT_TRUE(session->SaveSnapshot(snap).ok());
+  ASSERT_TRUE(session->EnableJournal(journal).ok());
+  const FDSet sigma = session->fds();
+  const int64_t root = session->RootDeltaP();
+
+  Status fds = session->SetFds({"Name->Zip"});
+  ASSERT_FALSE(fds.ok());
+  EXPECT_EQ(fds.code(), StatusCode::kInvalidArgument);
+  Status weights = session->SetWeights(WeightModel::kCardinality);
+  ASSERT_FALSE(weights.ok());
+  EXPECT_EQ(weights.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->fds(), sigma);
+  EXPECT_EQ(session->options().weights, WeightModel::kDistinctCount);
+  EXPECT_EQ(session->RootDeltaP(), root);
+
+  DeltaBatch batch;
+  batch.Insert({Value("Erin"), Value("Springfield"), Value("33333")});
+  ASSERT_TRUE(session->Apply(batch).ok());
+  Result<Session> replayed = Session::OpenSnapshot(snap);
+  ASSERT_TRUE(replayed.ok());
+  Result<int> applied = replayed->ReplayJournal(journal);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(*applied, 1);
+  ExpectSameAnswers(*session, *replayed, "journal after refused switches");
 }
 
 // --- Tenant registry lifecycle --------------------------------------------
