@@ -20,7 +20,12 @@ bit-identical responses (modulo wall-clock "seconds"). Also exercises
 unload_tenant: an unloaded tenant's next request transparently reloads it
 and still answers identically.
 
-Finally the pipelined-wire phase (a fresh server): hundreds of concurrent
+The search-answer memo check opens the third server: one repair sent twice
+with the same seed must get the same reply (modulo "seconds"), and the
+global search_expansions counter must not grow on the repeat, because the
+session answers it from its memo without searching.
+
+Finally the pipelined-wire phase (on that server): hundreds of concurrent
 connections each pipeline a burst of requests — all sent before any reply
 is read — across mixed tenants. Asserts every reply is ok, every reply is
 matched back to its request by the echoed id (replies may arrive out of
@@ -259,6 +264,22 @@ def main():
             r = ctl.rpc({"op": "load_tenant", "tenant": tenant, "csv": path,
                          "fds": ["City->Zip"]})
             assert r.get("ok"), f"load_tenant {tenant}: {r}"
+
+        # Search-answer memo: the repeat reuses the first request's search,
+        # so its reply is identical and no search counter moves.
+        memo_req = {"op": "repair", "tenant": "hosp", "tau_r": 0.5,
+                    "seed": 5}
+        first = ctl.rpc(memo_req)
+        before = ctl.rpc({"op": "stats"})
+        repeat = ctl.rpc(memo_req)
+        after = ctl.rpc({"op": "stats"})
+        assert first.get("ok") and repeat.get("ok"), (first, repeat)
+        first.pop("seconds", None)
+        repeat.pop("seconds", None)
+        assert first == repeat, f"repeated repair diverged:\n{first}\n{repeat}"
+        assert after["search_expansions"] == before["search_expansions"], \
+            f"repeated repair searched again: {before} -> {after}"
+        print("search-answer memo: repeat identical, no search expansions")
 
         # Hundreds of concurrent connections, each pipelining a burst of
         # repairs over mixed tenants: every request goes out before any

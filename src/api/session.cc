@@ -1,5 +1,6 @@
 #include "src/api/session.h"
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "src/persist/snapshot.h"
 #include "src/relational/csv.h"
 #include "src/repair/weights.h"
+#include "src/util/hash.h"
 #include "src/util/timer.h"
 
 namespace retrust {
@@ -77,6 +79,7 @@ Session::Session(Instance data, SessionOptions opts)
       opts_(opts),
       own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
                                             : nullptr),
+      memo_(std::make_unique<SearchMemo>()),
       state_mu_(std::make_unique<std::shared_mutex>()) {}
 
 Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
@@ -85,6 +88,7 @@ Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
       opts_(opts),
       own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
                                             : nullptr),
+      memo_(std::make_unique<SearchMemo>()),
       state_mu_(std::make_unique<std::shared_mutex>()) {}
 
 Result<Session> Session::Open(Instance data, FDSet sigma,
@@ -333,11 +337,14 @@ void Session::Install(std::unique_ptr<WeightFunction> weights,
       std::make_unique<exec::Sweep>(*context, *encoded_, opts_.exec, pool());
   const int64_t root = context->RootDeltaP();
   // Nothing below throws. The old sweep goes before the context it reads,
-  // and the old context before the weights it reads.
+  // and the old context before the weights it reads. The memoized answers
+  // belong to the old context. Callers hold the snapshot lock exclusively
+  // (or own the session outright), so no request is reading them.
   sweep_ = std::move(sweep);
   context_ = std::move(context);
   weights_ = std::move(weights);
   root_delta_p_ = root;
+  memo_->answers.clear();
 }
 
 Status Session::SetFds(FDSet sigma) {
@@ -384,6 +391,9 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     if (!logged.ok()) return logged;
   }
   try {
+    // Every path below changes the data the memoized answers were
+    // searched over; the exclusive lock keeps requests off the memo.
+    memo_->answers.clear();
     instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
     // Memoized projections are stale against the mutated instance; they
@@ -448,6 +458,57 @@ ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
   return opts;
 }
 
+size_t Session::MemoKeyHash::operator()(const MemoKey& key) const {
+  uint64_t seed = static_cast<uint64_t>(key.tau);
+  HashCombine(&seed, static_cast<uint64_t>(key.mode));
+  HashCombine(&seed, static_cast<uint64_t>(key.policy));
+  HashCombine(&seed, key.weight_bits);
+  HashCombine(&seed, key.upper_bound_bits);
+  return static_cast<size_t>(seed);
+}
+
+ModifyFdsResult Session::AnswerSearch(const RepairRequest& req, int64_t tau,
+                                      const ModifyFdsOptions& opts) const {
+  // A budget or deadline makes the answer depend on how far the search
+  // gets, so such requests neither read nor fill the memo.
+  if (req.budget > 0 || req.deadline_seconds > 0) {
+    return ModifyFds(*context_, tau, opts);
+  }
+  if (req.cancel != nullptr && req.cancel->Cancelled()) {
+    // What the search reports when the token fires before its first pop.
+    ModifyFdsResult cancelled;
+    cancelled.termination = SearchTermination::kCancelled;
+    return cancelled;
+  }
+  const MemoKey key{tau, req.mode, req.policy,
+                    std::bit_cast<uint64_t>(req.weight),
+                    std::bit_cast<uint64_t>(req.upper_bound)};
+  const ModifyFdsResult* stored = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(memo_->mu);
+    auto it = memo_->answers.find(key);
+    if (it != memo_->answers.end()) stored = &it->second;
+  }
+  if (stored == nullptr) {
+    ModifyFdsResult searched = ModifyFds(*context_, tau, opts);
+    if (searched.termination == SearchTermination::kCompleted) {
+      std::lock_guard<std::mutex> lock(memo_->mu);
+      if (memo_->answers.size() < kSearchMemoCapacity) {
+        memo_->answers.emplace(key, searched);
+      }
+    }
+    return searched;
+  }
+  CheckSearchAnswer(*context_, tau, opts, *stored);
+  // The stats report the work this request did, which is none; only the
+  // answer and its proven quality carry over.
+  ModifyFdsResult hit;
+  hit.repair = stored->repair;
+  hit.termination = stored->termination;
+  hit.stats.suboptimality_bound = stored->stats.suboptimality_bound;
+  return hit;
+}
+
 Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   Result<int64_t> tau = ResolveTau(req);
@@ -462,11 +523,10 @@ Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
           : nullptr;
   try {
     Timer timer;
-    RepairOptions opts;
-    opts.search = SearchOptions(req);
-    opts.seed = req.seed;
     RepairOutcome outcome =
-        RunRepair(*context_, *encoded_, *tau, opts);
+        MaterializeRepair(*context_, *encoded_,
+                          AnswerSearch(req, *tau, SearchOptions(req)),
+                          req.seed);
     if (session_span != nullptr) {
       const double total = timer.ElapsedSeconds();
       obs::TraceSpan* search_span = session_span->StartChild("search");

@@ -7,7 +7,11 @@
 // one FdSearchContext over them, with its exec::Sweep and weight function.
 // Exploring relative trust means changing τ, which reuses the warm context;
 // SetFds/SetWeights build a fresh context over the live data and replace
-// the current one.
+// the current one. Beside the context sits a bounded memo of completed
+// FD-search answers (DESIGN.md "Search-answer memo"): a Repair that repeats
+// a (τ, search options) pair of an earlier one skips Algorithm 2 and only
+// repairs the data with its own seed. It is cleared whenever the context
+// changes.
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
@@ -31,9 +35,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/api/status.h"
@@ -266,6 +272,13 @@ class Session {
   /// τr out of range), kNoRepairWithinTau, kBudgetExceeded, kCancelled.
   /// An interrupted request that already holds a τ-feasible repair returns
   /// it (the repair is valid, possibly not cost-minimal).
+  ///
+  /// A request without a budget or deadline whose (τ, mode, policy,
+  /// weight, upper_bound) matches an earlier completed search over the
+  /// current context reuses that search's answer and only runs the data
+  /// repair. Its reply equals a fresh search's; its repair.stats report the
+  /// work the request did — no states visited — and only the proven
+  /// suboptimality bound carries over.
   Result<RepairResponse> Repair(const RepairRequest& req) const;
 
   /// Batched Algorithm 1: all requests run concurrently on the session's
@@ -316,7 +329,32 @@ class Session {
   const FdSearchContext& context() const { return *context_; }
   const WeightFunction& weights() const { return *weights_; }
 
+  /// Most search answers the memo holds at once. A full memo stops taking
+  /// new answers but keeps serving the ones it has.
+  static constexpr size_t kSearchMemoCapacity = 256;
+
  private:
+  /// What a search answer depends on beyond the context. The heuristic
+  /// options are fixed per session; doubles are keyed by their bits.
+  struct MemoKey {
+    int64_t tau = 0;
+    SearchMode mode = SearchMode::kAStar;
+    search::SearchPolicy policy = search::SearchPolicy::kExact;
+    uint64_t weight_bits = 0;
+    uint64_t upper_bound_bits = 0;
+    bool operator==(const MemoKey&) const = default;
+  };
+  struct MemoKeyHash {
+    size_t operator()(const MemoKey& key) const;
+  };
+  /// Completed searches over the current context. Lookups and inserts take
+  /// `mu`; clearing happens under the exclusive snapshot lock, so a stored
+  /// answer stays valid for as long as a request holds the shared one.
+  struct SearchMemo {
+    std::mutex mu;
+    std::unordered_map<MemoKey, ModifyFdsResult, MemoKeyHash> answers;
+  };
+
   Session(Instance data, SessionOptions opts);
   /// Restore path (OpenSnapshot): adopts a saved EncodedInstance directly
   /// instead of re-encoding `data` — re-encoding would reset the
@@ -351,6 +389,11 @@ class Session {
   }
   Result<int64_t> ResolveTau(const RepairRequest& req) const;
   ModifyFdsOptions SearchOptions(const RepairRequest& req) const;
+  /// Algorithm 2 for Repair(): the memoized answer when there is one,
+  /// else a search, whose answer is memoized when it completed. Requests
+  /// with a budget or deadline always search.
+  ModifyFdsResult AnswerSearch(const RepairRequest& req, int64_t tau,
+                               const ModifyFdsOptions& opts) const;
 
   /// Shared skeleton of RepairMany/SearchMany: resolve every request's τ
   /// (invalid ones fail their slot without running), run the valid jobs
@@ -372,6 +415,8 @@ class Session {
   std::unique_ptr<FdSearchContext> context_;
   std::unique_ptr<exec::Sweep> sweep_;
   int64_t root_delta_p_ = 0;
+  /// Heap-pinned (it holds a mutex) so Session stays movable.
+  std::unique_ptr<SearchMemo> memo_;
   /// Snapshot lock: request methods hold it shared for their whole run;
   /// Apply, SetFds and SetWeights hold it exclusively while they mutate —
   /// so a mutation can never interleave with a request. Heap-pinned so

@@ -22,10 +22,11 @@ CleanIndex::CleanIndex(const EncodedInstance& inst, const FDSet& sigma_prime)
 
 void CleanIndex::Insert(const EncodedInstance& inst, TupleId t) {
   for (size_t i = 0; i < maps_.size(); ++i) {
-    std::vector<int32_t> key =
-        MakeKey(static_cast<int>(i), [&](AttrId a) { return inst.At(t, a); });
+    MakeKey(static_cast<int>(i), [&](AttrId a) { return inst.At(t, a); },
+            &key_);
     int32_t rhs = inst.At(t, rhs_col_[i]);
-    auto [it, inserted] = maps_[i].emplace(std::move(key), rhs);
+    // try_emplace copies the key only when it inserts.
+    auto [it, inserted] = maps_[i].try_emplace(key_, rhs);
     if (!inserted && it->second != rhs) {
       throw std::logic_error("clean set violates Σ' (index corruption)");
     }
@@ -40,12 +41,13 @@ std::optional<int32_t> CleanIndex::ForcedRhs(
   return it->second;
 }
 
-std::optional<std::vector<int32_t>> FindAssignment(
-    EncodedInstance* inst, TupleId t, AttrSet fixed, const FDSet& sigma_prime,
-    const CleanIndex& clean) {
+bool FindAssignment(EncodedInstance* inst, TupleId t, AttrSet fixed,
+                    const FDSet& sigma_prime, const CleanIndex& clean,
+                    std::vector<int32_t>* tc_out, std::vector<int32_t>* key) {
   int m = inst->NumAttrs();
   // Line 1: tc equals t on fixed attributes, fresh variables elsewhere.
-  std::vector<int32_t> tc(m);
+  std::vector<int32_t>& tc = *tc_out;
+  tc.resize(m);
   for (AttrId a = 0; a < m; ++a) {
     tc[a] = fixed.Contains(a) ? inst->At(t, a) : inst->NewVariableCode(a);
   }
@@ -57,17 +59,16 @@ std::optional<std::vector<int32_t>> FindAssignment(
     for (int i = 0; i < sigma_prime.size(); ++i) {
       const FD& fd = sigma_prime.fd(i);
       if (fd.IsTrivial()) continue;
-      std::vector<int32_t> key =
-          clean.MakeKey(i, [&](AttrId a) { return tc[a]; });
-      std::optional<int32_t> forced = clean.ForcedRhs(i, key);
+      clean.MakeKey(i, [&](AttrId a) { return tc[a]; }, key);
+      std::optional<int32_t> forced = clean.ForcedRhs(i, *key);
       if (!forced.has_value() || tc[fd.rhs] == *forced) continue;
-      if (fixed.Contains(fd.rhs)) return std::nullopt;  // line 4
-      tc[fd.rhs] = *forced;                             // line 6
-      fixed.Add(fd.rhs);                                // line 7
+      if (fixed.Contains(fd.rhs)) return false;  // line 4
+      tc[fd.rhs] = *forced;                      // line 6
+      fixed.Add(fd.rhs);                         // line 7
       changed = true;
     }
   }
-  return tc;
+  return true;
 }
 
 }  // namespace internal
@@ -122,13 +123,14 @@ DataRepairResult RepairOverGroups(const EncodedInstance& inst,
   std::vector<AttrId> attr_order(m);
   for (AttrId a = 0; a < m; ++a) attr_order[a] = a;
 
+  // The chase's buffers, reused for every assignment of every tuple.
+  std::vector<int32_t> tc, next, key;
   for (int32_t t : order) {
     rng->Shuffle(&attr_order);  // random attribute order for this tuple
     AttrSet fixed;
     fixed.Add(attr_order[0]);  // line 6
-    std::optional<std::vector<int32_t>> tc =
-        internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean);
-    if (!tc.has_value()) {
+    if (!internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean,
+                                  &tc, &key)) {
       // Lemma 2 + Theorem 3: a valid assignment always exists with a single
       // fixed attribute.
       throw std::logic_error("Find_Assignment failed with one fixed attr");
@@ -136,12 +138,11 @@ DataRepairResult RepairOverGroups(const EncodedInstance& inst,
     for (int k = 1; k < m; ++k) {  // lines 8-15
       AttrId a = attr_order[k];
       fixed.Add(a);
-      std::optional<std::vector<int32_t>> next =
-          internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean);
-      if (!next.has_value()) {
-        repaired.SetCode(t, a, (*tc)[a]);  // line 11
+      if (!internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean,
+                                    &next, &key)) {
+        repaired.SetCode(t, a, tc[a]);  // line 11
       } else {
-        tc = std::move(next);  // line 13
+        tc.swap(next);  // line 13
       }
     }
     in_cover[t] = 0;

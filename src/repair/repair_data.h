@@ -81,13 +81,12 @@ class CleanIndex {
   std::optional<int32_t> ForcedRhs(int fd_index,
                                    const std::vector<int32_t>& lhs_key) const;
 
-  /// Builds the LHS key of FD i for an arbitrary code row accessor.
+  /// Writes the LHS key of FD i for an arbitrary code row accessor into
+  /// `key`, reusing its capacity.
   template <typename GetCode>
-  std::vector<int32_t> MakeKey(int fd_index, GetCode&& get) const {
-    std::vector<int32_t> key;
-    key.reserve(lhs_cols_[fd_index].size());
-    for (AttrId a : lhs_cols_[fd_index]) key.push_back(get(a));
-    return key;
+  void MakeKey(int fd_index, GetCode&& get, std::vector<int32_t>* key) const {
+    key->clear();
+    for (AttrId a : lhs_cols_[fd_index]) key->push_back(get(a));
   }
 
   const std::vector<AttrId>& lhs_cols(int fd_index) const {
@@ -95,9 +94,9 @@ class CleanIndex {
   }
 
  private:
-  struct Maps;
   std::vector<std::vector<AttrId>> lhs_cols_;
   std::vector<AttrId> rhs_col_;
+  std::vector<int32_t> key_;  ///< Insert's key buffer
   // map per FD: key -> rhs code.
   std::vector<
       std::unordered_map<std::vector<int32_t>, int32_t, CodeVectorHash>>
@@ -106,12 +105,15 @@ class CleanIndex {
 
 /// Algorithm 5 (Find_Assignment): attempts to complete tuple `t` of `inst`
 /// into an assignment `tc` equal to `t` on `fixed` and violating no FD
-/// against the clean set. Returns the full code row of `tc` on success,
-/// nullopt when impossible. `fixed` is taken by value — the additions the
-/// algorithm makes while chasing forced values are local, as in the paper.
-std::optional<std::vector<int32_t>> FindAssignment(
-    EncodedInstance* inst, TupleId t, AttrSet fixed, const FDSet& sigma_prime,
-    const CleanIndex& clean);
+/// against the clean set. Returns true and leaves the full code row of `tc`
+/// in `*tc` on success; returns false when impossible (`*tc` is then
+/// garbage). `key` is scratch for the clean-set lookups. Both buffers keep
+/// their capacity across calls, so a repair's chase allocates nothing per
+/// lookup. `fixed` is taken by value — the additions the algorithm makes
+/// while chasing forced values are local, as in the paper.
+bool FindAssignment(EncodedInstance* inst, TupleId t, AttrSet fixed,
+                    const FDSet& sigma_prime, const CleanIndex& clean,
+                    std::vector<int32_t>* tc, std::vector<int32_t>* key);
 
 }  // namespace internal
 

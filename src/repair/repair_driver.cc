@@ -32,14 +32,20 @@ void CheckMaterialized(const FdSearchContext& ctx, const FdRepair& fd_repair,
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts) {
-  ModifyFdsResult search = ModifyFds(ctx, tau, opts.search);
+  return MaterializeRepair(ctx, inst, ModifyFds(ctx, tau, opts.search),
+                           opts.seed);
+}
+
+RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
+                                const EncodedInstance& inst,
+                                ModifyFdsResult search, uint64_t seed) {
   RepairOutcome outcome;
   outcome.stats = search.stats;
   outcome.termination = search.termination;
   if (!search.repair.has_value()) return outcome;  // line 5: (φ, φ)
 
   const FdRepair& fd_repair = *search.repair;
-  Rng rng(opts.seed);
+  Rng rng(seed);
   // Algorithm 4 reads its cover from the context the search just used: no
   // Σ' index is built per request.
   DataRepairResult data = RepairData(ctx, inst, fd_repair.state, &rng);
@@ -58,6 +64,28 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
   out.incumbents = std::move(search.incumbents);
   outcome.repair = std::move(out);
   return outcome;
+}
+
+void CheckSearchAnswer(const FdSearchContext& ctx, int64_t tau,
+                       ModifyFdsOptions opts, const ModifyFdsResult& stored) {
+#ifndef NDEBUG
+  opts.cancel = nullptr;
+  opts.phase_trace = nullptr;
+  const ModifyFdsResult fresh = ModifyFds(ctx, tau, opts);
+  const bool same =
+      fresh.termination == stored.termination &&
+      fresh.repair.has_value() == stored.repair.has_value() &&
+      (!fresh.repair.has_value() ||
+       (fresh.repair->state == stored.repair->state &&
+        fresh.repair->distc == stored.repair->distc &&
+        fresh.repair->delta_p == stored.repair->delta_p));
+  if (!same) {
+    throw std::logic_error("memoized search answer disagrees with a fresh "
+                           "search");
+  }
+#else
+  (void)ctx, (void)tau, (void)opts, (void)stored;
+#endif
 }
 
 std::optional<Repair> RepairDataAndFds(const FdSearchContext& ctx,

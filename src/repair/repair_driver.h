@@ -51,15 +51,30 @@ struct RepairOutcome {
   SearchTermination termination = SearchTermination::kCompleted;
 };
 
-/// Algorithm 1 over a prebuilt search context, reporting the full outcome.
-/// `inst` must be the instance `ctx` was built over (or equal to it): the
-/// data repair walks ctx.index()'s edges over the goal state's violated
-/// groups. Debug builds check the result's post-conditions (cover·α ==
-/// δP, I' |= Σ', |Δd| ≤ change bound) and throw std::logic_error on a
-/// breach.
+/// Algorithm 1 over a prebuilt search context, reporting the full outcome:
+/// the search step (ModifyFds) followed by MaterializeRepair.
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts = {});
+
+/// Algorithm 1's materialize step: turns a finished search over `ctx` into
+/// the outcome, running Algorithm 4 with `seed` when the search found a
+/// repair. `inst` must be the instance `ctx` was built over (or equal to
+/// it): the data repair walks ctx.index()'s edges over the goal state's
+/// violated groups. The outcome carries `search`'s stats, termination and
+/// incumbents unchanged. Debug builds check the result's post-conditions
+/// (cover·α == δP, I' |= Σ', |Δd| ≤ change bound) and throw
+/// std::logic_error on a breach.
+RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
+                                const EncodedInstance& inst,
+                                ModifyFdsResult search, uint64_t seed);
+
+/// Debug-build oracle for a search answer served from a memo instead of a
+/// search: re-runs ModifyFds(ctx, tau, opts) — uncancellable, untraced —
+/// and throws std::logic_error unless it ends with the same goal state,
+/// distc, δP and termination as `stored`. Does nothing under NDEBUG.
+void CheckSearchAnswer(const FdSearchContext& ctx, int64_t tau,
+                       ModifyFdsOptions opts, const ModifyFdsResult& stored);
 
 /// Algorithm 1. Returns nullopt iff no relaxation of Σ admits a repair with
 /// at most τ cell changes (i.e. no goal state exists).

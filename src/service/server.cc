@@ -312,6 +312,9 @@ ServerStats Server::Stats() const {
 void Server::RecordSearchStats(const SearchStats& stats,
                                search::SearchPolicy policy,
                                PendingRequest* pending) {
+  // Every search pushes at least its root state; a repair answered from
+  // the session's search-answer memo ran none and records nothing.
+  if (stats.states_generated == 0) return;
   search_lb_prunes_.fetch_add(static_cast<uint64_t>(stats.lb_prunes),
                               std::memory_order_relaxed);
   search_incumbents_.fetch_add(

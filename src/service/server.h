@@ -252,8 +252,9 @@ class Server {
 
   /// Folds one executed search's counters into the per-policy aggregates
   /// (ServerStats::search_expansions is their sum) and into the request's
-  /// flight-record fields. Called by the verb lambdas on the worker
-  /// threads — lock-free atomics, no stats_mu_.
+  /// flight-record fields; a repair served from the session's search-answer
+  /// memo ran no search and records nothing. Called by the verb lambdas on
+  /// the worker threads — lock-free atomics, no stats_mu_.
   void RecordSearchStats(const SearchStats& stats,
                          search::SearchPolicy policy,
                          PendingRequest* pending);

@@ -1,7 +1,7 @@
 // retrust::Session — the public facade: open/validation errors, the oracle
 // equivalence against the internal RepairDataAndFds layer, SetFds/
-// SetWeights switches against a fresh Open, batched requests, budgets, and
-// cooperative cancellation.
+// SetWeights switches against a fresh Open, the search-answer memo against
+// a fresh Open, batched requests, budgets, and cooperative cancellation.
 
 #include <atomic>
 #include <chrono>
@@ -224,6 +224,35 @@ TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
 
 // --- SetFds / SetWeights: one context, rebuilt per switch ----------------
 
+/// A fresh session's reply to `req` over a copy of `session`'s data, Σ and
+/// weight model: nothing is memoized there yet.
+Result<RepairResponse> FreshRepair(const Session& session,
+                                   const RepairRequest& req) {
+  SessionOptions opts;
+  opts.weights = session.options().weights;
+  Result<Session> fresh =
+      Session::Open(session.instance(), session.fds(), opts);
+  if (!fresh.ok()) return fresh.status();
+  return fresh->Repair(req);
+}
+
+/// Both failed with the same code, or both carry the same τ, termination
+/// and repair fingerprint.
+void ExpectSameReply(const Result<RepairResponse>& got,
+                     const Result<RepairResponse>& want, const Schema& schema,
+                     const std::string& at) {
+  ASSERT_EQ(got.ok(), want.ok()) << at;
+  if (!got.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << at;
+    return;
+  }
+  EXPECT_EQ(got->tau, want->tau) << at;
+  EXPECT_EQ(got->termination, want->termination) << at;
+  EXPECT_EQ(Fingerprint(got->repair, schema),
+            Fingerprint(want->repair, schema))
+      << at;
+}
+
 /// The session answers Repair and Search over a τr grid bit-identically to
 /// a fresh Session::Open over a copy of its data, Σ and weight model.
 void ExpectMatchesFreshOpen(const Session& session, const std::string& label) {
@@ -237,17 +266,7 @@ void ExpectMatchesFreshOpen(const Session& session, const std::string& label) {
   for (double tau_r : {0.0, 0.2, 0.5, 1.0}) {
     const RepairRequest req = RepairRequest::AtRelative(tau_r);
     const std::string at = label + " tau_r=" + std::to_string(tau_r);
-    Result<RepairResponse> got = session.Repair(req);
-    Result<RepairResponse> want = fresh->Repair(req);
-    ASSERT_EQ(got.ok(), want.ok()) << at;
-    if (got.ok()) {
-      EXPECT_EQ(got->tau, want->tau) << at;
-      EXPECT_EQ(Fingerprint(got->repair, schema),
-                Fingerprint(want->repair, schema))
-          << at;
-    } else {
-      EXPECT_EQ(got.status().code(), want.status().code()) << at;
-    }
+    ExpectSameReply(session.Repair(req), fresh->Repair(req), schema, at);
     Result<SearchProbe> got_probe = session.Search(req);
     Result<SearchProbe> want_probe = fresh->Search(req);
     ASSERT_TRUE(got_probe.ok() && want_probe.ok()) << at;
@@ -488,6 +507,204 @@ TEST(SessionCancel, MidBatchCancellationDrainsCleanly) {
   for (const Result<RepairResponse>& r : session->RepairMany(again)) {
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
+}
+
+// --- Search-answer memo ----------------------------------------------------
+
+/// True when the reply's stats show a search ran (every search pushes at
+/// least its root state); false for a memo hit.
+bool Searched(const Result<RepairResponse>& r) {
+  return r.ok() && r->repair.stats.states_generated > 0;
+}
+
+TEST(SessionSearchMemo, RepeatsMatchFreshOpenUnderEveryPolicy) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const Schema& schema = session->schema();
+  for (search::SearchPolicy policy :
+       {search::SearchPolicy::kExact, search::SearchPolicy::kAnytime,
+        search::SearchPolicy::kGreedy}) {
+    for (double tau_r : {0.0, 0.1, 0.25, 0.5, 1.0}) {
+      for (uint64_t seed : {uint64_t{1}, uint64_t{7}, uint64_t{42}}) {
+        RepairRequest req = RepairRequest::AtRelative(tau_r);
+        req.policy = policy;
+        req.seed = seed;
+        const std::string at = std::string(search::PolicyName(policy)) +
+                               " tau_r=" + std::to_string(tau_r) +
+                               " seed=" + std::to_string(seed);
+        Result<RepairResponse> got = session->Repair(req);
+        ExpectSameReply(got, FreshRepair(*session, req), schema, at);
+        if (got.ok() && seed != 1) {
+          // The seed-1 request searched; later seeds reuse its answer.
+          EXPECT_FALSE(Searched(got)) << at;
+          EXPECT_EQ(got->repair.stats.expansions, 0) << at;
+          EXPECT_TRUE(got->repair.incumbents.empty()) << at;
+        }
+      }
+    }
+  }
+  // Probes and sweeps never read the memo: they report their own search.
+  const RepairRequest req = RepairRequest::AtRelative(0.25);
+  ASSERT_TRUE(session->Repair(req).ok());
+  Result<Session> fresh = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(fresh.ok());
+  Result<SearchProbe> probe = session->Search(req);
+  Result<SearchProbe> fresh_probe = fresh->Search(req);
+  ASSERT_TRUE(probe.ok() && fresh_probe.ok());
+  EXPECT_GT(probe->result.stats.states_visited, 0);
+  EXPECT_EQ(probe->result.stats.states_visited,
+            fresh_probe->result.stats.states_visited);
+  const std::vector<RepairRequest> batch = {req};
+  std::vector<Result<RepairResponse>> swept = session->RepairMany(batch);
+  ASSERT_EQ(swept.size(), 1u);
+  EXPECT_TRUE(Searched(swept[0]));
+}
+
+TEST(SessionSearchMemo, ApplyClearsTheMemo) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const double grid[] = {0.1, 0.25, 0.5, 1.0};
+  for (double tau_r : grid) {
+    ASSERT_TRUE(session->Repair(RepairRequest::AtRelative(tau_r)).ok());
+  }
+  DeltaBatch delta;
+  delta.Insert(oracle.dirty.row(3))
+      .Update(1, 2, oracle.dirty.At(7, 2))
+      .Update(40, 5, oracle.dirty.At(41, 5))
+      .Delete(5);
+  ASSERT_TRUE(session->Apply(delta).ok());
+  for (double tau_r : grid) {
+    RepairRequest req = RepairRequest::AtRelative(tau_r);
+    req.seed = 3;
+    const std::string at = "after delta tau_r=" + std::to_string(tau_r);
+    Result<RepairResponse> got = session->Repair(req);
+    EXPECT_TRUE(Searched(got)) << at;
+    ExpectSameReply(got, FreshRepair(*session, req), session->schema(), at);
+    ExpectSameReply(session->Repair(req), got, session->schema(),
+                    at + " repeat");
+  }
+}
+
+TEST(SessionSearchMemo, SetFdsAndSetWeightsClearTheMemo) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const RepairRequest req = RepairRequest::At(session->RootDeltaP() / 4);
+  ASSERT_TRUE(session->Repair(req).ok());
+
+  ASSERT_TRUE(session->SetFds(OtherSigma()).ok());
+  Result<RepairResponse> got = session->Repair(req);
+  EXPECT_TRUE(Searched(got));
+  ExpectSameReply(got, FreshRepair(*session, req), session->schema(),
+                  "sigma2");
+
+  ASSERT_TRUE(session->SetWeights(WeightModel::kEntropy).ok());
+  got = session->Repair(req);
+  EXPECT_TRUE(Searched(got));
+  ExpectSameReply(got, FreshRepair(*session, req), session->schema(),
+                  "entropy");
+  EXPECT_FALSE(Searched(session->Repair(req)));
+
+  // A failed switch keeps the context, and with it the memo.
+  ASSERT_FALSE(session->SetFds({"A0->NoSuchColumn"}).ok());
+  EXPECT_FALSE(Searched(session->Repair(req)));
+}
+
+TEST(SessionSearchMemo, BudgetsAndDeadlinesAlwaysSearch) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const RepairRequest plain = RepairRequest::AtRelative(0.25);
+  Result<RepairResponse> first = session->Repair(plain);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const int64_t visited = first->repair.stats.states_visited;
+  ASSERT_GT(visited, 1);
+
+  for (int64_t budget : {visited, visited - 1}) {
+    RepairRequest req = plain;
+    req.budget = budget;
+    const std::string at = "budget=" + std::to_string(budget);
+    Result<RepairResponse> got = session->Repair(req);
+    if (got.ok()) {
+      EXPECT_TRUE(Searched(got)) << at;
+    }
+    ExpectSameReply(got, FreshRepair(*session, req), session->schema(), at);
+  }
+  RepairRequest generous = plain;
+  generous.deadline_seconds = 3600.0;
+  Result<RepairResponse> got = session->Repair(generous);
+  EXPECT_TRUE(Searched(got));
+  ExpectSameReply(got, first, session->schema(), "deadline");
+}
+
+TEST(SessionSearchMemo, PreCancelledTokenReturnsCancelled) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok());
+  const RepairRequest plain = RepairRequest::AtRelative(0.5);
+  ASSERT_TRUE(session->Repair(plain).ok());
+  exec::CancelToken token;
+  token.Cancel();
+  RepairRequest req = plain;
+  req.cancel = &token;
+  Result<RepairResponse> r = session->Repair(req);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_FALSE(Searched(session->Repair(plain)));
+}
+
+TEST(SessionSearchMemo, ConcurrentRepeatsAgree) {
+  OracleData oracle = MakeOracleData(120);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok());
+  const Schema& schema = session->schema();
+  std::string want[2];
+  for (uint64_t seed : {uint64_t{1}, uint64_t{2}}) {
+    RepairRequest req = RepairRequest::AtRelative(0.3);
+    req.seed = seed;
+    Result<RepairResponse> fresh = FreshRepair(*session, req);
+    ASSERT_TRUE(fresh.ok());
+    want[seed - 1] = Fingerprint(fresh->repair, schema);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 6; ++i) {
+        RepairRequest req = RepairRequest::AtRelative(0.3);
+        req.seed = static_cast<uint64_t>((t + i) % 2 + 1);
+        Result<RepairResponse> got = session->Repair(req);
+        if (!got.ok() ||
+            Fingerprint(got->repair, schema) != want[req.seed - 1]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_FALSE(Searched(session->Repair(RepairRequest::AtRelative(0.3))));
+}
+
+TEST(SessionSearchMemo, FullMemoStopsInsertingButKeepsServing) {
+  Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
+  ASSERT_TRUE(session.ok());
+  // Every τ >= the root bound is feasible at the root, so distinct
+  // absolute τ values fill the memo cheaply.
+  const int64_t cap = static_cast<int64_t>(Session::kSearchMemoCapacity);
+  for (int64_t tau = 0; tau < cap; ++tau) {
+    ASSERT_TRUE(Searched(session->Repair(RepairRequest::At(tau)))) << tau;
+  }
+  const RepairRequest overflow = RepairRequest::At(cap);
+  EXPECT_TRUE(Searched(session->Repair(overflow)));
+  Result<RepairResponse> again = session->Repair(overflow);
+  EXPECT_TRUE(Searched(again));
+  ExpectSameReply(again, FreshRepair(*session, overflow), session->schema(),
+                  "overflow");
+  EXPECT_FALSE(Searched(session->Repair(RepairRequest::At(0))));
+  EXPECT_FALSE(Searched(session->Repair(RepairRequest::At(cap - 1))));
 }
 
 // --- Context memory estimate -------------------------------------------

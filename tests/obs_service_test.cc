@@ -10,6 +10,8 @@
 //     so tracing never changes the repair itself.
 //   * The `metrics` verb exposes the registry (>= 15 series spanning the
 //     wire, queue, session-cache, and search layers).
+//   * A repair served from the session's search-answer memo adds nothing
+//     to the search counters, and its traced search span has no phases.
 //   * The flight recorder remembers completed AND failed requests,
 //     `dump_recent` returns them newest first, and the slow-request log
 //     counts over-threshold requests.
@@ -271,6 +273,38 @@ TEST(ObsServiceMetrics, VerbExposesSeriesAcrossLayers) {
             std::string::npos);
 }
 
+// A repeated τ is answered from the session's search-answer memo: the
+// search counters see one search, and a traced hit gets a search span
+// without phase children.
+TEST(ObsServiceMetrics, MemoHitsRecordNoSearchWork) {
+  obs::MetricsRegistry registry;
+  WireHarness wire(ObsServerOptions(&registry));
+  ASSERT_TRUE(wire.Call(RepairJson("obs", 0.5, 1, false)).Get("ok")->AsBool());
+  const uint64_t expansions = wire.server.Stats().search_expansions;
+  ASSERT_GT(expansions, 0u);
+  ASSERT_TRUE(wire.Call(RepairJson("obs", 0.5, 2, false)).Get("ok")->AsBool());
+  Json traced = wire.Call(RepairJson("obs", 0.5, 3, /*traced=*/true));
+  ASSERT_TRUE(traced.Get("ok")->AsBool());
+  EXPECT_EQ(wire.server.Stats().search_expansions, expansions);
+
+  const Json* service = FindSpan(*traced.Get("trace"), "service");
+  ASSERT_NE(service, nullptr);
+  const Json* session = FindSpan(*service, "session");
+  ASSERT_NE(session, nullptr);
+  const Json* search = FindSpan(*session, "search");
+  ASSERT_NE(search, nullptr);
+  const Json* phases = search->Get("spans");
+  EXPECT_TRUE(phases == nullptr || phases->AsArray().empty());
+
+  Json::Object req;
+  req["op"] = Json("metrics");
+  const std::string text =
+      wire.Call(Json(std::move(req))).Get("text")->AsString();
+  EXPECT_NE(text.find("retrust_search_requests_total{policy=\"exact\"} 1\n"),
+            std::string::npos)
+      << text;
+}
+
 // --- flight recorder + slow log ------------------------------------------
 
 TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
@@ -303,7 +337,10 @@ TEST(ObsServiceFlight, DumpRecentReturnsNewestFirstIncludingFailures) {
   EXPECT_EQ(records[1].Get("verb")->AsString(), "repair");
   EXPECT_EQ(records[1].Get("status")->AsString(), "ok");
   EXPECT_GT(records[1].Get("total_seconds")->AsNumber(), 0.0);
-  EXPECT_GT(records[1].Get("search_states_visited")->AsInt(), 0);
+  // The first repair searched; the second repeats its τ, so the session's
+  // search-answer memo served it and its record shows no search work.
+  EXPECT_GT(records[2].Get("search_states_visited")->AsInt(), 0);
+  EXPECT_EQ(records[1].Get("search_states_visited")->AsInt(), 0);
 
   // A limit caps the dump; a bad limit is rejected.
   Json::Object limited;

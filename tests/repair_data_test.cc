@@ -107,10 +107,12 @@ TEST(FindAssignment, ForcesRhsFromCleanWitness) {
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
   internal::CleanIndex clean(enc, sigma);
   clean.Insert(enc, 0);
-  auto tc = internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean);
-  ASSERT_TRUE(tc.has_value());
-  EXPECT_EQ((*tc)[0], enc.At(1, 0));
-  EXPECT_EQ((*tc)[1], enc.At(0, 1));  // forced to the witness's B
+  std::vector<int32_t> tc, key;
+  const bool found =
+      internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean, &tc, &key);
+  ASSERT_TRUE(found);
+  EXPECT_EQ(tc[0], enc.At(1, 0));
+  EXPECT_EQ(tc[1], enc.At(0, 1));  // forced to the witness's B
 }
 
 TEST(FindAssignment, FailsWhenForcedValueConflictsWithFixed) {
@@ -122,8 +124,10 @@ TEST(FindAssignment, FailsWhenForcedValueConflictsWithFixed) {
   internal::CleanIndex clean(enc, sigma);
   clean.Insert(enc, 0);
   // Both cells fixed: B is pinned to y but the clean witness forces x.
-  auto tc = internal::FindAssignment(&enc, 1, AttrSet{0, 1}, sigma, clean);
-  EXPECT_FALSE(tc.has_value());
+  std::vector<int32_t> tc, key;
+  const bool found = internal::FindAssignment(&enc, 1, AttrSet{0, 1}, sigma,
+                                              clean, &tc, &key);
+  EXPECT_FALSE(found);
 }
 
 TEST(FindAssignment, FreshVariablesAvoidSpuriousMatches) {
@@ -135,10 +139,12 @@ TEST(FindAssignment, FreshVariablesAvoidSpuriousMatches) {
   internal::CleanIndex clean(enc, sigma);
   clean.Insert(enc, 0);
   // Only B fixed: A becomes a fresh variable that matches no clean key.
-  auto tc = internal::FindAssignment(&enc, 1, AttrSet{1}, sigma, clean);
-  ASSERT_TRUE(tc.has_value());
-  EXPECT_TRUE(IsVariableCode((*tc)[0]));
-  EXPECT_EQ((*tc)[1], enc.At(1, 1));
+  std::vector<int32_t> tc, key;
+  const bool found =
+      internal::FindAssignment(&enc, 1, AttrSet{1}, sigma, clean, &tc, &key);
+  ASSERT_TRUE(found);
+  EXPECT_TRUE(IsVariableCode(tc[0]));
+  EXPECT_EQ(tc[1], enc.At(1, 1));
 }
 
 TEST(FindAssignment, ChasesTransitiveFds) {
@@ -150,10 +156,12 @@ TEST(FindAssignment, ChasesTransitiveFds) {
   FDSet sigma = FDSet::Parse({"A->B", "B->C"}, inst.schema());
   internal::CleanIndex clean(enc, sigma);
   clean.Insert(enc, 0);
-  auto tc = internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean);
-  ASSERT_TRUE(tc.has_value());
-  EXPECT_EQ((*tc)[1], enc.At(0, 1));
-  EXPECT_EQ((*tc)[2], enc.At(0, 2));
+  std::vector<int32_t> tc, key;
+  const bool found =
+      internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean, &tc, &key);
+  ASSERT_TRUE(found);
+  EXPECT_EQ(tc[1], enc.At(0, 1));
+  EXPECT_EQ(tc[2], enc.At(0, 2));
 }
 
 // Property sweep: on perturbed census workloads, the repair always
