@@ -5,7 +5,7 @@
 //
 // Runs entirely through the public facade: per-mode grid points are
 // Session::Search probes, the concurrent grid is one Session::SearchMany
-// batch on the session's sweep pool.
+// batch on the session's pool.
 
 #include "bench/bench_common.h"
 #include "src/eval/experiment.h"
@@ -96,7 +96,7 @@ int main() {
               "shallow for both).\n");
 
   // The same τr grid as one batched request: all grid points run
-  // concurrently on the session's sweep pool and share one violation
+  // concurrently on the session's pool and share one violation
   // table + cover memo.
   std::vector<RepairRequest> batch;
   for (double tr : kTauGrid) batch.push_back(RepairRequest::AtRelative(tr));

@@ -144,16 +144,14 @@ int main() {
         "  \"groups_preserved\": %d,\n"
         "  \"groups_changed\": %d,\n"
         "  \"edges_added\": %lld,\n"
-        "  \"covers_dropped\": %zu,\n"
-        "  \"contexts_patched\": %d\n"
+        "  \"covers_dropped\": %zu\n"
         "}\n",
         n, headline.delta_rows, headline.apply_seconds,
         headline.rebuild_seconds, headline.speedup(),
         headline.stats.reuse_ratio(), headline.stats.groups_preserved,
         headline.stats.groups_changed,
         static_cast<long long>(headline.stats.edges_added),
-        headline.stats.covers_dropped,
-        headline.stats.contexts_patched);
+        headline.stats.covers_dropped);
     std::fclose(json);
   }
   return 0;

@@ -17,7 +17,6 @@
 
 #include "bench/bench_common.h"
 #include "src/eval/experiment.h"
-#include "src/exec/sweep.h"
 
 using namespace retrust;
 

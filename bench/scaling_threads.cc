@@ -1,8 +1,9 @@
 // Thread-scaling of the two parallelized hot paths:
 //   (a) violation detection — conflict graph + difference-set index over a
 //       10k-tuple generated instance (sharded via src/exec/), and
-//   (b) a τ-sweep — many ModifyFds searches over one shared context
-//       (exec::Sweep).
+//   (b) a τ-sweep — many ModifyFds searches over one shared context, as
+//       one Session::SearchMany batch on a session whose pool has that
+//       many threads.
 // Reports wall-clock and speedup at 1/2/4/8 threads and cross-checks that
 // every thread count produced the identical result (the exec/ determinism
 // contract).
@@ -14,7 +15,6 @@
 #include "bench/bench_common.h"
 #include "src/eval/experiment.h"
 #include "src/exec/parallel_for.h"
-#include "src/exec/sweep.h"
 #include "src/util/timer.h"
 
 using namespace retrust;
@@ -85,24 +85,39 @@ int main() {
                 seconds > 0 ? serial_seconds / seconds : 0.0);
   }
 
-  std::vector<int64_t> taus = exec::TauGridFromRelative(
-      {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-      data.root_delta_p);
-  // Warm the context's shared memo caches (weight function) so the timed
-  // thread-count comparison measures scheduling, not first-run memoization.
-  exec::Sweep(data.context(), data.encoded(), {1}).RunSearches(taus);
+  std::vector<RepairRequest> batch;
+  for (double tau_r : {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
+    batch.push_back(RepairRequest::AtRelative(tau_r));
+  }
   std::printf("\n--- tau-sweep (%zu searches, shared context) ---\n",
-              taus.size());
+              batch.size());
   std::printf("%8s %12s %10s\n", "threads", "time(s)", "speedup");
   double serial_sweep = 0.0;
   int64_t serial_visited = -1;
   for (int t : thread_counts) {
-    exec::Sweep sweep(data.context(), data.encoded(), {t});
+    SessionOptions opts;
+    opts.exec.num_threads = t;
+    Result<Session> session =
+        Session::Open(data.dirty_instance(), data.dirty.fds, opts);
+    if (!session.ok()) {
+      std::printf("open failed: %s\n", session.status().ToString().c_str());
+      return 1;
+    }
+    // Warm the context's memo caches (covers, weights) so the timed pass
+    // measures scheduling, not first-run memoization. Probes are never
+    // memoized, so the timed pass searches again.
+    session->SearchMany(batch);
     Timer timer;
-    std::vector<ModifyFdsResult> results = sweep.RunSearches(taus);
+    std::vector<Result<SearchProbe>> results = session->SearchMany(batch);
     double seconds = timer.ElapsedSeconds();
     int64_t visited = 0;
-    for (const ModifyFdsResult& r : results) visited += r.stats.states_visited;
+    for (const Result<SearchProbe>& r : results) {
+      if (!r.ok()) {
+        std::printf("probe failed: %s\n", r.status().ToString().c_str());
+        return 1;
+      }
+      visited += r->result.stats.states_visited;
+    }
     if (t == 1) {
       serial_sweep = seconds;
       serial_visited = visited;

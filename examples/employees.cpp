@@ -85,7 +85,7 @@ int main() {
   }
 
   // Materialize the two extremes plus a middle point — one batched call,
-  // fanned out on the session's sweep pool over the shared context.
+  // fanned out on the session's pool over the shared context.
   std::vector<RepairRequest> requests;
   for (int64_t tau : {int64_t{0}, root / 2, root}) {
     requests.push_back(RepairRequest::At(tau));

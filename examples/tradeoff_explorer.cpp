@@ -3,7 +3,7 @@
 // and the FDs, then enumerate every distinct minimal FD repair across the
 // whole trust range (Algorithm 6) and materialize + score each one — the
 // materializations run as one batched Session::RepairMany, fanned out on
-// the session's sweep pool over the shared search context.
+// the session's pool over the shared search context.
 //
 //   build/examples/example_tradeoff_explorer
 

@@ -23,7 +23,9 @@ and still answers identically.
 The search-answer memo check opens the third server: one repair sent twice
 with the same seed must get the same reply (modulo "seconds"), and the
 global search_expansions counter must not grow on the repeat, because the
-session answers it from its memo without searching.
+session answers it from its memo without searching. A one-item sweep that
+repeats a repair sent just before it must equal that repair's reply (modulo
+"seconds") and must not grow search_expansions either.
 
 Finally the pipelined-wire phase (on that server): hundreds of concurrent
 connections each pipeline a burst of requests — all sent before any reply
@@ -280,6 +282,25 @@ def main():
         assert after["search_expansions"] == before["search_expansions"], \
             f"repeated repair searched again: {before} -> {after}"
         print("search-answer memo: repeat identical, no search expansions")
+
+        # A sweep item runs through the same path as a single repair, memo
+        # included: one item repeating a repair just sent equals its reply
+        # and searches nothing.
+        single = ctl.rpc({"op": "repair", "tenant": "hosp", "tau_r": 0.3,
+                          "seed": 6})
+        before = ctl.rpc({"op": "stats"})
+        swept = ctl.rpc({"op": "sweep", "tenant": "hosp",
+                         "requests": [{"tau_r": 0.3, "seed": 6}]})
+        after = ctl.rpc({"op": "stats"})
+        assert single.get("ok") and swept.get("ok"), (single, swept)
+        assert len(swept["results"]) == 1, swept
+        item = swept["results"][0]
+        single.pop("seconds", None)
+        item.pop("seconds", None)
+        assert item == single, f"sweep item diverged:\n{single}\n{item}"
+        assert after["search_expansions"] == before["search_expansions"], \
+            f"sweep item searched again: {before} -> {after}"
+        print("sweep item: equals the single repair, no search expansions")
 
         # Hundreds of concurrent connections, each pipelining a burst of
         # repairs over mixed tenants: every request goes out before any

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "src/persist/snapshot.h"
@@ -55,6 +56,27 @@ Result<FDSet> ParseFds(const std::vector<std::string>& fd_texts,
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInvalidFd, e.what());
   }
+}
+
+/// Runs `body` on every request, concurrently on `pool` (null = inline),
+/// and returns the outcomes in request order. The body catches its own
+/// exceptions, so each request fails or succeeds alone.
+template <typename Body>
+auto FanOut(exec::ThreadPool* pool, std::span<const RepairRequest> reqs,
+            const Body& body) {
+  using Outcome = decltype(body(reqs[0]));
+  std::vector<std::optional<Outcome>> slots(reqs.size());
+  exec::TaskGroup group(pool);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    group.Run([&slots, &body, &reqs, i] { slots[i].emplace(body(reqs[i])); });
+  }
+  group.Wait();
+  std::vector<Outcome> outcomes;
+  outcomes.reserve(slots.size());
+  for (std::optional<Outcome>& slot : slots) {
+    outcomes.push_back(std::move(*slot));
+  }
+  return outcomes;
 }
 
 }  // namespace
@@ -333,14 +355,11 @@ void Session::Build(const FDSet& sigma, WeightModel model) {
 
 void Session::Install(std::unique_ptr<WeightFunction> weights,
                       std::unique_ptr<FdSearchContext> context) {
-  auto sweep =
-      std::make_unique<exec::Sweep>(*context, *encoded_, opts_.exec, pool());
   const int64_t root = context->RootDeltaP();
-  // Nothing below throws. The old sweep goes before the context it reads,
-  // and the old context before the weights it reads. The memoized answers
-  // belong to the old context. Callers hold the snapshot lock exclusively
-  // (or own the session outright), so no request is reading them.
-  sweep_ = std::move(sweep);
+  // Nothing below throws. The old context goes before the weights it
+  // reads. The memoized answers belong to the old context. Callers hold the
+  // snapshot lock exclusively (or own the session outright), so no request
+  // is reading them.
   context_ = std::move(context);
   weights_ = std::move(weights);
   root_delta_p_ = root;
@@ -399,12 +418,10 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     // Memoized projections are stale against the mutated instance; they
     // refill lazily on the next Weight() call.
     weights_->Invalidate();
-    stats.contexts_patched = 1;
     try {
       FdSearchContext::DeltaReport report =
           context_->ApplyDelta(*encoded_, plan.dirty, plan.remap, pool());
       root_delta_p_ = context_->RootDeltaP();
-      sweep_->Refresh();
       stats.edges_removed = report.index.edges_removed;
       stats.edges_added = report.index.edges_added;
       stats.groups_preserved = report.index.groups_preserved;
@@ -412,8 +429,8 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
       stats.covers_dropped = report.covers_dropped;
     } catch (...) {
       // A half-patched context over the already-mutated instance would be
-      // silently wrong (stale tuple ids, unbumped version). Fall back to
-      // consistency over warmth: rebuild it from scratch.
+      // silently wrong (stale tuple ids). Fall back to consistency over
+      // warmth: rebuild it from scratch.
       Build(fds(), opts_.weights);
       stats.groups_changed = context_->index().size();
     }
@@ -453,8 +470,7 @@ ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
   opts.phase_trace =
       req.trace != nullptr ? &req.trace->search_phases : nullptr;
   // opts.exec stays serial: SessionOptions::exec parallelizes ACROSS
-  // batched requests (and shards context builds), never inside one
-  // search — the same composition rule exec::Sweep applies to its jobs.
+  // batched requests (and shards context builds), never inside one search.
   return opts;
 }
 
@@ -511,6 +527,10 @@ ModifyFdsResult Session::AnswerSearch(const RepairRequest& req, int64_t tau,
 
 Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
+  return RepairLocked(req);
+}
+
+Result<RepairResponse> Session::RepairLocked(const RepairRequest& req) const {
   Result<int64_t> tau = ResolveTau(req);
   if (!tau.ok()) return tau.status();
   // Traced requests get a "session" span (under the service span when the
@@ -554,73 +574,20 @@ Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
   }
 }
 
-template <typename Response, typename Job, typename MakeJob, typename RunJobs,
-          typename SlotOutcome>
-std::vector<Result<Response>> Session::RunBatch(
-    std::span<const RepairRequest> reqs, MakeJob make_job, RunJobs run,
-    SlotOutcome slot) const {
-  std::vector<std::optional<Result<Response>>> slots(reqs.size());
-  std::vector<Job> jobs;
-  std::vector<size_t> owner;  // job index -> request index
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    Result<int64_t> tau = ResolveTau(reqs[i]);
-    if (!tau.ok()) {
-      slots[i].emplace(tau.status());
-      continue;
-    }
-    jobs.push_back(make_job(reqs[i], *tau));
-    owner.push_back(i);
-  }
-  try {
-    auto outcomes = run(jobs);
-    for (size_t j = 0; j < outcomes.size(); ++j) {
-      slots[owner[j]].emplace(slot(std::move(outcomes[j]), jobs[j]));
-    }
-  } catch (const std::exception& e) {
-    for (size_t j : owner) {
-      slots[j].emplace(
-          Result<Response>(Status::Error(StatusCode::kInternal, e.what())));
-    }
-  }
-  std::vector<Result<Response>> results;
-  results.reserve(slots.size());
-  for (std::optional<Result<Response>>& s : slots) {
-    results.push_back(std::move(*s));
-  }
-  return results;
-}
-
 std::vector<Result<RepairResponse>> Session::RepairMany(
     std::span<const RepairRequest> reqs) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return RunBatch<RepairResponse, exec::SweepJob>(
-      reqs,
-      [this](const RepairRequest& req, int64_t tau) {
-        exec::SweepJob job;
-        job.tau = tau;
-        job.opts.search = SearchOptions(req);
-        job.opts.seed = req.seed;
-        return job;
-      },
-      [this](const std::vector<exec::SweepJob>& jobs) {
-        return sweep_->RunRepairs(jobs);
-      },
-      [](exec::SweepOutcome out,
-         const exec::SweepJob&) -> Result<RepairResponse> {
-        if (!out.repair.has_value()) {
-          return NoRepairStatus(out.termination, out.tau);
-        }
-        RepairResponse response;
-        response.repair = std::move(*out.repair);
-        response.tau = out.tau;
-        response.seconds = out.seconds;
-        response.termination = out.termination;
-        return response;
-      });
+  return FanOut(pool(), reqs, [this](const RepairRequest& req) {
+    return RepairLocked(req);
+  });
 }
 
 Result<SearchProbe> Session::Search(const RepairRequest& req) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
+  return SearchLocked(req);
+}
+
+Result<SearchProbe> Session::SearchLocked(const RepairRequest& req) const {
   Result<int64_t> tau = ResolveTau(req);
   if (!tau.ok()) return tau.status();
   try {
@@ -638,24 +605,9 @@ Result<SearchProbe> Session::Search(const RepairRequest& req) const {
 std::vector<Result<SearchProbe>> Session::SearchMany(
     std::span<const RepairRequest> reqs) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return RunBatch<SearchProbe, exec::SearchJob>(
-      reqs,
-      [this](const RepairRequest& req, int64_t tau) {
-        exec::SearchJob job;
-        job.tau = tau;
-        job.opts = SearchOptions(req);
-        return job;
-      },
-      [this](const std::vector<exec::SearchJob>& jobs) {
-        return sweep_->RunSearches(jobs);
-      },
-      [](ModifyFdsResult out, const exec::SearchJob& job) -> Result<SearchProbe> {
-        SearchProbe probe;
-        probe.tau = job.tau;
-        probe.seconds = out.stats.seconds;
-        probe.result = std::move(out);
-        return probe;
-      });
+  return FanOut(pool(), reqs, [this](const RepairRequest& req) {
+    return SearchLocked(req);
+  });
 }
 
 Result<MultiRepairResult> Session::EnumerateRepairs(int64_t tau_lo,

@@ -4,31 +4,33 @@
 // (conflict graph, difference-set index, violation table, cover memo)
 // answers many (τ, options) repair requests. A Session owns that shape so
 // callers do not wire it by hand: it holds the dataset and Σ, and exactly
-// one FdSearchContext over them, with its exec::Sweep and weight function.
+// one FdSearchContext over them, with its weight function.
 // Exploring relative trust means changing τ, which reuses the warm context;
 // SetFds/SetWeights build a fresh context over the live data and replace
 // the current one. Beside the context sits a bounded memo of completed
 // FD-search answers (DESIGN.md "Search-answer memo"): a Repair that repeats
 // a (τ, search options) pair of an earlier one skips Algorithm 2 and only
 // repairs the data with its own seed. It is cleared whenever the context
-// changes.
+// changes. A batch (RepairMany/SearchMany) is a fan-out of the single-request
+// path, so a batched request gets exactly the answer it would get alone,
+// and batched repairs share the memo with single ones.
 //
 // All failures surface through the Status/Result<T> model (status.h); the
 // facade translates internal exceptions and optionals at the boundary, so
 // Session callers never need a try/catch.
 //
 // Layering (DESIGN.md "Public API layering"): api/ sits on top of repair/
-// and exec/'s Sweep scheduler; everything below api/ stays exception/
+// and the exec/ primitives; everything below api/ stays exception/
 // optional-based and remains the internal layer the facade calls.
 //
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
 // to call concurrently — batched requests additionally fan out on the
-// session's exec::Sweep pool. Apply(), SetFds() and SetWeights() may ALSO
-// run concurrently with them: requests take a shared snapshot lock and the
+// session's pool. Apply(), SetFds() and SetWeights() may ALSO run
+// concurrently with them: requests take a shared snapshot lock and the
 // mutators take it exclusively, so every request observes either the whole
-// old or the whole new state, never a mix (the exec::Sweep version pin
-// double-checks this for deltas). Only the reference-returning accessors
-// (instance(), fds(), context(), weights()) are unsynchronized.
+// old or the whole new state, never a mix. A batch holds the lock once for
+// all its items. Only the reference-returning accessors (instance(),
+// fds(), context(), weights()) are unsynchronized.
 
 #ifndef RETRUST_API_SESSION_H_
 #define RETRUST_API_SESSION_H_
@@ -44,11 +46,12 @@
 
 #include "src/api/status.h"
 #include "src/exec/cancel.h"
-#include "src/exec/sweep.h"
+#include "src/exec/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/persist/journal.h"
 #include "src/relational/delta.h"
 #include "src/repair/multi_repair.h"
+#include "src/repair/repair_driver.h"
 #include "src/search/policy.h"
 
 namespace retrust {
@@ -64,7 +67,7 @@ struct SessionOptions {
   /// (RepairMany/SearchMany) and Apply() run on. Results are bit-identical
   /// for any thread count (DESIGN.md).
   exec::Options exec;
-  /// Optional externally-owned pool (nullable) the session's sweep and
+  /// Optional externally-owned pool (nullable) the session's batches and
   /// Apply() schedule on instead of the one the session would make from
   /// `exec` — a process holding many sessions (one per tenant,
   /// src/service/) shares ONE pool across all of them. Must outlive the
@@ -83,7 +86,6 @@ struct ApplyStats {
   int tuples_deleted = 0;
   int num_tuples = 0;       ///< post-delta cardinality
   uint64_t data_version = 0;  ///< post-delta Session::DataVersion()
-  int contexts_patched = 0;   ///< 1 when a non-empty delta ran, else 0
   int64_t edges_removed = 0;  ///< conflict edges the patch dropped
   int64_t edges_added = 0;    ///< conflict edges the patch discovered
   int groups_preserved = 0;   ///< diff-set groups carried over untouched
@@ -249,9 +251,8 @@ class Session {
   /// Applies a batch of tuple inserts/updates/deletes to the live dataset
   /// and delta-maintains the context in place: the difference-set index
   /// only re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
-  /// O(n²) rebuild), the δP evaluator is rebuilt over the patched index,
-  /// and the context's version is bumped so the sweep re-pins the new
-  /// snapshot. Post-delta answers are bit-identical to a session freshly
+  /// O(n²) rebuild), and the δP evaluator is rebuilt over the patched
+  /// index. Post-delta answers are bit-identical to a session freshly
   /// opened over the mutated data. Safe to call concurrently with the
   /// request methods (it takes the snapshot lock exclusively; in-flight
   /// requests drain first). kInvalidArgument on out-of-range ids,
@@ -281,15 +282,18 @@ class Session {
   /// suboptimality bound carries over.
   Result<RepairResponse> Repair(const RepairRequest& req) const;
 
-  /// Batched Algorithm 1: all requests run concurrently on the session's
-  /// exec::Sweep over the one shared context; outcomes in request order.
+  /// Batched Algorithm 1: each request runs through Repair()'s body,
+  /// concurrently on the session's pool under one snapshot lock; outcomes
+  /// in request order. Each item equals Repair() of the same request
+  /// (memo included), and an item that fails fails only its own slot.
   std::vector<Result<RepairResponse>> RepairMany(
       std::span<const RepairRequest> reqs) const;
 
   /// Algorithm 2 probe (no data repair pass); see SearchProbe.
   Result<SearchProbe> Search(const RepairRequest& req) const;
 
-  /// Batched probes through the same sweep scheduler, in request order.
+  /// Batched probes, fanned out like RepairMany; each item equals Search()
+  /// of the same request. Never memoized, like Search().
   std::vector<Result<SearchProbe>> SearchMany(
       std::span<const RepairRequest> reqs) const;
 
@@ -363,7 +367,7 @@ class Session {
   Session(Instance data, EncodedInstance encoded, SessionOptions opts);
 
   /// Installs a restored context (OpenSnapshot's counterpart of Switch):
-  /// validates Σ, builds the sweep, and self-checks the restored root δP
+  /// validates Σ, installs it, and self-checks the restored root δP
   /// against the snapshot's (mismatch → kIoError, the file lied about its
   /// own content).
   Status AdoptContext(FDSet sigma, DifferenceSetIndex index,
@@ -377,12 +381,11 @@ class Session {
   /// Builds a weight function and context for (sigma, model) over the
   /// live data and installs them. A throw leaves the current ones.
   void Build(const FDSet& sigma, WeightModel model);
-  /// Builds the sweep over `context`, derives its root δP, then makes
-  /// (weights, context, sweep) the session's one context. A throw leaves
-  /// the current one in place.
+  /// Derives `context`'s root δP, then makes (weights, context) the
+  /// session's one context. A throw leaves the current one in place.
   void Install(std::unique_ptr<WeightFunction> weights,
                std::unique_ptr<FdSearchContext> context);
-  /// The pool the sweep and Apply() run on: opts_.shared_pool when set,
+  /// The pool batches and Apply() run on: opts_.shared_pool when set,
   /// else the session's own (null = serial).
   exec::ThreadPool* pool() const {
     return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
@@ -395,25 +398,19 @@ class Session {
   ModifyFdsResult AnswerSearch(const RepairRequest& req, int64_t tau,
                                const ModifyFdsOptions& opts) const;
 
-  /// Shared skeleton of RepairMany/SearchMany: resolve every request's τ
-  /// (invalid ones fail their slot without running), run the valid jobs
-  /// through the sweep, re-slot outcomes in request order; an escaped
-  /// internal exception fails the affected slots with kInternal.
-  template <typename Response, typename Job, typename MakeJob,
-            typename RunJobs, typename SlotOutcome>
-  std::vector<Result<Response>> RunBatch(std::span<const RepairRequest> reqs,
-                                         MakeJob make_job, RunJobs run,
-                                         SlotOutcome slot) const;
+  /// The bodies of Repair() and Search(), shared with the batches. The
+  /// caller holds the snapshot lock shared.
+  Result<RepairResponse> RepairLocked(const RepairRequest& req) const;
+  Result<SearchProbe> SearchLocked(const RepairRequest& req) const;
 
   std::unique_ptr<Instance> instance_;        ///< heap-pinned: encoded_ is
   std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights
   SessionOptions opts_;
   /// Made from opts_.exec when no shared pool is given and exec is
-  /// parallel; declared before sweep_, which schedules on it.
+  /// parallel.
   std::unique_ptr<exec::ThreadPool> own_pool_;
   std::unique_ptr<WeightFunction> weights_;
   std::unique_ptr<FdSearchContext> context_;
-  std::unique_ptr<exec::Sweep> sweep_;
   int64_t root_delta_p_ = 0;
   /// Heap-pinned (it holds a mutex) so Session stays movable.
   std::unique_ptr<SearchMemo> memo_;

@@ -22,7 +22,7 @@ using WeightKind = WeightModel;
 
 /// Everything a repair experiment needs, prepared once and reused across
 /// τ sweeps / search modes. The repair wiring (Id copy, encoding, weights,
-/// search context, sweep pool) lives inside `session` — the same facade
+/// search context, pool) lives inside `session` — the same facade
 /// downstream users get; the accessors below reach through it for the
 /// kernels the micro benchmarks and determinism tests drive directly.
 struct ExperimentData {

@@ -2,9 +2,9 @@
 //
 // A CancelToken is a one-way latch: any thread may Cancel() it, and workers
 // poll Cancelled() at their loop heads (ModifyFds checks once per popped
-// state; every job of an exec::Sweep checks through its own search loop, so
-// cancelling a sweep drains the queued jobs as fast as they are picked up —
-// no pool work is leaked and no thread is interrupted mid-kernel).
+// state; every item of a Session batch checks through its own search loop,
+// so cancelling a batch drains the queued items as fast as they are picked
+// up — no pool work is leaked and no thread is interrupted mid-kernel).
 //
 // Cancellation is best-effort by design: a search that already holds a
 // result when the token fires reports that result. It deliberately breaks

@@ -1,10 +1,10 @@
 // Execution options threaded through the repair APIs.
 //
-// The exec/ subsystem is split in two dependency levels: the primitives
-// (options, ThreadPool, ParallelFor) depend on nothing but the standard
-// library and are usable from any layer (src/fd/ uses them for sharded
-// violation detection); the Sweep scheduler (sweep.h) sits above
-// src/repair/. See DESIGN.md for the determinism contract.
+// The exec/ subsystem holds only primitives (options, ThreadPool,
+// TaskGroup, ParallelFor, CancelToken): they depend on nothing but the
+// standard library and are usable from any layer (src/fd/ uses them for
+// sharded violation detection, retrust::Session fans batches out on a
+// TaskGroup). See DESIGN.md for the determinism contract.
 
 #ifndef RETRUST_EXEC_OPTIONS_H_
 #define RETRUST_EXEC_OPTIONS_H_

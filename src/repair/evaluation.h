@@ -6,8 +6,8 @@
 // FdSearchContext::CoverSize, the gc heuristic's group tests and
 // Algorithm 3 covers, and the unified-cost baseline all evaluate through
 // the one DeltaPEvaluator owned by their FdSearchContext — so one
-// ViolationTable and one CoverMemo serve every search, and every τ job of
-// an exec::Sweep, over a given (Σ, I).
+// ViolationTable and one CoverMemo serve every search, and every τ item of
+// a Session batch, over a given (Σ, I).
 //
 // Every const method is thread-safe, and every result is bit-identical to
 // the legacy per-state FD-set scans this layer replaced

@@ -56,7 +56,6 @@ FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
       evaluator_->Rebuild(sigma_, index_, inst.NumTuples(), pool);
   num_tuples_ = inst.NumTuples();
   heuristic_.SetNumTuples(inst.NumTuples());
-  report.version = version_.fetch_add(1, std::memory_order_acq_rel) + 1;
   return report;
 }
 

@@ -12,7 +12,6 @@
 #ifndef RETRUST_REPAIR_MODIFY_FDS_H_
 #define RETRUST_REPAIR_MODIFY_FDS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -116,8 +115,9 @@ struct ModifyFdsResult {
 /// overload), so data repair builds no index of its own. Build once, run
 /// ModifyFds/FindRepairsFds/RunRepair many times — also
 /// concurrently: every const method is thread-safe (pooled scratch owned
-/// by the evaluation layer, mutex-guarded memos), which is what
-/// exec::Sweep relies on; sweep jobs share the table AND the cover memo.
+/// by the evaluation layer, mutex-guarded memos), which is what a
+/// Session's concurrent requests rely on; they share the table AND the
+/// cover memo.
 class FdSearchContext {
  public:
   /// `eopts` shards the difference-set and violation-table construction
@@ -147,7 +147,6 @@ class FdSearchContext {
   struct DeltaReport {
     IndexPatch index;
     size_t covers_dropped = 0;  ///< cover-memo entries the rebuild dropped
-    uint64_t version = 0;  ///< the context version after the patch
   };
 
   /// Delta-maintains the context after `inst` — the SAME instance this
@@ -158,11 +157,9 @@ class FdSearchContext {
   /// same pool and an emptied cover memo. Every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
   /// for any thread count — an empty-LHS FD included, whose
-  /// full-disagreement pairs are ordinary edges of the patch scan. Bumps
-  /// version(); in-flight exec::Sweep runs detect the bump and refuse to
-  /// mix snapshots. NOT safe against concurrent const use — callers
-  /// serialize deltas against queries (retrust::Session does this with a
-  /// shared/exclusive lock).
+  /// full-disagreement pairs are ordinary edges of the patch scan. NOT safe
+  /// against concurrent const use — callers serialize deltas against
+  /// queries (retrust::Session does this with a shared/exclusive lock).
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,
@@ -174,12 +171,6 @@ class FdSearchContext {
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,
                          exec::ThreadPool* pool);
-
-  /// Monotone data-snapshot version, bumped by every ApplyDelta. Safe to
-  /// read concurrently with queries (exec::Sweep polls it).
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
 
   const FDSet& sigma() const { return sigma_; }
   const StateSpace& space() const { return space_; }
@@ -217,7 +208,6 @@ class FdSearchContext {
   std::unique_ptr<DeltaPEvaluator> evaluator_;  ///< built over index_
   const WeightFunction& weights_;
   GcHeuristic heuristic_;
-  std::atomic<uint64_t> version_{1};
 };
 
 /// Algorithm 2: cheapest Σ' with δP(Σ', I) ≤ τ (ties broken by δP when

@@ -148,7 +148,7 @@ class Server {
                   std::function<void(Result<SearchProbe>)> done);
 
   /// One queue unit running the whole batch through Session::RepairMany
-  /// on the tenant's sweep — the τ-sweep verb. Per-request deadlines
+  /// on the tenant's session — the τ-sweep verb. Per-request deadlines
   /// apply from execution start; the unit itself has no service deadline.
   uint64_t Sweep(const std::string& tenant, std::vector<RepairRequest> reqs,
                  std::function<void(std::vector<Result<RepairResponse>>)> done);

@@ -605,7 +605,6 @@ Json ToJson(const ApplyStats& stats) {
   obj["tuples_deleted"] = Json(stats.tuples_deleted);
   obj["num_tuples"] = Json(stats.num_tuples);
   obj["data_version"] = Json(stats.data_version);
-  obj["contexts_patched"] = Json(stats.contexts_patched);
   obj["groups_preserved"] = Json(stats.groups_preserved);
   obj["groups_changed"] = Json(stats.groups_changed);
   obj["reuse_ratio"] = Json(stats.reuse_ratio());

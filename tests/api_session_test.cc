@@ -13,6 +13,7 @@
 #include "src/api/session.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
+#include "src/service/wire.h"
 
 namespace retrust {
 namespace {
@@ -450,6 +451,71 @@ TEST(SessionBatch, SearchManyReportsStatsForInfeasibleTaus) {
   EXPECT_TRUE(probes[1]->result.repair.has_value());
 }
 
+/// A reply as the wire encodes it, without its wall-clock `seconds`.
+std::string WireReply(const Result<RepairResponse>& r, const Schema& schema) {
+  service::Json json =
+      r.ok() ? service::ToJson(*r, schema) : service::ErrorJson(r.status());
+  json.MutableObject().erase("seconds");
+  return json.Dump();
+}
+
+// Every batch item is answered exactly as the same request sent alone to a
+// fresh session, whatever the mix of policies in the batch and the number
+// of threads it fans out on.
+TEST(SessionBatch, ItemsEqualSingleRequests) {
+  OracleData oracle = MakeOracleData(120);
+  const Schema& schema = oracle.dirty.schema();
+  std::vector<RepairRequest> reqs;
+  for (double tau_r : {0.1, 0.3, 0.6, 1.0}) {
+    for (search::SearchPolicy policy :
+         {search::SearchPolicy::kGreedy, search::SearchPolicy::kExact,
+          search::SearchPolicy::kAnytime}) {
+      for (uint64_t seed : {uint64_t{1}, uint64_t{9}}) {
+        RepairRequest req = RepairRequest::AtRelative(tau_r);
+        req.policy = policy;
+        req.seed = seed;
+        reqs.push_back(req);
+      }
+    }
+  }
+  std::vector<std::string> want_repairs;
+  std::vector<Result<SearchProbe>> want_probes;
+  for (const RepairRequest& req : reqs) {
+    Result<Session> fresh = Session::Open(oracle.dirty, oracle.sigma);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    want_repairs.push_back(WireReply(fresh->Repair(req), schema));
+    want_probes.push_back(fresh->Search(req));
+  }
+  for (int threads : {1, 4}) {
+    SessionOptions opts;
+    opts.exec.num_threads = threads;
+    Result<Session> session = Session::Open(oracle.dirty, oracle.sigma, opts);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    std::vector<Result<RepairResponse>> repairs = session->RepairMany(reqs);
+    std::vector<Result<SearchProbe>> probes = session->SearchMany(reqs);
+    ASSERT_EQ(repairs.size(), reqs.size());
+    ASSERT_EQ(probes.size(), reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      const std::string at =
+          "threads=" + std::to_string(threads) + " item " + std::to_string(i) +
+          " " + std::string(search::PolicyName(reqs[i].policy)) +
+          " tau_r=" + std::to_string(reqs[i].tau_r);
+      EXPECT_EQ(WireReply(repairs[i], schema), want_repairs[i]) << at;
+      ASSERT_TRUE(probes[i].ok() && want_probes[i].ok()) << at;
+      const ModifyFdsResult& got = probes[i]->result;
+      const ModifyFdsResult& want = want_probes[i]->result;
+      EXPECT_EQ(probes[i]->tau, want_probes[i]->tau) << at;
+      EXPECT_EQ(got.termination, want.termination) << at;
+      EXPECT_EQ(got.stats.states_visited, want.stats.states_visited) << at;
+      ASSERT_EQ(got.repair.has_value(), want.repair.has_value()) << at;
+      if (!got.repair.has_value()) continue;
+      EXPECT_EQ(got.repair->state, want.repair->state) << at;
+      EXPECT_EQ(got.repair->distc, want.repair->distc) << at;
+      EXPECT_EQ(got.repair->delta_p, want.repair->delta_p) << at;
+    }
+  }
+}
+
 // --- Cancellation --------------------------------------------------------
 
 TEST(SessionCancel, PreCancelledRequestReturnsCancelled) {
@@ -544,7 +610,8 @@ TEST(SessionSearchMemo, RepeatsMatchFreshOpenUnderEveryPolicy) {
       }
     }
   }
-  // Probes and sweeps never read the memo: they report their own search.
+  // Probes, batched or not, never read the memo: they report their own
+  // search.
   const RepairRequest req = RepairRequest::AtRelative(0.25);
   ASSERT_TRUE(session->Repair(req).ok());
   Result<Session> fresh = Session::Open(oracle.dirty, oracle.sigma);
@@ -556,9 +623,11 @@ TEST(SessionSearchMemo, RepeatsMatchFreshOpenUnderEveryPolicy) {
   EXPECT_EQ(probe->result.stats.states_visited,
             fresh_probe->result.stats.states_visited);
   const std::vector<RepairRequest> batch = {req};
-  std::vector<Result<RepairResponse>> swept = session->RepairMany(batch);
+  std::vector<Result<SearchProbe>> swept = session->SearchMany(batch);
   ASSERT_EQ(swept.size(), 1u);
-  EXPECT_TRUE(Searched(swept[0]));
+  ASSERT_TRUE(swept[0].ok());
+  EXPECT_EQ(swept[0]->result.stats.states_visited,
+            fresh_probe->result.stats.states_visited);
 }
 
 TEST(SessionSearchMemo, ApplyClearsTheMemo) {
@@ -705,6 +774,29 @@ TEST(SessionSearchMemo, FullMemoStopsInsertingButKeepsServing) {
                   "overflow");
   EXPECT_FALSE(Searched(session->Repair(RepairRequest::At(0))));
   EXPECT_FALSE(Searched(session->Repair(RepairRequest::At(cap - 1))));
+}
+
+// Single and batched repairs read and fill one memo: whichever comes
+// second is a hit and answers exactly as the first did.
+TEST(SessionSearchMemo, BatchesShareTheMemo) {
+  OracleData oracle = MakeOracleData(150);
+  const Schema& schema = oracle.dirty.schema();
+  RepairRequest req = RepairRequest::AtRelative(0.25);
+  req.seed = 5;
+  const std::vector<RepairRequest> batch = {req};
+  for (bool single_first : {true, false}) {
+    const std::string at = single_first ? "Repair first" : "RepairMany first";
+    Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    Result<RepairResponse> first =
+        single_first ? session->Repair(req) : session->RepairMany(batch)[0];
+    Result<RepairResponse> second =
+        single_first ? session->RepairMany(batch)[0] : session->Repair(req);
+    ASSERT_TRUE(first.ok() && second.ok()) << at;
+    EXPECT_EQ(WireReply(second, schema), WireReply(first, schema)) << at;
+    EXPECT_GT(first->repair.stats.states_visited, 0) << at;
+    EXPECT_EQ(second->repair.stats.states_visited, 0) << at;
+  }
 }
 
 // --- Context memory estimate -------------------------------------------

@@ -9,7 +9,6 @@
 #include "src/eval/experiment.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
-#include "src/exec/sweep.h"
 #include "src/fd/violation_table.h"
 #include "src/graph/cover_memo.h"
 #include "src/repair/evaluation.h"
@@ -336,28 +335,37 @@ TEST(ExecEvaluationOracle, RepairDataShardedBitIdentical) {
   }
 }
 
-// The sweep shares ONE evaluation layer across τ jobs: states visited by
-// several jobs pay for their cover once. Checked behaviorally (results
-// identical to independent serial runs — exec_determinism_test covers the
-// rest) plus via the memo's effectiveness counters.
+// A session's batch shares ONE evaluation layer across τ items: states
+// visited by several items pay for their cover once. Checked behaviorally
+// (results identical to independent serial runs — exec_determinism_test
+// covers the rest) plus via the memo's effectiveness counters.
 TEST(ExecEvaluationOracle, SweepSharesCoverMemoAcrossTauJobs) {
   ExperimentData data = MakeData(47, 250);
-  std::vector<int64_t> taus = exec::TauGridFromRelative(
-      {0.1, 0.3, 0.5, 0.7, 0.9}, data.root_delta_p);
-  CoverMemo::Stats before = data.context().evaluator().memo().stats();
-  exec::Sweep sweep(data.context(), data.encoded(), {4});
-  std::vector<ModifyFdsResult> swept = sweep.RunSearches(taus);
-  CoverMemo::Stats after = data.context().evaluator().memo().stats();
-  ASSERT_EQ(swept.size(), taus.size());
-  EXPECT_GT(after.hits, before.hits);  // cross-job (and in-job) reuse
-  for (size_t i = 0; i < taus.size(); ++i) {
+  SessionOptions opts;
+  opts.exec.num_threads = 4;
+  Result<Session> session =
+      Session::Open(data.dirty_instance(), data.dirty.fds, opts);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<RepairRequest> reqs;
+  for (double tau_r : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+    reqs.push_back(RepairRequest::AtRelative(tau_r));
+  }
+  const CoverMemo& memo = session->context().evaluator().memo();
+  CoverMemo::Stats before = memo.stats();
+  std::vector<Result<SearchProbe>> swept = session->SearchMany(reqs);
+  CoverMemo::Stats after = memo.stats();
+  ASSERT_EQ(swept.size(), reqs.size());
+  EXPECT_GT(after.hits, before.hits);  // cross-item (and in-item) reuse
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    ASSERT_TRUE(swept[i].ok()) << swept[i].status().ToString();
+    const ModifyFdsResult& got = swept[i]->result;
     FdSearchContext fresh(data.dirty.fds, data.encoded(), data.weights());
-    ModifyFdsResult serial = ModifyFds(fresh, taus[i]);
-    EXPECT_EQ(swept[i].stats.states_visited, serial.stats.states_visited);
-    ASSERT_EQ(swept[i].repair.has_value(), serial.repair.has_value());
+    ModifyFdsResult serial = ModifyFds(fresh, swept[i]->tau);
+    EXPECT_EQ(got.stats.states_visited, serial.stats.states_visited);
+    ASSERT_EQ(got.repair.has_value(), serial.repair.has_value());
     if (serial.repair.has_value()) {
-      EXPECT_EQ(swept[i].repair->state, serial.repair->state);
-      EXPECT_EQ(swept[i].repair->delta_p, serial.repair->delta_p);
+      EXPECT_EQ(got.repair->state, serial.repair->state);
+      EXPECT_EQ(got.repair->delta_p, serial.repair->delta_p);
     }
   }
 }

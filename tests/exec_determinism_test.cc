@@ -1,14 +1,17 @@
 // The exec/ determinism contract: every parallel code path produces output
 // BIT-IDENTICAL to serial execution for any thread count — sharded
-// violation detection, speculative successor evaluation in ModifyFds, and
-// whole repairs through RepairDataAndFds, on a generated instance.
+// violation detection, speculative successor evaluation in ModifyFds,
+// whole repairs through RepairDataAndFds, and Session batches, on a
+// generated instance.
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/eval/experiment.h"
-#include "src/exec/sweep.h"
 
 namespace retrust {
 namespace {
@@ -132,28 +135,40 @@ TEST(ExecDeterminism, SearchScheduleIdenticalAcrossThreadCounts) {
   }
 }
 
+// A session over the experiment's (Id, Σd) whose batches fan out on
+// `threads` workers.
+Session BatchSession(const ExperimentData& data, int threads) {
+  SessionOptions opts;
+  opts.exec.num_threads = threads;
+  Result<Session> session =
+      Session::Open(data.dirty_instance(), data.dirty.fds, opts);
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  return std::move(*session);
+}
+
 TEST(ExecDeterminism, SweepMatchesIndependentSerialRuns) {
   ExperimentData data = MakeData(250);
-  std::vector<int64_t> taus = exec::TauGridFromRelative(
-      {0.0, 0.1, 0.3, 0.6, 0.9}, data.root_delta_p);
-
+  std::vector<RepairRequest> reqs;
   std::vector<ModifyFdsResult> serial;
-  for (int64_t tau : taus) {
-    serial.push_back(ModifyFds(data.context(), tau));
+  for (double tau_r : {0.0, 0.1, 0.3, 0.6, 0.9}) {
+    reqs.push_back(RepairRequest::AtRelative(tau_r));
+    serial.push_back(
+        ModifyFds(data.context(), TauFromRelative(tau_r, data.root_delta_p)));
   }
 
   for (int threads : {1, 4}) {
-    exec::Sweep sweep(data.context(), data.encoded(), {threads});
-    std::vector<ModifyFdsResult> swept = sweep.RunSearches(taus);
+    Session session = BatchSession(data, threads);
+    std::vector<Result<SearchProbe>> swept = session.SearchMany(reqs);
     ASSERT_EQ(swept.size(), serial.size());
-    for (size_t i = 0; i < taus.size(); ++i) {
-      ASSERT_EQ(swept[i].repair.has_value(), serial[i].repair.has_value())
-          << "tau=" << taus[i] << " threads=" << threads;
-      EXPECT_EQ(swept[i].stats.states_visited,
-                serial[i].stats.states_visited);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+      ASSERT_TRUE(swept[i].ok()) << swept[i].status().ToString();
+      const ModifyFdsResult& got = swept[i]->result;
+      ASSERT_EQ(got.repair.has_value(), serial[i].repair.has_value())
+          << "tau=" << swept[i]->tau << " threads=" << threads;
+      EXPECT_EQ(got.stats.states_visited, serial[i].stats.states_visited);
       if (serial[i].repair.has_value()) {
-        EXPECT_EQ(swept[i].repair->state, serial[i].repair->state);
-        EXPECT_EQ(swept[i].repair->delta_p, serial[i].repair->delta_p);
+        EXPECT_EQ(got.repair->state, serial[i].repair->state);
+        EXPECT_EQ(got.repair->delta_p, serial[i].repair->delta_p);
       }
     }
   }
@@ -161,23 +176,25 @@ TEST(ExecDeterminism, SweepMatchesIndependentSerialRuns) {
 
 TEST(ExecDeterminism, SweepRepairsReturnedInJobOrder) {
   ExperimentData data = MakeData(250);
-  std::vector<exec::SweepJob> jobs;
+  std::vector<RepairRequest> reqs;
   for (double tau_r : {0.9, 0.1, 0.5}) {  // deliberately unsorted
-    exec::SweepJob job;
-    job.tau = TauFromRelative(tau_r, data.root_delta_p);
-    jobs.push_back(job);
+    reqs.push_back(
+        RepairRequest::At(TauFromRelative(tau_r, data.root_delta_p)));
   }
-  exec::Sweep sweep(data.context(), data.encoded(), {4});
-  std::vector<exec::SweepOutcome> outcomes = sweep.RunRepairs(jobs);
-  ASSERT_EQ(outcomes.size(), jobs.size());
+  Session session = BatchSession(data, 4);
+  std::vector<Result<RepairResponse>> outcomes = session.RepairMany(reqs);
+  ASSERT_EQ(outcomes.size(), reqs.size());
   const Schema& schema = data.dirty_instance().schema();
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(outcomes[i].tau, jobs[i].tau);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    std::optional<Repair> got;
+    if (outcomes[i].ok()) {
+      EXPECT_EQ(outcomes[i]->tau, reqs[i].tau);
+      got = outcomes[i]->repair;
+    }
     RepairOptions opts;
     std::optional<Repair> serial =
-        RepairDataAndFds(data.context(), data.encoded(), jobs[i].tau, opts);
-    EXPECT_EQ(Fingerprint(outcomes[i].repair, schema),
-              Fingerprint(serial, schema));
+        RepairDataAndFds(data.context(), data.encoded(), reqs[i].tau, opts);
+    EXPECT_EQ(Fingerprint(got, schema), Fingerprint(serial, schema));
   }
 }
 

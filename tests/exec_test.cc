@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "src/exec/parallel_for.h"
-#include "src/exec/sweep.h"
 #include "src/exec/thread_pool.h"
 
 namespace retrust {

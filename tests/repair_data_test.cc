@@ -10,7 +10,6 @@
 #include "src/api/session.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
-#include "src/exec/sweep.h"
 #include "src/fd/conflict_graph.h"
 #include "src/fd/violation.h"
 #include "src/graph/vertex_cover.h"
@@ -277,24 +276,25 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContextRepairOracle, ::testing::Range(0, 4));
 
 TEST(ContextRepairOracleCases, SweepBatchMatchesStandalone) {
   PerturbedData dirty = CensusWorkload(7);
-  EncodedInstance enc(dirty.data);
-  CardinalityWeight weights;
-  FdSearchContext ctx(dirty.fds, enc, weights);
-  exec::Sweep sweep(ctx, enc, exec::Options{4});
-  std::vector<exec::SweepJob> jobs;
+  SessionOptions opts;
+  opts.weights = WeightModel::kCardinality;
+  opts.exec.num_threads = 4;
+  Result<Session> session = Session::Open(dirty.data, dirty.fds, opts);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<RepairRequest> reqs;
   for (double tau_r : kTauGrid) {
-    exec::SweepJob job;
-    job.tau = TauFromRelative(tau_r, ctx.RootDeltaP());
-    job.opts.seed = static_cast<uint64_t>(tau_r * 100) + 3;
-    jobs.push_back(job);
+    RepairRequest req = RepairRequest::AtRelative(tau_r);
+    req.seed = static_cast<uint64_t>(tau_r * 100) + 3;
+    reqs.push_back(req);
   }
-  std::vector<exec::SweepOutcome> outcomes = sweep.RunRepairs(jobs);
-  ASSERT_EQ(outcomes.size(), jobs.size());
+  std::vector<Result<RepairResponse>> outcomes = session->RepairMany(reqs);
+  ASSERT_EQ(outcomes.size(), reqs.size());
   int repaired = 0;
   for (size_t j = 0; j < outcomes.size(); ++j) {
-    if (!outcomes[j].repair.has_value()) continue;
+    if (!outcomes[j].ok()) continue;
     ++repaired;
-    ExpectMatchesStandalone(ctx, enc, *outcomes[j].repair, jobs[j].opts.seed,
+    ExpectMatchesStandalone(session->context(), session->data(),
+                            outcomes[j]->repair, reqs[j].seed,
                             "job " + std::to_string(j));
   }
   EXPECT_GT(repaired, 0);

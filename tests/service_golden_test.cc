@@ -236,6 +236,15 @@ TEST(ServiceGolden, StatsAndMetricsRepliesArePinned) {
         "search_incumbent_improvements"}) {
     global_counts[key] = global.Get(key)->AsInt();
   }
+  // The search counters count only searches that ran. The sweep's τr 0.25
+  // item repeats request 3 at the same data version, so the session's
+  // search-answer memo serves it. Before batches shared that memo it
+  // searched again: the counters then read expansions 29, visited 42,
+  // incumbents 7 and 7 exact searches. The memo hit subtracts request 3's
+  // own search, as its flight record reads it: 12 expansions, 14 states
+  // visited, and the one incumbent every exact search that finds a repair
+  // records. So 29 - 12 = 17, 42 - 14 = 28, 7 - 1 = 6 incumbents and
+  // 7 - 1 = 6 searches.
   const Counts kGlobalCounts = {
       {"cancelled", 1},
       {"completed", 7},
@@ -247,8 +256,8 @@ TEST(ServiceGolden, StatsAndMetricsRepliesArePinned) {
       {"rejected_queue_full", 0},
       {"rejected_quota", 1},
       {"rejected_tenant_cap", 0},
-      {"search_expansions", 29},
-      {"search_incumbent_improvements", 7},
+      {"search_expansions", 17},
+      {"search_incumbent_improvements", 6},
       {"search_lb_prunes", 0},
       {"submitted", 10},
       {"workers", 2},
@@ -330,6 +339,7 @@ TEST(ServiceGolden, StatsAndMetricsRepliesArePinned) {
       R"(retrust_wire_requests_total{verb="unload_tenant"})",
   };
   EXPECT_EQ(names, kSeries);
+  // The search totals move with the global counters above (same memo hit).
   const Counts kTotals = {
       {"retrust_flight_records_total", 10},
       {"retrust_quota_denials_total", 1},
@@ -341,12 +351,12 @@ TEST(ServiceGolden, StatsAndMetricsRepliesArePinned) {
       {R"(retrust_requests_rejected_total{reason="quota"})", 1},
       {R"(retrust_requests_rejected_total{reason="tenant_cap"})", 0},
       {"retrust_requests_submitted_total", 10},
-      {"retrust_search_expansions_total", 29},
-      {"retrust_search_incumbents_total", 7},
+      {"retrust_search_expansions_total", 17},
+      {"retrust_search_incumbents_total", 6},
       {"retrust_search_lb_prunes_total", 0},
-      {R"(retrust_search_policy_expansions_total{policy="exact"})", 29},
-      {R"(retrust_search_policy_visited_total{policy="exact"})", 42},
-      {R"(retrust_search_requests_total{policy="exact"})", 7},
+      {R"(retrust_search_policy_expansions_total{policy="exact"})", 17},
+      {R"(retrust_search_policy_visited_total{policy="exact"})", 28},
+      {R"(retrust_search_requests_total{policy="exact"})", 6},
       {"retrust_slow_requests_total", 0},
       {R"(retrust_wire_requests_total{verb="apply_delta"})", 1},
       {R"(retrust_wire_requests_total{verb="dump_recent"})", 0},

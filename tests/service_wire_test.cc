@@ -481,66 +481,5 @@ TEST(ServiceWireOracle, PipelinedConnectionsMatchSerialSessions) {
   }
 }
 
-// --- policy-aware sweep scheduling ---------------------------------------
-
-TEST(ServiceSweepSeeding, GreedyFirstNeverChangesExactResults) {
-  WireTenant tenant = MakeWireTenant(1);
-  Result<Session> session = Session::Open(tenant.data, tenant.fd_texts);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  const Schema& schema = session->schema();
-
-  auto request = [](double tau_r, search::SearchPolicy policy) {
-    RepairRequest req = RepairRequest::AtRelative(tau_r);
-    req.policy = policy;
-    req.seed = 11;
-    return req;
-  };
-
-  // Exact-only baseline vs the same exact jobs inside a mixed batch whose
-  // greedy wave seeds everyone's upper bound.
-  std::vector<RepairRequest> exact_only = {
-      request(0.5, search::SearchPolicy::kExact),
-      request(1.0, search::SearchPolicy::kExact)};
-  std::vector<RepairRequest> mixed = {
-      request(0.2, search::SearchPolicy::kGreedy),
-      request(0.5, search::SearchPolicy::kExact),
-      request(0.7, search::SearchPolicy::kAnytime),
-      request(1.0, search::SearchPolicy::kExact)};
-
-  auto fingerprint = [&](const Result<RepairResponse>& r) {
-    return StripVolatile(r.ok() ? ToJson(*r, schema) : ErrorJson(r.status()))
-        .Dump();
-  };
-
-  std::vector<Result<RepairResponse>> base = session->RepairMany(exact_only);
-  std::vector<Result<RepairResponse>> seeded = session->RepairMany(mixed);
-  ASSERT_EQ(base.size(), 2u);
-  ASSERT_EQ(seeded.size(), 4u);
-  EXPECT_EQ(fingerprint(seeded[1]), fingerprint(base[0]));
-  EXPECT_EQ(fingerprint(seeded[3]), fingerprint(base[1]));
-  // The seeded anytime job still finds a repair: the engine prunes only
-  // STRICTLY above the seed, so the greedy incumbent's cost stays in play.
-  ASSERT_TRUE(seeded[2].ok()) << seeded[2].status().ToString();
-
-  // Same property through SearchMany (the RunSearches wave path): exact
-  // probes — stats included — are bit-identical with and without the
-  // greedy wave.
-  std::vector<RepairRequest> probe_exact = {
-      request(0.6, search::SearchPolicy::kExact)};
-  std::vector<RepairRequest> probe_mixed = {
-      request(0.1, search::SearchPolicy::kGreedy),
-      request(0.6, search::SearchPolicy::kExact)};
-  std::vector<Result<SearchProbe>> probes_base =
-      session->SearchMany(probe_exact);
-  std::vector<Result<SearchProbe>> probes_mixed =
-      session->SearchMany(probe_mixed);
-  ASSERT_EQ(probes_base.size(), 1u);
-  ASSERT_EQ(probes_mixed.size(), 2u);
-  auto probe_fp = [](const Result<SearchProbe>& r) {
-    return StripVolatile(r.ok() ? ToJson(*r) : ErrorJson(r.status())).Dump();
-  };
-  EXPECT_EQ(probe_fp(probes_mixed[1]), probe_fp(probes_base[0]));
-}
-
 }  // namespace
 }  // namespace retrust::service
