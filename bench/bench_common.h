@@ -34,6 +34,13 @@ inline void Banner(const char* figure, const char* what) {
               Scale());
 }
 
+/// `v` as a JSON number with 10 significant digits.
+inline std::string JsonNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.10g", v);
+  return buf;
+}
+
 /// Path of the machine-readable output BENCH_<name>.json: the current
 /// directory, or $RETRUST_BENCH_JSON_DIR when set. Every bench binary that
 /// tracks the perf trajectory (micro_core, fig12_tau) writes one.
@@ -43,13 +50,14 @@ inline std::string BenchJsonPath(const char* name) {
   return dir + "/BENCH_" + name + ".json";
 }
 
-/// Opens BENCH_<name>.json for writing (nullptr on failure, with a note);
-/// callers fprintf JSON into it.
-inline FILE* OpenBenchJson(const char* name) {
+/// Opens BENCH_<name>.json for writing (nullptr on failure, with a note
+/// on `note`); callers fprintf JSON into it. The figure benches pass
+/// stderr, so their stdout stays the paper's table alone.
+inline FILE* OpenBenchJson(const char* name, FILE* note = stdout) {
   std::string path = BenchJsonPath(name);
   FILE* f = std::fopen(path.c_str(), "w");
-  std::printf(f != nullptr ? "\nwriting %s\n" : "\ncannot write %s\n",
-              path.c_str());
+  std::fprintf(note, f != nullptr ? "\nwriting %s\n" : "\ncannot write %s\n",
+               path.c_str());
   return f;
 }
 

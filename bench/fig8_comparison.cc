@@ -36,6 +36,7 @@ int main() {
               "FDerr", "dataerr", "FDprec", "FDrec", "dataprec", "datarec",
               "combinedF");
 
+  std::string json_mixes;
   for (const Mix& mix : mixes) {
     CensusConfig gen;
     gen.num_tuples = bench::ScaledN(1500);
@@ -62,11 +63,24 @@ int main() {
     }
     PrintRow("Relative-Trust (best)", mix.fd_err, mix.data_err, best);
     std::printf("\n");
+    if (!json_mixes.empty()) json_mixes += ",\n";
+    json_mixes += "    {\"fd_err\": " + bench::JsonNumber(mix.fd_err) +
+                  ", \"data_err\": " + bench::JsonNumber(mix.data_err) +
+                  ", \"uniform_cost_f\": " +
+                  bench::JsonNumber(uniform.quality.CombinedF()) +
+                  ", \"relative_trust_f\": " +
+                  bench::JsonNumber(best.quality.CombinedF()) + "}";
   }
   std::printf("Expected shape: the unified model's trade-off is fixed a "
               "priori, so it cannot adapt to the actual error mix; "
               "Relative-Trust (choosing the right tau per mix) dominates "
               "its combined F-score on every mix, most dramatically when "
               "FD errors dominate (paper Figure 8).\n");
+
+  if (FILE* json = bench::OpenBenchJson("fig8", stderr)) {
+    std::fprintf(json, "{\n  \"mixes\": [\n%s\n  ]\n}\n",
+                 json_mixes.c_str());
+    std::fclose(json);
+  }
   return 0;
 }

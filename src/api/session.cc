@@ -364,6 +364,7 @@ void Session::Install(std::unique_ptr<WeightFunction> weights,
   weights_ = std::move(weights);
   root_delta_p_ = root;
   memo_->answers.clear();
+  memo_->bases.clear();
 }
 
 Status Session::SetFds(FDSet sigma) {
@@ -413,6 +414,7 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     // Every path below changes the data the memoized answers were
     // searched over; the exclusive lock keeps requests off the memo.
     memo_->answers.clear();
+    memo_->bases.clear();
     instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
     // Memoized projections are stale against the mutated instance; they
@@ -525,6 +527,27 @@ ModifyFdsResult Session::AnswerSearch(const RepairRequest& req, int64_t tau,
   return hit;
 }
 
+const RepairBase& Session::BaseFor(const SearchState& goal,
+                                   std::optional<RepairBase>* unstored) const {
+  const RepairBase* stored = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(memo_->mu);
+    auto it = memo_->bases.find(goal);
+    if (it != memo_->bases.end()) stored = &it->second;
+  }
+  if (stored != nullptr) {
+    CheckRepairBase(*context_, *encoded_, goal, *stored);
+    return *stored;
+  }
+  RepairBase built = BuildRepairBase(*context_, *encoded_, goal);
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  if (memo_->bases.size() < kSearchMemoCapacity) {
+    return memo_->bases.try_emplace(goal, std::move(built)).first->second;
+  }
+  unstored->emplace(std::move(built));
+  return **unstored;
+}
+
 Result<RepairResponse> Session::Repair(const RepairRequest& req) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   return RepairLocked(req);
@@ -543,10 +566,14 @@ Result<RepairResponse> Session::RepairLocked(const RepairRequest& req) const {
           : nullptr;
   try {
     Timer timer;
-    RepairOutcome outcome =
-        MaterializeRepair(*context_, *encoded_,
-                          AnswerSearch(req, *tau, SearchOptions(req)),
-                          req.seed);
+    ModifyFdsResult answer = AnswerSearch(req, *tau, SearchOptions(req));
+    std::optional<RepairBase> unstored;
+    const RepairBase* base =
+        answer.repair.has_value() ? &BaseFor(answer.repair->state, &unstored)
+                                  : nullptr;
+    RepairOutcome outcome = MaterializeRepair(*context_, *encoded_,
+                                              std::move(answer), req.seed,
+                                              base);
     if (session_span != nullptr) {
       const double total = timer.ElapsedSeconds();
       obs::TraceSpan* search_span = session_span->StartChild("search");
@@ -653,6 +680,19 @@ size_t Session::ContextBytesEstimate() const {
   return edges * sizeof(Edge) +
          static_cast<size_t>(context_->index().size()) * kPerGroup +
          sizeof(FdSearchContext);
+}
+
+Session::MemoStats Session::memo_stats() const {
+  // The mutators clear the memo under the exclusive snapshot lock only.
+  std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  MemoStats stats;
+  stats.answers = memo_->answers.size();
+  stats.bases = memo_->bases.size();
+  for (const auto& [goal, base] : memo_->bases) {
+    stats.base_bytes += base.Bytes();
+  }
+  return stats;
 }
 
 }  // namespace retrust

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
@@ -312,6 +313,14 @@ class Session {
   /// the snapshot lock).
   size_t ContextBytesEstimate() const;
 
+  /// What the memo holds right now. Safe against concurrent requests.
+  struct MemoStats {
+    size_t answers = 0;     ///< memoized search answers
+    size_t bases = 0;       ///< memoized data-repair bases (one per goal)
+    size_t base_bytes = 0;  ///< heap bytes the bases hold
+  };
+  MemoStats memo_stats() const;
+
   /// Reference-returning accessors. The pointed-to state is
   /// delta-maintained IN PLACE by Apply(), and fds(), context() and
   /// weights() are replaced by SetFds()/SetWeights() — reading through
@@ -333,8 +342,9 @@ class Session {
   const FdSearchContext& context() const { return *context_; }
   const WeightFunction& weights() const { return *weights_; }
 
-  /// Most search answers the memo holds at once. A full memo stops taking
-  /// new answers but keeps serving the ones it has.
+  /// Most search answers, and most data-repair bases, the memo holds at
+  /// once. A full memo stops taking new entries but keeps serving the ones
+  /// it has.
   static constexpr size_t kSearchMemoCapacity = 256;
 
  private:
@@ -351,12 +361,15 @@ class Session {
   struct MemoKeyHash {
     size_t operator()(const MemoKey& key) const;
   };
-  /// Completed searches over the current context. Lookups and inserts take
-  /// `mu`; clearing happens under the exclusive snapshot lock, so a stored
-  /// answer stays valid for as long as a request holds the shared one.
+  /// Completed searches over the current context, and the data-repair base
+  /// of each goal state a repair reached. Lookups and inserts take `mu`;
+  /// clearing happens under the exclusive snapshot lock, so a stored entry
+  /// stays valid for as long as a request holds the shared one. Each map
+  /// holds at most kSearchMemoCapacity entries.
   struct SearchMemo {
     std::mutex mu;
     std::unordered_map<MemoKey, ModifyFdsResult, MemoKeyHash> answers;
+    std::unordered_map<SearchState, RepairBase, SearchStateHash> bases;
   };
 
   Session(Instance data, SessionOptions opts);
@@ -397,6 +410,12 @@ class Session {
   /// with a budget or deadline always search.
   ModifyFdsResult AnswerSearch(const RepairRequest& req, int64_t tau,
                                const ModifyFdsOptions& opts) const;
+
+  /// Algorithm 4's seed-independent half for `goal`: the memoized base when
+  /// there is one, else a fresh build, memoized unless the memo is full
+  /// (then it lands in `*unstored`). The first insert for a goal wins.
+  const RepairBase& BaseFor(const SearchState& goal,
+                            std::optional<RepairBase>* unstored) const;
 
   /// The bodies of Repair() and Search(), shared with the batches. The
   /// caller holds the snapshot lock shared.

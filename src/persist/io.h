@@ -1,5 +1,5 @@
-// Byte-level primitives of the persistence layer: a CRC-32 checksum and a
-// pair of bounds-checked little-endian buffer codecs.
+// Byte-level primitives of the persistence layer: a whole-file read, a
+// CRC-32 checksum and a pair of bounds-checked little-endian buffer codecs.
 //
 // Snapshots and journals are written through ByteWriter (which accumulates
 // into one contiguous buffer, so the checksum can be computed over exactly
@@ -20,7 +20,15 @@
 #include <string>
 #include <string_view>
 
+#include "src/api/status.h"
+
 namespace retrust::persist {
+
+/// Reads all of `path` with one sized read. `what` names the file's kind in
+/// error messages ("snapshot", "journal"). kIoError when the file cannot be
+/// opened or sized, or the read comes up short.
+Result<std::string> ReadWholeFile(const std::string& path,
+                                  std::string_view what);
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) of `len` bytes.
 uint32_t Crc32(const void* data, size_t len);

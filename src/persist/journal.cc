@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <filesystem>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -100,15 +99,6 @@ Status CheckPrefix(const std::string& path, const std::string& bytes,
   header->base_stamp = r.U64();
   header->base_version = r.U64();
   return Status::Ok();
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open journal '" + path + "'");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return IoError("read failure on journal '" + path + "'");
-  return bytes;
 }
 
 /// Walks the records after the header. On success fills `payloads` with the
@@ -214,7 +204,7 @@ Result<DeltaBatch> DecodeDeltaBatch(const std::string& payload) {
 }
 
 Result<JournalContents> ReadJournalFile(const std::string& path) {
-  auto bytes = ReadWholeFile(path);
+  auto bytes = ReadWholeFile(path, "journal");
   if (!bytes.ok()) return bytes.status();
 
   JournalContents contents;
@@ -260,7 +250,7 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Create(
 
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Append(
     const std::string& path, uint64_t expected_fingerprint) {
-  auto bytes = ReadWholeFile(path);
+  auto bytes = ReadWholeFile(path, "journal");
   if (!bytes.ok()) return bytes.status();
 
   JournalHeader header;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -203,11 +202,9 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
 }
 
 Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return IoError("cannot open snapshot '" + path + "'");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return IoError("read failure on snapshot '" + path + "'");
+  Result<std::string> read = ReadWholeFile(path, "snapshot");
+  if (!read.ok()) return read.status();
+  const std::string& bytes = *read;
 
   // Magic and version come before the checksum test so an unsupported
   // version (whose payload layout we cannot parse anyway) reports as

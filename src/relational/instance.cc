@@ -10,12 +10,9 @@
 
 namespace retrust {
 
-int32_t TakeFreshVariableIndex(int32_t* next, AttrId a) {
-  if (*next == std::numeric_limits<int32_t>::max()) {
-    throw std::overflow_error("attribute " + std::to_string(a) +
-                              " has no fresh variable index left");
-  }
-  return (*next)++;
+void ThrowFreshVariablesExhausted(AttrId a) {
+  throw std::overflow_error("attribute " + std::to_string(a) +
+                            " has no fresh variable index left");
 }
 
 void Instance::AddTuple(Tuple t) {

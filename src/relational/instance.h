@@ -10,6 +10,7 @@
 #define RETRUST_RELATIONAL_INSTANCE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,10 +20,20 @@
 
 namespace retrust {
 
+/// Throws std::overflow_error: attribute `a` has no fresh-variable index
+/// left.
+[[noreturn]] void ThrowFreshVariablesExhausted(AttrId a);
+
 /// Returns `*next` as attribute `a`'s next fresh-variable index and
 /// advances it. Throws std::overflow_error once the index space is spent:
 /// INT32_MAX is never handed out, since a variable's code is −(index + 1).
-int32_t TakeFreshVariableIndex(int32_t* next, AttrId a);
+/// Inline: Algorithm 5's chase mints one per free attribute per call.
+inline int32_t TakeFreshVariableIndex(int32_t* next, AttrId a) {
+  if (*next == std::numeric_limits<int32_t>::max()) {
+    ThrowFreshVariablesExhausted(a);
+  }
+  return (*next)++;
+}
 
 struct DeltaBatch;
 struct DeltaPlan;

@@ -38,7 +38,8 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
 
 RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
                                 const EncodedInstance& inst,
-                                ModifyFdsResult search, uint64_t seed) {
+                                ModifyFdsResult search, uint64_t seed,
+                                const RepairBase* base) {
   RepairOutcome outcome;
   outcome.stats = search.stats;
   outcome.termination = search.termination;
@@ -48,7 +49,9 @@ RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
   Rng rng(seed);
   // Algorithm 4 reads its cover from the context the search just used: no
   // Σ' index is built per request.
-  DataRepairResult data = RepairData(ctx, inst, fd_repair.state, &rng);
+  DataRepairResult data =
+      base != nullptr ? RepairFromBase(*base, inst, &rng)
+                      : RepairData(ctx, inst, fd_repair.state, &rng);
 #ifndef NDEBUG
   CheckMaterialized(ctx, fd_repair, data);
 #endif
@@ -85,6 +88,18 @@ void CheckSearchAnswer(const FdSearchContext& ctx, int64_t tau,
   }
 #else
   (void)ctx, (void)tau, (void)opts, (void)stored;
+#endif
+}
+
+void CheckRepairBase(const FdSearchContext& ctx, const EncodedInstance& inst,
+                     const SearchState& goal, const RepairBase& stored) {
+#ifndef NDEBUG
+  if (!(BuildRepairBase(ctx, inst, goal) == stored)) {
+    throw std::logic_error("memoized repair base disagrees with a fresh "
+                           "build");
+  }
+#else
+  (void)ctx, (void)inst, (void)goal, (void)stored;
 #endif
 }
 

@@ -61,13 +61,16 @@ RepairOutcome RunRepair(const FdSearchContext& ctx,
 /// the outcome, running Algorithm 4 with `seed` when the search found a
 /// repair. `inst` must be the instance `ctx` was built over (or equal to
 /// it): the data repair walks ctx.index()'s edges over the goal state's
-/// violated groups. The outcome carries `search`'s stats, termination and
-/// incumbents unchanged. Debug builds check the result's post-conditions
-/// (cover·α == δP, I' |= Σ', |Δd| ≤ change bound) and throw
-/// std::logic_error on a breach.
+/// violated groups. `base`, when given, must be BuildRepairBase(ctx, inst,
+/// goal) for the search's goal, and only the chase runs; null builds it.
+/// The outcome carries `search`'s stats, termination and incumbents
+/// unchanged. Debug builds check the result's post-conditions (cover·α ==
+/// δP, I' |= Σ', |Δd| ≤ change bound) and throw std::logic_error on a
+/// breach.
 RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
                                 const EncodedInstance& inst,
-                                ModifyFdsResult search, uint64_t seed);
+                                ModifyFdsResult search, uint64_t seed,
+                                const RepairBase* base = nullptr);
 
 /// Debug-build oracle for a search answer served from a memo instead of a
 /// search: re-runs ModifyFds(ctx, tau, opts) — uncancellable, untraced —
@@ -75,6 +78,13 @@ RepairOutcome MaterializeRepair(const FdSearchContext& ctx,
 /// distc, δP and termination as `stored`. Does nothing under NDEBUG.
 void CheckSearchAnswer(const FdSearchContext& ctx, int64_t tau,
                        ModifyFdsOptions opts, const ModifyFdsResult& stored);
+
+/// Debug-build oracle for a RepairBase served from a memo instead of
+/// built: rebuilds BuildRepairBase(ctx, inst, goal) and throws
+/// std::logic_error unless its Σ', cover and clean index equal `stored`'s.
+/// Does nothing under NDEBUG.
+void CheckRepairBase(const FdSearchContext& ctx, const EncodedInstance& inst,
+                     const SearchState& goal, const RepairBase& stored);
 
 /// Algorithm 1. Returns nullopt iff no relaxation of Σ admits a repair with
 /// at most τ cell changes (i.e. no goal state exists).

@@ -4,6 +4,7 @@
 // a fresh Open, batched requests, budgets, and cooperative cancellation.
 
 #include <atomic>
+#include <cstdio>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -797,6 +798,138 @@ TEST(SessionSearchMemo, BatchesShareTheMemo) {
     EXPECT_GT(first->repair.stats.states_visited, 0) << at;
     EXPECT_EQ(second->repair.stats.states_visited, 0) << at;
   }
+}
+
+// --- Data-repair bases (one per goal state) ---------------------------------
+
+/// Two absolute τ whose exact searches end at the same non-root goal state.
+std::pair<int64_t, int64_t> TausSharingAGoal(const Session& session) {
+  std::vector<std::pair<int64_t, SearchState>> goals;
+  for (int64_t tau = 0; tau < session.RootDeltaP(); ++tau) {
+    Result<SearchProbe> probe = session.Search(RepairRequest::At(tau));
+    if (!probe.ok() || !probe->result.repair.has_value()) continue;
+    const SearchState& goal = probe->result.repair->state;
+    if (goal.IsRoot()) continue;
+    for (const auto& [earlier, state] : goals) {
+      if (state == goal) return {earlier, tau};
+    }
+    goals.emplace_back(tau, goal);
+  }
+  return {-1, -1};
+}
+
+TEST(SessionSearchMemo, TausReachingOneGoalShareOneBase) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const auto [tau1, tau2] = TausSharingAGoal(*session);
+  ASSERT_GE(tau1, 0) << "no two τ reach one goal on this data";
+  EXPECT_EQ(session->memo_stats().bases, 0u);  // probes fill nothing
+
+  RepairRequest first_req = RepairRequest::At(tau1);
+  RepairRequest second_req = RepairRequest::At(tau2);
+  second_req.seed = 9;
+  Result<RepairResponse> first = session->Repair(first_req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Session::MemoStats stats = session->memo_stats();
+  EXPECT_EQ(stats.answers, 1u);
+  EXPECT_EQ(stats.bases, 1u);
+  EXPECT_GT(stats.base_bytes, 0u);
+
+  // A new τ searches, then chases the base its goal already has.
+  Result<RepairResponse> second = session->Repair(second_req);
+  EXPECT_TRUE(Searched(second));
+  stats = session->memo_stats();
+  EXPECT_EQ(stats.answers, 2u);
+  EXPECT_EQ(stats.bases, 1u);
+  ExpectSameReply(second, FreshRepair(*session, second_req),
+                  session->schema(), "second tau");
+  ExpectSameReply(session->Repair(first_req), first, session->schema(),
+                  "first tau repeated");
+}
+
+TEST(SessionSearchMemo, StateChangesLeaveNoBase) {
+  OracleData oracle = MakeOracleData(150);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const RepairRequest req = RepairRequest::AtRelative(0.3);
+  auto fill = [&](const std::string& at) {
+    ASSERT_TRUE(session->Repair(req).ok()) << at;
+    ASSERT_EQ(session->memo_stats().bases, 1u) << at;
+  };
+
+  fill("before delta");
+  DeltaBatch delta;
+  delta.Update(1, 2, oracle.dirty.At(7, 2)).Delete(5);
+  ASSERT_TRUE(session->Apply(delta).ok());
+  EXPECT_EQ(session->memo_stats().bases, 0u) << "Apply";
+
+  fill("before SetFds");
+  ASSERT_TRUE(session->SetFds(OtherSigma()).ok());
+  EXPECT_EQ(session->memo_stats().bases, 0u) << "SetFds";
+
+  fill("before SetWeights");
+  ASSERT_TRUE(session->SetWeights(WeightModel::kEntropy).ok());
+  EXPECT_EQ(session->memo_stats().bases, 0u) << "SetWeights";
+
+  // A failed switch keeps the context, so the base it holds stays valid.
+  fill("before a failed switch");
+  ASSERT_FALSE(session->SetFds({"A0->NoSuchColumn"}).ok());
+  EXPECT_EQ(session->memo_stats().bases, 1u) << "failed switch";
+  ExpectSameReply(session->Repair(req), FreshRepair(*session, req),
+                  session->schema(), "after a failed switch");
+
+  // A restored session starts with an empty memo and answers alike.
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string path = testing::TempDir() + "/api_session_test." +
+                           info->name() + ".snap";
+  std::remove(path.c_str());
+  ASSERT_TRUE(session->SaveSnapshot(path).ok());
+  SessionOptions opts;
+  opts.weights = WeightModel::kEntropy;
+  Result<Session> restored = Session::OpenSnapshot(path, opts);
+  std::remove(path.c_str());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->memo_stats().bases, 0u) << "OpenSnapshot";
+  ExpectSameReply(restored->Repair(req), session->Repair(req),
+                  session->schema(), "restored");
+}
+
+// Four threads race to build one goal's base; the first insert wins and
+// every reply equals a fresh session's.
+TEST(SessionSearchMemo, ConcurrentFirstRepairsOfOneGoalAgree) {
+  OracleData oracle = MakeOracleData(120);
+  Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
+  ASSERT_TRUE(session.ok());
+  const Schema& schema = session->schema();
+  constexpr int kThreads = 4;
+  std::string want[kThreads];
+  for (int t = 0; t < kThreads; ++t) {
+    RepairRequest req = RepairRequest::AtRelative(0.4);
+    req.seed = static_cast<uint64_t>(t) + 1;
+    Result<RepairResponse> fresh = FreshRepair(*session, req);
+    ASSERT_TRUE(fresh.ok());
+    want[t] = Fingerprint(fresh->repair, schema);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 4; ++i) {
+        RepairRequest req = RepairRequest::AtRelative(0.4);
+        req.seed = static_cast<uint64_t>((t + i) % kThreads) + 1;
+        Result<RepairResponse> got = session->Repair(req);
+        if (!got.ok() ||
+            Fingerprint(got->repair, schema) != want[req.seed - 1]) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(session->memo_stats().bases, 1u);
 }
 
 // --- Context memory estimate -------------------------------------------

@@ -426,6 +426,40 @@ TEST_F(SnapshotContent, NegativeFreshVariableCounterIsIoError) {
   ExpectRejected("instance counter");
 }
 
+// --- Whole-file read -------------------------------------------------------
+
+TEST(ReadWholeFile, ReturnsEveryByteOrAnIoError) {
+  const std::string path = TempPath("read_whole_file.bin");
+  std::string want(100000, '\0');
+  for (size_t i = 0; i < want.size(); ++i) {
+    want[i] = static_cast<char>((i * 131) % 251);  // NULs included
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(want.data(), static_cast<std::streamsize>(want.size()));
+  }
+  Result<std::string> got = persist::ReadWholeFile(path, "test");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, want);
+
+  { std::ofstream truncate(path, std::ios::binary | std::ios::trunc); }
+  got = persist::ReadWholeFile(path, "test");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->empty());
+  std::remove(path.c_str());
+
+  Result<std::string> missing = persist::ReadWholeFile(path, "test");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+  EXPECT_NE(missing.status().message().find("cannot open test '"),
+            std::string::npos);
+  // A directory opens as a stream but has no file size to read.
+  Result<std::string> directory =
+      persist::ReadWholeFile(testing::TempDir(), "test");
+  ASSERT_FALSE(directory.ok());
+  EXPECT_EQ(directory.status().code(), StatusCode::kIoError);
+}
+
 // --- Delta journal --------------------------------------------------------
 
 TEST(Journal, DeltaBatchEncodingRoundTrips) {

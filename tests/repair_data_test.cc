@@ -1,7 +1,9 @@
 #include "src/repair/repair_data.h"
 
 #include <cstdio>
+#include <map>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -104,7 +106,7 @@ TEST(FindAssignment, ForcesRhsFromCleanWitness) {
   inst.AddTuple({Value("1"), Value("y")});
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
-  internal::CleanIndex clean(enc, sigma);
+  internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
   std::vector<int32_t> tc, key;
   const bool found =
@@ -120,7 +122,7 @@ TEST(FindAssignment, FailsWhenForcedValueConflictsWithFixed) {
   inst.AddTuple({Value("1"), Value("y")});
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
-  internal::CleanIndex clean(enc, sigma);
+  internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
   // Both cells fixed: B is pinned to y but the clean witness forces x.
   std::vector<int32_t> tc, key;
@@ -135,7 +137,7 @@ TEST(FindAssignment, FreshVariablesAvoidSpuriousMatches) {
   inst.AddTuple({Value("2"), Value("y")});
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
-  internal::CleanIndex clean(enc, sigma);
+  internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
   // Only B fixed: A becomes a fresh variable that matches no clean key.
   std::vector<int32_t> tc, key;
@@ -153,7 +155,7 @@ TEST(FindAssignment, ChasesTransitiveFds) {
   inst.AddTuple({Value("1"), Value("z"), Value("w")});
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B", "B->C"}, inst.schema());
-  internal::CleanIndex clean(enc, sigma);
+  internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
   std::vector<int32_t> tc, key;
   const bool found =
@@ -161,6 +163,128 @@ TEST(FindAssignment, ChasesTransitiveFds) {
   ASSERT_TRUE(found);
   EXPECT_EQ(tc[1], enc.At(0, 1));
   EXPECT_EQ(tc[2], enc.At(0, 2));
+}
+
+// --- Flat clean index and its overlay ---------------------------------------
+
+/// Random keys of `width` codes (constants and variables, from a small
+/// domain so keys repeat) against a std::map oracle. The table starts at
+/// two slots, so it grows through every size and home slots collide.
+TEST(FlatKeyMap, MatchesMapOracleAtEveryWidth) {
+  for (int width : {0, 1, 2, 5, 7}) {
+    const std::string at = "width=" + std::to_string(width);
+    internal::FlatKeyMap map(width, 2);
+    std::map<std::vector<int32_t>, int32_t> oracle;
+    std::mt19937 gen(static_cast<uint32_t>(width) + 1);
+    std::uniform_int_distribution<int32_t> code(-3, 4);
+    std::vector<int32_t> key(width);
+    for (int i = 0; i < 600; ++i) {
+      for (int32_t& c : key) c = code(gen);
+      const int32_t value = code(gen);
+      const auto [stored, inserted] = map.Insert(
+          key.data(), internal::FlatKeyMap::Hash(key.data(), width), value);
+      const auto [it, want_inserted] = oracle.try_emplace(key, value);
+      EXPECT_EQ(inserted, want_inserted) << at;
+      EXPECT_EQ(stored, it->second) << at;
+    }
+    ASSERT_EQ(map.size(), oracle.size()) << at;
+    EXPECT_GE(map.slot_count(), 2 * map.size()) << at;
+    std::set<size_t> homes;
+    for (const auto& [k, v] : oracle) {
+      const uint64_t hash = internal::FlatKeyMap::Hash(k.data(), width);
+      const int32_t* found = map.Find(k.data(), hash);
+      ASSERT_NE(found, nullptr) << at;
+      EXPECT_EQ(*found, v) << at;
+      homes.insert(static_cast<size_t>(hash) & (map.slot_count() - 1));
+    }
+    if (width >= 2) {
+      // Some keys share a home slot, so the lookups above walked probes.
+      EXPECT_LT(homes.size(), oracle.size()) << at;
+      // Codes outside the domain: every probe ends at an empty slot.
+      for (int i = 0; i < 200; ++i) {
+        for (int32_t& c : key) c = code(gen);
+        key[i % width] = 100 + i;
+        EXPECT_EQ(map.Find(key.data(),
+                           internal::FlatKeyMap::Hash(key.data(), width)),
+                  nullptr)
+            << at;
+      }
+    }
+  }
+}
+
+TEST(CleanIndex, EmptyLhsHoldsOneKey) {
+  Instance inst(Schema::FromNames({"A", "B"}));
+  inst.AddTuple({Value("1"), Value("x")});
+  inst.AddTuple({Value("2"), Value("x")});
+  inst.AddTuple({Value("3"), Value("y")});
+  EncodedInstance enc(inst);
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{}, 1});
+  internal::CleanIndex clean(sigma);
+  clean.Insert(enc, 0);
+  clean.Insert(enc, 1);
+  const std::vector<int32_t> empty_key;
+  EXPECT_EQ(clean.ForcedRhs(0, empty_key), enc.At(0, 1));
+  EXPECT_THROW(clean.Insert(enc, 2), std::logic_error);
+}
+
+TEST(CleanIndex, OverlaySeesBaseAndRejectsConflicts) {
+  // A->B over (1,x) (2,y) | (1,z) (3,w) (3,v).
+  Instance inst(Schema::FromNames({"A", "B"}));
+  for (auto [a, b] : {std::pair{"1", "x"}, std::pair{"2", "y"},
+                      std::pair{"1", "z"}, std::pair{"3", "w"},
+                      std::pair{"3", "v"}}) {
+    inst.AddTuple({Value(a), Value(b)});
+  }
+  EncodedInstance enc(inst);
+  FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
+  internal::CleanIndex base(sigma);
+  base.Insert(enc, 0);
+  base.Insert(enc, 1);
+  const internal::CleanIndex before = base;
+
+  internal::CleanIndex overlay = internal::CleanIndex::Overlay(base);
+  const std::vector<int32_t> key1 = {enc.At(0, 0)};
+  const std::vector<int32_t> key3 = {enc.At(3, 0)};
+  EXPECT_EQ(overlay.ForcedRhs(0, key1), enc.At(0, 1));  // from the base
+  overlay.Insert(enc, 3);
+  EXPECT_EQ(overlay.ForcedRhs(0, key3), enc.At(3, 1));
+  EXPECT_FALSE(base.ForcedRhs(0, key3).has_value());
+  // (1,z) conflicts with the base's (1,x); (3,v) with the overlay's (3,w).
+  EXPECT_THROW(overlay.Insert(enc, 2), std::logic_error);
+  EXPECT_THROW(overlay.Insert(enc, 4), std::logic_error);
+  EXPECT_TRUE(base == before);
+}
+
+// One base serves any number of seeds: each chase equals a standalone
+// RepairData with the same seed, and the base is left as built.
+TEST(RepairBase, ChasesShareOneBaseUnchanged) {
+  CensusConfig cfg;
+  cfg.num_tuples = 300;
+  cfg.num_attrs = 8;
+  cfg.planted_lhs_sizes = {3, 2};
+  cfg.seed = 11;
+  GeneratedData data = GenerateCensusLike(cfg);
+  PerturbOptions popts;
+  popts.fd_error_rate = 0.5;
+  popts.data_error_rate = 0.04;
+  popts.seed = 12;
+  PerturbedData dirty = Perturb(data.instance, data.planted_fds, popts);
+  EncodedInstance enc(dirty.data);
+  const RepairBase base = BuildRepairBase(enc, dirty.fds);
+  ASSERT_FALSE(base.cover.empty());
+  const RepairBase before = base;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng chase_rng(seed);
+    Rng oracle_rng(seed);
+    DataRepairResult got = RepairFromBase(base, enc, &chase_rng);
+    DataRepairResult want = RepairData(enc, dirty.fds, &oracle_rng);
+    EXPECT_TRUE(got.repaired.DiffCells(want.repaired).empty()) << seed;
+    EXPECT_EQ(got.changed_cells, want.changed_cells) << seed;
+    EXPECT_EQ(got.cover_size, want.cover_size) << seed;
+  }
+  EXPECT_TRUE(base == before);
 }
 
 // Property sweep: on perturbed census workloads, the repair always
