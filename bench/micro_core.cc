@@ -77,7 +77,7 @@ void BM_DiffSetIndex(benchmark::State& state) {
   ExperimentData& d = SharedData(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     DifferenceSetIndex idx =
-        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, {});
+        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, nullptr);
     benchmark::DoNotOptimize(idx.size());
   }
 }
@@ -93,7 +93,7 @@ void BM_ViolationDetectionSharded(benchmark::State& state) {
     ConflictGraph cg = BuildConflictGraph(d.encoded(), d.dirty.fds,
                                           pool.get());
     DifferenceSetIndex idx =
-        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, {threads});
+        BuildDifferenceSetIndex(d.encoded(), d.dirty.fds, pool.get());
     benchmark::DoNotOptimize(idx.size());
   }
 }

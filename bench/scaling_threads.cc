@@ -21,16 +21,14 @@ using namespace retrust;
 
 namespace {
 
-// One pass of violation detection at `threads` threads (`pool` runs the
-// conflict graph; the all-pairs index build sizes its own pool); returns a
-// structural checksum.
+// One pass of violation detection on `pool` (null = serial): the conflict
+// graph and the all-pairs index build; returns a structural checksum.
 uint64_t DetectViolations(const EncodedInstance& inst, const FDSet& fds,
-                          exec::ThreadPool* pool, int threads,
-                          double* seconds) {
+                          exec::ThreadPool* pool, double* seconds) {
   Timer timer;
   ConflictGraph cg = BuildConflictGraph(inst, fds, pool);
-  DifferenceSetIndex index = BuildDifferenceSetIndex(
-      inst, fds, {threads}, DiffSetBuildMode::kNaive);
+  DifferenceSetIndex index =
+      BuildDifferenceSetIndex(inst, fds, pool, DiffSetBuildMode::kNaive);
   *seconds = timer.ElapsedSeconds();
   uint64_t checksum = cg.num_edges();
   for (const auto& mask : cg.edge_fd_mask) checksum = checksum * 31 + mask;
@@ -70,8 +68,7 @@ int main() {
     std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({t});
     double seconds = 0.0;
     uint64_t checksum =
-        DetectViolations(data.encoded(), data.dirty.fds, pool.get(), t,
-                         &seconds);
+        DetectViolations(data.encoded(), data.dirty.fds, pool.get(), &seconds);
     if (t == 1) {
       serial_seconds = seconds;
       serial_checksum = checksum;

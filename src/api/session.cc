@@ -349,7 +349,7 @@ Status Session::Switch(FDSet sigma, WeightModel model) {
 void Session::Build(const FDSet& sigma, WeightModel model) {
   std::unique_ptr<WeightFunction> weights = MakeWeights(model, *encoded_);
   auto context = std::make_unique<FdSearchContext>(
-      sigma, *encoded_, *weights, opts_.heuristic, opts_.exec);
+      sigma, *encoded_, *weights, opts_.heuristic, pool());
   Install(std::move(weights), std::move(context));
 }
 
@@ -471,8 +471,8 @@ ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
   opts.cancel = req.cancel;
   opts.phase_trace =
       req.trace != nullptr ? &req.trace->search_phases : nullptr;
-  // opts.exec stays serial: SessionOptions::exec parallelizes ACROSS
-  // batched requests (and shards context builds), never inside one search.
+  // One search runs serially: the session's pool parallelizes ACROSS
+  // batched requests (and shards context builds), never inside a search.
   return opts;
 }
 

@@ -64,15 +64,16 @@ enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
-  /// Shards context construction AND sizes the pool batched requests
-  /// (RepairMany/SearchMany) and Apply() run on. Results are bit-identical
-  /// for any thread count (DESIGN.md).
+  /// Sizes the session's own pool, on which it builds its context and
+  /// runs batched requests (RepairMany/SearchMany) and Apply(); each
+  /// single search stays serial. Results are bit-identical for any thread
+  /// count (DESIGN.md).
   exec::Options exec;
-  /// Optional externally-owned pool (nullable) the session's batches and
-  /// Apply() schedule on instead of the one the session would make from
-  /// `exec` — a process holding many sessions (one per tenant,
-  /// src/service/) shares ONE pool across all of them. Must outlive the
-  /// session.
+  /// Optional externally-owned pool (nullable) the session's context
+  /// builds, batches and Apply() schedule on instead of the one the
+  /// session would make from `exec` — a process holding many sessions (one
+  /// per tenant, src/service/) shares ONE pool across all of them. Must
+  /// outlive the session.
   exec::ThreadPool* shared_pool = nullptr;
 };
 
@@ -398,8 +399,8 @@ class Session {
   /// session's one context. A throw leaves the current one in place.
   void Install(std::unique_ptr<WeightFunction> weights,
                std::unique_ptr<FdSearchContext> context);
-  /// The pool batches and Apply() run on: opts_.shared_pool when set,
-  /// else the session's own (null = serial).
+  /// The pool context builds, batches and Apply() run on:
+  /// opts_.shared_pool when set, else the session's own (null = serial).
   exec::ThreadPool* pool() const {
     return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
   }

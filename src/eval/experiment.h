@@ -38,8 +38,8 @@ struct ExperimentData {
 };
 
 /// Generates, perturbs, encodes, and builds the search context. `eopts`
-/// shards the conflict-graph/difference-set construction (identical output
-/// for any thread count).
+/// sizes the session's pool, which shards the difference-set construction
+/// and runs its batches (identical output for any thread count).
 ExperimentData PrepareExperiment(const CensusConfig& gen,
                                  const PerturbOptions& perturb,
                                  WeightKind weights = WeightKind::kDistinctCount,

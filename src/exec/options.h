@@ -1,10 +1,13 @@
-// Execution options threaded through the repair APIs.
+// How many threads a pool gets.
 //
 // The exec/ subsystem holds only primitives (options, ThreadPool,
 // TaskGroup, ParallelFor, CancelToken): they depend on nothing but the
-// standard library and are usable from any layer (src/fd/ uses them for
-// sharded violation detection, retrust::Session fans batches out on a
-// TaskGroup). See DESIGN.md for the determinism contract.
+// standard library and are usable from any layer. Below api/, a parallel
+// entry point takes a borrowed, nullable exec::ThreadPool* (src/fd/ shards
+// violation detection and the difference-set build on it); Options only
+// sizes the pools MakePool creates, which retrust::Session does once per
+// session for its context build, batches and deltas. See DESIGN.md for the
+// determinism contract.
 
 #ifndef RETRUST_EXEC_OPTIONS_H_
 #define RETRUST_EXEC_OPTIONS_H_

@@ -351,12 +351,11 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
 
 DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
                                            const FDSet& sigma,
-                                           const exec::Options& eopts,
+                                           exec::ThreadPool* pool,
                                            DiffSetBuildMode mode,
                                            DiffSetBuildStats* stats) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
   if (mode == DiffSetBuildMode::kBlocked) {
-    return BuildDifferenceSetIndexBlocked(inst, sigma, pool.get(), stats);
+    return BuildDifferenceSetIndexBlocked(inst, sigma, pool, stats);
   }
 
   // kNaive: the quadratic oracle — a direct scan over all C(n,2) tuple
@@ -374,11 +373,11 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
 
-  exec::ChunkPlan plan = exec::PlanChunks(n, pool.get());
+  exec::ChunkPlan plan = exec::PlanChunks(n, pool);
   std::vector<std::vector<std::pair<Edge, AttrSet>>> per_chunk(
       static_cast<size_t>(std::max(plan.num_chunks, 1)));
   exec::ParallelFor(
-      pool.get(), plan, [&](int64_t begin, int64_t end, int chunk) {
+      pool, plan, [&](int64_t begin, int64_t end, int chunk) {
     auto& out = per_chunk[chunk];
     for (TupleId u = static_cast<TupleId>(begin);
          u < static_cast<TupleId>(end); ++u) {

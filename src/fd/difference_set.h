@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/conflict_graph.h"
 
 namespace retrust {
@@ -139,15 +138,14 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(
     const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
     DiffSetBuildStats* stats = nullptr);
 
-/// Builds the difference-set index of (inst, sigma), sharded on a
-/// short-lived pool per `eopts` (serial options spin up no pool). The
-/// result is BIT-IDENTICAL for any thread count and for either build mode.
+/// Builds the difference-set index of (inst, sigma), sharded on the
+/// borrowed `pool` (nullable = serial). The result is BIT-IDENTICAL for
+/// any thread count and for either build mode.
 /// FdSearchContext builds Σ's index with it (Algorithm 4 reads its covers
 /// from that index); the standalone RepairData oracle builds a Σ' index.
 /// `stats`, when non-null, receives the build's per-phase breakdown.
 DifferenceSetIndex BuildDifferenceSetIndex(
-    const EncodedInstance& inst, const FDSet& sigma,
-    const exec::Options& eopts,
+    const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
     DiffSetBuildMode mode = DiffSetBuildMode::kBlocked,
     DiffSetBuildStats* stats = nullptr);
 

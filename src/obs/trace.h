@@ -87,7 +87,7 @@ class TraceSpan {
 /// (ModifyFdsOptions::phase_trace). Counts are operations, seconds are
 /// summed wall time of those operations.
 struct SearchPhaseStats {
-  uint64_t expand_count = 0;  ///< node expansions (children + speculation)
+  uint64_t expand_count = 0;  ///< node expansions
   double expand_seconds = 0.0;
   uint64_t evaluate_count = 0;  ///< deferred g-cost evaluations
   double evaluate_seconds = 0.0;

@@ -1,7 +1,5 @@
 #include "src/repair/evaluation.h"
 
-#include "src/exec/thread_pool.h"
-
 namespace retrust {
 
 namespace {
@@ -20,11 +18,8 @@ std::vector<const std::vector<Edge>*> GroupEdgeLists(
 
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
-                                 int num_tuples, const exec::Options& eopts)
-    : memo_(GroupEdgeLists(index), num_tuples) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
-  table_ = ViolationTable(sigma, index, pool.get());
-}
+                                 int num_tuples, exec::ThreadPool* pool)
+    : table_(sigma, index, pool), memo_(GroupEdgeLists(index), num_tuples) {}
 
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,

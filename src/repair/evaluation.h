@@ -26,7 +26,6 @@
 #include <mutex>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/violation_table.h"
 #include "src/graph/cover_memo.h"
 #include "src/repair/state.h"
@@ -36,12 +35,12 @@ namespace retrust {
 /// Evaluates δP building blocks for the states of one (Σ, I) search.
 class DeltaPEvaluator {
  public:
-  /// Builds the violation table (sharded per `eopts`; bit-identical for
-  /// any thread count) and an empty cover memo over the index's groups.
-  /// `index` must outlive the evaluator (FdSearchContext owns both, index
-  /// first).
+  /// Builds the violation table (sharded on the borrowed `pool`, nullable
+  /// = serial; bit-identical for any thread count) and an empty cover memo
+  /// over the index's groups. `index` must outlive the evaluator
+  /// (FdSearchContext owns both, index first).
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, const exec::Options& eopts = {});
+                  int num_tuples, exec::ThreadPool* pool = nullptr);
 
   /// The evaluator's serialized cache (src/persist/): the memo's cached
   /// covers. The violation table is not saved; a restore rebuilds it.
@@ -67,7 +66,7 @@ class DeltaPEvaluator {
   /// bit-identical to a freshly built evaluator. In place because the gc
   /// heuristic holds a pointer to this evaluator. Returns the number of
   /// cached covers dropped. Requires external exclusion against concurrent
-  /// queries (the session's version layer provides it).
+  /// queries (the session's snapshot lock provides it).
   size_t Rebuild(const FDSet& sigma, const DifferenceSetIndex& index,
                  int num_tuples, exec::ThreadPool* pool);
 

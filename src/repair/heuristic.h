@@ -64,8 +64,7 @@ class DeltaPEvaluator;
 /// Computes gc(S) for states of one (Σ, I) search. Holds references to the
 /// FD set, state space, weights and the difference-set index; all must
 /// outlive the heuristic. Compute() is const AND thread-safe, so one
-/// heuristic instance serves concurrent searches and parallel successor
-/// evaluation.
+/// heuristic instance serves concurrent searches.
 ///
 /// When constructed with a DeltaPEvaluator (as FdSearchContext does), the
 /// group-violation tests and Algorithm 3 covers run through the shared

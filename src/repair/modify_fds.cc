@@ -1,6 +1,5 @@
 #include "src/repair/modify_fds.h"
 
-#include "src/exec/thread_pool.h"
 #include "src/fd/conflict_graph.h"
 #include "src/search/engine.h"
 
@@ -10,15 +9,15 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const EncodedInstance& inst,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
-                                 const exec::Options& eopts,
+                                 exec::ThreadPool* pool,
                                  DiffSetBuildMode mode)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
-      index_(BuildDifferenceSetIndex(inst, sigma, eopts, mode,
+      index_(BuildDifferenceSetIndex(inst, sigma, pool, mode,
                                      &build_stats_)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
-                                                   inst.NumTuples(), eopts)),
+                                                   inst.NumTuples(), pool)),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
@@ -39,13 +38,6 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
-
-FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
-    const EncodedInstance& inst, const std::vector<TupleId>& dirty,
-    const std::vector<TupleId>& remap, const exec::Options& eopts) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(eopts);
-  return ApplyDelta(inst, dirty, remap, pool.get());
-}
 
 FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
     const EncodedInstance& inst, const std::vector<TupleId>& dirty,
@@ -88,7 +80,7 @@ ModifyFdsResult ModifyFds(const FdSearchContext& ctx, int64_t tau,
 ModifyFdsResult ModifyFds(const FDSet& sigma, const EncodedInstance& inst,
                           int64_t tau, const WeightFunction& weights,
                           const ModifyFdsOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.heuristic, opts.exec);
+  FdSearchContext ctx(sigma, inst, weights, opts.heuristic);
   return ModifyFds(ctx, tau, opts);
 }
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/exec/cancel.h"
-#include "src/exec/options.h"
 #include "src/fd/difference_set.h"
 #include "src/obs/trace.h"
 #include "src/repair/evaluation.h"
@@ -34,7 +33,9 @@ enum class SearchMode {
   kBestFirst,  ///< order by cost(S) only (paper's baseline, §5.1)
 };
 
-/// Options for the FD-modification search.
+/// Options for the FD-modification search. A search runs serially on the
+/// calling thread; parallelism runs across searches over one context
+/// (DESIGN.md, the determinism contract).
 struct ModifyFdsOptions {
   SearchMode mode = SearchMode::kAStar;
   HeuristicOptions heuristic;
@@ -57,17 +58,6 @@ struct ModifyFdsOptions {
   /// Cooperative cancellation, polled once per popped state. Not owned;
   /// the caller keeps the token alive for the duration of the search.
   const exec::CancelToken* cancel = nullptr;
-  /// Parallel successor evaluation (src/exec/). With more than one thread,
-  /// a popped state's LHS-extensions are evaluated speculatively on a
-  /// thread pool at expansion time, each child with its own cover scratch;
-  /// the search consumes the memoized values in the exact serial order, so
-  /// the REPAIR and the visit schedule (states_visited/states_generated)
-  /// are BIT-IDENTICAL for any num_threads (see DESIGN.md). The
-  /// heuristic_calls/vc_computations counters report actual work done,
-  /// which is LARGER under speculation (children that never reach the top
-  /// of the open list still get evaluated) — compare those counters across
-  /// search modes only at num_threads = 1.
-  exec::Options exec;
   /// Per-phase wall-time accumulators (expand/evaluate/cover/bound) for
   /// request tracing. Null (the default) disables instrumentation: the
   /// engine's hot loop then does no clock reads for tracing, and the
@@ -117,18 +107,18 @@ struct ModifyFdsResult {
 /// concurrently: every const method is thread-safe (pooled scratch owned
 /// by the evaluation layer, mutex-guarded memos), which is what a
 /// Session's concurrent requests rely on; they share the table AND the
-/// cover memo.
+/// cover memo. Each search itself runs serially on its calling thread.
 class FdSearchContext {
  public:
-  /// `eopts` shards the difference-set and violation-table construction
-  /// (identical output for any thread count). `mode` selects the
-  /// difference-set builder: kBlocked (default, sub-quadratic when classes
-  /// are small) or kNaive (the all-pairs scan, kept as an oracle) — both
-  /// produce BIT-IDENTICAL indexes.
+  /// Shards the difference-set and violation-table construction on the
+  /// borrowed `pool` (nullable = serial; identical output for any thread
+  /// count). `mode` selects the difference-set builder: kBlocked (default,
+  /// sub-quadratic when classes are small) or kNaive (the all-pairs scan,
+  /// kept as an oracle) — both produce BIT-IDENTICAL indexes.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
-                  const exec::Options& eopts = {},
+                  exec::ThreadPool* pool = nullptr,
                   DiffSetBuildMode mode = DiffSetBuildMode::kBlocked);
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
@@ -152,9 +142,9 @@ class FdSearchContext {
   /// Delta-maintains the context after `inst` — the SAME instance this
   /// context was built over — had a DeltaBatch applied in place (delta.h).
   /// `dirty`/`remap` come from the batch's DeltaPlan. The difference-set
-  /// index is patched in O(Δ·n) (sharded per `eopts`), then the δP
-  /// evaluator is rebuilt in place over it: a new violation table on the
-  /// same pool and an emptied cover memo. Every post-delta answer is
+  /// index is patched in O(Δ·n) (sharded on `pool`, nullable = serial),
+  /// then the δP evaluator is rebuilt in place over it: a new violation
+  /// table on the same pool and an emptied cover memo. Every post-delta answer is
   /// BIT-IDENTICAL to a context freshly built over the mutated instance,
   /// for any thread count — an empty-LHS FD included, whose
   /// full-disagreement pairs are ordinary edges of the patch scan. NOT safe
@@ -163,14 +153,7 @@ class FdSearchContext {
   DeltaReport ApplyDelta(const EncodedInstance& inst,
                          const std::vector<TupleId>& dirty,
                          const std::vector<TupleId>& remap,
-                         const exec::Options& eopts = {});
-
-  /// Same on an existing pool (nullable = serial) — lets Session::Apply
-  /// reuse the session's pool instead of spawning one per delta.
-  DeltaReport ApplyDelta(const EncodedInstance& inst,
-                         const std::vector<TupleId>& dirty,
-                         const std::vector<TupleId>& remap,
-                         exec::ThreadPool* pool);
+                         exec::ThreadPool* pool = nullptr);
 
   const FDSet& sigma() const { return sigma_; }
   const StateSpace& space() const { return space_; }

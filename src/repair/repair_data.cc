@@ -222,8 +222,8 @@ RepairBase BuildRepairBase(const FdSearchContext& ctx,
 
 RepairBase BuildRepairBase(const EncodedInstance& inst,
                            const FDSet& sigma_prime,
-                           const exec::Options& eopts) {
-  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, eopts);
+                           exec::ThreadPool* pool) {
+  DifferenceSetIndex index = BuildDifferenceSetIndex(inst, sigma_prime, pool);
   std::vector<int> all(index.size());
   std::iota(all.begin(), all.end(), 0);
   return RepairBase(inst, sigma_prime,
@@ -289,8 +289,8 @@ DataRepairResult RepairData(const FdSearchContext& ctx,
 
 DataRepairResult RepairData(const EncodedInstance& inst,
                             const FDSet& sigma_prime, Rng* rng,
-                            const exec::Options& eopts) {
-  return RepairFromBase(BuildRepairBase(inst, sigma_prime, eopts), inst, rng);
+                            exec::ThreadPool* pool) {
+  return RepairFromBase(BuildRepairBase(inst, sigma_prime, pool), inst, rng);
 }
 
 }  // namespace retrust

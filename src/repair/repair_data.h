@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/exec/options.h"
 #include "src/fd/difference_set.h"
 #include "src/fd/fdset.h"
 #include "src/relational/dictionary.h"
@@ -228,11 +227,11 @@ RepairBase BuildRepairBase(const FdSearchContext& ctx,
                            const SearchState& goal);
 
 /// The base, standalone: builds the Σ' difference-set index of `inst`
-/// (sharded per `eopts`; identical for any thread count) and covers all of
-/// its groups.
+/// (sharded on the borrowed `pool`, nullable = serial; identical for any
+/// thread count) and covers all of its groups.
 RepairBase BuildRepairBase(const EncodedInstance& inst,
                            const FDSet& sigma_prime,
-                           const exec::Options& eopts = {});
+                           exec::ThreadPool* pool = nullptr);
 
 /// Algorithm 4's seed-driven half: chases the base's cover tuples of
 /// `inst` in `rng`'s random orders against the base's clean index plus a
@@ -253,7 +252,7 @@ DataRepairResult RepairData(const FdSearchContext& ctx,
 /// oracle the context overload is tested against.
 DataRepairResult RepairData(const EncodedInstance& inst,
                             const FDSet& sigma_prime, Rng* rng,
-                            const exec::Options& eopts = {});
+                            exec::ThreadPool* pool = nullptr);
 
 }  // namespace retrust
 

@@ -115,8 +115,7 @@ std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
                                        int64_t tau,
                                        const WeightFunction& weights,
                                        const RepairOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic,
-                      opts.search.exec);
+  FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic);
   return RepairDataAndFds(ctx, inst, tau, opts);
 }
 

@@ -18,11 +18,11 @@
 
 namespace retrust {
 
-/// Options for the end-to-end repair. Parallel execution is configured via
-/// `search.exec` (exec::Options{num_threads}) and applies to the search
-/// only; Algorithm 4's data-repair pass reads its cover from the context
-/// and stays serial — it is linear-time and seed-driven. Results are
-/// bit-identical for any thread count (see DESIGN.md).
+/// Options for the end-to-end repair. One repair runs serially on the
+/// calling thread: the search (Algorithm 2) and Algorithm 4's data-repair
+/// pass, which reads its cover from the context and is seed-driven.
+/// Parallelism runs across repairs (Session batches, service workers) and
+/// in the context's construction, which the caller shards on a pool.
 struct RepairOptions {
   ModifyFdsOptions search;
   uint64_t seed = 1;  ///< drives Algorithm 4's random orders

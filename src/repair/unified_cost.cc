@@ -23,7 +23,7 @@ Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
   // The greedy descent scores every candidate via ctx.DeltaP, i.e. through
   // the context's shared δP evaluation layer — candidates revisited across
   // descent rounds hit the cover memo instead of recomputing.
-  FdSearchContext ctx(sigma, inst, weights, HeuristicOptions{}, opts.exec);
+  FdSearchContext ctx(sigma, inst, weights);
   SearchStats stats;
 
   SearchState current = SearchState::Root(sigma.size());

@@ -22,7 +22,6 @@
 #ifndef RETRUST_REPAIR_UNIFIED_COST_H_
 #define RETRUST_REPAIR_UNIFIED_COST_H_
 
-#include "src/exec/options.h"
 #include "src/repair/repair_driver.h"
 
 namespace retrust {
@@ -36,14 +35,11 @@ struct UnifiedCostOptions {
   /// space reference [5] searches).
   bool single_attr_per_fd = true;
   uint64_t seed = 1;
-  /// Shards the context construction (results bit-identical for any
-  /// thread count, see DESIGN.md); Algorithm 4 reads its cover from that
-  /// context and runs serially.
-  exec::Options exec;
 };
 
-/// Runs the unified-cost baseline; always returns a repair (τ is not a
-/// concept here — the trade-off is fixed by lambda).
+/// Runs the unified-cost baseline serially over a context it builds;
+/// always returns a repair (τ is not a concept here — the trade-off is
+/// fixed by lambda).
 Repair UnifiedCostRepair(const FDSet& sigma, const EncodedInstance& inst,
                          const WeightFunction& weights,
                          const UnifiedCostOptions& opts = {});

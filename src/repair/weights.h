@@ -53,7 +53,7 @@ class CardinalityWeight final : public WeightFunction {
 
 /// A weight computed from an instance and memoized per attribute set, so
 /// one weight object may serve concurrent searches (Session batches,
-/// parallel successor evaluation). Subclasses supply Compute().
+/// service workers). Subclasses supply Compute().
 ///
 /// Up to kMaxFlatAttrs attributes the memo is a flat array of 2^m slots
 /// indexed by Y's mask, each a relaxed atomic holding the double's bit

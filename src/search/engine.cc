@@ -4,10 +4,8 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <unordered_map>
+#include <vector>
 
-#include "src/exec/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/search/bound.h"
 #include "src/util/timer.h"
@@ -35,95 +33,37 @@ struct OpenEntry {
   SearchState state;
 
   bool operator<(const OpenEntry& o) const {
-    // std::priority_queue is a max-heap; invert.
+    // The open list is a max-heap; invert.
     if (priority != o.priority) return priority > o.priority;
     if (cost != o.cost) return cost > o.cost;
     return seq > o.seq;
   }
 };
 
-// Speculative successor evaluator for the parallel engine.
-//
-// gc(S) and |C2opt(S)| are pure functions of (state, τ), so evaluating
-// them EARLY — at expansion time, for a popped state's LHS-extensions
-// concurrently, each child on pooled scratch owned by the context's
-// evaluation layer — and handing the memoized values to the unmodified
-// lazy search loop later produces the exact serial visit order and result
-// for any thread count. Speculation trades extra evaluations (children
-// that never reach the top of the heap) for wall-clock parallelism; the
-// serial path (no pool) skips it entirely and keeps the lazy O(visited)
-// evaluation count.
-class SuccessorEvaluator {
+// The open list: a binary heap under OpenEntry::operator<, so the cheapest
+// key is on top. Push and Pop make the same std::push_heap/std::pop_heap
+// calls std::priority_queue is specified as, so the visit order is the
+// same; Pop moves the top entry (and its state's vector) out instead of
+// copying it.
+class OpenList {
  public:
-  SuccessorEvaluator(const FdSearchContext& ctx, int64_t tau, bool astar,
-                     exec::ThreadPool* pool)
-      : ctx_(ctx), tau_(tau), astar_(astar), pool_(pool) {}
+  bool empty() const { return heap_.empty(); }
+  const OpenEntry& top() const { return heap_.front(); }
 
-  bool active() const { return pool_ != nullptr; }
-
-  /// Evaluates gc (A*) and δP of the flagged children concurrently and
-  /// memoizes the values. Stats of the evaluations are merged into `stats`
-  /// in child order (deterministic totals).
-  void Speculate(const std::vector<SearchState>& children,
-                 const std::vector<char>& keep, SearchStats* stats) {
-    if (!active() || children.empty()) return;
-    std::vector<Entry> results(children.size());
-    exec::TaskGroup group(pool_);
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (!keep[i]) continue;
-      const SearchState& child = children[i];
-      Entry* out = &results[i];
-      group.Run([this, &child, out] {
-        if (astar_) {
-          out->gc = ctx_.heuristic().Compute(child, tau_, &out->stats);
-          if (out->gc == GcHeuristic::kInfinity) return;  // never visited
-        }
-        out->cover = ctx_.CoverSize(child, &out->stats);
-      });
-    }
-    group.Wait();
-    for (size_t i = 0; i < children.size(); ++i) {
-      if (!keep[i]) continue;
-      stats->Accumulate(results[i].stats);
-      results[i].stats = SearchStats{};
-      cache_.emplace(children[i], results[i]);
-    }
+  void Push(OpenEntry entry) {
+    heap_.push_back(std::move(entry));
+    std::push_heap(heap_.begin(), heap_.end());
   }
 
-  /// gc(s): memoized value if speculated, computed inline otherwise.
-  double Gc(const SearchState& s, SearchStats* stats) {
-    auto it = cache_.find(s);
-    if (it != cache_.end()) {
-      double gc = it->second.gc;
-      if (gc == GcHeuristic::kInfinity) cache_.erase(it);  // discarded next
-      return gc;
-    }
-    return ctx_.heuristic().Compute(s, tau_, stats);
-  }
-
-  /// |C2opt(s)|: memoized value if speculated, computed inline otherwise.
-  int64_t Cover(const SearchState& s, SearchStats* stats) {
-    auto it = cache_.find(s);
-    if (it != cache_.end() && it->second.cover >= 0) {
-      int64_t cover = it->second.cover;
-      cache_.erase(it);  // a state is visited at most once
-      return cover;
-    }
-    return ctx_.CoverSize(s, stats);
+  OpenEntry Pop() {
+    std::pop_heap(heap_.begin(), heap_.end());
+    OpenEntry top = std::move(heap_.back());
+    heap_.pop_back();
+    return top;
   }
 
  private:
-  struct Entry {
-    double gc = 0.0;
-    int64_t cover = -1;
-    SearchStats stats;
-  };
-
-  const FdSearchContext& ctx_;
-  int64_t tau_;
-  bool astar_;
-  exec::ThreadPool* pool_;
-  std::unordered_map<SearchState, Entry, SearchStateHash> cache_;
+  std::vector<OpenEntry> heap_;
 };
 
 }  // namespace
@@ -155,8 +95,6 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     return greedy ? f - cost : cost + w * (f - cost);
   };
 
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(opts.exec);
-  SuccessorEvaluator evaluator(ctx, tau, astar, pool.get());
   std::unique_ptr<CoverLowerBound> lb;
   if (!exact) lb = std::make_unique<CoverLowerBound>(ctx);
 
@@ -169,17 +107,17 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     cost_ub = opts.policy.initial_upper_bound;
   }
 
-  std::priority_queue<OpenEntry> pq;
+  OpenList pq;
   int64_t seq = 0;
   SearchState root = SearchState::Root(ctx.sigma().size());
   if (exact) {
-    pq.push({root.Cost(ctx.weights()), root.Cost(ctx.weights()), seq++,
+    pq.Push({root.Cost(ctx.weights()), root.Cost(ctx.weights()), seq++,
              !astar, root});
   } else {
     // key_of(cost, cost) is a valid lower bound of the root's true key
     // for both non-exact forms (f >= cost always).
     const double root_cost = root.Cost(ctx.weights());
-    pq.push({key_of(root_cost, root_cost), root_cost, seq++, !astar, root});
+    pq.Push({key_of(root_cost, root_cost), root_cost, seq++, !astar, root});
   }
   ++stats.states_generated;
 
@@ -215,18 +153,17 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       break;  // termination stays kCompleted; bound 1.0 below
     }
 
-    OpenEntry top = pq.top();
-    pq.pop();
+    OpenEntry top = pq.Pop();
 
     if (!top.evaluated) {
-      // Deferred gc evaluation (A* only); memoized when speculated.
+      // Deferred gc evaluation (A* only).
       double gc;
       {
         std::optional<obs::PhaseTimer> t;
         if (phases != nullptr) {
           t.emplace(&phases->evaluate_seconds, &phases->evaluate_count);
         }
-        gc = evaluator.Gc(top.state, &stats);
+        gc = ctx.heuristic().Compute(top.state, tau, &stats);
       }
       if (gc == GcHeuristic::kInfinity) continue;  // no goal below here
       if (exact) {
@@ -236,7 +173,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       }
       top.evaluated = true;
       if (!pq.empty() && pq.top().priority < top.priority) {
-        pq.push(std::move(top));  // someone else is cheaper now
+        pq.Push(std::move(top));  // someone else is cheaper now
         continue;
       }
     }
@@ -246,7 +183,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       result.termination = SearchTermination::kVisitBudget;
       // Re-open the popped entry so the suboptimality floor below still
       // accounts for its subtree (no counter moves; the loop is over).
-      pq.push(std::move(top));
+      pq.Push(std::move(top));
       break;
     }
 
@@ -291,7 +228,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       if (phases != nullptr) {
         t.emplace(&phases->cover_seconds, &phases->cover_count);
       }
-      cover = evaluator.Cover(top.state, &stats);
+      cover = ctx.CoverSize(top.state, &stats);
     }
     int64_t delta_p = ctx.alpha() * cover;
     if (delta_p <= tau) {
@@ -326,8 +263,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     }
 
     // Expand. Children inherit the parent's priority as a lower bound;
-    // the ones surviving the bound check are (optionally) evaluated
-    // speculatively in parallel before being pushed in canonical order.
+    // the ones surviving the bound check are pushed in canonical order.
     ++stats.expansions;
     std::optional<obs::PhaseTimer> expand_timer;
     if (phases != nullptr) {
@@ -364,10 +300,9 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
         if (child_cost[i] > cost_ub + eps) keep[i] = 0;
       }
     }
-    evaluator.Speculate(children, keep, &stats);
     for (size_t i = 0; i < children.size(); ++i) {
       if (!keep[i]) continue;
-      pq.push({lower[i], child_cost[i], seq++, !astar,
+      pq.Push({lower[i], child_cost[i], seq++, !astar,
                std::move(children[i])});
       ++stats.states_generated;
     }

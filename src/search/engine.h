@@ -5,8 +5,8 @@
 // src/repair/modify_fds.cc) behind a pluggable SearchPolicy:
 //
 //   kExact    the paper's loop, BIT-IDENTICAL to the pre-engine ModifyFds
-//             at any thread count (tests/search_policy_test.cc holds an
-//             in-test reimplementation of the legacy loop as the oracle);
+//             (tests/search_policy_test.cc holds an in-test
+//             reimplementation of the legacy loop as the oracle);
 //   kAnytime  weighted-A* (key = cost + w·(f − cost)) with incumbent
 //             tracking: the first goal popped costs at most w·optimal and
 //             is surfaced immediately (ModifyFdsResult::incumbents), then
@@ -17,8 +17,9 @@
 //
 // The non-exact policies additionally prune whole subtrees whose δP floor
 // (the admissible cover lower bound of src/search/bound.h) already
-// exceeds τ. All policies reuse the context's shared evaluation layer and
-// the speculative parallel successor evaluation of src/exec/.
+// exceeds τ. All policies reuse the context's shared evaluation layer. One
+// search runs serially on the calling thread; parallelism runs across
+// searches (Session batches, service workers) over one const context.
 //
 // Layering: search/ sits ON TOP of repair/ (it consumes FdSearchContext
 // and the ModifyFdsOptions/Result types); repair/modify_fds.cc delegates

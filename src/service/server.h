@@ -69,9 +69,10 @@ struct ServerOptions {
   size_t queue_capacity = 256;
   /// Per-tenant queued+executing cap (0 = unbounded).
   size_t per_tenant_inflight = 0;
-  /// Size of the ONE pool shared by every tenant Session for sweeps and
-  /// deltas (0/1 = none: sessions run serially inside a request, which is
-  /// the right default — cross-request parallelism comes from `workers`).
+  /// Size of the ONE pool shared by every tenant Session for context
+  /// builds, sweeps and deltas (0/1 = none: sessions run serially inside a
+  /// request, which is the right default — cross-request parallelism
+  /// comes from `workers`).
   int session_threads = 0;
   /// Construct with dispatch paused (Resume() starts draining): gives
   /// tests deterministic queue states and ops a maintenance mode.
@@ -267,9 +268,9 @@ class Server {
   void CollectMetrics(obs::Collector& out) const;
 
   ServerOptions opts_;
-  /// Shared session pool (sweeps + deltas of ALL tenants); null when
-  /// session_threads <= 1. Declared before tenants_/queue_ so it outlives
-  /// every Session using it.
+  /// Shared session pool (context builds, sweeps and deltas of ALL
+  /// tenants); null when session_threads <= 1. Declared before
+  /// tenants_/queue_ so it outlives every Session using it.
   std::unique_ptr<exec::ThreadPool> session_pool_;
   TenantRegistry tenants_;
   /// Declared before admission_: the controller holds a pointer to it.

@@ -417,8 +417,11 @@ Result<RepairRequest> RepairRequestFromJson(const Json& obj) {
     req.upper_bound = ub->AsNumber();
   }
   if (const Json* seed = obj.Get("seed")) {
-    if (!seed->is_number()) return WireError("'seed' must be a number");
-    req.seed = static_cast<uint64_t>(seed->AsInt());
+    int64_t value = 0;
+    if (!ExactInt(*seed, 0, kMaxExactInt, &value)) {
+      return WireError("'seed' must be a non-negative integer");
+    }
+    req.seed = static_cast<uint64_t>(value);
   }
   if (const Json* budget = obj.Get("budget")) {
     if (!ExactInt(*budget, 0, kMaxExactInt, &req.budget)) {

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <vector>
 
+#include "src/exec/thread_pool.h"
 #include "src/fd/difference_set.h"
 #include "src/relational/delta.h"
 #include "src/repair/modify_fds.h"
@@ -108,8 +110,7 @@ class BlockedOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
   const int threads = GetParam();
-  exec::Options eopts;
-  eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   std::mt19937_64 rng(0xb10cced + threads);
   for (int round = 0; round < 8; ++round) {
     const int n = 5 + static_cast<int>(rng() % 60);
@@ -124,9 +125,9 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
     DiffSetBuildStats blocked_stats;
     DiffSetBuildStats naive_stats;
     DifferenceSetIndex blocked = BuildDifferenceSetIndex(
-        enc, sigma, eopts, DiffSetBuildMode::kBlocked, &blocked_stats);
+        enc, sigma, pool.get(), DiffSetBuildMode::kBlocked, &blocked_stats);
     DifferenceSetIndex naive = BuildDifferenceSetIndex(
-        enc, sigma, eopts, DiffSetBuildMode::kNaive, &naive_stats);
+        enc, sigma, pool.get(), DiffSetBuildMode::kNaive, &naive_stats);
     ExpectIndexIdentical(blocked, naive);
 
     // The two front doors must agree on the logical pair population even
@@ -143,17 +144,16 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
 
 TEST_P(BlockedOracle, SearchTracesMatchNaive) {
   const int threads = GetParam();
-  exec::Options eopts;
-  eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   CardinalityWeight weights;
   std::mt19937_64 rng(0x5ea2c4 + threads);
   for (int round = 0; round < 4; ++round) {
     Instance inst = RandomInstance(rng, 30, 5, 3);
     EncodedInstance enc(inst);
     FDSet sigma = TestSigma();
-    FdSearchContext blocked(sigma, enc, weights, {}, eopts,
+    FdSearchContext blocked(sigma, enc, weights, {}, pool.get(),
                             DiffSetBuildMode::kBlocked);
-    FdSearchContext naive(sigma, enc, weights, {}, eopts,
+    FdSearchContext naive(sigma, enc, weights, {}, pool.get(),
                           DiffSetBuildMode::kNaive);
     ASSERT_EQ(blocked.RootDeltaP(), naive.RootDeltaP());
     for (int64_t tau :
@@ -165,25 +165,24 @@ TEST_P(BlockedOracle, SearchTracesMatchNaive) {
 
 TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
   const int threads = GetParam();
-  exec::Options eopts;
-  eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   CardinalityWeight weights;
   std::mt19937_64 rng(0xca5eb + threads);
   for (int round = 0; round < 4; ++round) {
     Instance inst = RandomInstance(rng, 20, 3, 2 + round);
     EncodedInstance enc(inst);
     FDSet sigma = EmptyLhsSigma();
-    DifferenceSetIndex blocked =
-        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kBlocked);
-    DifferenceSetIndex naive =
-        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+    DifferenceSetIndex blocked = BuildDifferenceSetIndex(
+        enc, sigma, pool.get(), DiffSetBuildMode::kBlocked);
+    DifferenceSetIndex naive = BuildDifferenceSetIndex(
+        enc, sigma, pool.get(), DiffSetBuildMode::kNaive);
     ExpectIndexIdentical(blocked, naive);
 
     // Search answers (whose covers scan the universe group) must also
     // agree.
-    FdSearchContext bctx(sigma, enc, weights, {}, eopts,
+    FdSearchContext bctx(sigma, enc, weights, {}, pool.get(),
                          DiffSetBuildMode::kBlocked);
-    FdSearchContext nctx(sigma, enc, weights, {}, eopts,
+    FdSearchContext nctx(sigma, enc, weights, {}, pool.get(),
                          DiffSetBuildMode::kNaive);
     ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
@@ -193,8 +192,7 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 
 TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
   const int threads = GetParam();
-  exec::Options eopts;
-  eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   CardinalityWeight weights;
   std::mt19937_64 rng(0x5b5e7 + threads);
   for (int round = 0; round < 4; ++round) {
@@ -203,9 +201,9 @@ TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
     FDSet sigma = NestedLhsSigma();
     DiffSetBuildStats stats;
     DifferenceSetIndex blocked = BuildDifferenceSetIndex(
-        enc, sigma, eopts, DiffSetBuildMode::kBlocked, &stats);
-    DifferenceSetIndex naive =
-        BuildDifferenceSetIndex(enc, sigma, eopts, DiffSetBuildMode::kNaive);
+        enc, sigma, pool.get(), DiffSetBuildMode::kBlocked, &stats);
+    DifferenceSetIndex naive = BuildDifferenceSetIndex(
+        enc, sigma, pool.get(), DiffSetBuildMode::kNaive);
     ExpectIndexIdentical(blocked, naive);
 
     // {A0} is the only blocking key, so each candidate is a distinct pair
@@ -219,9 +217,9 @@ TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
     EXPECT_EQ(stats.pairs_candidate, agree_on_a0) << "round " << round;
     EXPECT_EQ(stats.pairs_owned, agree_on_a0) << "round " << round;
 
-    FdSearchContext bctx(sigma, enc, weights, {}, eopts,
+    FdSearchContext bctx(sigma, enc, weights, {}, pool.get(),
                          DiffSetBuildMode::kBlocked);
-    FdSearchContext nctx(sigma, enc, weights, {}, eopts,
+    FdSearchContext nctx(sigma, enc, weights, {}, pool.get(),
                          DiffSetBuildMode::kNaive);
     ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
@@ -343,8 +341,7 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
 // --- Delta maintenance over the columnar layout --------------------------
 
 TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
-  exec::Options eopts;
-  eopts.num_threads = 4;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({4});
   CardinalityWeight weights;
   std::mt19937_64 rng(0xc01a);
   const int m = 5;
@@ -352,7 +349,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   Instance inst = RandomInstance(rng, 25, m, domain);
   EncodedInstance enc(inst);
   FDSet sigma = TestSigma();
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
 
   for (int step = 0; step < 6; ++step) {
     DeltaBatch delta;
@@ -366,7 +363,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
     DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), m);
     inst.ApplyDelta(delta, plan);
     enc.ApplyDelta(delta, plan);
-    ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+    ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
 
     // Column-major mutation must decode back to the mutated rows (codes
     // themselves are encounter-ordered, so only values are comparable
@@ -382,7 +379,7 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
       }
     }
 
-    FdSearchContext fresh(sigma, enc, weights, {}, eopts);
+    FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
     ExpectIndexIdentical(ctx.index(), fresh.index());
     EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
     ExpectSameSearch(ModifyFds(ctx, ctx.RootDeltaP() / 2),
@@ -395,8 +392,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   // other: the all-partners scan finds full-disagreement pairs, so the
   // result matches a fresh context — including the delta that creates the
   // FIRST full-disagreement pair — and untouched groups stay preserved.
-  exec::Options eopts;
-  eopts.num_threads = 2;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({2});
   CardinalityWeight weights;
   FDSet sigma = EmptyLhsSigma();
 
@@ -411,7 +407,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});
   EncodedInstance enc(inst);
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
   ASSERT_FALSE(has_universe_group(ctx.index()));
   ASSERT_EQ(ctx.index().size(), 1);  // {A0}: the three A-conflicts
 
@@ -423,10 +419,10 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
   FdSearchContext::DeltaReport report =
-      ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+      ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
   EXPECT_EQ(report.index.groups_preserved, 1);
 
-  FdSearchContext fresh(sigma, enc, weights, {}, eopts);
+  FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
   EXPECT_TRUE(has_universe_group(ctx.index()));
   ExpectIndexIdentical(ctx.index(), fresh.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
@@ -439,8 +435,8 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   DeltaPlan plan2 = PlanDelta(delta2, enc.NumTuples(), 2);
   inst.ApplyDelta(delta2, plan2);
   enc.ApplyDelta(delta2, plan2);
-  ctx.ApplyDelta(enc, plan2.dirty, plan2.remap, eopts);
-  FdSearchContext fresh2(sigma, enc, weights, {}, eopts);
+  ctx.ApplyDelta(enc, plan2.dirty, plan2.remap, pool.get());
+  FdSearchContext fresh2(sigma, enc, weights, {}, pool.get());
   ExpectIndexIdentical(ctx.index(), fresh2.index());
   EXPECT_EQ(ctx.RootDeltaP(), fresh2.RootDeltaP());
 }

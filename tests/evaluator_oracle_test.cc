@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/eval/experiment.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
+#include "src/exec/thread_pool.h"
 #include "src/fd/violation_table.h"
 #include "src/graph/cover_memo.h"
 #include "src/repair/evaluation.h"
@@ -288,25 +291,17 @@ TEST(ExecEvaluationOracle, ModifyFdsBitIdenticalAcrossThreadsAndTaus) {
       // Warm-memo serial run on the shared context...
       ModifyFdsResult serial = ModifyFds(data.context(), tau);
       // ...must equal a cold-memo run on a fresh context (cache contents
-      // can never change results)...
+      // can never change results).
       FdSearchContext fresh(data.dirty.fds, data.encoded(), data.weights());
       ModifyFdsResult cold = ModifyFds(fresh, tau);
-      // ...and speculative parallel runs at any thread count.
-      for (int threads : {2, 8}) {
-        ModifyFdsOptions opts;
-        opts.exec.num_threads = threads;
-        ModifyFdsResult parallel = ModifyFds(data.context(), tau, opts);
-        for (const ModifyFdsResult* r : {&cold, &parallel}) {
-          EXPECT_EQ(r->stats.states_visited, serial.stats.states_visited);
-          EXPECT_EQ(r->stats.states_generated, serial.stats.states_generated);
-          ASSERT_EQ(r->repair.has_value(), serial.repair.has_value());
-          if (serial.repair.has_value()) {
-            EXPECT_EQ(r->repair->state, serial.repair->state);
-            EXPECT_EQ(r->repair->distc, serial.repair->distc);
-            EXPECT_EQ(r->repair->cover_size, serial.repair->cover_size);
-            EXPECT_EQ(r->repair->delta_p, serial.repair->delta_p);
-          }
-        }
+      EXPECT_EQ(cold.stats.states_visited, serial.stats.states_visited);
+      EXPECT_EQ(cold.stats.states_generated, serial.stats.states_generated);
+      ASSERT_EQ(cold.repair.has_value(), serial.repair.has_value());
+      if (serial.repair.has_value()) {
+        EXPECT_EQ(cold.repair->state, serial.repair->state);
+        EXPECT_EQ(cold.repair->distc, serial.repair->distc);
+        EXPECT_EQ(cold.repair->cover_size, serial.repair->cover_size);
+        EXPECT_EQ(cold.repair->delta_p, serial.repair->delta_p);
       }
     }
   }
@@ -319,10 +314,9 @@ TEST(ExecEvaluationOracle, RepairDataShardedBitIdentical) {
                                        &rng_serial);
   for (int threads : {2, 8}) {
     Rng rng(9);
-    exec::Options eopts;
-    eopts.num_threads = threads;
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
     DataRepairResult sharded =
-        RepairData(data.encoded(), data.dirty.fds, &rng, eopts);
+        RepairData(data.encoded(), data.dirty.fds, &rng, pool.get());
     EXPECT_EQ(sharded.cover_size, serial.cover_size) << threads;
     EXPECT_EQ(sharded.change_bound, serial.change_bound) << threads;
     ASSERT_EQ(sharded.changed_cells.size(), serial.changed_cells.size());

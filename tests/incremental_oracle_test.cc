@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "src/api/session.h"
+#include "src/exec/thread_pool.h"
 #include "src/relational/delta.h"
 #include "src/repair/modify_fds.h"
 
@@ -114,22 +116,21 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
   const int threads = GetParam();
   const int m = 5;
   const int domain = 4;
-  exec::Options eopts;
-  eopts.num_threads = threads;
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
   CardinalityWeight weights;  // instance-independent: isolates the index
 
   std::mt19937_64 rng(0xbe5ca1e5 + threads);
   Instance inst = RandomInstance(rng, 40, m, domain);
   EncodedInstance enc(inst);
   FDSet sigma = TestSigma();
-  FdSearchContext ctx(sigma, enc, weights, {}, eopts);
+  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
 
   for (int step = 0; step < 12; ++step) {
     DeltaBatch delta = RandomDelta(rng, enc.NumTuples(), m, domain);
     DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), m);
     inst.ApplyDelta(delta, plan);
     enc.ApplyDelta(delta, plan);
-    ctx.ApplyDelta(enc, plan.dirty, plan.remap, eopts);
+    ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
 
     // The encoded instance mirrors the plain one positionally.
     ASSERT_EQ(enc.NumTuples(), inst.NumTuples());

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "src/api/session.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
+#include "src/exec/thread_pool.h"
 #include "src/fd/conflict_graph.h"
 #include "src/fd/violation.h"
 #include "src/graph/vertex_cover.h"
@@ -362,13 +364,12 @@ void ExpectMatchesStandalone(const FdSearchContext& ctx,
 /// Runs RunRepair over the τ grid and checks every repair against the
 /// oracle. Returns how many grid points produced a repair.
 int ExpectGridMatchesStandalone(const FdSearchContext& ctx,
-                                const EncodedInstance& inst, int threads,
+                                const EncodedInstance& inst,
                                 const std::string& label) {
   int repaired = 0;
   const int64_t root = ctx.RootDeltaP();
   for (double tau_r : kTauGrid) {
     RepairOptions opts;
-    opts.search.exec.num_threads = threads;
     opts.seed = static_cast<uint64_t>(tau_r * 100) + 11;
     RepairOutcome outcome =
         RunRepair(ctx, inst, TauFromRelative(tau_r, root), opts);
@@ -387,11 +388,10 @@ TEST_P(ContextRepairOracle, RunRepairMatchesStandaloneAtEveryThreadCount) {
   EncodedInstance enc(dirty.data);
   CardinalityWeight weights;
   for (int threads : {1, 2, 4, 8}) {
-    exec::Options eopts;
-    eopts.num_threads = threads;
-    FdSearchContext ctx(dirty.fds, enc, weights, {}, eopts);
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+    FdSearchContext ctx(dirty.fds, enc, weights, {}, pool.get());
     EXPECT_GT(ExpectGridMatchesStandalone(
-                  ctx, enc, threads, "threads=" + std::to_string(threads)),
+                  ctx, enc, "threads=" + std::to_string(threads)),
               0);
   }
 }
@@ -438,7 +438,7 @@ TEST(ContextRepairOracleCases, PatchedContextAfterApplyMatchesStandalone) {
   delta.Delete(7);
   ASSERT_TRUE(session->Apply(delta).ok());
   EXPECT_GT(ExpectGridMatchesStandalone(session->context(), session->data(),
-                                        1, "post-apply"),
+                                        "post-apply"),
             0);
 }
 
@@ -458,7 +458,7 @@ TEST(ContextRepairOracleCases, RestoredContextMatchesStandalone) {
   std::remove(path.c_str());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_GT(ExpectGridMatchesStandalone(restored->context(), restored->data(),
-                                        1, "restored"),
+                                        "restored"),
             0);
 }
 

@@ -9,8 +9,8 @@
 // hold across rewrites of it:
 //  - exact A* at τr = 0.30 … 0.55: τ, the visit schedule counters, the
 //    heuristic and cover-evaluation counts, and the repair's distc and δP;
-//    one thread, four concurrent searches, and four-thread parallel
-//    successor evaluation (which calls gc concurrently);
+//    one thread, and four concurrent searches on one context (which call
+//    gc concurrently);
 //  - gc of the root, its 36 children and its 630 grandchildren under the
 //    default options, a 20-node recursion budget (the cost(S) fallback),
 //    the paper's strict leave check, and the cardinality and entropy
@@ -98,8 +98,7 @@ void ExpectPath(const SearchPin& pin, const ModifyFdsResult& r) {
   EXPECT_EQ(r.repair->delta_p, pin.delta_p) << label;
 }
 
-/// The evaluation counters, which only a serial search reproduces
-/// (parallel successor evaluation computes gc speculatively).
+/// The evaluation counters: heuristic calls and cover evaluations.
 void ExpectCounters(const SearchPin& pin, const ModifyFdsResult& r) {
   const std::string label = Label(pin);
   EXPECT_EQ(r.stats.heuristic_calls, pin.heuristic_calls) << label;
@@ -137,15 +136,6 @@ TEST(SearchGolden, ConcurrentSearchesFourThreads) {
     EXPECT_EQ(probes[i]->tau, kSearchPins[i].tau) << Label(kSearchPins[i]);
     ExpectPath(kSearchPins[i], probes[i]->result);
     ExpectCounters(kSearchPins[i], probes[i]->result);
-  }
-}
-
-TEST(SearchGolden, ParallelSuccessorsFourThreads) {
-  Session session = OpenWide400();
-  for (const SearchPin& pin : kSearchPins) {
-    ModifyFdsOptions opts;
-    opts.exec.num_threads = 4;
-    ExpectPath(pin, ModifyFds(session.context(), pin.tau, opts));
   }
 }
 

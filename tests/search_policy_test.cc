@@ -2,7 +2,7 @@
 //
 //  - kExact is BIT-IDENTICAL to the pre-engine ModifyFds loop — checked
 //    against an in-test reimplementation of the legacy serial loop (the
-//    oracle), at 1/2/4/8 successor-evaluation threads;
+//    oracle), evaluation counters included;
 //  - kAnytime always returns a τ-feasible repair costing at most
 //    w·optimal, and proves cost-optimality when run to completion;
 //  - kGreedy returns a τ-feasible repair with no optimality claim;
@@ -66,8 +66,8 @@ struct LegacyEntry {
   }
 };
 
-// The pre-engine ModifyFds loop, verbatim (serial path: no speculation,
-// gc/cover computed inline). The engine's kExact policy must reproduce
+// The pre-engine ModifyFds loop, verbatim (gc/cover computed inline, open
+// list a std::priority_queue). The engine's kExact policy must reproduce
 // its repair AND its visit schedule exactly.
 ModifyFdsResult LegacyModifyFds(const FdSearchContext& ctx, int64_t tau,
                                 const ModifyFdsOptions& opts) {
@@ -171,38 +171,29 @@ TEST(SearchPolicyOracle, ExactBitIdenticalToLegacyAcrossThreads) {
       // the hit/miss split between runs (values never change, counters do).
       FdSearchContext legacy_ctx(wl.sigma, wl.enc, w);
       ModifyFdsResult legacy = LegacyModifyFds(legacy_ctx, tau, opts);
-      for (int threads : {1, 2, 4, 8}) {
-        ModifyFdsOptions topts = opts;
-        topts.exec.num_threads = threads;
-        FdSearchContext ctx(wl.sigma, wl.enc, w);
-        ModifyFdsResult got = ModifyFds(ctx, tau, topts);
-        std::string label = "seed " + std::to_string(seed) + " mode " +
-                            std::to_string(static_cast<int>(mode)) +
-                            " threads " + std::to_string(threads);
-        ExpectSameRepair(got, legacy, label.c_str());
-        EXPECT_EQ(got.stats.states_visited, legacy.stats.states_visited)
+      FdSearchContext ctx(wl.sigma, wl.enc, w);
+      ModifyFdsResult got = ModifyFds(ctx, tau, opts);
+      std::string label = "seed " + std::to_string(seed) + " mode " +
+                          std::to_string(static_cast<int>(mode));
+      ExpectSameRepair(got, legacy, label.c_str());
+      EXPECT_EQ(got.stats.states_visited, legacy.stats.states_visited)
+          << label;
+      EXPECT_EQ(got.stats.states_generated, legacy.stats.states_generated)
+          << label;
+      EXPECT_EQ(got.termination, legacy.termination) << label;
+      // Even the evaluation counters match the legacy loop exactly.
+      EXPECT_EQ(got.stats.heuristic_calls, legacy.stats.heuristic_calls)
+          << label;
+      EXPECT_EQ(got.stats.vc_computations, legacy.stats.vc_computations)
+          << label;
+      EXPECT_EQ(got.stats.vc_memo_hits, legacy.stats.vc_memo_hits) << label;
+      if (got.repair.has_value()) {
+        // Incumbent bookkeeping rides along without touching the path.
+        EXPECT_GE(got.stats.incumbent_improvements, 1) << label;
+        EXPECT_EQ(static_cast<int64_t>(got.incumbents.size()),
+                  got.stats.incumbent_improvements)
             << label;
-        EXPECT_EQ(got.stats.states_generated, legacy.stats.states_generated)
-            << label;
-        EXPECT_EQ(got.termination, legacy.termination) << label;
-        if (threads == 1) {
-          // Serial runs do no speculative work, so even the evaluation
-          // counters must match the legacy loop exactly.
-          EXPECT_EQ(got.stats.heuristic_calls, legacy.stats.heuristic_calls)
-              << label;
-          EXPECT_EQ(got.stats.vc_computations, legacy.stats.vc_computations)
-              << label;
-          EXPECT_EQ(got.stats.vc_memo_hits, legacy.stats.vc_memo_hits)
-              << label;
-        }
-        if (got.repair.has_value()) {
-          // Incumbent bookkeeping rides along without touching the path.
-          EXPECT_GE(got.stats.incumbent_improvements, 1) << label;
-          EXPECT_EQ(static_cast<int64_t>(got.incumbents.size()),
-                    got.stats.incumbent_improvements)
-              << label;
-          EXPECT_EQ(got.stats.suboptimality_bound, 1.0) << label;
-        }
+        EXPECT_EQ(got.stats.suboptimality_bound, 1.0) << label;
       }
     }
   }

@@ -11,13 +11,16 @@
 // other. The worker count can then only change wall-clock, never a byte
 // of any response. (Named Service* so CI's TSan job runs it.)
 
+#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
+#include "src/relational/csv.h"
 #include "src/service/server.h"
 
 namespace retrust::service {
@@ -236,14 +239,22 @@ TEST(ServiceOracle, ConcurrentMultiTenantMatchesSerialPerSession) {
 }
 
 /// Same property with the shared session pool enabled: tenant Sessions
-/// scheduling sweeps and deltas on one process-wide pool must not change
-/// a byte either.
+/// building their contexts and scheduling sweeps and deltas on one
+/// process-wide pool must not change a byte either. The last tenant is
+/// registered lazily from a CSV file, so its first request builds its
+/// context on the shared pool from a server worker while the other
+/// tenants' scripts, each on its own client thread, use the same pool.
 TEST(ServiceOracle, SharedSessionPoolIsBitIdentical) {
   std::vector<TenantWorkload> tenants;
+  for (int t = 0; t < 3; ++t) tenants.push_back(MakeTenant(t));
+  TenantWorkload& lazy = tenants.back();
+  const std::string csv_path =
+      testing::TempDir() + "/service_oracle_shared_pool_lazy.csv";
+  WriteCsvFile(lazy.data, csv_path);
+  lazy.data = ReadCsvFile(csv_path);  // what the lazy open will read
   std::vector<std::vector<std::string>> expected;
-  for (int t = 0; t < 2; ++t) {
-    tenants.push_back(MakeTenant(t));
-    expected.push_back(SerialExpectation(tenants.back()));
+  for (const TenantWorkload& tenant : tenants) {
+    expected.push_back(SerialExpectation(tenant));
   }
 
   ServerOptions opts;
@@ -251,20 +262,25 @@ TEST(ServiceOracle, SharedSessionPoolIsBitIdentical) {
   opts.session_threads = 4;
   opts.queue_capacity = 0;
   Server server(opts);
-  std::vector<const Schema*> schemas;
-  for (const TenantWorkload& tenant : tenants) {
-    ASSERT_TRUE(
-        server.LoadTenant(tenant.name, tenant.data, tenant.fd_texts).ok());
-    schemas.push_back(&(*server.tenants().Get(tenant.name))->schema());
+  for (size_t t = 0; t + 1 < tenants.size(); ++t) {
+    ASSERT_TRUE(server.LoadTenant(tenants[t].name, tenants[t].data,
+                                  tenants[t].fd_texts)
+                    .ok());
   }
+  ASSERT_TRUE(server.LoadCsvTenant(lazy.name, csv_path, lazy.fd_texts).ok());
 
-  for (size_t t = 0; t < tenants.size(); ++t) {
+  auto run_script = [&server](const TenantWorkload& tenant) {
     std::vector<std::string> fps;
-    const Schema& schema = *schemas[t];
-    const std::string& name = tenants[t].name;
+    const std::string& name = tenant.name;
+    // The first request opens a lazy tenant; read the schema after it.
+    std::vector<Result<RepairResponse>> first;
     for (const RepairRequest& req : ReadPhase(1)) {
-      fps.push_back(Fingerprint(
-          AsFuture(server, &Server::Repair, name, req).future.get(), schema));
+      first.push_back(
+          AsFuture(server, &Server::Repair, name, req).future.get());
+    }
+    const Schema& schema = (*server.tenants().Get(name))->schema();
+    for (const Result<RepairResponse>& r : first) {
+      fps.push_back(Fingerprint(r, schema));
     }
     for (const Result<RepairResponse>& r :
          AsFuture(server, &Server::Sweep, name, ReadPhase(2)).future.get()) {
@@ -274,14 +290,27 @@ TEST(ServiceOracle, SharedSessionPoolIsBitIdentical) {
         AsFuture(server, &Server::Search, name, RepairRequest::AtRelative(0.5))
             .future.get()));
     fps.push_back(Fingerprint(
-        AsFuture(server, &Server::Apply, name, tenants[t].delta).future.get()));
+        AsFuture(server, &Server::Apply, name, tenant.delta).future.get()));
     for (const RepairRequest& req : ReadPhase(3)) {
       fps.push_back(Fingerprint(
           AsFuture(server, &Server::Repair, name, req).future.get(), schema));
     }
-    ASSERT_EQ(fps.size(), expected[t].size());
-    for (size_t i = 0; i < fps.size(); ++i) {
-      EXPECT_EQ(fps[i], expected[t][i]) << "tenant=" << t << " request=" << i;
+    return fps;
+  };
+
+  std::vector<std::vector<std::string>> got(tenants.size());
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    clients.emplace_back([&, t] { got[t] = run_script(tenants[t]); });
+  }
+  for (std::thread& client : clients) client.join();
+  std::remove(csv_path.c_str());
+
+  for (size_t t = 0; t < tenants.size(); ++t) {
+    ASSERT_EQ(got[t].size(), expected[t].size()) << "tenant=" << t;
+    for (size_t i = 0; i < got[t].size(); ++i) {
+      EXPECT_EQ(got[t][i], expected[t][i])
+          << "tenant=" << t << " request=" << i;
     }
   }
 }

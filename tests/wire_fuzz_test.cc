@@ -144,6 +144,9 @@ void CheckRepair(const Json& obj, const Result<RepairRequest>& req) {
   if (const Json* budget = obj.Get("budget")) {
     EXPECT_TRUE(SameNumber(*budget, req->budget)) << obj.Dump();
   }
+  if (const Json* seed = obj.Get("seed")) {
+    EXPECT_TRUE(SameNumber(*seed, req->seed)) << obj.Dump();
+  }
 }
 
 void CheckDelta(const Json& obj, const Schema& schema,
@@ -285,6 +288,23 @@ TEST(ServiceWireFuzz, IntegerFieldsBeyondDoublePrecisionAreRejected) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(ok->tau, int64_t{1} << 53);
   EXPECT_EQ(ok->budget, 7);
+}
+
+TEST(ServiceWireFuzz, SeedMustBeAWholeNumberInRange) {
+  // The seed used to be cast from AsInt(): 1.5 became 1 and -1 became
+  // 2^64 - 1.
+  EXPECT_FALSE(RepairFrom(R"({"tau":3,"seed":1.5})").ok());
+  EXPECT_FALSE(RepairFrom(R"({"tau":3,"seed":-1})").ok());
+  EXPECT_FALSE(RepairFrom(R"({"tau":3,"seed":"7"})").ok());
+  EXPECT_EQ(RepairFrom(R"({"tau":3,"seed":1.5})").status().code(),
+            StatusCode::kInvalidArgument);
+  Result<RepairRequest> zero = RepairFrom(R"({"tau":3,"seed":0})");
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->seed, 0u);
+  Result<RepairRequest> top =
+      RepairFrom(R"({"tau":3,"seed":9007199254740992})");
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  EXPECT_EQ(top->seed, uint64_t{1} << 53);
 }
 
 TEST(ServiceWireFuzz, AsIntIsDefinedForEveryNumber) {
