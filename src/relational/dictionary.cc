@@ -1,6 +1,7 @@
 #include "src/relational/dictionary.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "src/relational/delta.h"
@@ -132,6 +133,24 @@ EncodedInstance EncodedInstance::Restore(
   out.dicts_ = std::move(dicts);
   out.next_var_ = std::move(next_var);
   return out;
+}
+
+void EncodedInstance::TakeFreshVariableRounds(
+    const std::vector<int32_t>& counts) {
+  // Round j would hand attribute a the index next_var_[a] + j, which
+  // reaches the cap in round `left`: the first failing call is the one with
+  // the fewest indices left, the lowest attribute among equals.
+  AttrId exhausted = -1;
+  int32_t exhausted_left = 0;
+  for (AttrId a = 0; a < m_; ++a) {
+    const int32_t left = std::numeric_limits<int32_t>::max() - next_var_[a];
+    if (counts[a] > left && (exhausted < 0 || left < exhausted_left)) {
+      exhausted = a;
+      exhausted_left = left;
+    }
+  }
+  if (exhausted >= 0) ThrowFreshVariablesExhausted(exhausted);
+  for (AttrId a = 0; a < m_; ++a) next_var_[a] += counts[a];
 }
 
 int32_t EncodedInstance::SetFreshVariable(TupleId t, AttrId a) {

@@ -92,6 +92,13 @@ class EncodedInstance {
     return VariableCode(TakeFreshVariableIndex(&next_var_[a], a));
   }
 
+  /// Takes counts[a] fresh indices of every attribute a at once (the ones
+  /// from next_var_counters()[a] on), as rounds j = 0, 1, ... of
+  /// NewVariableCode over the attributes with counts[a] > j, in ascending
+  /// order, would. When a counter would reach the cap, throws what the
+  /// first of those calls to reach it would, and takes nothing.
+  void TakeFreshVariableRounds(const std::vector<int32_t>& counts);
+
   /// One attribute's column of cell codes, indexed by TupleId — the
   /// streaming surface of the blocked build and of src/persist/.
   const std::vector<int32_t>& column(AttrId a) const { return cols_[a]; }

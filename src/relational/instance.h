@@ -27,7 +27,6 @@ namespace retrust {
 /// Returns `*next` as attribute `a`'s next fresh-variable index and
 /// advances it. Throws std::overflow_error once the index space is spent:
 /// INT32_MAX is never handed out, since a variable's code is −(index + 1).
-/// Inline: Algorithm 5's chase mints one per free attribute per call.
 inline int32_t TakeFreshVariableIndex(int32_t* next, AttrId a) {
   if (*next == std::numeric_limits<int32_t>::max()) {
     ThrowFreshVariablesExhausted(a);

@@ -152,37 +152,99 @@ std::vector<CellRef> DiffTuples(const EncodedInstance& before,
   return out;
 }
 
-bool FindAssignment(EncodedInstance* inst, TupleId t, AttrSet fixed,
-                    const FDSet& sigma_prime, const CleanIndex& clean,
-                    std::vector<int32_t>* tc_out, std::vector<int32_t>* key) {
-  int m = inst->NumAttrs();
-  // Line 1: tc equals t on fixed attributes, fresh variables elsewhere.
-  std::vector<int32_t>& tc = *tc_out;
-  tc.resize(m);
-  for (AttrId a = 0; a < m; ++a) {
-    tc[a] = fixed.Contains(a) ? inst->At(t, a) : inst->NewVariableCode(a);
+TupleChase::TupleChase(const FDSet& sigma_prime, const CleanIndex& clean,
+                       int num_attrs)
+    : clean_(clean),
+      by_attr_begin_(num_attrs + 1, 0),
+      tc_(num_attrs) {
+  queue_.reserve(num_attrs);
+  for (const FD& fd : sigma_prime.fds()) {
+    lhs_.push_back(fd.lhs);
+    rhs_.push_back(fd.rhs);
   }
-  // Lines 2-9: chase violations against the clean set. Each iteration that
-  // finds a violation pins one more attribute, so the loop terminates.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int i = 0; i < sigma_prime.size(); ++i) {
-      const FD& fd = sigma_prime.fd(i);
-      if (fd.IsTrivial()) continue;
-      // An LHS attribute outside `fixed` still holds the variable minted
-      // above, which no clean tuple carries: the lookup would miss.
-      if (!fd.lhs.SubsetOf(fixed)) continue;
-      clean.MakeKey(i, [&](AttrId a) { return tc[a]; }, key);
-      std::optional<int32_t> forced = clean.ForcedRhs(i, *key);
-      if (!forced.has_value() || tc[fd.rhs] == *forced) continue;
-      if (fixed.Contains(fd.rhs)) return false;  // line 4
-      tc[fd.rhs] = *forced;                      // line 6
-      fixed.Add(fd.rhs);                         // line 7
-      changed = true;
+  // Counting sort of the (LHS attribute, FD) pairs into CSR rows.
+  for (int i = 0; i < sigma_prime.size(); ++i) {
+    if (sigma_prime.fd(i).IsTrivial()) continue;
+    if (lhs_[i].Empty()) empty_lhs_.push_back(i);
+    for (AttrId a : lhs_[i]) ++by_attr_begin_[a + 1];
+  }
+  for (int a = 0; a < num_attrs; ++a) {
+    by_attr_begin_[a + 1] += by_attr_begin_[a];
+  }
+  by_attr_.resize(by_attr_begin_[num_attrs]);
+  std::vector<int> next(by_attr_begin_.begin(), by_attr_begin_.end() - 1);
+  for (int i = 0; i < sigma_prime.size(); ++i) {
+    if (sigma_prime.fd(i).IsTrivial()) continue;
+    for (AttrId a : lhs_[i]) by_attr_[next[a]++] = i;
+  }
+}
+
+bool TupleChase::Fire(int i) {
+  clean_.MakeKey(i, [&](AttrId a) { return tc_[a]; }, &key_);
+  const std::optional<int32_t> forced = clean_.ForcedRhs(i, key_);
+  if (!forced.has_value()) return true;
+  const AttrId rhs = rhs_[i];
+  if (determined_.Contains(rhs)) return tc_[rhs] == *forced;  // line 4
+  tc_[rhs] = *forced;                                         // line 6
+  determined_.Add(rhs);                                       // line 7
+  queue_.push_back(rhs);
+  return true;
+}
+
+bool TupleChase::Settle() {
+  // An FD fires once its last LHS attribute settles, so each consistent
+  // closure looks each FD up at most once.
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const AttrId a = queue_[head];
+    settled_.Add(a);
+    for (int k = by_attr_begin_[a]; k < by_attr_begin_[a + 1]; ++k) {
+      const int i = by_attr_[k];
+      if (lhs_[i].SubsetOf(settled_) && !lhs_[i].Intersects(fresh_) &&
+          !Fire(i)) {
+        return false;
+      }
     }
   }
   return true;
+}
+
+void TupleChase::Start(const int32_t* var_base) {
+  var_base_ = var_base;
+  last_success_ = 0;
+  determined_ = settled_ = fresh_ = AttrSet();
+  queue_.clear();
+  // Every forced value of the closure of no pins is shared by all clean
+  // tuples, so it cannot conflict while the clean set satisfies Σ'.
+  for (int i : empty_lhs_) {
+    if (!Fire(i)) throw std::logic_error("clean set violates Σ'");
+  }
+  if (!Settle()) throw std::logic_error("clean set violates Σ'");
+}
+
+bool TupleChase::Pin(AttrId a, int32_t code, int step) {
+  if (determined_.Contains(a)) {
+    if (tc_[a] != code) return false;
+    last_success_ = step;
+    return true;
+  }
+  const AttrSet determined = determined_;
+  const AttrSet settled = settled_;
+  tc_[a] = code;
+  determined_.Add(a);
+  queue_.assign(1, a);
+  if (Settle()) {
+    last_success_ = step;
+    return true;
+  }
+  // Back to the last consistent closure, where `a` holds that step's
+  // fresh variable.
+  determined_ = determined;
+  settled_ = settled;
+  tc_[a] = VariableCode(var_base_[a] + last_success_);
+  determined_.Add(a);
+  settled_.Add(a);
+  fresh_.Add(a);
+  return false;
 }
 
 }  // namespace internal
@@ -250,26 +312,21 @@ DataRepairResult RepairFromBase(const RepairBase& base,
   std::vector<AttrId> attr_order(m);
   for (AttrId a = 0; a < m; ++a) attr_order[a] = a;
 
-  // The chase's buffers, reused for every assignment of every tuple.
-  std::vector<int32_t> tc, next, key;
+  internal::TupleChase chase(sigma_prime, clean, m);
+  std::vector<int32_t> steps(m), var_base;
   for (int32_t t : order) {
     rng->Shuffle(&attr_order);  // random attribute order for this tuple
-    AttrSet fixed;
-    fixed.Add(attr_order[0]);  // line 6
-    if (!internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean,
-                                  &tc, &key)) {
-      // Lemma 2 + Theorem 3: a valid assignment always exists with a single
-      // fixed attribute.
-      throw std::logic_error("Find_Assignment failed with one fixed attr");
-    }
-    for (int k = 1; k < m; ++k) {  // lines 8-15
-      AttrId a = attr_order[k];
-      fixed.Add(a);
-      if (!internal::FindAssignment(&repaired, t, fixed, sigma_prime, clean,
-                                    &next, &key)) {
-        repaired.SetCode(t, a, tc[a]);  // line 11
-      } else {
-        tc.swap(next);  // line 13
+    // Find_Assignment at step k gives every attribute not yet pinned a
+    // fresh variable, so the attribute pinned at step p owns the p indices
+    // from its counter on; reserve them all before the chase reads any.
+    for (int k = 0; k < m; ++k) steps[attr_order[k]] = k;
+    var_base = repaired.next_var_counters();
+    repaired.TakeFreshVariableRounds(steps);
+    chase.Start(var_base.data());
+    for (int k = 0; k < m; ++k) {  // lines 6-15
+      const AttrId a = attr_order[k];
+      if (!chase.Pin(a, repaired.At(t, a), k)) {
+        repaired.SetCode(t, a, chase.Value(a));  // line 11
       }
     }
     clean.Insert(repaired, t);  // t joins I' \ C2opt for later tuples

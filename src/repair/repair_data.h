@@ -179,17 +179,73 @@ std::vector<CellRef> DiffTuples(const EncodedInstance& before,
                                 const EncodedInstance& after,
                                 const std::vector<int32_t>& tuples);
 
-/// Algorithm 5 (Find_Assignment): attempts to complete tuple `t` of `inst`
-/// into an assignment `tc` equal to `t` on `fixed` and violating no FD
-/// against the clean set. Returns true and leaves the full code row of `tc`
-/// in `*tc` on success; returns false when impossible (`*tc` is then
-/// garbage). `key` is scratch for the clean-set lookups. Both buffers keep
-/// their capacity across calls, so a repair's chase allocates nothing per
-/// lookup. `fixed` is taken by value — the additions the algorithm makes
-/// while chasing forced values are local, as in the paper.
-bool FindAssignment(EncodedInstance* inst, TupleId t, AttrSet fixed,
-                    const FDSet& sigma_prime, const CleanIndex& clean,
-                    std::vector<int32_t>* tc, std::vector<int32_t>* key);
+/// Algorithm 5 (Find_Assignment) run incrementally over one tuple, for
+/// Algorithm 4's lines 6–15, which call it once per pinned attribute with
+/// one more attribute pinned each time. The chase keeps the determined set
+/// D — the attributes whose values the pins force through the clean set —
+/// with those values. Pinning one more attribute extends D from the last
+/// consistent closure, looking up only the FDs whose LHS the newly
+/// determined attributes complete; a conflict rolls D back to that
+/// closure. The closure is the least fixpoint of the forcing rules, so it
+/// is what a from-scratch Find_Assignment with the same pins finds, in any
+/// firing order, and each FD is looked up at most once per consistent
+/// closure.
+///
+/// Nothing is minted here. Outside D, an attribute holds the variable that
+/// step s's from-scratch call would have minted for it — index
+/// var_base[a] + s, where s is the last successful step — and the caller
+/// reserves those indices up front (EncodedInstance::
+/// TakeFreshVariableRounds). No clean tuple carries such a fresh variable,
+/// so an FD whose LHS holds one is never looked up. Exposed for unit tests.
+class TupleChase {
+ public:
+  /// Indexes Σ''s non-trivial FDs by LHS attribute. `clean` is read by
+  /// every later call and must outlive the chase.
+  TupleChase(const FDSet& sigma_prime, const CleanIndex& clean, int num_attrs);
+
+  /// Starts a tuple whose fresh-variable indices begin at `var_base` (one
+  /// per attribute, read until the next Start): D becomes the closure of
+  /// no pins, which only an ∅-LHS FD makes non-empty.
+  void Start(const int32_t* var_base);
+
+  /// Step `step` (0-based, ascending) pins attribute `a` to `code`. Returns
+  /// whether the pins' closure is consistent (Find_Assignment succeeds).
+  /// Otherwise the last consistent closure stays, with `a` added at its
+  /// value there, Value(a) — what Algorithm 4 line 11 writes. A first step
+  /// fails only when an ∅-LHS FD forces `a` to another value.
+  bool Pin(AttrId a, int32_t code, int step);
+
+  /// The last consistent closure's value of `a`: its pinned or forced
+  /// code, or outside D the fresh variable of the last successful step.
+  int32_t Value(AttrId a) const {
+    return determined_.Contains(a)
+               ? tc_[a]
+               : VariableCode(var_base_[a] + last_success_);
+  }
+
+ private:
+  /// Looks up FD i's forced RHS; false on a conflict with D.
+  bool Fire(int i);
+  /// Fires every FD whose LHS the queued attributes complete, until the
+  /// queue drains; false on a conflict.
+  bool Settle();
+
+  const CleanIndex& clean_;
+  std::vector<AttrSet> lhs_;      ///< per FD of Σ'
+  std::vector<AttrId> rhs_;       ///< per FD of Σ'
+  std::vector<int> empty_lhs_;    ///< non-trivial FDs with LHS ∅
+  std::vector<int> by_attr_begin_;  ///< CSR offsets into by_attr_, m + 1
+  std::vector<int> by_attr_;      ///< non-trivial FDs whose LHS holds a
+
+  const int32_t* var_base_ = nullptr;
+  int last_success_ = 0;
+  AttrSet determined_;  ///< D
+  AttrSet settled_;     ///< D minus the queued attributes
+  AttrSet fresh_;       ///< in D at a fresh variable (failed steps)
+  std::vector<int32_t> tc_;     ///< values of D's attributes
+  std::vector<int32_t> key_;    ///< lookup key buffer
+  std::vector<AttrId> queue_;   ///< newly determined, not yet settled
+};
 
 }  // namespace internal
 

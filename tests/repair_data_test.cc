@@ -1,12 +1,16 @@
 #include "src/repair/repair_data.h"
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +105,18 @@ TEST(RepairData, PerTupleChangesBoundedByAlpha) {
   }
 }
 
+// Find_Assignment with `pins` fixed, through the incremental chase: pins
+// them in order as Algorithm 4's steps do and reports whether the last pin
+// kept the closure consistent.
+bool ChaseFixed(internal::TupleChase* chase, const EncodedInstance& enc,
+                TupleId t, const std::vector<AttrId>& pins) {
+  bool found = true;
+  for (size_t k = 0; k < pins.size(); ++k) {
+    found = chase->Pin(pins[k], enc.At(t, pins[k]), static_cast<int>(k));
+  }
+  return found;
+}
+
 TEST(FindAssignment, ForcesRhsFromCleanWitness) {
   // Clean tuple (1, x); repairing t1 = (1, y) with A fixed forces B = x.
   Instance inst(Schema::FromNames({"A", "B"}));
@@ -110,12 +126,11 @@ TEST(FindAssignment, ForcesRhsFromCleanWitness) {
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
   internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
-  std::vector<int32_t> tc, key;
-  const bool found =
-      internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean, &tc, &key);
-  ASSERT_TRUE(found);
-  EXPECT_EQ(tc[0], enc.At(1, 0));
-  EXPECT_EQ(tc[1], enc.At(0, 1));  // forced to the witness's B
+  internal::TupleChase chase(sigma, clean, enc.NumAttrs());
+  chase.Start(enc.next_var_counters().data());
+  ASSERT_TRUE(ChaseFixed(&chase, enc, 1, {0}));
+  EXPECT_EQ(chase.Value(0), enc.At(1, 0));
+  EXPECT_EQ(chase.Value(1), enc.At(0, 1));  // forced to the witness's B
 }
 
 TEST(FindAssignment, FailsWhenForcedValueConflictsWithFixed) {
@@ -127,10 +142,10 @@ TEST(FindAssignment, FailsWhenForcedValueConflictsWithFixed) {
   internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
   // Both cells fixed: B is pinned to y but the clean witness forces x.
-  std::vector<int32_t> tc, key;
-  const bool found = internal::FindAssignment(&enc, 1, AttrSet{0, 1}, sigma,
-                                              clean, &tc, &key);
-  EXPECT_FALSE(found);
+  internal::TupleChase chase(sigma, clean, enc.NumAttrs());
+  chase.Start(enc.next_var_counters().data());
+  EXPECT_FALSE(ChaseFixed(&chase, enc, 1, {0, 1}));
+  EXPECT_EQ(chase.Value(1), enc.At(0, 1));  // what line 11 writes
 }
 
 TEST(FindAssignment, FreshVariablesAvoidSpuriousMatches) {
@@ -141,13 +156,12 @@ TEST(FindAssignment, FreshVariablesAvoidSpuriousMatches) {
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
   internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
-  // Only B fixed: A becomes a fresh variable that matches no clean key.
-  std::vector<int32_t> tc, key;
-  const bool found =
-      internal::FindAssignment(&enc, 1, AttrSet{1}, sigma, clean, &tc, &key);
-  ASSERT_TRUE(found);
-  EXPECT_TRUE(IsVariableCode(tc[0]));
-  EXPECT_EQ(tc[1], enc.At(1, 1));
+  // Only B fixed: A holds a fresh variable that matches no clean key.
+  internal::TupleChase chase(sigma, clean, enc.NumAttrs());
+  chase.Start(enc.next_var_counters().data());
+  ASSERT_TRUE(ChaseFixed(&chase, enc, 1, {1}));
+  EXPECT_TRUE(IsVariableCode(chase.Value(0)));
+  EXPECT_EQ(chase.Value(1), enc.At(1, 1));
 }
 
 TEST(FindAssignment, ChasesTransitiveFds) {
@@ -159,12 +173,44 @@ TEST(FindAssignment, ChasesTransitiveFds) {
   FDSet sigma = FDSet::Parse({"A->B", "B->C"}, inst.schema());
   internal::CleanIndex clean(sigma);
   clean.Insert(enc, 0);
-  std::vector<int32_t> tc, key;
-  const bool found =
-      internal::FindAssignment(&enc, 1, AttrSet{0}, sigma, clean, &tc, &key);
-  ASSERT_TRUE(found);
-  EXPECT_EQ(tc[1], enc.At(0, 1));
-  EXPECT_EQ(tc[2], enc.At(0, 2));
+  internal::TupleChase chase(sigma, clean, enc.NumAttrs());
+  chase.Start(enc.next_var_counters().data());
+  ASSERT_TRUE(ChaseFixed(&chase, enc, 1, {0}));
+  EXPECT_EQ(chase.Value(1), enc.At(0, 1));
+  EXPECT_EQ(chase.Value(2), enc.At(0, 2));
+}
+
+// Σ = {∅ -> B} over six tuples: at τr = 1 Σ' keeps the empty LHS, and a
+// tuple whose order starts at B has that cell forced by the clean set. The
+// chase once threw on seeds 0, 10, 14, 17 and 19 here; every seed must now
+// repair, with I' satisfying Σ'.
+TEST(RepairData, EmptyLhsForcingTheFirstAttributeRepairs) {
+  Instance inst(Schema::FromNames({"A", "B", "C"}));
+  for (auto [a, b, c] : {std::tuple{"1", "x", "p"}, std::tuple{"2", "x", "q"},
+                         std::tuple{"3", "x", "r"}, std::tuple{"4", "y", "s"},
+                         std::tuple{"5", "x", "t"}, std::tuple{"6", "z", "u"}}) {
+    inst.AddTuple({Value(a), Value(b), Value(c)});
+  }
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{}, 1});
+  Result<Session> session = Session::Open(inst, sigma);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (double tau_r : {0.0, 0.5, 1.0}) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      const std::string label =
+          "tau_r=" + std::to_string(tau_r) + " seed=" + std::to_string(seed);
+      RepairRequest req = RepairRequest::AtRelative(tau_r);
+      req.seed = seed;
+      Result<RepairResponse> got = session->Repair(req);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      EXPECT_TRUE(Satisfies(got->repair.data, got->repair.sigma_prime))
+          << label;
+      if (tau_r == 1.0) {
+        // Σ' kept ∅ -> B: every tuple now shares one B.
+        EXPECT_TRUE(got->repair.sigma_prime.fd(0).lhs.Empty()) << label;
+      }
+    }
+  }
 }
 
 // --- Flat clean index and its overlay ---------------------------------------
@@ -287,6 +333,347 @@ TEST(RepairBase, ChasesShareOneBaseUnchanged) {
     EXPECT_EQ(got.cover_size, want.cover_size) << seed;
   }
   EXPECT_TRUE(base == before);
+}
+
+// --- The legacy chase: the incremental chase's oracle ----------------------
+//
+// Algorithm 4's chase as it ran before it became incremental, kept
+// verbatim: every step re-runs Algorithm 5 from scratch, minting a fresh
+// variable for each attribute not yet fixed and redoing every clean-set
+// lookup. RepairFromBase must match it bit for bit — repaired codes,
+// fresh-variable counters, changed cells, the random draws it consumed,
+// and the overflow_error it throws when a counter runs out — except where
+// it threw the logic_error below, on Σ' with an ∅-LHS FD.
+
+bool LegacyFindAssignment(EncodedInstance* inst, TupleId t, AttrSet fixed,
+                          const FDSet& sigma_prime,
+                          const internal::CleanIndex& clean,
+                          std::vector<int32_t>* tc_out,
+                          std::vector<int32_t>* key) {
+  int m = inst->NumAttrs();
+  // Line 1: tc equals t on fixed attributes, fresh variables elsewhere.
+  std::vector<int32_t>& tc = *tc_out;
+  tc.resize(m);
+  for (AttrId a = 0; a < m; ++a) {
+    tc[a] = fixed.Contains(a) ? inst->At(t, a) : inst->NewVariableCode(a);
+  }
+  // Lines 2-9: chase violations against the clean set. Each iteration that
+  // finds a violation pins one more attribute, so the loop terminates.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int i = 0; i < sigma_prime.size(); ++i) {
+      const FD& fd = sigma_prime.fd(i);
+      if (fd.IsTrivial()) continue;
+      // An LHS attribute outside `fixed` still holds the variable minted
+      // above, which no clean tuple carries: the lookup would miss.
+      if (!fd.lhs.SubsetOf(fixed)) continue;
+      clean.MakeKey(i, [&](AttrId a) { return tc[a]; }, key);
+      std::optional<int32_t> forced = clean.ForcedRhs(i, *key);
+      if (!forced.has_value() || tc[fd.rhs] == *forced) continue;
+      if (fixed.Contains(fd.rhs)) return false;  // line 4
+      tc[fd.rhs] = *forced;                      // line 6
+      fixed.Add(fd.rhs);                         // line 7
+      changed = true;
+    }
+  }
+  return true;
+}
+
+DataRepairResult LegacyRepairFromBase(const RepairBase& base,
+                                      const EncodedInstance& inst, Rng* rng) {
+  const FDSet& sigma_prime = base.sigma_prime;
+  DataRepairResult result;
+  result.cover_size = static_cast<int64_t>(base.cover.size());
+  int64_t per_tuple =
+      std::min<int64_t>(inst.NumAttrs() - 1, sigma_prime.size());
+  result.change_bound = result.cover_size * per_tuple;
+
+  EncodedInstance repaired = inst;  // I' <- I
+  // Repaired cover tuples join the clean set in an overlay on the base.
+  internal::CleanIndex clean = internal::CleanIndex::Overlay(base.clean);
+
+  // Process cover tuples in random order (Algorithm 4 line 5).
+  std::vector<int32_t> order = base.cover;
+  rng->Shuffle(&order);
+  int m = repaired.NumAttrs();
+  std::vector<AttrId> attr_order(m);
+  for (AttrId a = 0; a < m; ++a) attr_order[a] = a;
+
+  // The chase's buffers, reused for every assignment of every tuple.
+  std::vector<int32_t> tc, next, key;
+  for (int32_t t : order) {
+    rng->Shuffle(&attr_order);  // random attribute order for this tuple
+    AttrSet fixed;
+    fixed.Add(attr_order[0]);  // line 6
+    if (!LegacyFindAssignment(&repaired, t, fixed, sigma_prime, clean, &tc,
+                              &key)) {
+      // Lemma 2 + Theorem 3: a valid assignment always exists with a single
+      // fixed attribute.
+      throw std::logic_error("Find_Assignment failed with one fixed attr");
+    }
+    for (int k = 1; k < m; ++k) {  // lines 8-15
+      AttrId a = attr_order[k];
+      fixed.Add(a);
+      if (!LegacyFindAssignment(&repaired, t, fixed, sigma_prime, clean,
+                                &next, &key)) {
+        repaired.SetCode(t, a, tc[a]);  // line 11
+      } else {
+        tc.swap(next);  // line 13
+      }
+    }
+    clean.Insert(repaired, t);  // t joins I' \ C2opt for later tuples
+  }
+
+  // Only cover tuples were written.
+  result.changed_cells = internal::DiffTuples(inst, repaired, base.cover);
+  result.repaired = std::move(repaired);
+  return result;
+}
+
+/// How one chase of `base` ended: its result, or what it threw.
+struct ChaseRun {
+  std::optional<DataRepairResult> result;
+  std::string overflow;  ///< what() of a std::overflow_error
+  bool legacy_failed = false;  ///< the legacy loop's ∅-LHS logic_error
+  uint64_t next_draw = 0;  ///< the rng's next draw after the chase
+};
+
+template <typename Chase>
+ChaseRun RunChase(Chase chase, const RepairBase& base,
+                  const EncodedInstance& inst, uint64_t seed) {
+  ChaseRun run;
+  Rng rng(seed);
+  try {
+    run.result = chase(base, inst, &rng);
+  } catch (const std::overflow_error& e) {
+    run.overflow = e.what();
+  } catch (const std::logic_error&) {
+    run.legacy_failed = true;
+  }
+  run.next_draw = rng.NextUint(uint64_t{1} << 62);
+  return run;
+}
+
+/// Chases `base` with both loops at `seed`. Returns whether the legacy
+/// loop threw its ∅-LHS logic_error, where the new chase must instead
+/// return a repair satisfying Σ'.
+bool ExpectMatchesLegacy(const RepairBase& base, const EncodedInstance& inst,
+                         uint64_t seed, const std::string& label) {
+  const ChaseRun want = RunChase(LegacyRepairFromBase, base, inst, seed);
+  const ChaseRun got = RunChase(RepairFromBase, base, inst, seed);
+  EXPECT_FALSE(got.legacy_failed) << label;
+  if (want.legacy_failed) {
+    EXPECT_TRUE(got.result.has_value()) << label;
+    if (got.result.has_value()) {
+      EXPECT_TRUE(Satisfies(got.result->repaired, base.sigma_prime)) << label;
+    }
+    return true;
+  }
+  EXPECT_EQ(got.overflow, want.overflow) << label;
+  EXPECT_EQ(got.next_draw, want.next_draw) << label;
+  EXPECT_EQ(got.result.has_value(), want.result.has_value()) << label;
+  if (got.result.has_value() && want.result.has_value()) {
+    const EncodedInstance& g = got.result->repaired;
+    const EncodedInstance& w = want.result->repaired;
+    for (AttrId a = 0; a < w.NumAttrs(); ++a) {
+      EXPECT_EQ(g.column(a), w.column(a)) << label << " attr " << a;
+    }
+    EXPECT_EQ(g.next_var_counters(), w.next_var_counters()) << label;
+    EXPECT_EQ(got.result->changed_cells, want.result->changed_cells)
+        << label;
+    EXPECT_EQ(got.result->cover_size, want.result->cover_size) << label;
+    EXPECT_EQ(got.result->change_bound, want.result->change_bound) << label;
+  }
+  return false;
+}
+
+/// A random relation over `m` attributes with `domain` constants per
+/// column; `variable_pct` percent of the cells hold one of three variables
+/// per column, whose indices start at `var_floor`.
+Instance RandomRelation(std::mt19937_64* gen, int n, int m, int domain,
+                        int variable_pct, int32_t var_floor = 0) {
+  std::vector<std::string> names;
+  for (int a = 0; a < m; ++a) names.push_back(std::string(1, 'A' + a));
+  Instance inst(Schema::FromNames(names));
+  std::uniform_int_distribution<int> value(0, domain - 1), pct(0, 99),
+      var(0, 2);
+  for (int t = 0; t < n; ++t) {
+    Tuple row;
+    for (AttrId a = 0; a < m; ++a) {
+      row.push_back(pct(*gen) < variable_pct
+                        ? Value::Variable(a, var_floor + var(*gen))
+                        : Value(std::to_string(value(*gen))));
+    }
+    inst.AddTuple(std::move(row));
+  }
+  return inst;
+}
+
+/// A random Σ' of `k` FDs: LHS of 0-2 attributes (empty only when
+/// `allow_empty`), any RHS, so it holds cycles, chains, duplicate RHSs,
+/// duplicate FDs and now and then a trivial FD.
+FDSet RandomSigma(std::mt19937_64* gen, int m, int k, bool allow_empty) {
+  std::uniform_int_distribution<int> attr(0, m - 1),
+      width(allow_empty ? 0 : 1, 2);
+  FDSet sigma;
+  for (int i = 0; i < k; ++i) {
+    AttrSet lhs;
+    for (int w = width(*gen); lhs.Count() < w;) lhs.Add(attr(*gen));
+    sigma.Add(FD{lhs, attr(*gen)});
+  }
+  return sigma;
+}
+
+FDSet Fds(const std::vector<std::pair<AttrSet, AttrId>>& fds) {
+  FDSet sigma;
+  for (const auto& [lhs, rhs] : fds) sigma.Add(FD{lhs, rhs});
+  return sigma;
+}
+
+// Fixed Σ' shapes over A..E: the cycle, a chain, duplicate RHSs, a
+// two-attribute LHS beside its own RHS's cycle, and all of them at once.
+TEST(ChaseOracle, ShapedSigmaMatchesLegacyLoop) {
+  const std::vector<FDSet> shapes = {
+      Fds({{AttrSet{0}, 1}, {AttrSet{1}, 0}}),
+      Fds({{AttrSet{0}, 1}, {AttrSet{1}, 2}, {AttrSet{2}, 3}}),
+      Fds({{AttrSet{0}, 2}, {AttrSet{1}, 2}, {AttrSet{3}, 2}}),
+      Fds({{AttrSet{0, 1}, 2}, {AttrSet{2}, 3}, {AttrSet{3}, 2}}),
+      Fds({{AttrSet{0}, 1},
+           {AttrSet{1}, 0},
+           {AttrSet{1}, 2},
+           {AttrSet{2}, 3},
+           {AttrSet{3}, 2},
+           {AttrSet{0, 4}, 3},
+           {AttrSet{0}, 1}}),
+  };
+  std::mt19937_64 gen(41);
+  for (size_t shape = 0; shape < shapes.size(); ++shape) {
+    for (int round = 0; round < 6; ++round) {
+      // Small domains: most tuples conflict, so the cover (and the
+      // overlay of repaired tuples) is most of the relation.
+      const EncodedInstance enc(
+          RandomRelation(&gen, 40, 5, 2 + round, round % 2 == 0 ? 0 : 8));
+      const RepairBase base = BuildRepairBase(enc, shapes[shape]);
+      for (uint64_t seed = 0; seed < 5; ++seed) {
+        ExpectMatchesLegacy(base, enc, seed,
+                            "shape " + std::to_string(shape) + " round " +
+                                std::to_string(round) + " seed " +
+                                std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(ChaseOracle, RandomSigmaMatchesLegacyLoop) {
+  std::mt19937_64 gen(43);
+  std::uniform_int_distribution<int> width(2, 7), fds(1, 6), domain(2, 6);
+  int covered = 0;
+  for (int round = 0; round < 150; ++round) {
+    const int m = width(gen);
+    const EncodedInstance enc(
+        RandomRelation(&gen, 30, m, domain(gen), round % 3 == 0 ? 10 : 0));
+    const RepairBase base =
+        BuildRepairBase(enc, RandomSigma(&gen, m, fds(gen), false));
+    if (!base.cover.empty()) ++covered;
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      EXPECT_FALSE(ExpectMatchesLegacy(
+          base, enc, seed,
+          "round " + std::to_string(round) + " seed " + std::to_string(seed)))
+          << "non-empty LHSs: the legacy loop completes every tuple";
+    }
+  }
+  EXPECT_GT(covered, 100);
+}
+
+// With ∅-LHS FDs the legacy loop throws whenever one forces a tuple's
+// first attribute to another value; everywhere else the two agree.
+TEST(ChaseOracle, EmptyLhsSigmaMatchesLegacyLoopWhereItCompleted) {
+  std::mt19937_64 gen(47);
+  std::uniform_int_distribution<int> width(2, 6), fds(1, 5);
+  int legacy_failures = 0;
+  int compared = 0;
+  for (int round = 0; round < 150; ++round) {
+    const int m = width(gen);
+    const EncodedInstance enc(RandomRelation(&gen, 24, m, 3, 0));
+    const RepairBase base =
+        BuildRepairBase(enc, RandomSigma(&gen, m, fds(gen), true));
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      const bool failed = ExpectMatchesLegacy(
+          base, enc, seed,
+          "round " + std::to_string(round) + " seed " + std::to_string(seed));
+      failed ? ++legacy_failures : ++compared;
+    }
+  }
+  EXPECT_GT(legacy_failures, 0);
+  EXPECT_GT(compared, 0);
+}
+
+// Counters a few indices below INT32_MAX: the chase reserves a tuple's
+// indices up front, yet must throw the overflow_error the legacy loop
+// throws one call at a time — for the same tuple and attribute.
+TEST(ChaseOracle, CountersNearTheCapThrowLikeLegacyLoop) {
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  std::mt19937_64 gen(53);
+  int threw = 0;
+  int completed = 0;
+  for (int32_t headroom : {1, 3, 6, 12, 25, 60, 200}) {
+    for (int round = 0; round < 4; ++round) {
+      // Every column holds variables up to index kMax - headroom - 1, so
+      // each counter starts `headroom` indices below the cap.
+      const EncodedInstance enc(
+          RandomRelation(&gen, 20, 4, 3, 15, kMax - headroom - 3));
+      const RepairBase base = BuildRepairBase(
+          enc, Fds({{AttrSet{0}, 1}, {AttrSet{1}, 2}, {AttrSet{2, 3}, 0}}));
+      for (uint64_t seed = 0; seed < 4; ++seed) {
+        ExpectMatchesLegacy(base, enc, seed,
+                            "headroom " + std::to_string(headroom) +
+                                " seed " + std::to_string(seed));
+        Rng rng(seed);
+        try {
+          RepairFromBase(base, enc, &rng);
+          ++completed;
+        } catch (const std::overflow_error&) {
+          ++threw;
+        }
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(completed, 0);
+}
+
+// The rounds a counter reservation stands for: round j hands attribute a
+// index counter + j while counts[a] > j, and the first call to reach the
+// cap names its attribute.
+TEST(ChaseOracle, FreshVariableRoundsThrowAtTheFirstCappedCall) {
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  Instance inst(Schema::FromNames({"A", "B", "C"}));
+  inst.AddTuple({Value::Variable(0, kMax - 4), Value::Variable(1, kMax - 2),
+                 Value::Variable(2, kMax - 2)});
+  const EncodedInstance enc(inst);  // counters kMax-3, kMax-1, kMax-1
+  auto thrown = [&](std::vector<int32_t> counts) -> std::string {
+    EncodedInstance copy = enc;
+    try {
+      copy.TakeFreshVariableRounds(counts);
+    } catch (const std::overflow_error& e) {
+      EXPECT_EQ(copy.next_var_counters(), enc.next_var_counters());
+      return e.what();
+    }
+    for (AttrId a = 0; a < 3; ++a) {
+      EXPECT_EQ(copy.next_var_counters()[a],
+                enc.next_var_counters()[a] + counts[a]);
+    }
+    return "";
+  };
+  EXPECT_EQ(thrown({3, 1, 1}), "");
+  // C alone runs out in round 1.
+  EXPECT_EQ(thrown({0, 1, 2}), "attribute 2 has no fresh variable index left");
+  // B and C both run out in round 1: B is reached first.
+  EXPECT_EQ(thrown({0, 2, 2}), "attribute 1 has no fresh variable index left");
+  // A runs out only in round 3, after C's round 1.
+  EXPECT_EQ(thrown({5, 0, 2}), "attribute 2 has no fresh variable index left");
+  EXPECT_EQ(thrown({4, 0, 1}), "attribute 0 has no fresh variable index left");
 }
 
 // Property sweep: on perturbed census workloads, the repair always
@@ -463,10 +850,9 @@ TEST(ContextRepairOracleCases, RestoredContextMatchesStandalone) {
 }
 
 // Σ with an empty-LHS FD: pairs disagreeing everywhere are conflict edges,
-// carried by the index as the universe group. Algorithm 5 cannot always
-// complete a tuple here (when the empty-LHS FD's RHS is the first attribute
-// fixed and the clean set forces another value), so a seed the oracle
-// throws on must throw through the context path too.
+// carried by the index as the universe group. When the empty-LHS FD's RHS
+// is a tuple's first attribute and the clean set forces another value, the
+// first step fails and takes the forced value, on both paths alike.
 TEST(ContextRepairOracleCases, EmptyLhsSigmaMatchesStandalone) {
   FDSet sigma;
   sigma.Add(FD{AttrSet{}, 0});
@@ -498,18 +884,6 @@ TEST(ContextRepairOracleCases, EmptyLhsSigmaMatchesStandalone) {
                                   " seed=" + std::to_string(seed);
         RepairOptions opts;
         opts.seed = seed;
-        Rng oracle_rng(seed);
-        bool oracle_threw = false;
-        try {
-          RepairData(enc, search.repair->sigma_prime, &oracle_rng);
-        } catch (const std::logic_error&) {
-          oracle_threw = true;
-        }
-        if (oracle_threw) {
-          EXPECT_THROW(RunRepair(ctx, enc, tau, opts), std::logic_error)
-              << label;
-          continue;
-        }
         RepairOutcome outcome = RunRepair(ctx, enc, tau, opts);
         ASSERT_TRUE(outcome.repair.has_value()) << label;
         ExpectMatchesStandalone(ctx, enc, *outcome.repair, seed, label);
