@@ -1,8 +1,11 @@
 #include "src/service/wire.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -51,8 +54,9 @@ void AppendEscaped(const std::string& s, std::string* out) {
 void AppendNumber(double n, std::string* out) {
   if (std::isfinite(n) && n == std::floor(n) && std::fabs(n) < 9.0e15) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(n));
-    *out += buf;
+    char* end =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(n)).ptr;
+    out->append(buf, end);
   } else if (std::isfinite(n)) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", n);
@@ -177,25 +181,34 @@ class Parser {
     return Error("invalid keyword");
   }
 
+  /// Reads the longest run of number characters as one decimal float,
+  /// accepting exactly what std::stod accepted over that run.
   Status ParseNumber(Json* out) {
-    size_t start = pos_;
-    if (Consume('-')) {
-    }
+    const size_t start = pos_;
+    Consume('-');
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    try {
-      size_t used = 0;
-      double value = std::stod(text_.substr(start, pos_ - start), &used);
-      if (used != pos_ - start) return Error("malformed number");
-      *out = Json(value);
-      return Status::Ok();
-    } catch (const std::exception&) {
-      return Error("malformed number");
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || end != last) return Error("malformed number");
+    // from_chars keeps every subnormal; strtod (under std::stod) reports an
+    // inexact one, and one that rounds up to the least normal, as a range
+    // error. Ask strtod in that rare range: the run is a whole decimal
+    // float, so it stops where from_chars did.
+    if (value != 0.0 &&
+        std::fabs(value) <= std::numeric_limits<double>::min()) {
+      errno = 0;
+      std::strtod(first, nullptr);
+      if (errno == ERANGE) return Error("malformed number");
     }
+    *out = Json(value);
+    return Status::Ok();
   }
 
   Status ParseString(Json* out) {
@@ -557,6 +570,7 @@ Json ToJson(const RepairResponse& response, const Schema& schema) {
   }
   obj["sigma_prime"] = Json(std::move(sigma));
   Json::Array cells;
+  cells.reserve(response.repair.changed_cells.size());
   for (const CellRef& c : response.repair.changed_cells) {
     Json::Array cell;
     cell.push_back(Json(static_cast<int64_t>(c.tuple)));

@@ -14,8 +14,10 @@
 // Findings are pinned as named regression cases below the fuzz loop.
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -319,6 +321,97 @@ TEST(ServiceWireFuzz, AsIntIsDefinedForEveryNumber) {
   EXPECT_EQ(as_int("9223372036854775807"), INT64_MAX);
   EXPECT_EQ(as_int("-2.5"), -2);
   EXPECT_EQ(as_int("9007199254740992"), int64_t{1} << 53);
+}
+
+// ------------------------------------------------ numbers against stod
+
+/// What the number parser accepted before it read with std::from_chars:
+/// std::stod over the whole run, refusing a partial read or a range error.
+std::optional<double> StodNumber(const std::string& run) {
+  try {
+    size_t used = 0;
+    const double value = std::stod(run, &used);
+    if (used != run.size()) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+/// The exact decimal of k · 2^-1074 (a subnormal for k < 2^52): the digits
+/// of k · 5^1074, then "e-1074".
+std::string ExactSubnormal(uint32_t k) {
+  std::vector<int> digits = {1};  // little-endian base 10
+  auto times = [&](uint32_t f) {
+    uint64_t carry = 0;
+    for (int& d : digits) {
+      carry += static_cast<uint64_t>(d) * f;
+      d = static_cast<int>(carry % 10);
+      carry /= 10;
+    }
+    for (; carry > 0; carry /= 10) {
+      digits.push_back(static_cast<int>(carry % 10));
+    }
+  };
+  for (int i = 0; i < 1074; ++i) times(5);
+  times(k);
+  std::string out;
+  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
+    out.push_back(static_cast<char>('0' + *it));
+  }
+  return out + "e-1074";
+}
+
+void ExpectParsesLikeStod(const std::string& run) {
+  // A trailing ']' ends the run, as any non-number character does.
+  Result<Json> parsed = ParseJson("[" + run + "]");
+  const std::optional<double> want = StodNumber(run);
+  ASSERT_EQ(parsed.ok(), want.has_value()) << run;
+  if (!want.has_value()) return;
+  const double got = parsed->AsArray()[0].AsNumber();
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(*want))
+      << run;
+}
+
+TEST(ServiceWireFuzz, NumbersParseExactlyAsStod) {
+  const std::vector<std::string> edges = {
+      "0", "-0", "1", "-1", "1.", "-1.", "-.5", "0.5", "00012", "1e", "1e+",
+      "1e-", "1e-5", "1E5", "1E+5", "-", "--1", "-+1", "1-", "1+", "1e5.5",
+      "1..2", ".", "-.", "-.e1", "9007199254740993", "123456789012345678901",
+      "1e+0000000000000000000000005", "-0e-5", "-0.0e400", "0e999999999",
+      "0.0e-999999",
+      // Overflow: DBL_MAX's neighbours, and far beyond.
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "1e400", "-1e400", "1e999999999",
+      // Underflow to zero, the subnormal range and the least normal.
+      "1e-400", "1e-999999999", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "4.9406564584124654e-324", "4e-320",
+      "-4e-320", "0.1e-307", "1e-308", "1e-307", "2.225073858507201e-308",
+      "2.2250738585072011e-308", "2.2250738585072012e-308",
+      "2.2250738585072013e-308", "2.2250738585072014e-308",
+      "2.2250738585072015e-308",
+      // Exact subnormals, which strtod takes without a range error.
+      ExactSubnormal(1), "-" + ExactSubnormal(1), ExactSubnormal(2),
+      ExactSubnormal(12345), ExactSubnormal((uint32_t{1} << 31) - 1),
+      ExactSubnormal(1) + "1",
+  };
+  for (const std::string& run : edges) ExpectParsesLikeStod(run);
+
+  // Random runs over the number alphabet, led by '-' or a digit as the
+  // parser requires, and random mantissas around the subnormal range.
+  std::mt19937_64 rng(0xd0b1e5eedULL);
+  const std::string alphabet = "0123456789012345678901234567.eE+-";
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string run(1, "-0123456789"[rng() % 11]);
+    const size_t length = rng() % 12;
+    while (run.size() <= length) {
+      run.push_back(alphabet[rng() % alphabet.size()]);
+    }
+    ExpectParsesLikeStod(run);
+    const std::string digits = std::to_string(rng() % 100000);
+    ExpectParsesLikeStod(digits.substr(0, 1) + "." + digits.substr(1) + "e-" +
+                         std::to_string(300 + rng() % 30));
+  }
 }
 
 }  // namespace
