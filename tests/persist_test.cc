@@ -144,6 +144,37 @@ void ExpectSameAnswers(Session& want, Session& got, const char* label) {
 // grid bit-identically to the session that saved it, at EVERY thread
 // count — the snapshot fingerprint excludes execution configuration by
 // design.
+// The bytewise table loop the slicing-by-8 Crc32 replaced.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t c = 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, CheckValueAndBytewiseAgreementAtEveryLengthAndOffset) {
+  EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(persist::Crc32("", 0), 0u);
+  std::vector<unsigned char> bytes(108);
+  uint32_t state = 12345;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 100; ++len) {
+      EXPECT_EQ(persist::Crc32(bytes.data() + offset, len),
+                BytewiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
   WorkloadData data = MakeWorkload();
   Result<Session> original = Session::Open(data.dirty, data.sigma);
