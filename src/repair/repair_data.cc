@@ -192,8 +192,7 @@ bool TupleChase::Fire(int i) {
 }
 
 bool TupleChase::Settle() {
-  // An FD fires once its last LHS attribute settles, so each consistent
-  // closure looks each FD up at most once.
+  // An FD fires when its last LHS attribute settles, so once per closure.
   for (size_t head = 0; head < queue_.size(); ++head) {
     const AttrId a = queue_[head];
     settled_.Add(a);

@@ -25,7 +25,9 @@
 // the seed, so both live in an immutable RepairBase; only the chase of the
 // cover tuples (RepairFromBase) is seed-driven. The chase reads the base
 // and inserts each repaired tuple into a per-call overlay, so one base
-// serves any number of seeds without a copy.
+// serves any number of seeds without a copy. It runs Algorithm 5 once per
+// cover tuple, incrementally across the tuple's m pins (TupleChase), with
+// the output of m from-scratch calls.
 
 #ifndef RETRUST_REPAIR_REPAIR_DATA_H_
 #define RETRUST_REPAIR_REPAIR_DATA_H_
@@ -188,8 +190,8 @@ std::vector<CellRef> DiffTuples(const EncodedInstance& before,
 /// determined attributes complete; a conflict rolls D back to that
 /// closure. The closure is the least fixpoint of the forcing rules, so it
 /// is what a from-scratch Find_Assignment with the same pins finds, in any
-/// firing order, and each FD is looked up at most once per consistent
-/// closure.
+/// firing order. An FD is looked up once per tuple, and again only after a
+/// rollback undid its lookup.
 ///
 /// Nothing is minted here. Outside D, an attribute holds the variable that
 /// step s's from-scratch call would have minted for it — index
