@@ -154,28 +154,15 @@ std::vector<CellRef> DiffTuples(const EncodedInstance& before,
 
 TupleChase::TupleChase(const FDSet& sigma_prime, const CleanIndex& clean,
                        int num_attrs)
-    : clean_(clean),
-      by_attr_begin_(num_attrs + 1, 0),
-      tc_(num_attrs) {
+    : clean_(clean), by_attr_(num_attrs), tc_(num_attrs) {
   queue_.reserve(num_attrs);
-  for (const FD& fd : sigma_prime.fds()) {
+  for (int i = 0; i < sigma_prime.size(); ++i) {
+    const FD& fd = sigma_prime.fd(i);
     lhs_.push_back(fd.lhs);
     rhs_.push_back(fd.rhs);
-  }
-  // Counting sort of the (LHS attribute, FD) pairs into CSR rows.
-  for (int i = 0; i < sigma_prime.size(); ++i) {
-    if (sigma_prime.fd(i).IsTrivial()) continue;
-    if (lhs_[i].Empty()) empty_lhs_.push_back(i);
-    for (AttrId a : lhs_[i]) ++by_attr_begin_[a + 1];
-  }
-  for (int a = 0; a < num_attrs; ++a) {
-    by_attr_begin_[a + 1] += by_attr_begin_[a];
-  }
-  by_attr_.resize(by_attr_begin_[num_attrs]);
-  std::vector<int> next(by_attr_begin_.begin(), by_attr_begin_.end() - 1);
-  for (int i = 0; i < sigma_prime.size(); ++i) {
-    if (sigma_prime.fd(i).IsTrivial()) continue;
-    for (AttrId a : lhs_[i]) by_attr_[next[a]++] = i;
+    if (fd.IsTrivial()) continue;
+    if (fd.lhs.Empty()) empty_lhs_.push_back(i);
+    for (AttrId a : fd.lhs) by_attr_[a].push_back(i);
   }
 }
 
@@ -196,8 +183,7 @@ bool TupleChase::Settle() {
   for (size_t head = 0; head < queue_.size(); ++head) {
     const AttrId a = queue_[head];
     settled_.Add(a);
-    for (int k = by_attr_begin_[a]; k < by_attr_begin_[a + 1]; ++k) {
-      const int i = by_attr_[k];
+    for (int i : by_attr_[a]) {
       if (lhs_[i].SubsetOf(settled_) && !lhs_[i].Intersects(fresh_) &&
           !Fire(i)) {
         return false;

@@ -236,8 +236,8 @@ class TupleChase {
   std::vector<AttrSet> lhs_;      ///< per FD of Σ'
   std::vector<AttrId> rhs_;       ///< per FD of Σ'
   std::vector<int> empty_lhs_;    ///< non-trivial FDs with LHS ∅
-  std::vector<int> by_attr_begin_;  ///< CSR offsets into by_attr_, m + 1
-  std::vector<int> by_attr_;      ///< non-trivial FDs whose LHS holds a
+  /// Per attribute a: the non-trivial FDs whose LHS holds a.
+  std::vector<std::vector<int>> by_attr_;
 
   const int32_t* var_base_ = nullptr;
   int last_success_ = 0;
