@@ -8,9 +8,9 @@ namespace retrust::persist {
 
 namespace {
 
-/// Slicing-by-8 tables: kCrcTables[0] is the bytewise table of the
-/// reflected polynomial 0xedb88320; kCrcTables[k][b] advances
-/// kCrcTables[0][b] over k more zero bytes.
+/// Slicing-by-8 tables: table 0 is the bytewise table of the reflected
+/// polynomial 0xedb88320; table k advances table 0's entry over k more
+/// zero bytes.
 using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
 
 CrcTables MakeCrcTables() {

@@ -197,10 +197,10 @@ class Parser {
     double value = 0.0;
     const auto [end, ec] = std::from_chars(first, last, value);
     if (ec != std::errc() || end != last) return Error("malformed number");
-    // from_chars keeps every subnormal; strtod (under std::stod) reports an
-    // inexact one, and one that rounds up to the least normal, as a range
-    // error. Ask strtod in that rare range: the run is a whole decimal
-    // float, so it stops where from_chars did.
+    // from_chars keeps every subnormal, where strtod (under std::stod)
+    // reports an inexact one as a range error. At or below the least
+    // normal, ask strtod itself: the run is a whole decimal float, so it
+    // stops where from_chars did.
     if (value != 0.0 &&
         std::fabs(value) <= std::numeric_limits<double>::min()) {
       errno = 0;
