@@ -207,12 +207,16 @@ Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
   return Status::Ok();
 }
 
+uint64_t Session::Fingerprint() const {
+  return persist::ConfigFingerprint(
+      fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+}
+
 Status Session::SaveSnapshot(const std::string& path) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   try {
     persist::SnapshotView view;
-    view.fingerprint = persist::ConfigFingerprint(
-        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+    view.fingerprint = Fingerprint();
     view.data_stamp = persist::DataStamp(*encoded_);
     view.data_version = data_version_;
     view.root_delta_p = root_delta_p_;
@@ -231,8 +235,7 @@ Status Session::SaveSnapshot(const std::string& path) const {
 
 Status Session::EnableJournal(const std::string& path) {
   std::unique_lock<std::shared_mutex> snapshot(*state_mu_);
-  const uint64_t fp = persist::ConfigFingerprint(
-      fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
+  const uint64_t fp = Fingerprint();
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec) && !ec &&
                       std::filesystem::file_size(path, ec) > 0 && !ec;
@@ -272,9 +275,7 @@ Result<int> Session::ReplayJournal(const std::string& path) {
           "cannot replay while a journal is attached (replayed batches "
           "would be re-logged); replay first, then EnableJournal");
     }
-    const uint64_t fp = persist::ConfigFingerprint(
-        fds(), static_cast<uint8_t>(opts_.weights), opts_.heuristic);
-    if (contents->header.fingerprint != fp) {
+    if (contents->header.fingerprint != Fingerprint()) {
       return Status::Error(
           StatusCode::kSchemaMismatch,
           "journal '" + path +

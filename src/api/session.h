@@ -389,6 +389,9 @@ class Session {
                       int64_t expected_root_delta_p);
 
   Status Validate(const FDSet& sigma) const;
+  /// persist::ConfigFingerprint of this session's (Σ, weights, heuristic):
+  /// the identity its snapshots and journals carry.
+  uint64_t Fingerprint() const;
   /// SetFds/SetWeights: validates, refuses while journaling, then builds
   /// a context for (sigma, model) under the exclusive snapshot lock.
   Status Switch(FDSet sigma, WeightModel model);

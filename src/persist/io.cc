@@ -3,6 +3,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 namespace retrust::persist {
 
@@ -31,6 +32,12 @@ CrcTables MakeCrcTables() {
   return tables;
 }
 
+constexpr uint8_t kValueNull = 0;
+constexpr uint8_t kValueInt = 1;
+constexpr uint8_t kValueDouble = 2;
+constexpr uint8_t kValueString = 3;
+constexpr uint8_t kValueVariable = 4;
+
 uint32_t LoadLe32(const unsigned char* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
@@ -42,14 +49,14 @@ Result<std::string> ReadWholeFile(const std::string& path,
                                   std::string_view what) {
   const std::string name = std::string(what) + " '" + path + "'";
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::Error(StatusCode::kIoError, "cannot open " + name);
+  if (!in) return IoError("cannot open " + name);
   // file_size refuses what is not a regular file (a directory opens fine).
   std::error_code ec;
   const uintmax_t size = std::filesystem::file_size(path, ec);
-  if (ec) return Status::Error(StatusCode::kIoError, "cannot size " + name);
+  if (ec) return IoError("cannot size " + name);
   std::string bytes(static_cast<size_t>(size), '\0');
   if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
-    return Status::Error(StatusCode::kIoError, "read failure on " + name);
+    return IoError("read failure on " + name);
   }
   return bytes;
 }
@@ -69,6 +76,81 @@ uint32_t Crc32(const void* data, size_t len) {
   }
   for (; len > 0; ++p, --len) c = kT[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
+}
+
+Status IoError(const std::string& message) {
+  return Status::Error(StatusCode::kIoError, message);
+}
+
+void WriteValue(ByteWriter* w, const Value& v) {
+  switch (v.kind()) {
+    case Value::Kind::kNull:
+      w->U8(kValueNull);
+      break;
+    case Value::Kind::kInt:
+      w->U8(kValueInt);
+      w->I64(v.AsInt());
+      break;
+    case Value::Kind::kDouble:
+      w->U8(kValueDouble);
+      w->F64(v.AsDouble());
+      break;
+    case Value::Kind::kString:
+      w->U8(kValueString);
+      w->Str(v.AsString());
+      break;
+    case Value::Kind::kVariable: {
+      VarRef var = v.AsVariable();
+      w->U8(kValueVariable);
+      w->I32(var.attr);
+      w->I32(var.index);
+      break;
+    }
+  }
+}
+
+Value ReadValue(ByteReader* r) {
+  switch (r->U8()) {
+    case kValueNull:
+      return Value::Null();
+    case kValueInt:
+      return Value(r->I64());
+    case kValueDouble:
+      return Value(r->F64());
+    case kValueString:
+      return Value(r->Str());
+    case kValueVariable: {
+      AttrId attr = r->I32();
+      int32_t index = r->I32();
+      return Value::Variable(attr, index);
+    }
+    default:
+      throw std::invalid_argument("unknown value tag");
+  }
+}
+
+void WritePrefix(ByteWriter* w, const char (&magic)[8], uint32_t version) {
+  for (char c : magic) w->U8(static_cast<uint8_t>(c));
+  w->U32(version);
+}
+
+Status CheckPrefix(std::string_view bytes, const char (&magic)[8],
+                   uint32_t version, size_t min_size, std::string_view what,
+                   const std::string& path) {
+  if (bytes.size() < min_size ||
+      std::memcmp(bytes.data(), magic, sizeof(magic)) != 0) {
+    return IoError("'" + path + "' is not a retrust " + std::string(what));
+  }
+  ByteReader r(bytes.substr(sizeof(magic)));
+  const uint32_t found = r.U32();
+  if (found != version) {
+    return Status::Error(StatusCode::kVersionMismatch,
+                         std::string(what) + " '" + path +
+                             "' has format version " + std::to_string(found) +
+                             "; this build speaks version " +
+                             std::to_string(version));
+  }
+  return Status::Ok();
 }
 
 }  // namespace retrust::persist

@@ -1,15 +1,15 @@
-// Byte-level primitives of the persistence layer: a whole-file read, a
-// CRC-32 checksum and a pair of bounds-checked little-endian buffer codecs.
+// The persistence codec, one copy shared by snapshots and journals (their
+// .cc files hold only the layouts): a whole-file read, CRC-32, the magic +
+// version prefix, the tagged Value codec and a pair of bounds-checked
+// little-endian buffer codecs. PersistGolden pins the bytes it writes.
 //
-// Snapshots and journals are written through ByteWriter (which accumulates
-// into one contiguous buffer, so the checksum can be computed over exactly
-// the bytes that hit disk) and read through ByteReader, whose reads never
-// throw: any out-of-bounds access latches a failure flag and returns
-// zeros/empties, and the caller checks ok() once at the end — truncated
-// files surface as one clean error instead of a crash.
-//
-// The encoding is fixed little-endian regardless of host order, so a
-// snapshot is a portable artifact, not a memory dump.
+// Files are written through ByteWriter (one contiguous buffer, so the
+// checksum covers exactly the bytes that hit disk) and read through
+// ByteReader, whose reads never throw: an out-of-bounds access latches a
+// failure flag and returns zeros/empties, and the caller checks ok() once
+// at the end. int32 arrays move in bulk; callers validate them after.
+// The encoding is little-endian on any host: a snapshot is a portable
+// artifact, not a memory dump.
 
 #ifndef RETRUST_PERSIST_IO_H_
 #define RETRUST_PERSIST_IO_H_
@@ -19,8 +19,11 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "src/api/status.h"
+#include "src/relational/value.h"
 
 namespace retrust::persist {
 
@@ -32,6 +35,8 @@ Result<std::string> ReadWholeFile(const std::string& path,
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) of `len` bytes.
 uint32_t Crc32(const void* data, size_t len);
+
+Status IoError(const std::string& message);
 
 /// Append-only little-endian encoder over one growable buffer.
 class ByteWriter {
@@ -45,6 +50,17 @@ class ByteWriter {
   void Str(const std::string& s) {
     U64(s.size());
     buf_.append(s);
+  }
+  /// Appends `v`, whose elements are packed int32 fields, as I32 words.
+  template <typename T>
+  void I32Array(const std::vector<T>& v) {
+    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 4 == 0);
+    const auto* p = reinterpret_cast<const char*>(v.data());
+    if constexpr (std::endian::native == std::endian::little) {
+      buf_.append(p, v.size() * sizeof(T));
+    } else {
+      for (size_t i = 0; i < v.size() * sizeof(T); i += 4) Raw(p + i, 4);
+    }
   }
 
   const std::string& buffer() const { return buf_; }
@@ -104,6 +120,20 @@ class ByteReader {
     pos_ += static_cast<size_t>(n);
     return s;
   }
+  /// Fills `*out`, sized by the caller, as ByteWriter::I32Array wrote it:
+  /// on little-endian hosts with one bounds check and one memcpy. A short
+  /// buffer latches failed() and zero-fills the array.
+  template <typename T>
+  void I32Array(std::vector<T>* out) {
+    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 4 == 0);
+    if (out->empty()) return;
+    auto* p = reinterpret_cast<unsigned char*>(out->data());
+    if constexpr (std::endian::native == std::endian::little) {
+      Raw(p, out->size() * sizeof(T));
+    } else {
+      for (size_t i = 0; i < out->size() * sizeof(T); i += 4) Raw(p + i, 4);
+    }
+  }
 
  private:
   void Raw(void* v, size_t n) {
@@ -127,6 +157,33 @@ class ByteReader {
   size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// Caps untrusted count fields: a corrupt length can at most name one unit
+/// per remaining payload byte, so allocations stay proportional to the
+/// actual file size instead of a 64-bit garbage value.
+inline bool PlausibleCount(uint64_t count, const ByteReader& r) {
+  return count <= r.remaining();
+}
+
+/// The tagged Value codec: a u8 tag (null, int, double, string, variable)
+/// and the value's fields. ReadValue throws std::invalid_argument on an
+/// unknown tag.
+void WriteValue(ByteWriter* w, const Value& v);
+Value ReadValue(ByteReader* r);
+
+/// Bytes of the 8-byte magic + u32 format version every file starts with.
+inline constexpr size_t kPrefixSize = 8 + sizeof(uint32_t);
+
+void WritePrefix(ByteWriter* w, const char (&magic)[8], uint32_t version);
+
+/// Checks the prefix of the file `path` holding `bytes`, whose kind `what`
+/// names ("snapshot", "journal"). kIoError "'<path>' is not a retrust
+/// <what>" when the file is shorter than `min_size` (at least kPrefixSize)
+/// or its magic differs; kVersionMismatch for any other version. Readers
+/// call it before any checksum, so a version bump is reported as such.
+Status CheckPrefix(std::string_view bytes, const char (&magic)[8],
+                   uint32_t version, size_t min_size, std::string_view what,
+                   const std::string& path);
 
 }  // namespace retrust::persist
 

@@ -1,8 +1,6 @@
 #include "src/persist/journal.h"
 
-#include <cstring>
 #include <filesystem>
-#include <stdexcept>
 #include <utility>
 
 #include "src/persist/io.h"
@@ -11,90 +9,15 @@ namespace retrust::persist {
 
 namespace {
 
-constexpr size_t kPrefixSize = sizeof(kJournalMagic) + sizeof(uint32_t);
 constexpr size_t kHeaderSize = 3 * sizeof(uint64_t);
 
-constexpr uint8_t kValueNull = 0;
-constexpr uint8_t kValueInt = 1;
-constexpr uint8_t kValueDouble = 2;
-constexpr uint8_t kValueString = 3;
-constexpr uint8_t kValueVariable = 4;
-
-// Duplicated from snapshot.cc rather than shared: the two formats version
-// independently, and a change to one codec must not silently change the
-// other's bytes.
-void WriteValue(ByteWriter* w, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      w->U8(kValueNull);
-      break;
-    case Value::Kind::kInt:
-      w->U8(kValueInt);
-      w->I64(v.AsInt());
-      break;
-    case Value::Kind::kDouble:
-      w->U8(kValueDouble);
-      w->F64(v.AsDouble());
-      break;
-    case Value::Kind::kString:
-      w->U8(kValueString);
-      w->Str(v.AsString());
-      break;
-    case Value::Kind::kVariable: {
-      VarRef var = v.AsVariable();
-      w->U8(kValueVariable);
-      w->I32(var.attr);
-      w->I32(var.index);
-      break;
-    }
-  }
-}
-
-Value ReadValue(ByteReader* r) {
-  switch (r->U8()) {
-    case kValueNull:
-      return Value::Null();
-    case kValueInt:
-      return Value(r->I64());
-    case kValueDouble:
-      return Value(r->F64());
-    case kValueString:
-      return Value(r->Str());
-    case kValueVariable: {
-      AttrId attr = r->I32();
-      int32_t index = r->I32();
-      return Value::Variable(attr, index);
-    }
-    default:
-      throw std::invalid_argument("unknown value tag");
-  }
-}
-
-Status IoError(const std::string& message) {
-  return Status::Error(StatusCode::kIoError, message);
-}
-
-bool PlausibleCount(uint64_t count, const ByteReader& r) {
-  return count <= r.remaining();
-}
-
-/// Validates the fixed prefix of journal bytes. Returns the header start
-/// offset via `*body`, or an error.
-Status CheckPrefix(const std::string& path, const std::string& bytes,
-                   JournalHeader* header) {
-  if (bytes.size() < kPrefixSize + kHeaderSize ||
-      std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return IoError("'" + path + "' is not a retrust journal");
-  }
-  ByteReader r(std::string_view(bytes).substr(sizeof(kJournalMagic)));
-  const uint32_t version = r.U32();
-  if (version != kJournalFormatVersion) {
-    return Status::Error(
-        StatusCode::kVersionMismatch,
-        "journal '" + path + "' has format version " +
-            std::to_string(version) + "; this build speaks version " +
-            std::to_string(kJournalFormatVersion));
-  }
+/// Checks the prefix of journal `bytes` and reads the header after it.
+Status ReadHeader(const std::string& path, const std::string& bytes,
+                  JournalHeader* header) {
+  Status prefix = CheckPrefix(bytes, kJournalMagic, kJournalFormatVersion,
+                              kPrefixSize + kHeaderSize, "journal", path);
+  if (!prefix.ok()) return prefix;
+  ByteReader r(std::string_view(bytes).substr(kPrefixSize));
   header->fingerprint = r.U64();
   header->base_stamp = r.U64();
   header->base_version = r.U64();
@@ -153,7 +76,7 @@ std::string EncodeDeltaBatch(const DeltaBatch& batch) {
     WriteValue(&w, u.value);
   }
   w.U64(batch.deletes.size());
-  for (TupleId t : batch.deletes) w.I32(t);
+  w.I32Array(batch.deletes);
   return w.buffer();
 }
 
@@ -193,7 +116,7 @@ Result<DeltaBatch> DecodeDeltaBatch(const std::string& payload) {
       return IoError("delta record has an implausible delete count");
     }
     batch.deletes.resize(static_cast<size_t>(num_deletes));
-    for (TupleId& t : batch.deletes) t = r.I32();
+    r.I32Array(&batch.deletes);
   } catch (const std::exception& e) {
     return IoError(std::string("delta record is corrupt: ") + e.what());
   }
@@ -208,7 +131,7 @@ Result<JournalContents> ReadJournalFile(const std::string& path) {
   if (!bytes.ok()) return bytes.status();
 
   JournalContents contents;
-  Status prefix = CheckPrefix(path, *bytes, &contents.header);
+  Status prefix = ReadHeader(path, *bytes, &contents.header);
   if (!prefix.ok()) return prefix;
 
   std::vector<std::string> payloads;
@@ -233,8 +156,7 @@ Result<JournalContents> ReadJournalFile(const std::string& path) {
 Result<std::unique_ptr<JournalWriter>> JournalWriter::Create(
     const std::string& path, const JournalHeader& header) {
   ByteWriter w;
-  for (char c : kJournalMagic) w.U8(static_cast<uint8_t>(c));
-  w.U32(kJournalFormatVersion);
+  WritePrefix(&w, kJournalMagic, kJournalFormatVersion);
   w.U64(header.fingerprint);
   w.U64(header.base_stamp);
   w.U64(header.base_version);
@@ -254,7 +176,7 @@ Result<std::unique_ptr<JournalWriter>> JournalWriter::Append(
   if (!bytes.ok()) return bytes.status();
 
   JournalHeader header;
-  Status prefix = CheckPrefix(path, *bytes, &header);
+  Status prefix = ReadHeader(path, *bytes, &header);
   if (!prefix.ok()) return prefix;
   if (header.fingerprint != expected_fingerprint) {
     return Status::Error(

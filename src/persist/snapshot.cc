@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <cstddef>
 #include <fstream>
-#include <stdexcept>
 #include <utility>
 
 #include "src/persist/io.h"
 #include "src/util/hash.h"
 
 namespace retrust::persist {
-
-namespace {
 
 // Payload field order (after the 12-byte magic+version prefix):
 //   u64 fingerprint, u64 data_stamp, u64 data_version, i64 root_delta_p,
@@ -27,71 +24,9 @@ namespace {
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
 
-constexpr uint8_t kValueNull = 0;
-constexpr uint8_t kValueInt = 1;
-constexpr uint8_t kValueDouble = 2;
-constexpr uint8_t kValueString = 3;
-constexpr uint8_t kValueVariable = 4;
-
-void WriteValue(ByteWriter* w, const Value& v) {
-  switch (v.kind()) {
-    case Value::Kind::kNull:
-      w->U8(kValueNull);
-      break;
-    case Value::Kind::kInt:
-      w->U8(kValueInt);
-      w->I64(v.AsInt());
-      break;
-    case Value::Kind::kDouble:
-      w->U8(kValueDouble);
-      w->F64(v.AsDouble());
-      break;
-    case Value::Kind::kString:
-      w->U8(kValueString);
-      w->Str(v.AsString());
-      break;
-    case Value::Kind::kVariable: {
-      VarRef var = v.AsVariable();
-      w->U8(kValueVariable);
-      w->I32(var.attr);
-      w->I32(var.index);
-      break;
-    }
-  }
-}
-
-Value ReadValue(ByteReader* r) {
-  switch (r->U8()) {
-    case kValueNull:
-      return Value::Null();
-    case kValueInt:
-      return Value(r->I64());
-    case kValueDouble:
-      return Value(r->F64());
-    case kValueString:
-      return Value(r->Str());
-    case kValueVariable: {
-      AttrId attr = r->I32();
-      int32_t index = r->I32();
-      return Value::Variable(attr, index);
-    }
-    default:
-      throw std::invalid_argument("unknown value tag");
-  }
-}
-
-Status IoError(const std::string& message) {
-  return Status::Error(StatusCode::kIoError, message);
-}
-
-/// Caps untrusted count fields: a corrupt length can at most name one unit
-/// per remaining payload byte, so allocations stay proportional to the
-/// actual file size instead of a 64-bit garbage value.
-bool PlausibleCount(uint64_t count, const ByteReader& r) {
-  return count <= r.remaining();
-}
-
-}  // namespace
+// Edge lists move through the I32Array codec as (u, v) int32 pairs.
+static_assert(sizeof(Edge) == 2 * sizeof(int32_t) && offsetof(Edge, u) == 0 &&
+              offsetof(Edge, v) == sizeof(int32_t));
 
 uint64_t ConfigFingerprint(const FDSet& sigma, uint8_t weight_model,
                            const HeuristicOptions& heuristic) {
@@ -132,8 +67,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   const int m = inst.NumAttrs();
 
   ByteWriter w;
-  for (char c : kSnapshotMagic) w.U8(static_cast<uint8_t>(c));
-  w.U32(kSnapshotFormatVersion);
+  WritePrefix(&w, kSnapshotMagic, kSnapshotFormatVersion);
 
   w.U64(view.fingerprint);
   w.U64(view.data_stamp);
@@ -157,11 +91,9 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     w.U64(static_cast<uint64_t>(dict.size()));
     for (const Value& v : dict.values()) WriteValue(&w, v);
   }
-  for (AttrId a = 0; a < m; ++a) {
-    for (int32_t code : inst.column(a)) w.I32(code);
-  }
-  for (int32_t counter : inst.next_var_counters()) w.I32(counter);
-  for (int32_t counter : *view.instance_next_var) w.I32(counter);
+  for (AttrId a = 0; a < m; ++a) w.I32Array(inst.column(a));
+  w.I32Array(inst.next_var_counters());
+  w.I32Array(*view.instance_next_var);
 
   w.U32(static_cast<uint32_t>(view.sigma->size()));
   for (const FD& fd : view.sigma->fds()) {
@@ -173,10 +105,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   for (const DiffSetGroup& g : view.index->groups()) {
     w.U64(g.diff.bits());
     w.U64(g.edges.size());
-    for (const Edge& e : g.edges) {
-      w.I32(e.u);
-      w.I32(e.v);
-    }
+    w.I32Array(g.edges);
   }
 
   w.U64(view.warm.covers.set_entries.size());
@@ -187,7 +116,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   w.U64(view.warm.covers.seq_entries.size());
   for (const auto& [seq, value] : view.warm.covers.seq_entries) {
     w.U64(seq.size());
-    for (int32_t g : seq) w.I32(g);
+    w.I32Array(seq);
     w.I32(value);
   }
 
@@ -206,24 +135,10 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
   if (!read.ok()) return read.status();
   const std::string& bytes = *read;
 
-  // Magic and version come before the checksum test so an unsupported
-  // version (whose payload layout we cannot parse anyway) reports as
-  // kVersionMismatch, not as corruption.
-  if (bytes.size() < sizeof(kSnapshotMagic) + sizeof(uint32_t) ||
-      std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    return IoError("'" + path + "' is not a retrust snapshot");
-  }
-  ByteReader header(std::string_view(bytes).substr(sizeof(kSnapshotMagic)));
-  const uint32_t version = header.U32();
-  if (version != kSnapshotFormatVersion) {
-    return Status::Error(
-        StatusCode::kVersionMismatch,
-        "snapshot '" + path + "' has format version " +
-            std::to_string(version) + "; this build speaks version " +
-            std::to_string(kSnapshotFormatVersion));
-  }
-  const size_t prefix = sizeof(kSnapshotMagic) + sizeof(uint32_t);
-  if (bytes.size() < prefix + sizeof(uint32_t)) {
+  Status prefix = CheckPrefix(bytes, kSnapshotMagic, kSnapshotFormatVersion,
+                              kPrefixSize, "snapshot", path);
+  if (!prefix.ok()) return prefix;
+  if (bytes.size() < kPrefixSize + sizeof(uint32_t)) {
     return IoError("snapshot '" + path + "' is truncated");
   }
   const size_t body = bytes.size() - sizeof(uint32_t);
@@ -233,7 +148,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
                    "' failed its checksum (truncated or corrupted)");
   }
 
-  ByteReader r(std::string_view(bytes).substr(prefix, body - prefix));
+  ByteReader r(std::string_view(bytes).substr(kPrefixSize, body - kPrefixSize));
   SnapshotData data;
   try {
     data.fingerprint = r.U64();
@@ -273,15 +188,12 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     if (!PlausibleCount(num_codes, r)) {
       return IoError("snapshot '" + path + "' has an implausible cardinality");
     }
-    std::vector<std::vector<int32_t>> columns(m);
-    for (uint32_t a = 0; a < m; ++a) {
-      columns[a].resize(n);
-      for (int32_t& code : columns[a]) code = r.I32();
-    }
+    std::vector<std::vector<int32_t>> columns(m, std::vector<int32_t>(n));
+    for (std::vector<int32_t>& column : columns) r.I32Array(&column);
     std::vector<int32_t> next_var(m);
-    for (int32_t& counter : next_var) counter = r.I32();
+    r.I32Array(&next_var);
     data.instance_next_var.resize(m);
-    for (int32_t& counter : data.instance_next_var) counter = r.I32();
+    r.I32Array(&data.instance_next_var);
     const auto negative = [](int32_t counter) { return counter < 0; };
     if (std::any_of(next_var.begin(), next_var.end(), negative) ||
         std::any_of(data.instance_next_var.begin(),
@@ -325,10 +237,9 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
         return IoError("snapshot '" + path + "' has an implausible group");
       }
       g.edges.resize(static_cast<size_t>(num_edges));
+      r.I32Array(&g.edges);
       for (size_t i = 0; i < g.edges.size(); ++i) {
-        Edge& e = g.edges[i];
-        e.u = r.I32();
-        e.v = r.I32();
+        const Edge& e = g.edges[i];
         // 0 <= u < v < n, strictly ascending within the group.
         if (e.u < 0 || e.u >= e.v || static_cast<uint32_t>(e.v) >= n ||
             (i > 0 && !(g.edges[i - 1] < e))) {
@@ -373,7 +284,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
         return IoError("snapshot '" + path + "' has an implausible cover key");
       }
       std::vector<int32_t> seq(static_cast<size_t>(len));
-      for (int32_t& g : seq) g = r.I32();
+      r.I32Array(&seq);
       const int32_t value = r.I32();
       data.warm.covers.seq_entries.emplace_back(std::move(seq), value);
     }
