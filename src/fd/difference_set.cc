@@ -180,23 +180,16 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
     work[i].edges = std::move(merged);
   }
 
-  // 4. Re-rank in the canonical (frequency desc, diff asc) order and
-  // count the groups that came through untouched.
-  work.erase(std::remove_if(work.begin(), work.end(),
-                            [](const Work& w) { return w.edges.empty(); }),
-             work.end());
-  std::sort(work.begin(), work.end(), [](const Work& a, const Work& b) {
-    if (a.edges.size() != b.edges.size()) {
-      return a.edges.size() > b.edges.size();
-    }
-    return a.diff < b.diff;
-  });
+  // 4. Count the groups that came through untouched, then re-rank in the
+  // canonical order.
   groups_.clear();
   groups_.reserve(work.size());
   for (Work& w : work) {
+    if (w.edges.empty()) continue;
     if (!w.changed) ++patch.groups_preserved;
     groups_.push_back({w.diff, std::move(w.edges)});
   }
+  RankGroups(&groups_);
   patch.groups_changed = static_cast<int>(groups_.size()) -
                          patch.groups_preserved;
   return patch;

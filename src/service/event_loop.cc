@@ -535,15 +535,13 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
       reply(ErrorJson(repair.status()));
       return;
     }
-    std::string tenant = tenant_of();
-    Server* srv = server_;
     std::shared_ptr<obs::RequestTrace> trace = repair->trace;
     if (trace != nullptr) {
       trace->root.StartChild("decode")->set_seconds(decode_seconds);
     }
     server.Repair(
-        tenant, *repair,
-        [reply, srv, tenant, trace](Result<RepairResponse> response) {
+        tenant_of(), *repair,
+        [reply, trace](Result<RepairResponse> response) {
           // Attached to errors too: a traced request that failed still
           // tells the caller where its time went. The untraced path is
           // untouched — replies stay byte-identical.
@@ -558,14 +556,8 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
             reply(with_trace(ErrorJson(response.status())));
             return;
           }
-          // The schema reference is safe: the tenant resolved (the
-          // repair ran).
-          Result<std::shared_ptr<Session>> session = srv->tenants().Get(tenant);
-          if (!session.ok()) {
-            reply(with_trace(ErrorJson(session.status())));
-            return;
-          }
-          reply(with_trace(ToJson(*response, (*session)->schema())));
+          reply(with_trace(
+              ToJson(*response, response->repair.data.schema())));
         });
     return;
   }
@@ -588,20 +580,13 @@ void EventLoop::HandleLine(const std::shared_ptr<Conn>& conn,
       }
       batch.push_back(*repair);
     }
-    std::string tenant = tenant_of();
-    Server* srv = server_;
     server.Sweep(
-        tenant, std::move(batch),
-        [reply, srv, tenant](std::vector<Result<RepairResponse>> replies) {
-          Result<std::shared_ptr<Session>> session = srv->tenants().Get(tenant);
+        tenant_of(), std::move(batch),
+        [reply](std::vector<Result<RepairResponse>> replies) {
           Json::Array results;
           for (const Result<RepairResponse>& r : replies) {
-            if (r.ok() && session.ok()) {
-              results.push_back(ToJson(*r, (*session)->schema()));
-            } else {
-              results.push_back(
-                  ErrorJson(r.ok() ? session.status() : r.status()));
-            }
+            results.push_back(r.ok() ? ToJson(*r, r->repair.data.schema())
+                                     : ErrorJson(r.status()));
           }
           Json::Object obj;
           obj["ok"] = Json(true);

@@ -582,38 +582,6 @@ Json ToJson(const RepairResponse& response, const Schema& schema) {
   return Json(std::move(obj));
 }
 
-Json ToJson(const SearchProbe& probe) {
-  Json::Object obj;
-  obj["ok"] = Json(true);
-  obj["tau"] = Json(probe.tau);
-  obj["found"] = Json(probe.result.repair.has_value());
-  if (probe.result.repair.has_value()) {
-    obj["distc"] = Json(probe.result.repair->distc);
-    obj["delta_p"] = Json(probe.result.repair->delta_p);
-  }
-  obj["states_visited"] = Json(probe.result.stats.states_visited);
-  obj["states_generated"] = Json(probe.result.stats.states_generated);
-  obj["expansions"] = Json(probe.result.stats.expansions);
-  obj["lb_prunes"] = Json(probe.result.stats.lb_prunes);
-  obj["incumbent_improvements"] =
-      Json(probe.result.stats.incumbent_improvements);
-  obj["suboptimality_bound"] = Json(probe.result.stats.suboptimality_bound);
-  obj["first_repair_seconds"] = Json(probe.result.stats.first_repair_seconds);
-  Json::Array incumbents;
-  for (const search::IncumbentPoint& p : probe.result.incumbents) {
-    Json::Object point;
-    point["seconds"] = Json(p.seconds);
-    point["distc"] = Json(p.distc);
-    point["delta_p"] = Json(p.delta_p);
-    point["states_visited"] = Json(p.states_visited);
-    incumbents.push_back(Json(std::move(point)));
-  }
-  obj["incumbents"] = Json(std::move(incumbents));
-  obj["termination"] = Json(TerminationName(probe.result.termination));
-  obj["seconds"] = Json(probe.seconds);
-  return Json(std::move(obj));
-}
-
 Json ToJson(const ApplyStats& stats) {
   Json::Object obj;
   obj["ok"] = Json(true);

@@ -158,7 +158,6 @@ Result<DeltaBatch> DeltaBatchFromJson(const Json& obj, const Schema& schema);
 Json ErrorJson(const Status& status);
 
 Json ToJson(const RepairResponse& response, const Schema& schema);
-Json ToJson(const SearchProbe& probe);
 Json ToJson(const ApplyStats& stats);
 Json ToJson(const ServerStats& stats);
 Json ToJson(const TenantStats& stats);

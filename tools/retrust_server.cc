@@ -44,11 +44,13 @@
 // `--slow-request-seconds` logs requests over the threshold with their
 // span tree; `--flight-records` sizes the recorder ring.
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -95,79 +97,63 @@ int main(int argc, char** argv) {
   std::vector<std::string> snapshot_specs;
   double metrics_dump_interval = 0.0;
 
+  // Every flag takes one value; `needs` completes its "<flag> needs ..."
+  // message when the value is missing.
+  struct Flag {
+    const char* name;
+    const char* needs;
+    std::function<void(const char*)> set;
+  };
+  const auto size = [](const char* v) {
+    return static_cast<size_t>(std::atoll(v));
+  };
+  const std::vector<Flag> flags = {
+      {"--port", "a value",
+       [&](const char* v) { loop_opts.port = std::atoi(v); }},
+      {"--workers", "a value",
+       [&](const char* v) { opts.workers = std::atoi(v); }},
+      {"--queue-depth", "a value",
+       [&](const char* v) { opts.queue_capacity = size(v); }},
+      {"--tenant-cap", "a value",
+       [&](const char* v) { opts.per_tenant_inflight = size(v); }},
+      {"--session-threads", "a value",
+       [&](const char* v) { opts.session_threads = std::atoi(v); }},
+      {"--snapshot-dir", "a value",
+       [&](const char* v) { opts.snapshot_dir = v; }},
+      {"--max-tenant-bytes", "a value",
+       [&](const char* v) { opts.max_loaded_tenant_bytes = size(v); }},
+      {"--reader-threads", "a value",
+       [&](const char* v) { loop_opts.reader_threads = std::atoi(v); }},
+      {"--pipeline-depth", "a value",
+       [&](const char* v) { loop_opts.max_pipeline_depth = size(v); }},
+      {"--quota-rate", "a value",
+       [&](const char* v) { opts.default_quota.rate = std::atof(v); }},
+      {"--quota-burst", "a value",
+       [&](const char* v) { opts.default_quota.burst = std::atof(v); }},
+      {"--metrics-dump-interval", "a value",
+       [&](const char* v) { metrics_dump_interval = std::atof(v); }},
+      {"--slow-request-seconds", "a value",
+       [&](const char* v) { opts.slow_request_seconds = std::atof(v); }},
+      {"--flight-records", "a value",
+       [&](const char* v) { opts.flight_recorder_capacity = size(v); }},
+      {"--tenant", "NAME=FILE.csv:FD[;FD]",
+       [&](const char* v) { tenant_specs.emplace_back(v); }},
+      {"--tenant-snapshot", "NAME=FILE.snap",
+       [&](const char* v) { snapshot_specs.emplace_back(v); }},
+  };
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--port needs a value\n"); return 2; }
-      loop_opts.port = std::atoi(v);
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--workers needs a value\n"); return 2; }
-      opts.workers = std::atoi(v);
-    } else if (arg == "--queue-depth") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--queue-depth needs a value\n"); return 2; }
-      opts.queue_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--tenant-cap") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--tenant-cap needs a value\n"); return 2; }
-      opts.per_tenant_inflight = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--session-threads") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--session-threads needs a value\n"); return 2; }
-      opts.session_threads = std::atoi(v);
-    } else if (arg == "--snapshot-dir") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--snapshot-dir needs a value\n"); return 2; }
-      opts.snapshot_dir = v;
-    } else if (arg == "--max-tenant-bytes") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--max-tenant-bytes needs a value\n"); return 2; }
-      opts.max_loaded_tenant_bytes = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--reader-threads") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--reader-threads needs a value\n"); return 2; }
-      loop_opts.reader_threads = std::atoi(v);
-    } else if (arg == "--pipeline-depth") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--pipeline-depth needs a value\n"); return 2; }
-      loop_opts.max_pipeline_depth = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--quota-rate") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--quota-rate needs a value\n"); return 2; }
-      opts.default_quota.rate = std::atof(v);
-    } else if (arg == "--quota-burst") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--quota-burst needs a value\n"); return 2; }
-      opts.default_quota.burst = std::atof(v);
-    } else if (arg == "--metrics-dump-interval") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--metrics-dump-interval needs a value\n"); return 2; }
-      metrics_dump_interval = std::atof(v);
-    } else if (arg == "--slow-request-seconds") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--slow-request-seconds needs a value\n"); return 2; }
-      opts.slow_request_seconds = std::atof(v);
-    } else if (arg == "--flight-records") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--flight-records needs a value\n"); return 2; }
-      opts.flight_recorder_capacity = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--tenant") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--tenant needs NAME=FILE.csv:FD[;FD]\n"); return 2; }
-      tenant_specs.emplace_back(v);
-    } else if (arg == "--tenant-snapshot") {
-      const char* v = next();
-      if (v == nullptr) { std::fprintf(stderr, "--tenant-snapshot needs NAME=FILE.snap\n"); return 2; }
-      snapshot_specs.emplace_back(v);
-    } else {
+    const std::string arg = argv[i];
+    auto flag = std::find_if(flags.begin(), flags.end(),
+                             [&](const Flag& f) { return arg == f.name; });
+    if (flag == flags.end()) {
       std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
       return 2;
     }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs %s\n", flag->name, flag->needs);
+      return 2;
+    }
+    flag->set(argv[++i]);
   }
 
   std::signal(SIGPIPE, SIG_IGN);
