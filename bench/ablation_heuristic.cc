@@ -31,7 +31,7 @@ int main() {
       hopts.max_diffsets = budget;
       hopts.strict_leave_check = strict;
       ExperimentData data = PrepareExperiment(
-          gen, perturb, WeightKind::kDistinctCount, hopts);
+          gen, perturb, WeightModel::kDistinctCount, hopts);
       int64_t tau = TauFromRelative(0.2, data.root_delta_p);
       ModifyFdsOptions opts;
       opts.heuristic = hopts;

@@ -7,6 +7,8 @@
 // Session::Search probes, the concurrent grid is one Session::SearchMany
 // batch on the session's pool.
 
+#include <thread>
+
 #include "bench/bench_common.h"
 #include "src/eval/experiment.h"
 #include "src/util/timer.h"
@@ -25,17 +27,18 @@ int main() {
   perturb.fd_error_rate = 0.5;
   perturb.data_error_rate = 0.02;
   perturb.seed = 7;
-  // The batched grid fans out on RETRUST_THREADS (default = hardware).
-  exec::Options eopts;
-  eopts.num_threads = 0;
+  // The batched grid fans out on RETRUST_THREADS (0, unset or unparsable
+  // = hardware).
+  int threads = static_cast<int>(std::thread::hardware_concurrency());
   if (const char* env = std::getenv("RETRUST_THREADS")) {
-    eopts.num_threads = std::atoi(env);
+    if (const int n = std::atoi(env); n != 0) threads = n;
   }
   Timer prepare_timer;
   ExperimentData data = PrepareExperiment(gen, perturb,
-                                          WeightKind::kDistinctCount,
-                                          HeuristicOptions{}, eopts);
+                                          WeightModel::kDistinctCount,
+                                          HeuristicOptions{}, threads);
   Session& session = *data.session;
+  const int sweep_threads = data.pool != nullptr ? data.pool->num_threads() : 1;
   double prepare_seconds = prepare_timer.ElapsedSeconds();
   const int64_t kBestFirstCap = 60000;
   const std::vector<double> kTauGrid = {0.05, 0.10, 0.17, 0.25,
@@ -109,7 +112,7 @@ int main() {
   }
   std::printf("\nbatched-request API: %zu grid points in %.3fs wall at %d "
               "threads (sum of per-search times: %.3fs)\n",
-              swept.size(), sweep_seconds, eopts.ResolvedThreads(),
+              swept.size(), sweep_seconds, sweep_threads,
               serial_seconds);
 
   // Machine-readable trajectory: per-phase timings and the δP pipeline's
@@ -141,7 +144,7 @@ int main() {
     std::fprintf(f,
                  "  \"sweep\": {\"threads\": %d, \"wall_seconds\": %.6f, "
                  "\"sum_job_seconds\": %.6f},\n",
-                 eopts.ResolvedThreads(), sweep_seconds, serial_seconds);
+                 sweep_threads, sweep_seconds, serial_seconds);
     std::fprintf(f,
                  "  \"cover_memo\": {\"hits\": %lld, \"misses\": %lld, "
                  "\"hit_rate\": %.6f, \"groups_scanned\": %lld, "

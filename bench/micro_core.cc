@@ -88,7 +88,7 @@ BENCHMARK(BM_DiffSetIndex)->Arg(1000)->Arg(4000);
 void BM_ViolationDetectionSharded(benchmark::State& state) {
   ExperimentData& d = SharedData(4000);
   const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   for (auto _ : state) {
     ConflictGraph cg = BuildConflictGraph(d.encoded(), d.dirty.fds,
                                           pool.get());
@@ -104,8 +104,10 @@ BENCHMARK(BM_ViolationDetectionSharded)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // matches, sharing the warm dataset).
 void BM_TauSweep(benchmark::State& state) {
   ExperimentData& d = SharedData(1000);
+  std::unique_ptr<exec::ThreadPool> pool =
+      exec::MakePool(static_cast<int>(state.range(0)));
   SessionOptions sopts;
-  sopts.exec.num_threads = static_cast<int>(state.range(0));
+  sopts.pool = pool.get();
   Result<Session> session =
       Session::Open(d.dirty_instance(), d.dirty.fds, sopts);
   if (!session.ok()) {
@@ -297,8 +299,10 @@ void BM_TauSweepColdContext(benchmark::State& state) {
   for (double tr : {0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9}) {
     batch.push_back(RepairRequest::AtRelative(tr));
   }
+  std::unique_ptr<exec::ThreadPool> pool =
+      exec::MakePool(static_cast<int>(state.range(0)));
   SessionOptions sopts;
-  sopts.exec.num_threads = static_cast<int>(state.range(0));
+  sopts.pool = pool.get();
   SearchStats total;
   for (auto _ : state) {
     state.PauseTiming();

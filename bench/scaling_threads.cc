@@ -65,7 +65,7 @@ int main() {
   double serial_seconds = 0.0;
   uint64_t serial_checksum = 0;
   for (int t : thread_counts) {
-    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({t});
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(t);
     double seconds = 0.0;
     uint64_t checksum =
         DetectViolations(data.encoded(), data.dirty.fds, pool.get(), &seconds);
@@ -92,8 +92,9 @@ int main() {
   double serial_sweep = 0.0;
   int64_t serial_visited = -1;
   for (int t : thread_counts) {
+    std::unique_ptr<exec::ThreadPool> session_pool = exec::MakePool(t);
     SessionOptions opts;
-    opts.exec.num_threads = t;
+    opts.pool = session_pool.get();
     Result<Session> session =
         Session::Open(data.dirty_instance(), data.dirty.fds, opts);
     if (!session.ok()) {

@@ -8,6 +8,7 @@
 //   build/examples/example_tradeoff_explorer
 
 #include <cstdio>
+#include <thread>
 
 #include "src/eval/experiment.h"
 
@@ -26,11 +27,9 @@ int main() {
   perturb.seed = 23;
 
   // Batched requests fan out on all hardware threads.
-  exec::Options eopts;
-  eopts.num_threads = 0;
-  ExperimentData data = PrepareExperiment(gen, perturb,
-                                          WeightKind::kDistinctCount,
-                                          HeuristicOptions{}, eopts);
+  ExperimentData data = PrepareExperiment(
+      gen, perturb, WeightModel::kDistinctCount, HeuristicOptions{},
+      static_cast<int>(std::thread::hardware_concurrency()));
   Session& session = *data.session;
   const Schema& schema = data.dirty_instance().schema();
 

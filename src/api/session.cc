@@ -95,46 +95,35 @@ Result<int64_t> CheckedTauFromRelative(double tau_r, int64_t root_delta_p) {
   return TauFromRelative(tau_r, root_delta_p);
 }
 
-Session::Session(Instance data, SessionOptions opts)
-    : instance_(std::make_unique<Instance>(std::move(data))),
-      encoded_(std::make_unique<EncodedInstance>(*instance_)),
+Session::Session(EncodedInstance encoded,
+                 std::vector<int32_t> instance_next_var, SessionOptions opts)
+    : encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
+      instance_next_var_(std::move(instance_next_var)),
       opts_(opts),
-      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
-                                            : nullptr),
       memo_(std::make_unique<SearchMemo>()),
       state_mu_(std::make_unique<std::shared_mutex>()) {}
 
-Session::Session(Instance data, EncodedInstance encoded, SessionOptions opts)
-    : instance_(std::make_unique<Instance>(std::move(data))),
-      encoded_(std::make_unique<EncodedInstance>(std::move(encoded))),
-      opts_(opts),
-      own_pool_(opts.shared_pool == nullptr ? exec::MakePool(opts.exec)
-                                            : nullptr),
-      memo_(std::make_unique<SearchMemo>()),
-      state_mu_(std::make_unique<std::shared_mutex>()) {}
-
-Result<Session> Session::Open(Instance data, FDSet sigma,
+Result<Session> Session::Open(const Instance& data, FDSet sigma,
                               SessionOptions opts) {
-  Session session(std::move(data), std::move(opts));
+  Session session(EncodedInstance(data), data.next_var_counters(), opts);
   Status status = session.SetFds(std::move(sigma));
   if (!status.ok()) return status;
   return session;
 }
 
-Result<Session> Session::Open(Instance data,
+Result<Session> Session::Open(const Instance& data,
                               const std::vector<std::string>& fd_texts,
                               SessionOptions opts) {
   Result<FDSet> sigma = ParseFds(fd_texts, data.schema());
   if (!sigma.ok()) return sigma.status();
-  return Open(std::move(data), std::move(*sigma), std::move(opts));
+  return Open(data, std::move(*sigma), opts);
 }
 
 Result<Session> Session::OpenCsv(const std::string& path,
                                  const std::vector<std::string>& fd_texts,
                                  SessionOptions opts) {
   try {
-    Instance data = ReadCsvFile(path);
-    return Open(std::move(data), fd_texts, std::move(opts));
+    return Open(ReadCsvFile(path), fd_texts, opts);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kIoError, e.what());
   }
@@ -164,10 +153,8 @@ Result<Session> Session::OpenSnapshot(const std::string& path,
                              "' data stamp does not match its own payload");
   }
   try {
-    Instance decoded = data->encoded.Decode();
-    decoded.RestoreNextVarCounters(std::move(data->instance_next_var));
-    Session session(std::move(decoded), std::move(data->encoded),
-                    std::move(opts));
+    Session session(std::move(data->encoded),
+                    std::move(data->instance_next_var), opts);
     Status adopted =
         session.AdoptContext(std::move(data->sigma), std::move(data->index),
                              std::move(data->warm), data->root_delta_p);
@@ -223,7 +210,7 @@ Status Session::SaveSnapshot(const std::string& path) const {
     view.weight_model = static_cast<uint8_t>(opts_.weights);
     view.heuristic = opts_.heuristic;
     view.encoded = encoded_.get();
-    view.instance_next_var = &instance_->next_var_counters();
+    view.instance_next_var = &instance_next_var_;
     view.sigma = &fds();
     view.index = &context_->index();
     view.warm = context_->evaluator().ExportWarmState();
@@ -350,7 +337,7 @@ Status Session::Switch(FDSet sigma, WeightModel model) {
 void Session::Build(const FDSet& sigma, WeightModel model) {
   std::unique_ptr<WeightFunction> weights = MakeWeights(model, *encoded_);
   auto context = std::make_unique<FdSearchContext>(
-      sigma, *encoded_, *weights, opts_.heuristic, pool());
+      sigma, *encoded_, *weights, opts_.heuristic, opts_.pool);
   Install(std::move(weights), std::move(context));
 }
 
@@ -416,14 +403,14 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     // searched over; the exclusive lock keeps requests off the memo.
     memo_->answers.clear();
     memo_->bases.clear();
-    instance_->ApplyDelta(delta, plan);
     encoded_->ApplyDelta(delta, plan);
-    // Memoized projections are stale against the mutated instance; they
+    AdvanceFreshVariableCounters(delta, &instance_next_var_);
+    // Memoized projections are stale against the mutated data; they
     // refill lazily on the next Weight() call.
     weights_->Invalidate();
     try {
       FdSearchContext::DeltaReport report =
-          context_->ApplyDelta(*encoded_, plan.dirty, plan.remap, pool());
+          context_->ApplyDelta(*encoded_, plan.dirty, plan.remap, opts_.pool);
       root_delta_p_ = context_->RootDeltaP();
       stats.edges_removed = report.index.edges_removed;
       stats.edges_added = report.index.edges_added;
@@ -431,7 +418,7 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
       stats.groups_changed = report.index.groups_changed;
       stats.covers_dropped = report.covers_dropped;
     } catch (...) {
-      // A half-patched context over the already-mutated instance would be
+      // A half-patched context over the already-mutated data would be
       // silently wrong (stale tuple ids). Fall back to consistency over
       // warmth: rebuild it from scratch.
       Build(fds(), opts_.weights);
@@ -439,7 +426,7 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     }
     ++data_version_;
   } catch (const std::exception& e) {
-    // Only the in-place instance mutation or the from-scratch fallback can
+    // Only the in-place encoded patch or the from-scratch fallback can
     // land here (e.g. OOM); the session may be unusable.
     return Status::Error(StatusCode::kInternal, e.what());
   }
@@ -605,7 +592,7 @@ Result<RepairResponse> Session::RepairLocked(const RepairRequest& req) const {
 std::vector<Result<RepairResponse>> Session::RepairMany(
     std::span<const RepairRequest> reqs) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return FanOut(pool(), reqs, [this](const RepairRequest& req) {
+  return FanOut(opts_.pool, reqs, [this](const RepairRequest& req) {
     return RepairLocked(req);
   });
 }
@@ -633,7 +620,7 @@ Result<SearchProbe> Session::SearchLocked(const RepairRequest& req) const {
 std::vector<Result<SearchProbe>> Session::SearchMany(
     std::span<const RepairRequest> reqs) const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return FanOut(pool(), reqs, [this](const RepairRequest& req) {
+  return FanOut(opts_.pool, reqs, [this](const RepairRequest& req) {
     return SearchLocked(req);
   });
 }
@@ -659,6 +646,13 @@ Result<MultiRepairResult> Session::EnumerateRepairs(int64_t tau_lo,
 uint64_t Session::DataVersion() const {
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   return data_version_;
+}
+
+Instance Session::instance() const {
+  std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
+  Instance rows = encoded_->Decode();
+  rows.RestoreNextVarCounters(instance_next_var_);
+  return rows;
 }
 
 int Session::NumTuples() const {

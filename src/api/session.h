@@ -3,8 +3,8 @@
 // Algorithm 1 is a service-shaped computation: one τ-independent context
 // (conflict graph, difference-set index, violation table, cover memo)
 // answers many (τ, options) repair requests. A Session owns that shape so
-// callers do not wire it by hand: it holds the dataset and Σ, and exactly
-// one FdSearchContext over them, with its weight function.
+// callers do not wire it by hand: it holds the dataset (once, encoded) and
+// Σ, and exactly one FdSearchContext over them, with its weight function.
 // Exploring relative trust means changing τ, which reuses the warm context;
 // SetFds/SetWeights build a fresh context over the live data and replace
 // the current one. Beside the context sits a bounded memo of completed
@@ -21,7 +21,8 @@
 //
 // Layering (DESIGN.md "Public API layering"): api/ sits on top of repair/
 // and the exec/ primitives; everything below api/ stays exception/
-// optional-based and remains the internal layer the facade calls.
+// optional-based and remains the internal layer the facade calls. A
+// Session makes no threads: it borrows the pool its options name.
 //
 // Thread safety: const methods (Repair, RepairMany, Search, ...) are safe
 // to call concurrently — batched requests additionally fan out on the
@@ -29,8 +30,8 @@
 // concurrently with them: requests take a shared snapshot lock and the
 // mutators take it exclusively, so every request observes either the whole
 // old or the whole new state, never a mix. A batch holds the lock once for
-// all its items. Only the reference-returning accessors (instance(),
-// fds(), context(), weights()) are unsynchronized.
+// all its items. Only the reference-returning accessors (data(), fds(),
+// context(), weights()) are unsynchronized.
 
 #ifndef RETRUST_API_SESSION_H_
 #define RETRUST_API_SESSION_H_
@@ -64,17 +65,13 @@ enum class WeightModel { kDistinctCount, kCardinality, kEntropy };
 struct SessionOptions {
   WeightModel weights = WeightModel::kDistinctCount;
   HeuristicOptions heuristic;
-  /// Sizes the session's own pool, on which it builds its context and
-  /// runs batched requests (RepairMany/SearchMany) and Apply(); each
-  /// single search stays serial. Results are bit-identical for any thread
-  /// count (DESIGN.md).
-  exec::Options exec;
-  /// Optional externally-owned pool (nullable) the session's context
-  /// builds, batches and Apply() schedule on instead of the one the
-  /// session would make from `exec` — a process holding many sessions (one
-  /// per tenant, src/service/) shares ONE pool across all of them. Must
+  /// Borrowed pool (nullable = serial; exec::MakePool makes one) on which
+  /// the session builds its context and runs batched requests
+  /// (RepairMany/SearchMany) and Apply(); each single search stays serial.
+  /// Many sessions may share one pool (one per tenant, src/service/).
+  /// Results are bit-identical for any thread count (DESIGN.md). Must
   /// outlive the session.
-  exec::ThreadPool* shared_pool = nullptr;
+  exec::ThreadPool* pool = nullptr;
 };
 
 /// What one Session::Apply did — the delta's blast radius. `reuse_ratio`
@@ -180,16 +177,17 @@ Result<int64_t> CheckedTauFromRelative(double tau_r, int64_t root_delta_p);
 
 class Session {
  public:
-  /// Opens a session over `data` with a pre-built Σ. Fails with
-  /// kSchemaMismatch when an FD references attributes outside the schema
-  /// and kInvalidFd when one is trivial (A ∈ X). Builds the initial
-  /// context eagerly, so RootDeltaP() is immediately available.
-  static Result<Session> Open(Instance data, FDSet sigma,
+  /// Opens a session over `data` with a pre-built Σ. The session keeps
+  /// `data` encoded (plus its fresh-variable counters), never the Instance
+  /// itself. Fails with kSchemaMismatch when an FD references attributes
+  /// outside the schema and kInvalidFd when one is trivial (A ∈ X). Builds
+  /// the initial context eagerly, so RootDeltaP() is immediately available.
+  static Result<Session> Open(const Instance& data, FDSet sigma,
                               SessionOptions opts = {});
 
   /// Same, parsing Σ from texts like {"City->Zip"}; parse failures come
   /// back as kInvalidFd.
-  static Result<Session> Open(Instance data,
+  static Result<Session> Open(const Instance& data,
                               const std::vector<std::string>& fd_texts,
                               SessionOptions opts = {});
 
@@ -202,7 +200,7 @@ class Session {
   /// saved dataset, Σ, difference-set index, and warm caches instead of
   /// paying the O(n²) context build — answers are bit-identical to a
   /// session opened from the original data, at any thread count (the
-  /// snapshot fingerprint deliberately excludes `opts.exec`). The caller's
+  /// snapshot fingerprint deliberately excludes `opts.pool`). The caller's
   /// (weights, heuristic) must match what the snapshot was saved under:
   /// mismatch → kSchemaMismatch. Unreadable/corrupt → kIoError; a format
   /// version this build does not speak → kVersionMismatch. Never throws
@@ -268,7 +266,7 @@ class Session {
   uint64_t DataVersion() const;
 
   /// Live cardinality, safe against a concurrent Apply (reads under the
-  /// snapshot lock) — unlike instance().NumTuples(), which is not.
+  /// snapshot lock) — instance().NumTuples() without decoding the rows.
   int NumTuples() const;
 
   /// Algorithm 1 at the request's τ. Error codes: kInvalidArgument (no τ,
@@ -322,23 +320,26 @@ class Session {
   };
   MemoStats memo_stats() const;
 
-  /// Reference-returning accessors. The pointed-to state is
-  /// delta-maintained IN PLACE by Apply(), and fds(), context() and
-  /// weights() are replaced by SetFds()/SetWeights() — reading through
-  /// them concurrently with a mutator is not synchronized, and the latter
-  /// three dangle after a successful switch. The value-returning observers
-  /// (DataVersion, NumTuples, RootDeltaP, ContextBytesEstimate) and the
-  /// request methods are the concurrency-safe surface.
-  const Instance& instance() const { return *instance_; }
-  const Schema& schema() const { return instance_->schema(); }
+  /// The live rows, decoded from the encoded dataset under the snapshot
+  /// lock (so safe against a concurrent Apply), with the fresh-variable
+  /// counters a snapshot saves. O(n·m) per call: a copy, not a view.
+  Instance instance() const;
+
+  /// Reference-returning accessors. The schema never changes; fds(),
+  /// context() and weights() are replaced by SetFds()/SetWeights() — reading
+  /// through them concurrently with a mutator is not synchronized, and they
+  /// dangle after a successful switch. The value-returning observers
+  /// (instance, DataVersion, NumTuples, RootDeltaP, ContextBytesEstimate)
+  /// and the request methods are the concurrency-safe surface.
+  const Schema& schema() const { return encoded_->schema(); }
   const FDSet& fds() const { return context_->sigma(); }
   const SessionOptions& options() const { return opts_; }
 
   /// Internal-layer escape hatches for the eval/ harness and benchmarks:
-  /// the encoded dataset, the search context, and its weights. Everything
-  /// reachable from here is const and thread-safe against other const
-  /// calls (NOT against the mutators — see above), and the types are NOT
-  /// part of the stable facade surface.
+  /// the encoded dataset (delta-maintained IN PLACE by Apply()), the search
+  /// context, and its weights. Everything reachable from here is const and
+  /// thread-safe against other const calls (NOT against the mutators — see
+  /// above), and the types are NOT part of the stable facade surface.
   const EncodedInstance& data() const { return *encoded_; }
   const FdSearchContext& context() const { return *context_; }
   const WeightFunction& weights() const { return *weights_; }
@@ -373,12 +374,12 @@ class Session {
     std::unordered_map<SearchState, RepairBase, SearchStateHash> bases;
   };
 
-  Session(Instance data, SessionOptions opts);
-  /// Restore path (OpenSnapshot): adopts a saved EncodedInstance directly
-  /// instead of re-encoding `data` — re-encoding would reset the
-  /// fresh-variable counters, breaking bit-identical variable allocation
-  /// in post-restore repairs.
-  Session(Instance data, EncodedInstance encoded, SessionOptions opts);
+  /// Open encodes its Instance into `encoded`; OpenSnapshot adopts the
+  /// saved one as is (re-encoding would reset its fresh-variable counters,
+  /// breaking bit-identical variable allocation in post-restore repairs).
+  /// `instance_next_var` are the rows' own counters (see the member).
+  Session(EncodedInstance encoded, std::vector<int32_t> instance_next_var,
+          SessionOptions opts);
 
   /// Installs a restored context (OpenSnapshot's counterpart of Switch):
   /// validates Σ, installs it, and self-checks the restored root δP
@@ -402,11 +403,6 @@ class Session {
   /// session's one context. A throw leaves the current one in place.
   void Install(std::unique_ptr<WeightFunction> weights,
                std::unique_ptr<FdSearchContext> context);
-  /// The pool context builds, batches and Apply() run on:
-  /// opts_.shared_pool when set, else the session's own (null = serial).
-  exec::ThreadPool* pool() const {
-    return opts_.shared_pool != nullptr ? opts_.shared_pool : own_pool_.get();
-  }
   Result<int64_t> ResolveTau(const RepairRequest& req) const;
   ModifyFdsOptions SearchOptions(const RepairRequest& req) const;
   /// Algorithm 2 for Repair(): the memoized answer when there is one,
@@ -426,12 +422,17 @@ class Session {
   Result<RepairResponse> RepairLocked(const RepairRequest& req) const;
   Result<SearchProbe> SearchLocked(const RepairRequest& req) const;
 
-  std::unique_ptr<Instance> instance_;        ///< heap-pinned: encoded_ is
-  std::unique_ptr<EncodedInstance> encoded_;  ///< referenced by weights
+  /// The one copy of the dataset; heap-pinned because the weights and the
+  /// context reference it.
+  std::unique_ptr<EncodedInstance> encoded_;
+  /// Instance::next_var_counters() of the rows: what Instance::NewVariable
+  /// would hand out next, per attribute. They may run ahead of encoded_'s
+  /// (a variable taken, then overwritten), and the snapshot keeps both.
+  /// Taken from the Instance at Open or from the snapshot, and advanced by
+  /// Apply() with AdvanceFreshVariableCounters, as Instance::ApplyDelta
+  /// advances them.
+  std::vector<int32_t> instance_next_var_;
   SessionOptions opts_;
-  /// Made from opts_.exec when no shared pool is given and exec is
-  /// parallel.
-  std::unique_ptr<exec::ThreadPool> own_pool_;
   std::unique_ptr<WeightFunction> weights_;
   std::unique_ptr<FdSearchContext> context_;
   int64_t root_delta_p_ = 0;

@@ -6,16 +6,16 @@ namespace retrust {
 
 ExperimentData PrepareExperiment(const CensusConfig& gen,
                                  const PerturbOptions& perturb,
-                                 WeightKind weights,
-                                 const HeuristicOptions& hopts,
-                                 const exec::Options& eopts) {
+                                 WeightModel weights,
+                                 const HeuristicOptions& hopts, int threads) {
   ExperimentData data;
   data.clean = GenerateCensusLike(gen);
   data.dirty = Perturb(data.clean.instance, data.clean.planted_fds, perturb);
+  data.pool = exec::MakePool(threads);
   SessionOptions sopts;
   sopts.weights = weights;
   sopts.heuristic = hopts;
-  sopts.exec = eopts;
+  sopts.pool = data.pool.get();
   Result<Session> session =
       Session::Open(data.dirty.data, data.dirty.fds, sopts);
   // Generated Σd is always well-formed; a failure here is harness misuse.

@@ -16,35 +16,34 @@
 
 namespace retrust {
 
-/// Which w(Y) to use — the facade's weight-model enum under the
-/// harness's historical name.
-using WeightKind = WeightModel;
-
 /// Everything a repair experiment needs, prepared once and reused across
-/// τ sweeps / search modes. The repair wiring (Id copy, encoding, weights,
-/// search context, pool) lives inside `session` — the same facade
-/// downstream users get; the accessors below reach through it for the
-/// kernels the micro benchmarks and determinism tests drive directly.
+/// τ sweeps / search modes. The repair wiring (encoding, weights, search
+/// context) lives inside `session` — the same facade downstream users get;
+/// the accessors below reach through it for the kernels the micro
+/// benchmarks and determinism tests drive directly.
 struct ExperimentData {
   GeneratedData clean;          ///< Ic, Σc
   PerturbedData dirty;          ///< Id, Σd + ground truth
+  /// The session's pool (null = serial); declared first so it outlives
+  /// the session.
+  std::unique_ptr<exec::ThreadPool> pool;
   std::unique_ptr<Session> session;  ///< facade over (Id, Σd)
   int64_t root_delta_p = 0;     ///< δP(Σd, Id): τr = 100% maps here
 
-  const Instance& dirty_instance() const { return session->instance(); }
+  const Instance& dirty_instance() const { return dirty.data; }
   const EncodedInstance& encoded() const { return session->data(); }
   const FdSearchContext& context() const { return session->context(); }
   const WeightFunction& weights() const { return session->weights(); }
 };
 
-/// Generates, perturbs, encodes, and builds the search context. `eopts`
-/// sizes the session's pool, which shards the difference-set construction
-/// and runs its batches (identical output for any thread count).
-ExperimentData PrepareExperiment(const CensusConfig& gen,
-                                 const PerturbOptions& perturb,
-                                 WeightKind weights = WeightKind::kDistinctCount,
-                                 const HeuristicOptions& hopts = {},
-                                 const exec::Options& eopts = {});
+/// Generates, perturbs, encodes, and builds the search context. `threads`
+/// sizes the session's pool (exec::MakePool: <= 1 is serial), which shards
+/// the difference-set construction and runs its batches (identical output
+/// for any thread count).
+ExperimentData PrepareExperiment(
+    const CensusConfig& gen, const PerturbOptions& perturb,
+    WeightModel weights = WeightModel::kDistinctCount,
+    const HeuristicOptions& hopts = {}, int threads = 1);
 
 /// Runs Algorithm 1 at relative trust τr and scores the result against the
 /// ground truth. Returns quality plus the raw repair.

@@ -69,9 +69,9 @@ PoolStats ThreadPool::GetStats() const {
   return stats;
 }
 
-std::unique_ptr<ThreadPool> MakePool(const Options& opts) {
-  if (!opts.Parallel()) return nullptr;
-  return std::make_unique<ThreadPool>(opts.ResolvedThreads());
+std::unique_ptr<ThreadPool> MakePool(int threads) {
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
 }
 
 TaskGroup::~TaskGroup() {

@@ -3,6 +3,13 @@
 // exception propagation. No work stealing, no task priorities — determinism
 // comes from callers assembling results by task/chunk index, never from
 // scheduling order.
+//
+// The exec/ subsystem holds only primitives (ThreadPool, TaskGroup,
+// ParallelFor, CancelToken) that depend on nothing but the standard
+// library. Every parallel entry point takes a borrowed, nullable
+// ThreadPool*; MakePool is the one factory, and its callers (the service,
+// benches, tests) own the pools they hand down. See DESIGN.md for the
+// determinism contract.
 
 #ifndef RETRUST_EXEC_THREAD_POOL_H_
 #define RETRUST_EXEC_THREAD_POOL_H_
@@ -17,8 +24,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "src/exec/options.h"
 
 namespace retrust::exec {
 
@@ -79,10 +84,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Creates a pool per `opts`, or nullptr when opts resolve to serial
-/// execution. All parallel entry points accept a nullable pool and fall
-/// back to serial inline execution on nullptr.
-std::unique_ptr<ThreadPool> MakePool(const Options& opts);
+/// Creates a pool of `threads` workers, or nullptr when `threads` <= 1
+/// (serial). All parallel entry points accept a nullable pool and fall
+/// back to serial inline execution on nullptr; results are bit-identical
+/// for any thread count.
+std::unique_ptr<ThreadPool> MakePool(int threads);
 
 /// Fork/join scope: Run() tasks, then Wait() for all of them. If tasks
 /// threw, Wait rethrows the exception of the EARLIEST-submitted failing

@@ -7,11 +7,6 @@
 namespace retrust {
 
 ConflictGraph BuildConflictGraph(const EncodedInstance& inst,
-                                 const FDSet& fds) {
-  return BuildConflictGraph(inst, fds, nullptr);
-}
-
-ConflictGraph BuildConflictGraph(const EncodedInstance& inst,
                                  const FDSet& fds, exec::ThreadPool* pool) {
   if (fds.size() > 64) {
     throw std::invalid_argument("conflict graph supports at most 64 FDs");

@@ -27,16 +27,12 @@ struct ConflictGraph {
 /// Builds the conflict graph of `inst` w.r.t. `fds` (at most 64 FDs).
 /// Edges are deduplicated across FDs and sorted (u, v) ascending, so all
 /// downstream algorithms (greedy vertex cover in particular) are
-/// deterministic.
-ConflictGraph BuildConflictGraph(const EncodedInstance& inst,
-                                 const FDSet& fds);
-
-/// Sharded variant: per-FD violating-pair enumeration runs on `pool`
+/// deterministic. Per-FD violating-pair enumeration runs on `pool`
 /// (nullable = serial); the cross-FD mask merge and the canonical edge sort
-/// are unchanged, so the graph is BIT-IDENTICAL to the serial overload for
-/// any thread count.
+/// make the graph BIT-IDENTICAL for any thread count.
 ConflictGraph BuildConflictGraph(const EncodedInstance& inst,
-                                 const FDSet& fds, exec::ThreadPool* pool);
+                                 const FDSet& fds,
+                                 exec::ThreadPool* pool = nullptr);
 
 }  // namespace retrust
 

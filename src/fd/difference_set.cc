@@ -243,22 +243,16 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   }
   struct Unit {
     int key;
-    int32_t begin;  ///< span into members[key]
+    int32_t begin;  ///< span into stripped[key].members
     int32_t end;
   };
-  std::vector<std::vector<TupleId>> members(keys.size());
+  std::vector<StrippedCsr> stripped(keys.size());
   std::vector<Unit> units;
   for (size_t k = 0; k < keys.size(); ++k) {
-    std::vector<std::vector<TupleId>> classes =
-        PartitionBy(inst, keys[k]).StrippedClasses();
-    size_t total = 0;
-    for (const auto& c : classes) total += c.size();
-    members[k].reserve(total);
-    for (const auto& c : classes) {
-      units.push_back({static_cast<int>(k),
-                       static_cast<int32_t>(members[k].size()),
-                       static_cast<int32_t>(members[k].size() + c.size())});
-      members[k].insert(members[k].end(), c.begin(), c.end());
+    stripped[k] = StripClasses(PartitionBy(inst, keys[k]));
+    const std::vector<int32_t>& offsets = stripped[k].offsets;
+    for (int c = 0; c < stripped[k].num_classes(); ++c) {
+      units.push_back({static_cast<int>(k), offsets[c], offsets[c + 1]});
     }
   }
   const double partition_seconds = SecondsSince(t_start);
@@ -284,7 +278,7 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
         ChunkOut& out = per_chunk[chunk];
         for (int64_t ui = begin; ui < end; ++ui) {
           const Unit& unit = units[ui];
-          const TupleId* cls = members[unit.key].data();
+          const TupleId* cls = stripped[unit.key].members.data();
           for (int32_t i = unit.begin; i < unit.end; ++i) {
             const TupleId u = cls[i];
             for (int32_t j = i + 1; j < unit.end; ++j) {

@@ -6,16 +6,30 @@
 
 namespace retrust {
 
-std::vector<std::vector<TupleId>> Partition::StrippedClasses() const {
-  std::vector<std::vector<TupleId>> classes(num_classes);
-  for (TupleId t = 0; t < static_cast<TupleId>(labels.size()); ++t) {
-    classes[labels[t]].push_back(t);
+StrippedCsr StripClasses(const Partition& p) {
+  const int n = static_cast<int>(p.labels.size());
+  std::vector<int32_t> counts(p.num_classes, 0);
+  for (int32_t label : p.labels) ++counts[label];
+
+  // Dense class ids for the classes that survive the >= 2 filter.
+  std::vector<int32_t> slot(p.num_classes, -1);
+  StrippedCsr csr;
+  csr.offsets.push_back(0);
+  int32_t total = 0;
+  for (int32_t label = 0; label < p.num_classes; ++label) {
+    if (counts[label] < 2) continue;
+    slot[label] = csr.num_classes();
+    total += counts[label];
+    csr.offsets.push_back(total);
   }
-  std::vector<std::vector<TupleId>> stripped;
-  for (auto& c : classes) {
-    if (c.size() >= 2) stripped.push_back(std::move(c));
+  csr.members.resize(total);
+  std::vector<int32_t> fill(csr.num_classes(), 0);
+  for (TupleId t = 0; t < n; ++t) {
+    const int32_t s = slot[p.labels[t]];
+    if (s < 0) continue;
+    csr.members[csr.offsets[s] + fill[s]++] = t;
   }
-  return stripped;
+  return csr;
 }
 
 Partition PartitionBy(const EncodedInstance& inst, AttrSet attrs) {

@@ -26,10 +26,22 @@ struct Partition {
   int64_t Error() const {
     return static_cast<int64_t>(labels.size()) - num_classes;
   }
-
-  /// Classes with >= 2 tuples (the "stripped" representation).
-  std::vector<std::vector<TupleId>> StrippedClasses() const;
 };
+
+/// A partition's classes of size >= 2 (the "stripped" representation) in
+/// CSR form, in label order (labels are assigned in first-occurrence order,
+/// so class k's smallest tuple id is ascending in k — a deterministic
+/// work-unit order for sharded kernels). `members` holds each class's tuple
+/// ids ascending, classes back to back.
+struct StrippedCsr {
+  std::vector<TupleId> members;
+  std::vector<int32_t> offsets;  ///< offsets[i]..offsets[i+1) in members
+
+  int num_classes() const { return static_cast<int>(offsets.size()) - 1; }
+};
+
+/// The stripped classes of `p`. O(n).
+StrippedCsr StripClasses(const Partition& p);
 
 /// Partition of `inst` on `attrs` (empty set => single class).
 Partition PartitionBy(const EncodedInstance& inst, AttrSet attrs);

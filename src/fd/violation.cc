@@ -10,43 +10,6 @@
 namespace retrust {
 namespace {
 
-// CSR view of one partition's classes of size >= 2, in label order (labels
-// are assigned in first-occurrence order, so class k's smallest tuple id is
-// ascending in k — a deterministic work-unit order for the sharded phase).
-// `members` holds each class's tuple ids ascending, classes back to back.
-struct StrippedCsr {
-  std::vector<TupleId> members;
-  std::vector<int32_t> offsets;  ///< offsets[i]..offsets[i+1) in members
-
-  int num_classes() const { return static_cast<int>(offsets.size()) - 1; }
-};
-
-StrippedCsr StripClasses(const Partition& p) {
-  const int n = static_cast<int>(p.labels.size());
-  std::vector<int32_t> counts(p.num_classes, 0);
-  for (int32_t label : p.labels) ++counts[label];
-
-  // Dense class ids for the classes that survive the >= 2 filter.
-  std::vector<int32_t> slot(p.num_classes, -1);
-  StrippedCsr csr;
-  csr.offsets.push_back(0);
-  int32_t total = 0;
-  for (int32_t label = 0; label < p.num_classes; ++label) {
-    if (counts[label] < 2) continue;
-    slot[label] = csr.num_classes();
-    total += counts[label];
-    csr.offsets.push_back(total);
-  }
-  csr.members.resize(total);
-  std::vector<int32_t> fill(csr.num_classes(), 0);
-  for (TupleId t = 0; t < n; ++t) {
-    const int32_t s = slot[p.labels[t]];
-    if (s < 0) continue;
-    csr.members[csr.offsets[s] + fill[s]++] = t;
-  }
-  return csr;
-}
-
 // Emits all violating pairs of one LHS class: sub-partition on the RHS
 // code, then all cross-group pairs.
 void EmitClassPairs(const int32_t* rhs_col, const TupleId* tuples, int count,
@@ -93,10 +56,6 @@ bool Satisfies(const EncodedInstance& inst, const FDSet& fds) {
     if (!Satisfies(inst, fd)) return false;
   }
   return true;
-}
-
-std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd) {
-  return ViolatingPairs(inst, fd, nullptr);
 }
 
 std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd,

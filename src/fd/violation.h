@@ -30,16 +30,13 @@ bool Satisfies(const EncodedInstance& inst, const FDSet& fds);
 
 /// All tuple pairs violating `fd` (u < v, lexicographic order). May be
 /// quadratic in the size of a violating partition; intended for tests,
-/// examples, and conflict-graph construction on realistic workloads.
-std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd);
-
-/// Sharded variant: the quadratic pair-emission phase is block-partitioned
-/// over the violating LHS classes and run on `pool` (nullable = serial).
-/// Per-chunk edge buffers are merged in chunk order and the result is
-/// canonically sorted, so the output is BIT-IDENTICAL to the serial
-/// overload for any thread count.
+/// examples, and conflict-graph construction on realistic workloads. The
+/// quadratic pair-emission phase is block-partitioned over the violating
+/// LHS classes and run on `pool` (nullable = serial). Per-chunk edge
+/// buffers are merged in chunk order and the result is canonically sorted,
+/// so the output is BIT-IDENTICAL for any thread count.
 std::vector<Edge> ViolatingPairs(const EncodedInstance& inst, const FD& fd,
-                                 exec::ThreadPool* pool);
+                                 exec::ThreadPool* pool = nullptr);
 
 /// Number of tuples involved in at least one violation of `fds`.
 int64_t CountViolatingTuples(const EncodedInstance& inst, const FDSet& fds);

@@ -111,4 +111,19 @@ DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs) {
   return plan;
 }
 
+void AdvanceFreshVariableCounters(const DeltaBatch& delta,
+                                  std::vector<int32_t>* counters) {
+  auto advance = [counters](AttrId a, const Value& v) {
+    if (v.is_variable()) {
+      (*counters)[a] = std::max((*counters)[a], v.AsVariable().index + 1);
+    }
+  };
+  for (const CellUpdate& u : delta.updates) advance(u.attr, u.value);
+  for (const Tuple& t : delta.inserts) {
+    for (AttrId a = 0; a < static_cast<AttrId>(t.size()); ++a) {
+      advance(a, t[a]);
+    }
+  }
+}
+
 }  // namespace retrust

@@ -95,6 +95,13 @@ struct DeltaPlan {
 /// is applied, so a failed plan never leaves an instance half-mutated).
 DeltaPlan PlanDelta(const DeltaBatch& delta, int num_tuples, int num_attrs);
 
+/// Advances per-attribute fresh-variable counters past every variable
+/// `delta` writes (counter = max(counter, index + 1)): the one rule by
+/// which Instance, EncodedInstance and Session keep their counters ahead
+/// of injected variables. `delta` must have passed PlanDelta.
+void AdvanceFreshVariableCounters(const DeltaBatch& delta,
+                                  std::vector<int32_t>* counters);
+
 }  // namespace retrust
 
 #endif  // RETRUST_RELATIONAL_DELTA_H_

@@ -64,16 +64,13 @@ EncodedInstance::EncodedInstance(const Instance& inst)
 }
 
 int32_t EncodedInstance::EncodeValue(const Value& v, AttrId a) {
-  if (v.is_variable()) {
-    int32_t idx = v.AsVariable().index;
-    next_var_[a] = std::max(next_var_[a], idx + 1);
-    return VariableCode(idx);
-  }
+  if (v.is_variable()) return VariableCode(v.AsVariable().index);
   return dicts_[a].Intern(v);
 }
 
 void EncodedInstance::ApplyDelta(const DeltaBatch& delta,
                                  const DeltaPlan& plan) {
+  AdvanceFreshVariableCounters(delta, &next_var_);
   for (const CellUpdate& u : delta.updates) {
     cols_[u.attr][u.tuple] = EncodeValue(u.value, u.attr);
   }

@@ -149,7 +149,7 @@ class EncodedInstance {
 
  private:
   /// Encodes one value for attribute `a` (interning constants, keeping
-  /// variable indices and the fresh-variable counter consistent).
+  /// variable indices; ApplyDelta advances the counters).
   int32_t EncodeValue(const Value& v, AttrId a);
 
   Schema schema_;

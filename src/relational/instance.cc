@@ -31,19 +31,12 @@ void Instance::AddTuple(Tuple t) {
 }
 
 void Instance::ApplyDelta(const DeltaBatch& delta, const DeltaPlan& plan) {
-  for (const CellUpdate& u : delta.updates) {
-    if (u.value.is_variable()) {
-      // Same bookkeeping as AddTuple: keep the fresh-variable counter of
-      // the written position ahead of any injected variable index.
-      next_var_index_[u.attr] = std::max(next_var_index_[u.attr],
-                                         u.value.AsVariable().index + 1);
-    }
-    rows_[u.tuple][u.attr] = u.value;
-  }
+  AdvanceFreshVariableCounters(delta, &next_var_index_);
+  for (const CellUpdate& u : delta.updates) rows_[u.tuple][u.attr] = u.value;
   for (const auto& [dst, src] : plan.moves) rows_[dst] = std::move(rows_[src]);
   rows_.resize(static_cast<size_t>(plan.new_num_tuples) -
                delta.inserts.size());
-  for (const Tuple& t : delta.inserts) AddTuple(t);
+  rows_.insert(rows_.end(), delta.inserts.begin(), delta.inserts.end());
 }
 
 std::vector<CellRef> Instance::DiffCells(const Instance& other) const {

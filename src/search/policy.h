@@ -3,7 +3,7 @@
 // Kept as a dependency-free leaf header so the option structs of layers
 // BELOW the engine (repair/'s ModifyFdsOptions, api/'s RepairRequest) can
 // carry a policy without depending on the engine itself — the same
-// layering rule exec/options.h follows for the thread-count knob.
+// layering rule exec/cancel.h follows for the cancellation token.
 
 #ifndef RETRUST_SEARCH_POLICY_H_
 #define RETRUST_SEARCH_POLICY_H_

@@ -11,6 +11,11 @@ ServerOptions Normalized(ServerOptions opts) {
   return opts;
 }
 
+SessionOptions WithPool(SessionOptions opts, exec::ThreadPool* pool) {
+  opts.pool = pool;
+  return opts;
+}
+
 /// Flight-record status label of a type-erased reply: a Result carries its
 /// own status, a sweep reply is labelled by its first non-ok entry.
 template <typename X>
@@ -49,11 +54,8 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 Server::Server(ServerOptions opts)
     : opts_(Normalized(std::move(opts))),
-      session_pool_(opts_.session_threads > 1
-                        ? std::make_unique<exec::ThreadPool>(
-                              opts_.session_threads)
-                        : nullptr),
-      tenants_(opts_.session_defaults, session_pool_.get(),
+      session_pool_(exec::MakePool(opts_.session_threads)),
+      tenants_(WithPool(opts_.session_defaults, session_pool_.get()),
                opts_.snapshot_dir, opts_.max_loaded_tenant_bytes),
       quota_(opts_.default_quota, opts_.quota_clock),
       admission_({.queue_capacity = opts_.queue_capacity,

@@ -77,7 +77,8 @@ struct ServerOptions {
   /// Construct with dispatch paused (Resume() starts draining): gives
   /// tests deterministic queue states and ops a maintenance mode.
   bool start_paused = false;
-  /// Defaults for tenants registered without explicit SessionOptions.
+  /// Defaults for tenants registered without explicit SessionOptions. Every
+  /// tenant's pool is the server's session pool, whatever `pool` says.
   SessionOptions session_defaults;
   /// Tenant snapshot directory (empty = disabled): lets the registry
   /// auto-save dirty tenants to "<dir>/<name>.snap" when unloading, so

@@ -10,10 +10,10 @@ namespace retrust::service {
 namespace {
 
 /// Coarse resident-memory estimate of a loaded session: the context's
-/// edge-weighted estimate plus the dataset itself (encoded codes +
-/// decoded values; 24 bytes/cell covers both sides for typical data).
-/// Precision is not the point — the budget only needs relative ordering
-/// between big and small tenants.
+/// edge-weighted estimate plus 24 bytes per cell for the dataset (more than
+/// a 4-byte code and its share of the dictionaries; kept so that configured
+/// budgets keep their meaning). Precision is not the point — the budget
+/// only needs relative ordering between big and small tenants.
 size_t EstimateSessionBytes(Session& session) {
   const size_t cells = static_cast<size_t>(session.NumTuples()) *
                        static_cast<size_t>(session.schema().NumAttrs());
@@ -25,7 +25,7 @@ size_t EstimateSessionBytes(Session& session) {
 SessionOptions TenantRegistry::WithPool(
     std::optional<SessionOptions> opts) const {
   SessionOptions resolved = opts.has_value() ? std::move(*opts) : defaults_;
-  resolved.shared_pool = shared_pool_;
+  resolved.pool = defaults_.pool;
   return resolved;
 }
 

@@ -27,9 +27,9 @@
 // least-recently-used idle tenants — previously idle tenants pinned their
 // memory forever.
 //
-// Every session is opened with the registry's shared pool injected into
-// its SessionOptions (see SessionOptions::shared_pool), so a hundred
-// tenants share one set of threads instead of spawning a hundred pools.
+// Every session is opened with the defaults' pool injected into its
+// SessionOptions (see SessionOptions::pool), so a hundred tenants share
+// one set of threads instead of spawning a hundred pools.
 //
 // Thread safety: all methods are safe to call concurrently. The registry
 // mutex guards only the catalog shape; a lazy open (and an unload's
@@ -56,17 +56,17 @@ namespace retrust::service {
 
 class TenantRegistry {
  public:
-  /// `defaults` seed tenants registered without explicit options;
-  /// `shared_pool` (nullable, not owned, must outlive the registry) is
-  /// injected into every tenant's SessionOptions. `snapshot_dir` (may be
-  /// empty = disabled) lets Unload auto-save dirty tenants to
+  /// `defaults` seed tenants registered without explicit options, and
+  /// `defaults.pool` (nullable, not owned, must outlive the registry)
+  /// replaces the pool of every tenant's SessionOptions. `snapshot_dir`
+  /// (may be empty = disabled) lets Unload auto-save dirty tenants to
   /// "<dir>/<name>.snap"; `max_loaded_bytes` (0 = unbounded) bounds the
   /// estimated memory of loaded sessions, enforced by LRU unload of idle
   /// tenants after each load.
-  TenantRegistry(SessionOptions defaults, exec::ThreadPool* shared_pool,
-                 std::string snapshot_dir = {}, size_t max_loaded_bytes = 0)
+  explicit TenantRegistry(SessionOptions defaults,
+                          std::string snapshot_dir = {},
+                          size_t max_loaded_bytes = 0)
       : defaults_(std::move(defaults)),
-        shared_pool_(shared_pool),
         snapshot_dir_(std::move(snapshot_dir)),
         max_loaded_bytes_(max_loaded_bytes) {}
 
@@ -155,7 +155,6 @@ class TenantRegistry {
   void EnforceBudget(const std::string& keep);
 
   SessionOptions defaults_;
-  exec::ThreadPool* shared_pool_;
   std::string snapshot_dir_;
   size_t max_loaded_bytes_;
   mutable std::mutex mu_;  ///< guards the map and Tenant::session pointers

@@ -402,8 +402,9 @@ TEST(SessionSetFds, ConcurrentRequestsSeeOneWholeContext) {
 
 TEST(SessionBatch, RepairManyMatchesSequentialRepairs) {
   OracleData oracle = MakeOracleData(200);
+  exec::ThreadPool pool(4);
   SessionOptions opts;
-  opts.exec.num_threads = 4;
+  opts.pool = &pool;
   Result<Session> session = Session::Open(oracle.dirty, oracle.sigma, opts);
   ASSERT_TRUE(session.ok());
   const Schema& schema = oracle.dirty.schema();
@@ -488,8 +489,9 @@ TEST(SessionBatch, ItemsEqualSingleRequests) {
     want_probes.push_back(fresh->Search(req));
   }
   for (int threads : {1, 4}) {
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     SessionOptions opts;
-    opts.exec.num_threads = threads;
+    opts.pool = pool.get();
     Result<Session> session = Session::Open(oracle.dirty, oracle.sigma, opts);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     std::vector<Result<RepairResponse>> repairs = session->RepairMany(reqs);
@@ -539,8 +541,9 @@ TEST(SessionCancel, PreCancelledRequestReturnsCancelled) {
 // later batches — no leaked work.
 TEST(SessionCancel, MidBatchCancellationDrainsCleanly) {
   OracleData oracle = MakeOracleData(250);
+  exec::ThreadPool pool(2);
   SessionOptions opts;
-  opts.exec.num_threads = 2;
+  opts.pool = &pool;
   Result<Session> session = Session::Open(oracle.dirty, oracle.sigma, opts);
   ASSERT_TRUE(session.ok());
   int64_t root = session->RootDeltaP();
@@ -956,16 +959,16 @@ TEST(SessionOpen, ContextBytesEstimateCountsEdges) {
 TEST(ExecSharedPool, SessionResultsMatchPrivatePool) {
   OracleData oracle = MakeOracleData(200);
 
+  exec::ThreadPool private_pool(4);
   SessionOptions private_opts;
-  private_opts.exec.num_threads = 4;
+  private_opts.pool = &private_pool;
   Result<Session> private_session =
       Session::Open(oracle.dirty, oracle.sigma, private_opts);
   ASSERT_TRUE(private_session.ok());
 
   exec::ThreadPool pool(4);
   SessionOptions shared_opts;
-  shared_opts.exec.num_threads = 4;
-  shared_opts.shared_pool = &pool;
+  shared_opts.pool = &pool;
   Result<Session> shared_session =
       Session::Open(oracle.dirty, oracle.sigma, shared_opts);
   ASSERT_TRUE(shared_session.ok());

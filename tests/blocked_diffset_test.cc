@@ -110,7 +110,7 @@ class BlockedOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
   const int threads = GetParam();
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   std::mt19937_64 rng(0xb10cced + threads);
   for (int round = 0; round < 8; ++round) {
     const int n = 5 + static_cast<int>(rng() % 60);
@@ -144,7 +144,7 @@ TEST_P(BlockedOracle, RandomInstancesMatchNaive) {
 
 TEST_P(BlockedOracle, SearchTracesMatchNaive) {
   const int threads = GetParam();
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   CardinalityWeight weights;
   std::mt19937_64 rng(0x5ea2c4 + threads);
   for (int round = 0; round < 4; ++round) {
@@ -165,7 +165,7 @@ TEST_P(BlockedOracle, SearchTracesMatchNaive) {
 
 TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
   const int threads = GetParam();
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   CardinalityWeight weights;
   std::mt19937_64 rng(0xca5eb + threads);
   for (int round = 0; round < 4; ++round) {
@@ -192,7 +192,7 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 
 TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
   const int threads = GetParam();
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   CardinalityWeight weights;
   std::mt19937_64 rng(0x5b5e7 + threads);
   for (int round = 0; round < 4; ++round) {
@@ -341,7 +341,7 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
 // --- Delta maintenance over the columnar layout --------------------------
 
 TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({4});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(4);
   CardinalityWeight weights;
   std::mt19937_64 rng(0xc01a);
   const int m = 5;
@@ -392,7 +392,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   // other: the all-partners scan finds full-disagreement pairs, so the
   // result matches a fresh context — including the delta that creates the
   // FIRST full-disagreement pair — and untouched groups stay preserved.
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({2});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(2);
   CardinalityWeight weights;
   FDSet sigma = EmptyLhsSigma();
 

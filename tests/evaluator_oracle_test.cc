@@ -162,7 +162,7 @@ TEST(ExecEvaluationOracle, ViolationTablePatchedByDeltaMatchesLegacyScan) {
   // other cells of the same column, so every delta is well-typed.
   ExperimentData data = MakeData(61);
   Session& session = *data.session;
-  const int m = session.instance().NumAttrs();
+  const int m = session.schema().NumAttrs();
   Rng rng(61);
   for (int step = 0; step < 6; ++step) {
     const Instance& inst = session.instance();
@@ -314,7 +314,7 @@ TEST(ExecEvaluationOracle, RepairDataShardedBitIdentical) {
                                        &rng_serial);
   for (int threads : {2, 8}) {
     Rng rng(9);
-    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     DataRepairResult sharded =
         RepairData(data.encoded(), data.dirty.fds, &rng, pool.get());
     EXPECT_EQ(sharded.cover_size, serial.cover_size) << threads;
@@ -335,8 +335,9 @@ TEST(ExecEvaluationOracle, RepairDataShardedBitIdentical) {
 // covers the rest) plus via the memo's effectiveness counters.
 TEST(ExecEvaluationOracle, SweepSharesCoverMemoAcrossTauJobs) {
   ExperimentData data = MakeData(47, 250);
+  exec::ThreadPool pool(4);
   SessionOptions opts;
-  opts.exec.num_threads = 4;
+  opts.pool = &pool;
   Result<Session> session =
       Session::Open(data.dirty_instance(), data.dirty.fds, opts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();

@@ -55,7 +55,7 @@ TEST(ExecDeterminism, ViolationDetectionShardedBitIdentical) {
   DifferenceSetIndex serial_index = BuildDifferenceSetIndex(
       data.encoded(), data.dirty.fds, {}, DiffSetBuildMode::kNaive);
   for (int threads : {2, 3, 8}) {
-    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     ASSERT_NE(pool, nullptr);
     ConflictGraph sharded =
         BuildConflictGraph(data.encoded(), data.dirty.fds, pool.get());
@@ -77,7 +77,7 @@ TEST(ExecDeterminism, ViolatingPairsShardedBitIdentical) {
   for (const FD& fd : data.dirty.fds.fds()) {
     std::vector<Edge> serial = ViolatingPairs(data.encoded(), fd);
     for (int threads : {2, 8}) {
-      std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+      std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
       EXPECT_EQ(ViolatingPairs(data.encoded(), fd, pool.get()), serial)
           << fd.ToString() << " at " << threads << " threads";
     }
@@ -85,10 +85,10 @@ TEST(ExecDeterminism, ViolatingPairsShardedBitIdentical) {
 }
 
 // A session over the experiment's (Id, Σd) whose batches fan out on
-// `threads` workers.
-Session BatchSession(const ExperimentData& data, int threads) {
+// `pool` (null = serial), which must outlive it.
+Session BatchSession(const ExperimentData& data, exec::ThreadPool* pool) {
   SessionOptions opts;
-  opts.exec.num_threads = threads;
+  opts.pool = pool;
   Result<Session> session =
       Session::Open(data.dirty_instance(), data.dirty.fds, opts);
   EXPECT_TRUE(session.ok()) << session.status().ToString();
@@ -106,7 +106,8 @@ TEST(ExecDeterminism, SweepMatchesIndependentSerialRuns) {
   }
 
   for (int threads : {1, 4}) {
-    Session session = BatchSession(data, threads);
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
+    Session session = BatchSession(data, pool.get());
     std::vector<Result<SearchProbe>> swept = session.SearchMany(reqs);
     ASSERT_EQ(swept.size(), serial.size());
     for (size_t i = 0; i < reqs.size(); ++i) {
@@ -130,7 +131,8 @@ TEST(ExecDeterminism, SweepRepairsReturnedInJobOrder) {
     reqs.push_back(
         RepairRequest::At(TauFromRelative(tau_r, data.root_delta_p)));
   }
-  Session session = BatchSession(data, 4);
+  exec::ThreadPool pool(4);
+  Session session = BatchSession(data, &pool);
   std::vector<Result<RepairResponse>> outcomes = session.RepairMany(reqs);
   ASSERT_EQ(outcomes.size(), reqs.size());
   const Schema& schema = data.dirty_instance().schema();
@@ -150,7 +152,7 @@ TEST(ExecDeterminism, SweepRepairsReturnedInJobOrder) {
 TEST(ExecDeterminism, ContextConstructionShardedBitIdentical) {
   ExperimentData data = MakeData(250);
   FdSearchContext serial_ctx(data.dirty.fds, data.encoded(), data.weights());
-  std::unique_ptr<exec::ThreadPool> eight = exec::MakePool({8});
+  std::unique_ptr<exec::ThreadPool> eight = exec::MakePool(8);
   FdSearchContext sharded_ctx(data.dirty.fds, data.encoded(), data.weights(),
                               HeuristicOptions{}, eight.get());
   ASSERT_EQ(sharded_ctx.index().size(), serial_ctx.index().size());

@@ -2,6 +2,7 @@
 // and ParallelFor static-chunking edge cases.
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -12,15 +13,6 @@
 
 namespace retrust {
 namespace {
-
-TEST(ExecOptions, ResolvedThreads) {
-  EXPECT_EQ(exec::Options{}.ResolvedThreads(), 1);
-  EXPECT_EQ(exec::Options{4}.ResolvedThreads(), 4);
-  EXPECT_GE(exec::Options{0}.ResolvedThreads(), 1);  // hardware concurrency
-  EXPECT_EQ(exec::Options{-3}.ResolvedThreads(), 1);
-  EXPECT_FALSE(exec::Options{1}.Parallel());
-  EXPECT_TRUE(exec::Options{2}.Parallel());
-}
 
 TEST(ThreadPool, LifecycleRepeated) {
   // Construction spawns workers, destruction joins them; no tasks needed.
@@ -36,8 +28,13 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
 }
 
 TEST(ThreadPool, MakePoolSerialIsNull) {
-  EXPECT_EQ(exec::MakePool({1}), nullptr);
-  EXPECT_NE(exec::MakePool({2}), nullptr);
+  // Counts <= 1 are serial: no pool, so callers run inline.
+  for (int serial : {-3, 0, 1}) EXPECT_EQ(exec::MakePool(serial), nullptr);
+  for (int threads : {2, 3, 4}) {
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
+    ASSERT_NE(pool, nullptr) << threads;
+    EXPECT_EQ(pool->num_threads(), threads);
+  }
 }
 
 TEST(TaskGroup, RunsEveryTaskExactlyOnce) {

@@ -6,7 +6,7 @@ namespace retrust {
 namespace {
 
 ExperimentData Prepare(double fd_err, double data_err,
-                       WeightKind wk = WeightKind::kDistinctCount) {
+                       WeightModel wk = WeightModel::kDistinctCount) {
   CensusConfig gen;
   gen.num_tuples = 500;
   gen.num_attrs = 12;
@@ -76,8 +76,8 @@ TEST(Experiment, UnifiedCostRuns) {
 }
 
 TEST(Experiment, WeightKindsAllWork) {
-  for (WeightKind wk : {WeightKind::kDistinctCount, WeightKind::kCardinality,
-                        WeightKind::kEntropy}) {
+  for (WeightModel wk : {WeightModel::kDistinctCount, WeightModel::kCardinality,
+                        WeightModel::kEntropy}) {
     ExperimentData data = Prepare(0.4, 0.0, wk);
     ExperimentRun run = RunRepairAt(data, 0.5);
     EXPECT_TRUE(run.repaired);

@@ -85,6 +85,19 @@ DeltaBatch RandomDelta(std::mt19937_64& rng, int n, int m, int domain) {
   return delta;
 }
 
+/// Applies `delta` to `session` and, when it is accepted, to `witness` —
+/// the test's own copy of the rows, patched by Instance::ApplyDelta
+/// independently of the session's encoded patch.
+Result<ApplyStats> ApplyBoth(Session& session, Instance& witness,
+                             const DeltaBatch& delta) {
+  Result<ApplyStats> stats = session.Apply(delta);
+  if (stats.ok()) {
+    witness.ApplyDelta(
+        delta, PlanDelta(delta, witness.NumTuples(), witness.NumAttrs()));
+  }
+  return stats;
+}
+
 void ExpectIndexEqual(const DifferenceSetIndex& got,
                       const DifferenceSetIndex& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -116,7 +129,7 @@ TEST_P(IncrementalOracle, RandomInterleavingsMatchRebuild) {
   const int threads = GetParam();
   const int m = 5;
   const int domain = 4;
-  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
   CardinalityWeight weights;  // instance-independent: isolates the index
 
   std::mt19937_64 rng(0xbe5ca1e5 + threads);
@@ -186,22 +199,22 @@ TEST(IncrementalEdge, EmptyDeltaIsANoOp) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(session->DataVersion(), version);  // empty deltas don't bump
   EXPECT_EQ(session->RootDeltaP(), root);
-  EXPECT_EQ(session->instance().NumTuples(), 20);
+  EXPECT_EQ(session->NumTuples(), 20);
 }
 
 TEST(IncrementalEdge, DeleteEverything) {
   std::mt19937_64 rng(11);
-  Instance inst = RandomInstance(rng, 15, 5, 3);
-  Result<Session> session = Session::Open(std::move(inst), TestSigma());
+  Instance witness = RandomInstance(rng, 15, 5, 3);
+  Result<Session> session = Session::Open(witness, TestSigma());
   ASSERT_TRUE(session.ok());
   ASSERT_GT(session->RootDeltaP(), 0);
 
   DeltaBatch delta;
   for (TupleId t = 0; t < 15; ++t) delta.Delete(t);
-  Result<ApplyStats> stats = session->Apply(delta);
+  Result<ApplyStats> stats = ApplyBoth(*session, witness, delta);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->num_tuples, 0);
-  EXPECT_EQ(session->instance().NumTuples(), 0);
+  EXPECT_EQ(session->NumTuples(), 0);
   EXPECT_EQ(session->RootDeltaP(), 0);
 
   // An empty relation satisfies everything: tau = 0 repairs with no edits.
@@ -212,9 +225,10 @@ TEST(IncrementalEdge, DeleteEverything) {
   // And the session keeps working: refill via inserts.
   DeltaBatch refill;
   for (int i = 0; i < 10; ++i) refill.Insert(RandomTuple(rng, 5, 2));
-  ASSERT_TRUE(session->Apply(refill).ok());
-  EXPECT_EQ(session->instance().NumTuples(), 10);
-  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  ASSERT_TRUE(ApplyBoth(*session, witness, refill).ok());
+  EXPECT_EQ(session->NumTuples(), 10);
+  EXPECT_EQ(session->instance().ToTable(), witness.ToTable());
+  Result<Session> fresh = Session::Open(witness, TestSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 }
@@ -252,15 +266,15 @@ TEST(IncrementalEdge, InvalidDeltasRejectedBeforeMutating) {
   mixed.Insert(RandomTuple(rng, 5, 3)).Delete(42);
   EXPECT_EQ(session->Apply(mixed).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(session->instance().NumTuples(), 10);
+  EXPECT_EQ(session->NumTuples(), 10);
   EXPECT_EQ(session->RootDeltaP(), root);
   EXPECT_EQ(session->DataVersion(), version);
 }
 
 // --- Variables in deltas: each case once as an insert, once as an update -
 
-/// Five rows over A (3 constants: "a", "b", "c"), B, C with A -> B.
-Result<Session> OpenAbc() {
+/// Five rows over A (3 constants: "a", "b", "c"), B, C.
+Instance AbcInstance() {
   Instance inst(Schema::FromNames({"A", "B", "C"}));
   const char* rows[][3] = {{"a", "x", "p"}, {"a", "y", "p"},
                            {"b", "x", "q"}, {"c", "z", "q"},
@@ -268,10 +282,17 @@ Result<Session> OpenAbc() {
   for (const auto& row : rows) {
     inst.AddTuple({Value(row[0]), Value(row[1]), Value(row[2])});
   }
+  return inst;
+}
+
+/// A -> B.
+FDSet AbcSigma() {
   FDSet sigma;
   sigma.Add(FD{AttrSet{0}, 1});
-  return Session::Open(std::move(inst), std::move(sigma));
+  return sigma;
 }
+
+Result<Session> OpenAbc() { return Session::Open(AbcInstance(), AbcSigma()); }
 
 /// Index INT32_MAX − 1 is accepted and leaves every column's counter at
 /// INT32_MAX; the next fresh variable would overflow.
@@ -310,7 +331,6 @@ class DeltaVariable : public ::testing::Test {
       EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
     }
     EXPECT_EQ(session_->instance().ToTable(), before);
-    EXPECT_EQ(session_->data().Decode().ToTable(), before);
     EXPECT_EQ(session_->DataVersion(), version);
   }
 
@@ -341,12 +361,13 @@ TEST_F(DeltaVariable, InRangeVariablesApplyAndDecodeAlike) {
   batch.Insert({Value::Variable(0, 0), Value::Variable(1, 7), Value("p")});
   batch.Update(2, 0,
                Value::Variable(0, std::numeric_limits<int32_t>::max() - 1));
-  Result<ApplyStats> applied = session_->Apply(batch);
+  Instance witness = AbcInstance();
+  Result<ApplyStats> applied = ApplyBoth(*session_, witness, batch);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(session_->data().Decode().ToTable(),
-            session_->instance().ToTable());
-  Result<Session> fresh = Session::Open(session_->instance(),
-                                        session_->context().sigma());
+  const Instance rows = session_->instance();
+  EXPECT_EQ(rows.ToTable(), witness.ToTable());
+  EXPECT_EQ(rows.next_var_counters(), witness.next_var_counters());
+  Result<Session> fresh = Session::Open(witness, AbcSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session_->RootDeltaP(), fresh->RootDeltaP());
 }
@@ -405,19 +426,20 @@ TEST(SessionBatch, OneThrowingItemFailsOnlyItsSlot) {
 
 TEST(IncrementalSession, ApplyMatchesFreshOpen) {
   std::mt19937_64 rng(0x5e55);
-  Result<Session> session =
-      Session::Open(RandomInstance(rng, 30, 5, 3), TestSigma());
+  Instance witness = RandomInstance(rng, 30, 5, 3);
+  Result<Session> session = Session::Open(witness, TestSigma());
   ASSERT_TRUE(session.ok());
   // Warm the context (memo entries that Apply must remap or drop).
   ASSERT_TRUE(session->Repair(RepairRequest::AtRelative(0.5)).ok());
 
   for (int step = 0; step < 6; ++step) {
-    DeltaBatch delta =
-        RandomDelta(rng, session->instance().NumTuples(), 5, 3);
-    Result<ApplyStats> stats = session->Apply(delta);
+    DeltaBatch delta = RandomDelta(rng, session->NumTuples(), 5, 3);
+    Result<ApplyStats> stats = ApplyBoth(*session, witness, delta);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(session->instance().ToTable(), witness.ToTable())
+        << "step " << step;
 
-    Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+    Result<Session> fresh = Session::Open(witness, TestSigma());
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP()) << "step " << step;
 
@@ -446,8 +468,8 @@ TEST(IncrementalSession, ApplyMatchesFreshOpen) {
 TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   // The session caches one context; Apply patches it in place.
   std::mt19937_64 rng(0xcafe);
-  Result<Session> session =
-      Session::Open(RandomInstance(rng, 25, 5, 3), TestSigma());
+  Instance witness = RandomInstance(rng, 25, 5, 3);
+  Result<Session> session = Session::Open(witness, TestSigma());
   ASSERT_TRUE(session.ok());
   const FdSearchContext* context = &session->context();
 
@@ -461,7 +483,7 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
 
   DeltaBatch delta;
   for (int i = 0; i < 5; ++i) delta.Insert(RandomTuple(rng, 5, 2));
-  Result<ApplyStats> stats = session->Apply(delta);
+  Result<ApplyStats> stats = ApplyBoth(*session, witness, delta);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->covers_dropped, entries_before);
   EXPECT_EQ(stats->covers_kept, 0u);
@@ -476,7 +498,7 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   EXPECT_EQ(after.misses, stats_before.misses + 1);
   EXPECT_GE(after.groups_scanned, stats_before.groups_scanned);
   EXPECT_GE(after.groups_resumed, stats_before.groups_resumed);
-  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  Result<Session> fresh = Session::Open(witness, TestSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 
@@ -502,7 +524,7 @@ TEST(IncrementalSession, ApplyPatchesEveryCachedContext) {
   FDSet alt;
   alt.Add(FD{AttrSet{1}, 2});
   ASSERT_TRUE(session->SetFds(alt).ok());
-  Result<Session> fresh_alt = Session::Open(session->instance(), alt);
+  Result<Session> fresh_alt = Session::Open(witness, alt);
   ASSERT_TRUE(fresh_alt.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh_alt->RootDeltaP());
 }
@@ -522,18 +544,18 @@ TEST(ExecIncrementalVersion, SessionBatchesWorkAcrossApplies) {
       ASSERT_TRUE(r.ok() ||
                   r.status().code() == StatusCode::kNoRepairWithinTau);
     }
-    DeltaBatch delta = RandomDelta(rng, session->instance().NumTuples(),
-                                   5, 3);
+    DeltaBatch delta = RandomDelta(rng, session->NumTuples(), 5, 3);
     ASSERT_TRUE(session->Apply(delta).ok());
   }
 }
 
 TEST(ExecIncrementalVersion, ConcurrentAppliesAndRequestsStayConsistent) {
   std::mt19937_64 rng(9);
+  exec::ThreadPool pool(2);
   SessionOptions opts;
-  opts.exec.num_threads = 2;
-  Result<Session> session =
-      Session::Open(RandomInstance(rng, 25, 5, 3), TestSigma(), opts);
+  opts.pool = &pool;
+  Instance witness = RandomInstance(rng, 25, 5, 3);
+  Result<Session> session = Session::Open(witness, TestSigma(), opts);
   ASSERT_TRUE(session.ok());
 
   // Reader threads hammer batched requests while a writer thread applies
@@ -560,16 +582,17 @@ TEST(ExecIncrementalVersion, ConcurrentAppliesAndRequestsStayConsistent) {
   workers.emplace_back([&] {
     std::mt19937_64 writer_rng(17);
     for (int step = 0; step < 10; ++step) {
-      DeltaBatch delta = RandomDelta(writer_rng,
-                                     session->instance().NumTuples(), 5, 3);
-      Result<ApplyStats> stats = session->Apply(delta);
+      DeltaBatch delta =
+          RandomDelta(writer_rng, session->NumTuples(), 5, 3);
+      Result<ApplyStats> stats = ApplyBoth(*session, witness, delta);
       if (!stats.ok()) failures.fetch_add(1);
     }
   });
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  Result<Session> fresh = Session::Open(session->instance(), TestSigma());
+  EXPECT_EQ(session->instance().ToTable(), witness.ToTable());
+  Result<Session> fresh = Session::Open(witness, TestSigma());
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(session->RootDeltaP(), fresh->RootDeltaP());
 }

@@ -59,9 +59,14 @@ TEST(Partition, StrippedClassesDropSingletons) {
   EncodedInstance enc(Sample());
   Partition p = PartitionBy(enc, AttrSet{0, 1});
   // Classes: {t0}, {t1}, {t2,t3} -> stripped keeps one class of size 2.
-  auto stripped = p.StrippedClasses();
-  ASSERT_EQ(stripped.size(), 1u);
-  EXPECT_EQ(stripped[0], (std::vector<TupleId>{2, 3}));
+  StrippedCsr stripped = StripClasses(p);
+  ASSERT_EQ(stripped.num_classes(), 1);
+  EXPECT_EQ(stripped.members, (std::vector<TupleId>{2, 3}));
+  EXPECT_EQ(stripped.offsets, (std::vector<int32_t>{0, 2}));
+  // Classes of A: {t0,t1}, {t2,t3} — label order, members ascending.
+  stripped = StripClasses(PartitionBy(enc, AttrSet{0}));
+  EXPECT_EQ(stripped.members, (std::vector<TupleId>{0, 1, 2, 3}));
+  EXPECT_EQ(stripped.offsets, (std::vector<int32_t>{0, 2, 4}));
 }
 
 TEST(Partition, HoldsExactly) {

@@ -183,8 +183,9 @@ TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
   ASSERT_TRUE(original->SaveSnapshot(path).ok());
 
   for (int threads : {1, 2, 4, 8}) {
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     SessionOptions opts;
-    opts.exec.num_threads = threads;
+    opts.pool = pool.get();
     Result<Session> restored = Session::OpenSnapshot(path, opts);
     ASSERT_TRUE(restored.ok())
         << threads << ": " << restored.status().ToString();
@@ -236,6 +237,59 @@ TEST(SnapshotRoundTrip, DataVersionSurvivesTheFile) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->DataVersion(), version);
   EXPECT_EQ(restored->NumTuples(), 5);
+}
+
+// The snapshot's "instance next_var" counters are the rows' own: they can
+// run ahead of every variable in the cells (a variable taken, then
+// overwritten), and a delta's variables advance them as
+// Instance::ApplyDelta does. A restore keeps them, so a re-save writes the
+// same bytes.
+TEST(SnapshotRoundTrip, InstanceCountersRunAheadOfTheCells) {
+  Instance reference = SmallInstance();
+  // Three Zip variables and one City variable taken, then overwritten: no
+  // cell holds a variable, but the counters read {0, 1, 3}.
+  for (int i = 0; i < 3; ++i) reference.Set(0, 2, reference.NewVariable(2));
+  reference.Set(1, 1, reference.NewVariable(1));
+  reference.Set(0, 2, Value("11111"));
+  reference.Set(1, 1, Value("Springfield"));
+  ASSERT_EQ(reference.next_var_counters(), (std::vector<int32_t>{0, 1, 3}));
+  Result<Session> session = Session::Open(reference, {"City->Zip"});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // The encoded counters follow the cells only; the rows keep their own.
+  EXPECT_EQ(session->data().next_var_counters(),
+            (std::vector<int32_t>{0, 0, 0}));
+  EXPECT_EQ(session->instance().next_var_counters(),
+            reference.next_var_counters());
+
+  // Name's counter moves to 5 and City's to 7; Zip's variables stay
+  // behind its counter.
+  DeltaBatch delta;
+  delta.Insert({Value::Variable(0, 4), Value("Shelbyville"),
+                Value::Variable(2, 1)});
+  delta.Update(2, 1, Value::Variable(1, 6));
+  delta.Update(3, 2, Value::Variable(2, 0));
+  reference.ApplyDelta(
+      delta, PlanDelta(delta, reference.NumTuples(), reference.NumAttrs()));
+  ASSERT_EQ(reference.next_var_counters(), (std::vector<int32_t>{5, 7, 3}));
+  ASSERT_TRUE(session->Apply(delta).ok());
+  EXPECT_EQ(session->instance().ToTable(), reference.ToTable());
+  EXPECT_EQ(session->instance().next_var_counters(),
+            reference.next_var_counters());
+
+  const std::string saved = TempPath("counters.snap");
+  ASSERT_TRUE(session->SaveSnapshot(saved).ok());
+  Result<persist::SnapshotData> file = persist::ReadSnapshotFile(saved);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->instance_next_var, reference.next_var_counters());
+
+  Result<Session> restored = Session::OpenSnapshot(saved);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->instance().ToTable(), reference.ToTable());
+  EXPECT_EQ(restored->instance().next_var_counters(),
+            reference.next_var_counters());
+  const std::string resaved = TempPath("counters_resaved.snap");
+  ASSERT_TRUE(restored->SaveSnapshot(resaved).ok());
+  EXPECT_EQ(ReadAll(resaved), ReadAll(saved));
 }
 
 // --- Hostile bytes --------------------------------------------------------
@@ -699,7 +753,7 @@ TEST(RegistryLifecycle, SnapshotBackedTenantRestoresLazily) {
   const std::string snap = TempPath("tenant.snap");
   ASSERT_TRUE(origin->SaveSnapshot(snap).ok());
 
-  service::TenantRegistry registry(SessionOptions{}, nullptr);
+  service::TenantRegistry registry(SessionOptions{});
   ASSERT_TRUE(registry.AddSnapshot("t", snap).ok());
   Result<service::TenantStats> before = registry.StatsFor("t");
   ASSERT_TRUE(before.ok());
@@ -712,7 +766,7 @@ TEST(RegistryLifecycle, SnapshotBackedTenantRestoresLazily) {
 }
 
 TEST(RegistryLifecycle, SaveUnloadReloadRoundTrip) {
-  service::TenantRegistry registry(SessionOptions{}, nullptr);
+  service::TenantRegistry registry(SessionOptions{});
   ASSERT_TRUE(
       registry.Add("t", SmallInstance(), {"City->Zip"}).ok());
 
@@ -743,7 +797,7 @@ TEST(RegistryLifecycle, SaveUnloadReloadRoundTrip) {
 }
 
 TEST(RegistryLifecycle, DirtyUnloadRefusedWithoutSnapshotDir) {
-  service::TenantRegistry registry(SessionOptions{}, nullptr);
+  service::TenantRegistry registry(SessionOptions{});
   ASSERT_TRUE(
       registry.AddCsv("t", WriteSmallCsv("dirty.csv"), {"City->Zip"}).ok());
   {
@@ -764,8 +818,7 @@ TEST(RegistryLifecycle, DirtyUnloadRefusedWithoutSnapshotDir) {
 }
 
 TEST(RegistryLifecycle, DirtyUnloadAutoSavesWithSnapshotDir) {
-  service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   TestDir());
+  service::TenantRegistry registry(SessionOptions{}, TestDir());
   ASSERT_TRUE(
       registry.AddCsv("auto", WriteSmallCsv("auto.csv"), {"City->Zip"}).ok());
   uint64_t version = 0;
@@ -789,8 +842,8 @@ TEST(RegistryLifecycle, DirtyUnloadAutoSavesWithSnapshotDir) {
 TEST(RegistryLifecycle, ByteBudgetEvictsIdleTenants) {
   // A 1-byte budget is unreachable, so every load must evict the other,
   // idle tenant — previously both would stay resident forever.
-  service::TenantRegistry registry(SessionOptions{}, nullptr,
-                                   TestDir(), /*max_loaded_bytes=*/1);
+  service::TenantRegistry registry(SessionOptions{}, TestDir(),
+                                   /*max_loaded_bytes=*/1);
   ASSERT_TRUE(
       registry.AddCsv("a", WriteSmallCsv("budget_a.csv"), {"City->Zip"}).ok());
   ASSERT_TRUE(

@@ -772,7 +772,7 @@ TEST_P(ContextRepairOracle, RunRepairMatchesStandaloneAtEveryThreadCount) {
   EncodedInstance enc(dirty.data);
   CardinalityWeight weights;
   for (int threads : {1, 2, 4, 8}) {
-    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool({threads});
+    std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     FdSearchContext ctx(dirty.fds, enc, weights, {}, pool.get());
     EXPECT_GT(ExpectGridMatchesStandalone(
                   ctx, enc, "threads=" + std::to_string(threads)),
@@ -784,9 +784,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContextRepairOracle, ::testing::Range(0, 4));
 
 TEST(ContextRepairOracleCases, SweepBatchMatchesStandalone) {
   PerturbedData dirty = CensusWorkload(7);
+  exec::ThreadPool pool(4);
   SessionOptions opts;
   opts.weights = WeightModel::kCardinality;
-  opts.exec.num_threads = 4;
+  opts.pool = &pool;
   Result<Session> session = Session::Open(dirty.data, dirty.fds, opts);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   std::vector<RepairRequest> reqs;

@@ -122,8 +122,9 @@ TEST(SearchGolden, ExactSearchOneThread) {
 TEST(SearchGolden, ConcurrentSearchesFourThreads) {
   // Six serial searches at once on one context: one GcHeuristic and one
   // cover memo serve concurrent Compute calls.
+  exec::ThreadPool pool(4);
   SessionOptions opts;
-  opts.exec.num_threads = 4;
+  opts.pool = &pool;
   Session session = OpenWide400(opts);
   std::vector<RepairRequest> reqs;
   for (const SearchPin& pin : kSearchPins) {
