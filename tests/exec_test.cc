@@ -30,7 +30,13 @@ TEST(ThreadPool, ClampsToAtLeastOneWorker) {
 TEST(ThreadPool, MakePoolSerialIsNull) {
   // Counts <= 1 are serial: no pool, so callers run inline.
   for (int serial : {-3, 0, 1}) EXPECT_EQ(exec::MakePool(serial), nullptr);
-  for (int threads : {2, 3, 4}) {
+  EXPECT_NE(exec::MakePool(2), nullptr);
+}
+
+TEST(ExecOptions, ResolvedThreads) {
+  // A configured thread count (session_threads, RETRUST_THREADS, a bench's
+  // sweep) resolves through MakePool: n > 1 gets a pool of exactly n.
+  for (int threads : {2, 3, 4, 8}) {
     std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
     ASSERT_NE(pool, nullptr) << threads;
     EXPECT_EQ(pool->num_threads(), threads);
