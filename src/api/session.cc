@@ -450,7 +450,6 @@ Result<int64_t> Session::ResolveTau(const RepairRequest& req) const {
 ModifyFdsOptions Session::SearchOptions(const RepairRequest& req) const {
   ModifyFdsOptions opts;
   opts.mode = req.mode;
-  opts.heuristic = opts_.heuristic;
   opts.policy.policy = req.policy;
   opts.policy.weighting_factor = req.weight;
   opts.policy.initial_upper_bound = req.upper_bound;
@@ -635,9 +634,7 @@ Result<MultiRepairResult> Session::EnumerateRepairs(int64_t tau_lo,
   }
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
   try {
-    ModifyFdsOptions opts;
-    opts.heuristic = opts_.heuristic;
-    return FindRepairsFds(*context_, tau_lo, tau_hi, opts);
+    return FindRepairsFds(*context_, tau_lo, tau_hi);
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kInternal, e.what());
   }

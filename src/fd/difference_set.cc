@@ -58,19 +58,6 @@ std::vector<DiffSetGroup> GroupEdges(
 
 }  // namespace
 
-AttrSet DiffSetOfPair(const EncodedInstance& inst, TupleId t1, TupleId t2) {
-  const int m = inst.NumAttrs();
-  const AttrSet universe = AttrSet::Universe(m);
-  AttrSet diff;
-  for (AttrId a = 0; a < m; ++a) {
-    if (inst.At(t1, a) != inst.At(t2, a)) {
-      diff.Add(a);
-      if (diff == universe) break;
-    }
-  }
-  return diff;
-}
-
 AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
                       TupleId t2) {
   const AttrSet universe = AttrSet::Universe(num_attrs);

@@ -31,12 +31,9 @@
 namespace retrust {
 
 /// Difference set of a tuple pair: attributes with unequal codes. Exits as
-/// soon as the set reaches all attributes.
-AttrSet DiffSetOfPair(const EncodedInstance& inst, TupleId t1, TupleId t2);
-
-/// Column-pointer overload for the blocked build and delta discovery:
-/// `cols[a]` is inst.ColumnData(a), so each cell test is one indexed load
-/// with no Flat(t, a) multiply.
+/// soon as the set reaches all attributes. `cols[a]` is
+/// inst.ColumnData(a), so each cell test is one indexed load with no
+/// Flat(t, a) multiply.
 AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
                       TupleId t2);
 

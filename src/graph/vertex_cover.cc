@@ -42,22 +42,6 @@ int32_t MatchingCoverScratch::CoverSize(const std::vector<Edge>& edges) {
   return size;
 }
 
-int32_t MatchingCoverScratch::CoverSize(const std::vector<Edge>& a,
-                                        const std::vector<Edge>& b) {
-  NextEpoch();
-  int32_t size = 0;
-  for (const std::vector<Edge>* edges : {&a, &b}) {
-    for (const Edge& e : *edges) {
-      if (mark_[e.u] != epoch_ && mark_[e.v] != epoch_) {
-        mark_[e.u] = epoch_;
-        mark_[e.v] = epoch_;
-        size += 2;
-      }
-    }
-  }
-  return size;
-}
-
 std::vector<int32_t> MaxDegreeVertexCover(const Graph& g) {
   // Remaining degree per vertex; repeatedly take the max-degree vertex and
   // remove its incident edges. Ties break toward the smaller vertex id.

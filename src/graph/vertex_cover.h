@@ -43,9 +43,6 @@ class MatchingCoverScratch {
   /// Size of a maximal-matching cover of `edges` (2-approx of minimum).
   int32_t CoverSize(const std::vector<Edge>& edges);
 
-  /// Same over a pair of edge lists (avoids concatenation).
-  int32_t CoverSize(const std::vector<Edge>& a, const std::vector<Edge>& b);
-
  private:
   void NextEpoch();
 

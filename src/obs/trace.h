@@ -83,7 +83,7 @@ class TraceSpan {
   std::vector<std::unique_ptr<TraceSpan>> children_;
 };
 
-/// Per-phase accumulators filled by search::RunSearch when tracing is on
+/// Per-phase accumulators filled by ModifyFds when tracing is on
 /// (ModifyFdsOptions::phase_trace). Counts are operations, seconds are
 /// summed wall time of those operations.
 struct SearchPhaseStats {

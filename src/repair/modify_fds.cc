@@ -1,20 +1,17 @@
 #include "src/repair/modify_fds.h"
 
-#include "src/fd/conflict_graph.h"
-#include "src/search/engine.h"
-
 namespace retrust {
 
 FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const EncodedInstance& inst,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
-                                 exec::ThreadPool* pool,
-                                 DiffSetBuildMode mode)
+                                 exec::ThreadPool* pool)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
-      index_(BuildDifferenceSetIndex(inst, sigma, pool, mode,
+      index_(BuildDifferenceSetIndex(inst, sigma, pool,
+                                     DiffSetBuildMode::kBlocked,
                                      &build_stats_)),
       evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
                                                    inst.NumTuples(), pool)),
@@ -67,21 +64,6 @@ int64_t FdSearchContext::DeltaP(const SearchState& s,
 
 int64_t FdSearchContext::RootDeltaP() const {
   return DeltaP(SearchState::Root(sigma_.size()), nullptr);
-}
-
-ModifyFdsResult ModifyFds(const FdSearchContext& ctx, int64_t tau,
-                          const ModifyFdsOptions& opts) {
-  // The open-list loop lives in the search engine (src/search/engine.cc)
-  // since the policy split; the default exact policy is bit-identical to
-  // the loop that used to live here.
-  return search::RunSearch(ctx, tau, opts);
-}
-
-ModifyFdsResult ModifyFds(const FDSet& sigma, const EncodedInstance& inst,
-                          int64_t tau, const WeightFunction& weights,
-                          const ModifyFdsOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.heuristic);
-  return ModifyFds(ctx, tau, opts);
 }
 
 }  // namespace retrust

@@ -38,16 +38,11 @@ enum class SearchMode {
 /// (DESIGN.md, the determinism contract).
 struct ModifyFdsOptions {
   SearchMode mode = SearchMode::kAStar;
-  HeuristicOptions heuristic;
   /// Which engine policy runs the open list (src/search/policy.h): exact
   /// best-first (the default — bit-identical to the pre-engine ModifyFds),
   /// weighted-A* anytime, or greedy descent. The weighting factor, δP-floor
   /// pruning, and initial upper bound only apply to the non-exact policies.
   search::PolicyOptions policy;
-  /// Resolve cost ties among goal states by smaller δP (Definition 4's
-  /// tie-break on distance to I). Costs within `cost_epsilon` tie.
-  bool tie_break_delta = true;
-  double cost_epsilon = 1e-9;
   /// Safety cap on popped states (0 = unlimited). Hitting it reports
   /// SearchTermination::kVisitBudget.
   int64_t max_visited = 0;
@@ -98,11 +93,12 @@ struct ModifyFdsResult {
 };
 
 /// Precomputed, τ-independent context shared by searches over one (Σ, I):
-/// the conflict graph of Σ, its difference-set index, the δP evaluation
-/// layer (violation incidence table + memoized covers), state space, and
-/// heuristic. The index also serves Algorithm 4: a repair's cover is the
-/// goal state's violated groups of this index (RepairData's context
-/// overload), so data repair builds no index of its own. Build once, run
+/// Σ's difference-set index (its groups hold every conflict edge of Σ),
+/// the δP evaluation layer (violation incidence table + memoized covers),
+/// state space, and the gc heuristic, whose options are fixed here. The
+/// index also serves Algorithm 4: a repair's cover is the goal state's
+/// violated groups of this index (RepairData's context overload), so data
+/// repair builds no index of its own. Build once, run
 /// ModifyFds/FindRepairsFds/RunRepair many times — also
 /// concurrently: every const method is thread-safe (pooled scratch owned
 /// by the evaluation layer, mutex-guarded memos), which is what a
@@ -110,16 +106,13 @@ struct ModifyFdsResult {
 /// cover memo. Each search itself runs serially on its calling thread.
 class FdSearchContext {
  public:
-  /// Shards the difference-set and violation-table construction on the
-  /// borrowed `pool` (nullable = serial; identical output for any thread
-  /// count). `mode` selects the difference-set builder: kBlocked (default,
-  /// sub-quadratic when classes are small) or kNaive (the all-pairs scan,
-  /// kept as an oracle) — both produce BIT-IDENTICAL indexes.
+  /// Builds the difference-set index with the blocked builder, sharding it
+  /// and the violation table on the borrowed `pool` (nullable = serial;
+  /// identical output for any thread count).
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts = {},
-                  exec::ThreadPool* pool = nullptr,
-                  DiffSetBuildMode mode = DiffSetBuildMode::kBlocked);
+                  exec::ThreadPool* pool = nullptr);
 
   /// Restore construction (src/persist/): adopts a pre-built difference-set
   /// index instead of paying the O(n²) conflict-graph/difference-set build
@@ -193,15 +186,11 @@ class FdSearchContext {
   GcHeuristic heuristic_;
 };
 
-/// Algorithm 2: cheapest Σ' with δP(Σ', I) ≤ τ (ties broken by δP when
-/// enabled). Returns no repair iff even the fully-extended space cannot
-/// reach δP ≤ τ.
+/// Algorithm 2: cheapest Σ' with δP(Σ', I) ≤ τ; the default exact policy
+/// breaks equal costs by smaller δP. Returns no repair iff even the
+/// fully-extended space cannot reach δP ≤ τ. Runs the policy
+/// `opts.policy` selects (src/search/engine.cc).
 ModifyFdsResult ModifyFds(const FdSearchContext& ctx, int64_t tau,
-                          const ModifyFdsOptions& opts = {});
-
-/// Convenience overload building a one-shot context.
-ModifyFdsResult ModifyFds(const FDSet& sigma, const EncodedInstance& inst,
-                          int64_t tau, const WeightFunction& weights,
                           const ModifyFdsOptions& opts = {});
 
 }  // namespace retrust

@@ -31,13 +31,12 @@ struct EntryGreater {
 }  // namespace
 
 MultiRepairResult FindRepairsFds(const FdSearchContext& ctx, int64_t tau_lo,
-                                 int64_t tau_hi,
-                                 const ModifyFdsOptions& opts) {
+                                 int64_t tau_hi, SearchMode mode) {
   Timer timer;
   MultiRepairResult result;
   SearchStats& stats = result.stats;
   const GcHeuristic& h = ctx.heuristic();
-  const bool astar = opts.mode == SearchMode::kAStar;
+  const bool astar = mode == SearchMode::kAStar;
   int64_t tau = tau_hi;  // line 2
 
   std::vector<OpenEntry> open;

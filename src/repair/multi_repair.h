@@ -35,7 +35,7 @@ struct MultiRepairResult {
 /// τ ∈ [tau_lo, tau_hi].
 MultiRepairResult FindRepairsFds(const FdSearchContext& ctx, int64_t tau_lo,
                                  int64_t tau_hi,
-                                 const ModifyFdsOptions& opts = {});
+                                 SearchMode mode = SearchMode::kAStar);
 
 /// Sampling-Repair: runs Algorithm 2 independently at τ = tau_hi,
 /// tau_hi - step, ... >= tau_lo and deduplicates the results. The

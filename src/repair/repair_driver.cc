@@ -103,22 +103,6 @@ void CheckRepairBase(const FdSearchContext& ctx, const EncodedInstance& inst,
 #endif
 }
 
-std::optional<Repair> RepairDataAndFds(const FdSearchContext& ctx,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
-                                       const RepairOptions& opts) {
-  return RunRepair(ctx, inst, tau, opts).repair;
-}
-
-std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
-                                       const WeightFunction& weights,
-                                       const RepairOptions& opts) {
-  FdSearchContext ctx(sigma, inst, weights, opts.search.heuristic);
-  return RepairDataAndFds(ctx, inst, tau, opts);
-}
-
 int64_t TauFromRelative(double tau_r, int64_t root_delta_p) {
   // !(tau_r > 0) also catches NaN, which would sail through ordered
   // comparisons and llround to an arbitrary τ.

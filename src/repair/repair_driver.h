@@ -52,7 +52,9 @@ struct RepairOutcome {
 };
 
 /// Algorithm 1 over a prebuilt search context, reporting the full outcome:
-/// the search step (ModifyFds) followed by MaterializeRepair.
+/// the search step (ModifyFds) followed by MaterializeRepair. `repair` is
+/// empty iff no relaxation of Σ admits a repair with at most τ cell
+/// changes (no goal state exists) or the search was interrupted first.
 RepairOutcome RunRepair(const FdSearchContext& ctx,
                         const EncodedInstance& inst, int64_t tau,
                         const RepairOptions& opts = {});
@@ -85,20 +87,6 @@ void CheckSearchAnswer(const FdSearchContext& ctx, int64_t tau,
 /// Does nothing under NDEBUG.
 void CheckRepairBase(const FdSearchContext& ctx, const EncodedInstance& inst,
                      const SearchState& goal, const RepairBase& stored);
-
-/// Algorithm 1. Returns nullopt iff no relaxation of Σ admits a repair with
-/// at most τ cell changes (i.e. no goal state exists).
-std::optional<Repair> RepairDataAndFds(const FDSet& sigma,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
-                                       const WeightFunction& weights,
-                                       const RepairOptions& opts = {});
-
-/// Same, over a prebuilt search context (reuse across τ values).
-std::optional<Repair> RepairDataAndFds(const FdSearchContext& ctx,
-                                       const EncodedInstance& inst,
-                                       int64_t tau,
-                                       const RepairOptions& opts = {});
 
 /// Converts a relative trust level τr ∈ [0, 1] to an absolute τ against the
 /// root bound δP(Σ, I) (the paper defines τr against δopt, which is

@@ -1,4 +1,28 @@
-#include "src/search/engine.h"
+// The FD-modification search engine (paper §5, Algorithm 2): one open-list
+// loop, three policies (src/search/policy.h; DESIGN.md "Search policies and
+// lower bounds"). It defines retrust::ModifyFds, the single entry point of
+// the search, over a prebuilt FdSearchContext:
+//
+//   kExact    the paper's best-first loop, BIT-IDENTICAL to the pre-engine
+//             ModifyFds (tests/search_policy_test.cc holds an in-test
+//             reimplementation of the legacy loop as the oracle);
+//   kAnytime  weighted-A* (key = cost + w·(f − cost)) with incumbent
+//             tracking: the first goal popped costs at most w·optimal and
+//             is surfaced immediately (ModifyFdsResult::incumbents), then
+//             refined until the open list proves optimality or a budget/
+//             deadline/cancel interruption returns the best incumbent
+//             with a suboptimality bound;
+//   kGreedy   pure heuristic descent (key = f − cost), first goal wins.
+//
+// The non-exact policies additionally prune whole subtrees whose δP floor
+// (the admissible cover lower bound of src/search/bound.h) already
+// exceeds τ. All policies reuse the context's shared evaluation layer. One
+// search runs serially on the calling thread; parallelism runs across
+// searches (Session batches, service workers) over one const context.
+//
+// Layering: search/ sits ON TOP of repair/ (it consumes FdSearchContext
+// and the ModifyFdsOptions/Result types declared in repair/modify_fds.h).
+// Only policy.h — the leaf knob header — is visible below.
 
 #include <algorithm>
 #include <limits>
@@ -7,12 +31,19 @@
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/repair/modify_fds.h"
 #include "src/search/bound.h"
 #include "src/util/timer.h"
 
-namespace retrust::search {
+namespace retrust {
 
 namespace {
+
+using search::SearchPolicy;
+
+// Costs within kEps of each other are equal. Exact breaks such ties among
+// goals by smaller δP (Definition 4's tie-break on distance to I).
+constexpr double kEps = 1e-9;
 
 // Open-list entry. gc evaluation is LAZY: children are pushed with their
 // parent's priority as a lower bound (gc is monotone along tree edges —
@@ -68,7 +99,7 @@ class OpenList {
 
 }  // namespace
 
-ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
+ModifyFdsResult ModifyFds(const FdSearchContext& ctx, int64_t tau,
                           const ModifyFdsOptions& opts) {
   Timer timer;
   ModifyFdsResult result;
@@ -84,7 +115,6 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
   const bool greedy = policy == SearchPolicy::kGreedy;
   const double w =
       anytime ? std::max(1.0, opts.policy.weighting_factor) : 1.0;
-  const double eps = opts.cost_epsilon;
 
   // Order key from an estimate f = max(gc, cost) and the state cost. The
   // exact path NEVER goes through this function: it keeps the original
@@ -95,8 +125,8 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     return greedy ? f - cost : cost + w * (f - cost);
   };
 
-  std::unique_ptr<CoverLowerBound> lb;
-  if (!exact) lb = std::make_unique<CoverLowerBound>(ctx);
+  std::unique_ptr<search::CoverLowerBound> lb;
+  if (!exact) lb = std::make_unique<search::CoverLowerBound>(ctx);
 
   // Cost cap for the non-exact policies: a state (or child) costlier than
   // this cannot become a repair worth keeping. Starts at the caller's
@@ -149,7 +179,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
     // at least f >= key / w. Once the cheapest open key says no subtree
     // can beat the incumbent, the incumbent is proven cost-optimal.
     if (anytime && best.has_value() &&
-        pq.top().priority / w >= best->distc - eps) {
+        pq.top().priority / w >= best->distc - kEps) {
       break;  // termination stays kCompleted; bound 1.0 below
     }
 
@@ -189,12 +219,9 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
 
     if (exact) {
       // Once a goal is known, states that cannot beat (or tie) it are done.
-      if (best.has_value()) {
-        bool can_tie = opts.tie_break_delta &&
-                       top.cost <= best->distc + opts.cost_epsilon;
-        if (top.priority > best->distc + opts.cost_epsilon) break;
-        if (!can_tie && top.cost > best->distc + opts.cost_epsilon) continue;
-      }
+      // Every entry's priority is at least its cost, so this also drops
+      // the states whose own cost busts the incumbent.
+      if (best.has_value() && top.priority > best->distc + kEps) break;
     } else {
       // Anytime/greedy discard states that cannot strictly improve on the
       // incumbent (anytime forgoes exact's equal-cost δP tie-break scan)
@@ -202,8 +229,8 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       // monotone, so a discarded state's descendants need no look either —
       // but they were pushed before the incumbent existed, hence the
       // re-check here at pop time.
-      if (best.has_value() && top.cost > best->distc - eps) continue;
-      if (top.cost > cost_ub + eps) continue;
+      if (best.has_value() && top.cost > best->distc - kEps) continue;
+      if (top.cost > cost_ub + kEps) continue;
 
       // Admissible δP floor: if even the matching over this state's DEAD
       // groups keeps δP above τ for every descendant, the whole subtree
@@ -239,11 +266,9 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
           best = FdRepair{top.state, top.state.Apply(ctx.sigma()), cost,
                           cover, delta_p};
           record_incumbent();
-          if (!opts.tie_break_delta) break;
           continue;  // keep scanning for equal-cost goals with smaller δP
         }
-        if (cost <= best->distc + opts.cost_epsilon &&
-            delta_p < best->delta_p) {
+        if (cost <= best->distc + kEps && delta_p < best->delta_p) {
           best = FdRepair{top.state, top.state.Apply(ctx.sigma()), cost,
                           cover, delta_p};
           record_incumbent();
@@ -252,8 +277,8 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       }
       // Anytime/greedy incumbent rule: keep the strictly cheaper repair,
       // or the smaller δP at (epsilon-)equal cost.
-      if (!best.has_value() || cost < best->distc - eps ||
-          (cost <= best->distc + eps && delta_p < best->delta_p)) {
+      if (!best.has_value() || cost < best->distc - kEps ||
+          (cost <= best->distc + kEps && delta_p < best->delta_p)) {
         best = FdRepair{top.state, top.state.Apply(ctx.sigma()), cost,
                         cover, delta_p};
         record_incumbent();
@@ -277,10 +302,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
       for (size_t i = 0; i < children.size(); ++i) {
         child_cost[i] = children[i].Cost(ctx.weights());
         lower[i] = std::max(top.priority, child_cost[i]);
-        if (best.has_value() &&
-            lower[i] > best->distc + opts.cost_epsilon) {
-          keep[i] = 0;
-        }
+        if (best.has_value() && lower[i] > best->distc + kEps) keep[i] = 0;
       }
     } else {
       // Recover the parent's estimate f from its key (exact inverse of
@@ -296,8 +318,8 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
         // f lower-bounds every goal cost in the child's subtree, so a
         // child whose floor cannot strictly beat the incumbent — or whose
         // own cost busts the initial upper bound — is dead on arrival.
-        if (best.has_value() && f_low > best->distc - eps) keep[i] = 0;
-        if (child_cost[i] > cost_ub + eps) keep[i] = 0;
+        if (best.has_value() && f_low > best->distc - kEps) keep[i] = 0;
+        if (child_cost[i] > cost_ub + kEps) keep[i] = 0;
       }
     }
     for (size_t i = 0; i < children.size(); ++i) {
@@ -328,7 +350,7 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
                                ? result.repair->distc
                                : std::min(result.repair->distc,
                                           pq.top().priority / w);
-      if (floor > eps) {
+      if (floor > kEps) {
         stats.suboptimality_bound =
             std::max(1.0, result.repair->distc / floor);
         if (anytime) {
@@ -344,4 +366,4 @@ ModifyFdsResult RunSearch(const FdSearchContext& ctx, int64_t tau,
   return result;
 }
 
-}  // namespace retrust::search
+}  // namespace retrust

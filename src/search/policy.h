@@ -1,4 +1,4 @@
-// Search-policy knobs of the anytime search engine (src/search/engine.h).
+// Search-policy knobs of the anytime search engine (src/search/engine.cc).
 //
 // Kept as a dependency-free leaf header so the option structs of layers
 // BELOW the engine (repair/'s ModifyFdsOptions, api/'s RepairRequest) can

@@ -9,15 +9,26 @@ namespace retrust::service {
 
 namespace {
 
+/// Heap bytes per dictionary constant: the Value in the code-ordered
+/// vector, the lookup map's node (a second Value, its code, the next
+/// pointer and cached hash) and a bucket slot, rounded up to 128 B.
+constexpr size_t kBytesPerDictEntry = 128;
+
 /// Coarse resident-memory estimate of a loaded session: the context's
-/// edge-weighted estimate plus 24 bytes per cell for the dataset (more than
-/// a 4-byte code and its share of the dictionaries; kept so that configured
-/// budgets keep their meaning). Precision is not the point — the budget
-/// only needs relative ordering between big and small tenants.
-size_t EstimateSessionBytes(Session& session) {
-  const size_t cells = static_cast<size_t>(session.NumTuples()) *
-                       static_cast<size_t>(session.schema().NumAttrs());
-  return session.ContextBytesEstimate() + cells * 24;
+/// edge-weighted estimate plus the encoded dataset, a 4-byte code per cell
+/// and kBytesPerDictEntry per constant in the dictionaries. Precision is
+/// not the point — the budget only needs relative ordering between big and
+/// small tenants.
+size_t EstimateSessionBytes(const Session& session) {
+  const EncodedInstance& data = session.data();
+  size_t dict_entries = 0;
+  for (AttrId a = 0; a < data.NumAttrs(); ++a) {
+    dict_entries += static_cast<size_t>(data.DictionarySize(a));
+  }
+  const size_t cells = static_cast<size_t>(data.NumTuples()) *
+                       static_cast<size_t>(data.NumAttrs());
+  return session.ContextBytesEstimate() + cells * sizeof(int32_t) +
+         dict_entries * kBytesPerDictEntry;
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // retrust::Session — the public facade: open/validation errors, the oracle
-// equivalence against the internal RepairDataAndFds layer, SetFds/
+// equivalence against the internal RunRepair layer, SetFds/
 // SetWeights switches against a fresh Open, the search-answer memo against
 // a fresh Open, batched requests, budgets, and cooperative cancellation.
 
@@ -192,8 +192,9 @@ TEST(SessionRepair, DeadlineIsBudgetExceeded) {
 
 // --- Oracle equivalence --------------------------------------------------
 
-// Acceptance criterion: Session::Repair output is bit-identical to the
-// internal RepairDataAndFds for the same (Σ, I, τ, seed).
+// Session::Repair output is bit-identical to the internal Algorithm 1
+// (RunRepair) for the same (Σ, I, τ, seed). The test keeps the name of the
+// wrapper RunRepair replaced.
 TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
   OracleData oracle = MakeOracleData();
   Result<Session> session = Session::Open(oracle.dirty, oracle.sigma);
@@ -208,7 +209,7 @@ TEST(SessionOracle, RepairMatchesRepairDataAndFds) {
       RepairOptions opts;
       opts.seed = seed;
       std::optional<Repair> want =
-          RepairDataAndFds(*oracle.context, *oracle.encoded, tau, opts);
+          RunRepair(*oracle.context, *oracle.encoded, tau, opts).repair;
       RepairRequest req = RepairRequest::At(tau);
       req.seed = seed;
       Result<RepairResponse> got = session->Repair(req);

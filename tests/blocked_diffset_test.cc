@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "src/exec/thread_pool.h"
@@ -151,10 +152,12 @@ TEST_P(BlockedOracle, SearchTracesMatchNaive) {
     Instance inst = RandomInstance(rng, 30, 5, 3);
     EncodedInstance enc(inst);
     FDSet sigma = TestSigma();
-    FdSearchContext blocked(sigma, enc, weights, {}, pool.get(),
-                            DiffSetBuildMode::kBlocked);
-    FdSearchContext naive(sigma, enc, weights, {}, pool.get(),
-                          DiffSetBuildMode::kNaive);
+    FdSearchContext blocked(sigma, enc, weights, {}, pool.get());
+    FdSearchContext naive(
+        sigma, enc, weights, {},
+        BuildDifferenceSetIndex(enc, sigma, pool.get(),
+                                DiffSetBuildMode::kNaive),
+        {});
     ASSERT_EQ(blocked.RootDeltaP(), naive.RootDeltaP());
     for (int64_t tau :
          {int64_t{0}, blocked.RootDeltaP() / 2, blocked.RootDeltaP()}) {
@@ -180,10 +183,8 @@ TEST_P(BlockedOracle, EmptyLhsSigmaMatchesNaive) {
 
     // Search answers (whose covers scan the universe group) must also
     // agree.
-    FdSearchContext bctx(sigma, enc, weights, {}, pool.get(),
-                         DiffSetBuildMode::kBlocked);
-    FdSearchContext nctx(sigma, enc, weights, {}, pool.get(),
-                         DiffSetBuildMode::kNaive);
+    FdSearchContext bctx(sigma, enc, weights, {}, pool.get());
+    FdSearchContext nctx(sigma, enc, weights, {}, std::move(naive), {});
     ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
                      ModifyFds(nctx, nctx.RootDeltaP() / 2));
@@ -217,10 +218,8 @@ TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
     EXPECT_EQ(stats.pairs_candidate, agree_on_a0) << "round " << round;
     EXPECT_EQ(stats.pairs_owned, agree_on_a0) << "round " << round;
 
-    FdSearchContext bctx(sigma, enc, weights, {}, pool.get(),
-                         DiffSetBuildMode::kBlocked);
-    FdSearchContext nctx(sigma, enc, weights, {}, pool.get(),
-                         DiffSetBuildMode::kNaive);
+    FdSearchContext bctx(sigma, enc, weights, {}, pool.get());
+    FdSearchContext nctx(sigma, enc, weights, {}, std::move(naive), {});
     ASSERT_EQ(bctx.RootDeltaP(), nctx.RootDeltaP());
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
                      ModifyFds(nctx, nctx.RootDeltaP() / 2));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace retrust {
 namespace {
 
@@ -18,13 +20,22 @@ Instance Fig2() {
   return inst;
 }
 
+// DiffSetOfPair over `enc`'s columns.
+AttrSet DiffSet(const EncodedInstance& enc, TupleId t1, TupleId t2) {
+  std::vector<const int32_t*> cols;
+  for (AttrId a = 0; a < enc.NumAttrs(); ++a) {
+    cols.push_back(enc.ColumnData(a));
+  }
+  return DiffSetOfPair(cols.data(), enc.NumAttrs(), t1, t2);
+}
+
 TEST(DiffSetOfPair, MatchesPaperExamples) {
   EncodedInstance enc(Fig2());
   // §5.2: difference sets for (t1,t2), (t2,t3), (t3,t4) are BD, AD, BCD.
-  EXPECT_EQ(DiffSetOfPair(enc, 0, 1), (AttrSet{1, 3}));
-  EXPECT_EQ(DiffSetOfPair(enc, 1, 2), (AttrSet{0, 3}));
-  EXPECT_EQ(DiffSetOfPair(enc, 2, 3), (AttrSet{1, 2, 3}));
-  EXPECT_EQ(DiffSetOfPair(enc, 0, 0), AttrSet());
+  EXPECT_EQ(DiffSet(enc, 0, 1), (AttrSet{1, 3}));
+  EXPECT_EQ(DiffSet(enc, 1, 2), (AttrSet{0, 3}));
+  EXPECT_EQ(DiffSet(enc, 2, 3), (AttrSet{1, 2, 3}));
+  EXPECT_EQ(DiffSet(enc, 0, 0), AttrSet());
 }
 
 TEST(DiffSetOfPair, VariablesDifferFromEverything) {
@@ -33,8 +44,8 @@ TEST(DiffSetOfPair, VariablesDifferFromEverything) {
   inst.AddTuple({inst.NewVariable(0)});
   inst.AddTuple({inst.NewVariable(0)});
   EncodedInstance enc(inst);
-  EXPECT_EQ(DiffSetOfPair(enc, 0, 1), AttrSet{0});
-  EXPECT_EQ(DiffSetOfPair(enc, 1, 2), AttrSet{0});
+  EXPECT_EQ(DiffSet(enc, 0, 1), AttrSet{0});
+  EXPECT_EQ(DiffSet(enc, 1, 2), AttrSet{0});
 }
 
 TEST(DifferenceSetIndex, GroupsAndOrdersByFrequency) {

@@ -144,7 +144,7 @@ TEST(ExecDeterminism, SweepRepairsReturnedInJobOrder) {
     }
     RepairOptions opts;
     std::optional<Repair> serial =
-        RepairDataAndFds(data.context(), data.encoded(), reqs[i].tau, opts);
+        RunRepair(data.context(), data.encoded(), reqs[i].tau, opts).repair;
     EXPECT_EQ(Fingerprint(got, schema), Fingerprint(serial, schema));
   }
 }

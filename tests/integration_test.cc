@@ -44,7 +44,7 @@ TEST(Integration, DiscoverPerturbRepairRoundTrip) {
   EncodedInstance enc(dirty.data);
   DistinctCountWeight w(enc);
   FdSearchContext ctx(dirty.fds, enc, w);
-  auto repair = RepairDataAndFds(ctx, enc, ctx.RootDeltaP());
+  auto repair = RunRepair(ctx, enc, ctx.RootDeltaP()).repair;
   ASSERT_TRUE(repair.has_value());
   EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
   EXPECT_EQ(repair->distc, 0.0);  // FDs were correct: only cells change
@@ -89,12 +89,12 @@ TEST(Integration, Example1SpectrumViaCsv) {
   EXPECT_TRUE(adds_phone);
 
   // Materialize the full-FD-trust end: incomes get reconciled.
-  auto fd_trust = RepairDataAndFds(ctx, enc, ctx.RootDeltaP());
+  auto fd_trust = RunRepair(ctx, enc, ctx.RootDeltaP()).repair;
   ASSERT_TRUE(fd_trust.has_value());
   EXPECT_TRUE(fd_trust->sigma_prime == sigma);
   EXPECT_GT(fd_trust->changed_cells.size(), 0u);
   // And the full-data-trust end: zero cell changes.
-  auto data_trust = RepairDataAndFds(ctx, enc, 0);
+  auto data_trust = RunRepair(ctx, enc, 0).repair;
   ASSERT_TRUE(data_trust.has_value());
   EXPECT_TRUE(data_trust->changed_cells.empty());
 }
@@ -106,7 +106,8 @@ TEST(Integration, RepairedCsvRoundTripsThroughWriter) {
   FDSet sigma = FDSet::Parse({"City->Zip"}, inst.schema());
   EncodedInstance enc(inst);
   CardinalityWeight w;
-  auto repair = RepairDataAndFds(sigma, enc, /*tau=*/2, w);
+  FdSearchContext ctx(sigma, enc, w);
+  auto repair = RunRepair(ctx, enc, /*tau=*/2).repair;
   ASSERT_TRUE(repair.has_value());
   std::ostringstream out;
   WriteCsv(repair->data.Decode(), out);

@@ -25,7 +25,8 @@ TEST(ModifyFds, RootIsGoalAtLargeTau) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(sigma, enc, /*tau=*/100, w);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, /*tau=*/100);
   ASSERT_TRUE(r.repair.has_value());
   EXPECT_TRUE(r.repair->state.IsRoot());
   EXPECT_EQ(r.repair->distc, 0.0);
@@ -39,7 +40,8 @@ TEST(ModifyFds, TauZeroNeedsFullResolution) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(sigma, enc, /*tau=*/0, w);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, /*tau=*/0);
   ASSERT_TRUE(r.repair.has_value());
   // All Figure 2 diffsets (BD, AD, BCD) are resolvable by extensions, so a
   // zero-violation relaxation exists. Resolving BD needs D on A->B and B
@@ -56,7 +58,8 @@ TEST(ModifyFds, NoRepairWhenRhsOnlyDiffAndTauZero) {
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(sigma, enc, 0, w);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, 0);
   EXPECT_FALSE(r.repair.has_value());
 }
 
@@ -64,8 +67,9 @@ TEST(ModifyFds, ResultSatisfiesDeltaPBound) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
   CardinalityWeight w;
+  FdSearchContext ctx(sigma, enc, w);
   for (int64_t tau : {0, 2, 4, 6, 8, 20}) {
-    ModifyFdsResult r = ModifyFds(sigma, enc, tau, w);
+    ModifyFdsResult r = ModifyFds(ctx, tau);
     if (r.repair.has_value()) {
       EXPECT_LE(r.repair->delta_p, tau) << "tau=" << tau;
     }
@@ -125,7 +129,8 @@ TEST(ModifyFds, TieBreakPrefersSmallerDeltaP) {
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"Surname,GivenName->Income"}, inst.schema());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(sigma, enc, /*tau=*/2, w);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, /*tau=*/2);
   ASSERT_TRUE(r.repair.has_value());
   EXPECT_EQ(r.repair->distc, 1.0);
   // Phone resolves everything: δP must be 0.
@@ -141,14 +146,16 @@ TEST(ModifyFds, MaxVisitedCapStopsSearch) {
   ModifyFdsOptions opts;
   opts.mode = SearchMode::kBestFirst;
   opts.max_visited = 1;
-  ModifyFdsResult r = ModifyFds(sigma, enc, 0, w, opts);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, 0, opts);
   EXPECT_LE(r.stats.states_visited, 2);
 }
 
 TEST(ModifyFds, EmptySigmaTriviallyRepaired) {
   EncodedInstance enc(Fig2());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(FDSet(), enc, 0, w);
+  FdSearchContext ctx(FDSet(), enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, 0);
   ASSERT_TRUE(r.repair.has_value());
   EXPECT_EQ(r.repair->distc, 0.0);
   EXPECT_EQ(r.repair->delta_p, 0);
@@ -158,7 +165,8 @@ TEST(ModifyFds, StatsArePopulated) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
   CardinalityWeight w;
-  ModifyFdsResult r = ModifyFds(sigma, enc, 2, w);
+  FdSearchContext ctx(sigma, enc, w);
+  ModifyFdsResult r = ModifyFds(ctx, 2);
   EXPECT_GT(r.stats.states_visited, 0);
   EXPECT_GT(r.stats.states_generated, 0);
   EXPECT_GE(r.stats.seconds, 0.0);

@@ -64,9 +64,7 @@ TEST(MultiRepair, RangeMatchesIndependentSearches) {
   MultiRepairResult multi = FindRepairsFds(ctx, 0, root);
   for (const RangedFdRepair& r : multi.repairs) {
     for (int64_t tau : {r.tau_lo, r.tau_hi}) {
-      ModifyFdsOptions opts;
-      opts.tie_break_delta = false;  // compare plain optima
-      ModifyFdsResult single = ModifyFds(ctx, tau, opts);
+      ModifyFdsResult single = ModifyFds(ctx, tau);
       ASSERT_TRUE(single.repair.has_value()) << "tau=" << tau;
       EXPECT_NEAR(single.repair->distc, r.repair.distc, 1e-6)
           << "tau=" << tau;

@@ -869,5 +869,17 @@ TEST(RegistryLifecycle, ByteBudgetEvictsIdleTenants) {
   EXPECT_FALSE(b->loaded);
 }
 
+TEST(RegistryLifecycle, ByteChargeIsContextPlusEncodedDataset) {
+  // A tenant is charged its context estimate plus what its encoding
+  // holds: a 4-byte code per cell (4 rows × 3 attributes) and 128 bytes
+  // per dictionary constant (4 names, 2 cities, 3 zips).
+  service::TenantRegistry registry(SessionOptions{});
+  ASSERT_TRUE(registry.Add("t", SmallInstance(), {"City->Zip"}).ok());
+  Result<std::shared_ptr<Session>> session = registry.Get("t");
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(registry.LoadedBytes(),
+            (*session)->ContextBytesEstimate() + 12 * 4 + (4 + 2 + 3) * 128);
+}
+
 }  // namespace
 }  // namespace retrust

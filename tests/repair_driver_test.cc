@@ -25,8 +25,9 @@ TEST(RepairDriver, RepairSatisfiesSigmaPrimeAndTau) {
   EncodedInstance enc(Fig2());
   FDSet sigma = FDSet::Parse({"A->B", "C->D"}, Fig2().schema());
   CardinalityWeight w;
+  FdSearchContext ctx(sigma, enc, w);
   for (int64_t tau : {0, 2, 4, 100}) {
-    auto repair = RepairDataAndFds(sigma, enc, tau, w);
+    auto repair = RunRepair(ctx, enc, tau).repair;
     ASSERT_TRUE(repair.has_value()) << "tau=" << tau;
     EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
     // Theorem 2 consistency: actual cell changes bounded by tau.
@@ -45,11 +46,12 @@ TEST(RepairDriver, NoRepairPropagates) {
   EncodedInstance enc(inst);
   FDSet sigma = FDSet::Parse({"A->B"}, inst.schema());
   CardinalityWeight w;
-  EXPECT_FALSE(RepairDataAndFds(sigma, enc, 0, w).has_value());
+  FdSearchContext ctx(sigma, enc, w);
+  EXPECT_FALSE(RunRepair(ctx, enc, 0).repair.has_value());
   // δopt is 1, but the PTIME bound is δP = α·|C2opt| = 1·2 = 2: the
   // P-approximate driver needs tau >= 2 (Definition 5's approximation).
-  EXPECT_FALSE(RepairDataAndFds(sigma, enc, 1, w).has_value());
-  auto repair = RepairDataAndFds(sigma, enc, 2, w);
+  EXPECT_FALSE(RunRepair(ctx, enc, 1).repair.has_value());
+  auto repair = RunRepair(ctx, enc, 2).repair;
   ASSERT_TRUE(repair.has_value());
   EXPECT_LE(repair->changed_cells.size(), 2u);
   EXPECT_GE(repair->changed_cells.size(), 1u);
@@ -62,8 +64,11 @@ TEST(RepairDriver, DeterministicGivenSeed) {
   CardinalityWeight w;
   RepairOptions opts;
   opts.seed = 99;
-  auto r1 = RepairDataAndFds(sigma, enc, 4, w, opts);
-  auto r2 = RepairDataAndFds(sigma, enc, 4, w, opts);
+  // Two contexts: the context build is part of what must be deterministic.
+  FdSearchContext ctx1(sigma, enc, w);
+  FdSearchContext ctx2(sigma, enc, w);
+  auto r1 = RunRepair(ctx1, enc, 4, opts).repair;
+  auto r2 = RunRepair(ctx2, enc, 4, opts).repair;
   ASSERT_TRUE(r1.has_value() && r2.has_value());
   EXPECT_EQ(r1->data.DistdTo(r2->data), 0);
   EXPECT_EQ(r1->changed_cells.size(), r2->changed_cells.size());
@@ -105,8 +110,7 @@ TEST(RepairDriver, SweepYieldsNonDominatedRepairs) {
   };
   std::vector<Point> points;
   for (double tr : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
-    auto repair =
-        RepairDataAndFds(ctx, enc, TauFromRelative(tr, root), RepairOptions{});
+    auto repair = RunRepair(ctx, enc, TauFromRelative(tr, root)).repair;
     if (repair.has_value()) {
       points.push_back({repair->distc, repair->delta_p});
     }

@@ -66,9 +66,12 @@ struct LegacyEntry {
   }
 };
 
+// The legacy loop's cost tolerance: goal costs this close tie.
+constexpr double kLegacyEpsilon = 1e-9;
+
 // The pre-engine ModifyFds loop, verbatim (gc/cover computed inline, open
-// list a std::priority_queue). The engine's kExact policy must reproduce
-// its repair AND its visit schedule exactly.
+// list a std::priority_queue) with its δP tie-break on. The engine's kExact
+// policy must reproduce its repair AND its visit schedule exactly.
 ModifyFdsResult LegacyModifyFds(const FdSearchContext& ctx, int64_t tau,
                                 const ModifyFdsOptions& opts) {
   ModifyFdsResult result;
@@ -105,10 +108,9 @@ ModifyFdsResult LegacyModifyFds(const FdSearchContext& ctx, int64_t tau,
     }
 
     if (best.has_value()) {
-      bool can_tie = opts.tie_break_delta &&
-                     top.cost <= best->distc + opts.cost_epsilon;
-      if (top.priority > best->distc + opts.cost_epsilon) break;
-      if (!can_tie && top.cost > best->distc + opts.cost_epsilon) continue;
+      bool can_tie = top.cost <= best->distc + kLegacyEpsilon;
+      if (top.priority > best->distc + kLegacyEpsilon) break;
+      if (!can_tie && top.cost > best->distc + kLegacyEpsilon) continue;
     }
 
     int64_t cover = ctx.CoverSize(top.state, &stats);
@@ -118,11 +120,9 @@ ModifyFdsResult LegacyModifyFds(const FdSearchContext& ctx, int64_t tau,
       if (!best.has_value()) {
         best = FdRepair{top.state, top.state.Apply(ctx.sigma()), cost,
                         cover, delta_p};
-        if (!opts.tie_break_delta) break;
         continue;
       }
-      if (cost <= best->distc + opts.cost_epsilon &&
-          delta_p < best->delta_p) {
+      if (cost <= best->distc + kLegacyEpsilon && delta_p < best->delta_p) {
         best = FdRepair{top.state, top.state.Apply(ctx.sigma()), cost,
                         cover, delta_p};
       }
@@ -133,7 +133,7 @@ ModifyFdsResult LegacyModifyFds(const FdSearchContext& ctx, int64_t tau,
     for (size_t i = 0; i < children.size(); ++i) {
       double child_cost = children[i].Cost(ctx.weights());
       double lower = std::max(top.priority, child_cost);
-      if (best.has_value() && lower > best->distc + opts.cost_epsilon) {
+      if (best.has_value() && lower > best->distc + kLegacyEpsilon) {
         continue;
       }
       pq.push({lower, child_cost, seq++, !astar, std::move(children[i])});

@@ -38,11 +38,8 @@ TEST(SearchVariants, RangeScanModesAgreeOnFrontierCosts) {
   DistinctCountWeight w(wl.enc);
   FdSearchContext ctx(wl.sigma, wl.enc, w);
   int64_t root = ctx.RootDeltaP();
-  ModifyFdsOptions astar, bf;
-  astar.mode = SearchMode::kAStar;
-  bf.mode = SearchMode::kBestFirst;
-  MultiRepairResult a = FindRepairsFds(ctx, 0, root, astar);
-  MultiRepairResult b = FindRepairsFds(ctx, 0, root, bf);
+  MultiRepairResult a = FindRepairsFds(ctx, 0, root, SearchMode::kAStar);
+  MultiRepairResult b = FindRepairsFds(ctx, 0, root, SearchMode::kBestFirst);
   ASSERT_EQ(a.repairs.size(), b.repairs.size());
   for (size_t i = 0; i < a.repairs.size(); ++i) {
     EXPECT_NEAR(a.repairs[i].repair.distc, b.repairs[i].repair.distc, 1e-6);
@@ -63,9 +60,7 @@ TEST(SearchVariants, HeuristicBudgetsAgreeOnOptimum) {
     HeuristicOptions hopts;
     hopts.max_diffsets = budget;
     FdSearchContext ctx(wl.sigma, wl.enc, w, hopts);
-    ModifyFdsOptions opts;
-    opts.heuristic = hopts;
-    ModifyFdsResult r = ModifyFds(ctx, tau, opts);
+    ModifyFdsResult r = ModifyFds(ctx, tau);
     ASSERT_TRUE(r.repair.has_value()) << "budget " << budget;
     if (reference < 0) {
       reference = r.repair->distc;
@@ -90,10 +85,8 @@ TEST(SearchVariants, StrictBoundaryRuleStillFindsValidRepairs) {
   int64_t root = ctx_default.RootDeltaP();
   for (double tr : {0.25, 0.75}) {
     int64_t tau = static_cast<int64_t>(tr * root);
-    ModifyFdsOptions opts;
-    opts.heuristic = strict;
-    ModifyFdsResult rs = ModifyFds(ctx_strict, tau, opts);
-    ModifyFdsResult rd = ModifyFds(ctx_default, tau, ModifyFdsOptions{});
+    ModifyFdsResult rs = ModifyFds(ctx_strict, tau);
+    ModifyFdsResult rd = ModifyFds(ctx_default, tau);
     ASSERT_TRUE(rd.repair.has_value());
     if (rs.repair.has_value()) {
       EXPECT_LE(rs.repair->delta_p, tau);
@@ -111,11 +104,11 @@ TEST(SearchVariants, DuplicateFdsInSigma) {
   DistinctCountWeight w(wl.enc);
   FdSearchContext ctx(sigma, wl.enc, w);
   int64_t root = ctx.RootDeltaP();
-  auto repair = RepairDataAndFds(ctx, wl.enc, root, RepairOptions{});
+  auto repair = RunRepair(ctx, wl.enc, root).repair;
   ASSERT_TRUE(repair.has_value());
   EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
   // And at a mid trust level.
-  auto mid = RepairDataAndFds(ctx, wl.enc, root / 2, RepairOptions{});
+  auto mid = RunRepair(ctx, wl.enc, root / 2).repair;
   if (mid.has_value()) {
     EXPECT_TRUE(Satisfies(mid->data, mid->sigma_prime));
     EXPECT_LE(static_cast<int64_t>(mid->changed_cells.size()), root / 2);

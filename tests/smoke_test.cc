@@ -33,7 +33,8 @@ TEST(Smoke, Fig2EndToEnd) {
   EXPECT_FALSE(Satisfies(enc, sigma));
 
   CardinalityWeight w;
-  auto repair = RepairDataAndFds(sigma, enc, /*tau=*/2, w);
+  FdSearchContext ctx(sigma, enc, w);
+  auto repair = RunRepair(ctx, enc, /*tau=*/2).repair;
   ASSERT_TRUE(repair.has_value());
   EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
   EXPECT_LE(static_cast<int64_t>(repair->changed_cells.size()), 2);

@@ -47,7 +47,7 @@ TEST_P(TheoremSweep, DriverProducesValidTauConstrainedRepair) {
   int64_t root = ctx.RootDeltaP();
   for (double tr : {0.2, 0.6, 1.0}) {
     int64_t tau = TauFromRelative(tr, root);
-    auto repair = RepairDataAndFds(ctx, wl.enc, tau, RepairOptions{});
+    auto repair = RunRepair(ctx, wl.enc, tau).repair;
     if (!repair.has_value()) continue;
     EXPECT_TRUE(Satisfies(repair->data, repair->sigma_prime));
     EXPECT_LE(static_cast<int64_t>(repair->changed_cells.size()), tau);

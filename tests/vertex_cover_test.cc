@@ -64,10 +64,6 @@ TEST(MatchingCoverScratch, MatchesGreedyOnEdgeList) {
   Graph g = Path4();
   MatchingCoverScratch scratch(4);
   EXPECT_EQ(scratch.CoverSize(g.edges()), 4);
-  // Two-list variant.
-  std::vector<Edge> a = {Edge(0, 1)};
-  std::vector<Edge> b = {Edge(2, 3)};
-  EXPECT_EQ(scratch.CoverSize(a, b), 4);
   std::vector<Edge> overlapping = {Edge(0, 1), Edge(1, 2)};
   EXPECT_EQ(scratch.CoverSize(overlapping), 2);
   // Epoch reset: reusing the scratch does not leak coverage.
