@@ -10,7 +10,9 @@
 //
 // Prints a table over several n and writes BENCH_snapshot.json with the
 // headline row (n = 5000·scale) that CI's Release smoke step asserts:
-// speedup_x >= 10.
+// speedup_x >= 10. The row also splits the load into its file read, its
+// CRC-32 and the rest of OpenSnapshot (parse, validation, session
+// assembly), so a ratio that moves shows which side moved.
 
 #include <algorithm>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include "src/api/session.h"
 #include "src/eval/generator.h"
 #include "src/eval/perturb.h"
+#include "src/persist/io.h"
 #include "src/util/timer.h"
 
 using namespace retrust;
@@ -31,7 +34,14 @@ struct Row {
   int n = 0;
   double load_seconds = 0.0;
   double rebuild_seconds = 0.0;
+  double read_seconds = 0.0;  ///< persist::ReadWholeFile of the snapshot
+  double crc_seconds = 0.0;   ///< persist::Crc32 over its bytes
   size_t snapshot_bytes = 0;
+
+  /// The load's remainder once the read and the checksum are taken out.
+  double rest_seconds() const {
+    return std::max(0.0, load_seconds - read_seconds - crc_seconds);
+  }
 
   double speedup() const {
     return load_seconds > 0 ? rebuild_seconds / load_seconds : 0.0;
@@ -46,6 +56,8 @@ Row Measure(const Instance& data, const FDSet& sigma,
   row.n = data.NumTuples();
   row.load_seconds = 1e100;
   row.rebuild_seconds = 1e100;
+  row.read_seconds = 1e100;
+  row.crc_seconds = 1e100;
 
   {
     Result<Session> session = Session::Open(data, sigma);
@@ -91,6 +103,19 @@ Row Measure(const Instance& data, const FDSet& sigma,
       std::exit(1);
     }
     row.load_seconds = std::min(row.load_seconds, load);
+
+    Timer read_timer;
+    Result<std::string> bytes = persist::ReadWholeFile(path, "snapshot");
+    row.read_seconds = std::min(row.read_seconds, read_timer.ElapsedSeconds());
+    if (!bytes.ok()) {
+      std::fprintf(stderr, "read failed: %s\n",
+                   bytes.status().ToString().c_str());
+      std::exit(1);
+    }
+    Timer crc_timer;
+    volatile uint32_t crc = persist::Crc32(bytes->data(), bytes->size() - 4);
+    (void)crc;
+    row.crc_seconds = std::min(row.crc_seconds, crc_timer.ElapsedSeconds());
   }
   return row;
 }
@@ -115,8 +140,9 @@ int main() {
   perturb.fd_error_rate = 0.5;
   PerturbedData dirty = Perturb(clean.instance, clean.planted_fds, perturb);
 
-  std::printf("%8s %14s %14s %10s %14s\n", "n", "load (ms)",
-              "rebuild (ms)", "speedup", "file (KiB)");
+  std::printf("%8s %14s %14s %10s %14s %26s\n", "n", "load (ms)",
+              "rebuild (ms)", "speedup", "file (KiB)",
+              "read / crc / rest (ms)");
 
   Row headline;
   for (int n : sizes) {
@@ -126,9 +152,11 @@ int main() {
         "BENCH_snapshot_" + std::to_string(n) + ".snap";
     Row row = Measure(subset, dirty.fds, path, /*reps=*/5);
     std::remove(path.c_str());
-    std::printf("%8d %14.2f %14.2f %9.1fx %14.1f\n", row.n,
-                row.load_seconds * 1e3, row.rebuild_seconds * 1e3,
-                row.speedup(), row.snapshot_bytes / 1024.0);
+    std::printf("%8d %14.2f %14.2f %9.1fx %14.1f %10.2f / %5.2f / %5.2f\n",
+                row.n, row.load_seconds * 1e3, row.rebuild_seconds * 1e3,
+                row.speedup(), row.snapshot_bytes / 1024.0,
+                row.read_seconds * 1e3, row.crc_seconds * 1e3,
+                row.rest_seconds() * 1e3);
     if (n == headline_n) headline = row;
   }
 
@@ -140,11 +168,15 @@ int main() {
                  "  \"load_seconds\": %.6f,\n"
                  "  \"rebuild_seconds\": %.6f,\n"
                  "  \"speedup_x\": %.2f,\n"
+                 "  \"load_read_seconds\": %.6f,\n"
+                 "  \"load_crc_seconds\": %.6f,\n"
+                 "  \"load_rest_seconds\": %.6f,\n"
                  "  \"snapshot_bytes\": %zu\n"
                  "}\n",
                  headline.n, headline.load_seconds,
                  headline.rebuild_seconds, headline.speedup(),
-                 headline.snapshot_bytes);
+                 headline.read_seconds, headline.crc_seconds,
+                 headline.rest_seconds(), headline.snapshot_bytes);
     std::fclose(json);
   }
   return 0;

@@ -1,8 +1,9 @@
 #include "src/fd/difference_set.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -31,29 +32,146 @@ void RankGroups(std::vector<DiffSetGroup>* groups) {
             });
 }
 
-/// Groups (edge, diff) records — already in canonical ascending edge
-/// order — into DiffSetGroups, preserving that order inside each group.
-/// Pre-sizes the map and each group's edge vector (one counting pass) so
-/// the serial phase never rehashes or reallocates on large inputs.
-std::vector<DiffSetGroup> GroupEdges(
-    const std::vector<std::pair<Edge, AttrSet>>& records) {
-  std::unordered_map<AttrSet, int64_t, AttrSetHash> freq;
-  freq.reserve(64);
-  for (const auto& [edge, diff] : records) ++freq[diff];
-
-  std::vector<DiffSetGroup> groups;
-  groups.reserve(freq.size());
-  std::unordered_map<AttrSet, int, AttrSetHash> index;
-  index.reserve(freq.size());
-  for (const auto& [edge, diff] : records) {
-    auto [it, inserted] = index.emplace(diff, static_cast<int>(groups.size()));
-    if (inserted) {
-      groups.push_back({diff, {}});
-      groups.back().edges.reserve(static_cast<size_t>(freq[diff]));
+/// One enumeration chunk's conflict edges, bucketed by difference set in
+/// first-seen order. Runs of equal difference sets (common on dense data)
+/// hit a last-diff cache in front of the map.
+class EdgeBuckets {
+ public:
+  void Add(AttrSet diff, Edge e) {
+    if (last_ < 0 || buckets_[last_].diff != diff) {
+      auto [it, inserted] =
+          slot_.emplace(diff, static_cast<int>(buckets_.size()));
+      if (inserted) buckets_.push_back({diff, {}});
+      last_ = it->second;
     }
-    groups[it->second].edges.push_back(edge);
+    buckets_[last_].edges.push_back(e);
   }
+
+  std::vector<DiffSetGroup>& buckets() { return buckets_; }
+
+ private:
+  std::vector<DiffSetGroup> buckets_;
+  std::unordered_map<AttrSet, int, AttrSetHash> slot_;
+  int last_ = -1;
+};
+
+/// Reused buffers of GatherGroup: the n+1 counters and the first counting
+/// pass's output.
+struct GatherScratch {
+  std::vector<size_t> counts;
+  std::vector<Edge> by_v;
+};
+
+/// Moves one group's `size` distinct edges over tuple ids [0, n) out of
+/// its chunk buckets, freeing each bucket as it is read, into `*out`:
+/// exactly sized and ascending by (u, v). Groups much smaller than n are
+/// concatenated and std::sort-ed; the rest take two stable counting
+/// passes, by v (straight from the buckets) and then by u, in
+/// O(edges + n).
+void GatherGroup(const std::vector<std::vector<Edge>*>& buckets, size_t size,
+                 int n, GatherScratch* scratch, std::vector<Edge>* out) {
+  if (size < static_cast<size_t>(n) / 8) {
+    out->reserve(size);
+    for (std::vector<Edge>* bucket : buckets) {
+      out->insert(out->end(), bucket->begin(), bucket->end());
+      std::vector<Edge>().swap(*bucket);
+    }
+    std::sort(out->begin(), out->end());
+    return;
+  }
+  std::vector<size_t>& counts = scratch->counts;
+  const auto prefix_sums = [&] {
+    for (int i = 0; i < n; ++i) counts[i + 1] += counts[i];
+  };
+  counts.assign(static_cast<size_t>(n) + 1, 0);
+  for (const std::vector<Edge>* bucket : buckets) {
+    for (const Edge& e : *bucket) ++counts[e.v + 1];
+  }
+  prefix_sums();
+  std::vector<Edge>& by_v = scratch->by_v;
+  by_v.resize(size);
+  for (std::vector<Edge>* bucket : buckets) {
+    for (const Edge& e : *bucket) by_v[counts[e.v]++] = e;
+    std::vector<Edge>().swap(*bucket);
+  }
+  counts.assign(static_cast<size_t>(n) + 1, 0);
+  for (const Edge& e : by_v) ++counts[e.u + 1];
+  prefix_sums();
+  out->resize(size);
+  for (const Edge& e : by_v) (*out)[counts[e.u]++] = e;
+}
+
+/// Turns the chunks' buckets into one group per difference set, each
+/// gathered in chunk order by GatherGroup; with a pool, groups are
+/// gathered in parallel, largest first. A group's edges are a function of
+/// its pairs alone, so the result is the same for any chunking and thread
+/// count. The groups come back unranked.
+std::vector<DiffSetGroup> GroupBuckets(std::vector<EdgeBuckets>* chunks,
+                                       int n, exec::ThreadPool* pool) {
+  std::vector<DiffSetGroup> groups;
+  std::vector<std::vector<std::vector<Edge>*>> sources;
+  std::vector<size_t> sizes;
+  std::unordered_map<AttrSet, int, AttrSetHash> slot;
+  for (EdgeBuckets& chunk : *chunks) {
+    for (DiffSetGroup& bucket : chunk.buckets()) {
+      auto [it, inserted] =
+          slot.emplace(bucket.diff, static_cast<int>(groups.size()));
+      if (inserted) {
+        groups.push_back({bucket.diff, {}});
+        sources.emplace_back();
+        sizes.push_back(0);
+      }
+      sources[it->second].push_back(&bucket.edges);
+      sizes[it->second] += bucket.edges.size();
+    }
+  }
+
+  const auto gather = [&](size_t g, GatherScratch* scratch) {
+    GatherGroup(sources[g], sizes[g], n, scratch, &groups[g].edges);
+  };
+  const int workers =
+      pool == nullptr ? 1
+                      : std::min(pool->num_threads(),
+                                 static_cast<int>(groups.size()));
+  if (workers <= 1) {
+    GatherScratch scratch;
+    for (size_t g = 0; g < groups.size(); ++g) gather(g, &scratch);
+    return groups;
+  }
+  std::vector<size_t> largest_first(groups.size());
+  std::iota(largest_first.begin(), largest_first.end(), size_t{0});
+  std::stable_sort(largest_first.begin(), largest_first.end(),
+                   [&](size_t a, size_t b) { return sizes[a] > sizes[b]; });
+  std::atomic<size_t> next{0};
+  exec::TaskGroup tasks(pool);
+  for (int w = 0; w < workers; ++w) {
+    tasks.Run([&] {
+      GatherScratch scratch;
+      for (size_t i; (i = next.fetch_add(1)) < largest_first.size();) {
+        gather(largest_first[i], &scratch);
+      }
+    });
+  }
+  tasks.Wait();
   return groups;
+}
+
+/// The builders' last phase: the chunks' buckets as a ranked index. When
+/// `stats` is non-null, records the phase's time and the edge count.
+DifferenceSetIndex RankedIndex(std::vector<EdgeBuckets>* chunks, int n,
+                               exec::ThreadPool* pool,
+                               DiffSetBuildStats* stats) {
+  const auto t_group = std::chrono::steady_clock::now();
+  std::vector<DiffSetGroup> groups = GroupBuckets(chunks, n, pool);
+  RankGroups(&groups);
+  if (stats != nullptr) {
+    stats->pairs_materialized = 0;
+    for (const DiffSetGroup& g : groups) {
+      stats->pairs_materialized += g.frequency();
+    }
+    stats->group_seconds = SecondsSince(t_group);
+  }
+  return DifferenceSetIndex(std::move(groups));
 }
 
 }  // namespace
@@ -81,101 +199,78 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   std::vector<char> is_dirty(new_n, 0);
   for (TupleId t : dirty) is_dirty[t] = 1;
 
-  // 1. Filter: drop every edge with a deleted or dirty endpoint. Relocated
-  // tuples are dirty by construction (delta.h), so every kept edge's
-  // endpoints still carry their old ids and the kept lists stay sorted.
-  struct Work {
-    AttrSet diff;
-    std::vector<Edge> edges;
-    bool changed = false;
+  // 1. Filter in place: drop every edge with a deleted or dirty endpoint.
+  // Relocated tuples are dirty by construction (delta.h), so every kept
+  // edge's endpoints still carry their old ids and the kept lists stay
+  // sorted.
+  const auto stale = [&](const Edge& e) {
+    return remap[e.u] < 0 || remap[e.v] < 0 || is_dirty[remap[e.u]] ||
+           is_dirty[remap[e.v]];
   };
-  std::vector<Work> work;
-  work.reserve(groups_.size());
-  for (const DiffSetGroup& group : groups_) {
-    Work w;
-    w.diff = group.diff;
-    w.edges.reserve(group.edges.size());
-    for (const Edge& e : group.edges) {
-      if (remap[e.u] < 0 || remap[e.v] < 0 || is_dirty[remap[e.u]] ||
-          is_dirty[remap[e.v]]) {
-        ++patch.edges_removed;
-        w.changed = true;
-      } else {
-        w.edges.push_back(e);
-      }
-    }
-    work.push_back(std::move(w));
+  std::vector<char> changed(groups_.size(), 0);
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const size_t removed = std::erase_if(groups_[g].edges, stale);
+    patch.edges_removed += static_cast<int64_t>(removed);
+    changed[g] = removed > 0;
   }
 
   // 2. Discover the edges in the delta's blast radius: every pair with a
   // dirty endpoint, each unordered pair examined exactly once. Sharded
-  // over the relation; the canonical sort below erases chunk boundaries,
-  // so the result is identical for any thread count.
+  // over the relation into per-chunk buckets; GroupBuckets orders each
+  // difference set's new edges, so the result is identical for any thread
+  // count.
   const int m = inst.NumAttrs();
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
-  std::vector<std::pair<Edge, AttrSet>> found;
-  {
-    exec::ChunkPlan chunks = exec::PlanChunks(new_n, pool);
-    std::vector<std::vector<std::pair<Edge, AttrSet>>> per_chunk(
-        std::max(chunks.num_chunks, 1));
-    exec::ParallelFor(pool, chunks,
-                      [&](int64_t begin, int64_t end, int chunk) {
-                        auto& out = per_chunk[chunk];
-                        for (int64_t s = begin; s < end; ++s) {
-                          for (TupleId t : dirty) {
-                            if (is_dirty[s] && s >= t) continue;
-                            AttrSet diff = DiffSetOfPair(
-                                cols.data(), m, t, static_cast<TupleId>(s));
-                            if (DiffSetViolates(diff, sigma)) {
-                              out.emplace_back(
-                                  Edge(t, static_cast<TupleId>(s)), diff);
-                            }
+  exec::ChunkPlan chunks = exec::PlanChunks(new_n, pool);
+  std::vector<EdgeBuckets> per_chunk(std::max(chunks.num_chunks, 1));
+  exec::ParallelFor(pool, chunks,
+                    [&](int64_t begin, int64_t end, int chunk) {
+                      EdgeBuckets& out = per_chunk[chunk];
+                      for (int64_t s = begin; s < end; ++s) {
+                        for (TupleId t : dirty) {
+                          if (is_dirty[s] && s >= t) continue;
+                          AttrSet diff = DiffSetOfPair(
+                              cols.data(), m, t, static_cast<TupleId>(s));
+                          if (DiffSetViolates(diff, sigma)) {
+                            out.Add(diff, Edge(t, static_cast<TupleId>(s)));
                           }
                         }
-                      });
-    for (auto& buf : per_chunk) {
-      found.insert(found.end(), buf.begin(), buf.end());
-    }
-    std::sort(found.begin(), found.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-  }
-  patch.edges_added = static_cast<int64_t>(found.size());
+                      }
+                    });
+  std::vector<DiffSetGroup> found = GroupBuckets(&per_chunk, new_n, pool);
 
-  // 3. Merge the new edges into their groups (kept and new lists are both
-  // sorted, and all pairs are distinct, so the merge reproduces the
-  // canonical ascending edge order of a from-scratch build).
+  // 3. Merge the new edges into their groups in place (kept and new lists
+  // are both sorted, and all pairs are distinct, so the merge reproduces
+  // the canonical ascending edge order of a from-scratch build).
   std::unordered_map<AttrSet, int, AttrSetHash> by_diff;
-  by_diff.reserve(work.size());
-  for (size_t i = 0; i < work.size(); ++i) by_diff.emplace(work[i].diff, i);
-  std::vector<std::vector<Edge>> added(work.size());
-  for (const auto& [edge, diff] : found) {
-    auto [it, inserted] = by_diff.emplace(diff, static_cast<int>(work.size()));
-    if (inserted) {
-      work.push_back(Work{diff, {}, true});
-      added.emplace_back();
-    }
-    work[it->second].changed = true;
-    added[it->second].push_back(edge);
+  by_diff.reserve(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    by_diff.emplace(groups_[g].diff, static_cast<int>(g));
   }
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (added[i].empty()) continue;
-    std::vector<Edge> merged;
-    merged.reserve(work[i].edges.size() + added[i].size());
-    std::merge(work[i].edges.begin(), work[i].edges.end(), added[i].begin(),
-               added[i].end(), std::back_inserter(merged));
-    work[i].edges = std::move(merged);
+  for (DiffSetGroup& add : found) {
+    patch.edges_added += add.frequency();
+    auto it = by_diff.find(add.diff);
+    if (it == by_diff.end()) {
+      groups_.push_back(std::move(add));
+      changed.push_back(1);
+      continue;
+    }
+    std::vector<Edge>& edges = groups_[it->second].edges;
+    const auto kept = static_cast<std::ptrdiff_t>(edges.size());
+    edges.reserve(edges.size() + add.edges.size());
+    edges.insert(edges.end(), add.edges.begin(), add.edges.end());
+    std::inplace_merge(edges.begin(), edges.begin() + kept, edges.end());
+    changed[it->second] = 1;
   }
 
-  // 4. Count the groups that came through untouched, then re-rank in the
-  // canonical order.
-  groups_.clear();
-  groups_.reserve(work.size());
-  for (Work& w : work) {
-    if (w.edges.empty()) continue;
-    if (!w.changed) ++patch.groups_preserved;
-    groups_.push_back({w.diff, std::move(w.edges)});
+  // 4. Count the groups that came through untouched, drop emptied ones,
+  // then re-rank in the canonical order.
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    patch.groups_preserved += !changed[g] && !groups_[g].edges.empty();
   }
+  std::erase_if(groups_,
+                [](const DiffSetGroup& g) { return g.edges.empty(); });
   RankGroups(&groups_);
   patch.groups_changed = static_cast<int>(groups_.size()) -
                          patch.groups_preserved;
@@ -247,22 +342,23 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   // Phase 2 — in-class pair enumeration, sharded over units. A pair inside
   // a class of key k is OWNED by k iff it disagrees somewhere on every
   // earlier key (the first-agreeing-key rule): each pair that agrees on
-  // some LHS is examined by exactly one unit, so the concatenated chunk
-  // buffers hold globally distinct edges and one canonical sort makes the
-  // order thread-count independent.
+  // some LHS is examined by exactly one unit, so the chunks' buckets hold
+  // globally distinct edges, and each chunk files its owned conflict edges
+  // under their difference set as it finds them.
   const auto t_enumerate = std::chrono::steady_clock::now();
-  struct ChunkOut {
-    std::vector<std::pair<Edge, AttrSet>> records;
+  struct PairCounts {
     int64_t candidate = 0;
     int64_t owned = 0;
   };
   exec::ChunkPlan plan =
       exec::PlanChunks(static_cast<int64_t>(units.size()), pool);
-  std::vector<ChunkOut> per_chunk(
-      static_cast<size_t>(std::max(plan.num_chunks, 1)));
+  const size_t num_chunks = static_cast<size_t>(std::max(plan.num_chunks, 1));
+  std::vector<EdgeBuckets> buckets(num_chunks);
+  std::vector<PairCounts> counts(num_chunks);
   exec::ParallelFor(
       pool, plan, [&](int64_t begin, int64_t end, int chunk) {
-        ChunkOut& out = per_chunk[chunk];
+        EdgeBuckets& out = buckets[chunk];
+        PairCounts& count = counts[chunk];
         for (int64_t ui = begin; ui < end; ++ui) {
           const Unit& unit = units[ui];
           const TupleId* cls = stripped[unit.key].members.data();
@@ -270,7 +366,7 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
             const TupleId u = cls[i];
             for (int32_t j = i + 1; j < unit.end; ++j) {
               const TupleId v = cls[j];
-              ++out.candidate;
+              ++count.candidate;
               const AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
               bool owned = true;
               for (int k = 0; k < unit.key; ++k) {
@@ -280,46 +376,27 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
                 }
               }
               if (!owned) continue;
-              ++out.owned;
-              if (DiffSetViolates(diff, sigma)) {
-                out.records.emplace_back(Edge(u, v), diff);
-              }
+              ++count.owned;
+              if (DiffSetViolates(diff, sigma)) out.Add(diff, Edge(u, v));
             }
           }
         }
       });
-  std::vector<std::pair<Edge, AttrSet>> records;
-  int64_t candidate = 0, owned = 0;
-  {
-    size_t total = 0;
-    for (const ChunkOut& c : per_chunk) total += c.records.size();
-    records.reserve(total);
-    for (ChunkOut& c : per_chunk) {
-      records.insert(records.end(), c.records.begin(), c.records.end());
-      candidate += c.candidate;
-      owned += c.owned;
-    }
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const double enumerate_seconds = SecondsSince(t_enumerate);
-
-  // Phase 3 — group in canonical edge order and rank.
-  const auto t_group = std::chrono::steady_clock::now();
-  std::vector<DiffSetGroup> groups = GroupEdges(records);
-  RankGroups(&groups);
-  DifferenceSetIndex index(std::move(groups));
-  const double group_seconds = SecondsSince(t_group);
-
   if (stats != nullptr) {
-    stats->pairs_candidate = candidate;
-    stats->pairs_owned = owned;
-    stats->pairs_materialized = static_cast<int64_t>(records.size());
+    *stats = DiffSetBuildStats{};
+    for (const PairCounts& count : counts) {
+      stats->pairs_candidate += count.candidate;
+      stats->pairs_owned += count.owned;
+    }
     stats->partition_seconds = partition_seconds;
-    stats->enumerate_seconds = enumerate_seconds;
-    stats->group_seconds = group_seconds;
-    stats->total_seconds = SecondsSince(t_start);
+    stats->enumerate_seconds = SecondsSince(t_enumerate);
   }
+
+  // Phase 3 — one group per difference set, each in canonical edge order,
+  // then rank.
+  DifferenceSetIndex index =
+      RankedIndex(&buckets, inst.NumTuples(), pool, stats);
+  if (stats != nullptr) stats->total_seconds = SecondsSince(t_start);
   return index;
 }
 
@@ -336,8 +413,9 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   // pairs, each difference set computed from the columns. Deliberately free
   // of the blocking machinery (partitions, ownership) so the blocked
   // builder has an independent witness and the scaling bench an honest
-  // baseline; shares the grouping/ranking conventions of phase 3 so the two
-  // builders emit bit-identical indexes.
+  // baseline. It shares phase 3's bucket -> order -> rank helpers, so the
+  // two builders emit bit-identical indexes; BlockedOracle's reference
+  // index, built in the test, checks those helpers independently.
   if (sigma.size() > 64) {
     throw std::invalid_argument("conflict graph supports at most 64 FDs");
   }
@@ -348,47 +426,27 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
 
   exec::ChunkPlan plan = exec::PlanChunks(n, pool);
-  std::vector<std::vector<std::pair<Edge, AttrSet>>> per_chunk(
+  std::vector<EdgeBuckets> per_chunk(
       static_cast<size_t>(std::max(plan.num_chunks, 1)));
   exec::ParallelFor(
       pool, plan, [&](int64_t begin, int64_t end, int chunk) {
-    auto& out = per_chunk[chunk];
+    EdgeBuckets& out = per_chunk[chunk];
     for (TupleId u = static_cast<TupleId>(begin);
          u < static_cast<TupleId>(end); ++u) {
       for (TupleId v = u + 1; v < n; ++v) {
         AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
-        if (DiffSetViolates(diff, sigma)) out.emplace_back(Edge(u, v), diff);
+        if (DiffSetViolates(diff, sigma)) out.Add(diff, Edge(u, v));
       }
     }
   });
-  // Chunks are contiguous u-ranges and each inner loop ascends, so plain
-  // chunk-order concatenation is already the canonical ascending edge order.
-  std::vector<std::pair<Edge, AttrSet>> records;
-  {
-    size_t total = 0;
-    for (const auto& c : per_chunk) total += c.size();
-    records.reserve(total);
-    for (const auto& c : per_chunk) {
-      records.insert(records.end(), c.begin(), c.end());
-    }
-  }
-  const double enumerate_seconds = SecondsSince(t_start);
-
-  const auto t_group = std::chrono::steady_clock::now();
-  std::vector<DiffSetGroup> groups = GroupEdges(records);
-  RankGroups(&groups);
-  DifferenceSetIndex index(std::move(groups));
-  const double group_seconds = SecondsSince(t_group);
-
   if (stats != nullptr) {
     *stats = DiffSetBuildStats{};
     stats->pairs_candidate = static_cast<int64_t>(n) * (n - 1) / 2;
     stats->pairs_owned = stats->pairs_candidate;
-    stats->pairs_materialized = static_cast<int64_t>(records.size());
-    stats->enumerate_seconds = enumerate_seconds;
-    stats->group_seconds = group_seconds;
-    stats->total_seconds = SecondsSince(t_start);
+    stats->enumerate_seconds = SecondsSince(t_start);
   }
+  DifferenceSetIndex index = RankedIndex(&per_chunk, n, pool, stats);
+  if (stats != nullptr) stats->total_seconds = SecondsSince(t_start);
   return index;
 }
 

@@ -128,9 +128,10 @@ bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 /// ascending mask order (duplicates and supersets of another LHS add no
 /// pair, so they are skipped). A pair is owned by the first such X it
 /// agrees on, so each candidate edge is examined once. Work is sharded
-/// over (LHS, class) units on `pool` (nullable = serial) with canonical
-/// merge order — BIT-IDENTICAL to the naive build for any thread count.
-/// O(Σ_classes |c|²·m) instead of O(n²·m).
+/// over (LHS, class) units on `pool` (nullable = serial); each chunk files
+/// its conflict edges under their difference set, and each group is then
+/// ordered on its own in O(edges + n) — BIT-IDENTICAL to the naive build
+/// for any thread count. O(Σ_classes |c|²·m) instead of O(n²·m).
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(
     const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
     DiffSetBuildStats* stats = nullptr);

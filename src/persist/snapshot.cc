@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <filesystem>
 #include <fstream>
 #include <utility>
 
@@ -122,11 +123,23 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
 
   w.U32(Crc32(w.buffer().data(), w.size()));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Write a sibling file and rename it over `path`, so a failed or
+  // interrupted save leaves the previous snapshot intact.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) return IoError("cannot open '" + path + "' for writing");
   out.write(w.buffer().data(), static_cast<std::streamsize>(w.size()));
-  out.flush();
-  if (!out) return IoError("short write to '" + path + "'");
+  out.close();
+  std::error_code ec;
+  if (!out) {
+    std::filesystem::remove(tmp, ec);
+    return IoError("short write to '" + path + "'");
+  }
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    return IoError("cannot replace '" + path + "': " + ec.message());
+  }
   return Status::Ok();
 }
 
@@ -238,14 +251,20 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
       }
       g.edges.resize(static_cast<size_t>(num_edges));
       r.I32Array(&g.edges);
-      for (size_t i = 0; i < g.edges.size(); ++i) {
-        const Edge& e = g.edges[i];
-        // 0 <= u < v < n, strictly ascending within the group.
-        if (e.u < 0 || e.u >= e.v || static_cast<uint32_t>(e.v) >= n ||
-            (i > 0 && !(g.edges[i - 1] < e))) {
-          return IoError("snapshot '" + path +
-                         "' has an implausible edge list");
-        }
+      // 0 <= u < v < n, strictly ascending within the group. With u >= 0,
+      // (u, v) order is the order of the key u·2^32 + v, and every valid
+      // key exceeds 0, so one branch-free pass checks it all.
+      bool plausible = true;
+      uint64_t prev = 0;
+      for (const Edge& e : g.edges) {
+        const uint64_t key = uint64_t{static_cast<uint32_t>(e.u)} << 32 |
+                             static_cast<uint32_t>(e.v);
+        plausible &= (e.u >= 0) & (e.u < e.v) &
+                     (static_cast<uint32_t>(e.v) < n) & (key > prev);
+        prev = key;
+      }
+      if (!plausible) {
+        return IoError("snapshot '" + path + "' has an implausible edge list");
       }
     }
     data.index = DifferenceSetIndex(std::move(groups));

@@ -99,9 +99,10 @@ struct SnapshotData {
   DeltaPEvaluator::WarmState warm;
 };
 
-/// Serializes `view` to `path` atomically enough for the service's needs:
-/// the bytes are assembled in memory first, so a failed write never leaves
-/// a half-written header behind a stale length. kIoError on any failure.
+/// Serializes `view` to `path` atomically: the bytes are assembled in
+/// memory, written to `path` + ".tmp" and renamed over `path`, so a failed
+/// or interrupted save leaves the previous snapshot intact. kIoError on any
+/// failure.
 Status WriteSnapshotFile(const std::string& path, const SnapshotView& view);
 
 /// Reads and validates a snapshot. kIoError for unreadable, truncated,

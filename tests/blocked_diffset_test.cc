@@ -7,11 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <utility>
 #include <vector>
 
+#include "src/api/session.h"
+#include "src/eval/generator.h"
 #include "src/exec/thread_pool.h"
 #include "src/fd/difference_set.h"
 #include "src/relational/delta.h"
@@ -224,6 +230,108 @@ TEST_P(BlockedOracle, DuplicateAndSupersetLhsMatchNaive) {
     ExpectSameSearch(ModifyFds(bctx, bctx.RootDeltaP() / 2),
                      ModifyFds(nctx, nctx.RootDeltaP() / 2));
   }
+}
+
+/// The index by its definition, sharing no code with the builders: every
+/// pair u < v whose difference set violates some FD of Σ (agrees on the
+/// whole LHS, disagrees on the RHS), filed under that set in a std::map, so
+/// each group's edges come out ascending by (u, v); groups ranked by
+/// descending frequency, the smaller mask first.
+std::vector<std::pair<uint64_t, std::vector<Edge>>> ReferenceIndex(
+    const EncodedInstance& enc, const FDSet& sigma) {
+  std::map<uint64_t, std::vector<Edge>> by_diff;
+  for (TupleId u = 0; u < enc.NumTuples(); ++u) {
+    for (TupleId v = u + 1; v < enc.NumTuples(); ++v) {
+      uint64_t diff = 0;
+      for (AttrId a = 0; a < enc.NumAttrs(); ++a) {
+        if (enc.At(u, a) != enc.At(v, a)) diff |= uint64_t{1} << a;
+      }
+      for (const FD& fd : sigma.fds()) {
+        if ((fd.lhs.bits() & diff) == 0 && (diff >> fd.rhs & 1) != 0) {
+          by_diff[diff].push_back(Edge(u, v));
+          break;
+        }
+      }
+    }
+  }
+  std::vector<std::pair<uint64_t, std::vector<Edge>>> groups(
+      std::make_move_iterator(by_diff.begin()),
+      std::make_move_iterator(by_diff.end()));
+  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
+    if (a.second.size() != b.second.size()) {
+      return a.second.size() > b.second.size();
+    }
+    return a.first < b.first;
+  });
+  return groups;
+}
+
+void ExpectMatchesReference(
+    const DifferenceSetIndex& got,
+    const std::vector<std::pair<uint64_t, std::vector<Edge>>>& want) {
+  ASSERT_EQ(got.size(), static_cast<int>(want.size()));
+  for (int g = 0; g < got.size(); ++g) {
+    ASSERT_EQ(got.group(g).diff.bits(), want[g].first) << "group " << g;
+    ASSERT_TRUE(got.group(g).edges == want[g].second) << "group " << g;
+  }
+}
+
+// Dense generator data (n = 1,500) under a Σ with two disjoint 2-attribute
+// LHSs, so a tuple's edges come from two blocking units and its groups mix
+// both units' chunks, and under a Σ with an empty LHS, whose one class
+// holds every tuple. Groups range from a handful of edges to over n, so
+// both of the builders' edge-ordering strategies run. The blocked and naive
+// builds and a Session::Apply-patched index must each equal the reference.
+TEST_P(BlockedOracle, DenseDataMatchesReferenceIndex) {
+  const int threads = GetParam();
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(threads);
+  CensusConfig gen;
+  gen.num_tuples = 1500;
+  gen.num_attrs = 8;
+  gen.planted_lhs_sizes = {2, 2};
+  gen.seed = 28;
+  const Instance data = GenerateCensusLike(gen).instance;
+
+  FDSet disjoint;
+  disjoint.Add(FD{AttrSet{0, 1}, 4});
+  disjoint.Add(FD{AttrSet{2, 3}, 5});
+  FDSet empty_lhs;
+  empty_lhs.Add(FD{AttrSet{}, 0});
+  empty_lhs.Add(FD{AttrSet{1, 2}, 6});
+  size_t smallest = SIZE_MAX;
+  for (const FDSet& sigma : {disjoint, empty_lhs}) {
+    SCOPED_TRACE(sigma.fd(0).lhs.Empty() ? "empty LHS" : "disjoint LHSs");
+    const EncodedInstance enc(data);
+    const auto want = ReferenceIndex(enc, sigma);
+    ASSERT_GT(want.front().second.size(), 1500u);
+    smallest = std::min(smallest, want.back().second.size());
+    ExpectMatchesReference(BuildDifferenceSetIndex(enc, sigma, pool.get()),
+                           want);
+    ExpectMatchesReference(
+        BuildDifferenceSetIndex(enc, sigma, pool.get(),
+                                DiffSetBuildMode::kNaive),
+        want);
+
+    SessionOptions opts;
+    opts.pool = pool.get();
+    Result<Session> session = Session::Open(data, sigma, opts);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    std::mt19937_64 rng(0xd3a5e + threads);
+    DeltaBatch delta;
+    for (int i = 0; i < 20; ++i) {
+      delta.Insert(data.row(static_cast<TupleId>(rng() % 1500)));
+    }
+    for (int i = 0; i < 20; ++i) {
+      const auto a = static_cast<AttrId>(rng() % 8);
+      delta.Update(static_cast<TupleId>(rng() % 1500), a,
+                   data.At(static_cast<TupleId>(rng() % 1500), a));
+    }
+    for (TupleId t = 7; t < 1500; t += 97) delta.Delete(t);
+    ASSERT_TRUE(session->Apply(delta).ok());
+    ExpectMatchesReference(session->context().index(),
+                           ReferenceIndex(session->data(), sigma));
+  }
+  EXPECT_LT(smallest, 10u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BlockedOracle,

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "src/api/session.h"
@@ -172,11 +174,12 @@ bool Open(const std::string& doc, const std::string& path) {
   return session.ok();
 }
 
+/// A file per test and process, so tests running in parallel (ctest -j
+/// starts each in its own process) never share one.
 std::string TempPath() {
   return ::testing::TempDir() + "retrust_csv_fuzz_" +
-         std::to_string(
-             ::testing::UnitTest::GetInstance()->random_seed()) +
-         ".csv";
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + std::to_string(getpid()) + ".csv";
 }
 
 TEST(CsvFuzz, CorpusParsesAndOpens) {

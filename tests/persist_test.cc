@@ -175,6 +175,33 @@ TEST(Crc32, CheckValueAndBytewiseAgreementAtEveryLengthAndOffset) {
   }
 }
 
+// Long enough inputs take the carry-less-multiply fold (64-byte blocks,
+// then 16-byte blocks, then the table loop for the tail) where the CPU
+// has one: every length up to 600 at every offset up to 15 crosses each
+// of those boundaries, and a 1 MiB buffer runs the 64-byte loop for real.
+TEST(Crc32, FoldPathAgreesWithBytewiseAtEveryLengthOffsetAndOneMebibyte) {
+  std::vector<unsigned char> bytes((size_t{1} << 20) + 16);
+  uint32_t state = 67890;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 600; ++len) {
+      ASSERT_EQ(persist::Crc32(bytes.data() + offset, len),
+                BytewiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  for (size_t offset : {size_t{0}, size_t{5}, size_t{16}}) {
+    const size_t len = bytes.size() - 16;
+    EXPECT_EQ(persist::Crc32(bytes.data() + offset, len),
+              BytewiseCrc32(bytes.data() + offset, len))
+        << "offset " << offset;
+  }
+  EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
+}
+
 TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
   WorkloadData data = MakeWorkload();
   Result<Session> original = Session::Open(data.dirty, data.sigma);
@@ -195,6 +222,41 @@ TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
     ExpectSameAnswers(*original, *restored,
                       ("threads=" + std::to_string(threads)).c_str());
   }
+}
+
+// A save that fails leaves the previous snapshot as it was: the new bytes
+// go to a sibling file that is renamed over the old one only once written.
+// A directory squatting on that sibling's name makes the save fail.
+TEST(SnapshotRoundTrip, FailedSaveKeepsThePreviousSnapshot) {
+  WorkloadData data = MakeWorkload(120);
+  Result<Session> original = Session::Open(data.dirty, data.sigma);
+  ASSERT_TRUE(original.ok());
+  const std::string path = TempPath("atomic.snap");
+  ASSERT_TRUE(original->SaveSnapshot(path).ok());
+  const std::string good = ReadAll(path);
+
+  DeltaBatch delta;
+  delta.Insert(data.dirty.row(0)).Delete(11);
+  ASSERT_TRUE(original->Apply(delta).ok());
+  const std::string blocker = path + ".tmp";
+  std::filesystem::remove_all(blocker);
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  const Status failed = original->SaveSnapshot(path);
+  std::filesystem::remove_all(blocker);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_TRUE(ReadAll(path) == good);
+
+  // Restored bit-identically: it saves the same bytes (before any request
+  // warms its memo) and answers like a session that never saw the delta.
+  Result<Session> restored = Session::OpenSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const std::string resaved = TempPath("atomic_resaved.snap");
+  ASSERT_TRUE(restored->SaveSnapshot(resaved).ok());
+  EXPECT_TRUE(ReadAll(resaved) == good);
+  Result<Session> reference = Session::Open(data.dirty, data.sigma);
+  ASSERT_TRUE(reference.ok());
+  ExpectSameAnswers(*reference, *restored, "after a failed save");
 }
 
 // A restored session is fully live, not read-only: deltas apply on top of
