@@ -6,8 +6,9 @@
 // re-encode the instance, re-enumerate every violating pair, re-derive
 // every difference set, cold caches. With Session::Apply the difference-set
 // index is patched by comparing only the Δ dirty tuples against the
-// relation (O(Δ·n)), edge lists outside the blast radius are kept, and the
-// δP evaluator (violation table + cover memo) is rebuilt over the result.
+// relation (O(Δ·n)), edge lists outside the blast radius are kept, and a
+// new search context (weights, violation table, empty cover memo) is built
+// over the result.
 //
 // Prints a table over several Δ and writes BENCH_incremental.json with the
 // headline row (n = 5000·scale, Δ = 50) that CI's Release smoke step

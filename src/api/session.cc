@@ -178,7 +178,7 @@ Status Session::AdoptContext(FDSet sigma, DifferenceSetIndex index,
         MakeWeights(opts_.weights, *encoded_);
     auto context = std::make_unique<FdSearchContext>(
         sigma, *encoded_, *weights, opts_.heuristic, std::move(index),
-        std::move(warm));
+        std::move(warm), opts_.pool);
     Install(std::move(weights), std::move(context));
   } catch (const std::exception& e) {
     return Status::Error(StatusCode::kIoError,
@@ -398,30 +398,31 @@ Result<ApplyStats> Session::Apply(const DeltaBatch& delta) {
     Status logged = journal_->AppendBatch(delta);
     if (!logged.ok()) return logged;
   }
+  // The old context goes into AfterDelta, so Σ is copied first for the
+  // from-scratch fallback.
+  const FDSet sigma = fds();
+  stats.covers_dropped = context_->evaluator().memo().entries();
   try {
-    // Every path below changes the data the memoized answers were
-    // searched over; the exclusive lock keeps requests off the memo.
-    memo_->answers.clear();
-    memo_->bases.clear();
     encoded_->ApplyDelta(delta, plan);
     AdvanceFreshVariableCounters(delta, &instance_next_var_);
-    // Memoized projections are stale against the mutated data; they
-    // refill lazily on the next Weight() call.
-    weights_->Invalidate();
     try {
-      FdSearchContext::DeltaReport report =
-          context_->ApplyDelta(*encoded_, plan.dirty, plan.remap, opts_.pool);
-      root_delta_p_ = context_->RootDeltaP();
-      stats.edges_removed = report.index.edges_removed;
-      stats.edges_added = report.index.edges_added;
-      stats.groups_preserved = report.index.groups_preserved;
-      stats.groups_changed = report.index.groups_changed;
-      stats.covers_dropped = report.covers_dropped;
+      // New weights: the old ones memoized projections of the old data.
+      std::unique_ptr<WeightFunction> weights =
+          MakeWeights(opts_.weights, *encoded_);
+      IndexPatch patch;
+      std::unique_ptr<FdSearchContext> context = FdSearchContext::AfterDelta(
+          std::move(context_), *encoded_, *weights, plan.dirty, plan.remap,
+          opts_.pool, &patch);
+      Install(std::move(weights), std::move(context));
+      stats.edges_removed = patch.edges_removed;
+      stats.edges_added = patch.edges_added;
+      stats.groups_preserved = patch.groups_preserved;
+      stats.groups_changed = patch.groups_changed;
     } catch (...) {
-      // A half-patched context over the already-mutated data would be
-      // silently wrong (stale tuple ids). Fall back to consistency over
-      // warmth: rebuild it from scratch.
-      Build(fds(), opts_.weights);
+      // A context over stale tuple ids would be silently wrong, and the
+      // old one may be gone already. Fall back to consistency over warmth:
+      // rebuild it from scratch.
+      Build(sigma, opts_.weights);
       stats.groups_changed = context_->index().size();
     }
     ++data_version_;

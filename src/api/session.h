@@ -78,7 +78,7 @@ struct SessionOptions {
 /// close to 1 is the incremental engine's win: the fraction of the
 /// context's difference-set groups whose edges survived the delta
 /// untouched (the patch kept their edge lists instead of rediscovering
-/// them; the δP evaluator is rebuilt regardless).
+/// them; the new context's δP evaluator is built regardless).
 struct ApplyStats {
   int tuples_inserted = 0;
   int tuples_updated = 0;   ///< update entries applied (cells, not tuples)
@@ -93,7 +93,7 @@ struct ApplyStats {
   /// e2ebench layer probe (e2ebench/layers.cc) reads it; it goes with the
   /// next change to that benchmark.
   size_t covers_kept = 0;
-  size_t covers_dropped = 0;  ///< cover-memo entries the delta cleared
+  size_t covers_dropped = 0;  ///< entries of the replaced cover memo
   double seconds = 0.0;       ///< wall-clock of the whole Apply
 
   double reuse_ratio() const {
@@ -249,10 +249,11 @@ class Session {
   Status SetWeights(WeightModel weights);
 
   /// Applies a batch of tuple inserts/updates/deletes to the live dataset
-  /// and delta-maintains the context in place: the difference-set index
-  /// only re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
-  /// O(n²) rebuild), and the δP evaluator is rebuilt over the patched
-  /// index. Post-delta answers are bit-identical to a session freshly
+  /// and replaces the context with one derived over the patched index
+  /// (FdSearchContext::AfterDelta): the difference-set index only
+  /// re-examines pairs with a mutated endpoint (O(Δ·n) instead of the
+  /// O(n²) rebuild), and the weights and δP evaluator are built anew over
+  /// the mutated data. Post-delta answers are bit-identical to a session freshly
   /// opened over the mutated data. Safe to call concurrently with the
   /// request methods (it takes the snapshot lock exclusively; in-flight
   /// requests drain first). kInvalidArgument on out-of-range ids,
@@ -326,9 +327,9 @@ class Session {
   Instance instance() const;
 
   /// Reference-returning accessors. The schema never changes; fds(),
-  /// context() and weights() are replaced by SetFds()/SetWeights() — reading
-  /// through them concurrently with a mutator is not synchronized, and they
-  /// dangle after a successful switch. The value-returning observers
+  /// context() and weights() are replaced by SetFds(), SetWeights() and
+  /// Apply() — reading through them concurrently with a mutator is not
+  /// synchronized, and they dangle after a successful call of one. The value-returning observers
   /// (instance, DataVersion, NumTuples, RootDeltaP, ContextBytesEstimate)
   /// and the request methods are the concurrency-safe surface.
   const Schema& schema() const { return encoded_->schema(); }

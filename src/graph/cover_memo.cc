@@ -8,19 +8,6 @@ CoverMemo::CoverMemo(std::vector<const std::vector<Edge>*> groups,
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
-size_t CoverMemo::Reset(std::vector<const std::vector<Edge>*> groups,
-                        int32_t num_vertices) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const size_t dropped = set_memo_.size() + seq_memo_.size();
-  set_memo_.clear();
-  seq_memo_.clear();
-  set_scratch_.clear();
-  seq_scratch_.clear();
-  groups_ = std::move(groups);
-  num_vertices_ = num_vertices;
-  return dropped;
-}
-
 int32_t CoverMemo::CoverSize(const GroupBitset& key, bool* memo_hit) const {
   std::unique_ptr<SetScratch> scratch;
   {

@@ -24,9 +24,10 @@
 //    which is part of the key.
 //
 // Values are pure functions of the key, so caching can never change a
-// result — only wall-clock time. The memo is only ever filled, preloaded
-// from a snapshot, or dropped wholesale when a delta re-ranks the groups
-// (Reset); it never translates keys between group families. The class is
+// result — only wall-clock time. The memo is only ever filled or preloaded
+// from a snapshot, and it is bound to one group family for life: a delta
+// that re-ranks the groups builds a new context with a new, empty memo, so
+// keys are never translated between group families. The class is
 // safe to share across threads: lookups/inserts are mutex-guarded,
 // computations run outside the lock on pooled scratch owned by the memo
 // and released when it dies (no process-lifetime thread_local pinning).
@@ -78,15 +79,6 @@ class CoverMemo {
   /// insertion but never lookup (results stay exact, only colder).
   CoverMemo(std::vector<const std::vector<Edge>*> groups,
             int32_t num_vertices, size_t max_entries = size_t{1} << 20);
-
-  /// Binds the memo to a new group family (a delta re-ranked the index):
-  /// `groups` replaces the edge-list bindings, and every cached cover and
-  /// every prefix-resume hint is dropped, since both name groups by their
-  /// old ids. stats() keeps counting across the call. Returns the number
-  /// of cached covers dropped. Requires external exclusion against
-  /// concurrent queries (the session's version layer provides it).
-  size_t Reset(std::vector<const std::vector<Edge>*> groups,
-               int32_t num_vertices);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
   /// ascending group-index order (the canonical state-evaluation order).
@@ -158,9 +150,9 @@ class CoverMemo {
   int32_t ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
                      int64_t* scanned, int64_t* resumed) const;
 
-  std::vector<const std::vector<Edge>*> groups_;
-  int32_t num_vertices_ = 0;
-  size_t max_entries_ = 0;
+  const std::vector<const std::vector<Edge>*> groups_;
+  const int32_t num_vertices_;
+  const size_t max_entries_;
 
   mutable std::mutex mu_;
   mutable std::unordered_map<GroupBitset, int32_t, GroupBitsetHash> set_memo_;

@@ -89,17 +89,6 @@ void EncodedInstance::ApplyDelta(const DeltaBatch& delta,
   }
 }
 
-std::vector<int32_t> EncodedInstance::RowMajorCodes() const {
-  std::vector<int32_t> out(static_cast<size_t>(n_) * m_);
-  for (AttrId a = 0; a < m_; ++a) {
-    const int32_t* col = cols_[a].data();
-    for (TupleId t = 0; t < n_; ++t) {
-      out[static_cast<size_t>(t) * m_ + a] = col[t];
-    }
-  }
-  return out;
-}
-
 EncodedInstance EncodedInstance::Restore(
     Schema schema, int num_tuples, std::vector<std::vector<int32_t>> columns,
     std::vector<Dictionary> dicts, std::vector<int32_t> next_var) {

@@ -106,10 +106,6 @@ class EncodedInstance {
   /// each cell test is a single indexed load (no Flat(t, a) multiply).
   const int32_t* ColumnData(AttrId a) const { return cols_[a].data(); }
 
-  /// Row-major compatibility accessor: materializes the legacy
-  /// t*m + a layout (tests, debugging). O(n·m) — not a hot-path surface.
-  std::vector<int32_t> RowMajorCodes() const;
-
   const std::vector<int32_t>& next_var_counters() const { return next_var_; }
 
   /// Rebuilds an encoded instance from its serialized parts (the inverse

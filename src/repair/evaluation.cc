@@ -18,25 +18,14 @@ std::vector<const std::vector<Edge>*> GroupEdgeLists(
 
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
-                                 int num_tuples, exec::ThreadPool* pool)
-    : table_(sigma, index, pool), memo_(GroupEdgeLists(index), num_tuples) {}
-
-DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
-                                 const DifferenceSetIndex& index,
-                                 int num_tuples, WarmState warm)
-    : DeltaPEvaluator(sigma, index, num_tuples) {
+                                 int num_tuples, WarmState warm,
+                                 exec::ThreadPool* pool)
+    : table_(sigma, index, pool), memo_(GroupEdgeLists(index), num_tuples) {
   memo_.Preload(std::move(warm.covers));
 }
 
 DeltaPEvaluator::WarmState DeltaPEvaluator::ExportWarmState() const {
   return WarmState{memo_.ExportEntries()};
-}
-
-size_t DeltaPEvaluator::Rebuild(const FDSet& sigma,
-                                const DifferenceSetIndex& index,
-                                int num_tuples, exec::ThreadPool* pool) {
-  table_ = ViolationTable(sigma, index, pool);
-  return memo_.Reset(GroupEdgeLists(index), num_tuples);
 }
 
 std::vector<int> DeltaPEvaluator::ViolatedGroupIds(

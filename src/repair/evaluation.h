@@ -15,9 +15,10 @@
 // re-implementations of the legacy path).
 //
 // Both stages derive from the difference-set index and nothing else, so
-// the evaluator is never patched: after a delta it is rebuilt over the
-// patched index (a new table, an emptied memo), and a snapshot restore
-// builds the table the same way and preloads only the saved covers.
+// the evaluator is never patched: a delta's new context builds a new one
+// over the patched index (a new table, an empty memo), and a snapshot
+// restore builds the table the same way and preloads only the saved
+// covers.
 
 #ifndef RETRUST_REPAIR_EVALUATION_H_
 #define RETRUST_REPAIR_EVALUATION_H_
@@ -35,40 +36,25 @@ namespace retrust {
 /// Evaluates δP building blocks for the states of one (Σ, I) search.
 class DeltaPEvaluator {
  public:
-  /// Builds the violation table (sharded on the borrowed `pool`, nullable
-  /// = serial; bit-identical for any thread count) and an empty cover memo
-  /// over the index's groups. `index` must outlive the evaluator
-  /// (FdSearchContext owns both, index first).
-  DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, exec::ThreadPool* pool = nullptr);
-
   /// The evaluator's serialized cache (src/persist/): the memo's cached
   /// covers. The violation table is not saved; a restore rebuilds it.
   struct WarmState {
     CoverMemo::SnapshotEntries covers;
   };
 
-  /// Restores an evaluator from a snapshot's warm state: the table is
-  /// built exactly as a fresh evaluator builds it (serially) and the cover
-  /// memo is pre-seeded. Answers are bit-identical to a freshly built
-  /// evaluator — cached cover values are pure functions of their keys.
+  /// Builds the violation table (sharded on the borrowed `pool`, nullable
+  /// = serial; bit-identical for any thread count) and a cover memo over
+  /// the index's groups, pre-seeded with `warm` (empty for a fresh build
+  /// or after a delta; a snapshot's saved covers on restore). Answers do
+  /// not depend on `warm` — cached cover values are pure functions of
+  /// their keys. `index` must outlive the evaluator (FdSearchContext owns
+  /// both, index first).
   DeltaPEvaluator(const FDSet& sigma, const DifferenceSetIndex& index,
-                  int num_tuples, WarmState warm);
+                  int num_tuples, WarmState warm, exec::ThreadPool* pool);
 
   /// Exports the warm state a snapshot saves (deterministic byte-for-byte
   /// given the same cache contents).
   WarmState ExportWarmState() const;
-
-  /// Rebuilds the evaluator in place over `index` (the SAME index object
-  /// it was built over) after a delta patched it: the table is built anew
-  /// (sharded on `pool`, nullable = serial) and the cover memo drops every
-  /// entry and binds the new edge lists. Post-rebuild answers are
-  /// bit-identical to a freshly built evaluator. In place because the gc
-  /// heuristic holds a pointer to this evaluator. Returns the number of
-  /// cached covers dropped. Requires external exclusion against concurrent
-  /// queries (the session's snapshot lock provides it).
-  size_t Rebuild(const FDSet& sigma, const DifferenceSetIndex& index,
-                 int num_tuples, exec::ThreadPool* pool);
 
   const ViolationTable& table() const { return table_; }
   const CoverMemo& memo() const { return memo_; }

@@ -82,10 +82,7 @@ class GcHeuristic {
 
   int64_t alpha() const { return alpha_; }
 
-  /// Tracks an instance resize after a delta (α is cardinality-independent;
-  /// only the legacy scan path's cover scratch sizing uses the count).
-  /// Requires external exclusion against concurrent Compute() calls.
-  void SetNumTuples(int num_tuples) { num_tuples_ = num_tuples; }
+  const HeuristicOptions& options() const { return opts_; }
 
   /// gc(S) under threshold `tau`; +infinity when no goal state descends
   /// from `s` within the inspected difference sets. Never below Cost(s).
@@ -155,7 +152,7 @@ class GcHeuristic {
   const WeightFunction& weights_;
   const DifferenceSetIndex& index_;
   const DeltaPEvaluator* evaluator_;  ///< null = legacy scan path
-  int num_tuples_;
+  const int num_tuples_;
   int64_t alpha_;
   /// Σ_i |allowed(i)|: the most candidate weights one frame can hold.
   int max_candidates_ = 0;

@@ -13,8 +13,9 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
       index_(BuildDifferenceSetIndex(inst, sigma, pool,
                                      DiffSetBuildMode::kBlocked,
                                      &build_stats_)),
-      evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
-                                                   inst.NumTuples(), pool)),
+      evaluator_(std::make_unique<DeltaPEvaluator>(
+          sigma_, index_, inst.NumTuples(), DeltaPEvaluator::WarmState{},
+          pool)),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
@@ -24,28 +25,34 @@ FdSearchContext::FdSearchContext(const FDSet& sigma,
                                  const WeightFunction& weights,
                                  const HeuristicOptions& hopts,
                                  DifferenceSetIndex index,
-                                 DeltaPEvaluator::WarmState warm)
+                                 DeltaPEvaluator::WarmState warm,
+                                 exec::ThreadPool* pool)
     : sigma_(sigma),
       num_tuples_(inst.NumTuples()),
       space_(sigma, inst.schema()),
       index_(std::move(index)),
-      evaluator_(std::make_unique<DeltaPEvaluator>(sigma_, index_,
-                                                   inst.NumTuples(),
-                                                   std::move(warm))),
+      evaluator_(std::make_unique<DeltaPEvaluator>(
+          sigma_, index_, inst.NumTuples(), std::move(warm), pool)),
       weights_(weights),
       heuristic_(sigma_, space_, weights_, index_, inst.NumTuples(), hopts,
                  evaluator_.get()) {}
 
-FdSearchContext::DeltaReport FdSearchContext::ApplyDelta(
-    const EncodedInstance& inst, const std::vector<TupleId>& dirty,
-    const std::vector<TupleId>& remap, exec::ThreadPool* pool) {
-  DeltaReport report;
-  report.index = index_.ApplyDelta(inst, sigma_, dirty, remap, pool);
-  report.covers_dropped =
-      evaluator_->Rebuild(sigma_, index_, inst.NumTuples(), pool);
-  num_tuples_ = inst.NumTuples();
-  heuristic_.SetNumTuples(inst.NumTuples());
-  return report;
+std::unique_ptr<FdSearchContext> FdSearchContext::AfterDelta(
+    std::unique_ptr<FdSearchContext> old, const EncodedInstance& inst,
+    const WeightFunction& weights, const std::vector<TupleId>& dirty,
+    const std::vector<TupleId>& remap, exec::ThreadPool* pool,
+    IndexPatch* patch) {
+  const FDSet sigma = std::move(old->sigma_);
+  const HeuristicOptions hopts = old->heuristic_.options();
+  DifferenceSetIndex index = std::move(old->index_);
+  // The old table and memo go before the new ones are built, so a delta
+  // never holds two evaluators at once.
+  old.reset();
+  IndexPatch applied = index.ApplyDelta(inst, sigma, dirty, remap, pool);
+  if (patch != nullptr) *patch = applied;
+  return std::make_unique<FdSearchContext>(sigma, inst, weights, hopts,
+                                           std::move(index),
+                                           DeltaPEvaluator::WarmState{}, pool);
 }
 
 int64_t FdSearchContext::CoverSize(const SearchState& s,

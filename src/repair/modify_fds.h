@@ -100,10 +100,11 @@ struct ModifyFdsResult {
 /// violated groups of this index (RepairData's context overload), so data
 /// repair builds no index of its own. Build once, run
 /// ModifyFds/FindRepairsFds/RunRepair many times — also
-/// concurrently: every const method is thread-safe (pooled scratch owned
-/// by the evaluation layer, mutex-guarded memos), which is what a
-/// Session's concurrent requests rely on; they share the table AND the
-/// cover memo. Each search itself runs serially on its calling thread.
+/// concurrently. A context is immutable after construction (a delta
+/// derives a new one: AfterDelta) and every method is thread-safe (pooled
+/// scratch owned by the evaluation layer, mutex-guarded memos), which is
+/// what a Session's concurrent requests rely on; they share the table AND
+/// the cover memo. Each search itself runs serially on its calling thread.
 class FdSearchContext {
  public:
   /// Builds the difference-set index with the blocked builder, sharding it
@@ -114,46 +115,44 @@ class FdSearchContext {
                   const HeuristicOptions& hopts = {},
                   exec::ThreadPool* pool = nullptr);
 
-  /// Restore construction (src/persist/): adopts a pre-built difference-set
-  /// index instead of paying the O(n²) conflict-graph/difference-set build
-  /// — the whole point of a snapshot — builds the violation table over it
-  /// as a fresh context does, and preloads the saved cover-memo entries.
-  /// `index` and `warm` must have been exported from a context over the
-  /// SAME (Σ, I); answers are then bit-identical to a fresh build at any
-  /// thread count. Throws std::invalid_argument when Σ has over 64 FDs.
+  /// Construction over a pre-built difference-set index — a snapshot's
+  /// (src/persist/) or one a delta patched (AfterDelta) — instead of paying
+  /// the O(n²) conflict-graph/difference-set build. Builds the violation
+  /// table over it as a fresh context does, sharded on the borrowed `pool`
+  /// (nullable = serial), and preloads the saved cover-memo entries
+  /// (empty after a delta). `index` and `warm` must describe the SAME
+  /// (Σ, I); answers are then bit-identical to a fresh build at any thread
+  /// count. Throws std::invalid_argument when Σ has over 64 FDs.
   FdSearchContext(const FDSet& sigma, const EncodedInstance& inst,
                   const WeightFunction& weights,
                   const HeuristicOptions& hopts, DifferenceSetIndex index,
-                  DeltaPEvaluator::WarmState warm);
+                  DeltaPEvaluator::WarmState warm,
+                  exec::ThreadPool* pool = nullptr);
 
-  /// Aggregate of what one delta did to this context's structures.
-  struct DeltaReport {
-    IndexPatch index;
-    size_t covers_dropped = 0;  ///< cover-memo entries the rebuild dropped
-  };
-
-  /// Delta-maintains the context after `inst` — the SAME instance this
-  /// context was built over — had a DeltaBatch applied in place (delta.h).
-  /// `dirty`/`remap` come from the batch's DeltaPlan. The difference-set
-  /// index is patched in O(Δ·n) (sharded on `pool`, nullable = serial),
-  /// then the δP evaluator is rebuilt in place over it: a new violation
-  /// table on the same pool and an emptied cover memo. Every post-delta answer is
-  /// BIT-IDENTICAL to a context freshly built over the mutated instance,
-  /// for any thread count — an empty-LHS FD included, whose
-  /// full-disagreement pairs are ordinary edges of the patch scan. NOT safe
-  /// against concurrent const use — callers serialize deltas against
-  /// queries (retrust::Session does this with a shared/exclusive lock).
-  DeltaReport ApplyDelta(const EncodedInstance& inst,
-                         const std::vector<TupleId>& dirty,
-                         const std::vector<TupleId>& remap,
-                         exec::ThreadPool* pool = nullptr);
+  /// The context over `inst` after a DeltaBatch was applied to it in place
+  /// (delta.h); `old` was built over the pre-delta `inst`, and
+  /// `dirty`/`remap` come from the batch's DeltaPlan. Moves `old`'s
+  /// difference-set index out and frees the rest of `old` first, patches
+  /// the index in O(Δ·n) (sharded on `pool`, nullable = serial; the patch
+  /// summary lands in `*patch` when non-null), then builds a new context
+  /// over it with an empty cover memo, the same Σ and heuristic options,
+  /// and `weights` — which must be derived from the post-delta `inst`.
+  /// Every answer is BIT-IDENTICAL to a context freshly built over the
+  /// mutated instance, for any thread count — an empty-LHS FD included,
+  /// whose full-disagreement pairs are ordinary edges of the patch scan.
+  /// If the patch throws, `old` is gone and the caller rebuilds.
+  static std::unique_ptr<FdSearchContext> AfterDelta(
+      std::unique_ptr<FdSearchContext> old, const EncodedInstance& inst,
+      const WeightFunction& weights, const std::vector<TupleId>& dirty,
+      const std::vector<TupleId>& remap, exec::ThreadPool* pool,
+      IndexPatch* patch);
 
   const FDSet& sigma() const { return sigma_; }
   const StateSpace& space() const { return space_; }
   const DifferenceSetIndex& index() const { return index_; }
   /// Phase timings and pair counts of the index build that produced this
-  /// context (zeros for the restore constructor — a snapshot restore does
-  /// not rebuild). ApplyDelta patches, so it leaves them untouched.
+  /// context (zeros when it was built over a pre-built index: a snapshot
+  /// restore or AfterDelta).
   const DiffSetBuildStats& build_stats() const { return build_stats_; }
   const DeltaPEvaluator& evaluator() const { return *evaluator_; }
   const GcHeuristic& heuristic() const { return heuristic_; }

@@ -52,14 +52,6 @@ double MemoizedWeight::Weight(AttrSet y) const {
   return w;
 }
 
-void MemoizedWeight::Invalidate() {
-  for (size_t k = 0; k < flat_size_; ++k) {
-    flat_[k].store(kEmptySlot, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-}
-
 double DistinctCountWeight::Compute(AttrSet y) const {
   return static_cast<double>(inst_.CountDistinctProjection(y));
 }

@@ -9,8 +9,8 @@
 // weights are frozen against the initial I (§3.1 simplifying assumption),
 // which the memoizing implementations here rely on. Under the incremental
 // update engine "initial" means "as of the last delta": Session::Apply
-// calls Invalidate() after mutating the instance, so memoized projections
-// refresh lazily against the post-delta data.
+// makes a new weight function over the mutated instance, so memoized
+// projections never outlive the data they were computed from.
 
 #ifndef RETRUST_REPAIR_WEIGHTS_H_
 #define RETRUST_REPAIR_WEIGHTS_H_
@@ -34,12 +34,6 @@ class WeightFunction {
 
   /// w(Y). Must be non-negative, monotone, and 0 for the empty set.
   virtual double Weight(AttrSet y) const = 0;
-
-  /// Drops any memoized state derived from the underlying instance; called
-  /// after the instance mutates (Session::Apply). Instance-independent
-  /// weights are a no-op. Requires external exclusion against concurrent
-  /// Weight() calls.
-  virtual void Invalidate() {}
 
   /// distc contribution of a whole extension vector: Σ_i w(Y_i).
   double Cost(const std::vector<AttrSet>& extensions) const;
@@ -65,7 +59,6 @@ class MemoizedWeight : public WeightFunction {
   static constexpr int kMaxFlatAttrs = 16;
 
   double Weight(AttrSet y) const final;
-  void Invalidate() final;
 
  protected:
   /// Keeps a reference to `inst`; the instance must outlive the weight.

@@ -522,8 +522,11 @@ uint64_t Server::Apply(const std::string& tenant, DeltaBatch delta,
   return Enqueue<Result<ApplyStats>>(
       tenant, "apply_delta", /*is_write=*/true, /*deadline_seconds=*/0.0,
       /*trace=*/nullptr,
-      [delta = std::move(delta)](Session& session, PendingRequest&) {
-        return session.Apply(delta);
+      [this, tenant, delta = std::move(delta)](Session& session,
+                                                PendingRequest&) {
+        Result<ApplyStats> stats = session.Apply(delta);
+        if (stats.ok()) tenants_.Recharge(tenant, session);
+        return stats;
       },
       FailAsResult<ApplyStats>(), std::move(done));
 }

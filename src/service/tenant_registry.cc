@@ -321,6 +321,16 @@ Result<TenantStats> TenantRegistry::StatsFor(const std::string& name) const {
   return stats;
 }
 
+void TenantRegistry::Recharge(const std::string& name,
+                              const Session& session) {
+  const size_t bytes = EstimateSessionBytes(session);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tenants_.find(name);
+  if (it != tenants_.end() && it->second.session.get() == &session) {
+    it->second.bytes = bytes;
+  }
+}
+
 size_t TenantRegistry::LoadedBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t total = 0;

@@ -120,6 +120,12 @@ class TenantRegistry {
   /// TenantStats are the Server's to fill.
   Result<TenantStats> StatsFor(const std::string& name) const;
 
+  /// Re-estimates the bytes charged to `name` after `session` — the
+  /// tenant's loaded session — changed size (a delta applied). The caller
+  /// excludes the tenant's other requests (Server's lane barrier). A
+  /// tenant no longer holding `session` is left as it is.
+  void Recharge(const std::string& name, const Session& session);
+
   /// Estimated bytes of all loaded sessions (the budget's left-hand side).
   size_t LoadedBytes() const;
 

@@ -456,7 +456,8 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
   Instance inst = RandomInstance(rng, 25, m, domain);
   EncodedInstance enc(inst);
   FDSet sigma = TestSigma();
-  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
+  auto ctx = std::make_unique<FdSearchContext>(sigma, enc, weights,
+                                               HeuristicOptions{}, pool.get());
 
   for (int step = 0; step < 6; ++step) {
     DeltaBatch delta;
@@ -470,32 +471,32 @@ TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
     DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), m);
     inst.ApplyDelta(delta, plan);
     enc.ApplyDelta(delta, plan);
-    ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
+    ctx = FdSearchContext::AfterDelta(std::move(ctx), enc, weights,
+                                      plan.dirty, plan.remap, pool.get(),
+                                      nullptr);
 
     // Column-major mutation must decode back to the mutated rows (codes
     // themselves are encounter-ordered, so only values are comparable
     // against a re-encode), and the columns must agree with the cells.
     ASSERT_EQ(enc.NumTuples(), inst.NumTuples());
-    const std::vector<int32_t> row_major = enc.RowMajorCodes();
     for (TupleId t = 0; t < inst.NumTuples(); ++t) {
       for (AttrId a = 0; a < m; ++a) {
         ASSERT_EQ(enc.DecodeCell(t, a), inst.At(t, a))
             << "t=" << t << " a=" << a;
         ASSERT_EQ(enc.column(a)[t], enc.At(t, a));
-        ASSERT_EQ(row_major[static_cast<size_t>(t) * m + a], enc.At(t, a));
       }
     }
 
     FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
-    ExpectIndexIdentical(ctx.index(), fresh.index());
-    EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
-    ExpectSameSearch(ModifyFds(ctx, ctx.RootDeltaP() / 2),
+    ExpectIndexIdentical(ctx->index(), fresh.index());
+    EXPECT_EQ(ctx->RootDeltaP(), fresh.RootDeltaP());
+    ExpectSameSearch(ModifyFds(*ctx, ctx->RootDeltaP() / 2),
                      ModifyFds(fresh, fresh.RootDeltaP() / 2));
   }
 }
 
 TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
-  // In the Case-B regime FdSearchContext::ApplyDelta patches like in every
+  // In the Case-B regime FdSearchContext::AfterDelta patches like in every
   // other: the all-partners scan finds full-disagreement pairs, so the
   // result matches a fresh context — including the delta that creates the
   // FIRST full-disagreement pair — and untouched groups stay preserved.
@@ -514,9 +515,10 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});
   EncodedInstance enc(inst);
-  FdSearchContext ctx(sigma, enc, weights, {}, pool.get());
-  ASSERT_FALSE(has_universe_group(ctx.index()));
-  ASSERT_EQ(ctx.index().size(), 1);  // {A0}: the three A-conflicts
+  auto ctx = std::make_unique<FdSearchContext>(sigma, enc, weights,
+                                               HeuristicOptions{}, pool.get());
+  ASSERT_FALSE(has_universe_group(ctx->index()));
+  ASSERT_EQ(ctx->index().size(), 1);  // {A0}: the three A-conflicts
 
   // The insert disagrees with everyone everywhere: the first
   // full-disagreement pairs. The {A0} group keeps its edges untouched.
@@ -525,15 +527,16 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
   inst.ApplyDelta(delta, plan);
   enc.ApplyDelta(delta, plan);
-  FdSearchContext::DeltaReport report =
-      ctx.ApplyDelta(enc, plan.dirty, plan.remap, pool.get());
-  EXPECT_EQ(report.index.groups_preserved, 1);
+  IndexPatch patch;
+  ctx = FdSearchContext::AfterDelta(std::move(ctx), enc, weights, plan.dirty,
+                                    plan.remap, pool.get(), &patch);
+  EXPECT_EQ(patch.groups_preserved, 1);
 
   FdSearchContext fresh(sigma, enc, weights, {}, pool.get());
-  EXPECT_TRUE(has_universe_group(ctx.index()));
-  ExpectIndexIdentical(ctx.index(), fresh.index());
-  EXPECT_EQ(ctx.RootDeltaP(), fresh.RootDeltaP());
-  ExpectSameSearch(ModifyFds(ctx, 0), ModifyFds(fresh, 0));
+  EXPECT_TRUE(has_universe_group(ctx->index()));
+  ExpectIndexIdentical(ctx->index(), fresh.index());
+  EXPECT_EQ(ctx->RootDeltaP(), fresh.RootDeltaP());
+  ExpectSameSearch(ModifyFds(*ctx, 0), ModifyFds(fresh, 0));
 
   // And further deltas (update + delete) keep matching.
   DeltaBatch delta2;
@@ -542,10 +545,12 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   DeltaPlan plan2 = PlanDelta(delta2, enc.NumTuples(), 2);
   inst.ApplyDelta(delta2, plan2);
   enc.ApplyDelta(delta2, plan2);
-  ctx.ApplyDelta(enc, plan2.dirty, plan2.remap, pool.get());
+  ctx = FdSearchContext::AfterDelta(std::move(ctx), enc, weights,
+                                    plan2.dirty, plan2.remap, pool.get(),
+                                    nullptr);
   FdSearchContext fresh2(sigma, enc, weights, {}, pool.get());
-  ExpectIndexIdentical(ctx.index(), fresh2.index());
-  EXPECT_EQ(ctx.RootDeltaP(), fresh2.RootDeltaP());
+  ExpectIndexIdentical(ctx->index(), fresh2.index());
+  EXPECT_EQ(ctx->RootDeltaP(), fresh2.RootDeltaP());
 }
 
 }  // namespace

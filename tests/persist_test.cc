@@ -21,6 +21,7 @@
 #include "src/persist/io.h"
 #include "src/persist/journal.h"
 #include "src/persist/snapshot.h"
+#include "src/service/server.h"
 #include "src/service/tenant_registry.h"
 
 namespace retrust {
@@ -941,6 +942,29 @@ TEST(RegistryLifecycle, ByteChargeIsContextPlusEncodedDataset) {
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(registry.LoadedBytes(),
             (*session)->ContextBytesEstimate() + 12 * 4 + (4 + 2 + 3) * 128);
+}
+
+TEST(RegistryLifecycle, ByteChargeFollowsAppliedDeltas) {
+  // A delta applied through the server re-charges its tenant: 20 new rows
+  // (24 × 3 cells) with new names and zips (24 names, 2 cities, 23 zips)
+  // are charged like a tenant loaded with them.
+  service::Server server;
+  ASSERT_TRUE(server.LoadTenant("t", SmallInstance(), {"City->Zip"}).ok());
+  const size_t loaded = server.tenants().LoadedBytes();
+  DeltaBatch delta;
+  for (int k = 0; k < 20; ++k) {
+    delta.Insert({Value(std::to_string(100 + k)), Value("Springfield"),
+                  Value(std::to_string(200 + k))});
+  }
+  ASSERT_TRUE(service::AsFuture(server, &service::Server::Apply, "t", delta)
+                  .future.get()
+                  .ok());
+  Result<std::shared_ptr<Session>> session = server.tenants().Get("t");
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(server.tenants().LoadedBytes(),
+            (*session)->ContextBytesEstimate() + 24 * 3 * 4 +
+                (24 + 2 + 23) * 128);
+  EXPECT_GT(server.tenants().LoadedBytes(), loaded);
 }
 
 }  // namespace
