@@ -32,9 +32,10 @@ uint64_t DetectViolations(const EncodedInstance& inst, const FDSet& fds,
   *seconds = timer.ElapsedSeconds();
   uint64_t checksum = cg.num_edges();
   for (const auto& mask : cg.edge_fd_mask) checksum = checksum * 31 + mask;
-  for (const DiffSetGroup& g : index.groups()) {
-    checksum = checksum * 31 + g.diff.bits();
-    checksum = checksum * 31 + static_cast<uint64_t>(g.edges.size());
+  for (int g = 0; g < index.size(); ++g) {
+    checksum = checksum * 31 + index.group(g).diff.bits();
+    checksum = checksum * 31 +
+               static_cast<uint64_t>(index.group(g).frequency());
   }
   return checksum;
 }

@@ -13,7 +13,11 @@
 //   * a head-to-head blocked-vs-naive comparison at n = 50k (·scale),
 //     asserting the two indexes are bit-identical — the naive path stays
 //     available behind DiffSetBuildMode::kNaive exactly so it can serve as
-//     this oracle.
+//     this oracle;
+//   * dense-generator rows at n = 5k/10k (·scale): the default generator's
+//     low-cardinality columns, whose classes grow with n, so enumeration
+//     dominates — with the pair kernel's lane width (8 or 16 bits, 0 for
+//     the column loop).
 //
 // Writes BENCH_diffset.json; CI's Release smoke step asserts the headline
 // speedup_x >= 5.
@@ -59,16 +63,31 @@ Dataset MakeDataset(int n, uint64_t seed) {
   return {EncodedInstance(dirty.data), std::move(dirty.fds)};
 }
 
+/// The default (dense) generator, as e2ebench's dense tenants use it.
+Dataset MakeDenseDataset(int n, uint64_t seed) {
+  CensusConfig gen;
+  gen.num_tuples = n;
+  gen.num_attrs = 8;
+  gen.planted_lhs_sizes = {2, 2};
+  gen.seed = seed;
+  GeneratedData clean = GenerateCensusLike(gen);
+  PerturbOptions perturb;
+  perturb.data_error_rate = 0.02;
+  perturb.fd_error_rate = 0.5;
+  PerturbedData dirty = Perturb(clean.instance, clean.planted_fds, perturb);
+  return {EncodedInstance(dirty.data), std::move(dirty.fds)};
+}
+
 struct Row {
   int n = 0;
   DiffSetBuildStats stats;
   int64_t groups = 0;
 };
 
-Row MeasureBlocked(int n, int reps) {
-  Dataset data = MakeDataset(n, /*seed=*/42);
+/// Fastest of `reps` serial blocked builds over `data`.
+Row MeasureBlocked(const Dataset& data, int reps) {
   Row row;
-  row.n = n;
+  row.n = data.encoded.NumTuples();
   row.stats.total_seconds = 1e100;
   for (int r = 0; r < reps; ++r) {
     DiffSetBuildStats stats;
@@ -86,7 +105,7 @@ void ExpectIdentical(const DifferenceSetIndex& a, const DifferenceSetIndex& b) {
   bool same = a.size() == b.size();
   for (int g = 0; same && g < a.size(); ++g) {
     same = a.group(g).diff.bits() == b.group(g).diff.bits() &&
-           a.group(g).edges == b.group(g).edges;
+           std::ranges::equal(a.group(g).edges, b.group(g).edges);
   }
   if (!same) {
     std::fprintf(stderr,
@@ -111,7 +130,8 @@ int main() {
               "cand/edge");
   std::vector<Row> rows;
   for (int n : sizes) {
-    Row row = MeasureBlocked(n, /*reps=*/n <= 100000 ? 3 : 1);
+    Row row = MeasureBlocked(MakeDataset(n, /*seed=*/42),
+                             /*reps=*/n <= 100000 ? 3 : 1);
     rows.push_back(row);
     std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %9.2f\n",
                 row.n, row.stats.total_seconds, row.stats.partition_seconds,
@@ -121,6 +141,23 @@ int main() {
                 static_cast<double>(row.stats.pairs_candidate) /
                     static_cast<double>(
                         std::max<int64_t>(1, row.stats.pairs_materialized)));
+  }
+
+  // Dense rows: the regime of e2ebench's dense tenants.
+  std::printf("\ndense generator (serial):\n%9s %11s %11s %11s %11s %14s "
+              "%13s %6s\n",
+              "n", "total(s)", "part(s)", "enum(s)", "group(s)", "candidates",
+              "materialized", "lanes");
+  std::vector<Row> dense_rows;
+  for (int n : {bench::ScaledN(5000), bench::ScaledN(10000)}) {
+    Row row = MeasureBlocked(MakeDenseDataset(n, /*seed=*/42), /*reps=*/3);
+    dense_rows.push_back(row);
+    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %6d\n", row.n,
+                row.stats.total_seconds, row.stats.partition_seconds,
+                row.stats.enumerate_seconds, row.stats.group_seconds,
+                static_cast<long long>(row.stats.pairs_candidate),
+                static_cast<long long>(row.stats.pairs_materialized),
+                row.stats.lane_bits);
   }
 
   // Head-to-head at a size where the naive build is still bearable.
@@ -172,6 +209,21 @@ int main() {
           static_cast<long long>(r.stats.pairs_materialized),
           static_cast<long long>(r.groups),
           i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n  \"dense_rows\": [\n");
+    for (size_t i = 0; i < dense_rows.size(); ++i) {
+      const Row& r = dense_rows[i];
+      std::fprintf(
+          json,
+          "    {\"n\": %d, \"total_seconds\": %.6f, "
+          "\"partition_seconds\": %.6f, \"enumerate_seconds\": %.6f, "
+          "\"group_seconds\": %.6f, \"pairs_candidate\": %lld, "
+          "\"pairs_materialized\": %lld, \"lane_bits\": %d}%s\n",
+          r.n, r.stats.total_seconds, r.stats.partition_seconds,
+          r.stats.enumerate_seconds, r.stats.group_seconds,
+          static_cast<long long>(r.stats.pairs_candidate),
+          static_cast<long long>(r.stats.pairs_materialized),
+          r.stats.lane_bits, i + 1 < dense_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

@@ -666,11 +666,7 @@ int64_t Session::RootDeltaP() const {
 size_t Session::ContextBytesEstimate() const {
   constexpr size_t kPerGroup = 128;
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  size_t edges = 0;
-  for (const DiffSetGroup& g : context_->index().groups()) {
-    edges += static_cast<size_t>(g.frequency());
-  }
-  return edges * sizeof(Edge) +
+  return context_->index().edges().size() * sizeof(Edge) +
          static_cast<size_t>(context_->index().size()) * kPerGroup +
          sizeof(FdSearchContext);
 }

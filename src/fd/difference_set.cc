@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/exec/parallel_for.h"
 #include "src/fd/partition.h"
@@ -20,40 +20,145 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The canonical group order: descending frequency, ties broken by
-/// the smaller attribute mask. Shared by every builder and by ApplyDelta.
-void RankGroups(std::vector<DiffSetGroup>* groups) {
-  std::sort(groups->begin(), groups->end(),
-            [](const DiffSetGroup& a, const DiffSetGroup& b) {
-              if (a.frequency() != b.frequency()) {
-                return a.frequency() > b.frequency();
-              }
-              return a.diff < b.diff;
-            });
-}
-
-/// One enumeration chunk's conflict edges, bucketed by difference set in
-/// first-seen order. Runs of equal difference sets (common on dense data)
-/// hit a last-diff cache in front of the map.
-class EdgeBuckets {
+/// Open-addressing map from a nonempty difference set to a dense slot
+/// number, assigned in first-insertion order. Starts at 8 entries and
+/// doubles at half load, so a small relation pays for a few entries only.
+/// The empty set marks a free entry: a conflict edge always differs on
+/// the right-hand side of an FD it violates.
+class DiffSlots {
  public:
-  void Add(AttrSet diff, Edge e) {
-    if (last_ < 0 || buckets_[last_].diff != diff) {
-      auto [it, inserted] =
-          slot_.emplace(diff, static_cast<int>(buckets_.size()));
-      if (inserted) buckets_.push_back({diff, {}});
-      last_ = it->second;
+  /// The slot of `diff`; a set not seen before gets slot size().
+  int Slot(AttrSet diff) {
+    const uint64_t key = diff.bits();
+    for (size_t i = Home(key);; i = (i + 1) & (table_.size() - 1)) {
+      if (table_[i].key == key) return table_[i].slot;
+      if (table_[i].key != 0) continue;
+      if (2 * (static_cast<size_t>(size_) + 1) > table_.size()) {
+        Grow();
+        return Slot(diff);
+      }
+      table_[i] = {key, size_};
+      return size_++;
     }
-    buckets_[last_].edges.push_back(e);
   }
 
-  std::vector<DiffSetGroup>& buckets() { return buckets_; }
+  int size() const { return size_; }
 
  private:
-  std::vector<DiffSetGroup> buckets_;
-  std::unordered_map<AttrSet, int, AttrSetHash> slot_;
-  int last_ = -1;
+  struct Entry {
+    uint64_t key = 0;
+    int slot = 0;
+  };
+
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Entry> old(table_.size() * 2);
+    old.swap(table_);
+    --shift_;
+    for (const Entry& e : old) {
+      if (e.key == 0) continue;
+      size_t i = Home(e.key);
+      while (table_[i].key != 0) i = (i + 1) & (table_.size() - 1);
+      table_[i] = e;
+    }
+  }
+
+  std::vector<Entry> table_ = std::vector<Entry>(8);
+  int shift_ = 61;  ///< 64 - log2(table_.size())
+  int size_ = 0;
 };
+
+/// One enumeration chunk's conflict edges, bucketed by difference set in
+/// first-seen order.
+class EdgeBuckets {
+ public:
+  struct Bucket {
+    AttrSet diff;
+    std::vector<Edge> edges;
+  };
+
+  void Add(AttrSet diff, Edge e) {
+    const int slot = slots_.Slot(diff);
+    if (slot == static_cast<int>(buckets_.size())) {
+      buckets_.push_back({diff, {}});
+    }
+    buckets_[slot].edges.push_back(e);
+  }
+
+  std::vector<Bucket>& buckets() { return buckets_; }
+
+ private:
+  std::vector<Bucket> buckets_;
+  DiffSlots slots_;
+};
+
+/// The scratch of a per-group pass that needs none.
+struct NoScratch {};
+
+/// Runs fn(g, &scratch) for every g in [0, count), on `pool` (nullable =
+/// serial) with one Scratch per worker. Groups are handed out in index
+/// order, and callers rank them largest first, so the big ones start first.
+template <typename Scratch, typename Fn>
+void ForEachGroup(exec::ThreadPool* pool, size_t count, const Fn& fn) {
+  const int workers =
+      pool == nullptr
+          ? 1
+          : static_cast<int>(std::min<size_t>(pool->num_threads(), count));
+  if (workers <= 1) {
+    Scratch scratch;
+    for (size_t g = 0; g < count; ++g) fn(g, &scratch);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  exec::TaskGroup tasks(pool);
+  for (int w = 0; w < workers; ++w) {
+    tasks.Run([&] {
+      Scratch scratch;
+      for (size_t g; (g = next.fetch_add(1)) < count;) fn(g, &scratch);
+    });
+  }
+  tasks.Wait();
+}
+
+/// The skeleton of an index: groups of the given difference sets and
+/// sizes in the canonical order — descending size, ties broken by the
+/// smaller mask — with their edge array sized but not yet written. Empty
+/// groups are dropped; `order[r]` is the input group ranked r-th.
+struct RankedLayout {
+  std::vector<int> order;
+  std::vector<AttrSet> diffs;
+  std::vector<size_t> begins;
+  EdgeArray edges;
+
+  Edge* out(size_t r) { return edges.data() + begins[r]; }
+
+  DifferenceSetIndex Finish() {
+    return DifferenceSetIndex(std::move(diffs), std::move(begins),
+                              std::move(edges));
+  }
+};
+
+RankedLayout RankLayout(const std::vector<AttrSet>& diffs,
+                        const std::vector<size_t>& sizes) {
+  RankedLayout layout;
+  for (size_t g = 0; g < diffs.size(); ++g) {
+    if (sizes[g] > 0) layout.order.push_back(static_cast<int>(g));
+  }
+  std::sort(layout.order.begin(), layout.order.end(), [&](int a, int b) {
+    if (sizes[a] != sizes[b]) return sizes[a] > sizes[b];
+    return diffs[a] < diffs[b];
+  });
+  layout.begins.push_back(0);
+  for (int g : layout.order) {
+    layout.diffs.push_back(diffs[g]);
+    layout.begins.push_back(layout.begins.back() + sizes[g]);
+  }
+  layout.edges = EdgeArray(layout.begins.back());
+  return layout;
+}
 
 /// Reused buffers of GatherGroup: the n+1 counters and the first counting
 /// pass's output.
@@ -63,20 +168,19 @@ struct GatherScratch {
 };
 
 /// Moves one group's `size` distinct edges over tuple ids [0, n) out of
-/// its chunk buckets, freeing each bucket as it is read, into `*out`:
-/// exactly sized and ascending by (u, v). Groups much smaller than n are
-/// concatenated and std::sort-ed; the rest take two stable counting
-/// passes, by v (straight from the buckets) and then by u, in
-/// O(edges + n).
+/// its chunk buckets, freeing each bucket as it is read, to `out`,
+/// ascending by (u, v). Groups much smaller than n are concatenated and
+/// std::sort-ed; the rest take two stable counting passes, by v (straight
+/// from the buckets) and then by u, in O(edges + n).
 void GatherGroup(const std::vector<std::vector<Edge>*>& buckets, size_t size,
-                 int n, GatherScratch* scratch, std::vector<Edge>* out) {
+                 int n, GatherScratch* scratch, Edge* out) {
   if (size < static_cast<size_t>(n) / 8) {
-    out->reserve(size);
+    Edge* end = out;
     for (std::vector<Edge>* bucket : buckets) {
-      out->insert(out->end(), bucket->begin(), bucket->end());
+      end = std::copy(bucket->begin(), bucket->end(), end);
       std::vector<Edge>().swap(*bucket);
     }
-    std::sort(out->begin(), out->end());
+    std::sort(out, end);
     return;
   }
   std::vector<size_t>& counts = scratch->counts;
@@ -97,81 +201,46 @@ void GatherGroup(const std::vector<std::vector<Edge>*>& buckets, size_t size,
   counts.assign(static_cast<size_t>(n) + 1, 0);
   for (const Edge& e : by_v) ++counts[e.u + 1];
   prefix_sums();
-  out->resize(size);
-  for (const Edge& e : by_v) (*out)[counts[e.u]++] = e;
+  for (const Edge& e : by_v) out[counts[e.u]++] = e;
 }
 
-/// Turns the chunks' buckets into one group per difference set, each
-/// gathered in chunk order by GatherGroup; with a pool, groups are
-/// gathered in parallel, largest first. A group's edges are a function of
-/// its pairs alone, so the result is the same for any chunking and thread
-/// count. The groups come back unranked.
-std::vector<DiffSetGroup> GroupBuckets(std::vector<EdgeBuckets>* chunks,
-                                       int n, exec::ThreadPool* pool) {
-  std::vector<DiffSetGroup> groups;
-  std::vector<std::vector<std::vector<Edge>*>> sources;
-  std::vector<size_t> sizes;
-  std::unordered_map<AttrSet, int, AttrSetHash> slot;
-  for (EdgeBuckets& chunk : *chunks) {
-    for (DiffSetGroup& bucket : chunk.buckets()) {
-      auto [it, inserted] =
-          slot.emplace(bucket.diff, static_cast<int>(groups.size()));
-      if (inserted) {
-        groups.push_back({bucket.diff, {}});
-        sources.emplace_back();
-        sizes.push_back(0);
-      }
-      sources[it->second].push_back(&bucket.edges);
-      sizes[it->second] += bucket.edges.size();
-    }
-  }
-
-  const auto gather = [&](size_t g, GatherScratch* scratch) {
-    GatherGroup(sources[g], sizes[g], n, scratch, &groups[g].edges);
-  };
-  const int workers =
-      pool == nullptr ? 1
-                      : std::min(pool->num_threads(),
-                                 static_cast<int>(groups.size()));
-  if (workers <= 1) {
-    GatherScratch scratch;
-    for (size_t g = 0; g < groups.size(); ++g) gather(g, &scratch);
-    return groups;
-  }
-  std::vector<size_t> largest_first(groups.size());
-  std::iota(largest_first.begin(), largest_first.end(), size_t{0});
-  std::stable_sort(largest_first.begin(), largest_first.end(),
-                   [&](size_t a, size_t b) { return sizes[a] > sizes[b]; });
-  std::atomic<size_t> next{0};
-  exec::TaskGroup tasks(pool);
-  for (int w = 0; w < workers; ++w) {
-    tasks.Run([&] {
-      GatherScratch scratch;
-      for (size_t i; (i = next.fetch_add(1)) < largest_first.size();) {
-        gather(largest_first[i], &scratch);
-      }
-    });
-  }
-  tasks.Wait();
-  return groups;
-}
-
-/// The builders' last phase: the chunks' buckets as a ranked index. When
-/// `stats` is non-null, records the phase's time and the edge count.
+/// The builders' last phase: the chunks' buckets merged into one group per
+/// difference set, ranked, and each group gathered by GatherGroup at its
+/// final offset of the edge array — on `pool`, largest group first. A
+/// group's edges are a function of its pairs alone, so the result is the
+/// same for any chunking and thread count. When `stats` is non-null,
+/// records the phase's time and the edge count.
 DifferenceSetIndex RankedIndex(std::vector<EdgeBuckets>* chunks, int n,
                                exec::ThreadPool* pool,
                                DiffSetBuildStats* stats) {
   const auto t_group = std::chrono::steady_clock::now();
-  std::vector<DiffSetGroup> groups = GroupBuckets(chunks, n, pool);
-  RankGroups(&groups);
-  if (stats != nullptr) {
-    stats->pairs_materialized = 0;
-    for (const DiffSetGroup& g : groups) {
-      stats->pairs_materialized += g.frequency();
+  std::vector<AttrSet> diffs;
+  std::vector<std::vector<std::vector<Edge>*>> sources;
+  std::vector<size_t> sizes;
+  DiffSlots slots;
+  for (EdgeBuckets& chunk : *chunks) {
+    for (EdgeBuckets::Bucket& bucket : chunk.buckets()) {
+      const int g = slots.Slot(bucket.diff);
+      if (g == static_cast<int>(diffs.size())) {
+        diffs.push_back(bucket.diff);
+        sources.emplace_back();
+        sizes.push_back(0);
+      }
+      sources[g].push_back(&bucket.edges);
+      sizes[g] += bucket.edges.size();
     }
+  }
+  RankedLayout layout = RankLayout(diffs, sizes);
+  ForEachGroup<GatherScratch>(
+      pool, layout.order.size(), [&](size_t r, GatherScratch* scratch) {
+        const int g = layout.order[r];
+        GatherGroup(sources[g], sizes[g], n, scratch, layout.out(r));
+      });
+  if (stats != nullptr) {
+    stats->pairs_materialized = static_cast<int64_t>(layout.edges.size());
     stats->group_seconds = SecondsSince(t_group);
   }
-  return DifferenceSetIndex(std::move(groups));
+  return layout.Finish();
 }
 
 }  // namespace
@@ -189,6 +258,48 @@ AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
   return diff;
 }
 
+PackedRows::PackedRows(const EncodedInstance& inst) {
+  const int n = inst.NumTuples();
+  const int m = inst.NumAttrs();
+  int32_t lo = 0;
+  int32_t hi = 0;
+  for (AttrId a = 0; a < m; ++a) {
+    const auto [lo_it, hi_it] = std::minmax_element(inst.column(a).begin(),
+                                                    inst.column(a).end());
+    if (lo_it == inst.column(a).end()) continue;
+    lo = std::min(lo, *lo_it);
+    hi = std::max(hi, *hi_it);
+  }
+  if (lo < 0 || hi >= 65536 || m == 0) return;
+  lane_bits_ = hi < 256 ? 8 : 16;
+  const int lanes = 64 / lane_bits_;
+  stride_ = (m + lanes - 1) / lanes;
+  words_.assign(static_cast<size_t>(n) * stride_, 0);
+  for (AttrId a = 0; a < m; ++a) {
+    const int32_t* col = inst.ColumnData(a);
+    const int word = a / lanes;
+    const int shift = (a % lanes) * lane_bits_;
+    for (TupleId t = 0; t < n; ++t) {
+      words_[static_cast<size_t>(t) * stride_ + word] |=
+          static_cast<uint64_t>(col[t]) << shift;
+    }
+  }
+}
+
+EdgeArray::EdgeArray(size_t size) : size_(size) {
+  if (size == 0) return;
+  // Edge is trivially copyable, so the raw storage holds edges as soon as
+  // they are written or read into it.
+  data_.reset(static_cast<Edge*>(std::malloc(size * sizeof(Edge))));
+  if (data_ == nullptr) throw std::bad_alloc();
+}
+
+EdgeArray::EdgeArray(const EdgeArray& other) : EdgeArray(other.size_) {
+  std::copy_n(other.data(), size_, data());
+}
+
+void EdgeArray::Free::operator()(Edge* p) const { std::free(p); }
+
 IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
                                           const FDSet& sigma,
                                           const std::vector<TupleId>& dirty,
@@ -199,97 +310,123 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   std::vector<char> is_dirty(new_n, 0);
   for (TupleId t : dirty) is_dirty[t] = 1;
 
-  // 1. Filter in place: drop every edge with a deleted or dirty endpoint.
-  // Relocated tuples are dirty by construction (delta.h), so every kept
-  // edge's endpoints still carry their old ids and the kept lists stay
-  // sorted.
-  const auto stale = [&](const Edge& e) {
-    return remap[e.u] < 0 || remap[e.v] < 0 || is_dirty[remap[e.u]] ||
-           is_dirty[remap[e.v]];
+  // 1. Which pre-delta tuples are stale: deleted or dirty. Relocated
+  // tuples are dirty by construction (delta.h), so every kept edge's
+  // endpoints still carry their old ids and the kept lists stay sorted.
+  // An insert-only delta leaves every old tuple clean, and the filter
+  // below is skipped.
+  std::vector<char> stale(remap.size(), 0);
+  bool any_stale = false;
+  for (size_t t = 0; t < remap.size(); ++t) {
+    stale[t] = remap[t] < 0 || is_dirty[remap[t]];
+    any_stale |= stale[t] != 0;
+  }
+  const auto kept_edge = [&](const Edge& e) {
+    return !stale[e.u] && !stale[e.v];
   };
-  std::vector<char> changed(groups_.size(), 0);
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    const size_t removed = std::erase_if(groups_[g].edges, stale);
-    patch.edges_removed += static_cast<int64_t>(removed);
-    changed[g] = removed > 0;
+  std::vector<size_t> kept(diffs_.size());
+  for (size_t g = 0; g < kept.size(); ++g) {
+    kept[g] = begins_[g + 1] - begins_[g];
+  }
+  if (any_stale) {
+    ForEachGroup<NoScratch>(pool, kept.size(), [&](size_t g, NoScratch*) {
+      const DiffSetGroup old = group(static_cast<int>(g));
+      kept[g] = static_cast<size_t>(
+          std::count_if(old.edges.begin(), old.edges.end(), kept_edge));
+    });
   }
 
   // 2. Discover the edges in the delta's blast radius: every pair with a
   // dirty endpoint, each unordered pair examined exactly once. Sharded
-  // over the relation into per-chunk buckets; GroupBuckets orders each
-  // difference set's new edges, so the result is identical for any thread
-  // count.
+  // over the relation into per-chunk buckets and ranked like a build, so
+  // the new edges are identical for any thread count.
   const int m = inst.NumAttrs();
   std::vector<const int32_t*> cols(m);
   for (AttrId a = 0; a < m; ++a) cols[a] = inst.ColumnData(a);
+  const PackedRows packed(inst);
   exec::ChunkPlan chunks = exec::PlanChunks(new_n, pool);
   std::vector<EdgeBuckets> per_chunk(std::max(chunks.num_chunks, 1));
-  exec::ParallelFor(pool, chunks,
-                    [&](int64_t begin, int64_t end, int chunk) {
-                      EdgeBuckets& out = per_chunk[chunk];
-                      for (int64_t s = begin; s < end; ++s) {
-                        for (TupleId t : dirty) {
-                          if (is_dirty[s] && s >= t) continue;
-                          AttrSet diff = DiffSetOfPair(
-                              cols.data(), m, t, static_cast<TupleId>(s));
-                          if (DiffSetViolates(diff, sigma)) {
-                            out.Add(diff, Edge(t, static_cast<TupleId>(s)));
+  WithPairKernel(packed, cols.data(), m, [&](auto diff_of) {
+    exec::ParallelFor(pool, chunks,
+                      [&](int64_t begin, int64_t end, int chunk) {
+                        EdgeBuckets& out = per_chunk[chunk];
+                        for (auto s = static_cast<TupleId>(begin); s < end;
+                             ++s) {
+                          for (TupleId t : dirty) {
+                            if (is_dirty[s] && s >= t) continue;
+                            const AttrSet diff = diff_of(t, s);
+                            if (DiffSetViolates(diff, sigma)) {
+                              out.Add(diff, Edge(t, s));
+                            }
                           }
                         }
-                      }
-                    });
-  std::vector<DiffSetGroup> found = GroupBuckets(&per_chunk, new_n, pool);
+                      });
+  });
+  const DifferenceSetIndex found =
+      RankedIndex(&per_chunk, new_n, pool, nullptr);
 
-  // 3. Merge the new edges into their groups in place (kept and new lists
-  // are both sorted, and all pairs are distinct, so the merge reproduces
-  // the canonical ascending edge order of a from-scratch build).
-  std::unordered_map<AttrSet, int, AttrSetHash> by_diff;
-  by_diff.reserve(groups_.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    by_diff.emplace(groups_[g].diff, static_cast<int>(g));
-  }
-  for (DiffSetGroup& add : found) {
+  // 3. One filter + merge pass into the next edge array: each group's kept
+  // edges and its new ones are both sorted, and all pairs are distinct, so
+  // the merge reproduces the canonical ascending edge order of a
+  // from-scratch build. Group u of the union is old group u when
+  // u < size(), and/or found group found_of[u] (-1 when absent).
+  std::vector<AttrSet> diffs = diffs_;
+  std::vector<size_t> sizes = kept;
+  std::vector<int> found_of(diffs_.size(), -1);
+  DiffSlots slots;
+  for (AttrSet diff : diffs_) slots.Slot(diff);
+  for (int f = 0; f < found.size(); ++f) {
+    const DiffSetGroup add = found.group(f);
     patch.edges_added += add.frequency();
-    auto it = by_diff.find(add.diff);
-    if (it == by_diff.end()) {
-      groups_.push_back(std::move(add));
-      changed.push_back(1);
-      continue;
+    const int u = slots.Slot(add.diff);
+    if (u == static_cast<int>(diffs.size())) {
+      diffs.push_back(add.diff);
+      sizes.push_back(0);
+      found_of.push_back(-1);
     }
-    std::vector<Edge>& edges = groups_[it->second].edges;
-    const auto kept = static_cast<std::ptrdiff_t>(edges.size());
-    edges.reserve(edges.size() + add.edges.size());
-    edges.insert(edges.end(), add.edges.begin(), add.edges.end());
-    std::inplace_merge(edges.begin(), edges.begin() + kept, edges.end());
-    changed[it->second] = 1;
+    sizes[u] += add.edges.size();
+    found_of[u] = f;
   }
-
-  // 4. Count the groups that came through untouched, drop emptied ones,
-  // then re-rank in the canonical order.
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    patch.groups_preserved += !changed[g] && !groups_[g].edges.empty();
+  for (int g = 0; g < size(); ++g) {
+    const size_t before = begins_[g + 1] - begins_[g];
+    patch.edges_removed += static_cast<int64_t>(before - kept[g]);
+    patch.groups_preserved += kept[g] == before && found_of[g] < 0;
   }
-  std::erase_if(groups_,
-                [](const DiffSetGroup& g) { return g.edges.empty(); });
-  RankGroups(&groups_);
-  patch.groups_changed = static_cast<int>(groups_.size()) -
-                         patch.groups_preserved;
+  RankedLayout layout = RankLayout(diffs, sizes);
+  ForEachGroup<NoScratch>(pool, layout.order.size(),
+                          [&](size_t r, NoScratch*) {
+    const int u = layout.order[r];
+    std::span<const Edge> add;
+    if (found_of[u] >= 0) add = found.group(found_of[u]).edges;
+    auto next = add.begin();
+    Edge* out = layout.out(r);
+    if (u < size()) {
+      for (const Edge& e : group(u).edges) {
+        if (any_stale && !kept_edge(e)) continue;
+        while (next != add.end() && *next < e) *out++ = *next++;
+        *out++ = e;
+      }
+    }
+    std::copy(next, add.end(), out);
+  });
+  *this = layout.Finish();
+  patch.groups_changed = size() - patch.groups_preserved;
   return patch;
 }
 
 std::vector<int> DifferenceSetIndex::ViolatingGroups(const FDSet& fds) const {
   std::vector<int> out;
   for (int i = 0; i < size(); ++i) {
-    if (DiffSetViolates(groups_[i].diff, fds)) out.push_back(i);
+    if (DiffSetViolates(diffs_[i], fds)) out.push_back(i);
   }
   return out;
 }
 
 std::string DifferenceSetIndex::ToString(const Schema& schema) const {
   std::string out;
-  for (const DiffSetGroup& g : groups_) {
-    out += g.diff.ToString(schema.Names());
-    out += " x" + std::to_string(g.frequency()) + "\n";
+  for (int i = 0; i < size(); ++i) {
+    out += diffs_[i].ToString(schema.Names());
+    out += " x" + std::to_string(group(i).frequency()) + "\n";
   }
   return out;
 }
@@ -312,7 +449,8 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   // only re-enumerate pairs an earlier key already owns. Ascending mask
   // order puts every subset of a key before it. Work units are (key, class)
   // spans in a flat deterministic order: keys ascending, classes in label
-  // (first-occurrence) order, members ascending.
+  // (first-occurrence) order, members ascending. The rows are packed for
+  // the pair kernel here too.
   std::vector<AttrSet> lhs;
   for (const FD& fd : sigma.fds()) lhs.push_back(fd.lhs);
   std::sort(lhs.begin(), lhs.end());
@@ -337,6 +475,7 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
       units.push_back({static_cast<int>(k), offsets[c], offsets[c + 1]});
     }
   }
+  const PackedRows packed(inst);
   const double partition_seconds = SecondsSince(t_start);
 
   // Phase 2 — in-class pair enumeration, sharded over units. A pair inside
@@ -355,33 +494,35 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
   const size_t num_chunks = static_cast<size_t>(std::max(plan.num_chunks, 1));
   std::vector<EdgeBuckets> buckets(num_chunks);
   std::vector<PairCounts> counts(num_chunks);
-  exec::ParallelFor(
-      pool, plan, [&](int64_t begin, int64_t end, int chunk) {
-        EdgeBuckets& out = buckets[chunk];
-        PairCounts& count = counts[chunk];
-        for (int64_t ui = begin; ui < end; ++ui) {
-          const Unit& unit = units[ui];
-          const TupleId* cls = stripped[unit.key].members.data();
-          for (int32_t i = unit.begin; i < unit.end; ++i) {
-            const TupleId u = cls[i];
-            for (int32_t j = i + 1; j < unit.end; ++j) {
-              const TupleId v = cls[j];
-              ++count.candidate;
-              const AttrSet diff = DiffSetOfPair(cols.data(), m, u, v);
-              bool owned = true;
-              for (int k = 0; k < unit.key; ++k) {
-                if (!keys[k].Intersects(diff)) {
-                  owned = false;
-                  break;
+  WithPairKernel(packed, cols.data(), m, [&](auto diff_of) {
+    exec::ParallelFor(
+        pool, plan, [&](int64_t begin, int64_t end, int chunk) {
+          EdgeBuckets& out = buckets[chunk];
+          PairCounts& count = counts[chunk];
+          for (int64_t ui = begin; ui < end; ++ui) {
+            const Unit& unit = units[ui];
+            const TupleId* cls = stripped[unit.key].members.data();
+            for (int32_t i = unit.begin; i < unit.end; ++i) {
+              const TupleId u = cls[i];
+              count.candidate += unit.end - i - 1;
+              for (int32_t j = i + 1; j < unit.end; ++j) {
+                const TupleId v = cls[j];
+                const AttrSet diff = diff_of(u, v);
+                bool owned = true;
+                for (int k = 0; k < unit.key; ++k) {
+                  if (!keys[k].Intersects(diff)) {
+                    owned = false;
+                    break;
+                  }
                 }
+                if (!owned) continue;
+                ++count.owned;
+                if (DiffSetViolates(diff, sigma)) out.Add(diff, Edge(u, v));
               }
-              if (!owned) continue;
-              ++count.owned;
-              if (DiffSetViolates(diff, sigma)) out.Add(diff, Edge(u, v));
             }
           }
-        }
-      });
+        });
+  });
   if (stats != nullptr) {
     *stats = DiffSetBuildStats{};
     for (const PairCounts& count : counts) {
@@ -390,10 +531,11 @@ DifferenceSetIndex BuildDifferenceSetIndexBlocked(const EncodedInstance& inst,
     }
     stats->partition_seconds = partition_seconds;
     stats->enumerate_seconds = SecondsSince(t_enumerate);
+    stats->lane_bits = packed.lane_bits();
   }
 
-  // Phase 3 — one group per difference set, each in canonical edge order,
-  // then rank.
+  // Phase 3 — one group per difference set, ranked, each written in
+  // canonical edge order at its final offset.
   DifferenceSetIndex index =
       RankedIndex(&buckets, inst.NumTuples(), pool, stats);
   if (stats != nullptr) stats->total_seconds = SecondsSince(t_start);
@@ -411,11 +553,12 @@ DifferenceSetIndex BuildDifferenceSetIndex(const EncodedInstance& inst,
 
   // kNaive: the quadratic oracle — a direct scan over all C(n,2) tuple
   // pairs, each difference set computed from the columns. Deliberately free
-  // of the blocking machinery (partitions, ownership) so the blocked
-  // builder has an independent witness and the scaling bench an honest
-  // baseline. It shares phase 3's bucket -> order -> rank helpers, so the
-  // two builders emit bit-identical indexes; BlockedOracle's reference
-  // index, built in the test, checks those helpers independently.
+  // of the blocking machinery (partitions, ownership) and of the packed
+  // kernel, so the blocked builder has an independent witness and the
+  // scaling bench an honest baseline. It shares phase 3's bucket -> order
+  // -> rank helpers, so the two builders emit bit-identical indexes;
+  // BlockedOracle's reference index, built in the test, checks those
+  // helpers independently.
   if (sigma.size() > 64) {
     throw std::invalid_argument("conflict graph supports at most 64 FDs");
   }

@@ -22,6 +22,9 @@
 #ifndef RETRUST_FD_DIFFERENCE_SET_H_
 #define RETRUST_FD_DIFFERENCE_SET_H_
 
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,14 +40,109 @@ namespace retrust {
 AttrSet DiffSetOfPair(const int32_t* const* cols, int num_attrs, TupleId t1,
                       TupleId t2);
 
-/// One group of conflict edges sharing a difference set; `edges` is in
+/// An instance's rows packed for the pair kernel: each tuple's m codes in
+/// consecutive 64-bit words, 8-bit lanes when every code is in [0, 256),
+/// 16-bit lanes when every code is in [0, 65536). Any other code (a
+/// negative variable code included) leaves the rows unpacked, and callers
+/// keep DiffSetOfPair's column loop. A packed pair's difference set is an
+/// XOR per word, a lane-nonzero mask and a multiply-shift that collapses
+/// the mask's lane bits to consecutive attribute bits.
+class PackedRows {
+ public:
+  explicit PackedRows(const EncodedInstance& inst);
+
+  /// 8 or 16; 0 when the rows are not packed.
+  int lane_bits() const { return lane_bits_; }
+
+  /// DiffSetOfPair(cols, m, u, v) for rows packed with kLaneBits lanes.
+  template <int kLaneBits>
+  AttrSet Diff(TupleId u, TupleId v) const {
+    static_assert(kLaneBits == 8 || kLaneBits == 16);
+    constexpr uint64_t kHigh = kLaneBits == 8 ? 0x8080808080808080ULL
+                                              : 0x8000800080008000ULL;
+    constexpr uint64_t kLow = ~kHigh;
+    const uint64_t* a = words_.data() + static_cast<size_t>(u) * stride_;
+    const uint64_t* b = words_.data() + static_cast<size_t>(v) * stride_;
+    uint64_t bits = 0;
+    for (int w = 0; w < stride_; ++w) {
+      const uint64_t x = a[w] ^ b[w];
+      // The high bit of each lane is set iff the lane is nonzero; the low
+      // bits' sum cannot carry out of the lane.
+      const uint64_t nonzero = (((x & kLow) + kLow) | x) & kHigh;
+      // Every lane bit lands in the top byte (nibble) at its lane's rank,
+      // and no two partial products share a bit, so nothing carries.
+      const uint64_t lanes =
+          kLaneBits == 8 ? (nonzero >> 7) * 0x0102040810204080ULL >> 56
+                         : (nonzero >> 15) * 0x1000200040008000ULL >> 60;
+      bits |= lanes << (w * (64 / kLaneBits));
+    }
+    return AttrSet(bits);
+  }
+
+ private:
+  int lane_bits_ = 0;
+  int stride_ = 0;  ///< words per row
+  std::vector<uint64_t> words_;
+};
+
+/// Calls `fn` with the fastest pair kernel `rows` allows: a callable
+/// (u, v) -> AttrSet equal to DiffSetOfPair(cols, m, u, v). Each kernel is
+/// its own instantiation of `fn`, so the lane width is not re-tested per
+/// pair.
+template <typename Fn>
+void WithPairKernel(const PackedRows& rows, const int32_t* const* cols,
+                    int m, Fn&& fn) {
+  switch (rows.lane_bits()) {
+    case 8:
+      fn([&rows](TupleId u, TupleId v) { return rows.Diff<8>(u, v); });
+      break;
+    case 16:
+      fn([&rows](TupleId u, TupleId v) { return rows.Diff<16>(u, v); });
+      break;
+    default:
+      fn([cols, m](TupleId u, TupleId v) {
+        return DiffSetOfPair(cols, m, u, v);
+      });
+  }
+}
+
+/// One group of conflict edges sharing a difference set: a view into its
+/// index's edge array, valid while the index lives. `edges` is in
 /// canonical ascending (u, v) order.
 struct DiffSetGroup {
   AttrSet diff;
-  std::vector<Edge> edges;
+  std::span<const Edge> edges;
 
   /// Number of conflict pairs in the group — the heuristic's ranking key.
   int64_t frequency() const { return static_cast<int64_t>(edges.size()); }
+};
+
+/// A fixed-size edge array whose storage starts uninitialized: the build,
+/// the delta patch and the snapshot reader each write every element once,
+/// so no page is written twice. Copies are deep.
+class EdgeArray {
+ public:
+  EdgeArray() = default;
+  explicit EdgeArray(size_t size);
+  EdgeArray(const EdgeArray& other);
+  EdgeArray(EdgeArray&& other) noexcept
+      : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
+  EdgeArray& operator=(EdgeArray other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+
+  Edge* data() { return data_.get(); }
+  const Edge* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+
+ private:
+  struct Free {
+    void operator()(Edge* p) const;
+  };
+  std::unique_ptr<Edge, Free> data_;
+  size_t size_ = 0;
 };
 
 /// Per-phase observability of one index build (the --timing surface of
@@ -57,6 +155,9 @@ struct DiffSetBuildStats {
   double enumerate_seconds = 0.0;  ///< in-class pair enumeration phase
   double group_seconds = 0.0;      ///< merge + group + rank phase
   double total_seconds = 0.0;
+  /// PackedRows lane width of the blocked build's pair kernel (8 or 16);
+  /// 0 when it ran the column loop (and always for the naive build).
+  int lane_bits = 0;
 };
 
 /// Which front door BuildDifferenceSetIndex uses. kNaive (all pairs, each
@@ -75,40 +176,53 @@ struct IndexPatch {
 
 /// Conflict edges grouped by difference set, ordered by descending edge
 /// frequency (ties: smaller attribute mask first) — the order in which the
-/// heuristic prefers to pick them.
+/// heuristic prefers to pick them. All edges live in one array in that
+/// group order; group i is the span [begin(i), begin(i + 1)) of it.
 class DifferenceSetIndex {
  public:
   DifferenceSetIndex() = default;
 
-  /// Restores an index from its serialized groups (src/persist/). The
-  /// groups must already be in the canonical (descending frequency,
-  /// smaller mask) order a live index produced — snapshots save them in
+  /// Restores an index from its parts (src/persist/): `diffs` in the
+  /// canonical (descending frequency, smaller mask) order a live index
+  /// produced, `begins` the size() + 1 ascending offsets of each group's
+  /// edges in `edges`, from 0 to edges.size(). Snapshots save groups in
   /// that order, and the reader rejects edges and difference sets outside
   /// the instance's shape.
-  explicit DifferenceSetIndex(std::vector<DiffSetGroup> groups)
-      : groups_(std::move(groups)) {}
+  DifferenceSetIndex(std::vector<AttrSet> diffs, std::vector<size_t> begins,
+                     EdgeArray edges)
+      : diffs_(std::move(diffs)),
+        begins_(std::move(begins)),
+        edges_(std::move(edges)) {}
 
   /// Incrementally maintains the index after `inst` had a delta applied
   /// (delta.h). `dirty` is the plan's post-delta dirty id set (ascending)
   /// and `remap` its old->new id map; the index must have been built over
   /// the pre-delta instance with the same `sigma`. Surviving clean edges
   /// are kept as-is, only pairs with a dirty endpoint are (re)examined —
-  /// O(Δ·n·m) comparisons sharded on `pool` (nullable = serial) — and the
-  /// result is BIT-IDENTICAL to BuildDifferenceSetIndex over the
+  /// O(Δ·n) packed comparisons sharded on `pool` (nullable = serial) — and
+  /// the result is BIT-IDENTICAL to BuildDifferenceSetIndex over the
   /// post-delta instance for any thread count (the index is a pure
   /// function of {pair -> difference set}, and the delta only changes
   /// pairs with a dirty endpoint). The scan compares each dirty tuple
   /// with every partner, so an empty-LHS FD's full-disagreement pairs take
-  /// the same path as every other edge.
+  /// the same path as every other edge. The next edge array is written in
+  /// one filter + merge pass; the filter is skipped when no pre-delta
+  /// tuple was deleted, moved or dirtied (an insert-only delta).
   IndexPatch ApplyDelta(const EncodedInstance& inst, const FDSet& sigma,
                         const std::vector<TupleId>& dirty,
                         const std::vector<TupleId>& remap,
                         exec::ThreadPool* pool);
 
-  int size() const { return static_cast<int>(groups_.size()); }
-  bool empty() const { return groups_.empty(); }
-  const DiffSetGroup& group(int i) const { return groups_[i]; }
-  const std::vector<DiffSetGroup>& groups() const { return groups_; }
+  int size() const { return static_cast<int>(diffs_.size()); }
+  bool empty() const { return diffs_.empty(); }
+  DiffSetGroup group(int i) const {
+    return {diffs_[i],
+            {edges_.data() + begins_[i], begins_[i + 1] - begins_[i]}};
+  }
+  /// Every group's difference set, in group order.
+  const std::vector<AttrSet>& diffs() const { return diffs_; }
+  /// All edges, group after group.
+  std::span<const Edge> edges() const { return {edges_.data(), edges_.size()}; }
 
   /// Indices of groups whose difference set violates at least one FD of
   /// `fds` (i.e. groups still in conflict under a candidate Σ').
@@ -117,7 +231,9 @@ class DifferenceSetIndex {
   std::string ToString(const Schema& schema) const;
 
  private:
-  std::vector<DiffSetGroup> groups_;
+  std::vector<AttrSet> diffs_;
+  std::vector<size_t> begins_ = {0};
+  EdgeArray edges_;
 };
 
 /// True iff difference set `diff` violates at least one FD in `fds`.
@@ -130,8 +246,10 @@ bool DiffSetViolates(AttrSet diff, const FDSet& fds);
 /// agrees on, so each candidate edge is examined once. Work is sharded
 /// over (LHS, class) units on `pool` (nullable = serial); each chunk files
 /// its conflict edges under their difference set, and each group is then
-/// ordered on its own in O(edges + n) — BIT-IDENTICAL to the naive build
-/// for any thread count. O(Σ_classes |c|²·m) instead of O(n²·m).
+/// ordered on its own in O(edges + n), written at its final offset of the
+/// edge array — BIT-IDENTICAL to the naive build for any thread count.
+/// O(Σ_classes |c|²) pair compares instead of O(n²), each one a few words
+/// of PackedRows when the codes fit its lanes and m column loads when not.
 DifferenceSetIndex BuildDifferenceSetIndexBlocked(
     const EncodedInstance& inst, const FDSet& sigma, exec::ThreadPool* pool,
     DiffSetBuildStats* stats = nullptr);

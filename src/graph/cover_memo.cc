@@ -2,7 +2,7 @@
 
 namespace retrust {
 
-CoverMemo::CoverMemo(std::vector<const std::vector<Edge>*> groups,
+CoverMemo::CoverMemo(std::vector<std::span<const Edge>> groups,
                      int32_t num_vertices, size_t max_entries)
     : groups_(std::move(groups)),
       num_vertices_(num_vertices),
@@ -102,7 +102,7 @@ int32_t CoverMemo::ComputeSet(const GroupBitset& key, SetScratch* s,
   key.ForEachSet(
       [&](int g) {
         ++*scanned;
-        for (const Edge& e : *groups_[g]) {
+        for (const Edge& e : groups_[g]) {
           if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
             s->marks.Mark(e.u);
             s->marks.Mark(e.v);
@@ -145,7 +145,7 @@ int32_t CoverMemo::ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
   *resumed += static_cast<int64_t>(divergence);
   for (size_t p = divergence; p < seq.size(); ++p) {
     ++*scanned;
-    for (const Edge& e : *groups_[seq[p]]) {
+    for (const Edge& e : groups_[seq[p]]) {
       if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
         s->marks.Mark(e.u);
         s->marks.Mark(e.v);

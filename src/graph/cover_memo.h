@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -73,11 +74,11 @@ class CoverMemo {
     std::vector<std::pair<std::vector<int32_t>, int32_t>> seq_entries;
   };
 
-  /// `groups[g]` is group g's edge list; the pointed-to vectors must
-  /// outlive the memo (FdSearchContext owns the DifferenceSetIndex they
-  /// live in). `max_entries` caps EACH memo map; overflow disables
-  /// insertion but never lookup (results stay exact, only colder).
-  CoverMemo(std::vector<const std::vector<Edge>*> groups,
+  /// `groups[g]` is group g's edge list; the viewed edges must outlive
+  /// the memo (FdSearchContext owns the DifferenceSetIndex they live in).
+  /// `max_entries` caps EACH memo map; overflow disables insertion but
+  /// never lookup (results stay exact, only colder).
+  CoverMemo(std::vector<std::span<const Edge>> groups,
             int32_t num_vertices, size_t max_entries = size_t{1} << 20);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
@@ -150,7 +151,7 @@ class CoverMemo {
   int32_t ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
                      int64_t* scanned, int64_t* resumed) const;
 
-  const std::vector<const std::vector<Edge>*> groups_;
+  const std::vector<std::span<const Edge>> groups_;
   const int32_t num_vertices_;
   const size_t max_entries_;
 

@@ -1,6 +1,11 @@
 #include "src/persist/io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -131,10 +136,10 @@ Result<std::string> ReadWholeFile(const std::string& path,
   return bytes;
 }
 
-uint32_t Crc32(const void* data, size_t len) {
+uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
   static const CrcTables kT = MakeCrcTables();
   const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t c = 0xffffffffu;
+  uint32_t c = crc ^ 0xffffffffu;
 #if defined(__x86_64__)
   if (len >= 64 && HasClmul()) {
     const size_t folded = len & ~size_t{15};
@@ -158,6 +163,75 @@ uint32_t Crc32(const void* data, size_t len) {
 
 Status IoError(const std::string& message) {
   return Status::Error(StatusCode::kIoError, message);
+}
+
+Result<std::unique_ptr<FileSource>> FileSource::Open(const std::string& path,
+                                                     std::string_view what) {
+  const std::string name = std::string(what) + " '" + path + "'";
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return IoError("cannot open " + name);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return IoError("cannot size " + name);
+  }
+  return std::unique_ptr<FileSource>(
+      new FileSource(fd, static_cast<size_t>(st.st_size)));
+}
+
+FileSource::~FileSource() { ::close(fd_); }
+
+namespace {
+
+/// pread of exactly `len` bytes at `offset`.
+bool PreadFully(int fd, char* dst, size_t len, size_t offset) {
+  for (size_t done = 0; done < len;) {
+    const ssize_t got =
+        ::pread(fd, dst + done, len - done, static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    done += static_cast<size_t>(got);
+  }
+  return true;
+}
+
+}  // namespace
+
+bool FileSource::Read(void* dst, size_t len) {
+  if (failed_ || len > remaining()) {
+    failed_ = true;
+    return false;
+  }
+  // Each piece is checksummed while it is still in cache.
+  constexpr size_t kPiece = size_t{256} << 10;
+  auto* p = static_cast<char*>(dst);
+  for (size_t done = 0; done < len;) {
+    const size_t piece = std::min(kPiece, len - done);
+    if (!PreadFully(fd_, p + done, piece, offset_)) {
+      failed_ = true;
+      return false;
+    }
+    crc_ = Crc32(p + done, piece, crc_);
+    offset_ += piece;
+    done += piece;
+  }
+  return true;
+}
+
+bool FileSource::PeekAt(size_t offset, void* dst, size_t len) const {
+  return offset <= limit_ && len <= limit_ - offset &&
+         PreadFully(fd_, static_cast<char*>(dst), len, offset);
+}
+
+bool FileSource::ChecksumMatches() {
+  std::vector<char> rest(std::min(remaining(), ByteReader::kWindow));
+  while (remaining() > 0) {
+    if (!Read(rest.data(), std::min(remaining(), rest.size()))) return false;
+  }
+  const uint32_t crc = crc_;
+  unsigned char footer[sizeof(uint32_t)];
+  set_limit(limit_ + sizeof footer);
+  return Read(footer, sizeof footer) && LoadLe32(footer) == crc;
 }
 
 void WriteValue(ByteWriter* w, const Value& v) {

@@ -5,6 +5,9 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "src/persist/io.h"
@@ -103,7 +106,8 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   }
 
   w.U32(static_cast<uint32_t>(view.index->size()));
-  for (const DiffSetGroup& g : view.index->groups()) {
+  for (int i = 0; i < view.index->size(); ++i) {
+    const DiffSetGroup g = view.index->group(i);
     w.U64(g.diff.bits());
     w.U64(g.edges.size());
     w.I32Array(g.edges);
@@ -143,84 +147,115 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   return Status::Ok();
 }
 
-Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
-  Result<std::string> read = ReadWholeFile(path, "snapshot");
-  if (!read.ok()) return read.status();
-  const std::string& bytes = *read;
+namespace {
 
-  Status prefix = CheckPrefix(bytes, kSnapshotMagic, kSnapshotFormatVersion,
-                              kPrefixSize, "snapshot", path);
-  if (!prefix.ok()) return prefix;
-  if (bytes.size() < kPrefixSize + sizeof(uint32_t)) {
-    return IoError("snapshot '" + path + "' is truncated");
+/// Whether `edges`, which follow `*prev` in a group, satisfy
+/// 0 <= u < v < n in strictly ascending order; leaves `*prev` at the last
+/// edge. As unsigned values that is u < v < n, each edge above the one
+/// before it. The pass is branch-free and compares each edge with the one
+/// before it in memory, so it vectorizes.
+bool PlausibleEdges(std::span<const Edge> edges, uint32_t n, Edge* prev) {
+  if (edges.empty()) return true;
+  const auto follows = [n](const Edge& a, const Edge& b) -> uint32_t {
+    const auto u = static_cast<uint32_t>(b.u);
+    const auto v = static_cast<uint32_t>(b.v);
+    const auto pu = static_cast<uint32_t>(a.u);
+    const auto pv = static_cast<uint32_t>(a.v);
+    return (u < v) & (v < n) & ((u > pu) | ((u == pu) & (v > pv)));
+  };
+  uint32_t ok = follows(*prev, edges[0]);
+  for (size_t i = 1; i < edges.size(); ++i) {
+    ok &= follows(edges[i - 1], edges[i]);
   }
-  const size_t body = bytes.size() - sizeof(uint32_t);
-  ByteReader footer(std::string_view(bytes).substr(body));
-  if (footer.U32() != Crc32(bytes.data(), body)) {
-    return IoError("snapshot '" + path +
-                   "' failed its checksum (truncated or corrupted)");
-  }
+  *prev = edges.back();
+  return ok != 0;
+}
 
-  ByteReader r(std::string_view(bytes).substr(kPrefixSize, body - kPrefixSize));
-  SnapshotData data;
+/// The edge total of the `num_groups` index groups whose headers start at
+/// offset `at` of `file`, read from the headers alone by hopping over each
+/// group's edges; the stream then reads and checksums every byte. nullopt
+/// when a header or its edges run past the payload.
+std::optional<size_t> CountEdges(const FileSource& file, size_t at,
+                                 uint32_t num_groups) {
+  size_t total = 0;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    char header[2 * sizeof(uint64_t)];
+    if (!file.PeekAt(at, header, sizeof header)) return std::nullopt;
+    ByteReader fields(std::string_view(header, sizeof header));
+    fields.U64();  // the difference set
+    const uint64_t num_edges = fields.U64();
+    at += sizeof header;
+    if (num_edges > (file.limit() - at) / sizeof(Edge)) return std::nullopt;
+    at += static_cast<size_t>(num_edges) * sizeof(Edge);
+    total += static_cast<size_t>(num_edges);
+  }
+  return total;
+}
+
+/// Parses the payload `r` streams from `file` (everything between the
+/// prefix and the checksum footer) into `*data`. The index's edges are read
+/// from the file straight into one array, sized by a pass over the group
+/// headers.
+Status ParsePayload(const FileSource& file, ByteReader* r,
+                    const std::string& path, SnapshotData* data) {
   try {
-    data.fingerprint = r.U64();
-    data.data_stamp = r.U64();
-    data.data_version = r.U64();
-    data.root_delta_p = r.I64();
-    data.weight_model = r.U8();
-    data.heuristic.max_diffsets = r.I32();
-    data.heuristic.max_nodes = r.I64();
-    data.heuristic.strict_leave_check = r.U8() != 0;
+    data->fingerprint = r->U64();
+    data->data_stamp = r->U64();
+    data->data_version = r->U64();
+    data->root_delta_p = r->I64();
+    data->weight_model = r->U8();
+    data->heuristic.max_diffsets = r->I32();
+    data->heuristic.max_nodes = r->I64();
+    data->heuristic.strict_leave_check = r->U8() != 0;
 
-    const uint32_t m = r.U32();
-    if (m > static_cast<uint32_t>(kMaxAttrs) || !r.ok()) {
+    const uint32_t m = r->U32();
+    if (m > static_cast<uint32_t>(kMaxAttrs) || !r->ok()) {
       return IoError("snapshot '" + path + "' has an implausible schema");
     }
     std::vector<Attribute> attrs(m);
     for (uint32_t a = 0; a < m; ++a) {
-      attrs[a].name = r.Str();
-      attrs[a].type = static_cast<AttrType>(r.U8());
+      attrs[a].name = r->Str();
+      attrs[a].type = static_cast<AttrType>(r->U8());
     }
     Schema schema(std::move(attrs));
 
-    const uint32_t n = r.U32();
+    const uint32_t n = r->U32();
     std::vector<Dictionary> dicts;
     dicts.reserve(m);
     for (uint32_t a = 0; a < m; ++a) {
-      const uint64_t count = r.U64();
-      if (!PlausibleCount(count, r)) {
+      const uint64_t count = r->U64();
+      if (!PlausibleCount(count, *r)) {
         return IoError("snapshot '" + path + "' has an implausible dictionary");
       }
       std::vector<Value> values;
       values.reserve(static_cast<size_t>(count));
-      for (uint64_t i = 0; i < count; ++i) values.push_back(ReadValue(&r));
+      for (uint64_t i = 0; i < count; ++i) values.push_back(ReadValue(r));
       dicts.push_back(Dictionary::FromValues(std::move(values)));
     }
     const uint64_t num_codes = static_cast<uint64_t>(n) * m;
-    if (!PlausibleCount(num_codes, r)) {
+    if (!PlausibleCount(num_codes, *r)) {
       return IoError("snapshot '" + path + "' has an implausible cardinality");
     }
     std::vector<std::vector<int32_t>> columns(m, std::vector<int32_t>(n));
-    for (std::vector<int32_t>& column : columns) r.I32Array(&column);
+    for (std::vector<int32_t>& column : columns) r->I32Array(&column);
     std::vector<int32_t> next_var(m);
-    r.I32Array(&next_var);
-    data.instance_next_var.resize(m);
-    r.I32Array(&data.instance_next_var);
+    r->I32Array(&next_var);
+    data->instance_next_var.resize(m);
+    r->I32Array(&data->instance_next_var);
     const auto negative = [](int32_t counter) { return counter < 0; };
     if (std::any_of(next_var.begin(), next_var.end(), negative) ||
-        std::any_of(data.instance_next_var.begin(),
-                    data.instance_next_var.end(), negative)) {
+        std::any_of(data->instance_next_var.begin(),
+                    data->instance_next_var.end(), negative)) {
       return IoError("snapshot '" + path +
                      "' has a negative fresh-variable counter");
     }
-    data.encoded =
+    data->encoded =
         EncodedInstance::Restore(std::move(schema), static_cast<int>(n),
                                  std::move(columns), std::move(dicts),
                                  std::move(next_var));
 
-    const uint32_t num_fds = r.U32();
-    if (num_fds > 64 || !r.ok()) {
+    const uint32_t num_fds = r->U32();
+    if (num_fds > 64 || !r->ok()) {
       return IoError("snapshot '" + path + "' has an implausible FD set");
     }
     // Everything below indexes attributes, tuples, FDs or groups by what
@@ -229,56 +264,69 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
     const AttrSet universe = AttrSet::Universe(static_cast<int>(m));
     std::vector<FD> fds(num_fds);
     for (FD& fd : fds) {
-      fd.lhs = AttrSet(r.U64());
-      fd.rhs = r.I32();
+      fd.lhs = AttrSet(r->U64());
+      fd.rhs = r->I32();
       if (!fd.lhs.SubsetOf(universe) || fd.rhs < 0 ||
           fd.rhs >= static_cast<int>(m)) {
         return IoError("snapshot '" + path + "' has an FD outside its schema");
       }
     }
-    data.sigma = FDSet(std::move(fds));
+    data->sigma = FDSet(std::move(fds));
 
-    const uint32_t num_groups = r.U32();
-    if (!PlausibleCount(num_groups, r)) {
+    const uint32_t num_groups = r->U32();
+    if (!PlausibleCount(num_groups, *r)) {
       return IoError("snapshot '" + path + "' has an implausible index");
     }
-    std::vector<DiffSetGroup> groups(num_groups);
-    for (DiffSetGroup& g : groups) {
-      g.diff = AttrSet(r.U64());
-      const uint64_t num_edges = r.U64();
-      if (!PlausibleCount(num_edges, r) || !g.diff.SubsetOf(universe)) {
+    const std::optional<size_t> total =
+        CountEdges(file, r->source_offset(), num_groups);
+    if (!total) {
+      return IoError("snapshot '" + path + "' has an implausible group");
+    }
+    std::vector<AttrSet> diffs(num_groups);
+    std::vector<size_t> begins = {0};
+    begins.reserve(static_cast<size_t>(num_groups) + 1);
+    EdgeArray edges(*total);
+    for (AttrSet& diff : diffs) {
+      diff = AttrSet(r->U64());
+      const uint64_t num_edges = r->U64();
+      if (num_edges > edges.size() - begins.back() ||
+          !diff.SubsetOf(universe)) {
         return IoError("snapshot '" + path + "' has an implausible group");
       }
-      g.edges.resize(static_cast<size_t>(num_edges));
-      r.I32Array(&g.edges);
-      // 0 <= u < v < n, strictly ascending within the group. With u >= 0,
-      // (u, v) order is the order of the key u·2^32 + v, and every valid
-      // key exceeds 0, so one branch-free pass checks it all.
+      const std::span<Edge> group(edges.data() + begins.back(),
+                                  static_cast<size_t>(num_edges));
+      begins.push_back(begins.back() + group.size());
+      // Read and checked a piece at a time, each checked while the read
+      // has it in cache.
+      constexpr size_t kPiece = size_t{16} << 10;
       bool plausible = true;
-      uint64_t prev = 0;
-      for (const Edge& e : g.edges) {
-        const uint64_t key = uint64_t{static_cast<uint32_t>(e.u)} << 32 |
-                             static_cast<uint32_t>(e.v);
-        plausible &= (e.u >= 0) & (e.u < e.v) &
-                     (static_cast<uint32_t>(e.v) < n) & (key > prev);
-        prev = key;
+      Edge prev(0, 0);
+      for (size_t at = 0; at < group.size(); at += kPiece) {
+        const std::span<Edge> piece =
+            group.subspan(at, std::min(kPiece, group.size() - at));
+        r->I32Array(piece);
+        plausible &= PlausibleEdges(piece, n, &prev);
       }
       if (!plausible) {
         return IoError("snapshot '" + path + "' has an implausible edge list");
       }
     }
-    data.index = DifferenceSetIndex(std::move(groups));
+    if (begins.back() != edges.size()) {
+      return IoError("snapshot '" + path + "' has an implausible index");
+    }
+    data->index = DifferenceSetIndex(std::move(diffs), std::move(begins),
+                                    std::move(edges));
 
     const size_t words_per_key = (static_cast<size_t>(num_groups) + 63) / 64;
-    const uint64_t num_set = r.U64();
-    if (!PlausibleCount(num_set, r)) {
+    const uint64_t num_set = r->U64();
+    if (!PlausibleCount(num_set, *r)) {
       return IoError("snapshot '" + path + "' has an implausible cover memo");
     }
-    data.warm.covers.set_entries.reserve(static_cast<size_t>(num_set));
+    data->warm.covers.set_entries.reserve(static_cast<size_t>(num_set));
     for (uint64_t i = 0; i < num_set; ++i) {
       GroupBitset key(static_cast<int>(num_groups));
       for (size_t word = 0; word < words_per_key; ++word) {
-        uint64_t bits = r.U64();
+        uint64_t bits = r->U64();
         while (bits != 0) {
           const size_t g = word * 64 + std::countr_zero(bits);
           if (g >= num_groups) {
@@ -289,30 +337,65 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
           bits &= bits - 1;
         }
       }
-      const int32_t value = r.I32();
-      data.warm.covers.set_entries.emplace_back(std::move(key), value);
+      const int32_t value = r->I32();
+      data->warm.covers.set_entries.emplace_back(std::move(key), value);
     }
-    const uint64_t num_seq = r.U64();
-    if (!PlausibleCount(num_seq, r)) {
+    const uint64_t num_seq = r->U64();
+    if (!PlausibleCount(num_seq, *r)) {
       return IoError("snapshot '" + path + "' has an implausible cover memo");
     }
-    data.warm.covers.seq_entries.reserve(static_cast<size_t>(num_seq));
+    data->warm.covers.seq_entries.reserve(static_cast<size_t>(num_seq));
     for (uint64_t i = 0; i < num_seq; ++i) {
-      const uint64_t len = r.U64();
-      if (!PlausibleCount(len, r)) {
+      const uint64_t len = r->U64();
+      if (!PlausibleCount(len, *r)) {
         return IoError("snapshot '" + path + "' has an implausible cover key");
       }
       std::vector<int32_t> seq(static_cast<size_t>(len));
-      r.I32Array(&seq);
-      const int32_t value = r.I32();
-      data.warm.covers.seq_entries.emplace_back(std::move(seq), value);
+      r->I32Array(&seq);
+      const int32_t value = r->I32();
+      data->warm.covers.seq_entries.emplace_back(std::move(seq), value);
     }
   } catch (const std::exception& e) {
     return IoError("snapshot '" + path + "' is corrupt: " + e.what());
   }
-  if (!r.ok() || r.remaining() != 0) {
+  if (!r->ok() || r->remaining() != 0) {
     return IoError("snapshot '" + path + "' payload has the wrong length");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
+  Result<std::unique_ptr<FileSource>> opened =
+      FileSource::Open(path, "snapshot");
+  if (!opened.ok()) return opened.status();
+  FileSource& file = **opened;
+
+  char prefix_bytes[kPrefixSize];
+  const size_t prefix_size = std::min(file.size(), kPrefixSize);
+  if (!file.Read(prefix_bytes, prefix_size)) {
+    return IoError("read failure on snapshot '" + path + "'");
+  }
+  Status prefix = CheckPrefix(std::string_view(prefix_bytes, prefix_size),
+                              kSnapshotMagic, kSnapshotFormatVersion,
+                              kPrefixSize, "snapshot", path);
+  if (!prefix.ok()) return prefix;
+  if (file.size() < kPrefixSize + sizeof(uint32_t)) {
+    return IoError("snapshot '" + path + "' is truncated");
+  }
+
+  // The payload is parsed as it streams in, but a checksum failure takes
+  // precedence over whatever the parse made of the damaged bytes.
+  file.set_limit(file.size() - sizeof(uint32_t));
+  ByteReader r(&file);
+  SnapshotData data;
+  Status parsed = ParsePayload(file, &r, path, &data);
+  if (!file.ChecksumMatches()) {
+    return IoError("snapshot '" + path +
+                   "' failed its checksum (truncated or corrupted)");
+  }
+  if (!parsed.ok()) return parsed;
   return data;
 }
 

@@ -4,13 +4,11 @@ namespace retrust {
 
 namespace {
 
-std::vector<const std::vector<Edge>*> GroupEdgeLists(
+std::vector<std::span<const Edge>> GroupEdgeLists(
     const DifferenceSetIndex& index) {
-  std::vector<const std::vector<Edge>*> out;
+  std::vector<std::span<const Edge>> out;
   out.reserve(index.size());
-  for (const DiffSetGroup& g : index.groups()) {
-    out.push_back(&g.edges);
-  }
+  for (int g = 0; g < index.size(); ++g) out.push_back(index.group(g).edges);
   return out;
 }
 

@@ -16,7 +16,7 @@ CoverLowerBound::CoverLowerBound(const FdSearchContext& ctx) : ctx_(ctx) {
 int64_t CoverLowerBound::DeltaPFloor(const SearchState& s,
                                      SearchStats* stats) {
   const ViolationTable& table = ctx_.evaluator().table();
-  const std::vector<DiffSetGroup>& groups = ctx_.index().groups();
+  const std::vector<AttrSet>& diffs = ctx_.index().diffs();
   const std::vector<uint64_t>& fd_masks = table.fd_masks();
 
   // Attributes a descendant may still append: everything at or above the
@@ -30,7 +30,7 @@ int64_t CoverLowerBound::DeltaPFloor(const SearchState& s,
   dead_.Reset(table.num_groups());
   int dead_count = 0;
   for (int g = 0; g < table.num_groups(); ++g) {
-    const uint64_t d = groups[g].diff.bits();
+    const uint64_t d = diffs[g].bits();
     uint64_t fds = fd_masks[g];
     while (fds != 0) {
       const int i = std::countr_zero(fds);

@@ -324,11 +324,15 @@ Result<TenantStats> TenantRegistry::StatsFor(const std::string& name) const {
 void TenantRegistry::Recharge(const std::string& name,
                               const Session& session) {
   const size_t bytes = EstimateSessionBytes(session);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tenants_.find(name);
-  if (it != tenants_.end() && it->second.session.get() == &session) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tenants_.find(name);
+    if (it == tenants_.end() || it->second.session.get() != &session) return;
     it->second.bytes = bytes;
   }
+  // A delta that grows the tenant past the budget sheds idle tenants now,
+  // not at the next lazy load; the tenant being charged stays.
+  EnforceBudget(name);
 }
 
 size_t TenantRegistry::LoadedBytes() const {

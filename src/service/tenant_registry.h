@@ -121,9 +121,10 @@ class TenantRegistry {
   Result<TenantStats> StatsFor(const std::string& name) const;
 
   /// Re-estimates the bytes charged to `name` after `session` — the
-  /// tenant's loaded session — changed size (a delta applied). The caller
-  /// excludes the tenant's other requests (Server's lane barrier). A
-  /// tenant no longer holding `session` is left as it is.
+  /// tenant's loaded session — changed size (a delta applied), then
+  /// enforces the byte budget with `name` exempt, as a lazy load does. The
+  /// caller excludes the tenant's other requests (Server's lane barrier).
+  /// A tenant no longer holding `session` is left as it is.
   void Recharge(const std::string& name, const Session& session);
 
   /// Estimated bytes of all loaded sessions (the budget's left-hand side).

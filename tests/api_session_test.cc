@@ -941,10 +941,7 @@ TEST(SessionSearchMemo, ConcurrentFirstRepairsOfOneGoalAgree) {
 TEST(SessionOpen, ContextBytesEstimateCountsEdges) {
   Result<Session> session = Session::Open(SmallInstance(), {"City->Zip"});
   ASSERT_TRUE(session.ok());
-  size_t edges = 0;
-  for (const DiffSetGroup& g : session->context().index().groups()) {
-    edges += static_cast<size_t>(g.frequency());
-  }
+  const size_t edges = session->context().index().edges().size();
   ASSERT_GT(edges, 0u);
   const size_t with_edges = session->ContextBytesEstimate();
   EXPECT_GE(with_edges, edges * sizeof(Edge) + sizeof(FdSearchContext));

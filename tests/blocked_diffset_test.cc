@@ -13,11 +13,13 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/api/session.h"
 #include "src/eval/generator.h"
+#include "src/eval/perturb.h"
 #include "src/exec/thread_pool.h"
 #include "src/fd/difference_set.h"
 #include "src/relational/delta.h"
@@ -272,7 +274,8 @@ void ExpectMatchesReference(
   ASSERT_EQ(got.size(), static_cast<int>(want.size()));
   for (int g = 0; g < got.size(); ++g) {
     ASSERT_EQ(got.group(g).diff.bits(), want[g].first) << "group " << g;
-    ASSERT_TRUE(got.group(g).edges == want[g].second) << "group " << g;
+    ASSERT_TRUE(std::ranges::equal(got.group(g).edges, want[g].second))
+        << "group " << g;
   }
 }
 
@@ -378,7 +381,7 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneUniverseGroup) {
   EXPECT_EQ(index.group(0).frequency(), 10);
   EXPECT_EQ(stats.pairs_candidate, 10);
   EXPECT_EQ(stats.pairs_materialized, 10);
-  const std::vector<Edge>& edges = index.group(0).edges;
+  const std::span<const Edge> edges = index.group(0).edges;
   ASSERT_EQ(edges.size(), 10u);
   size_t k = 0;
   for (TupleId u = 0; u < 5; ++u) {
@@ -445,6 +448,130 @@ TEST(CountedGroups, CopiedIndexMaterializesIndependently) {
   EXPECT_EQ(copy.group(0).frequency(), 6);
 }
 
+// --- Packed pair kernel ---------------------------------------------------
+
+/// n rows over m int attributes whose codes are then overwritten with
+/// draws from {0, 1, max_code / 2 + 1, max_code - 1, max_code}: values that
+/// differ only in a lane's low bit, only in its high bit, or everywhere.
+/// Every column holds max_code at least once, so the lane rule sees it.
+EncodedInstance RandomCodes(int n, int m, int32_t max_code,
+                            std::mt19937_64& rng) {
+  Instance inst(MakeSchema(m));
+  for (int t = 0; t < n; ++t) inst.AddTuple(Tuple(m, Value(int64_t{0})));
+  EncodedInstance enc(inst);
+  const int32_t draws[] = {0, 1, max_code / 2 + 1, max_code - 1, max_code};
+  for (AttrId a = 0; a < m; ++a) {
+    for (TupleId t = 0; t < n; ++t) enc.SetCode(t, a, draws[rng() % 5]);
+    enc.SetCode(static_cast<TupleId>(rng() % n), a, max_code);
+  }
+  return enc;
+}
+
+/// Every pair of `enc`'s rows through the kernel `rows` picks, against the
+/// column loop.
+void ExpectKernelMatchesColumnLoop(const EncodedInstance& enc) {
+  const int m = enc.NumAttrs();
+  std::vector<const int32_t*> cols(m);
+  for (AttrId a = 0; a < m; ++a) cols[a] = enc.ColumnData(a);
+  const PackedRows rows(enc);
+  WithPairKernel(rows, cols.data(), m, [&](auto diff_of) {
+    for (TupleId u = 0; u < enc.NumTuples(); ++u) {
+      for (TupleId v = 0; v < enc.NumTuples(); ++v) {
+        ASSERT_EQ(diff_of(u, v).bits(),
+                  DiffSetOfPair(cols.data(), m, u, v).bits())
+            << "u=" << u << " v=" << v;
+      }
+    }
+  });
+}
+
+TEST(PackedRows, LaneWidthFollowsTheLargestCode) {
+  std::mt19937_64 rng(0x1a9e5);
+  const std::pair<int32_t, int> cases[] = {
+      {255, 8}, {256, 16}, {65535, 16}, {65536, 0}};
+  for (const auto& [max_code, lanes] : cases) {
+    for (int m : {1, 7, 8, 9, 16, 17, 64}) {
+      SCOPED_TRACE("max code " + std::to_string(max_code) + ", m = " +
+                   std::to_string(m));
+      const EncodedInstance enc = RandomCodes(40, m, max_code, rng);
+      EXPECT_EQ(PackedRows(enc).lane_bits(), lanes);
+      ExpectKernelMatchesColumnLoop(enc);
+    }
+  }
+}
+
+TEST(PackedRows, VariableCodeTakesTheColumnLoop) {
+  std::mt19937_64 rng(0x7a41);
+  for (int m : {1, 9, 64}) {
+    EncodedInstance enc = RandomCodes(30, m, 10, rng);
+    enc.SetFreshVariable(static_cast<TupleId>(rng() % 30),
+                         static_cast<AttrId>(rng() % m));
+    EXPECT_EQ(PackedRows(enc).lane_bits(), 0) << "m = " << m;
+    ExpectKernelMatchesColumnLoop(enc);
+  }
+}
+
+TEST(PackedRows, BlockedBuildMatchesNaiveAtEveryLaneWidth) {
+  std::mt19937_64 rng(0x9ac4);
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{0}, 1});
+  sigma.Add(FD{AttrSet{2}, 3});
+  for (int32_t max_code : {255, 65535, 65536}) {
+    const EncodedInstance enc = RandomCodes(60, 9, max_code, rng);
+    DiffSetBuildStats stats;
+    const DifferenceSetIndex blocked = BuildDifferenceSetIndex(
+        enc, sigma, nullptr, DiffSetBuildMode::kBlocked, &stats);
+    EXPECT_EQ(stats.lane_bits, PackedRows(enc).lane_bits());
+    ASSERT_GT(blocked.size(), 0);
+    ExpectIndexIdentical(blocked,
+                         BuildDifferenceSetIndex(enc, sigma, nullptr,
+                                                 DiffSetBuildMode::kNaive));
+  }
+}
+
+/// Dense generator data with errors and the FDs they violate.
+PerturbedData DenseDirtyData() {
+  CensusConfig gen;
+  gen.num_tuples = 400;
+  gen.num_attrs = 8;
+  gen.planted_lhs_sizes = {2, 2};
+  gen.seed = 31;
+  const GeneratedData clean = GenerateCensusLike(gen);
+  PerturbOptions perturb;
+  perturb.data_error_rate = 0.02;
+  perturb.fd_error_rate = 0.5;
+  return Perturb(clean.instance, clean.planted_fds, perturb);
+}
+
+/// DenseDirtyData() patched by `delta` through ApplyDelta, against a fresh
+/// build over the patched instance.
+void ExpectPatchMatchesFreshBuild(const DeltaBatch& delta) {
+  const PerturbedData data = DenseDirtyData();
+  EncodedInstance enc(data.data);
+  DifferenceSetIndex index = BuildDifferenceSetIndex(enc, data.fds, {});
+  ASSERT_EQ(PackedRows(enc).lane_bits(), 8);
+  DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), enc.NumAttrs());
+  enc.ApplyDelta(delta, plan);
+  const IndexPatch patch =
+      index.ApplyDelta(enc, data.fds, plan.dirty, plan.remap, nullptr);
+  EXPECT_GT(patch.edges_added + patch.edges_removed, 0);
+  ExpectIndexIdentical(index, BuildDifferenceSetIndex(enc, data.fds, {}));
+}
+
+TEST(PackedRows, InsertOnlyDeltaPatchMatchesFreshBuild) {
+  const Instance rows = DenseDirtyData().data;
+  DeltaBatch delta;
+  for (TupleId t = 0; t < 400; t += 37) delta.Insert(rows.row(t));
+  ExpectPatchMatchesFreshBuild(delta);
+}
+
+TEST(PackedRows, UpdateOfTupleZeroPatchMatchesFreshBuild) {
+  DeltaBatch delta;
+  delta.Update(0, 1, Value(int64_t{987654}));
+  delta.Update(0, 4, Value(int64_t{-3}));
+  ExpectPatchMatchesFreshBuild(delta);
+}
+
 // --- Delta maintenance over the columnar layout --------------------------
 
 TEST(ColumnarDelta, PatchedContextMatchesFreshBlockedBuild) {
@@ -507,10 +634,7 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   // Start with tuples that all agree on attribute 1: no universe group.
   const AttrSet universe = AttrSet::Universe(2);
   auto has_universe_group = [&](const DifferenceSetIndex& index) {
-    for (const DiffSetGroup& g : index.groups()) {
-      if (g.diff == universe) return true;
-    }
-    return false;
+    return std::ranges::find(index.diffs(), universe) != index.diffs().end();
   };
   Instance inst(MakeSchema(2));
   for (int64_t v : {0, 1, 2}) inst.AddTuple({Value(v), Value(int64_t{7})});

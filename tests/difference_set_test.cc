@@ -55,9 +55,9 @@ TEST(DifferenceSetIndex, GroupsAndOrdersByFrequency) {
       BuildDifferenceSetIndex(enc, sigma, {}, DiffSetBuildMode::kNaive);
   ASSERT_EQ(index.size(), 3);  // BD, AD, BCD — all singleton groups
   int64_t total_edges = 0;
-  for (const DiffSetGroup& g : index.groups()) {
-    total_edges += g.frequency();
-    EXPECT_EQ(g.edges.size(), 1u);
+  for (int g = 0; g < index.size(); ++g) {
+    total_edges += index.group(g).frequency();
+    EXPECT_EQ(index.group(g).edges.size(), 1u);
   }
   EXPECT_EQ(total_edges, 3);
   // Frequency-sorted (ties by mask): all freq 1 here, so ascending mask:

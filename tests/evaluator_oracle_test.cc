@@ -50,7 +50,8 @@ bool LegacyGroupViolated(const FDSet& sigma, AttrSet diff,
 // edges of violated groups in canonical index order, greedy matching.
 int64_t LegacyCoverSize(const FdSearchContext& ctx, const SearchState& s) {
   std::vector<Edge> edges;
-  for (const DiffSetGroup& g : ctx.index().groups()) {
+  for (int i = 0; i < ctx.index().size(); ++i) {
+    const DiffSetGroup g = ctx.index().group(i);
     if (LegacyGroupViolated(ctx.sigma(), g.diff, s)) {
       edges.insert(edges.end(), g.edges.begin(), g.edges.end());
     }

@@ -5,6 +5,7 @@
 // oracle and torn-tail tolerance, and the tenant registry's snapshot-
 // backed unload/reload lifecycle with byte-budget eviction.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -201,6 +202,30 @@ TEST(Crc32, FoldPathAgreesWithBytewiseAtEveryLengthOffsetAndOneMebibyte) {
         << "offset " << offset;
   }
   EXPECT_EQ(persist::Crc32("123456789", 9), 0xCBF43926u);
+}
+
+// A snapshot read checksums its pieces in file order as they land, so the
+// CRC must continue across any split of the bytes.
+TEST(Crc32, ChainedOverEverySplitPointEqualsOneShot) {
+  std::vector<unsigned char> bytes(700);
+  uint32_t state = 24680;
+  for (unsigned char& b : bytes) {
+    state = state * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(state >> 24);
+  }
+  const uint32_t whole = persist::Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = persist::Crc32(bytes.data(), split);
+    ASSERT_EQ(persist::Crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split " << split;
+  }
+  uint32_t pieces = 0;
+  for (size_t at = 0; at < bytes.size(); at += 67) {
+    pieces = persist::Crc32(bytes.data() + at,
+                            std::min<size_t>(67, bytes.size() - at), pieces);
+  }
+  EXPECT_EQ(pieces, whole);
 }
 
 TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
@@ -408,6 +433,71 @@ TEST_F(SnapshotCorruption, BitFlipAnywhereIsIoError) {
   }
 }
 
+// Edges stream from the file straight into the index, and a checksum
+// failure outranks whatever the parse made of the damaged bytes: a flip
+// inside the first or the last group's edges, or a file cut off inside
+// the last group, reads as a checksum failure. The table is big enough
+// that the edges outrun the reader's window and are read into place.
+TEST(SnapshotStream, DamagedEdgesFailTheChecksum) {
+  Schema schema(std::vector<Attribute>{{"Name", AttrType::kString},
+                                       {"City", AttrType::kString},
+                                       {"Street", AttrType::kString},
+                                       {"Zip", AttrType::kString}});
+  const auto text = [](char kind, int k) {
+    std::string out(1, kind);
+    out += std::to_string(k);
+    return Value(out);
+  };
+  Instance inst(schema);
+  for (int t = 0; t < 1000; ++t) {
+    inst.AddTuple({text('n', t), text('c', t % 5), text('s', t % 3),
+                   text('z', t % 7)});
+  }
+  Result<Session> session = Session::Open(inst, {"City->Zip"});
+  ASSERT_TRUE(session.ok());
+  const DifferenceSetIndex& index = session->context().index();
+  ASSERT_GE(index.size(), 2);
+  ASSERT_GT(index.edges().size_bytes(), persist::ByteReader::kWindow);
+  const std::string path = TempPath("stream.snap");
+  ASSERT_TRUE(session->SaveSnapshot(path).ok());
+  const std::string bytes = ReadAll(path);
+
+  // Where a group's edges sit in the file: its (u, v) words, in order.
+  const auto edges_at = [&](int g) {
+    const std::span<const Edge> edges = index.group(g).edges;
+    const std::string words(reinterpret_cast<const char*>(edges.data()),
+                            edges.size_bytes());
+    const size_t at = bytes.find(words);
+    EXPECT_NE(at, std::string::npos) << "group " << g;
+    return std::pair(at, words.size());
+  };
+  const auto expect_checksum_failure = [&](const std::string& damaged,
+                                           const std::string& label) {
+    WriteAll(path, damaged);
+    Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path);
+    ASSERT_FALSE(read.ok()) << label;
+    EXPECT_EQ(read.status().code(), StatusCode::kIoError) << label;
+    EXPECT_NE(read.status().message().find("failed its checksum"),
+              std::string::npos)
+        << label << ": " << read.status().ToString();
+  };
+  for (int g : {0, index.size() - 1}) {
+    const auto [at, size] = edges_at(g);
+    for (size_t pos : {at + 3, at + size / 2, at + size - 1}) {
+      std::string flipped = bytes;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ 0x10);
+      expect_checksum_failure(flipped, "flip at byte " + std::to_string(pos));
+    }
+  }
+  const auto [last, last_size] = edges_at(index.size() - 1);
+  for (size_t keep : {last + 4, last + last_size / 2}) {
+    expect_checksum_failure(bytes.substr(0, keep),
+                            "cut at byte " + std::to_string(keep));
+  }
+  WriteAll(path, bytes);
+  EXPECT_TRUE(persist::ReadSnapshotFile(path).ok());
+}
+
 TEST_F(SnapshotCorruption, FutureFormatVersionIsVersionMismatch) {
   // Patch the version field and RE-COMPUTE the checksum, so the only
   // thing wrong with the file is the version — the reader must classify
@@ -487,13 +577,31 @@ class SnapshotContent : public SnapshotCorruption {
     EXPECT_EQ(opened.status().code(), StatusCode::kIoError) << label;
   }
 
+  /// An index's groups as owned (difference set, edges) pairs.
+  using Groups = std::vector<std::pair<AttrSet, std::vector<Edge>>>;
+
   /// Replaces the index's groups after `edit` changed a copy of them.
   static void EditGroups(persist::SnapshotData* data,
-                         const std::function<void(std::vector<DiffSetGroup>*)>&
-                             edit) {
-    std::vector<DiffSetGroup> groups = data->index.groups();
+                         const std::function<void(Groups*)>& edit) {
+    Groups groups;
+    for (int g = 0; g < data->index.size(); ++g) {
+      const DiffSetGroup group = data->index.group(g);
+      groups.emplace_back(group.diff, std::vector<Edge>(group.edges.begin(),
+                                                        group.edges.end()));
+    }
     edit(&groups);
-    data->index = DifferenceSetIndex(std::move(groups));
+    std::vector<AttrSet> diffs;
+    std::vector<size_t> begins = {0};
+    std::vector<Edge> flat;
+    for (const auto& [diff, edges] : groups) {
+      diffs.push_back(diff);
+      flat.insert(flat.end(), edges.begin(), edges.end());
+      begins.push_back(flat.size());
+    }
+    EdgeArray array(flat.size());
+    std::copy(flat.begin(), flat.end(), array.data());
+    data->index = DifferenceSetIndex(std::move(diffs), std::move(begins),
+                                     std::move(array));
   }
 };
 
@@ -525,8 +633,8 @@ TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
   for (const auto& [label, edges] : cases) {
     SetUp();
     Resave([&edges = edges](persist::SnapshotData* data) {
-      EditGroups(data, [&](std::vector<DiffSetGroup>* groups) {
-        (*groups)[0].edges = edges;
+      EditGroups(data, [&](Groups* groups) {
+        (*groups)[0].second = edges;
       });
     });
     ExpectRejected(label);
@@ -535,8 +643,8 @@ TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
 
 TEST_F(SnapshotContent, DiffSetOutsideTheSchemaIsIoError) {
   Resave([](persist::SnapshotData* data) {
-    EditGroups(data, [](std::vector<DiffSetGroup>* groups) {
-      (*groups)[0].diff.Add(3);  // the schema has attributes 0..2
+    EditGroups(data, [](Groups* groups) {
+      (*groups)[0].first.Add(3);  // the schema has attributes 0..2
     });
   });
   ExpectRejected("diff bit 3");
@@ -965,6 +1073,40 @@ TEST(RegistryLifecycle, ByteChargeFollowsAppliedDeltas) {
             (*session)->ContextBytesEstimate() + 24 * 3 * 4 +
                 (24 + 2 + 23) * 128);
   EXPECT_GT(server.tenants().LoadedBytes(), loaded);
+}
+
+TEST(RegistryLifecycle, DeltaPastTheBudgetUnloadsIdleTenants) {
+  // Two CSV tenants fit an 8,000-byte budget together. 60 inserts grow
+  // "a" past it, and the apply itself unloads the idle "b" instead of
+  // leaving both resident until some tenant is next loaded.
+  service::ServerOptions opts;
+  opts.max_loaded_tenant_bytes = 8000;
+  service::Server server(opts);
+  ASSERT_TRUE(server.tenants()
+                  .AddCsv("a", WriteSmallCsv("grow_a.csv"), {"City->Zip"})
+                  .ok());
+  ASSERT_TRUE(server.tenants()
+                  .AddCsv("b", WriteSmallCsv("grow_b.csv"), {"City->Zip"})
+                  .ok());
+  ASSERT_TRUE(server.tenants().Get("a").ok());
+  ASSERT_TRUE(server.tenants().Get("b").ok());
+  ASSERT_TRUE(server.tenants().StatsFor("a")->loaded);
+  ASSERT_TRUE(server.tenants().StatsFor("b")->loaded);
+  ASSERT_LE(server.tenants().LoadedBytes(), 8000u);
+
+  DeltaBatch delta;
+  for (int k = 0; k < 60; ++k) {
+    delta.Insert({Value(std::to_string(100 + k)), Value("Springfield"),
+                  Value(std::to_string(200 + k))});
+  }
+  ASSERT_TRUE(service::AsFuture(server, &service::Server::Apply, "a", delta)
+                  .future.get()
+                  .ok());
+  EXPECT_TRUE(server.tenants().StatsFor("a")->loaded);
+  EXPECT_FALSE(server.tenants().StatsFor("b")->loaded);
+  EXPECT_EQ(server.tenants().LoadedBytes(),
+            server.tenants().StatsFor("a")->bytes_estimate +
+                64 * 3 * 4 + (64 + 2 + 63) * 128);
 }
 
 }  // namespace

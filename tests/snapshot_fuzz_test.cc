@@ -43,11 +43,9 @@ std::string ValidSnapshot(const std::string& path) {
   Result<Session> session = Session::Open(std::move(inst), std::move(sigma));
   EXPECT_TRUE(session.ok()) << session.status().ToString();
   if (!session.ok()) return {};
-  bool has_universe_group = false;
-  for (const DiffSetGroup& g : session->context().index().groups()) {
-    has_universe_group |= g.diff == AttrSet::Universe(3);
-  }
-  EXPECT_TRUE(has_universe_group);
+  const std::vector<AttrSet>& diffs = session->context().index().diffs();
+  EXPECT_NE(std::find(diffs.begin(), diffs.end(), AttrSet::Universe(3)),
+            diffs.end());
   EXPECT_TRUE(session->Repair(RepairRequest::AtRelative(0.5)).ok());
   EXPECT_TRUE(session->SaveSnapshot(path).ok());
   std::ifstream in(path, std::ios::binary);
