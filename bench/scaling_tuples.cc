@@ -19,6 +19,10 @@
 //     dominates — with the pair kernel's lane width (8 or 16 bits, 0 for
 //     the column loop).
 //
+// Every row also reports the index's resident bytes, bytes per edge and
+// edge id width: 16 bits up to kMaxNarrowTuples tuples, 32 above, so the
+// sweep shows both.
+//
 // Writes BENCH_diffset.json; CI's Release smoke step asserts the headline
 // speedup_x >= 5.
 
@@ -82,6 +86,15 @@ struct Row {
   int n = 0;
   DiffSetBuildStats stats;
   int64_t groups = 0;
+  /// Resident bytes of the index: its edge array at its stored width plus
+  /// each group's difference set and offset.
+  size_t index_bytes = 0;
+  int edge_id_bits = 0;  ///< 16 or 32 (kMaxNarrowTuples)
+
+  double BytesPerEdge() const {
+    return static_cast<double>(index_bytes) /
+           static_cast<double>(std::max<int64_t>(1, stats.pairs_materialized));
+  }
 };
 
 /// Fastest of `reps` serial blocked builds over `data`.
@@ -96,6 +109,9 @@ Row MeasureBlocked(const Dataset& data, int reps) {
     if (stats.total_seconds < row.stats.total_seconds) {
       row.stats = stats;
       row.groups = index.size();
+      row.index_bytes = index.edges().size_bytes() +
+                        index.diffs().size() * (sizeof(AttrSet) + sizeof(size_t));
+      row.edge_id_bits = index.edges().narrow() ? 16 : 32;
     }
   }
   return row;
@@ -125,39 +141,44 @@ int main() {
   const std::vector<int> sizes = {bench::ScaledN(10000),
                                   bench::ScaledN(100000),
                                   bench::ScaledN(500000)};
-  std::printf("%9s %11s %11s %11s %11s %14s %13s %9s\n", "n", "total(s)",
-              "part(s)", "enum(s)", "group(s)", "candidates", "materialized",
-              "cand/edge");
+  std::printf("%9s %11s %11s %11s %11s %14s %13s %9s %11s %8s %6s\n", "n",
+              "total(s)", "part(s)", "enum(s)", "group(s)", "candidates",
+              "materialized", "cand/edge", "index(B)", "B/edge", "idbits");
   std::vector<Row> rows;
   for (int n : sizes) {
     Row row = MeasureBlocked(MakeDataset(n, /*seed=*/42),
                              /*reps=*/n <= 100000 ? 3 : 1);
     rows.push_back(row);
-    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %9.2f\n",
-                row.n, row.stats.total_seconds, row.stats.partition_seconds,
-                row.stats.enumerate_seconds, row.stats.group_seconds,
-                static_cast<long long>(row.stats.pairs_candidate),
-                static_cast<long long>(row.stats.pairs_materialized),
-                static_cast<double>(row.stats.pairs_candidate) /
-                    static_cast<double>(
-                        std::max<int64_t>(1, row.stats.pairs_materialized)));
+    std::printf(
+        "%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %9.2f %11zu %8.2f "
+        "%6d\n",
+        row.n, row.stats.total_seconds, row.stats.partition_seconds,
+        row.stats.enumerate_seconds, row.stats.group_seconds,
+        static_cast<long long>(row.stats.pairs_candidate),
+        static_cast<long long>(row.stats.pairs_materialized),
+        static_cast<double>(row.stats.pairs_candidate) /
+            static_cast<double>(
+                std::max<int64_t>(1, row.stats.pairs_materialized)),
+        row.index_bytes, row.BytesPerEdge(), row.edge_id_bits);
   }
 
   // Dense rows: the regime of e2ebench's dense tenants.
   std::printf("\ndense generator (serial):\n%9s %11s %11s %11s %11s %14s "
-              "%13s %6s\n",
+              "%13s %6s %11s %8s %6s\n",
               "n", "total(s)", "part(s)", "enum(s)", "group(s)", "candidates",
-              "materialized", "lanes");
+              "materialized", "lanes", "index(B)", "B/edge", "idbits");
   std::vector<Row> dense_rows;
   for (int n : {bench::ScaledN(5000), bench::ScaledN(10000)}) {
     Row row = MeasureBlocked(MakeDenseDataset(n, /*seed=*/42), /*reps=*/3);
     dense_rows.push_back(row);
-    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %6d\n", row.n,
-                row.stats.total_seconds, row.stats.partition_seconds,
+    std::printf("%9d %11.3f %11.3f %11.3f %11.3f %14lld %13lld %6d %11zu "
+                "%8.2f %6d\n",
+                row.n, row.stats.total_seconds, row.stats.partition_seconds,
                 row.stats.enumerate_seconds, row.stats.group_seconds,
                 static_cast<long long>(row.stats.pairs_candidate),
                 static_cast<long long>(row.stats.pairs_materialized),
-                row.stats.lane_bits);
+                row.stats.lane_bits, row.index_bytes, row.BytesPerEdge(),
+                row.edge_id_bits);
   }
 
   // Head-to-head at a size where the naive build is still bearable.
@@ -202,13 +223,14 @@ int main() {
           "\"partition_seconds\": %.6f, \"enumerate_seconds\": %.6f, "
           "\"group_seconds\": %.6f, \"pairs_all\": %lld, "
           "\"pairs_candidate\": %lld, \"pairs_materialized\": %lld, "
-          "\"groups\": %lld}%s\n",
+          "\"groups\": %lld, \"index_bytes\": %zu, "
+          "\"bytes_per_edge\": %.3f, \"edge_id_bits\": %d}%s\n",
           r.n, r.stats.total_seconds, r.stats.partition_seconds,
           r.stats.enumerate_seconds, r.stats.group_seconds, all_pairs,
           static_cast<long long>(r.stats.pairs_candidate),
           static_cast<long long>(r.stats.pairs_materialized),
-          static_cast<long long>(r.groups),
-          i + 1 < rows.size() ? "," : "");
+          static_cast<long long>(r.groups), r.index_bytes, r.BytesPerEdge(),
+          r.edge_id_bits, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n  \"dense_rows\": [\n");
     for (size_t i = 0; i < dense_rows.size(); ++i) {
@@ -218,12 +240,15 @@ int main() {
           "    {\"n\": %d, \"total_seconds\": %.6f, "
           "\"partition_seconds\": %.6f, \"enumerate_seconds\": %.6f, "
           "\"group_seconds\": %.6f, \"pairs_candidate\": %lld, "
-          "\"pairs_materialized\": %lld, \"lane_bits\": %d}%s\n",
+          "\"pairs_materialized\": %lld, \"lane_bits\": %d, "
+          "\"index_bytes\": %zu, \"bytes_per_edge\": %.3f, "
+          "\"edge_id_bits\": %d}%s\n",
           r.n, r.stats.total_seconds, r.stats.partition_seconds,
           r.stats.enumerate_seconds, r.stats.group_seconds,
           static_cast<long long>(r.stats.pairs_candidate),
           static_cast<long long>(r.stats.pairs_materialized),
-          r.stats.lane_bits, i + 1 < dense_rows.size() ? "," : "");
+          r.stats.lane_bits, r.index_bytes, r.BytesPerEdge(), r.edge_id_bits,
+          i + 1 < dense_rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

@@ -15,7 +15,7 @@
 // after the load/rebuild pairs so it cannot change them), the CRC-32 of
 // the file's bytes alone (a part of that read), and the rest of
 // OpenSnapshot (session assembly), so a ratio that moves shows which side
-// moved.
+// moved, and reports the restored index's resident bytes.
 
 #include <algorithm>
 #include <cstdio>
@@ -41,6 +41,9 @@ struct Row {
   double read_seconds = 0.0;  ///< persist::ReadSnapshotFile
   double crc_seconds = 0.0;   ///< persist::Crc32 over the file's bytes
   size_t snapshot_bytes = 0;
+  /// Resident bytes of the restored index: its edge array at its stored
+  /// width plus each group's difference set and offset.
+  size_t index_bytes = 0;
 
   /// The load's remainder once the file read is taken out.
   double rest_seconds() const {
@@ -107,6 +110,9 @@ Row Measure(const Instance& data, const FDSet& sigma,
       std::exit(1);
     }
     row.load_seconds = std::min(row.load_seconds, load);
+    const DifferenceSetIndex& index = loaded->context().index();
+    row.index_bytes = index.edges().size_bytes() +
+                      index.diffs().size() * (sizeof(AttrSet) + sizeof(size_t));
 
     Result<std::string> bytes = persist::ReadWholeFile(path, "snapshot");
     if (!bytes.ok()) {
@@ -152,8 +158,8 @@ int main() {
   perturb.fd_error_rate = 0.5;
   PerturbedData dirty = Perturb(clean.instance, clean.planted_fds, perturb);
 
-  std::printf("%8s %14s %14s %10s %14s %26s\n", "n", "load (ms)",
-              "rebuild (ms)", "speedup", "file (KiB)",
+  std::printf("%8s %14s %14s %10s %14s %14s %26s\n", "n", "load (ms)",
+              "rebuild (ms)", "speedup", "file (KiB)", "index (KiB)",
               "read / crc / rest (ms)");
 
   Row headline;
@@ -164,10 +170,12 @@ int main() {
         "BENCH_snapshot_" + std::to_string(n) + ".snap";
     Row row = Measure(subset, dirty.fds, path, /*reps=*/5);
     std::remove(path.c_str());
-    std::printf("%8d %14.2f %14.2f %9.1fx %14.1f %10.2f / %5.2f / %5.2f\n",
+    std::printf("%8d %14.2f %14.2f %9.1fx %14.1f %14.1f %10.2f / %5.2f / "
+                "%5.2f\n",
                 row.n, row.load_seconds * 1e3, row.rebuild_seconds * 1e3,
                 row.speedup(), row.snapshot_bytes / 1024.0,
-                row.read_seconds * 1e3, row.crc_seconds * 1e3,
+                row.index_bytes / 1024.0, row.read_seconds * 1e3,
+                row.crc_seconds * 1e3,
                 row.rest_seconds() * 1e3);
     if (n == headline_n) headline = row;
   }
@@ -183,12 +191,14 @@ int main() {
                  "  \"load_read_seconds\": %.6f,\n"
                  "  \"load_crc_seconds\": %.6f,\n"
                  "  \"load_rest_seconds\": %.6f,\n"
-                 "  \"snapshot_bytes\": %zu\n"
+                 "  \"snapshot_bytes\": %zu,\n"
+                 "  \"index_bytes\": %zu\n"
                  "}\n",
                  headline.n, headline.load_seconds,
                  headline.rebuild_seconds, headline.speedup(),
                  headline.read_seconds, headline.crc_seconds,
-                 headline.rest_seconds(), headline.snapshot_bytes);
+                 headline.rest_seconds(), headline.snapshot_bytes,
+                 headline.index_bytes);
     std::fclose(json);
   }
   return 0;

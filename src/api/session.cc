@@ -666,7 +666,7 @@ int64_t Session::RootDeltaP() const {
 size_t Session::ContextBytesEstimate() const {
   constexpr size_t kPerGroup = 128;
   std::shared_lock<std::shared_mutex> snapshot(*state_mu_);
-  return context_->index().edges().size() * sizeof(Edge) +
+  return context_->index().edges().size_bytes() +
          static_cast<size_t>(context_->index().size()) * kPerGroup +
          sizeof(FdSearchContext);
 }

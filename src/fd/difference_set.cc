@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 
@@ -95,6 +96,22 @@ class EdgeBuckets {
   DiffSlots slots_;
 };
 
+/// `e` as edge type E; its ids must fit E's.
+template <typename E, typename From>
+E StoreAs(const From& e) {
+  E out;
+  out.u = static_cast<decltype(out.u)>(e.u);
+  out.v = static_cast<decltype(out.v)>(e.v);
+  return out;
+}
+
+/// Whether edge `a` precedes edge `b` in ascending (u, v) order, at any
+/// widths.
+template <typename A, typename B>
+bool EdgeBefore(const A& a, const B& b) {
+  return a.u != b.u ? a.u < b.u : a.v < b.v;
+}
+
 /// The scratch of a per-group pass that needs none.
 struct NoScratch {};
 
@@ -133,8 +150,6 @@ struct RankedLayout {
   std::vector<size_t> begins;
   EdgeArray edges;
 
-  Edge* out(size_t r) { return edges.data() + begins[r]; }
-
   DifferenceSetIndex Finish() {
     return DifferenceSetIndex(std::move(diffs), std::move(begins),
                               std::move(edges));
@@ -142,7 +157,7 @@ struct RankedLayout {
 };
 
 RankedLayout RankLayout(const std::vector<AttrSet>& diffs,
-                        const std::vector<size_t>& sizes) {
+                        const std::vector<size_t>& sizes, int n) {
   RankedLayout layout;
   for (size_t g = 0; g < diffs.size(); ++g) {
     if (sizes[g] > 0) layout.order.push_back(static_cast<int>(g));
@@ -156,7 +171,7 @@ RankedLayout RankLayout(const std::vector<AttrSet>& diffs,
     layout.diffs.push_back(diffs[g]);
     layout.begins.push_back(layout.begins.back() + sizes[g]);
   }
-  layout.edges = EdgeArray(layout.begins.back());
+  layout.edges = EdgeArray(layout.begins.back(), n);
   return layout;
 }
 
@@ -168,16 +183,19 @@ struct GatherScratch {
 };
 
 /// Moves one group's `size` distinct edges over tuple ids [0, n) out of
-/// its chunk buckets, freeing each bucket as it is read, to `out`,
-/// ascending by (u, v). Groups much smaller than n are concatenated and
-/// std::sort-ed; the rest take two stable counting passes, by v (straight
-/// from the buckets) and then by u, in O(edges + n).
+/// its chunk buckets, freeing each bucket as it is read, to `out` as the
+/// index's edge type Out, ascending by (u, v). Groups much smaller than n
+/// are concatenated and std::sort-ed; the rest take two stable counting
+/// passes, by v (straight from the buckets) and then by u, in
+/// O(edges + n).
+template <typename Out>
 void GatherGroup(const std::vector<std::vector<Edge>*>& buckets, size_t size,
-                 int n, GatherScratch* scratch, Edge* out) {
+                 int n, GatherScratch* scratch, Out* out) {
   if (size < static_cast<size_t>(n) / 8) {
-    Edge* end = out;
+    Out* end = out;
     for (std::vector<Edge>* bucket : buckets) {
-      end = std::copy(bucket->begin(), bucket->end(), end);
+      end = std::transform(bucket->begin(), bucket->end(), end,
+                           StoreAs<Out, Edge>);
       std::vector<Edge>().swap(*bucket);
     }
     std::sort(out, end);
@@ -201,7 +219,7 @@ void GatherGroup(const std::vector<std::vector<Edge>*>& buckets, size_t size,
   counts.assign(static_cast<size_t>(n) + 1, 0);
   for (const Edge& e : by_v) ++counts[e.u + 1];
   prefix_sums();
-  for (const Edge& e : by_v) out[counts[e.u]++] = e;
+  for (const Edge& e : by_v) out[counts[e.u]++] = StoreAs<Out>(e);
 }
 
 /// The builders' last phase: the chunks' buckets merged into one group per
@@ -230,12 +248,15 @@ DifferenceSetIndex RankedIndex(std::vector<EdgeBuckets>* chunks, int n,
       sizes[g] += bucket.edges.size();
     }
   }
-  RankedLayout layout = RankLayout(diffs, sizes);
-  ForEachGroup<GatherScratch>(
-      pool, layout.order.size(), [&](size_t r, GatherScratch* scratch) {
-        const int g = layout.order[r];
-        GatherGroup(sources[g], sizes[g], n, scratch, layout.out(r));
-      });
+  RankedLayout layout = RankLayout(diffs, sizes, n);
+  layout.edges.Visit([&](auto edges) {
+    ForEachGroup<GatherScratch>(
+        pool, layout.order.size(), [&](size_t r, GatherScratch* scratch) {
+          const int g = layout.order[r];
+          GatherGroup(sources[g], sizes[g], n, scratch,
+                      edges.data() + layout.begins[r]);
+        });
+  });
   if (stats != nullptr) {
     stats->pairs_materialized = static_cast<int64_t>(layout.edges.size());
     stats->group_seconds = SecondsSince(t_group);
@@ -286,19 +307,44 @@ PackedRows::PackedRows(const EncodedInstance& inst) {
   }
 }
 
-EdgeArray::EdgeArray(size_t size) : size_(size) {
-  if (size == 0) return;
-  // Edge is trivially copyable, so the raw storage holds edges as soon as
-  // they are written or read into it.
-  data_.reset(static_cast<Edge*>(std::malloc(size * sizeof(Edge))));
+void EdgeSpan::CopyTo(Edge* out) const {
+  Visit([out](auto edges) {
+    std::transform(edges.begin(), edges.end(), out,
+                   [](const auto& e) { return StoreAs<Edge>(e); });
+  });
+}
+
+EdgeArray::EdgeArray(size_t size, int num_tuples)
+    : size_(size), narrow_(num_tuples <= kMaxNarrowTuples) {
+  Allocate();
+}
+
+EdgeArray::EdgeArray(const EdgeArray& other)
+    : size_(other.size_), narrow_(other.narrow_) {
+  Allocate();
+  if (size_ > 0) {
+    std::memcpy(data_.get(), other.data_.get(), view().size_bytes());
+  }
+}
+
+void EdgeArray::Allocate() {
+  if (size_ == 0) return;
+  // Both edge types are trivially copyable, so the raw storage holds edges
+  // as soon as they are written or read into it. Exactly size() edges: the
+  // heap accounting counts a block at its allocated size.
+  data_.reset(std::malloc(view().size_bytes()));
   if (data_ == nullptr) throw std::bad_alloc();
 }
 
-EdgeArray::EdgeArray(const EdgeArray& other) : EdgeArray(other.size_) {
-  std::copy_n(other.data(), size_, data());
+void EdgeArray::Store(size_t at, std::span<const Edge> edges) {
+  Visit([&](auto all) {
+    using Stored = typename decltype(all)::value_type;
+    std::transform(edges.begin(), edges.end(), all.begin() + at,
+                   StoreAs<Stored, Edge>);
+  });
 }
 
-void EdgeArray::Free::operator()(Edge* p) const { std::free(p); }
+void EdgeArray::Free::operator()(void* p) const { std::free(p); }
 
 IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
                                           const FDSet& sigma,
@@ -321,7 +367,7 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
     stale[t] = remap[t] < 0 || is_dirty[remap[t]];
     any_stale |= stale[t] != 0;
   }
-  const auto kept_edge = [&](const Edge& e) {
+  const auto kept_edge = [&](const auto& e) {
     return !stale[e.u] && !stale[e.v];
   };
   std::vector<size_t> kept(diffs_.size());
@@ -329,10 +375,12 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
     kept[g] = begins_[g + 1] - begins_[g];
   }
   if (any_stale) {
-    ForEachGroup<NoScratch>(pool, kept.size(), [&](size_t g, NoScratch*) {
-      const DiffSetGroup old = group(static_cast<int>(g));
-      kept[g] = static_cast<size_t>(
-          std::count_if(old.edges.begin(), old.edges.end(), kept_edge));
+    VisitGroups([&](auto edges_of) {
+      ForEachGroup<NoScratch>(pool, kept.size(), [&](size_t g, NoScratch*) {
+        const auto old = edges_of(static_cast<int>(g));
+        kept[g] = static_cast<size_t>(
+            std::count_if(old.begin(), old.end(), kept_edge));
+      });
     });
   }
 
@@ -365,11 +413,12 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
   const DifferenceSetIndex found =
       RankedIndex(&per_chunk, new_n, pool, nullptr);
 
-  // 3. One filter + merge pass into the next edge array: each group's kept
-  // edges and its new ones are both sorted, and all pairs are distinct, so
-  // the merge reproduces the canonical ascending edge order of a
-  // from-scratch build. Group u of the union is old group u when
-  // u < size(), and/or found group found_of[u] (-1 when absent).
+  // 3. One filter + merge pass into the next edge array, at the post-delta
+  // width: each group's kept edges and its new ones are both sorted, and
+  // all pairs are distinct, so the merge reproduces the canonical
+  // ascending edge order of a from-scratch build. Group u of the union is
+  // old group u when u < size(), and/or found group found_of[u] (-1 when
+  // absent).
   std::vector<AttrSet> diffs = diffs_;
   std::vector<size_t> sizes = kept;
   std::vector<int> found_of(diffs_.size(), -1);
@@ -392,22 +441,32 @@ IndexPatch DifferenceSetIndex::ApplyDelta(const EncodedInstance& inst,
     patch.edges_removed += static_cast<int64_t>(before - kept[g]);
     patch.groups_preserved += kept[g] == before && found_of[g] < 0;
   }
-  RankedLayout layout = RankLayout(diffs, sizes);
-  ForEachGroup<NoScratch>(pool, layout.order.size(),
-                          [&](size_t r, NoScratch*) {
-    const int u = layout.order[r];
-    std::span<const Edge> add;
-    if (found_of[u] >= 0) add = found.group(found_of[u]).edges;
-    auto next = add.begin();
-    Edge* out = layout.out(r);
-    if (u < size()) {
-      for (const Edge& e : group(u).edges) {
-        if (any_stale && !kept_edge(e)) continue;
-        while (next != add.end() && *next < e) *out++ = *next++;
-        *out++ = e;
-      }
-    }
-    std::copy(next, add.end(), out);
+  RankedLayout layout = RankLayout(diffs, sizes, new_n);
+  VisitGroups([&](auto old_of) {
+    found.VisitGroups([&](auto found_group) {
+      layout.edges.Visit([&](auto next_edges) {
+        using Out = typename decltype(next_edges)::value_type;
+        const auto store = [](const auto& e) { return StoreAs<Out>(e); };
+        ForEachGroup<NoScratch>(pool, layout.order.size(),
+                                [&](size_t r, NoScratch*) {
+          const int u = layout.order[r];
+          decltype(found_group(0)) add;
+          if (found_of[u] >= 0) add = found_group(found_of[u]);
+          auto next = add.begin();
+          Out* out = next_edges.data() + layout.begins[r];
+          if (u < size()) {
+            for (const auto& e : old_of(u)) {
+              if (any_stale && !kept_edge(e)) continue;
+              while (next != add.end() && EdgeBefore(*next, e)) {
+                *out++ = store(*next++);
+              }
+              *out++ = store(e);
+            }
+          }
+          std::transform(next, add.end(), out, store);
+        });
+      });
+    });
   });
   *this = layout.Finish();
   patch.groups_changed = size() - patch.groups_preserved;

@@ -22,7 +22,9 @@
 #ifndef RETRUST_FD_DIFFERENCE_SET_H_
 #define RETRUST_FD_DIFFERENCE_SET_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -106,43 +108,179 @@ void WithPairKernel(const PackedRows& rows, const int32_t* const* cols,
   }
 }
 
+/// The most tuples an index stores with 16-bit ids: an index over
+/// n <= kMaxNarrowTuples tuples holds each edge as a NarrowEdge (4 B), a
+/// larger one as an Edge (8 B). The width is a function of n alone, fixed
+/// when the index is built, restored or patched by a delta.
+inline constexpr int kMaxNarrowTuples = 65536;
+
+/// A conflict edge (u < v) with 16-bit tuple ids, as a narrow index stores
+/// it.
+struct NarrowEdge {
+  uint16_t u = 0;
+  uint16_t v = 0;
+
+  friend bool operator<(const NarrowEdge& a, const NarrowEdge& b) {
+    return (uint32_t{a.u} << 16 | a.v) < (uint32_t{b.u} << 16 | b.v);
+  }
+};
+
+/// A read-only run of an index's edges at whichever width they are
+/// stored. Iterating or indexing it yields Edges by value; Visit hands a
+/// hot loop the run as a std::span of the stored edge type instead, with
+/// the width tested once. Valid while the index it views lives.
+class EdgeSpan {
+ public:
+  /// Forward iterator yielding each edge as an Edge value.
+  class Iterator {
+   public:
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Edge;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Edge;
+
+    Iterator() = default;
+    Edge operator*() const { return Load(data_, i_, narrow_); }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++i_;
+      return old;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    friend class EdgeSpan;
+    Iterator(const void* data, size_t i, bool narrow)
+        : data_(data), i_(i), narrow_(narrow) {}
+
+    const void* data_ = nullptr;
+    size_t i_ = 0;
+    bool narrow_ = false;
+  };
+
+  EdgeSpan() = default;
+  /// `size` edges at `data`: NarrowEdges when `narrow`, else Edges.
+  EdgeSpan(const void* data, size_t size, bool narrow)
+      : data_(data), size_(size), narrow_(narrow) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Whether the edges are stored as NarrowEdges.
+  bool narrow() const { return narrow_; }
+  /// Bytes the edges occupy at their stored width.
+  size_t size_bytes() const {
+    return size_ * (narrow_ ? sizeof(NarrowEdge) : sizeof(Edge));
+  }
+
+  Edge operator[](size_t i) const { return Load(data_, i, narrow_); }
+  Iterator begin() const { return Iterator(data_, 0, narrow_); }
+  Iterator end() const { return Iterator(data_, size_, narrow_); }
+
+  /// The `count` edges from offset `at`.
+  EdgeSpan subspan(size_t at, size_t count) const {
+    const size_t bytes = at * (narrow_ ? sizeof(NarrowEdge) : sizeof(Edge));
+    return EdgeSpan(static_cast<const char*>(data_) + bytes, count, narrow_);
+  }
+
+  /// Writes the size() edges to `out`, widened to Edges.
+  void CopyTo(Edge* out) const;
+
+  /// Calls fn(std::span<const NarrowEdge>) or fn(std::span<const Edge>)
+  /// with the stored edges. Each width is its own instantiation of `fn`,
+  /// so a loop inside it does not re-test the width per edge.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) const {
+    if (narrow_) {
+      return fn(std::span<const NarrowEdge>(
+          static_cast<const NarrowEdge*>(data_), size_));
+    }
+    return fn(std::span<const Edge>(static_cast<const Edge*>(data_), size_));
+  }
+
+ private:
+  static Edge Load(const void* data, size_t i, bool narrow) {
+    if (!narrow) return static_cast<const Edge*>(data)[i];
+    const NarrowEdge e = static_cast<const NarrowEdge*>(data)[i];
+    Edge out;
+    out.u = e.u;
+    out.v = e.v;
+    return out;
+  }
+
+  const void* data_ = nullptr;
+  size_t size_ = 0;
+  bool narrow_ = false;
+};
+
 /// One group of conflict edges sharing a difference set: a view into its
 /// index's edge array, valid while the index lives. `edges` is in
 /// canonical ascending (u, v) order.
 struct DiffSetGroup {
   AttrSet diff;
-  std::span<const Edge> edges;
+  EdgeSpan edges;
 
   /// Number of conflict pairs in the group — the heuristic's ranking key.
   int64_t frequency() const { return static_cast<int64_t>(edges.size()); }
 };
 
-/// A fixed-size edge array whose storage starts uninitialized: the build,
-/// the delta patch and the snapshot reader each write every element once,
-/// so no page is written twice. Copies are deep.
+/// A fixed-size edge array at the width of its instance's tuple count
+/// (kMaxNarrowTuples), whose storage starts uninitialized: the build, the
+/// delta patch and the snapshot reader each write every element once, so
+/// no page is written twice. The allocation is exactly size() edges.
+/// Copies are deep.
 class EdgeArray {
  public:
   EdgeArray() = default;
-  explicit EdgeArray(size_t size);
+  /// `size` unwritten edges over tuple ids [0, num_tuples).
+  EdgeArray(size_t size, int num_tuples);
   EdgeArray(const EdgeArray& other);
   EdgeArray(EdgeArray&& other) noexcept
-      : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
+      : data_(std::move(other.data_)),
+        size_(std::exchange(other.size_, 0)),
+        narrow_(other.narrow_) {}
   EdgeArray& operator=(EdgeArray other) noexcept {
     std::swap(data_, other.data_);
     std::swap(size_, other.size_);
+    std::swap(narrow_, other.narrow_);
     return *this;
   }
 
-  Edge* data() { return data_.get(); }
-  const Edge* data() const { return data_.get(); }
   size_t size() const { return size_; }
+  EdgeSpan view() const { return EdgeSpan(data_.get(), size_, narrow_); }
+
+  /// Writes `edges` at offsets [at, at + edges.size()). Their ids must
+  /// already be checked to lie below the array's tuple count.
+  void Store(size_t at, std::span<const Edge> edges);
+
+  /// Calls fn(std::span<NarrowEdge>) or fn(std::span<Edge>) with the
+  /// array's storage, each width its own instantiation of `fn`.
+  template <typename Fn>
+  decltype(auto) Visit(Fn&& fn) {
+    if (narrow_) {
+      return fn(std::span<NarrowEdge>(static_cast<NarrowEdge*>(data_.get()),
+                                      size_));
+    }
+    return fn(std::span<Edge>(static_cast<Edge*>(data_.get()), size_));
+  }
 
  private:
   struct Free {
-    void operator()(Edge* p) const;
+    void operator()(void* p) const;
   };
-  std::unique_ptr<Edge, Free> data_;
+  /// Allocates size_ edges at the width narrow_ says.
+  void Allocate();
+
+  std::unique_ptr<void, Free> data_;
   size_t size_ = 0;
+  bool narrow_ = true;
 };
 
 /// Per-phase observability of one index build (the --timing surface of
@@ -177,7 +315,8 @@ struct IndexPatch {
 /// Conflict edges grouped by difference set, ordered by descending edge
 /// frequency (ties: smaller attribute mask first) — the order in which the
 /// heuristic prefers to pick them. All edges live in one array in that
-/// group order; group i is the span [begin(i), begin(i + 1)) of it.
+/// group order, at the width kMaxNarrowTuples picks for the instance;
+/// group i is the span [begin(i), begin(i + 1)) of it.
 class DifferenceSetIndex {
  public:
   DifferenceSetIndex() = default;
@@ -185,7 +324,8 @@ class DifferenceSetIndex {
   /// Restores an index from its parts (src/persist/): `diffs` in the
   /// canonical (descending frequency, smaller mask) order a live index
   /// produced, `begins` the size() + 1 ascending offsets of each group's
-  /// edges in `edges`, from 0 to edges.size(). Snapshots save groups in
+  /// edges in `edges`, from 0 to edges.size(), and `edges` sized for the
+  /// instance's tuple count. Snapshots save groups in
   /// that order, and the reader rejects edges and difference sets outside
   /// the instance's shape.
   DifferenceSetIndex(std::vector<AttrSet> diffs, std::vector<size_t> begins,
@@ -206,8 +346,10 @@ class DifferenceSetIndex {
   /// pairs with a dirty endpoint). The scan compares each dirty tuple
   /// with every partner, so an empty-LHS FD's full-disagreement pairs take
   /// the same path as every other edge. The next edge array is written in
-  /// one filter + merge pass; the filter is skipped when no pre-delta
-  /// tuple was deleted, moved or dirtied (an insert-only delta).
+  /// one filter + merge pass at the post-delta width, so a delta that takes
+  /// the relation across kMaxNarrowTuples widens or narrows the index; the
+  /// filter is skipped when no pre-delta tuple was deleted, moved or
+  /// dirtied (an insert-only delta).
   IndexPatch ApplyDelta(const EncodedInstance& inst, const FDSet& sigma,
                         const std::vector<TupleId>& dirty,
                         const std::vector<TupleId>& remap,
@@ -216,13 +358,24 @@ class DifferenceSetIndex {
   int size() const { return static_cast<int>(diffs_.size()); }
   bool empty() const { return diffs_.empty(); }
   DiffSetGroup group(int i) const {
-    return {diffs_[i],
-            {edges_.data() + begins_[i], begins_[i + 1] - begins_[i]}};
+    return {diffs_[i], edges().subspan(begins_[i], begins_[i + 1] - begins_[i])};
   }
   /// Every group's difference set, in group order.
   const std::vector<AttrSet>& diffs() const { return diffs_; }
   /// All edges, group after group.
-  std::span<const Edge> edges() const { return {edges_.data(), edges_.size()}; }
+  EdgeSpan edges() const { return edges_.view(); }
+
+  /// Calls fn(edges_of) once, where edges_of(g) is group g's edges as a
+  /// std::span of the stored edge type (EdgeSpan::Visit): the one width
+  /// dispatch of a loop over many groups' edges.
+  template <typename Fn>
+  decltype(auto) VisitGroups(Fn&& fn) const {
+    return edges().Visit([&](auto all) {
+      return fn([this, all](int g) {
+        return all.subspan(begins_[g], begins_[g + 1] - begins_[g]);
+      });
+    });
+  }
 
   /// Indices of groups whose difference set violates at least one FD of
   /// `fds` (i.e. groups still in conflict under a candidate Σ').

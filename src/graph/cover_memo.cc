@@ -2,9 +2,9 @@
 
 namespace retrust {
 
-CoverMemo::CoverMemo(std::vector<std::span<const Edge>> groups,
-                     int32_t num_vertices, size_t max_entries)
-    : groups_(std::move(groups)),
+CoverMemo::CoverMemo(const DifferenceSetIndex& index, int32_t num_vertices,
+                     size_t max_entries)
+    : index_(index),
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
@@ -99,20 +99,22 @@ int32_t CoverMemo::ComputeSet(const GroupBitset& key, SetScratch* s,
     size += 2;
   }
   *resumed += key.CountBefore(divergence);
-  key.ForEachSet(
-      [&](int g) {
-        ++*scanned;
-        for (const Edge& e : groups_[g]) {
-          if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
-            s->marks.Mark(e.u);
-            s->marks.Mark(e.v);
-            s->matched.push_back(e);
-            s->matched_group.push_back(g);
-            size += 2;
+  index_.VisitGroups([&](auto edges_of) {
+    key.ForEachSet(
+        [&](int g) {
+          ++*scanned;
+          for (const auto& e : edges_of(g)) {
+            if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
+              s->marks.Mark(e.u);
+              s->marks.Mark(e.v);
+              s->matched.emplace_back(e.u, e.v);
+              s->matched_group.push_back(g);
+              size += 2;
+            }
           }
-        }
-      },
-      divergence);
+        },
+        divergence);
+  });
   s->last_key = key;
   s->has_hint = true;
   return size;
@@ -143,18 +145,20 @@ int32_t CoverMemo::ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
     size += 2;
   }
   *resumed += static_cast<int64_t>(divergence);
-  for (size_t p = divergence; p < seq.size(); ++p) {
-    ++*scanned;
-    for (const Edge& e : groups_[seq[p]]) {
-      if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
-        s->marks.Mark(e.u);
-        s->marks.Mark(e.v);
-        s->matched.push_back(e);
-        s->matched_pos.push_back(static_cast<int32_t>(p));
-        size += 2;
+  index_.VisitGroups([&](auto edges_of) {
+    for (size_t p = divergence; p < seq.size(); ++p) {
+      ++*scanned;
+      for (const auto& e : edges_of(seq[p])) {
+        if (!s->marks.Marked(e.u) && !s->marks.Marked(e.v)) {
+          s->marks.Mark(e.u);
+          s->marks.Mark(e.v);
+          s->matched.emplace_back(e.u, e.v);
+          s->matched_pos.push_back(static_cast<int32_t>(p));
+          size += 2;
+        }
       }
     }
-  }
+  });
   s->last_seq = seq;
   s->has_hint = true;
   return size;

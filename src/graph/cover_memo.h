@@ -39,10 +39,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "src/fd/difference_set.h"
 #include "src/graph/graph.h"
 #include "src/graph/group_bitset.h"
 
@@ -74,12 +74,12 @@ class CoverMemo {
     std::vector<std::pair<std::vector<int32_t>, int32_t>> seq_entries;
   };
 
-  /// `groups[g]` is group g's edge list; the viewed edges must outlive
-  /// the memo (FdSearchContext owns the DifferenceSetIndex they live in).
-  /// `max_entries` caps EACH memo map; overflow disables insertion but
-  /// never lookup (results stay exact, only colder).
-  CoverMemo(std::vector<std::span<const Edge>> groups,
-            int32_t num_vertices, size_t max_entries = size_t{1} << 20);
+  /// The group family is `index`'s groups; the index must outlive the
+  /// memo (FdSearchContext owns both, index first). `max_entries` caps
+  /// EACH memo map; overflow disables insertion but never lookup (results
+  /// stay exact, only colder).
+  CoverMemo(const DifferenceSetIndex& index, int32_t num_vertices,
+            size_t max_entries = size_t{1} << 20);
 
   /// Matching-cover size of the union of the set groups' edges, scanned in
   /// ascending group-index order (the canonical state-evaluation order).
@@ -103,7 +103,7 @@ class CoverMemo {
   /// width, out-of-range group ids — are skipped rather than trusted.
   void Preload(SnapshotEntries entries);
 
-  int num_groups() const { return static_cast<int>(groups_.size()); }
+  int num_groups() const { return index_.size(); }
   Stats stats() const;
   size_t entries() const;
 
@@ -151,7 +151,7 @@ class CoverMemo {
   int32_t ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,
                      int64_t* scanned, int64_t* resumed) const;
 
-  const std::vector<std::span<const Edge>> groups_;
+  const DifferenceSetIndex& index_;
   const int32_t num_vertices_;
   const size_t max_entries_;
 

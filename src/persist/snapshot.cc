@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -31,6 +32,15 @@ namespace retrust::persist {
 // Edge lists move through the I32Array codec as (u, v) int32 pairs.
 static_assert(sizeof(Edge) == 2 * sizeof(int32_t) && offsetof(Edge, u) == 0 &&
               offsetof(Edge, v) == sizeof(int32_t));
+
+namespace {
+
+/// Edges the writer widens, and the reader checks, per piece: 32 KiB of
+/// int32 pairs, small enough to stay in the first-level cache between the
+/// passes over them.
+constexpr size_t kEdgePiece = size_t{4} << 10;
+
+}  // namespace
 
 uint64_t ConfigFingerprint(const FDSet& sigma, uint8_t weight_model,
                            const HeuristicOptions& heuristic) {
@@ -105,12 +115,20 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     w.I32(fd.rhs);
   }
 
+  // Edges are saved as int32 pairs at any index width, widened a chunk at a
+  // time.
+  std::vector<Edge> wide(std::min(view.index->edges().size(), kEdgePiece));
   w.U32(static_cast<uint32_t>(view.index->size()));
   for (int i = 0; i < view.index->size(); ++i) {
     const DiffSetGroup g = view.index->group(i);
     w.U64(g.diff.bits());
     w.U64(g.edges.size());
-    w.I32Array(g.edges);
+    for (size_t at = 0; at < g.edges.size(); at += kEdgePiece) {
+      const EdgeSpan piece =
+          g.edges.subspan(at, std::min(kEdgePiece, g.edges.size() - at));
+      piece.CopyTo(wide.data());
+      w.I32Array(std::span<const Edge>(wide.data(), piece.size()));
+    }
   }
 
   w.U64(view.warm.covers.set_entries.size());
@@ -153,8 +171,11 @@ namespace {
 /// 0 <= u < v < n in strictly ascending order; leaves `*prev` at the last
 /// edge. As unsigned values that is u < v < n, each edge above the one
 /// before it. The pass is branch-free and compares each edge with the one
-/// before it in memory, so it vectorizes.
-bool PlausibleEdges(std::span<const Edge> edges, uint32_t n, Edge* prev) {
+/// before it in memory, so it vectorizes — as its own function: inlined
+/// into the reader's loop, which leaves on the first failing piece, it
+/// compiled to a scalar loop about three times slower.
+[[gnu::noinline]] bool PlausibleEdges(std::span<const Edge> edges, uint32_t n,
+                                      Edge* prev) {
   if (edges.empty()) return true;
   const auto follows = [n](const Edge& a, const Edge& b) -> uint32_t {
     const auto u = static_cast<uint32_t>(b.u);
@@ -233,7 +254,8 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
       dicts.push_back(Dictionary::FromValues(std::move(values)));
     }
     const uint64_t num_codes = static_cast<uint64_t>(n) * m;
-    if (!PlausibleCount(num_codes, *r)) {
+    if (!PlausibleCount(num_codes, *r) ||
+        n > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
       return IoError("snapshot '" + path + "' has an implausible cardinality");
     }
     std::vector<std::vector<int32_t>> columns(m, std::vector<int32_t>(n));
@@ -285,7 +307,11 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
     std::vector<AttrSet> diffs(num_groups);
     std::vector<size_t> begins = {0};
     begins.reserve(static_cast<size_t>(num_groups) + 1);
-    EdgeArray edges(*total);
+    EdgeArray edges(*total, static_cast<int>(n));
+    // Each piece is read into one reused block, checked there while it is
+    // in cache, and only then stored at the index's width, so an id the
+    // check refuses is never narrowed into a valid-looking one.
+    std::vector<Edge> staging(std::min(*total, kEdgePiece));
     for (AttrSet& diff : diffs) {
       diff = AttrSet(r->U64());
       const uint64_t num_edges = r->U64();
@@ -293,22 +319,18 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
           !diff.SubsetOf(universe)) {
         return IoError("snapshot '" + path + "' has an implausible group");
       }
-      const std::span<Edge> group(edges.data() + begins.back(),
-                                  static_cast<size_t>(num_edges));
-      begins.push_back(begins.back() + group.size());
-      // Read and checked a piece at a time, each checked while the read
-      // has it in cache.
-      constexpr size_t kPiece = size_t{16} << 10;
-      bool plausible = true;
+      const size_t group_begin = begins.back();
+      begins.push_back(group_begin + static_cast<size_t>(num_edges));
       Edge prev(0, 0);
-      for (size_t at = 0; at < group.size(); at += kPiece) {
-        const std::span<Edge> piece =
-            group.subspan(at, std::min(kPiece, group.size() - at));
+      for (size_t at = group_begin; at < begins.back(); at += kEdgePiece) {
+        const std::span<Edge> piece(
+            staging.data(), std::min(kEdgePiece, begins.back() - at));
         r->I32Array(piece);
-        plausible &= PlausibleEdges(piece, n, &prev);
-      }
-      if (!plausible) {
-        return IoError("snapshot '" + path + "' has an implausible edge list");
+        if (!PlausibleEdges(piece, n, &prev)) {
+          return IoError("snapshot '" + path +
+                         "' has an implausible edge list");
+        }
+        edges.Store(at, piece);
       }
     }
     if (begins.back() != edges.size()) {

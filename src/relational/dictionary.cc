@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/relational/delta.h"
-#include "src/util/hash.h"
 
 namespace retrust {
 
@@ -164,16 +163,38 @@ Instance EncodedInstance::Decode() const {
 }
 
 int64_t EncodedInstance::CountDistinctProjection(AttrSet attrs) const {
-  std::vector<AttrId> cols = attrs.ToVector();
-  if (cols.empty()) return n_ > 0 ? 1 : 0;
-  std::unordered_set<std::vector<int32_t>, CodeVectorHash> seen;
-  seen.reserve(static_cast<size_t>(n_));
-  std::vector<int32_t> key(cols.size());
-  for (TupleId t = 0; t < n_; ++t) {
-    for (size_t i = 0; i < cols.size(); ++i) key[i] = At(t, cols[i]);
-    seen.insert(key);
+  if (n_ == 0) return 0;
+  // Each tuple's class on the attributes so far is refined by one column
+  // at a time: its next class is the dense number of (class, code), given
+  // in first-seen order through one flat open-addressing table. The empty
+  // key marks a free slot; a class is below n, so no real key has its
+  // high word all ones.
+  struct Slot {
+    uint64_t key;
+    int32_t next;
+  };
+  constexpr uint64_t kFree = ~uint64_t{0};
+  int shift = 63;
+  while ((size_t{1} << (64 - shift)) < 2 * static_cast<size_t>(n_)) --shift;
+  const size_t mask = (size_t{1} << (64 - shift)) - 1;
+  std::vector<Slot> table(mask + 1);
+  std::vector<int32_t> cls(n_, 0);
+  int32_t classes = 1;
+  for (AttrId a : attrs) {
+    if (classes == n_) break;  // every tuple is alone already
+    std::fill(table.begin(), table.end(), Slot{kFree, 0});
+    const int32_t* col = ColumnData(a);
+    classes = 0;
+    for (TupleId t = 0; t < n_; ++t) {
+      const uint64_t key = uint64_t{static_cast<uint32_t>(cls[t])} << 32 |
+                           static_cast<uint32_t>(col[t]);
+      size_t i = static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift);
+      while (table[i].key != key && table[i].key != kFree) i = (i + 1) & mask;
+      if (table[i].key == kFree) table[i] = {key, classes++};
+      cls[t] = table[i].next;
+    }
   }
-  return static_cast<int64_t>(seen.size());
+  return classes;
 }
 
 std::vector<CellRef> EncodedInstance::DiffCells(

@@ -2,23 +2,11 @@
 
 namespace retrust {
 
-namespace {
-
-std::vector<std::span<const Edge>> GroupEdgeLists(
-    const DifferenceSetIndex& index) {
-  std::vector<std::span<const Edge>> out;
-  out.reserve(index.size());
-  for (int g = 0; g < index.size(); ++g) out.push_back(index.group(g).edges);
-  return out;
-}
-
-}  // namespace
-
 DeltaPEvaluator::DeltaPEvaluator(const FDSet& sigma,
                                  const DifferenceSetIndex& index,
                                  int num_tuples, WarmState warm,
                                  exec::ThreadPool* pool)
-    : table_(sigma, index, pool), memo_(GroupEdgeLists(index), num_tuples) {
+    : table_(sigma, index, pool), memo_(index, num_tuples) {
   memo_.Preload(std::move(warm.covers));
 }
 

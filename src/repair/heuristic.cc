@@ -59,10 +59,11 @@ int32_t GcHeuristic::CoverOfGroups(const std::vector<int>& groups,
   // construction.)
   if (stats != nullptr) ++stats->vc_computations;
   std::vector<Edge> edges;
-  for (int g : groups) {
-    const auto& ge = index_.group(g).edges;
-    edges.insert(edges.end(), ge.begin(), ge.end());
-  }
+  index_.VisitGroups([&](auto edges_of) {
+    for (int g : groups) {
+      for (const auto& e : edges_of(g)) edges.emplace_back(e.u, e.v);
+    }
+  });
   MatchingCoverScratch scratch(num_tuples_);
   return scratch.CoverSize(edges);
 }

@@ -127,15 +127,17 @@ std::vector<int32_t> GreedyCover(const DifferenceSetIndex& index,
                                  int num_tuples) {
   std::vector<int32_t> cover;
   std::vector<char> covered(num_tuples, 0);
-  for (int g : groups) {
-    for (const Edge& e : index.group(g).edges) {
-      if (!covered[e.u] && !covered[e.v]) {
-        covered[e.u] = covered[e.v] = 1;
-        cover.push_back(e.u);
-        cover.push_back(e.v);
+  index.VisitGroups([&](auto edges_of) {
+    for (int g : groups) {
+      for (const auto& e : edges_of(g)) {
+        if (!covered[e.u] && !covered[e.v]) {
+          covered[e.u] = covered[e.v] = 1;
+          cover.push_back(e.u);
+          cover.push_back(e.v);
+        }
       }
     }
-  }
+  });
   std::sort(cover.begin(), cover.end());
   return cover;
 }

@@ -944,7 +944,8 @@ TEST(SessionOpen, ContextBytesEstimateCountsEdges) {
   const size_t edges = session->context().index().edges().size();
   ASSERT_GT(edges, 0u);
   const size_t with_edges = session->ContextBytesEstimate();
-  EXPECT_GE(with_edges, edges * sizeof(Edge) + sizeof(FdSearchContext));
+  EXPECT_GE(with_edges, session->context().index().edges().size_bytes() +
+                            sizeof(FdSearchContext));
 
   // Name is a key: no pair agrees on it, so the new context holds no edges.
   ASSERT_TRUE(session->SetFds({"Name->Zip"}).ok());

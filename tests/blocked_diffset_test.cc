@@ -381,7 +381,7 @@ TEST(CountedGroups, AllDistinctWithEmptyLhsIsOneUniverseGroup) {
   EXPECT_EQ(index.group(0).frequency(), 10);
   EXPECT_EQ(stats.pairs_candidate, 10);
   EXPECT_EQ(stats.pairs_materialized, 10);
-  const std::span<const Edge> edges = index.group(0).edges;
+  const EdgeSpan edges = index.group(0).edges;
   ASSERT_EQ(edges.size(), 10u);
   size_t k = 0;
   for (TupleId u = 0; u < 5; ++u) {
@@ -675,6 +675,85 @@ TEST(ColumnarDelta, EmptyLhsDeltaPatchesAndMatchesFresh) {
   FdSearchContext fresh2(sigma, enc, weights, {}, pool.get());
   ExpectIndexIdentical(ctx->index(), fresh2.index());
   EXPECT_EQ(ctx->RootDeltaP(), fresh2.RootDeltaP());
+}
+
+// --- Edge width -----------------------------------------------------------
+
+/// n rows over (A0, A1): A1 is a key and A0 pairs rows up as (2k, 2k + 1),
+/// the last class also taking row n - 1 when n is odd. Under A0 -> A1 each
+/// class is a clique of conflict edges, so a 65k-row index stays cheap.
+Instance PairedRows(int n) {
+  Instance inst(MakeSchema(2));
+  for (int t = 0; t < n; ++t) {
+    inst.AddTuple({Value(static_cast<int64_t>(std::min(t / 2, (n - 2) / 2))),
+                   Value(static_cast<int64_t>(t))});
+  }
+  return inst;
+}
+
+FDSet PairSigma() {
+  FDSet sigma;
+  sigma.Add(FD{AttrSet{0}, 1});
+  return sigma;
+}
+
+TEST(EdgeWidth, NarrowUpToKMaxNarrowTuplesAndWideAbove) {
+  for (int n : {kMaxNarrowTuples, kMaxNarrowTuples + 1}) {
+    const EncodedInstance enc(PairedRows(n));
+    const DifferenceSetIndex index =
+        BuildDifferenceSetIndex(enc, PairSigma(), nullptr);
+    const bool narrow = n <= kMaxNarrowTuples;
+    EXPECT_EQ(index.edges().narrow(), narrow) << n;
+    EXPECT_EQ(index.edges().size_bytes(),
+              index.edges().size() * (narrow ? 4 : 8))
+        << n;
+    // Every class's pairs, in canonical order; the last edge carries the
+    // largest id, n - 1 (65,535 on the narrow side).
+    std::vector<Edge> want;
+    for (TupleId u = 0; u < n; ++u) {
+      for (TupleId v = u + 1; v < n; ++v) {
+        if (enc.At(u, 0) != enc.At(v, 0)) break;
+        want.emplace_back(u, v);
+      }
+    }
+    ASSERT_EQ(index.size(), 1) << n;
+    EXPECT_TRUE(std::ranges::equal(index.group(0).edges, want)) << n;
+    EXPECT_EQ(index.edges()[index.edges().size() - 1], Edge(n - 2, n - 1));
+  }
+}
+
+TEST(EdgeWidth, DeltasAcrossTheWidthBoundaryMatchFreshBuilds) {
+  std::unique_ptr<exec::ThreadPool> pool = exec::MakePool(4);
+  const FDSet sigma = PairSigma();
+  EncodedInstance enc(PairedRows(kMaxNarrowTuples));
+  DifferenceSetIndex index = BuildDifferenceSetIndex(enc, sigma, pool.get());
+  ASSERT_TRUE(index.edges().narrow());
+  const auto apply = [&](const DeltaBatch& delta) {
+    const DeltaPlan plan = PlanDelta(delta, enc.NumTuples(), 2);
+    enc.ApplyDelta(delta, plan);
+    index.ApplyDelta(enc, sigma, plan.dirty, plan.remap, pool.get());
+    const DifferenceSetIndex fresh =
+        BuildDifferenceSetIndex(enc, sigma, pool.get());
+    EXPECT_EQ(index.edges().narrow(), fresh.edges().narrow());
+    ExpectIndexIdentical(index, fresh);
+  };
+
+  // Two inserts that join the first and the last class: 65,538 rows.
+  DeltaBatch grow;
+  grow.Insert({Value(int64_t{0}), Value(int64_t{-1})});
+  grow.Insert({Value(int64_t{kMaxNarrowTuples / 2 - 1}), Value(int64_t{-2})});
+  apply(grow);
+  ASSERT_EQ(enc.NumTuples(), kMaxNarrowTuples + 2);
+  EXPECT_FALSE(index.edges().narrow());
+
+  // A delete that moves the last row into slot 5, and one of an inserted
+  // row: back to 65,536 rows.
+  DeltaBatch shrink;
+  shrink.Delete(5);
+  shrink.Delete(kMaxNarrowTuples);
+  apply(shrink);
+  ASSERT_EQ(enc.NumTuples(), kMaxNarrowTuples);
+  EXPECT_TRUE(index.edges().narrow());
 }
 
 }  // namespace

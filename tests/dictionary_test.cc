@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_set>
+
+#include "src/util/hash.h"
+
 namespace retrust {
 namespace {
 
@@ -105,6 +110,54 @@ TEST(EncodedInstance, CountDistinctTreatsVariablesAsDistinct) {
   inst.AddTuple({Value(int64_t{1})});
   EncodedInstance enc(inst);
   EXPECT_EQ(enc.CountDistinctProjection(AttrSet{0}), 3);
+}
+
+/// The hash-set count CountDistinctProjection replaced: one key vector per
+/// tuple. The reference the flat refinement is checked against.
+int64_t ReferenceCountDistinct(const EncodedInstance& enc, AttrSet attrs) {
+  std::vector<AttrId> cols = attrs.ToVector();
+  if (cols.empty()) return enc.NumTuples() > 0 ? 1 : 0;
+  std::unordered_set<std::vector<int32_t>, CodeVectorHash> seen;
+  std::vector<int32_t> key(cols.size());
+  for (TupleId t = 0; t < enc.NumTuples(); ++t) {
+    for (size_t i = 0; i < cols.size(); ++i) key[i] = enc.At(t, cols[i]);
+    seen.insert(key);
+  }
+  return static_cast<int64_t>(seen.size());
+}
+
+TEST(EncodedInstance, CountDistinctMatchesTheKeySetOnRandomProjections) {
+  std::mt19937_64 rng(0xd15c);
+  const int m = 6;
+  std::vector<Attribute> attrs;
+  for (int a = 0; a < m; ++a) {
+    std::string name = "A";
+    name += std::to_string(a);
+    attrs.push_back({std::move(name), AttrType::kInt});
+  }
+  for (int n : {0, 1, 2, 7, 64, 300}) {
+    for (int domain : {1, 2, 5, 40}) {
+      Instance inst{Schema(attrs)};
+      for (int t = 0; t < n; ++t) {
+        Tuple row(m);
+        for (int a = 0; a < m; ++a) {
+          row[a] = Value(static_cast<int64_t>(rng() % domain));
+        }
+        inst.AddTuple(std::move(row));
+      }
+      EncodedInstance enc(inst);
+      // Some cells become fresh variables: negative codes, each distinct.
+      for (int k = 0; k < n / 8; ++k) {
+        enc.SetFreshVariable(static_cast<TupleId>(rng() % n),
+                             static_cast<AttrId>(rng() % m));
+      }
+      for (uint64_t mask = 0; mask < (uint64_t{1} << m); ++mask) {
+        ASSERT_EQ(enc.CountDistinctProjection(AttrSet(mask)),
+                  ReferenceCountDistinct(enc, AttrSet(mask)))
+            << "n=" << n << " domain=" << domain << " mask=" << mask;
+      }
+    }
+  }
 }
 
 TEST(EncodedInstance, DiffCells) {

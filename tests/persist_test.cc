@@ -250,6 +250,40 @@ TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
   }
 }
 
+/// n rows whose (Name, City) make City -> Name conflict only inside pairs
+/// of rows (2k, 2k + 1), the last class also taking row n - 1 when n is
+/// odd: a cheap index on either side of kMaxNarrowTuples.
+Instance PairedRows(int n) {
+  Schema schema(std::vector<Attribute>{{"Name", AttrType::kInt},
+                                       {"City", AttrType::kInt}});
+  Instance inst(schema);
+  for (int t = 0; t < n; ++t) {
+    inst.AddTuple({Value(static_cast<int64_t>(t)),
+                   Value(static_cast<int64_t>(std::min(t / 2, (n - 2) / 2)))});
+  }
+  return inst;
+}
+
+TEST(SnapshotRoundTrip, IdenticalBytesAtEitherEdgeWidth) {
+  for (int n : {kMaxNarrowTuples, kMaxNarrowTuples + 1}) {
+    Result<Session> original = Session::Open(PairedRows(n), {"City->Name"});
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    const DifferenceSetIndex& index = original->context().index();
+    ASSERT_EQ(index.edges().narrow(), n <= kMaxNarrowTuples);
+    const std::string path = TempPath("width.snap");
+    ASSERT_TRUE(original->SaveSnapshot(path).ok());
+    const std::string saved = ReadAll(path);
+
+    Result<Session> restored = Session::OpenSnapshot(path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const DifferenceSetIndex& back = restored->context().index();
+    EXPECT_EQ(back.edges().narrow(), index.edges().narrow()) << n;
+    EXPECT_TRUE(std::ranges::equal(back.edges(), index.edges())) << n;
+    ASSERT_TRUE(restored->SaveSnapshot(path).ok());
+    EXPECT_TRUE(ReadAll(path) == saved) << n;
+  }
+}
+
 // A save that fails leaves the previous snapshot as it was: the new bytes
 // go to a sibling file that is renamed over the old one only once written.
 // A directory squatting on that sibling's name makes the save fail.
@@ -464,9 +498,10 @@ TEST(SnapshotStream, DamagedEdgesFailTheChecksum) {
 
   // Where a group's edges sit in the file: its (u, v) words, in order.
   const auto edges_at = [&](int g) {
-    const std::span<const Edge> edges = index.group(g).edges;
+    const EdgeSpan group = index.group(g).edges;
+    const std::vector<Edge> edges(group.begin(), group.end());
     const std::string words(reinterpret_cast<const char*>(edges.data()),
-                            edges.size_bytes());
+                            edges.size() * sizeof(Edge));
     const size_t at = bytes.find(words);
     EXPECT_NE(at, std::string::npos) << "group " << g;
     return std::pair(at, words.size());
@@ -577,6 +612,30 @@ class SnapshotContent : public SnapshotCorruption {
     EXPECT_EQ(opened.status().code(), StatusCode::kIoError) << label;
   }
 
+  /// Overwrites group 0's edges in the file with `edges`, as many as it
+  /// holds, and re-seals the checksum. The ids reach the reader exactly as
+  /// given, even ones the index could not hold at its edge width.
+  void RewriteFirstGroupEdges(const std::vector<Edge>& edges) {
+    Result<persist::SnapshotData> data = persist::ReadSnapshotFile(path_);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    const EdgeSpan group = data->index.group(0).edges;
+    ASSERT_EQ(group.size(), edges.size());
+    const auto words = [](const std::vector<Edge>& list) {
+      return std::string(reinterpret_cast<const char*>(list.data()),
+                         list.size() * sizeof(Edge));
+    };
+    const std::string before = words({group.begin(), group.end()});
+    std::string bytes = ReadAll(path_);
+    const size_t at = bytes.find(before);
+    ASSERT_NE(at, std::string::npos);
+    bytes.replace(at, before.size(), words(edges));
+    const uint32_t crc = persist::Crc32(bytes.data(), bytes.size() - 4);
+    for (int i = 0; i < 4; ++i) {
+      bytes[bytes.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
+    }
+    WriteAll(path_, bytes);
+  }
+
   /// An index's groups as owned (difference set, edges) pairs.
   using Groups = std::vector<std::pair<AttrSet, std::vector<Edge>>>;
 
@@ -598,8 +657,8 @@ class SnapshotContent : public SnapshotCorruption {
       flat.insert(flat.end(), edges.begin(), edges.end());
       begins.push_back(flat.size());
     }
-    EdgeArray array(flat.size());
-    std::copy(flat.begin(), flat.end(), array.data());
+    EdgeArray array(flat.size(), data->encoded.NumTuples());
+    array.Store(0, flat);
     data->index = DifferenceSetIndex(std::move(diffs), std::move(begins),
                                      std::move(array));
   }
@@ -615,7 +674,10 @@ TEST_F(SnapshotContent, UntamperedResaveOpens) {
 }
 
 TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
-  // Fields set directly: the Edge constructor would normalize u <= v.
+  // Fields set directly: the Edge constructor would normalize u <= v. The
+  // index (n = 4) stores 16-bit ids, so an id of 65,536 + k would read as
+  // k if it were narrowed before the check; "v = 65536 + v" would then be
+  // group 0's own edge (1, 2).
   auto raw = [](int32_t u, int32_t v) {
     Edge e;
     e.u = u;
@@ -624,6 +686,10 @@ TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
   };
   const std::vector<std::pair<const char*, std::vector<Edge>>> cases = {
       {"v past n", {raw(0, 2), raw(1, 1 << 28)}},
+      {"v == n", {raw(0, 2), raw(1, 4)}},
+      {"v = 65536 + u", {raw(0, 2), raw(1, 65536 + 1)}},
+      {"v = 65536 + v", {raw(0, 2), raw(1, 65536 + 2)}},
+      {"u and v past 65535", {raw(0, 2), raw(65536 + 1, 65536 + 2)}},
       {"negative u", {raw(-1, 2), raw(1, 2)}},
       {"u == v", {raw(0, 2), raw(2, 2)}},
       {"u > v", {raw(2, 0), raw(1, 2)}},
@@ -632,12 +698,13 @@ TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
   };
   for (const auto& [label, edges] : cases) {
     SetUp();
-    Resave([&edges = edges](persist::SnapshotData* data) {
-      EditGroups(data, [&](Groups* groups) {
-        (*groups)[0].second = edges;
-      });
-    });
+    RewriteFirstGroupEdges(edges);
     ExpectRejected(label);
+    Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path_);
+    ASSERT_FALSE(read.ok()) << label;
+    EXPECT_NE(read.status().message().find("has an implausible edge list"),
+              std::string::npos)
+        << label << ": " << read.status().message();
   }
 }
 
@@ -1050,6 +1117,22 @@ TEST(RegistryLifecycle, ByteChargeIsContextPlusEncodedDataset) {
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(registry.LoadedBytes(),
             (*session)->ContextBytesEstimate() + 12 * 4 + (4 + 2 + 3) * 128);
+}
+
+TEST(RegistryLifecycle, ContextEstimateCountsEdgesAtTheirStoredWidth) {
+  // One group of conflict pairs: 4 bytes an edge up to kMaxNarrowTuples
+  // rows, 8 above.
+  for (int n : {kMaxNarrowTuples, kMaxNarrowTuples + 1}) {
+    Result<Session> session = Session::Open(PairedRows(n), {"City->Name"});
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const DifferenceSetIndex& index = session->context().index();
+    ASSERT_EQ(index.size(), 1);
+    const size_t edge_bytes = n <= kMaxNarrowTuples ? 4 : 8;
+    EXPECT_EQ(session->ContextBytesEstimate(),
+              index.edges().size() * edge_bytes + 128 +
+                  sizeof(FdSearchContext))
+        << n;
+  }
 }
 
 TEST(RegistryLifecycle, ByteChargeFollowsAppliedDeltas) {
