@@ -15,7 +15,8 @@
 // after the load/rebuild pairs so it cannot change them), the CRC-32 of
 // the file's bytes alone (a part of that read), and the rest of
 // OpenSnapshot (session assembly), so a ratio that moves shows which side
-// moved, and reports the restored index's resident bytes.
+// moved, and reports the restored index's resident bytes, its edge id
+// width and the file's bytes per edge.
 
 #include <algorithm>
 #include <cstdio>
@@ -44,6 +45,15 @@ struct Row {
   /// Resident bytes of the restored index: its edge array at its stored
   /// width plus each group's difference set and offset.
   size_t index_bytes = 0;
+  size_t num_edges = 0;
+  int edge_id_bits = 0;  ///< 16 or 32, as the index and the file store ids
+
+  /// The whole file's bytes over its edges: the stored edge width plus the
+  /// share of every other section.
+  double FileBytesPerEdge() const {
+    return num_edges > 0 ? static_cast<double>(snapshot_bytes) / num_edges
+                         : 0.0;
+  }
 
   /// The load's remainder once the file read is taken out.
   double rest_seconds() const {
@@ -113,6 +123,8 @@ Row Measure(const Instance& data, const FDSet& sigma,
     const DifferenceSetIndex& index = loaded->context().index();
     row.index_bytes = index.edges().size_bytes() +
                       index.diffs().size() * (sizeof(AttrSet) + sizeof(size_t));
+    row.num_edges = index.edges().size();
+    row.edge_id_bits = index.edges().narrow() ? 16 : 32;
 
     Result<std::string> bytes = persist::ReadWholeFile(path, "snapshot");
     if (!bytes.ok()) {
@@ -192,13 +204,16 @@ int main() {
                  "  \"load_crc_seconds\": %.6f,\n"
                  "  \"load_rest_seconds\": %.6f,\n"
                  "  \"snapshot_bytes\": %zu,\n"
-                 "  \"index_bytes\": %zu\n"
+                 "  \"index_bytes\": %zu,\n"
+                 "  \"edge_id_bits\": %d,\n"
+                 "  \"file_bytes_per_edge\": %.3f\n"
                  "}\n",
                  headline.n, headline.load_seconds,
                  headline.rebuild_seconds, headline.speedup(),
                  headline.read_seconds, headline.crc_seconds,
                  headline.rest_seconds(), headline.snapshot_bytes,
-                 headline.index_bytes);
+                 headline.index_bytes, headline.edge_id_bits,
+                 headline.FileBytesPerEdge());
     std::fclose(json);
   }
   return 0;

@@ -307,13 +307,6 @@ PackedRows::PackedRows(const EncodedInstance& inst) {
   }
 }
 
-void EdgeSpan::CopyTo(Edge* out) const {
-  Visit([out](auto edges) {
-    std::transform(edges.begin(), edges.end(), out,
-                   [](const auto& e) { return StoreAs<Edge>(e); });
-  });
-}
-
 EdgeArray::EdgeArray(size_t size, int num_tuples)
     : size_(size), narrow_(num_tuples <= kMaxNarrowTuples) {
   Allocate();
@@ -334,14 +327,6 @@ void EdgeArray::Allocate() {
   // heap accounting counts a block at its allocated size.
   data_.reset(std::malloc(view().size_bytes()));
   if (data_ == nullptr) throw std::bad_alloc();
-}
-
-void EdgeArray::Store(size_t at, std::span<const Edge> edges) {
-  Visit([&](auto all) {
-    using Stored = typename decltype(all)::value_type;
-    std::transform(edges.begin(), edges.end(), all.begin() + at,
-                   StoreAs<Stored, Edge>);
-  });
 }
 
 void EdgeArray::Free::operator()(void* p) const { std::free(p); }

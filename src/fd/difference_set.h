@@ -190,9 +190,6 @@ class EdgeSpan {
     return EdgeSpan(static_cast<const char*>(data_) + bytes, count, narrow_);
   }
 
-  /// Writes the size() edges to `out`, widened to Edges.
-  void CopyTo(Edge* out) const;
-
   /// Calls fn(std::span<const NarrowEdge>) or fn(std::span<const Edge>)
   /// with the stored edges. Each width is its own instantiation of `fn`,
   /// so a loop inside it does not re-test the width per edge.
@@ -241,6 +238,10 @@ class EdgeArray {
   EdgeArray() = default;
   /// `size` unwritten edges over tuple ids [0, num_tuples).
   EdgeArray(size_t size, int num_tuples);
+  /// Bytes one edge takes in an array over `num_tuples` tuples.
+  static size_t EdgeBytes(int num_tuples) {
+    return num_tuples <= kMaxNarrowTuples ? sizeof(NarrowEdge) : sizeof(Edge);
+  }
   EdgeArray(const EdgeArray& other);
   EdgeArray(EdgeArray&& other) noexcept
       : data_(std::move(other.data_)),
@@ -255,10 +256,6 @@ class EdgeArray {
 
   size_t size() const { return size_; }
   EdgeSpan view() const { return EdgeSpan(data_.get(), size_, narrow_); }
-
-  /// Writes `edges` at offsets [at, at + edges.size()). Their ids must
-  /// already be checked to lie below the array's tuple count.
-  void Store(size_t at, std::span<const Edge> edges);
 
   /// Calls fn(std::span<NarrowEdge>) or fn(std::span<Edge>) with the
   /// array's storage, each width its own instantiation of `fn`.

@@ -8,67 +8,51 @@ CoverMemo::CoverMemo(const DifferenceSetIndex& index, int32_t num_vertices,
       num_vertices_(num_vertices),
       max_entries_(max_entries) {}
 
-int32_t CoverMemo::CoverSize(const GroupBitset& key, bool* memo_hit) const {
-  std::unique_ptr<SetScratch> scratch;
+template <typename Key, typename Map, typename Scratch>
+int32_t CoverMemo::Lookup(
+    const Key& key, Map& memo, std::vector<std::unique_ptr<Scratch>>& pool,
+    int32_t (CoverMemo::*compute)(const Key&, Scratch*, int64_t*, int64_t*)
+        const,
+    bool* memo_hit) const {
+  std::unique_ptr<Scratch> scratch;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = set_memo_.find(key);
-    if (it != set_memo_.end()) {
+    auto it = memo.find(key);
+    if (it != memo.end()) {
       ++stats_.hits;
       if (memo_hit != nullptr) *memo_hit = true;
       return it->second;
     }
-    if (!set_scratch_.empty()) {
-      scratch = std::move(set_scratch_.back());
-      set_scratch_.pop_back();
+    if (!pool.empty()) {
+      scratch = std::move(pool.back());
+      pool.pop_back();
     }
   }
-  if (scratch == nullptr) scratch = std::make_unique<SetScratch>();
+  if (scratch == nullptr) scratch = std::make_unique<Scratch>();
   int64_t scanned = 0;
   int64_t resumed = 0;
-  int32_t size = ComputeSet(key, scratch.get(), &scanned, &resumed);
+  int32_t size = (this->*compute)(key, scratch.get(), &scanned, &resumed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.misses;
     stats_.groups_scanned += scanned;
     stats_.groups_resumed += resumed;
-    if (set_memo_.size() < max_entries_) set_memo_.emplace(key, size);
-    set_scratch_.push_back(std::move(scratch));
+    if (memo.size() < max_entries_) memo.emplace(key, size);
+    pool.push_back(std::move(scratch));
   }
   if (memo_hit != nullptr) *memo_hit = false;
   return size;
 }
 
+int32_t CoverMemo::CoverSize(const GroupBitset& key, bool* memo_hit) const {
+  return Lookup(key, set_memo_, set_scratch_, &CoverMemo::ComputeSet,
+                memo_hit);
+}
+
 int32_t CoverMemo::CoverSizeOrdered(const std::vector<int32_t>& seq,
                                     bool* memo_hit) const {
-  std::unique_ptr<SeqScratch> scratch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = seq_memo_.find(seq);
-    if (it != seq_memo_.end()) {
-      ++stats_.hits;
-      if (memo_hit != nullptr) *memo_hit = true;
-      return it->second;
-    }
-    if (!seq_scratch_.empty()) {
-      scratch = std::move(seq_scratch_.back());
-      seq_scratch_.pop_back();
-    }
-  }
-  if (scratch == nullptr) scratch = std::make_unique<SeqScratch>();
-  int64_t scanned = 0;
-  int64_t resumed = 0;
-  int32_t size = ComputeSeq(seq, scratch.get(), &scanned, &resumed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    stats_.groups_scanned += scanned;
-    stats_.groups_resumed += resumed;
-    if (seq_memo_.size() < max_entries_) seq_memo_.emplace(seq, size);
-    seq_scratch_.push_back(std::move(scratch));
-  }
-  if (memo_hit != nullptr) *memo_hit = false;
-  return size;
+  return Lookup(seq, seq_memo_, seq_scratch_, &CoverMemo::ComputeSeq,
+                memo_hit);
 }
 
 // The prefix-resume argument, for both Compute variants: the greedy scan

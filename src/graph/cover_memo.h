@@ -146,6 +146,16 @@ class CoverMemo {
     std::vector<int32_t> matched_pos;  // ascending, parallel to matched
   };
 
+  /// The memo lookup both keying modes share: `memo`'s value for `key`, or
+  /// `compute` run outside the lock on scratch from `pool`, counted in
+  /// stats_ and memoized while `memo` has room.
+  template <typename Key, typename Map, typename Scratch>
+  int32_t Lookup(const Key& key, Map& memo,
+                 std::vector<std::unique_ptr<Scratch>>& pool,
+                 int32_t (CoverMemo::*compute)(const Key&, Scratch*, int64_t*,
+                                               int64_t*) const,
+                 bool* memo_hit) const;
+
   int32_t ComputeSet(const GroupBitset& key, SetScratch* s, int64_t* scanned,
                      int64_t* resumed) const;
   int32_t ComputeSeq(const std::vector<int32_t>& seq, SeqScratch* s,

@@ -218,11 +218,6 @@ bool FileSource::Read(void* dst, size_t len) {
   return true;
 }
 
-bool FileSource::PeekAt(size_t offset, void* dst, size_t len) const {
-  return offset <= limit_ && len <= limit_ - offset &&
-         PreadFully(fd_, static_cast<char*>(dst), len, offset);
-}
-
 bool FileSource::ChecksumMatches() {
   std::vector<char> rest(std::min(remaining(), ByteReader::kWindow));
   while (remaining() > 0) {

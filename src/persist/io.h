@@ -9,10 +9,11 @@
 // ByteReader, whose reads never throw: an out-of-bounds access latches a
 // failure flag and returns zeros/empties, and the caller checks ok() once
 // at the end. A ByteReader reads a buffer, or streams a FileSource through
-// a small window. int32 arrays move in bulk — when streaming, straight from
-// the file into the caller's array; callers validate them after.
-// The encoding is little-endian on any host: a snapshot is a portable
-// artifact, not a memory dump.
+// a small window. Arrays of integers or of integer pairs move in bulk —
+// when streaming, straight from the file into the caller's array; callers
+// validate them after. The encoding is little-endian on any host, one
+// integer lane at a time: a snapshot is a portable artifact, not a memory
+// dump.
 
 #ifndef RETRUST_PERSIST_IO_H_
 #define RETRUST_PERSIST_IO_H_
@@ -68,8 +69,6 @@ class FileSource {
 
   size_t size() const { return size_; }
   size_t limit() const { return limit_; }
-  /// Offset of the next byte Read returns.
-  size_t offset() const { return offset_; }
   /// Bytes left before limit().
   size_t remaining() const { return limit_ - offset_; }
   void set_limit(size_t limit) { limit_ = std::clamp(limit, offset_, size_); }
@@ -78,11 +77,6 @@ class FileSource {
   /// CRC, a cache-sized piece at a time. False, with the source failed for
   /// good, when fewer than `len` bytes remain or the read fails.
   bool Read(void* dst, size_t len);
-
-  /// Reads the `len` bytes at `offset`, all before limit(), without moving
-  /// the stream or folding them into the CRC. False when they are not all
-  /// there.
-  bool PeekAt(size_t offset, void* dst, size_t len) const;
 
   /// Reads what is left before limit() into the CRC, then the 4 bytes at
   /// limit() as a little-endian CRC-32: true iff that equals the CRC-32 of
@@ -100,6 +94,21 @@ class FileSource {
   bool failed_ = false;
 };
 
+/// Bytes of one integer lane of a bulk-array element: the element itself
+/// when it is an integer, else one field of an (u, v) pair of equal-width
+/// ids such as an edge. Each lane is stored little-endian on its own.
+template <typename T>
+constexpr size_t LaneBytes() {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if constexpr (std::is_integral_v<T>) {
+    return sizeof(T);
+  } else {
+    static_assert(sizeof(T) == 2 * sizeof(T::u) &&
+                  sizeof(T::u) == sizeof(T::v));
+    return sizeof(T::u);
+  }
+}
+
 /// Append-only little-endian encoder over one growable buffer.
 class ByteWriter {
  public:
@@ -113,17 +122,18 @@ class ByteWriter {
     U64(s.size());
     buf_.append(s);
   }
-  /// Appends the contiguous range `v`, whose elements are packed int32
-  /// fields, as I32 words.
+  /// Appends the contiguous range `v` lane by lane (LaneBytes).
   template <typename Range>
-  void I32Array(const Range& v) {
+  void Array(const Range& v) {
     using T = std::ranges::range_value_t<Range>;
-    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 4 == 0);
+    constexpr size_t kLane = LaneBytes<T>();
     const auto* p = reinterpret_cast<const char*>(v.data());
     if constexpr (std::endian::native == std::endian::little) {
       buf_.append(p, v.size() * sizeof(T));
     } else {
-      for (size_t i = 0; i < v.size() * sizeof(T); i += 4) Raw(p + i, 4);
+      for (size_t i = 0; i < v.size() * sizeof(T); i += kLane) {
+        Raw(p + i, kLane);
+      }
     }
   }
 
@@ -157,10 +167,6 @@ class ByteReader {
   static constexpr size_t kWindow = size_t{64} << 10;
 
   bool ok() const { return !failed_; }
-  /// When streaming, the file offset of the next unread byte.
-  size_t source_offset() const {
-    return source_->offset() - (data_.size() - pos_);
-  }
   size_t remaining() const {
     return data_.size() - pos_ + (source_ ? source_->remaining() : 0);
   }
@@ -195,13 +201,13 @@ class ByteReader {
     pos_ += static_cast<size_t>(n);
     return s;
   }
-  /// Fills `out` as ByteWriter::I32Array wrote it: on little-endian hosts
+  /// Fills `out` as ByteWriter::Array wrote it: on little-endian hosts
   /// with one bounds check and one memcpy, or, when streaming, with the
   /// window's unread bytes and one read from the file straight into place.
   /// A short input latches failed() and zero-fills the array.
   template <typename T>
-  void I32Array(std::span<T> out) {
-    static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 4 == 0);
+  void Array(std::span<T> out) {
+    constexpr size_t kLane = LaneBytes<T>();
     if (out.empty()) return;
     auto* p = reinterpret_cast<unsigned char*>(out.data());
     const size_t n = out.size_bytes();
@@ -218,12 +224,12 @@ class ByteReader {
         std::memset(p, 0, n);
       }
     } else {
-      for (size_t i = 0; i < n; i += 4) Raw(p + i, 4);
+      for (size_t i = 0; i < n; i += kLane) Raw(p + i, kLane);
     }
   }
   template <typename T>
-  void I32Array(std::vector<T>* out) {
-    I32Array(std::span<T>(*out));
+  void Array(std::vector<T>* out) {
+    Array(std::span<T>(*out));
   }
 
  private:

@@ -76,7 +76,7 @@ std::string EncodeDeltaBatch(const DeltaBatch& batch) {
     WriteValue(&w, u.value);
   }
   w.U64(batch.deletes.size());
-  w.I32Array(batch.deletes);
+  w.Array(batch.deletes);
   return w.buffer();
 }
 
@@ -116,7 +116,7 @@ Result<DeltaBatch> DecodeDeltaBatch(const std::string& payload) {
       return IoError("delta record has an implausible delete count");
     }
     batch.deletes.resize(static_cast<size_t>(num_deletes));
-    r.I32Array(&batch.deletes);
+    r.Array(&batch.deletes);
   } catch (const std::exception& e) {
     return IoError(std::string("delta record is corrupt: ") + e.what());
   }

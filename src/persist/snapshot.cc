@@ -7,7 +7,6 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 
@@ -24,23 +23,16 @@ namespace retrust::persist {
 //   codes column-major (m columns of n i32 each, attribute order),
 //   encoded next_var (m i32), instance next_var (m i32),
 //   sigma{u32 count; per FD: u64 lhs, i32 rhs},
-//   index{u32 groups; per group: u64 diff, u64 edge count,
-//         edges (i32 u, i32 v each)},
+//   index{u32 groups, u64 total edge count; per group: u64 diff,
+//         u64 edge count, edges (u, v each: u16 ids when n <= 65,536,
+//         i32 above — the width the index holds them at)},
 //   covers{u64 set count; per entry: words + i32 value;
 //          u64 seq count; per entry: u64 len, i32 ids, i32 value}.
 
-// Edge lists move through the I32Array codec as (u, v) int32 pairs.
-static_assert(sizeof(Edge) == 2 * sizeof(int32_t) && offsetof(Edge, u) == 0 &&
-              offsetof(Edge, v) == sizeof(int32_t));
-
-namespace {
-
-/// Edges the writer widens, and the reader checks, per piece: 32 KiB of
-/// int32 pairs, small enough to stay in the first-level cache between the
-/// passes over them.
-constexpr size_t kEdgePiece = size_t{4} << 10;
-
-}  // namespace
+// Edge lists move through the array codec as (u, v) pairs of ids.
+static_assert(offsetof(Edge, u) == 0 && offsetof(Edge, v) == sizeof(Edge::u));
+static_assert(offsetof(NarrowEdge, u) == 0 &&
+              offsetof(NarrowEdge, v) == sizeof(NarrowEdge::u));
 
 uint64_t ConfigFingerprint(const FDSet& sigma, uint8_t weight_model,
                            const HeuristicOptions& heuristic) {
@@ -105,9 +97,9 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     w.U64(static_cast<uint64_t>(dict.size()));
     for (const Value& v : dict.values()) WriteValue(&w, v);
   }
-  for (AttrId a = 0; a < m; ++a) w.I32Array(inst.column(a));
-  w.I32Array(inst.next_var_counters());
-  w.I32Array(*view.instance_next_var);
+  for (AttrId a = 0; a < m; ++a) w.Array(inst.column(a));
+  w.Array(inst.next_var_counters());
+  w.Array(*view.instance_next_var);
 
   w.U32(static_cast<uint32_t>(view.sigma->size()));
   for (const FD& fd : view.sigma->fds()) {
@@ -115,20 +107,14 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
     w.I32(fd.rhs);
   }
 
-  // Edges are saved as int32 pairs at any index width, widened a chunk at a
-  // time.
-  std::vector<Edge> wide(std::min(view.index->edges().size(), kEdgePiece));
+  // Edges are saved at the width the index holds them.
   w.U32(static_cast<uint32_t>(view.index->size()));
+  w.U64(view.index->edges().size());
   for (int i = 0; i < view.index->size(); ++i) {
     const DiffSetGroup g = view.index->group(i);
     w.U64(g.diff.bits());
     w.U64(g.edges.size());
-    for (size_t at = 0; at < g.edges.size(); at += kEdgePiece) {
-      const EdgeSpan piece =
-          g.edges.subspan(at, std::min(kEdgePiece, g.edges.size() - at));
-      piece.CopyTo(wide.data());
-      w.I32Array(std::span<const Edge>(wide.data(), piece.size()));
-    }
+    g.edges.Visit([&w](auto edges) { w.Array(edges); });
   }
 
   w.U64(view.warm.covers.set_entries.size());
@@ -139,7 +125,7 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
   w.U64(view.warm.covers.seq_entries.size());
   for (const auto& [seq, value] : view.warm.covers.seq_entries) {
     w.U64(seq.size());
-    w.I32Array(seq);
+    w.Array(seq);
     w.I32(value);
   }
 
@@ -167,58 +153,35 @@ Status WriteSnapshotFile(const std::string& path, const SnapshotView& view) {
 
 namespace {
 
-/// Whether `edges`, which follow `*prev` in a group, satisfy
-/// 0 <= u < v < n in strictly ascending order; leaves `*prev` at the last
-/// edge. As unsigned values that is u < v < n, each edge above the one
-/// before it. The pass is branch-free and compares each edge with the one
-/// before it in memory, so it vectorizes — as its own function: inlined
-/// into the reader's loop, which leaves on the first failing piece, it
-/// compiled to a scalar loop about three times slower.
-[[gnu::noinline]] bool PlausibleEdges(std::span<const Edge> edges, uint32_t n,
-                                      Edge* prev) {
-  if (edges.empty()) return true;
-  const auto follows = [n](const Edge& a, const Edge& b) -> uint32_t {
+/// Whether a group's `edges` (Edges or NarrowEdges) satisfy 0 <= u < v < n
+/// in strictly ascending order. As unsigned values that is u < v < n, each
+/// edge above the one before it. The pass is branch-free and compares each
+/// edge with the one before it in memory, so it vectorizes — as its own
+/// function: inlined into the reader's loop, which leaves on the first
+/// failing group, it compiled to a scalar loop about three times slower.
+template <typename E>
+[[gnu::noinline]] bool PlausibleEdges(std::span<E> edges, uint32_t n) {
+  const auto follows = [n](const E& a, const E& b) -> uint32_t {
     const auto u = static_cast<uint32_t>(b.u);
     const auto v = static_cast<uint32_t>(b.v);
     const auto pu = static_cast<uint32_t>(a.u);
     const auto pv = static_cast<uint32_t>(a.v);
     return (u < v) & (v < n) & ((u > pu) | ((u == pu) & (v > pv)));
   };
-  uint32_t ok = follows(*prev, edges[0]);
+  if (edges.empty()) return true;
+  // Any edge with u < v follows (0, 0).
+  uint32_t ok = follows(E{}, edges[0]);
   for (size_t i = 1; i < edges.size(); ++i) {
     ok &= follows(edges[i - 1], edges[i]);
   }
-  *prev = edges.back();
   return ok != 0;
 }
 
-/// The edge total of the `num_groups` index groups whose headers start at
-/// offset `at` of `file`, read from the headers alone by hopping over each
-/// group's edges; the stream then reads and checksums every byte. nullopt
-/// when a header or its edges run past the payload.
-std::optional<size_t> CountEdges(const FileSource& file, size_t at,
-                                 uint32_t num_groups) {
-  size_t total = 0;
-  for (uint32_t g = 0; g < num_groups; ++g) {
-    char header[2 * sizeof(uint64_t)];
-    if (!file.PeekAt(at, header, sizeof header)) return std::nullopt;
-    ByteReader fields(std::string_view(header, sizeof header));
-    fields.U64();  // the difference set
-    const uint64_t num_edges = fields.U64();
-    at += sizeof header;
-    if (num_edges > (file.limit() - at) / sizeof(Edge)) return std::nullopt;
-    at += static_cast<size_t>(num_edges) * sizeof(Edge);
-    total += static_cast<size_t>(num_edges);
-  }
-  return total;
-}
-
-/// Parses the payload `r` streams from `file` (everything between the
-/// prefix and the checksum footer) into `*data`. The index's edges are read
-/// from the file straight into one array, sized by a pass over the group
-/// headers.
-Status ParsePayload(const FileSource& file, ByteReader* r,
-                    const std::string& path, SnapshotData* data) {
+/// Parses the payload `r` streams (everything between the prefix and the
+/// checksum footer) into `*data`. The index's edges are read from the file
+/// straight into one array, sized by the total the file states.
+Status ParsePayload(ByteReader* r, const std::string& path,
+                    SnapshotData* data) {
   try {
     data->fingerprint = r->U64();
     data->data_stamp = r->U64();
@@ -253,17 +216,19 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
       for (uint64_t i = 0; i < count; ++i) values.push_back(ReadValue(r));
       dicts.push_back(Dictionary::FromValues(std::move(values)));
     }
+    // n·m codes fit in the bytes left; with no attributes that bounds
+    // nothing, and no session has zero attributes.
     const uint64_t num_codes = static_cast<uint64_t>(n) * m;
-    if (!PlausibleCount(num_codes, *r) ||
+    if (!PlausibleCount(num_codes, *r) || (m == 0 && n != 0) ||
         n > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
       return IoError("snapshot '" + path + "' has an implausible cardinality");
     }
     std::vector<std::vector<int32_t>> columns(m, std::vector<int32_t>(n));
-    for (std::vector<int32_t>& column : columns) r->I32Array(&column);
+    for (std::vector<int32_t>& column : columns) r->Array(&column);
     std::vector<int32_t> next_var(m);
-    r->I32Array(&next_var);
+    r->Array(&next_var);
     data->instance_next_var.resize(m);
-    r->I32Array(&data->instance_next_var);
+    r->Array(&data->instance_next_var);
     const auto negative = [](int32_t counter) { return counter < 0; };
     if (std::any_of(next_var.begin(), next_var.end(), negative) ||
         std::any_of(data->instance_next_var.begin(),
@@ -299,42 +264,35 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
     if (!PlausibleCount(num_groups, *r)) {
       return IoError("snapshot '" + path + "' has an implausible index");
     }
-    const std::optional<size_t> total =
-        CountEdges(file, r->source_offset(), num_groups);
-    if (!total) {
-      return IoError("snapshot '" + path + "' has an implausible group");
+    const uint64_t total = r->U64();
+    if (total > r->remaining() / EdgeArray::EdgeBytes(static_cast<int>(n))) {
+      return IoError("snapshot '" + path + "' has an implausible edge total");
     }
     std::vector<AttrSet> diffs(num_groups);
     std::vector<size_t> begins = {0};
     begins.reserve(static_cast<size_t>(num_groups) + 1);
-    EdgeArray edges(*total, static_cast<int>(n));
-    // Each piece is read into one reused block, checked there while it is
-    // in cache, and only then stored at the index's width, so an id the
-    // check refuses is never narrowed into a valid-looking one.
-    std::vector<Edge> staging(std::min(*total, kEdgePiece));
-    for (AttrSet& diff : diffs) {
-      diff = AttrSet(r->U64());
-      const uint64_t num_edges = r->U64();
-      if (num_edges > edges.size() - begins.back() ||
-          !diff.SubsetOf(universe)) {
-        return IoError("snapshot '" + path + "' has an implausible group");
-      }
-      const size_t group_begin = begins.back();
-      begins.push_back(group_begin + static_cast<size_t>(num_edges));
-      Edge prev(0, 0);
-      for (size_t at = group_begin; at < begins.back(); at += kEdgePiece) {
-        const std::span<Edge> piece(
-            staging.data(), std::min(kEdgePiece, begins.back() - at));
-        r->I32Array(piece);
-        if (!PlausibleEdges(piece, n, &prev)) {
-          return IoError("snapshot '" + path +
-                         "' has an implausible edge list");
+    EdgeArray edges(static_cast<size_t>(total), static_cast<int>(n));
+    // Each group's edges land in their slice of the array at the index's
+    // own width and are checked in place.
+    const char* implausible = edges.Visit([&](auto all) -> const char* {
+      for (AttrSet& diff : diffs) {
+        diff = AttrSet(r->U64());
+        const uint64_t num_edges = r->U64();
+        if (num_edges > all.size() - begins.back() ||
+            !diff.SubsetOf(universe)) {
+          return "group";
         }
-        edges.Store(at, piece);
+        const auto group =
+            all.subspan(begins.back(), static_cast<size_t>(num_edges));
+        begins.push_back(begins.back() + group.size());
+        r->Array(group);
+        if (!PlausibleEdges(group, n)) return "edge list";
       }
-    }
-    if (begins.back() != edges.size()) {
-      return IoError("snapshot '" + path + "' has an implausible index");
+      return begins.back() != all.size() ? "index" : nullptr;
+    });
+    if (implausible != nullptr) {
+      return IoError("snapshot '" + path + "' has an implausible " +
+                     implausible);
     }
     data->index = DifferenceSetIndex(std::move(diffs), std::move(begins),
                                     std::move(edges));
@@ -373,7 +331,7 @@ Status ParsePayload(const FileSource& file, ByteReader* r,
         return IoError("snapshot '" + path + "' has an implausible cover key");
       }
       std::vector<int32_t> seq(static_cast<size_t>(len));
-      r->I32Array(&seq);
+      r->Array(&seq);
       const int32_t value = r->I32();
       data->warm.covers.seq_entries.emplace_back(std::move(seq), value);
     }
@@ -412,7 +370,7 @@ Result<SnapshotData> ReadSnapshotFile(const std::string& path) {
   file.set_limit(file.size() - sizeof(uint32_t));
   ByteReader r(&file);
   SnapshotData data;
-  Status parsed = ParsePayload(file, &r, path, &data);
+  Status parsed = ParsePayload(&r, path, &data);
   if (!file.ChecksumMatches()) {
     return IoError("snapshot '" + path +
                    "' failed its checksum (truncated or corrupted)");

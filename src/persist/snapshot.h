@@ -19,6 +19,11 @@
 //   [12..N-4) payload (see snapshot.cc for the field order)
 //   [N-4..N)  u32 CRC-32 over bytes [0, N-4)
 //
+// The payload's conflict edges are stored at the width the index holds
+// them (DifferenceSetIndex: 16-bit ids up to kMaxNarrowTuples tuples,
+// 32-bit above), behind one total edge count, so the reader sizes the
+// index's edge array once and reads each group's edges straight into it.
+//
 // Error mapping: not-a-snapshot / truncation / checksum failure → kIoError;
 // an unsupported format version → kVersionMismatch (the magic and version
 // are checked before the checksum, so a version bump is reported as such
@@ -51,10 +56,12 @@ inline constexpr char kSnapshotMagic[8] = {'R', 'T', 'S', 'N',
 /// Version history: v1 stored row-major cell codes; v2 stored column-major
 /// codes (one contiguous column per attribute, matching EncodedInstance's
 /// SoA layout) plus a per-group pair tally for groups kept without edges;
-/// v3 dropped that field, since every group stores its edges; v4 (current)
-/// drops the violation table's incidence rows, which a restore rebuilds
-/// from Σ and the index. Older files report kVersionMismatch.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// v3 dropped that field, since every group stores its edges; v4 dropped
+/// the violation table's incidence rows, which a restore rebuilds from Σ
+/// and the index; v5 (current) stores edges at the index's id width
+/// instead of as int32 pairs, after a total edge count. Older files report
+/// kVersionMismatch.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// The (Σ, weights, heuristic) identity of a snapshot: a session may only
 /// adopt a snapshot whose fingerprint matches its own configuration.

@@ -25,6 +25,17 @@ std::vector<int> DeltaPEvaluator::ViolatedGroupIds(
   return out;
 }
 
+namespace {
+
+/// Counts one cover lookup in `stats` (nullable): a memo answer or a
+/// recomputation.
+void CountLookup(bool hit, SearchStats* stats) {
+  if (stats == nullptr) return;
+  ++(hit ? stats->vc_memo_hits : stats->vc_computations);
+}
+
+}  // namespace
+
 int32_t DeltaPEvaluator::CoverSize(const SearchState& s,
                                    SearchStats* stats) const {
   std::unique_ptr<GroupBitset> key = AcquireKey();
@@ -32,13 +43,7 @@ int32_t DeltaPEvaluator::CoverSize(const SearchState& s,
   bool hit = false;
   int32_t size = memo_.CoverSize(*key, &hit);
   ReleaseKey(std::move(key));
-  if (stats != nullptr) {
-    if (hit) {
-      ++stats->vc_memo_hits;
-    } else {
-      ++stats->vc_computations;
-    }
-  }
+  CountLookup(hit, stats);
   return size;
 }
 
@@ -46,13 +51,7 @@ int32_t DeltaPEvaluator::CoverOfGroups(const std::vector<int>& groups,
                                        SearchStats* stats) const {
   bool hit = false;
   int32_t size = memo_.CoverSizeOrdered(groups, &hit);
-  if (stats != nullptr) {
-    if (hit) {
-      ++stats->vc_memo_hits;
-    } else {
-      ++stats->vc_computations;
-    }
-  }
+  CountLookup(hit, stats);
   return size;
 }
 

@@ -100,7 +100,7 @@ TEST(PersistGolden, SnapshotBytes) {
 
   const std::string path = GoldenPath("golden.snap");
   ASSERT_TRUE(session->SaveSnapshot(path).ok());
-  ExpectPin(path, {78891, 0xdf25eeb9249235cbULL});
+  ExpectPin(path, {45931, 0x2e27a1445d233caeULL});
 
   // The pin is only as strong as the sections it covers.
   Result<persist::SnapshotData> saved = persist::ReadSnapshotFile(path);

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -248,6 +250,15 @@ TEST(SnapshotRoundTrip, BitIdenticalAtEveryThreadCount) {
     ExpectSameAnswers(*original, *restored,
                       ("threads=" + std::to_string(threads)).c_str());
   }
+}
+
+/// `edges` as a snapshot stores them: (u, v) ids at the width the index
+/// holds them, little-endian (the hosts these tests run on).
+std::string StoredBytes(const EdgeSpan& edges) {
+  return edges.Visit([](auto stored) {
+    return std::string(reinterpret_cast<const char*>(stored.data()),
+                       stored.size_bytes());
+  });
 }
 
 /// n rows whose (Name, City) make City -> Name conflict only inside pairs
@@ -496,12 +507,9 @@ TEST(SnapshotStream, DamagedEdgesFailTheChecksum) {
   ASSERT_TRUE(session->SaveSnapshot(path).ok());
   const std::string bytes = ReadAll(path);
 
-  // Where a group's edges sit in the file: its (u, v) words, in order.
+  // Where a group's edges sit in the file: its (u, v) ids, in order.
   const auto edges_at = [&](int g) {
-    const EdgeSpan group = index.group(g).edges;
-    const std::vector<Edge> edges(group.begin(), group.end());
-    const std::string words(reinterpret_cast<const char*>(edges.data()),
-                            edges.size() * sizeof(Edge));
+    const std::string words = StoredBytes(index.group(g).edges);
     const size_t at = bytes.find(words);
     EXPECT_NE(at, std::string::npos) << "group " << g;
     return std::pair(at, words.size());
@@ -612,28 +620,59 @@ class SnapshotContent : public SnapshotCorruption {
     EXPECT_EQ(opened.status().code(), StatusCode::kIoError) << label;
   }
 
-  /// Overwrites group 0's edges in the file with `edges`, as many as it
-  /// holds, and re-seals the checksum. The ids reach the reader exactly as
-  /// given, even ones the index could not hold at its edge width.
-  void RewriteFirstGroupEdges(const std::vector<Edge>& edges) {
+  /// Saves the wide fixture to path_: an index over kMaxNarrowTuples + 1
+  /// tuples, which stores 32-bit ids, whose group 0 is (0, 1), (2, 3), ...
+  void SaveWide() {
+    Result<Session> session =
+        Session::Open(PairedRows(kMaxNarrowTuples + 1), {"City->Name"});
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_FALSE(session->context().index().edges().narrow());
+    ASSERT_TRUE(session->SaveSnapshot(path_).ok());
+  }
+
+  /// The file offset of group 0's header (its difference set and edge
+  /// count, then its edges) in `bytes`, the contents of path_.
+  size_t FirstGroupAt(const std::string& bytes) {
     Result<persist::SnapshotData> data = persist::ReadSnapshotFile(path_);
-    ASSERT_TRUE(data.ok()) << data.status().ToString();
-    const EdgeSpan group = data->index.group(0).edges;
-    ASSERT_EQ(group.size(), edges.size());
-    const auto words = [](const std::vector<Edge>& list) {
-      return std::string(reinterpret_cast<const char*>(list.data()),
-                         list.size() * sizeof(Edge));
-    };
-    const std::string before = words({group.begin(), group.end()});
-    std::string bytes = ReadAll(path_);
-    const size_t at = bytes.find(before);
-    ASSERT_NE(at, std::string::npos);
-    bytes.replace(at, before.size(), words(edges));
+    EXPECT_TRUE(data.ok()) << data.status().ToString();
+    if (!data.ok()) return std::string::npos;
+    const DiffSetGroup group = data->index.group(0);
+    persist::ByteWriter header;
+    header.U64(group.diff.bits());
+    header.U64(group.edges.size());
+    const size_t at = bytes.find(header.buffer() + StoredBytes(group.edges));
+    EXPECT_NE(at, std::string::npos);
+    return at;
+  }
+
+  /// Writes `bytes` to path_ with the checksum re-sealed.
+  void Reseal(std::string bytes) {
     const uint32_t crc = persist::Crc32(bytes.data(), bytes.size() - 4);
     for (int i = 0; i < 4; ++i) {
       bytes[bytes.size() - 4 + i] = static_cast<char>(crc >> (8 * i));
     }
     WriteAll(path_, bytes);
+  }
+
+  /// Overwrites the first edges.size() edges of group 0 in the file with
+  /// `edges`, at the file's id width, and re-seals the checksum. The ids
+  /// reach the reader exactly as given; each must fit that width.
+  void RewriteFirstGroupEdges(const std::vector<Edge>& edges, bool narrow) {
+    std::string bytes = ReadAll(path_);
+    const size_t at = FirstGroupAt(bytes);
+    ASSERT_NE(at, std::string::npos);
+    persist::ByteWriter words;
+    for (const Edge& e : edges) {
+      if (narrow) {
+        ASSERT_TRUE(e.u >= 0 && e.u <= 0xffff && e.v >= 0 && e.v <= 0xffff);
+        words.Array(std::vector<NarrowEdge>{
+            {static_cast<uint16_t>(e.u), static_cast<uint16_t>(e.v)}});
+      } else {
+        words.Array(std::vector<Edge>{e});
+      }
+    }
+    bytes.replace(at + 2 * sizeof(uint64_t), words.size(), words.buffer());
+    Reseal(std::move(bytes));
   }
 
   /// An index's groups as owned (difference set, edges) pairs.
@@ -658,7 +697,12 @@ class SnapshotContent : public SnapshotCorruption {
       begins.push_back(flat.size());
     }
     EdgeArray array(flat.size(), data->encoded.NumTuples());
-    array.Store(0, flat);
+    array.Visit([&flat](auto stored) {
+      for (size_t i = 0; i < flat.size(); ++i) {
+        stored[i].u = static_cast<decltype(stored[i].u)>(flat[i].u);
+        stored[i].v = static_cast<decltype(stored[i].v)>(flat[i].v);
+      }
+    });
     data->index = DifferenceSetIndex(std::move(diffs), std::move(begins),
                                      std::move(array));
   }
@@ -674,38 +718,116 @@ TEST_F(SnapshotContent, UntamperedResaveOpens) {
 }
 
 TEST_F(SnapshotContent, EdgeOutsideTheTuplesOrOutOfOrderIsIoError) {
-  // Fields set directly: the Edge constructor would normalize u <= v. The
-  // index (n = 4) stores 16-bit ids, so an id of 65,536 + k would read as
-  // k if it were narrowed before the check; "v = 65536 + v" would then be
-  // group 0's own edge (1, 2).
+  // Fields set directly: the Edge constructor would normalize u <= v. Each
+  // case replaces group 0's first two edges. The default fixture (n = 4)
+  // stores 16-bit ids, so the cases it cannot express (a negative id, ids
+  // of 65,536 and above) run only on the wide one (n = kMaxNarrowTuples +
+  // 1), where "v = 65536 + u" is v == n; the rest run at both widths.
   auto raw = [](int32_t u, int32_t v) {
     Edge e;
     e.u = u;
     e.v = v;
     return e;
   };
-  const std::vector<std::pair<const char*, std::vector<Edge>>> cases = {
-      {"v past n", {raw(0, 2), raw(1, 1 << 28)}},
-      {"v == n", {raw(0, 2), raw(1, 4)}},
-      {"v = 65536 + u", {raw(0, 2), raw(1, 65536 + 1)}},
-      {"v = 65536 + v", {raw(0, 2), raw(1, 65536 + 2)}},
-      {"u and v past 65535", {raw(0, 2), raw(65536 + 1, 65536 + 2)}},
-      {"negative u", {raw(-1, 2), raw(1, 2)}},
-      {"u == v", {raw(0, 2), raw(2, 2)}},
-      {"u > v", {raw(2, 0), raw(1, 2)}},
-      {"descending", {raw(1, 2), raw(0, 2)}},
-      {"repeated", {raw(0, 2), raw(0, 2)}},
-  };
-  for (const auto& [label, edges] : cases) {
+  for (const bool narrow : {true, false}) {
     SetUp();
-    RewriteFirstGroupEdges(edges);
+    if (!narrow) SaveWide();
+    const std::string fixture = ReadAll(path_);
+    const int n = narrow ? 4 : kMaxNarrowTuples + 1;
+    std::vector<std::pair<const char*, std::vector<Edge>>> cases = {
+        {"v past n", {raw(0, 2), raw(1, narrow ? 0xffff : 1 << 28)}},
+        {"v == n", {raw(0, 2), raw(1, n)}},
+        {"u == v", {raw(0, 2), raw(2, 2)}},
+        {"u > v", {raw(2, 0), raw(1, 2)}},
+        {"descending", {raw(1, 2), raw(0, 2)}},
+        {"repeated", {raw(0, 2), raw(0, 2)}},
+    };
+    if (!narrow) {
+      cases.insert(cases.end(),
+                   {{"v = 65536 + u", {raw(0, 2), raw(1, 65536 + 1)}},
+                    {"v = 65536 + v", {raw(0, 2), raw(1, 65536 + 2)}},
+                    {"u and v past 65535",
+                     {raw(0, 2), raw(65536 + 1, 65536 + 2)}},
+                    {"negative u", {raw(-1, 2), raw(1, 2)}}});
+    }
+    for (const auto& [label, edges] : cases) {
+      const std::string at_width =
+          std::string(label) + (narrow ? " (16-bit)" : " (32-bit)");
+      WriteAll(path_, fixture);
+      RewriteFirstGroupEdges(edges, narrow);
+      ExpectRejected(at_width);
+      Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path_);
+      ASSERT_FALSE(read.ok()) << at_width;
+      EXPECT_NE(read.status().message().find("has an implausible edge list"),
+                std::string::npos)
+          << at_width << ": " << read.status().message();
+    }
+  }
+}
+
+// The edge total that follows the group count sizes the index's edge
+// array before any group is read, so a total the file cannot back is
+// refused before the allocation, and one the groups do not add up to is
+// refused after them.
+TEST_F(SnapshotContent, EdgeTotalDisagreeingWithTheFileIsIoError) {
+  const std::string fixture = bytes_;
+  const size_t total_at = FirstGroupAt(fixture) - sizeof(uint64_t);
+  ASSERT_LT(total_at, fixture.size());
+  const auto read_total = [&] {
+    persist::ByteReader r(std::string_view(fixture).substr(total_at, 8));
+    return r.U64();
+  };
+  ASSERT_EQ(read_total(), 2u);  // group 0's two edges
+  // Bytes left after the field, checksum footer excluded; 4 per edge.
+  const uint64_t edges_left = (fixture.size() - 4 - total_at - 8) / 4;
+  const std::vector<std::tuple<const char*, uint64_t, const char*>> cases = {
+      {"one past the bytes left", edges_left + 1, "implausible edge total"},
+      {"2^62", uint64_t{1} << 62, "implausible edge total"},
+      {"above the groups' sum", 3, "implausible index"},
+      {"below the groups' sum", 1, "implausible group"},
+  };
+  for (const auto& [label, total, message] : cases) {
+    std::string bytes = fixture;
+    persist::ByteWriter field;
+    field.U64(total);
+    bytes.replace(total_at, 8, field.buffer());
+    Reseal(std::move(bytes));
     ExpectRejected(label);
     Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path_);
     ASSERT_FALSE(read.ok()) << label;
-    EXPECT_NE(read.status().message().find("has an implausible edge list"),
-              std::string::npos)
+    EXPECT_NE(read.status().message().find(message), std::string::npos)
         << label << ": " << read.status().message();
   }
+}
+
+// n·m codes bound n by the file's bytes only when m > 0: a sealed file
+// with no attributes and 2^24 tuples, whose fingerprint and data stamp
+// match, is refused before anything is allocated per tuple.
+TEST_F(SnapshotContent, ZeroAttributesWithTuplesIsIoError) {
+  const SessionOptions opts;
+  const EncodedInstance empty = EncodedInstance::Restore(
+      Schema(std::vector<Attribute>{}), 1 << 24, {}, {}, {});
+  const std::vector<int32_t> no_counters;
+  const FDSet no_fds;
+  const DifferenceSetIndex no_groups;
+  persist::SnapshotView view;
+  view.weight_model = static_cast<uint8_t>(opts.weights);
+  view.heuristic = opts.heuristic;
+  view.fingerprint =
+      persist::ConfigFingerprint(no_fds, view.weight_model, view.heuristic);
+  view.data_stamp = persist::DataStamp(empty);
+  view.data_version = 1;
+  view.encoded = &empty;
+  view.instance_next_var = &no_counters;
+  view.sigma = &no_fds;
+  view.index = &no_groups;
+  ASSERT_TRUE(persist::WriteSnapshotFile(path_, view).ok());
+  ExpectRejected("m = 0, n = 2^24");
+  Result<persist::SnapshotData> read = persist::ReadSnapshotFile(path_);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("implausible cardinality"),
+            std::string::npos)
+      << read.status().message();
 }
 
 TEST_F(SnapshotContent, DiffSetOutsideTheSchemaIsIoError) {
@@ -747,6 +869,42 @@ TEST_F(SnapshotContent, NegativeFreshVariableCounterIsIoError) {
     data->instance_next_var[0] = -1;
   });
   ExpectRejected("instance counter");
+}
+
+// --- Bulk array codec ------------------------------------------------------
+
+// Each element is stored lane by lane, least-significant byte first, at
+// the width of its ids: a NarrowEdge as two 16-bit values, an Edge as two
+// 32-bit ones, on any host.
+TEST(ByteCodec, ArraysAreLittleEndianPerIdLane) {
+  NarrowEdge narrow;
+  narrow.u = 0x0102;
+  narrow.v = 0x0304;
+  Edge wide;
+  wide.u = 0x01020304;
+  wide.v = 0x05060708;
+  persist::ByteWriter w;
+  w.Array(std::vector<NarrowEdge>{narrow});
+  w.Array(std::vector<Edge>{wide});
+  w.Array(std::vector<int32_t>{-2});
+  EXPECT_EQ(w.buffer(), std::string("\x02\x01\x04\x03"
+                                    "\x04\x03\x02\x01\x08\x07\x06\x05"
+                                    "\xfe\xff\xff\xff",
+                                    16));
+
+  persist::ByteReader r(w.buffer());
+  std::vector<NarrowEdge> narrow_back(1);
+  std::vector<Edge> wide_back(1);
+  std::vector<int32_t> int_back(1);
+  r.Array(&narrow_back);
+  r.Array(&wide_back);
+  r.Array(&int_back);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(narrow_back[0].u, narrow.u);
+  EXPECT_EQ(narrow_back[0].v, narrow.v);
+  EXPECT_EQ(wide_back[0], wide);
+  EXPECT_EQ(int_back[0], -2);
 }
 
 // --- Whole-file read -------------------------------------------------------
